@@ -2,10 +2,10 @@
 decision procedure.
 
 Exit codes: 0 for a positive outcome, 1 for a negative verdict, 2 for input
-errors, 3 for an exceeded search or theory bound.  Reports are emitted as a
-single JSON record with a fixed key order (command, verdict, evidence,
-timing_ms); timing is null unless --timing is given so that reports are
-byte-stable across runs with a fixed seed.
+errors, 3 for an exceeded search, theory or carrier bound.  Reports are
+emitted as a single JSON record with a fixed key order (command, verdict,
+evidence, timing_ms); timing is null unless --timing is given so that
+reports are byte-stable across runs with a fixed seed.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import time
 from .algebra import FinAlgebra
 from .algio import ParseError, load_algebra, parse_dfa_file
 from .automata import Dfa, RegexSyntaxError, dfa_to_recognizer, parse_regex
+from .core import CarrierBoundExceeded
 from .lawsuite import run_all
 from .logic import TheoryBoundExceeded, fo_definable, theory_algebra
 from .profinite import identity_library, parse_inequalities, satisfies_all
@@ -263,7 +264,7 @@ def main(argv=None) -> int:
     except (ParseError, RegexSyntaxError, FileNotFoundError, ValueError) as exc:
         print(json.dumps({"command": args.cmd, "error": str(exc)}, indent=2))
         return EXIT_INPUT
-    except (TheoryBoundExceeded, SearchBoundExceeded) as exc:
+    except (TheoryBoundExceeded, SearchBoundExceeded, CarrierBoundExceeded) as exc:
         print(json.dumps({"command": args.cmd, "error": str(exc)}, indent=2))
         return EXIT_BOUND
 

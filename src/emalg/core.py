@@ -22,6 +22,13 @@ Elem = Hashable
 MAX_SORT_SIZE = 64
 
 
+class CarrierBoundExceeded(RuntimeError):
+    """A sort would hold more elements than the carrier cap allows.
+
+    A resource bound, not malformed input: the command line reports it with
+    the bound exit code."""
+
+
 class NoFactorisation(Exception):
     """Raised when ``factor_through`` fails; carries one violating pair."""
 
@@ -69,7 +76,9 @@ class SortedOrderedSet:
         self._sort_of: dict[Elem, Sort] = {}
         for s, es in self._elems.items():
             if len(es) > max_size:
-                raise ValueError(f"sort {s} has {len(es)} elements, cap is {max_size}")
+                raise CarrierBoundExceeded(
+                    f"sort {s} has {len(es)} elements, cap is {max_size}"
+                )
             for e in es:
                 if e in self._sort_of:
                     raise ValueError(f"element {e!r} occurs twice")

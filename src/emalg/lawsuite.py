@@ -34,11 +34,13 @@ from .monads import (
     WORD,
     MixedWord,
     Monad,
-    Node,
     Tree,
     UPWord,
     Var,
     Word,
+    _node,
+    _tree,
+    _var_tuple,
     tree_monad,
 )
 from .profinite import identity_library, satisfies_all
@@ -75,21 +77,30 @@ def rand_omega_elem(rng, pool_fin, pool_inf, sort, max_len=3):
 def rand_tree_elem(rng, pool_by_arity, sort, max_nodes=8) -> Tree:
     """A random linear tree of the given sort; variables may appear in any
     order and some may be dropped, exercising the full free container."""
-    arities = [a for a, pool in pool_by_arity.items() if pool]
-    budget = [max_nodes]
-    vars_left = list(range(sort))
+    # Once the budget is spent only a leaf may be drawn; the draw is still
+    # made, from a one-element list, because every generated input follows
+    # from the exact sequence of calls to ``rng`` (tests/test_lawsuite.py
+    # pins it).
+    wide = [a for a, pool in pool_by_arity.items() if pool] or [0]
+    leaf = [0]
+    budget = max_nodes
+    vars_left = list(_var_tuple(sort))
     rng.shuffle(vars_left)
+    choice, random = rng.choice, rng.random
 
     def grow(allow_var: bool):
-        if allow_var and vars_left and rng.random() < 0.4:
-            return Var(vars_left.pop())
-        choices = [a for a in arities if a == 0 or budget[0] > 1]
-        a = rng.choice(choices if choices else [0])
-        budget[0] -= 1
-        label = rng.choice(pool_by_arity[a])
-        return Node(label, tuple(grow(True) for _ in range(a)))
+        nonlocal budget
+        if allow_var and vars_left and random() < 0.4:
+            return vars_left.pop()
+        a = choice(wide if budget > 1 else leaf)
+        budget -= 1
+        label = choice(pool_by_arity[a])
+        if not a:
+            return _node(label, ())
+        return _node(label, tuple([grow(True) for _ in range(a)]))
 
-    return Tree(grow(False), sort)
+    # each variable is popped at most once and all are below ``sort``
+    return _tree(grow(False), sort)
 
 
 def rand_element(monad: Monad, rng, pool_by_sort, sort):
@@ -627,38 +638,72 @@ def _all_preorders(carrier: SortedOrderedSet):
             yield q
 
 
-def _close_under_mult(mult: dict, seed: frozenset) -> frozenset:
-    s = set(seed)
-    frontier = list(seed)
+# The products checked here have at most 16 elements, so their subsets are
+# int bitmasks over element indices; ``_index_table`` gives the product on
+# those indices.
+
+
+def _index_table(mult: dict, elems: list) -> list[list[int]]:
+    """Row a, column b: bit mask of {a*b, b*a}, over element indices."""
+    index = {e: i for i, e in enumerate(elems)}
+    return [
+        [1 << index[mult[(a, b)]] | 1 << index[mult[(b, a)]] for b in elems]
+        for a in elems
+    ]
+
+
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _close_mask(table: list, closed: int, frontier: int) -> int:
+    """Close ``closed`` under the product, given that every product of two
+    members outside ``frontier`` is already in it: each round multiplies
+    only the newest members against all members."""
     while frontier:
-        new = []
-        for a in frontier:
-            for b in list(s):
-                for c in (mult[(a, b)], mult[(b, a)]):
-                    if c not in s:
-                        s.add(c)
-                        new.append(c)
-        frontier = new
-    return frozenset(s)
+        members = _bits(closed)
+        new = 0
+        for a in _bits(frontier):
+            row = table[a]
+            for b in members:
+                new |= row[b]
+        frontier = new & ~closed
+        closed |= frontier
+    return closed
 
 
-def _subalgebra_lattice(mult: dict, elems, cap: int = 400):
-    """All product-closed subsets, by join-closure from the cyclic ones.
+def _subalgebra_lattice(table: list, cap: int = 400) -> Optional[set[int]]:
+    """All nonempty product-closed subsets, as masks over ``table``'s
+    indices.
 
-    Returns None once more than ``cap`` closed sets appear (idempotent-heavy
-    algebras have exponentially many); callers then rely on the cyclic
-    subalgebras, which are exhaustive for single-variable identities."""
-    closed = {_close_under_mult(mult, frozenset([e])) for e in elems}
+    Returns None exactly when there are more than ``cap`` of them
+    (idempotent-heavy algebras have exponentially many); callers then rely
+    on the cyclic subalgebras, which are exhaustive for single-variable
+    identities.  Each closed set is cyclic or the closure of a smaller
+    closed set and one more element, so extending the closed sets found so
+    far by each missing element reaches them all; the result does not
+    depend on the order of discovery."""
+    n = len(table)
+    closed = {_close_mask(table, 1 << x, 1 << x) for x in range(n)}
+    if len(closed) > cap:
+        return None
     worklist = list(closed)
+    seen: dict[int, int] = {}  # closure of each extension met so far
     while worklist:
         s = worklist.pop()
-        for t in list(closed):
-            u = s | t
-            if u not in closed:
-                u = _close_under_mult(mult, u)
-                if u not in closed:
-                    closed.add(u)
-                    worklist.append(u)
+        for x in _bits(((1 << n) - 1) & ~s):
+            u = s | 1 << x
+            c = seen.get(u)
+            if c is None:
+                c = seen[u] = _close_mask(table, u, 1 << x)
+                if c not in closed:
+                    closed.add(c)
+                    worklist.append(c)
                     if len(closed) > cap:
                         return None
     return closed
@@ -702,15 +747,16 @@ def check_mod_closure(max_size: int = 3) -> CheckResult:
     for i, a in enumerate(aperiodic):
         for b in aperiodic[i:]:
             p = product([a, b])
+            elems = list(p.carrier)
+            table = _index_table(p.mult, elems)
             # cyclic subalgebras decide the single-variable identity for
             # every subalgebra; the explicit lattice is exercised when small
-            for x in p.carrier:
-                cyc = _close_under_mult(p.mult, frozenset([x]))
-                if not _aperiodic_subset(p.mult, cyc):
+            for x in range(len(elems)):
+                cyc = _close_mask(table, 1 << x, 1 << x)
+                if not _aperiodic_subset(p.mult, [elems[j] for j in _bits(cyc)]):
                     problems.append("cyclic subalgebra of product not aperiodic")
-            lattice = _subalgebra_lattice(p.mult, list(p.carrier))
-            for subset in lattice or ():
-                if subset and not _aperiodic_subset(p.mult, subset):
+            for subset in _subalgebra_lattice(table) or ():
+                if not _aperiodic_subset(p.mult, [elems[j] for j in _bits(subset)]):
                     problems.append("subalgebra of product not aperiodic")
     detail = (
         "; ".join(problems)

@@ -14,6 +14,7 @@ mentioned here only as a non-example.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
@@ -145,6 +146,9 @@ class Tree:
     carries a symbol.  A node's label must have arity equal to its child
     count (checked against a carrier on evaluation or flattening, since bare
     labels do not carry arities).
+
+    Linearity is checked here, at the public boundary; the monad operations
+    build their linear-by-construction results with ``_tree``/``_node``.
     """
 
     root: Node
@@ -170,13 +174,34 @@ def _tree_vars(node) -> Iterator[int]:
             yield from _tree_vars(c)
 
 
-def tree_size(t: Tree) -> int:
-    def count(n):
-        if isinstance(n, Var):
-            return 1
-        return 1 + sum(count(c) for c in n.children)
+# Trusted construction.  The public ``Node``/``Tree`` constructors (and
+# ``parse_tree``) normalise children and check linearity; trees that the
+# monad operations build out of already-checked trees are linear by
+# construction, so they are assembled here without either check.
 
-    return count(t.root)
+_new = object.__new__
+
+
+def _node(label, children: tuple) -> Node:
+    n = _new(Node)
+    attrs = n.__dict__
+    attrs["label"] = label
+    attrs["children"] = children
+    return n
+
+
+def _tree(root: Node, sort: int) -> Tree:
+    t = _new(Tree)
+    attrs = t.__dict__
+    attrs["root"] = root
+    attrs["sort"] = sort
+    return t
+
+
+@functools.cache
+def _var_tuple(k: int) -> tuple:
+    """The shared, immutable tuple (x0, ..., x{k-1}); one per arity used."""
+    return tuple(Var(i) for i in range(k))
 
 
 def tree_labels(node) -> Iterator[tuple[Any, int]]:
@@ -391,31 +416,37 @@ class TreeMonad(Monad):
     def sing(self, a, sort):
         if not 0 <= sort <= self.max_arity:
             raise SortMismatch(f"arity {sort} out of range 0..{self.max_arity}")
-        return Tree(Node(a, tuple(Var(i) for i in range(sort))), sort)
+        return _tree(_node(a, _var_tuple(sort)), sort)
 
     def map(self, f, t):
         f = _as_label_fn(f)
 
         def go(n):
-            if isinstance(n, Var):
+            if n.__class__ is Var:
                 return n
-            return Node(f(n.label, len(n.children)), tuple(go(c) for c in n.children))
+            children = n.children
+            label = f(n.label, len(children))
+            return _node(label, tuple([go(c) for c in children]))
 
-        return Tree(go(t.root), t.sort)
+        return _tree(go(t.root), t.sort)
 
     def flat(self, t):
-        budget = [MAX_TREE_SIZE]
+        budget = MAX_TREE_SIZE
 
         def substitute(n, subs):
-            if isinstance(n, Var):
-                return subs.get(n.index, n)
-            budget[0] -= 1
-            if budget[0] < 0:
+            nonlocal budget
+            if n.__class__ is Var:
+                return subs[n.index]
+            budget -= 1
+            if budget < 0:
                 raise ValueError(f"flattened tree exceeds {MAX_TREE_SIZE} nodes")
-            return Node(n.label, tuple(substitute(c, subs) for c in n.children))
+            children = n.children
+            if not children:
+                return _node(n.label, ())
+            return _node(n.label, tuple([substitute(c, subs) for c in children]))
 
         def go(n):
-            if isinstance(n, Var):
+            if n.__class__ is Var:
                 return n
             inner = n.label
             if not isinstance(inner, Tree):
@@ -425,10 +456,10 @@ class TreeMonad(Monad):
                     f"inner tree of sort {inner.sort} at a node with "
                     f"{len(n.children)} children"
                 )
-            subs = {i: go(c) for i, c in enumerate(n.children)}
+            subs = [go(c) for c in n.children]
             return substitute(inner.root, subs)
 
-        return Tree(go(t.root), t.sort)
+        return _tree(go(t.root), t.sort)
 
     def leq(self, s, t, order):
         if s.sort != t.sort:

@@ -105,3 +105,15 @@ def test_laws_fast_smoke():
     lines = [l for l in out.splitlines() if l.startswith("PASS") or l.startswith("FAIL")]
     assert len(lines) == 10
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_carrier_cap_exits_with_the_bound_code(tmp_path):
+    # the syntactic algebra of (a|b)*a(a|b){5} has 126 elements, past the cap
+    code, out = run_cli("syn", "(a|b)*a" + "(a|b)" * 5)
+    assert code == EXIT_BOUND
+    assert json.loads(out) == {"command": "syn", "error": "sort 0 has 126 elements, cap is 64"}
+    big = tmp_path / "big.alg"
+    big.write_text("kind word\nelems 0 " + " ".join(f"e{i}" for i in range(65)) + "\n")
+    code, out = run_cli("check", str(big), "APERIODIC")
+    assert code == EXIT_BOUND
+    assert json.loads(out)["error"] == "sort 0 has 65 elements, cap is 64"

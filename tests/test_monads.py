@@ -3,10 +3,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from emalg import monads
 from emalg.core import SortedOrderedSet
-from emalg.lawsuite import rand_element, _label_pools
+from emalg.lawsuite import rand_element, rand_tree_elem, _label_pools
 from emalg.monads import (
     HOLE,
+    MAX_TREE_SIZE,
     OMEGA_UP,
     SORT_FIN,
     SORT_INF,
@@ -118,6 +120,10 @@ def test_tree_linearity_enforced():
         Tree(Node("b", (Var(2), Var(0))), 2)  # x2 exceeds sort
     with pytest.raises(ValueError):
         Tree(Var(0), 1)  # root must be a symbol
+    with pytest.raises(ValueError):
+        Tree(Node("u", [Node("b", [Var(0), Var(0)])]), 1)  # below the root
+    with pytest.raises(ValueError):
+        parse_tree("b(x0,x0)")
 
 
 def test_parsing_round_trips():
@@ -196,4 +202,67 @@ def test_tree_flat_preserves_linearity_and_sort():
         sort = rng.choice([0, 1, 2])
         big = rand_element(TREE2, rng, level1, sort)
         flat = TREE2.flat(big)
-        assert flat.sort == sort  # Tree constructor re-validates linearity
+        assert flat.sort == sort  # linearity: test_trusted_trees_pass_the_public_checks
+
+
+def _recheck(t):
+    """Rebuild ``t`` through the checking public constructors."""
+
+    def go(n):
+        if isinstance(n, Var):
+            return Var(n.index)
+        return Node(n.label, tuple(go(c) for c in n.children))
+
+    rebuilt = Tree(go(t.root), t.sort)
+    assert rebuilt == t
+    return t
+
+
+def test_trusted_trees_pass_the_public_checks():
+    rng = random.Random(5)
+    base = {0: ["c", "d"], 1: ["u"], 2: ["b"]}
+    for _ in range(300):
+        sort = rng.choice([0, 1, 2])
+        t = _recheck(rand_tree_elem(rng, base, sort))
+        _recheck(TREE2.sing(t, sort))
+        _recheck(TREE2.flat(TREE2.sing(t, sort)))
+        _recheck(TREE2.map(lambda a, s: a * 2, t))
+        _recheck(TREE2.flat(TREE2.map(lambda a, s: TREE2.sing(a, s), t)))
+        level1 = {s: [_recheck(x) for x in p] for s, p in _label_pools(TREE2, base, rng).items()}
+        level2 = {s: [_recheck(x) for x in p] for s, p in _label_pools(TREE2, level1, rng).items()}
+        big = _recheck(rand_element(TREE2, rng, level2, sort))
+        _recheck(TREE2.flat(TREE2.flat(big)))
+        _recheck(TREE2.flat(TREE2.map(lambda w, s: _recheck(TREE2.flat(w)), big)))
+
+
+def _chain(label, depth, leaf):
+    node = leaf
+    for _ in range(depth):
+        node = Node(label, (node,))
+    return node
+
+
+def _count_nodes(n):
+    return 0 if isinstance(n, Var) else 1 + sum(_count_nodes(c) for c in n.children)
+
+
+def test_flat_counts_every_node_against_the_cap(monkeypatch):
+    # outer node labelled by a 3-node unary context, its child by a 4-node
+    # ground tree: the flattened tree has exactly 7 nodes
+    ctx = Tree(_chain("u", 3, Var(0)), 1)
+    ground = Tree(_chain("u", 3, Node("c")), 0)
+    outer = Tree(Node(ctx, (Node(ground),)), 0)
+    monkeypatch.setattr(monads, "MAX_TREE_SIZE", 7)
+    assert _count_nodes(TREE2.flat(outer).root) == 7
+    monkeypatch.setattr(monads, "MAX_TREE_SIZE", 6)
+    with pytest.raises(ValueError, match="exceeds 6 nodes"):
+        TREE2.flat(outer)
+
+
+def test_flat_raises_past_max_tree_size():
+    # 100 nested copies of a 100-node unary context over one leaf
+    ctx = Tree(_chain("u", 100, Var(0)), 1)
+    outer = Tree(_chain(ctx, 100, Node(TREE2.sing("c", 0))), 0)
+    assert 100 * 100 + 1 > MAX_TREE_SIZE
+    with pytest.raises(ValueError, match=f"exceeds {MAX_TREE_SIZE} nodes"):
+        TREE2.flat(outer)
