@@ -51,6 +51,7 @@ from .monads import (
     Var,
     Word,
     WordMonad,
+    substitute_vars,
 )
 
 #: Marker for a bare-variable slot in tree composition tables.
@@ -112,7 +113,6 @@ class FinAlgebra:
             for (a, b), c in self.mult.items():
                 if c not in A or A.sort_of(c) != SORT_WORD:
                     raise ValueError(f"bad product value {c!r}")
-            self._check_monotone_binary(self.mult, es, es)
         elif self.kind == "omega":
             fin, inf = A.elements(SORT_FIN), A.elements(SORT_INF)
             for a, b in itertools.product(fin, fin):
@@ -136,27 +136,13 @@ class FinAlgebra:
             for a, c in self.omega.items():
                 if A.sort_of(c) != SORT_INF:
                     raise ValueError(f"omega lands at wrong sort: {c!r}")
-            self._check_monotone_binary(self.dot, fin, fin)
-            self._check_monotone_binary(self.mix, fin, inf)
-            if inf:
-                for a, b in itertools.product(fin, fin):
-                    if A.leq(a, b) and not A.leq(self.omega[a], self.omega[b]):
-                        raise ValueError(f"omega not monotone at ({a!r},{b!r})")
         elif self.kind == "tree":
             self._validate_tree_tables()
         else:
             raise ValueError(f"unknown algebra kind {self.kind!r}")
-
-    def _check_monotone_binary(self, table, left, right):
-        A = self.carrier
-        for a, a2 in itertools.product(left, left):
-            if not A.leq(a, a2):
-                continue
-            for b, b2 in itertools.product(right, right):
-                if A.leq(b, b2) and not A.leq(table[(a, b)], table[(a2, b2)]):
-                    raise ValueError(
-                        f"product not monotone at ({a!r},{b!r}) vs ({a2!r},{b2!r})"
-                    )
+        bad = _incompatibility(self, A.leq_pairs())
+        if bad:
+            raise ValueError(f"{bad[0]} not monotone at {bad[1]!r} vs {bad[2]!r}")
 
     def _iter_required_tree_keys(self):
         A = self.carrier
@@ -186,25 +172,6 @@ class FinAlgebra:
                 raise ValueError(f"comp entry ({a!r},{slots!r}) exceeds the arity cap")
             if r not in A or A.sort_of(r) != rsort:
                 raise ValueError(f"comp value {r!r} has sort != {rsort}")
-        # monotonicity across comparable keys
-        for (a, slots), r in self.comp.items():
-            for (a2, slots2), r2 in self.comp.items():
-                if len(slots) != len(slots2):
-                    continue
-                if not A.leq(a, a2):
-                    continue
-                ok = True
-                for s, s2 in zip(slots, slots2):
-                    if (s is VAR) != (s2 is VAR):
-                        ok = False
-                        break
-                    if s is not VAR and not A.leq(s, s2):
-                        ok = False
-                        break
-                if ok and not A.leq(r, r2):
-                    raise ValueError(
-                        f"comp not monotone: ({a!r},{slots!r}) vs ({a2!r},{slots2!r})"
-                    )
 
     # -- shallow application ---------------------------------------------------
 
@@ -229,6 +196,124 @@ class FinAlgebra:
 
     def __repr__(self):
         return f"FinAlgebra({self.kind}, {len(self.carrier)} elements)"
+
+
+# -- the table view -------------------------------------------------------------
+#
+# Whatever the instance, an algebra's data is a set of shallow operation
+# tables.  The helpers below see them as one list of entries
+# (op, args, value) with a flat argument tuple:
+#
+#   ("mult", (a, b))   ("dot", (a, b))   ("mix", (a, e))   ("omega", (a,))
+#   ("comp", (head, slot_1, ..., slot_n)), VAR standing for a bare slot
+#
+# Morphism tests, restriction, quotients, products, closure and the
+# compatibility check are written once over this view.  The per-op dicts
+# stay the storage and the public face.
+
+_OPS = ("mult", "dot", "mix", "omega", "comp")
+
+
+def _entries(alg: FinAlgebra):
+    """Every table entry as (op, args, value), table by table."""
+    for op in ("mult", "dot", "mix"):
+        for args, value in getattr(alg, op).items():
+            yield op, args, value
+    for a, value in alg.omega.items():
+        yield "omega", (a,), value
+    for (a, slots), value in alg.comp.items():
+        yield "comp", (a, *slots), value
+
+
+def _shapes(alg: FinAlgebra) -> set:
+    """The (op, number of arguments) of the entries without bare slots: the
+    pairs ``(op, len(args))`` that ``_entries`` would give, read off the
+    table keys without listing every entry."""
+    shapes = {(op, 2) for op in ("mult", "dot", "mix") if getattr(alg, op)}
+    if alg.omega:
+        shapes.add(("omega", 1))
+    shapes.update(("comp", 1 + len(slots)) for _, slots in alg.comp if VAR not in slots)
+    return shapes
+
+
+def _read_omega(table: dict, args: tuple):
+    return table.get(args[0])
+
+
+def _read_comp(table: dict, args: tuple):
+    slots = args[1:]
+    if slots.count(VAR) == len(slots):  # the unit law, as in ``comp_value``
+        return args[0]
+    return table.get((args[0], slots))
+
+
+#: For each op, the lookup (table, args) -> value, None where the table has
+#: no entry: ``_READ[op](getattr(alg, op), args)``.
+_READ = {
+    "mult": dict.get,
+    "dot": dict.get,
+    "mix": dict.get,
+    "omega": _read_omega,
+    "comp": _read_comp,
+}
+
+
+def _build(monad: Monad, carrier: SortedOrderedSet, entries) -> FinAlgebra:
+    """The algebra on ``carrier`` whose tables hold ``entries``."""
+    tables: dict = {op: {} for op in _OPS}
+    for op, args, value in entries:
+        if op == "omega":
+            tables[op][args[0]] = value
+        elif op == "comp":
+            tables[op][(args[0], args[1:])] = value
+        else:
+            tables[op][args] = value
+    return FinAlgebra(monad, carrier, **tables)
+
+
+def _image(f, args: tuple) -> tuple:
+    """``args`` relabelled by the mapping ``f``; bare slots stay bare."""
+    return tuple([VAR if a is VAR else f[a] for a in args])
+
+
+def _tables(algs: list[FinAlgebra]) -> dict:
+    """For each op, the tables of the given components, in order.
+
+    For argument tuples ``combo`` whose members are tuples over the
+    components, ``tuple(map(_READ[op], tables[op], zip(*combo)))`` is then
+    the tuple of each component's entry at its column of ``combo``, with
+    None where a component lacks the entry."""
+    return {op: [getattr(a, op) for a in algs] for op in _OPS}
+
+
+def _incompatibility(alg: FinAlgebra, rel: frozenset) -> Optional[tuple]:
+    """A witness (op, args, args2) that the reflexive relation ``rel`` (a
+    set of pairs) is not compatible with the tables, or None.
+
+    Compatible means: two entries of one op whose arguments are related
+    position by position (a bare slot matching only a bare slot) have
+    related values.  Each entry is compared with the entries at every other
+    argument tuple in the product of the up-sets of its arguments, which
+    makes the same comparisons as running over all pairs of entries.  Under
+    a discrete relation there are none."""
+    A = alg.carrier
+    up = {}  # x first, then the elements strictly above it
+    for s in A.sorts:
+        es = A.elements(s)
+        for x in es:
+            up[x] = [x] + [y for y in es if y != x and (x, y) in rel]
+    if all(len(u) == 1 for u in up.values()):
+        return None
+    up.setdefault(VAR, [VAR])
+    for op, args, value in _entries(alg):
+        read, table = _READ[op], getattr(alg, op)
+        above = itertools.product(*(up.get(a, ()) for a in args))
+        next(above, None)  # args itself
+        for args2 in above:
+            value2 = read(table, args2)
+            if value2 is not None and (value, value2) not in rel:
+                return op, args, args2
+    return None
 
 
 # -- factories ----------------------------------------------------------------
@@ -454,23 +539,10 @@ def is_morphism(phi, A: FinAlgebra, B: FinAlgebra) -> bool:
             return False
     if A.kind != B.kind:
         return False
-    if A.kind == "word":
-        return all(f[c] == B.mult[(f[a], f[b])] for (a, b), c in A.mult.items())
-    if A.kind == "omega":
-        return (
-            all(f[c] == B.dot[(f[a], f[b])] for (a, b), c in A.dot.items())
-            and all(f[c] == B.mix[(f[a], f[e])] for (a, e), c in A.mix.items())
-            and all(f[c] == B.omega[f[a]] for a, c in A.omega.items())
-        )
-    for (a, slots), r in A.comp.items():
-        key = (f[a], tuple(VAR if s is VAR else f[s] for s in slots))
-        if all(s is VAR for s in key[1]):
-            target = f[a]
-        elif key in B.comp:
-            target = B.comp[key]
-        else:
-            continue  # optional slot entry absent in the target; cannot refute
-        if f[r] != target:
+    for op, args, value in _entries(A):
+        target = _READ[op](getattr(B, op), _image(f, args))
+        # an optional slot entry absent in the target cannot refute
+        if target is not None and f[value] != target:
             return False
     return True
 
@@ -491,86 +563,13 @@ def product(algs: list[FinAlgebra], monad: Optional[Monad] = None) -> FinAlgebra
         if monad is None:
             raise ValueError("empty product needs an explicit monad")
         return one_element_algebra(monad)
-    monad = algs[0].monad
-    kind = algs[0].kind
-    if any(a.kind != kind for a in algs):
+    if any(a.kind != algs[0].kind for a in algs):
         raise ValueError("product components must share the instance")
     sorts = sorted(set(s for a in algs for s in a.carrier.sorts))
-    elems = {
-        s: [tuple(c) for c in itertools.product(*(a.elements(s) for a in algs))]
-        for s in sorts
-    }
-    pairs = []
-    for s in sorts:
-        for x in elems[s]:
-            for y in elems[s]:
-                if all(a.carrier.leq(xi, yi) for a, xi, yi in zip(algs, x, y)):
-                    pairs.append((x, y))
-    size = max((len(es) for es in elems.values()), default=1)
-    carrier = SortedOrderedSet(elems, pairs, max_size=max(64, size))
-    if kind == "word":
-        mult = {
-            (x, y): tuple(a.mult[(xi, yi)] for a, xi, yi in zip(algs, x, y))
-            for x in elems[SORT_WORD]
-            for y in elems[SORT_WORD]
-        }
-        return FinAlgebra(monad, carrier, mult=mult)
-    if kind == "omega":
-        fin, inf = elems.get(SORT_FIN, []), elems.get(SORT_INF, [])
-        dot = {
-            (x, y): tuple(a.dot[(xi, yi)] for a, xi, yi in zip(algs, x, y))
-            for x in fin
-            for y in fin
-        }
-        mix = {
-            (x, e): tuple(a.mix[(xi, ei)] for a, xi, ei in zip(algs, x, e))
-            for x in fin
-            for e in inf
-        }
-        omg = {x: tuple(a.omega[xi] for a, xi in zip(algs, x)) for x in fin}
-        return FinAlgebra(monad, carrier, dot=dot, mix=mix, omega=omg)
-    comp = {}
-    for a_tuple in (e for s in sorts for e in elems[s]):
-        n = carrier.sort_of(a_tuple)
-        if n == 0:
-            continue
-        common = None
-        for i, a in enumerate(algs):
-            shapes = set(
-                tuple((VAR if s is VAR else a.carrier.sort_of(s)) for s in k)
-                for (h, k) in a.comp
-                if h == a_tuple[i] and len(k) == n
-            )
-            common = shapes if common is None else (common & shapes)
-        for shape in sorted(common or set(), key=repr):
-            slot_pools = []
-            for pos, ssort in enumerate(shape):
-                if ssort is VAR:
-                    slot_pools.append([VAR])
-                else:
-                    slot_pools.append(
-                        [
-                            tuple(c)
-                            for c in itertools.product(
-                                *(a.elements(ssort) for a in algs)
-                            )
-                        ]
-                    )
-            for slots in itertools.product(*slot_pools):
-                key_ok = True
-                vals = []
-                for i, a in enumerate(algs):
-                    k = tuple(VAR if s is VAR else s[i] for s in slots)
-                    if (a_tuple[i], k) in a.comp:
-                        vals.append(a.comp[(a_tuple[i], k)])
-                    elif all(s is VAR for s in k):
-                        vals.append(a_tuple[i])
-                    else:
-                        key_ok = False
-                        break
-                if key_ok:
-                    comp[(a_tuple, slots)] = tuple(vals)
-    return FinAlgebra(monad, carrier, comp=comp)
+    return tuple_algebra(
+        algs,
+        [t for s in sorts for t in itertools.product(*(a.elements(s) for a in algs))],
+    )
 
 
 def projections(prod: FinAlgebra, algs: list[FinAlgebra]) -> list[Morphism]:
@@ -611,9 +610,10 @@ def _closure(alg: FinAlgebra, start: dict) -> dict:
                         off += 1
                     else:
                         w = wit[s]
-                        sub[i] = _shift_tree_vars(w.root, off)
+                        shift = {j: Var(off + j) for j in range(w.sort)}
+                        sub[i] = substitute_vars(w.root, shift)
                         off += w.sort
-                wit[r] = Tree(_substitute_tree(wit[a].root, sub), off)
+                wit[r] = Tree(substitute_vars(wit[a].root, sub), off)
                 changed = True
         return wit
     frontier = list(start)
@@ -656,18 +656,6 @@ def _prepend(labels: tuple, tail):
     return MixedWord(labels + tail.prefix, tail.tail)
 
 
-def _shift_tree_vars(node, off: int):
-    if isinstance(node, Var):
-        return Var(node.index + off)
-    return Node(node.label, tuple(_shift_tree_vars(c, off) for c in node.children))
-
-
-def _substitute_tree(node, sub: dict):
-    if isinstance(node, Var):
-        return sub[node.index]
-    return Node(node.label, tuple(_substitute_tree(c, sub) for c in node.children))
-
-
 def subalgebra_generated(alg: FinAlgebra, gens: Iterable[Elem]) -> GeneratedSubalgebra:
     """Least product-closed subset containing ``gens``, with the inherited
     order and restricted tables; witnesses are free elements over the
@@ -681,113 +669,69 @@ def subalgebra_generated(alg: FinAlgebra, gens: Iterable[Elem]) -> GeneratedSuba
         if g not in start:
             start[g] = monad.sing(g, sort)
     wit = _closure(alg, start)
-    keep = set(wit)
-    elems = {
-        s: [e for e in alg.elements(s) if e in keep] for s in alg.carrier.sorts
-    }
-    pairs = [(a, b) for a, b in alg.carrier.leq_pairs() if a in keep and b in keep]
-    carrier = SortedOrderedSet(elems, pairs)
-    sub = _restrict_tables(alg, carrier)
+    sub = _restrict(alg, set(wit))
     incl = Morphism(
-        sub, alg, SortedFunction(carrier, alg.carrier, {e: e for e in carrier})
+        sub, alg, SortedFunction(sub.carrier, alg.carrier, {e: e for e in sub.carrier})
     )
     return GeneratedSubalgebra(sub, incl, wit)
 
 
-def _restrict_tables(alg: FinAlgebra, carrier: SortedOrderedSet) -> FinAlgebra:
-    keep = set(carrier)
-    if alg.kind == "word":
-        mult = {k: v for k, v in alg.mult.items() if set(k) <= keep and v in keep}
-        return FinAlgebra(alg.monad, carrier, mult=mult)
-    if alg.kind == "omega":
-        dot = {k: v for k, v in alg.dot.items() if set(k) <= keep and v in keep}
-        mix = {k: v for k, v in alg.mix.items() if set(k) <= keep and v in keep}
-        om = {k: v for k, v in alg.omega.items() if k in keep and v in keep}
-        return FinAlgebra(alg.monad, carrier, dot=dot, mix=mix, omega=om)
-    comp = {
-        (a, slots): r
-        for (a, slots), r in alg.comp.items()
-        if a in keep and r in keep and all(s is VAR or s in keep for s in slots)
-    }
-    return FinAlgebra(alg.monad, carrier, comp=comp)
+def _restrict(alg: FinAlgebra, keep: set) -> FinAlgebra:
+    """The elements in ``keep`` with the inherited order, and the entries
+    that mention only them."""
+    A = alg.carrier
+    elems = {s: [e for e in A.elements(s) if e in keep] for s in A.sorts}
+    pairs = [(a, b) for a, b in A.leq_pairs() if a in keep and b in keep]
+    keep_slots = keep | {VAR}
+    return _build(
+        alg.monad,
+        SortedOrderedSet(elems, pairs),
+        (e for e in _entries(alg) if e[2] in keep and keep_slots.issuperset(e[1])),
+    )
 
 
 def generated_tuples(algs: list[FinAlgebra], seeds: Iterable[tuple]) -> set:
     """Carrier of the subalgebra of the product generated by the seed tuples,
-    computed by componentwise closure without materialising the product."""
-    kind = algs[0].kind
+    computed by componentwise closure without materialising the product.
+
+    Frontier-only: each round applies every op to the argument tuples that
+    hold a tuple found in the round before in one position and known tuples
+    in the others.  A tuple arises only where every component has the entry;
+    bare-variable slots are never filled."""
     tuples = set()
     for t in seeds:
         if len(t) != len(algs):
             raise ValueError("seed arity does not match the component count")
         tuples.add(tuple(t))
-    changed = True
-    while changed:
-        changed = False
-        current = list(tuples)
-        if kind == "word":
-            for x in current:
-                for y in current:
-                    p = tuple(a.mult[(xi, yi)] for a, xi, yi in zip(algs, x, y))
-                    if p not in tuples:
-                        tuples.add(p)
-                        changed = True
-        elif kind == "omega":
-            A0 = algs[0].carrier
-            fins = [x for x in current if A0.sort_of(x[0]) == SORT_FIN]
-            infs = [x for x in current if A0.sort_of(x[0]) == SORT_INF]
-            for x in fins:
-                for y in fins:
-                    p = tuple(a.dot[(xi, yi)] for a, xi, yi in zip(algs, x, y))
-                    if p not in tuples:
-                        tuples.add(p)
-                        changed = True
-                p = tuple(a.omega[xi] for a, xi in zip(algs, x))
-                if p not in tuples:
-                    tuples.add(p)
-                    changed = True
-                for e in infs:
-                    p = tuple(a.mix[(xi, ei)] for a, xi, ei in zip(algs, x, e))
-                    if p not in tuples:
-                        tuples.add(p)
-                        changed = True
-        else:
-            A0 = algs[0].carrier
-            by_sort: dict[Sort, list] = {}
-            for x in current:
-                by_sort.setdefault(A0.sort_of(x[0]), []).append(x)
-            for (h, slots), r in algs[0].comp.items():
-                if any(s is VAR for s in slots):
-                    continue
-                heads = [x for x in current if x[0] == h]
-                pools = [
-                    [x for x in by_sort.get(A0.sort_of(s), []) if x[0] == s]
-                    for s in slots
-                ]
-                if not heads or any(not p for p in pools):
-                    continue
-                for hx in heads:
-                    for combo in itertools.product(*pools):
-                        vals = [r]
-                        ok = True
-                        for i, a in enumerate(algs[1:], start=1):
-                            key = (hx[i], tuple(c[i] for c in combo))
-                            if key not in a.comp:
-                                ok = False
-                                break
-                            vals.append(a.comp[key])
-                        if ok:
-                            p = tuple(vals)
-                            if p not in tuples:
-                                tuples.add(p)
-                                changed = True
+    shapes = _shapes(algs[0])
+    tables = _tables(algs)
+    known: list = []
+    frontier = list(tuples)
+    while frontier:
+        known += frontier
+        columns = list(zip(*known))
+        found = set()
+        for op, n in shapes:
+            read, ts = _READ[op], tables[op]
+            for x in frontier:
+                for j in range(n):
+                    # x at position j, known tuples elsewhere, evaluated one
+                    # component (one column of the known tuples) at a time
+                    per_component = []
+                    for table, a, column in zip(ts, x, columns):
+                        pools = [column] * n
+                        pools[j] = (a,)
+                        args = itertools.product(*pools)
+                        per_component.append(map(read, itertools.repeat(table), args))
+                    found.update(zip(*per_component))
+        frontier = [t for t in found if None not in t and t not in tuples]
+        tuples.update(frontier)
     return tuples
 
 
 def tuple_algebra(algs: list[FinAlgebra], tuples: Iterable[tuple]) -> FinAlgebra:
     """The subalgebra of the product of ``algs`` on an already product-closed
     set of tuples, with componentwise order and tables."""
-    kind = algs[0].kind
     ts = list(dict.fromkeys(tuple(t) for t in tuples))
     A0 = algs[0].carrier
     elems: dict[Sort, list] = {}
@@ -804,63 +748,28 @@ def tuple_algebra(algs: list[FinAlgebra], tuples: Iterable[tuple]) -> FinAlgebra
     carrier = SortedOrderedSet(
         {s: elems.get(s, []) for s in sorts}, pairs, max_size=max(64, size)
     )
-    if kind == "word":
-        mult = {
-            (x, y): tuple(a.mult[(xi, yi)] for a, xi, yi in zip(algs, x, y))
-            for x in ts
-            for y in ts
-        }
-        return FinAlgebra(algs[0].monad, carrier, mult=mult)
-    if kind == "omega":
-        fins = [x for x in ts if A0.sort_of(x[0]) == SORT_FIN]
-        infs = [x for x in ts if A0.sort_of(x[0]) == SORT_INF]
-        dot = {
-            (x, y): tuple(a.dot[(xi, yi)] for a, xi, yi in zip(algs, x, y))
-            for x in fins
-            for y in fins
-        }
-        mix = {
-            (x, e): tuple(a.mix[(xi, ei)] for a, xi, ei in zip(algs, x, e))
-            for x in fins
-            for e in infs
-        }
-        om = {x: tuple(a.omega[xi] for a, xi in zip(algs, x)) for x in fins}
-        return FinAlgebra(algs[0].monad, carrier, dot=dot, mix=mix, omega=om)
-    comp = {}
+    bare = (VAR,) * len(algs)  # a bare slot in every component
+    by_first: dict = {VAR: [bare]}
+    for t in ts:
+        by_first.setdefault(t[0], []).append(t)
     tset = set(ts)
-    for hx in ts:
-        n = A0.sort_of(hx[0])
-        if n == 0:
-            continue
-        for combo in itertools.product(ts, repeat=n):
-            key0 = (hx[0], tuple(c[0] for c in combo))
-            if key0 not in algs[0].comp:
-                continue
-            vals = [algs[0].comp[key0]]
-            ok = True
-            for i, a in enumerate(algs[1:], start=1):
-                key = (hx[i], tuple(c[i] for c in combo))
-                if key not in a.comp:
-                    ok = False
-                    break
-                vals.append(a.comp[key])
-            if ok and tuple(vals) in tset:
-                comp[(hx, combo)] = tuple(vals)
-    return FinAlgebra(algs[0].monad, carrier, comp=comp)
+    tables = _tables(algs)
+    entries = []
+    for op, args, _ in _entries(algs[0]):
+        for combo in itertools.product(*(by_first.get(a, ()) for a in args)):
+            t = tuple(map(_READ[op], tables[op], zip(*combo)))
+            if t in tset:
+                if VAR in args:
+                    combo = tuple([VAR if c is bare else c for c in combo])
+                entries.append((op, combo, t))
+    return _build(algs[0].monad, carrier, entries)
 
 
 def restrict_sorts(alg: FinAlgebra, delta: Iterable[Sort]) -> FinAlgebra:
     """Keep only the elements whose sort lies in ``delta``; products that
     mention a dropped sort disappear with them."""
     ds = set(delta)
-    elems = {s: (alg.elements(s) if s in ds else ()) for s in alg.carrier.sorts}
-    pairs = [
-        (a, b)
-        for a, b in alg.carrier.leq_pairs()
-        if alg.carrier.sort_of(a) in ds
-    ]
-    carrier = SortedOrderedSet(elems, pairs)
-    return _restrict_tables(alg, carrier)
+    return _restrict(alg, {e for e in alg.carrier if alg.carrier.sort_of(e) in ds})
 
 
 # -- congruence orderings ---------------------------------------------------------
@@ -871,45 +780,7 @@ def is_congruence_ordering(alg: FinAlgebra, q: Preorder) -> bool:
     product entry.  By associativity a deep violation decomposes into a
     chain of one-step replacements, so the shallow check is complete; that
     reduction is exercised by tests rather than taken on faith."""
-    if not q.is_order_extending():
-        return False
-    holds = q.holds
-    if alg.kind == "word":
-        rel = [(a, b) for (a, b) in q.pairs()]
-        for a, a2 in rel:
-            for b, b2 in rel:
-                if not holds(alg.mult[(a, b)], alg.mult[(a2, b2)]):
-                    return False
-        return True
-    if alg.kind == "omega":
-        A = alg.carrier
-        relf = [(a, b) for (a, b) in q.pairs() if A.sort_of(a) == SORT_FIN]
-        reli = [(a, b) for (a, b) in q.pairs() if A.sort_of(a) == SORT_INF]
-        for a, a2 in relf:
-            for b, b2 in relf:
-                if not holds(alg.dot[(a, b)], alg.dot[(a2, b2)]):
-                    return False
-            for e, e2 in reli:
-                if not holds(alg.mix[(a, e)], alg.mix[(a2, e2)]):
-                    return False
-            if not holds(alg.omega[a], alg.omega[a2]):
-                return False
-        return True
-    for (a, slots), r in alg.comp.items():
-        for (a2, slots2), r2 in alg.comp.items():
-            if len(slots) != len(slots2) or not holds(a, a2):
-                continue
-            ok = True
-            for s, s2 in zip(slots, slots2):
-                if (s is VAR) != (s2 is VAR):
-                    ok = False
-                    break
-                if s is not VAR and not holds(s, s2):
-                    ok = False
-                    break
-            if ok and not holds(r, r2):
-                return False
-    return True
+    return q.is_order_extending() and _incompatibility(alg, q.pairs()) is None
 
 
 def quotient_algebra(alg: FinAlgebra, q: Preorder) -> tuple[FinAlgebra, Morphism]:
@@ -919,24 +790,12 @@ def quotient_algebra(alg: FinAlgebra, q: Preorder) -> tuple[FinAlgebra, Morphism
         raise NotCongruence(None, "preorder fails shallow compatibility")
     Q, qfn = quotient_set(alg.carrier, q)
     cls = qfn.mapping
-    if alg.kind == "word":
-        mult = {
-            (cls[a], cls[b]): cls[alg.mult[(a, b)]] for (a, b) in alg.mult
-        }
-        quot = FinAlgebra(alg.monad, Q, mult=mult)
-    elif alg.kind == "omega":
-        dot = {(cls[a], cls[b]): cls[v] for (a, b), v in alg.dot.items()}
-        mix = {(cls[a], cls[e]): cls[v] for (a, e), v in alg.mix.items()}
-        om = {cls[a]: cls[v] for a, v in alg.omega.items()}
-        quot = FinAlgebra(alg.monad, Q, dot=dot, mix=mix, omega=om)
-    else:
-        comp = {}
-        for (a, slots), r in alg.comp.items():
-            key = (cls[a], tuple(VAR if s is VAR else cls[s] for s in slots))
-            comp[key] = cls[r]
-        quot = FinAlgebra(alg.monad, Q, comp=comp)
-    qm = Morphism(alg, quot, SortedFunction(alg.carrier, Q, cls))
-    return quot, qm
+    quot = _build(
+        alg.monad,
+        Q,
+        ((op, _image(cls, args), cls[value]) for op, args, value in _entries(alg)),
+    )
+    return quot, Morphism(alg, quot, SortedFunction(alg.carrier, Q, cls))
 
 
 # -- recognizers -------------------------------------------------------------------
@@ -1062,28 +921,16 @@ def check_algebra_laws(alg: FinAlgebra, *, seed: int = 0, samples: int = 100) ->
             check_pair(UPWord(ws, per))
     else:
         # canonical depth-two shapes: outer root sing(a), children sing(b_i)
-        max_arity = alg.monad.max_arity
-        for n in A.sorts:
-            for a in A.elements(n):
-                pools = [
-                    [e for s in A.sorts for e in A.elements(s)] for _ in range(n)
-                ]
-                for bs in itertools.product(*pools):
-                    if sum(A.sort_of(b) for b in bs) > max_arity:
-                        continue
-                    children = []
-                    off = 0
-                    for b in bs:
-                        k = A.sort_of(b)
-                        children.append(
-                            Node(
-                                alg.monad.sing(b, k),
-                                tuple(Var(off + i) for i in range(k)),
-                            )
-                        )
-                        off += k
-                    outer = Tree(Node(alg.monad.sing(a, n), tuple(children)), off)
-                    check_pair(outer)
+        for a, bs in alg._iter_required_tree_keys():
+            children = []
+            off = 0
+            for b in bs:
+                k = A.sort_of(b)
+                children.append(
+                    Node(alg.monad.sing(b, k), tuple(Var(off + i) for i in range(k)))
+                )
+                off += k
+            check_pair(Tree(Node(alg.monad.sing(a, len(bs)), tuple(children)), off))
         _check_var_slot_coherence(alg, report)
     return report
 

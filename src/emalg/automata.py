@@ -350,7 +350,8 @@ def parse_regex(text: str, alphabet: Iterable | None = None) -> Dfa:
 
 def dfa_to_recognizer(dfa: Dfa) -> Recognizer:
     """The transition semigroup generated by the letter transformations,
-    with the acceptance set of transformations sending start into accepting."""
+    with the acceptance set of transformations sending start into accepting.
+    A semigroup past the carrier cap raises ``CarrierBoundExceeded``."""
     letter_maps = {
         c: tuple(dfa.trans[(q, c)] for q in range(dfa.n_states))
         for c in dfa.alphabet
@@ -370,7 +371,7 @@ def dfa_to_recognizer(dfa: Dfa) -> Recognizer:
                         elems.append(c_)
                         new.append(c_)
         frontier = new
-    carrier = SortedOrderedSet({SORT_WORD: elems}, max_size=max(64, len(elems)))
+    carrier = SortedOrderedSet({SORT_WORD: elems})
     mult = {(s, t): compose(s, t) for s in elems for t in elems}
     alg = word_algebra(carrier, mult)
     alphabet = SortedOrderedSet({SORT_WORD: list(dfa.alphabet)})

@@ -98,11 +98,6 @@ class SortedOrderedSet:
         self._leq = frozenset(closed)
 
     @classmethod
-    def discrete(cls, elems: dict[Sort, Iterable[Elem]]) -> "SortedOrderedSet":
-        """Carrier with the trivial (discrete) order on every sort."""
-        return cls(elems)
-
-    @classmethod
     def chain(cls, elems: Iterable[Elem], sort: Sort = 0) -> "SortedOrderedSet":
         """Single-sort carrier totally ordered in the given element order."""
         es = list(elems)

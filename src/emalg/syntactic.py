@@ -32,7 +32,7 @@ from .algebra import (
     NotCongruence,
     Recognizer,
     eval_upword,  # noqa: F401  (re-exported: ultimately periodic evaluation)
-    is_congruence_ordering,
+    generated_tuples,
     quotient_algebra,
     subalgebra_generated,
 )
@@ -47,6 +47,7 @@ from .monads import (
     Var,
     Word,
     serialize,
+    substitute_vars,
 )
 
 # -- context shapes ------------------------------------------------------------
@@ -206,12 +207,6 @@ def _splice(items: tuple, inner: tuple) -> tuple:
     return items[:i] + inner + items[i + 1 :]
 
 
-def _substitute_ctx_tree(node, sub: dict):
-    if isinstance(node, Var):
-        return sub.get(node.index, node)
-    return Node(node.label, tuple(_substitute_ctx_tree(c, sub) for c in node.children))
-
-
 def context_compose(outer: Context, inner: Context) -> Context:
     """The context outer[inner]: apply inner first, then outer."""
     if isinstance(outer, WordContext) and isinstance(inner, WordContext):
@@ -238,8 +233,7 @@ def context_compose(outer: Context, inner: Context) -> Context:
                 return n
             if n.label is HOLE:
                 # inner's variables refer to the outer hole's children
-                sub = {j: c for j, c in enumerate(n.children)}
-                return _substitute_ctx_tree(inner.tree.root, sub)
+                return substitute_vars(inner.tree.root, dict(enumerate(n.children)))
             return Node(n.label, tuple(go(c) for c in n.children))
 
         return TreeContext(Tree(go(outer.tree.root), outer.tree.sort))
@@ -393,7 +387,7 @@ def _one_step_functions(alg: FinAlgebra) -> list[ContextFunction]:
                 out.append(
                     ContextFunction(
                         zeta,
-                        sum(_slot_sort_of(A, s) for s in slots),
+                        sum(A.sort_of(s) for s in slots),
                         table,
                         TreeContext(Tree(Node(b, tuple(children)), off)),
                     )
@@ -431,10 +425,6 @@ def _one_step_functions(alg: FinAlgebra) -> list[ContextFunction]:
             )
     out.sort(key=lambda f: (f.source_sort, f.target_sort, context_to_str(f.witness, repr)))
     return out
-
-
-def _slot_sort_of(carrier, s) -> Sort:
-    return 1 if s is VAR else carrier.sort_of(s)
 
 
 _saturation_cache: "weakref.WeakKeyDictionary[FinAlgebra, dict]" = (
@@ -543,13 +533,14 @@ def syntactic_algebra(rec: Recognizer) -> SyntacticResult:
     B = sub.algebra
     P = frozenset(p for p in rec.accepting if p in B.carrier)
     pre = syntactic_preorder(B, P, rec.accepting_sort)
-    if not is_congruence_ordering(B, pre):
+    try:
+        syn, qm = quotient_algebra(B, pre)
+    except NotCongruence:
         raise NotCongruence(
             None,
             "syntactic preorder failed shallow compatibility; this breaks the "
             "finitary reduction and indicates a bug",
-        )
-    syn, qm = quotient_algebra(B, pre)
+        ) from None
     accepting = frozenset(qm(x) for x in P)
     if not is_upward_closed(syn.carrier, accepting):
         raise NotCongruence(None, "image of the accepting set is not upward closed")
@@ -570,61 +561,7 @@ def generated_pairs(A: FinAlgebra, B: FinAlgebra, seeds: Iterable[tuple]) -> set
     """Closure of seed pairs under componentwise shallow products: the carrier
     of the subalgebra of A x B generated by the seeds, without materialising
     the product."""
-    pairs = set(seeds)
-    changed = True
-    while changed:
-        changed = False
-        current = list(pairs)
-        if A.kind == "word":
-            for a1, b1 in current:
-                for a2, b2 in current:
-                    p = (A.mult[(a1, a2)], B.mult[(b1, b2)])
-                    if p not in pairs:
-                        pairs.add(p)
-                        changed = True
-        elif A.kind == "omega":
-            fins = [(a, b) for a, b in current if A.carrier.sort_of(a) == SORT_FIN]
-            infs = [(a, b) for a, b in current if A.carrier.sort_of(a) == SORT_INF]
-            for a1, b1 in fins:
-                for a2, b2 in fins:
-                    p = (A.dot[(a1, a2)], B.dot[(b1, b2)])
-                    if p not in pairs:
-                        pairs.add(p)
-                        changed = True
-                p = (A.omega[a1], B.omega[b1])
-                if p not in pairs:
-                    pairs.add(p)
-                    changed = True
-                for e1, e2 in infs:
-                    p = (A.mix[(a1, e1)], B.mix[(b1, e2)])
-                    if p not in pairs:
-                        pairs.add(p)
-                        changed = True
-        else:
-            import itertools as _it
-
-            current_by_sort: dict[Sort, list] = {}
-            for a, b in current:
-                current_by_sort.setdefault(A.carrier.sort_of(a), []).append((a, b))
-            for (h, slots), r in A.comp.items():
-                if any(s is VAR for s in slots):
-                    continue
-                heads = [p for p in current if p[0] == h]
-                if not heads:
-                    continue
-                pools = [current_by_sort.get(A.carrier.sort_of(s), []) for s in slots]
-                pools = [[p for p in pool if p[0] == s] for pool, s in zip(pools, slots)]
-                if any(not pool for pool in pools):
-                    continue
-                for hp in heads:
-                    for combo in _it.product(*pools):
-                        key_b = (hp[1], tuple(p[1] for p in combo))
-                        if key_b in B.comp:
-                            p = (r, B.comp[key_b])
-                            if p not in pairs:
-                                pairs.add(p)
-                                changed = True
-    return pairs
+    return generated_tuples([A, B], seeds)
 
 
 def factor_to_syntactic(rec: Recognizer, syn: SyntacticResult) -> Morphism:

@@ -1,0 +1,347 @@
+"""The operation tables seen as one structure: construction-time
+monotonicity for every op, the congruence check against its pairwise
+definition, product closure against a naive fixpoint, and a pin of the
+syntactic results of the suite's omega and tree recognizers."""
+
+import hashlib
+import itertools
+
+import pytest
+
+from emalg.algebra import (
+    VAR,
+    FinAlgebra,
+    Recognizer,
+    check_algebra_laws,
+    generated_tuples,
+    is_congruence_ordering,
+    is_morphism,
+    product,
+    projections,
+    word_algebra,
+)
+from emalg.automata import dfa_to_recognizer, parse_regex
+from emalg.core import CarrierBoundExceeded, SortedOrderedSet, upward_closure
+from emalg.lawsuite import (
+    _all_preorders,
+    exists_a,
+    finitely_many_a,
+    ordered_finitely_many_a,
+    small_semigroups,
+)
+from emalg.monads import OMEGA_UP, SORT_FIN, SORT_INF, SORT_WORD, tree_monad
+from emalg.syntactic import generated_pairs, syntactic_algebra
+from emalg.varieties import canonical_cover
+from tests.test_algebra import bool_tree_algebra
+
+
+def zmod(n):
+    carrier = SortedOrderedSet({SORT_WORD: list(range(n))})
+    return word_algebra(carrier, {(a, b): (a + b) % n for a in range(n) for b in range(n)})
+
+
+# -- construction rejects non-monotone tables, op by op -------------------------------
+
+
+def test_word_mult_must_be_monotone():
+    chain = SortedOrderedSet.chain(["lo", "hi"])
+    mult = {(a, b): "hi" for a in ("lo", "hi") for b in ("lo", "hi")}
+    word_algebra(chain, mult)  # a constant table is monotone
+    mult[("hi", "lo")] = "lo"  # lo*lo = hi, yet hi*lo = lo
+    with pytest.raises(ValueError, match="not monotone"):
+        word_algebra(chain, mult)
+
+
+def _ordered_wilke_tables():
+    """Constant Wilke tables over carriers ordered lo <= hi in both sorts."""
+    carrier = SortedOrderedSet(
+        {SORT_FIN: ["lo", "hi"], SORT_INF: ["ilo", "ihi"]},
+        [("lo", "hi"), ("ilo", "ihi")],
+    )
+    fin, inf = ("lo", "hi"), ("ilo", "ihi")
+    dot = {(a, b): "hi" for a in fin for b in fin}
+    mix = {(a, e): "ihi" for a in fin for e in inf}
+    omega = {a: "ihi" for a in fin}
+    return carrier, dot, mix, omega
+
+
+@pytest.mark.parametrize(
+    "op, key, value",
+    [("dot", ("hi", "lo"), "lo"), ("mix", ("lo", "ihi"), "ilo"), ("omega", "hi", "ilo")],
+)
+def test_omega_tables_must_be_monotone(op, key, value):
+    carrier, dot, mix, omega = _ordered_wilke_tables()
+    FinAlgebra(OMEGA_UP, carrier, dot=dot, mix=mix, omega=omega)
+    tables = {"dot": dot, "mix": mix, "omega": omega}
+    tables[op][key] = value
+    with pytest.raises(ValueError, match="not monotone"):
+        FinAlgebra(OMEGA_UP, carrier, **tables)
+
+
+def _ordered_tree_tables(with_var_slots: bool):
+    """Arity <= 2 with lo <= hi in every sort; every entry lands on the top
+    of its sort, so the table is monotone until one entry is lowered."""
+    monad = tree_monad(2)
+    carrier = SortedOrderedSet(
+        {0: ["c", "C"], 1: ["u", "U"], 2: ["b", "B"]},
+        [("c", "C"), ("u", "U"), ("b", "B")],
+    )
+    top = {0: "C", 1: "U", 2: "B"}
+    pool = list(carrier)
+    comp = {}
+    for head in ("u", "U", "b", "B"):
+        for slots in itertools.product(pool, repeat=carrier.sort_of(head)):
+            rsort = sum(carrier.sort_of(s) for s in slots)
+            if rsort <= 2:
+                comp[(head, slots)] = top[rsort]
+    if with_var_slots:
+        # a bare slot passes one variable through
+        for head in ("b", "B"):
+            comp[(head, (VAR, "c"))] = "U"
+            comp[(head, ("C", VAR))] = "U"
+    return monad, carrier, comp
+
+
+@pytest.mark.parametrize(
+    "with_var_slots, key, value",
+    [
+        (False, ("U", ("C",)), "c"),
+        (False, ("B", ("c", "u")), "u"),
+        (True, ("B", (VAR, "c")), "u"),
+        (True, ("B", ("C", VAR)), "u"),
+    ],
+)
+def test_tree_comp_must_be_monotone(with_var_slots, key, value):
+    monad, carrier, comp = _ordered_tree_tables(with_var_slots)
+    FinAlgebra(monad, carrier, comp=comp)
+    comp[key] = value
+    with pytest.raises(ValueError, match="not monotone"):
+        FinAlgebra(monad, carrier, comp=comp)
+
+
+# -- the congruence check against its pairwise definition ------------------------------
+
+
+def _args_of(alg):
+    """Every entry as (op, args, value); args keeps VAR for bare slots."""
+    out = [("mult", k, v) for k, v in alg.mult.items()]
+    out += [("dot", k, v) for k, v in alg.dot.items()]
+    out += [("mix", k, v) for k, v in alg.mix.items()]
+    out += [("omega", (k,), v) for k, v in alg.omega.items()]
+    out += [("comp", (a, *slots), v) for (a, slots), v in alg.comp.items()]
+    return out
+
+
+def pairwise_congruence(alg, q) -> bool:
+    """The definition: for every two entries of one op whose arguments are
+    related position by position (a bare slot only matching a bare slot),
+    the values are related."""
+    if not q.is_order_extending():
+        return False
+    entries = _args_of(alg)
+    for op, args, v in entries:
+        for op2, args2, v2 in entries:
+            if op2 != op or len(args2) != len(args):
+                continue
+            if all(
+                (a is VAR and b is VAR) or (a is not VAR and b is not VAR and q.holds(a, b))
+                for a, b in zip(args, args2)
+            ) and not q.holds(v, v2):
+                return False
+    return True
+
+
+def _small_algebras():
+    yield from small_semigroups(2)
+    yield zmod(3)
+    yield finitely_many_a()[0]
+    yield exists_a()[0]
+    yield ordered_finitely_many_a()[0]
+    yield bool_tree_algebra()
+    yield bool_tree_algebra(with_var_slots=True)
+
+
+def test_congruence_check_matches_the_pairwise_definition():
+    checked = congruent = 0
+    for alg in _small_algebras():
+        for q in _all_preorders(alg.carrier):
+            verdict = is_congruence_ordering(alg, q)
+            assert verdict == pairwise_congruence(alg, q), (alg, q)
+            checked += 1
+            congruent += verdict
+    # both verdicts occur, so the comparison is not vacuous
+    assert 0 < congruent < checked
+
+
+# -- product closure against a naive fixpoint -------------------------------------------
+
+
+def naive_closure(algs, seeds) -> set:
+    """Apply every op of the first component to every argument tuple of
+    current elements until nothing changes; a tuple is produced only when
+    every component has the entry."""
+    tables = [{(op, args): v for op, args, v in _args_of(alg)} for alg in algs]
+    tuples = {tuple(t) for t in seeds}
+    while True:
+        new = set()
+        for op, args in tables[0]:
+            if VAR in args:
+                continue
+            pools = [[t for t in tuples if t[0] == a] for a in args]
+            for combo in itertools.product(*pools):
+                vals = [table.get((op, tuple(t[i] for t in combo))) for i, table in enumerate(tables)]
+                if None not in vals:
+                    new.add(tuple(vals))
+        if new <= tuples:
+            return tuples
+        tuples |= new
+
+
+def _closure_cases():
+    z2, z3 = zmod(2), zmod(3)
+    yield [z3, z2], [(1, 1)]
+    yield [z3, z3], [(1, 2), (0, 0)]
+    om, beta = finitely_many_a()
+    ex, _ = exists_a()
+    yield [om, ex], [("h", "h"), ("n", "n")]
+    yield [om, ex], [("n", "h")]
+    tree = bool_tree_algebra()
+    tv = bool_tree_algebra(with_var_slots=True)
+    yield [tree, tv], [((0, True), (0, False)), ((1, False), (1, False)), ((2, False), (2, True))]
+    yield [tree, tree], [((0, False), (0, False)), ((2, False), (2, False))]
+
+
+def test_generated_pairs_and_tuples_match_a_naive_fixpoint():
+    for (A, B), seeds in _closure_cases():
+        expected = naive_closure([A, B], seeds)
+        assert generated_pairs(A, B, seeds) == expected
+        assert generated_tuples([A, B], seeds) == expected
+        triple = [A, B, A]
+        tseeds = [s + (s[0],) for s in seeds]
+        assert generated_tuples(triple, tseeds) == naive_closure(triple, tseeds)
+
+
+# -- pinned syntactic results --------------------------------------------------------------
+
+
+def _recognizers():
+    omega_alphabet = SortedOrderedSet({SORT_FIN: ["a", "b"]})
+    for make, accepting in (
+        (finitely_many_a, {"fin"}),
+        (finitely_many_a, {"inf"}),
+        (exists_a, {"yes"}),
+        (ordered_finitely_many_a, {"fin"}),
+    ):
+        alg, beta = make()
+        yield Recognizer(omega_alphabet, alg, beta, frozenset(accepting))
+    tree_alphabet = SortedOrderedSet({0: ["c", "d"], 1: ["u"], 2: ["b"]})
+    beta = {"c": (0, False), "d": (0, True), "u": (1, False), "b": (2, False)}
+    for with_var_slots in (False, True):
+        alg = bool_tree_algebra(with_var_slots=with_var_slots)
+        for target in ((0, True), (0, False)):
+            yield Recognizer(tree_alphabet, alg, beta, upward_closure(alg.carrier, {target}))
+
+
+def _describe(syn) -> str:
+    """Element order, sorted tables and order pairs of the syntactic and
+    image algebras, the preorder, and the image witnesses (for trees in
+    discovery order)."""
+    lines = []
+    for alg in (syn.syn_algebra, syn.image.algebra):
+        A = alg.carrier
+        lines.append(repr([(s, A.elements(s)) for s in A.sorts]))
+        for op in ("mult", "dot", "mix", "omega", "comp"):
+            lines.append(repr(sorted(getattr(alg, op).items(), key=repr)))
+        lines.append(repr(sorted(A.leq_pairs(), key=repr)))
+    lines.append(repr(sorted(syn.preorder.pairs(), key=repr)))
+    lines.append(repr(sorted(syn.accepting, key=repr)))
+    lines.append(repr(sorted(syn.letter_map.items(), key=repr)))
+    # the omega generators are strings, whose set order follows the hash
+    # seed; the witnesses themselves do not
+    wit = syn.image.witnesses.items()
+    lines.append(repr(list(wit) if syn.syn_algebra.kind == "tree" else sorted(wit, key=repr)))
+    return "\n".join(lines)
+
+
+SYNTACTIC_PIN = "3420103652dc0bc1a245b6ea65c614a8d5309b1ab30f5e07a023ceb004601565"
+
+
+def test_omega_and_tree_syntactic_results_are_pinned():
+    text = "\n\n".join(_describe(syntactic_algebra(rec)) for rec in _recognizers())
+    assert hashlib.sha256(text.encode()).hexdigest() == SYNTACTIC_PIN
+
+
+# -- the carrier cap binds when the transition semigroup is built -----------------------
+
+
+def test_transition_semigroup_respects_the_carrier_cap():
+    # (a|b)*a(a|b){5} has a 126-element transition semigroup
+    with pytest.raises(CarrierBoundExceeded, match="sort 0 has 126 elements, cap is 64"):
+        dfa_to_recognizer(parse_regex("(a|b)*a" + "(a|b)" * 5))
+    assert len(dfa_to_recognizer(parse_regex("(a|b)*a" + "(a|b)" * 4)).algebra.carrier) == 62
+
+
+# -- bare-variable slots in products and lookups -----------------------------------------
+
+
+def test_product_keeps_the_bare_slot_entries_of_its_components():
+    tv = bool_tree_algebra(with_var_slots=True)
+    tree = bool_tree_algebra()
+    for algs in ([tv, tv], [tv, tree], [tree, tv, tv]):
+        p = product(algs)
+        want = {}
+        for keys in itertools.product(*(a.comp for a in algs)):
+            heads = tuple(h for h, _ in keys)
+            if len({len(slots) for _, slots in keys}) != 1:
+                continue
+            columns = list(zip(*(slots for _, slots in keys)))
+            if any((VAR in c) != all(s is VAR for s in c) for c in columns):
+                continue  # a bare slot must be bare in every component
+            if any(c[0] is not VAR and len({s[0] for s in c}) != 1 for c in columns):
+                continue  # the slot's sort (an element's first field) must agree
+            slots = tuple(VAR if c[0] is VAR else c for c in columns)
+            want[(heads, slots)] = tuple(a.comp[k] for a, k in zip(algs, keys))
+        assert p.comp == want
+        assert check_algebra_laws(p).ok
+        for proj in projections(p, algs):
+            assert is_morphism(proj.fn, p, proj.target)
+
+
+def test_a_stored_all_bare_entry_is_read_through_the_unit_law():
+    """The unit law fixes a(x0, ..) = a, so an entry stored for an all-bare
+    pattern is not data: lookups read the head, and a table whose stored
+    value disagrees is not a morphic image of itself."""
+    alg = bool_tree_algebra()
+    comp = dict(alg.comp)
+    comp[((1, False), (VAR,))] = (1, True)
+    odd = FinAlgebra(alg.monad, alg.carrier, comp=comp)
+    assert odd.comp_value((1, False), (VAR,)) == (1, False)
+    assert not is_morphism({e: e for e in odd.carrier}, odd, odd)
+    assert is_morphism({e: e for e in alg.carrier}, alg, alg)
+
+
+def test_the_canonical_cover_keeps_bare_slot_entries_and_factors():
+    """The cover is ``tuple_algebra`` on a ``generated_tuples`` result: it
+    holds a bare-slot entry wherever every component has it, and the cover
+    map is still a morphism onto the base."""
+    cov = canonical_cover(bool_tree_algebra(with_var_slots=True))
+    algs = [r.syn_algebra for r in cov.components.values()]
+    cover = cov.cover
+    want = {}
+    for h in cover.carrier:
+        pool = list(cover.carrier) + [VAR]
+        for slots in itertools.product(pool, repeat=cover.carrier.sort_of(h)):
+            if all(s is VAR for s in slots):
+                continue  # the unit law, never stored
+            keys = [
+                (h[i], tuple(VAR if s is VAR else s[i] for s in slots))
+                for i in range(len(algs))
+            ]
+            if all(k in a.comp for a, k in zip(algs, keys)):
+                value = tuple(a.comp[k] for a, k in zip(algs, keys))
+                if value in cover.carrier:
+                    want[(h, slots)] = value
+    assert cover.comp == want
+    assert any(VAR in slots for _, slots in cover.comp)
+    assert is_morphism(cov.mu.fn, cov.mu.source, cov.mu.target)
+    assert cov.mu.is_surjective()

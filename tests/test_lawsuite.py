@@ -91,3 +91,36 @@ def test_random_tree_stream_is_pinned():
     assert lines[:3] == ["u(d)", "b(u(x0),c)", "c"]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == TREE_DRAWS_SEED0_SHA256
+
+
+def test_product_problems_match_a_direct_check_of_every_subalgebra():
+    """mod-closure decides x^w x = x^w per element; the reference checks
+    every element of each cyclic subalgebra and of each lattice member, so
+    the problem lists must agree entry for entry.  The products here
+    include non-aperiodic factors, so both verdicts occur."""
+    from emalg.lawsuite import _close_mask, _product_problems
+
+    def aperiodic(mult, subset):
+        for x in subset:
+            e = x
+            while mult[(e, e)] != e:
+                e = mult[(e, x)]
+            if mult[(e, x)] != e:
+                return False
+        return True
+
+    found = 0
+    for p in _small_products():
+        elems = list(p.carrier)
+        table = _index_table(p.mult, elems)
+        want = []
+        for x in range(len(elems)):
+            cyclic = _close_mask(table, 1 << x, 1 << x)
+            if not aperiodic(p.mult, [elems[i] for i in _bits(cyclic)]):
+                want.append("cyclic subalgebra of product not aperiodic")
+        for m in _subalgebra_lattice(table) or ():
+            if not aperiodic(p.mult, [elems[i] for i in _bits(m)]):
+                want.append("subalgebra of product not aperiodic")
+        assert _product_problems(p) == want
+        found += bool(want)
+    assert 0 < found < 39
