@@ -21,7 +21,7 @@ from .algio import ParseError, load_algebra, parse_dfa_file
 from .automata import Dfa, RegexSyntaxError, dfa_to_recognizer, parse_regex
 from .core import CarrierBoundExceeded
 from .lawsuite import run_all
-from .logic import TheoryBoundExceeded, fo_definable, theory_algebra
+from .logic import TheoryBoundExceeded, cached_theory_algebra, fo_definable
 from .profinite import identity_library, parse_inequalities, satisfies_all
 from .syntactic import (
     SyntacticResult,
@@ -166,7 +166,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    theta = theory_algebra(tuple(args.alphabet), args.rank)
+    theta = cached_theory_algebra(args.alphabet, args.rank)
     evidence = {
         "classes": theta.size(),
         "representatives": {

@@ -69,45 +69,36 @@ def _intern_obj(x) -> int:
     return got
 
 
-def _atom(word: tuple, pebbles: tuple) -> tuple:
-    letters = tuple(word[p] for p in pebbles)
-    rels = []
-    for i in range(len(pebbles)):
-        for j in range(i + 1, len(pebbles)):
-            d = pebbles[j] - pebbles[i]
-            if d == 0:
-                code = 0
-            elif d == 1:
-                code = 1
-            elif d == -1:
-                code = 2
-            elif d > 1:
-                code = 3
-            else:
-                code = 4
-            rels.append(code)
-    return (letters, tuple(rels))
-
-
 def _general_type(word: tuple, m: int) -> int:
     n = len(word)
-    memo: dict = {}
+    # code[q][p]: how a pebble on q relates to an earlier pebble on p
+    # (equal, successor, predecessor, later, earlier)
+    code = [
+        [0 if q == p else 1 if q == p + 1 else 2 if q == p - 1 else 3 if q > p else 4
+         for p in range(n)]
+        for q in range(n)
+    ]
 
-    def t(pebbles: tuple, r: int) -> int:
-        key = (pebbles, r)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        a = _intern_obj(("atom", _atom(word, pebbles)))
+    # the atomic diagram of the pebbles is their letters and the relation
+    # codes of each pebble to the ones before it; each child extends its
+    # parent's by one pebble.  Every pebble sequence is reached once, from
+    # its prefix, so nothing is memoised.
+    def t(pebbles: tuple, letters: tuple, rels: tuple, r: int) -> int:
+        a = _intern_obj(("atom", letters, rels))
         if r == 0:
-            res = a
-        else:
-            succ = frozenset(t(pebbles + (q,), r - 1) for q in range(n))
-            res = _intern_obj(("node", a, succ))
-        memo[key] = res
-        return res
+            return a
+        succ = frozenset([
+            t(
+                pebbles + (q,),
+                letters + (word[q],),
+                rels + tuple(map(code[q].__getitem__, pebbles)),
+                r - 1,
+            )
+            for q in range(n)
+        ])
+        return _intern_obj(("node", a, succ))
 
-    return t((), m)
+    return t((), (), (), m)
 
 
 def _unary_threshold(m: int) -> int:
@@ -145,6 +136,10 @@ def ef_equiv(u, w, m: int) -> bool:
 
 class TheoryBoundExceeded(RuntimeError):
     pass
+
+
+def _normalised_letters(alphabet: Iterable) -> tuple:
+    return tuple(sorted(set(alphabet), key=repr))
 
 
 @dataclass
@@ -199,7 +194,7 @@ def theory_algebra(
     capped at 2^{m+2}; exceeding the cap is a hard error, never a silent
     truncation.
     """
-    letters = tuple(sorted(set(alphabet), key=repr))
+    letters = _normalised_letters(alphabet)
     if not letters:
         raise ValueError("empty alphabet")
     if m > 8:
@@ -276,8 +271,24 @@ def theory_algebra(
 
 
 @lru_cache(maxsize=128)
-def _theory_cached(alphabet: tuple, m: int) -> TheoryAlgebra:
-    return theory_algebra(alphabet, m)
+def _theory_outcome(letters: tuple, m: int) -> Union[TheoryAlgebra, str]:
+    # a bound failure is kept as its message: a cached exception's traceback
+    # would keep the failed build's frames, and their tables, alive
+    try:
+        return theory_algebra(letters, m)
+    except TheoryBoundExceeded as exc:
+        return str(exc)
+
+
+def cached_theory_algebra(alphabet: Iterable, m: int) -> TheoryAlgebra:
+    """``theory_algebra`` with its default bounds, memoised per (letters,
+    rank) for the life of the process.  A bound failure is memoised too:
+    every later call raises a fresh ``TheoryBoundExceeded`` with the same
+    message instead of rebuilding the closure."""
+    got = _theory_outcome(_normalised_letters(alphabet), m)
+    if isinstance(got, str):
+        raise TheoryBoundExceeded(got)
+    return got
 
 
 # -- rank recognition and the two-sided decision ---------------------------------
@@ -295,11 +306,14 @@ def recognizes_at_rank(lang: Union[Dfa, Recognizer, SyntacticResult], m: int) ->
     """Whether the rank-m theory map recognises the language: no two words of
     the same rank-m class may differ on membership.  Checked on the image of
     the pairing of the theory map with the syntactic morphism, i.e. on the
-    subalgebra of the product generated by the letter pairs."""
+    subalgebra of the product generated by the letter pairs.
+
+    The theory algebra comes from ``cached_theory_algebra``, so each
+    (letters, rank) is built, or fails its bound, once per process; a
+    memoised failure raises ``TheoryBoundExceeded`` again."""
     syn = _as_syntactic(lang)
-    letters = tuple(sorted(syn.letter_map, key=repr))
-    theta = _theory_cached(letters, m)
-    seeds = [(theta.letter_class[c], syn.letter_map[c]) for c in letters]
+    theta = cached_theory_algebra(syn.letter_map, m)
+    seeds = [(theta.letter_class[c], syn.letter_map[c]) for c in theta.alphabet]
     pairs = generated_pairs(theta.algebra, syn.syn_algebra, seeds)
     member: dict = {}
     for t, s in pairs:
@@ -337,6 +351,10 @@ def fo_definable(
     alphabet already does) is flagged inconclusive on the rank side, with
     the verdict carried by the inequalities.  A rank witness for a
     non-aperiodic language would contradict the theory and raises.
+
+    Theory outcomes, bound failures included, are memoised per (letters,
+    rank) for the life of the process, so the guard is paid once per
+    alphabet rather than once per language.
     """
     syn = _as_syntactic(lang)
     aperiodic, fail = satisfies_all(syn.syn_algebra, identity_library()["APERIODIC"])

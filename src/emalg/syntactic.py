@@ -529,7 +529,9 @@ def syntactic_algebra(rec: Recognizer) -> SyntacticResult:
     The shallow-compatibility reduction is re-verified on every run; a
     failure would indicate an implementation bug and is surfaced loudly.
     """
-    sub = subalgebra_generated(rec.algebra, set(rec.assignment.values()))
+    # generators in assignment order, not a set's, so that the witnesses do
+    # not depend on the hash seed
+    sub = subalgebra_generated(rec.algebra, rec.assignment.values())
     B = sub.algebra
     P = frozenset(p for p in rec.accepting if p in B.carrier)
     pre = syntactic_preorder(B, P, rec.accepting_sort)

@@ -1,7 +1,9 @@
 import io
+import hashlib
 import json
 import contextlib
 
+from emalg import logic
 from emalg.cli import EXIT_BOUND, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, main
 
 
@@ -66,6 +68,46 @@ def test_theory_command():
     assert report["verdict"]["classes"] == 3
     code, _ = run_cli("theory", "2", "ab")
     assert code == EXIT_BOUND
+
+
+# theory over one and two letters interleaved with two-letter and unary
+# decisions, in one process
+THEORY_AND_DECIDE = [
+    ["decide", "fo", "(a|b)*aa(a|b)*"],
+    ["theory", "0", "a"],
+    ["theory", "1", "a"],
+    ["decide", "fo", "aaaaaa+"],
+    ["theory", "2", "ab"],
+    ["decide", "fo", "(a|b)*ab"],
+    ["theory", "2", "a"],
+    ["theory", "0", "ab"],
+    ["theory", "1", "ba"],
+    ["decide", "fo", "(aa)+"],
+    ["theory", "3", "a"],
+    ["theory", "2", "ba"],
+    ["theory", "1", "ab"],
+    ["decide", "fo", "b(a|b)*"],
+    ["theory", "4", "a"],
+    ["theory", "0", "ba"],
+    ["theory", "5", "a"],
+    ["decide", "fo", "aaa+"],
+]
+
+THEORY_AND_DECIDE_PIN = "a408a9559e074f3261178eab56c802728a7c62bbdd69cb8d1fbffaf002d50a14"
+
+
+def _theory_and_decide_digest() -> str:
+    digest = hashlib.sha256()
+    for argv in THEORY_AND_DECIDE:
+        code, out = run_cli(*argv)
+        digest.update(f"{code}\n{out}".encode())
+    return digest.hexdigest()
+
+
+def test_theory_and_decide_reports_are_pinned_cold_and_warm():
+    logic._theory_outcome.cache_clear()
+    assert _theory_and_decide_digest() == THEORY_AND_DECIDE_PIN
+    assert _theory_and_decide_digest() == THEORY_AND_DECIDE_PIN
 
 
 def test_decompose_command():

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import itertools
+import json
 import random
 
 import pytest
 
+from emalg import cli, logic
 from emalg.algebra import word_algebra
 from emalg.automata import dfa_to_recognizer, parse_regex
 from emalg.core import SortedOrderedSet
@@ -11,6 +15,7 @@ from emalg.logic import (
     WordStructure,
     _general_type,
     _unary_threshold,
+    cached_theory_algebra,
     definably_embedded,
     ef_equiv,
     ef_type,
@@ -143,6 +148,51 @@ def test_theory_sizes():
 def test_theory_bound_exceeded():
     with pytest.raises(TheoryBoundExceeded):
         theory_algebra("ab", 2)
+
+
+@pytest.fixture
+def fresh_theory_memo():
+    """Clear the process-wide theory memo around a test, so that the tests
+    run before it cannot change what it observes."""
+    logic._theory_outcome.cache_clear()
+    yield
+    logic._theory_outcome.cache_clear()
+
+
+def test_theory_outcomes_are_built_once_bound_failures_included(fresh_theory_memo, monkeypatch):
+    builds = []
+    build = logic.theory_algebra
+
+    def counted(alphabet, m, **kwargs):
+        builds.append((alphabet, m))
+        return build(alphabet, m, **kwargs)
+
+    monkeypatch.setattr(logic, "theory_algebra", counted)
+    for rx in ("(a|b)*aa(a|b)*", "(a|b)*ab"):
+        v = fo_definable(parse_regex(rx))
+        assert v.definable and v.inconclusive_rank and v.blocked_at_rank == 2
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["theory", "2", "ba"])
+    assert code == cli.EXIT_BOUND
+    message = "more than 512 classes at rank 2"
+    assert json.loads(out.getvalue()) == {"command": "theory", "error": message}
+    # one build per rank, shared by both decisions and the command
+    assert builds == [(("a", "b"), 0), (("a", "b"), 1), (("a", "b"), 2)]
+    assert cached_theory_algebra("ba", 1) is cached_theory_algebra("ab", 1)
+    # each memoised failure raises afresh; the memo keeps only the message,
+    # no exception or traceback that would hold the failed build alive
+    raised = []
+    for _ in range(2):
+        with pytest.raises(TheoryBoundExceeded, match=message) as info:
+            cached_theory_algebra("ab", 2)
+        raised.append(info.value)
+    assert raised[0] is not raised[1]
+    assert logic._theory_outcome(("a", "b"), 2) == message
+    # the builder itself stays uncached
+    with pytest.raises(TheoryBoundExceeded, match=message):
+        logic.theory_algebra("ab", 2)
+    assert builds[3:] == [("ab", 2)]
 
 
 def test_theory_table_matches_concatenation():
