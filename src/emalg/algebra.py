@@ -287,15 +287,26 @@ def _tables(algs: list[FinAlgebra]) -> dict:
 
 
 def _incompatibility(alg: FinAlgebra, rel: frozenset) -> Optional[tuple]:
-    """A witness (op, args, args2) that the reflexive relation ``rel`` (a
-    set of pairs) is not compatible with the tables, or None.
+    """A witness (op, args, args2) that the reflexive, transitive relation
+    ``rel`` (a set of pairs) is not compatible with the tables, or None.
 
     Compatible means: two entries of one op whose arguments are related
     position by position (a bare slot matching only a bare slot) have
-    related values.  Each entry is compared with the entries at every other
-    argument tuple in the product of the up-sets of its arguments, which
-    makes the same comparisons as running over all pairs of entries.  Under
-    a discrete relation there are none."""
+    related values.  Under a discrete relation there are none.
+
+    Each entry is compared only with the entries that raise *one* of its
+    arguments to an element of that argument's up-set.  When every
+    intermediate tuple has an entry this is the same test as comparing it
+    with every entry in the product of the up-sets: raising the arguments
+    one position at a time walks from args to args2 through entries whose
+    values are related step by step (ab <= a'b <= a'b'), and transitivity
+    relates the two ends.  The carrier order and every ``Preorder`` are
+    transitive.  The intermediate entries exist for the word and omega
+    tables, which are total on their argument sorts, and for tree entries
+    without a bare slot, whose keys are all required; a raised argument
+    keeps its sort, so the raised key is required too.  Entries with a bare
+    slot are optional data, so an intermediate may be missing: they keep
+    the walk over the whole product of up-sets."""
     A = alg.carrier
     up = {}  # x first, then the elements strictly above it
     for s in A.sorts:
@@ -304,14 +315,23 @@ def _incompatibility(alg: FinAlgebra, rel: frozenset) -> Optional[tuple]:
             up[x] = [x] + [y for y in es if y != x and (x, y) in rel]
     if all(len(u) == 1 for u in up.values()):
         return None
+    up_set = {x: set(u) for x, u in up.items()}
     up.setdefault(VAR, [VAR])
     for op, args, value in _entries(alg):
         read, table = _READ[op], getattr(alg, op)
-        above = itertools.product(*(up.get(a, ()) for a in args))
-        next(above, None)  # args itself
+        if VAR in args:
+            above = itertools.product(*(up.get(a, ()) for a in args))
+            next(above, None)  # args itself
+        else:
+            above = [
+                args[:i] + (y,) + args[i + 1 :]
+                for i, x in enumerate(args)
+                for y in up[x][1:]
+            ]
+        related = up_set[value]
         for args2 in above:
             value2 = read(table, args2)
-            if value2 is not None and (value, value2) not in rel:
+            if value2 is not None and value2 not in related:
                 return op, args, args2
     return None
 
@@ -777,9 +797,11 @@ def restrict_sorts(alg: FinAlgebra, delta: Iterable[Sort]) -> FinAlgebra:
 
 def is_congruence_ordering(alg: FinAlgebra, q: Preorder) -> bool:
     """Shallow compatibility of an order-extending preorder with every
-    product entry.  By associativity a deep violation decomposes into a
-    chain of one-step replacements, so the shallow check is complete; that
-    reduction is exercised by tests rather than taken on faith."""
+    product entry, checked one argument position at a time (see
+    ``_incompatibility``).  By associativity a deep violation decomposes
+    into a chain of one-step replacements, so the shallow check is
+    complete; that reduction is exercised by tests rather than taken on
+    faith."""
     return q.is_order_extending() and _incompatibility(alg, q.pairs()) is None
 
 

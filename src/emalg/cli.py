@@ -2,10 +2,12 @@
 decision procedure.
 
 Exit codes: 0 for a positive outcome, 1 for a negative verdict, 2 for input
-errors, 3 for an exceeded search, theory or carrier bound.  Reports are
-emitted as a single JSON record with a fixed key order (command, verdict,
-evidence, timing_ms); timing is null unless --timing is given so that
-reports are byte-stable across runs with a fixed seed.
+errors, 3 for an exceeded search, theory or carrier bound, 4 for an internal
+inconsistency (a failed cross-check: a bug, not bad input), reported with
+the exception's witness when it has one.  Reports are emitted as a single
+JSON record with a fixed key order (command, verdict, evidence, timing_ms);
+timing is null unless --timing is given so that reports are byte-stable
+across runs with a fixed seed.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import os
 import sys
 import time
 
-from .algebra import FinAlgebra
+from .algebra import FinAlgebra, NotCongruence
 from .algio import ParseError, load_algebra, parse_dfa_file
 from .automata import Dfa, RegexSyntaxError, dfa_to_recognizer, parse_regex
-from .core import CarrierBoundExceeded
+from .core import CarrierBoundExceeded, NoFactorisation
 from .lawsuite import run_all
 from .logic import TheoryBoundExceeded, cached_theory_algebra, fo_definable
 from .profinite import identity_library, parse_inequalities, satisfies_all
@@ -31,7 +33,7 @@ from .syntactic import (
 )
 from .varieties import SearchBoundExceeded, canonical_cover
 
-EXIT_OK, EXIT_NEGATIVE, EXIT_INPUT, EXIT_BOUND = 0, 1, 2, 3
+EXIT_OK, EXIT_NEGATIVE, EXIT_INPUT, EXIT_BOUND, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 def _emit(command: str, verdict, evidence, args) -> None:
@@ -267,6 +269,12 @@ def main(argv=None) -> int:
     except (TheoryBoundExceeded, SearchBoundExceeded, CarrierBoundExceeded) as exc:
         print(json.dumps({"command": args.cmd, "error": str(exc)}, indent=2))
         return EXIT_BOUND
+    except (NotCongruence, NoFactorisation, AssertionError) as exc:
+        report = {"command": args.cmd, "error": str(exc) or type(exc).__name__}
+        if getattr(exc, "witness", None) is not None:
+            report["witness"] = exc.witness
+        print(json.dumps(report, indent=2, default=str))
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

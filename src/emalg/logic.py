@@ -19,7 +19,6 @@ tractable.
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -223,28 +222,34 @@ def theory_algebra(
     for c in letters:
         letter_class[c], _ = register((c,))
 
+    # Pairs (i, j) of classes are concatenated in (cost, i, j) order, the
+    # cost being the length of reps[i] + reps[j].  Every new representative
+    # is the concatenation just taken, so representatives never get shorter
+    # as ids grow, and each row i is in that order by j alone.  The heap
+    # therefore holds one cursor per row, its first pair not yet taken; a
+    # row whose cursor has passed the newest class waits for the next one.
     table: dict = {}
-    heap = []
-    counter = itertools.count()
+    heap: list = []
+    waiting: list = []
 
-    def push_pairs(i: int):
-        for j in range(len(reps)):
-            for a, b in ((i, j), (j, i)):
-                if (a, b) not in table:
-                    heapq.heappush(
-                        heap, (len(reps[a]) + len(reps[b]), a, b, next(counter))
-                    )
+    def offer(i: int, j: int):
+        if j < len(reps):
+            heapq.heappush(heap, (len(reps[i]) + len(reps[j]), i, j))
+        else:
+            waiting.append(i)
 
     for i in range(len(reps)):
-        push_pairs(i)
+        offer(i, 0)
     while heap:
-        _, i, j, _ = heapq.heappop(heap)
-        if (i, j) in table:
-            continue
+        _, i, j = heapq.heappop(heap)
         cid, new = register(reps[i] + reps[j])
         table[(i, j)] = cid
         if new:
-            push_pairs(cid)
+            for k in waiting:
+                heapq.heappush(heap, (len(reps[k]) + len(reps[cid]), k, cid))
+            waiting.clear()
+            offer(cid, 0)
+        offer(i, j + 1)
 
     carrier = SortedOrderedSet(
         {SORT_WORD: list(range(len(reps)))}, max_size=max(64, len(reps))

@@ -2,11 +2,20 @@
 
 A context is a free element over the carrier plus one hole; applying it gives
 a unary polynomial map.  The defining preorder of a language quantifies over
-infinitely many contexts, but the *functions* they induce form a finite set:
-saturation computes that set as the closure of the identities under
-post-composition with one-step context functions, keeping for every function
-the first (shortest) context that produced it.  Determinism matters: the
-fixed BFS order makes witnesses reproducible.
+infinitely many contexts, but it is also the greatest relation that lies
+inside "a in P implies b in P" on the accepting sort and is closed under the
+one-step context functions.  ``syntactic_preorder`` computes it by
+refinement, as simulations are computed: a backward breadth-first search
+over pairs from the pairs that P itself separates, so each separated pair
+also records the length of its shortest separating context, from which
+``decompose_as_derivatives`` rebuilds the context.
+
+Saturation (``saturate_all``) is kept as the definition the refinement is
+tested against: the finite set of context *functions*, the closure of the
+identities under post-composition with one-step functions, keeping for each
+function the first (shortest) context that produced it.  Determinism
+matters: the fixed BFS orders make witnesses reproducible, and the context
+rebuilt from the pair layers is the one saturation would list first.
 """
 
 from __future__ import annotations
@@ -481,21 +490,115 @@ def saturate_contexts(alg: FinAlgebra, source: Sort, target: Sort) -> list[Conte
 # -- syntactic preorder and algebra ------------------------------------------------
 
 
+_refinement_cache: "weakref.WeakKeyDictionary[FinAlgebra, dict]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _separation_layers(alg: FinAlgebra, P: frozenset, sort: Sort):
+    """The one-step functions of the algebra, and for every same-sort pair
+    (a, b) that some context separates (sends a into ``P`` and b out of it)
+    the length of the shortest separating context.
+
+    A backward BFS over pairs: layer 0 is {(a, b) : a in P, b not in P} on
+    ``sort``; layer L+1 holds the pairs not seen before that some step maps
+    into layer L, found through the step's inverse table.  The pairs never
+    reached are exactly the syntactic preorder, the greatest relation inside
+    "a in P implies b in P" closed under every step."""
+    memo = _refinement_cache.setdefault(alg, {})
+    key = (P, sort)
+    if key in memo:
+        return memo[key]
+    A = alg.carrier
+    steps = _one_step_functions(alg)
+    # elements by index; the pair (i, j) is the integer i * n + j
+    elems = list(A)
+    index = {e: i for i, e in enumerate(elems)}
+    n = len(elems)
+    # for each element x, one (preimage of x scaled by n, inverse table of
+    # the step) per step that reaches x, in step order
+    preimages: list[list] = [[] for _ in elems]
+    for g in steps:
+        inverse: list[list] = [[] for _ in elems]
+        for e, v in g.table.items():
+            inverse[index[v]].append(index[e])
+        for x, pre in enumerate(inverse):
+            if pre:
+                preimages[x].append(([i * n for i in pre], inverse))
+    depths = [-1] * (n * n)
+    frontier = [
+        index[a] * n + index[b]
+        for a in A.elements(sort)
+        if a in P
+        for b in A.elements(sort)
+        if b not in P
+    ]
+    for p in frontier:
+        depths[p] = 0
+    depth = 0
+    while frontier:
+        depth += 1
+        found = []
+        for p in frontier:
+            x, y = divmod(p, n)
+            for xs, inverse in preimages[x]:
+                ys = inverse[y]
+                if ys:
+                    for a in xs:
+                        for b in ys:
+                            if depths[a + b] < 0:
+                                depths[a + b] = depth
+                                found.append(a + b)
+        frontier = found
+    layer = {(elems[p // n], elems[p % n]): d for p, d in enumerate(depths) if d >= 0}
+    memo[key] = steps, layer
+    return steps, layer
+
+
 def syntactic_preorder(alg: FinAlgebra, accepting: Iterable[Elem], sort: Sort) -> Preorder:
-    """a <= b iff every saturated context function sends a into the accepting
-    set only if it also sends b there."""
+    """a <= b iff every context that sends a into the accepting set also
+    sends b there: the pairs that ``_separation_layers`` never reaches."""
     P = frozenset(accepting)
     if not is_upward_closed(alg.carrier, P):
         raise ValueError("accepting set is not upward closed")
-    grouped = saturate_all(alg)
-    pairs = []
-    for zeta in alg.carrier.sorts:
-        fns = grouped.get((zeta, sort), [])
-        for a in alg.elements(zeta):
-            for b in alg.elements(zeta):
-                if all((f.table[a] not in P) or (f.table[b] in P) for f in fns):
-                    pairs.append((a, b))
+    _, layer = _separation_layers(alg, P, sort)
+    pairs = [
+        (a, b)
+        for zeta in alg.carrier.sorts
+        for a in alg.elements(zeta)
+        for b in alg.elements(zeta)
+        if (a, b) not in layer
+    ]
     return Preorder(alg.carrier, pairs)
+
+
+def _separating_context(alg: FinAlgebra, steps, layer: dict, a: Elem, b: Elem) -> Context:
+    """The first function in ``saturate_all``'s order that separates (a, b),
+    as a context: from the pair's layer down to layer 0, the first step in
+    ``_one_step_functions`` order whose image pair lies one layer closer.
+
+    Saturation finds functions by length, and within a length in the
+    lexicographic order of their step sequences, first step most
+    significant.  It drops a sequence whose function an earlier sequence
+    gave, and then every extension of it gives a function that the same
+    extension of the earlier sequence gave before.  So the first
+    separating function it lists is the one of the least shortest
+    separating sequence, and that is the path walked here: a first step
+    whose image pair lies one layer closer starts a shortest separating
+    sequence, and no earlier step does."""
+    sort = alg.carrier.sort_of(a)
+    ctx = identity_context(alg.kind, sort)
+    depth = layer[(a, b)]
+    while depth:
+        depth -= 1
+        g = next(
+            g
+            for g in steps
+            if g.source_sort == sort and layer.get((g.table[a], g.table[b])) == depth
+        )
+        ctx = context_compose(g.witness, ctx)
+        a, b, sort = g.table[a], g.table[b], g.target_sort
+    return ctx
 
 
 @dataclass
@@ -524,7 +627,8 @@ class SyntacticResult:
 
 
 def syntactic_algebra(rec: Recognizer) -> SyntacticResult:
-    """Restrict to the image subalgebra, saturate, quotient.
+    """Restrict to the image subalgebra, refine the syntactic preorder,
+    quotient.
 
     The shallow-compatibility reduction is re-verified on every run; a
     failure would indicate an implementation bug and is surfaced loudly.
@@ -647,7 +751,7 @@ def decompose_as_derivatives(syn: SyntacticResult, target: Iterable[Elem]) -> De
     for x in B.carrier:
         reps.setdefault(qm(x), x)
     P = frozenset(p for p in syn.recognizer.accepting if p in B.carrier)
-    fns = saturate_contexts(B, zeta, syn.accepting_sort)
+    steps, layer = _separation_layers(B, P, syn.accepting_sort)
 
     letter_of = {}
     for c in syn.recognizer.alphabet:
@@ -676,14 +780,9 @@ def decompose_as_derivatives(syn: SyntacticResult, target: Iterable[Elem]) -> De
         ctxs = []
         seen = set()
         for b in sorted(complement, key=repr):
-            pick = None
-            for f in fns:
-                if f.table[reps[a]] in P and f.table[reps[b]] not in P:
-                    pick = f
-                    break
-            if pick is None:
+            if (reps[a], reps[b]) not in layer:
                 raise NotCongruence((a, b), "no separating context; quotient broken")
-            ctx = to_alphabet(pick.witness)
+            ctx = to_alphabet(_separating_context(B, steps, layer, reps[a], reps[b]))
             key = context_to_str(ctx, repr)
             if key not in seen:
                 seen.add(key)

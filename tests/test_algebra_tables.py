@@ -24,7 +24,7 @@ from emalg.algebra import (
     word_algebra,
 )
 from emalg.automata import dfa_to_recognizer, parse_regex
-from emalg.core import CarrierBoundExceeded, SortedOrderedSet, upward_closure
+from emalg.core import CarrierBoundExceeded, Preorder, SortedOrderedSet, upward_closure
 from emalg.lawsuite import (
     _all_preorders,
     exists_a,
@@ -33,7 +33,7 @@ from emalg.lawsuite import (
     small_semigroups,
 )
 from emalg.monads import OMEGA_UP, SORT_FIN, SORT_INF, SORT_WORD, tree_monad
-from emalg.syntactic import generated_pairs, syntactic_algebra
+from emalg.syntactic import generated_pairs, syntactic_algebra, syntactic_preorder
 from emalg.varieties import canonical_cover
 from tests.test_algebra import bool_tree_algebra
 
@@ -154,6 +154,48 @@ def pairwise_congruence(alg, q) -> bool:
     return True
 
 
+def related_tuples_congruence(alg, q) -> bool:
+    """The pairwise definition with the pairs of entries enumerated from the
+    pairs of related argument tuples rather than from all pairs of entries:
+    the same comparisons, few enough for the 62-element algebra."""
+    if not q.is_order_extending():
+        return False
+    tables = {}
+    for op, args, v in _args_of(alg):
+        tables.setdefault((op, len(args)), {})[args] = v
+    related = list(q.pairs()) + [(VAR, VAR)]
+    for table in tables.values():
+        n = len(next(iter(table)))
+        for pairs in itertools.product(related, repeat=n):
+            args, args2 = zip(*pairs)
+            if args in table and args2 in table and not q.holds(table[args], table[args2]):
+                return False
+    return True
+
+
+def ordered_bool_tree_algebra():
+    """bool_tree_algebra(with_var_slots=True) ordered by its flag: the
+    unflagged element below the flagged one in every sort."""
+    alg = bool_tree_algebra(with_var_slots=True)
+    sorts = alg.carrier.sorts
+    carrier = SortedOrderedSet(
+        {n: alg.elements(n) for n in sorts}, [((n, False), (n, True)) for n in sorts]
+    )
+    return FinAlgebra(alg.monad, carrier, comp=alg.comp)
+
+
+def diagonal_bare_slot_algebra():
+    """bool_tree_algebra's entries without bare slots and two bare-slot
+    entries, b(_, c) with both flags off and with both on, whose values
+    are swapped.  They differ in two positions and no entry lies between
+    them, so only a walk over the whole product of up-sets compares them."""
+    alg = bool_tree_algebra()
+    comp = dict(alg.comp)
+    comp[((2, False), (VAR, (0, False)))] = (1, True)
+    comp[((2, True), (VAR, (0, True)))] = (1, False)
+    return FinAlgebra(alg.monad, alg.carrier, comp=comp)
+
+
 def _small_algebras():
     yield from small_semigroups(2)
     yield zmod(3)
@@ -162,6 +204,8 @@ def _small_algebras():
     yield ordered_finitely_many_a()[0]
     yield bool_tree_algebra()
     yield bool_tree_algebra(with_var_slots=True)
+    yield ordered_bool_tree_algebra()
+    yield diagonal_bare_slot_algebra()
 
 
 def test_congruence_check_matches_the_pairwise_definition():
@@ -170,10 +214,35 @@ def test_congruence_check_matches_the_pairwise_definition():
         for q in _all_preorders(alg.carrier):
             verdict = is_congruence_ordering(alg, q)
             assert verdict == pairwise_congruence(alg, q), (alg, q)
+            assert verdict == related_tuples_congruence(alg, q), (alg, q)
             checked += 1
             congruent += verdict
     # both verdicts occur, so the comparison is not vacuous
     assert 0 < congruent < checked
+
+
+def _suffix_preorders(k: int):
+    """The ordered syntactic algebra of (a|b)*a(a|b){k} (30 elements at
+    k = 3, 62 at k = 4) with preorders that extend its order: the order
+    itself, at k = 3 the syntactic preorders of some principal up-sets
+    (congruences), and the order with one strict pair reversed."""
+    alg = syntactic_algebra(dfa_to_recognizer(parse_regex("(a|b)*a" + "(a|b)" * k))).syn_algebra
+    C = alg.carrier
+    qs = [Preorder(C, C.leq_pairs())]
+    if k == 3:
+        qs += [syntactic_preorder(alg, upward_closure(C, {x}), SORT_WORD) for x in list(C)[::10]]
+    strict = sorted(((a, b) for a, b in C.leq_pairs() if a != b), key=repr)
+    qs += [Preorder(C, C.leq_pairs() | {(b, a)}) for a, b in strict[:: len(strict) // 4]]
+    return alg, qs
+
+
+@pytest.mark.parametrize("k, size", [(3, 30), (4, 62)])
+def test_congruence_check_matches_the_definition_on_the_suffix_family(k, size):
+    alg, qs = _suffix_preorders(k)
+    assert len(alg.carrier) == size
+    verdicts = [is_congruence_ordering(alg, q) for q in qs]
+    assert verdicts == [related_tuples_congruence(alg, q) for q in qs]
+    assert True in verdicts and False in verdicts
 
 
 # -- product closure against a naive fixpoint -------------------------------------------

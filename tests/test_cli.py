@@ -1,10 +1,15 @@
 import io
 import hashlib
+import itertools
 import json
 import contextlib
 
-from emalg import logic
-from emalg.cli import EXIT_BOUND, EXIT_INPUT, EXIT_NEGATIVE, EXIT_OK, main
+import pytest
+
+from emalg import cli, logic, syntactic
+from emalg.algebra import is_congruence_ordering
+from emalg.cli import EXIT_BOUND, EXIT_INPUT, EXIT_INTERNAL, EXIT_NEGATIVE, EXIT_OK, main
+from emalg.core import NoFactorisation, Preorder
 
 
 def run_cli(*argv):
@@ -110,6 +115,25 @@ def test_theory_and_decide_reports_are_pinned_cold_and_warm():
     assert _theory_and_decide_digest() == THEORY_AND_DECIDE_PIN
 
 
+# the "(k+1)-th letter from the end is x" family and a few classics, whose
+# syn and decompose reports depend on the syntactic preorder and on the
+# separating contexts
+SYN_AND_DECOMPOSE_LANGUAGES = [
+    f"(a|b)*{x}" + "(a|b)" * k for x in "ab" for k in range(4)
+] + ["(a|b)*aa(a|b)*", "(ab)+", "(aa)+", "(a|b|c)*abc(a|b|c)*"]
+
+SYN_AND_DECOMPOSE_PIN = "b13a53cff0058b680ae1357223c6d2c3f5987c3272dbf6820dac77377d3489f6"
+
+
+def test_syn_and_decompose_reports_are_pinned():
+    digest = hashlib.sha256()
+    for language in SYN_AND_DECOMPOSE_LANGUAGES:
+        for command in ("syn", "decompose"):
+            code, out = run_cli(command, language)
+            digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == SYN_AND_DECOMPOSE_PIN
+
+
 def test_decompose_command():
     code, out = run_cli("decompose", "(a|b)*aa(a|b)*", "--target", "K")
     assert code == EXIT_OK
@@ -159,3 +183,41 @@ def test_carrier_cap_exits_with_the_bound_code(tmp_path):
     code, out = run_cli("check", str(big), "APERIODIC")
     assert code == EXIT_BOUND
     assert json.loads(out)["error"] == "sort 0 has 65 elements, cap is 64"
+
+
+def _incompatible_preorder(alg, accepting, sort):
+    """Stands in for a broken syntactic preorder: the first single pair
+    whose preorder is not compatible with the products."""
+    for x, y in itertools.product(alg.carrier, repeat=2):
+        q = Preorder(alg.carrier, [(x, y)])
+        if not is_congruence_ordering(alg, q):
+            return q
+    raise RuntimeError("every one-pair preorder is compatible")
+
+
+def test_an_incompatible_syntactic_preorder_exits_with_the_internal_code(monkeypatch):
+    monkeypatch.setattr(syntactic, "syntactic_preorder", _incompatible_preorder)
+    code, out = run_cli("syn", "(a|b)*aa(a|b)*")
+    assert code == EXIT_INTERNAL
+    report = json.loads(out)
+    assert list(report) == ["command", "error"]  # this failure has no witness
+    assert report["command"] == "syn"
+    assert "indicates a bug" in report["error"]
+
+
+@pytest.mark.parametrize(
+    "exc, expected",
+    [
+        (AssertionError("the two deciders disagree"), {"error": "the two deciders disagree"}),
+        (AssertionError(), {"error": "AssertionError"}),
+        (NoFactorisation(("e0", "e1")), {"error": "kernel violation at pair ('e0', 'e1')", "witness": ["e0", "e1"]}),
+    ],
+)
+def test_internal_inconsistencies_report_their_witness(monkeypatch, exc, expected):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "fo_definable", fail)
+    code, out = run_cli("decide", "fo", "(aa)+")
+    assert code == EXIT_INTERNAL
+    assert json.loads(out) == {"command": "decide", **expected}

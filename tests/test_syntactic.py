@@ -14,6 +14,7 @@ from emalg.core import SortedOrderedSet, kernel, upward_closure
 from emalg.lawsuite import (
     exists_a,
     finitely_many_a,
+    ordered_finitely_many_a,
     rand_recognizer,
 )
 from emalg.monads import (
@@ -28,11 +29,14 @@ from emalg.syntactic import (
     OmegaContext,
     TreeContext,
     WordContext,
+    _separating_context,
+    _separation_layers,
     context_apply,
     context_compose,
     context_to_str,
     decompose_as_derivatives,
     factor_to_syntactic,
+    saturate_all,
     saturate_contexts,
     syntactic_algebra,
     syntactic_preorder,
@@ -545,3 +549,122 @@ def test_tree_syntactic_algebra():
     assert not syn.accepts(parse_tree("b(u(c),c)"))
     assert syn.size() <= len(alg.carrier)
     assert is_congruence_ordering(syn.image.algebra, syn.preorder)
+
+
+# -- the refined preorder and its contexts against saturation ---------------------------
+
+
+def saturation_preorder(alg, P, sort) -> set:
+    """The definition over the saturated context functions: a <= b iff
+    every function into ``sort`` that sends a into P sends b there too."""
+    grouped = saturate_all(alg)
+    return {
+        (a, b)
+        for zeta in alg.carrier.sorts
+        for a in alg.elements(zeta)
+        for b in alg.elements(zeta)
+        if all(f.table[a] not in P or f.table[b] in P for f in grouped.get((zeta, sort), ()))
+    }
+
+
+def _refinement_cases():
+    """(algebra, accepting set, sort): random word recognizers, small
+    syntactic-family recognizers, and the omega and tree fixtures with every
+    upward-closed accepting set of every sort."""
+    from tests.test_algebra import bool_tree_algebra
+
+    rng = random.Random(7)
+    for _ in range(25):
+        rec = rand_recognizer(rng)
+        yield rec.algebra, rec.accepting, rec.accepting_sort
+    for language in ("(a|b)*a(a|b)", "(a|b)*b(a|b)(a|b)", "(ab)+"):
+        rec = dfa_to_recognizer(parse_regex(language))
+        yield rec.algebra, rec.accepting, rec.accepting_sort
+    fixtures = [
+        zmod(4),
+        two_elem_flipflop(),
+        finitely_many_a()[0],
+        exists_a()[0],
+        ordered_finitely_many_a()[0],
+        bool_tree_algebra(),
+        bool_tree_algebra(with_var_slots=True),
+    ]
+    for alg in fixtures:
+        for sort in alg.carrier.sorts:
+            es = alg.elements(sort)
+            upsets = {
+                upward_closure(alg.carrier, chosen)
+                for k in range(len(es) + 1)
+                for chosen in itertools.combinations(es, k)
+            }
+            for P in sorted(upsets, key=lambda u: sorted(map(repr, u))):
+                yield alg, P, sort
+
+
+def test_refined_preorder_matches_the_saturation_definition():
+    kinds = set()
+    for alg, P, sort in _refinement_cases():
+        got = syntactic_preorder(alg, P, sort).pairs()
+        assert got == saturation_preorder(alg, P, sort), (alg, P, sort)
+        kinds.add(alg.kind)
+    assert kinds == {"word", "omega", "tree"}
+
+
+def test_separating_contexts_are_the_first_separating_functions():
+    # the context rebuilt from the pair layers is the witness of the first
+    # function in saturation order that separates the pair
+    separated = 0
+    for alg, P, sort in _refinement_cases():
+        steps, layer = _separation_layers(alg, frozenset(P), sort)
+        grouped = saturate_all(alg)
+        for zeta in alg.carrier.sorts:
+            fns = grouped.get((zeta, sort), ())
+            for a, b in itertools.product(alg.elements(zeta), repeat=2):
+                first = next((f for f in fns if f.table[a] in P and f.table[b] not in P), None)
+                if first is None:
+                    assert (a, b) not in layer
+                    continue
+                ctx = _separating_context(alg, steps, layer, a, b)
+                assert context_to_str(ctx, repr) == context_to_str(first.witness, repr)
+                assert context_apply(alg, ctx, a) in P and context_apply(alg, ctx, b) not in P
+                separated += 1
+    assert separated > 500
+
+
+def _on_alphabet(syn, ctx: WordContext) -> WordContext:
+    """A context over the image algebra, spelt over the alphabet through
+    the image witnesses, as decompose_as_derivatives spells it."""
+    letter_of = {}
+    for c in syn.recognizer.alphabet:
+        letter_of.setdefault(syn.recognizer.assignment[c], c)
+
+    def spell(labels):
+        return tuple(letter_of[g] for x in labels for g in syn.image.witnesses[x].labels)
+
+    return WordContext(spell(ctx.left), spell(ctx.right))
+
+
+@pytest.mark.parametrize(
+    "language",
+    ["(a|b)*a(a|b)(a|b)", "(a|b)*b(a|b)", "(a|b)*aa(a|b)*", "(ab)+", "(aa)+", "(a|b|c)*abc(a|b|c)*"],
+)
+def test_decompose_contexts_are_the_first_separating_functions(language):
+    syn = syntactic_algebra(dfa_to_recognizer(parse_regex(language)))
+    B, Syn = syn.image.algebra, syn.syn_algebra
+    reps = {}
+    for x in B.carrier:
+        reps.setdefault(syn.syn_morphism(x), x)
+    P = frozenset(p for p in syn.recognizer.accepting if p in B.carrier)
+    fns = saturate_contexts(B, SORT_WORD, syn.accepting_sort)
+    targets = {syn.accepting} | {upward_closure(Syn.carrier, {x}) for x in Syn.carrier}
+    for target in sorted(targets, key=lambda t: sorted(map(repr, t))):
+        dec = decompose_as_derivatives(syn, target)
+        complement = sorted((x for x in Syn.carrier if x not in target), key=repr)
+        for a, ctxs in dec.clauses:
+            expected = []
+            for b in complement:
+                first = next(f for f in fns if f.table[reps[a]] in P and f.table[reps[b]] not in P)
+                text = context_to_str(_on_alphabet(syn, first.witness), repr)
+                if text not in expected:
+                    expected.append(text)
+            assert [context_to_str(c, repr) for c in ctxs] == expected
