@@ -164,8 +164,7 @@ def related_tuples_congruence(alg, q) -> bool:
     for op, args, v in _args_of(alg):
         tables.setdefault((op, len(args)), {})[args] = v
     related = list(q.pairs()) + [(VAR, VAR)]
-    for table in tables.values():
-        n = len(next(iter(table)))
+    for (_, n), table in tables.items():
         for pairs in itertools.product(related, repeat=n):
             args, args2 = zip(*pairs)
             if args in table and args2 in table and not q.holds(table[args], table[args2]):
