@@ -1,19 +1,22 @@
 """Finitary algebras for the three container instances.
 
-An algebra is a sorted ordered carrier together with the shallow product data
-appropriate for its instance:
+An algebra is a sorted ordered carrier together with one table per shallow
+operation of its monad.  The operations, with their argument and result
+sorts, are the monad's ``signature`` (``emalg.monads``):
 
-* word: a binary multiplication table (an ordered semigroup);
+* word: mult (0,0)->0, a binary multiplication (an ordered semigroup);
 * omega: dot (1,1)->1, mix (1,inf)->inf and omega 1->inf (Wilke-style data,
   which determines evaluation of every ultimately periodic word);
-* tree: shallow composition tables comp(a; b1..bn) giving the value of the
-  depth-two tree a(b1(...),...,bn(...)); deep trees evaluate by recursion.
-  A slot may also be the marker ``VAR`` (stored as None) for a bare variable
-  child passed through in order.  Entries with VAR slots are optional data;
-  evaluation raises ``MissingTableEntry`` when one is needed but absent.
+* tree: comp (n, s1..sn)->s1+..+sn for 1 <= n and a sum within the arity
+  cap, giving the value of the depth-two tree a(b1(...),...,bn(...)); deep
+  trees evaluate by recursion.  A slot may also be the marker ``VAR``
+  (stored as None) for a bare variable child, of sort 1, passed through in
+  order.  Entries with VAR slots are optional data; evaluation raises
+  ``MissingTableEntry`` when one is needed but absent.
 
-Tables are validated for totality, sort-correctness and monotonicity at
-construction.  Associativity is *not* assumed at construction; it is checked
+Construction checks the tables against the signature (every entry fits an
+operation and lands in its result sort, every operation is total) and for
+monotonicity.  Associativity is *not* assumed at construction; it is checked
 by ``check_algebra_laws`` so that defective tables can be reported rather
 than silently trusted.  The Wilke coherence axioms are enforced by the
 ``wilke_algebra`` factory (they are exactly what makes ultimately periodic
@@ -70,8 +73,8 @@ class MissingTableEntry(KeyError):
     """A tree evaluation needed an optional slot entry that is absent."""
 
 
-def _slot_sort(carrier: SortedOrderedSet, slot) -> Sort:
-    return 1 if slot is VAR else carrier.sort_of(slot)
+def _wrong_sort(op: str, args: tuple, value, result: Sort) -> str:
+    return f"{op} value {value!r} at {args!r} is not of sort {result}"
 
 
 class FinAlgebra:
@@ -104,79 +107,47 @@ class FinAlgebra:
     # -- validation ----------------------------------------------------------
 
     def _validate(self):
+        """Every op of the monad's signature is total on its argument sorts
+        and lands in its result sort, except an op that has nowhere to land
+        (a sort restriction emptied every result sort it has, as it empties
+        the infinite sort of an omega algebra); every other entry fits a
+        shape too (a comp entry with a bare slot); the tables are monotone."""
         A = self.carrier
-        if self.kind == "word":
-            es = A.elements(SORT_WORD)
-            for a, b in itertools.product(es, es):
-                if (a, b) not in self.mult:
-                    raise ValueError(f"multiplication not total at ({a!r},{b!r})")
-            for (a, b), c in self.mult.items():
-                if c not in A or A.sort_of(c) != SORT_WORD:
-                    raise ValueError(f"bad product value {c!r}")
-        elif self.kind == "omega":
-            fin, inf = A.elements(SORT_FIN), A.elements(SORT_INF)
-            for a, b in itertools.product(fin, fin):
-                if (a, b) not in self.dot:
-                    raise ValueError(f"dot not total at ({a!r},{b!r})")
-            for a, e in itertools.product(fin, inf):
-                if (a, e) not in self.mix:
-                    raise ValueError(f"mix not total at ({a!r},{e!r})")
-            # an empty infinite sort arises from sort restriction; the object
-            # is then a bare ordered semigroup and omega has nowhere to land
-            if inf:
-                for a in fin:
-                    if a not in self.omega:
-                        raise ValueError(f"omega not total at {a!r}")
-            for (a, b), c in self.dot.items():
-                if A.sort_of(c) != SORT_FIN:
-                    raise ValueError(f"dot lands at wrong sort: {c!r}")
-            for (a, e), c in self.mix.items():
-                if A.sort_of(c) != SORT_INF:
-                    raise ValueError(f"mix lands at wrong sort: {c!r}")
-            for a, c in self.omega.items():
-                if A.sort_of(c) != SORT_INF:
-                    raise ValueError(f"omega lands at wrong sort: {c!r}")
-        elif self.kind == "tree":
-            self._validate_tree_tables()
-        else:
-            raise ValueError(f"unknown algebra kind {self.kind!r}")
+        signature = self.monad.signature
+        sorts = {e: s for s in A.sorts for e in A.elements(s)}
+        live = {op for op, _, result in signature if A.elements(result)}
+        found = dict.fromkeys(_OPS, 0)  # entries whose arguments are elements
+        for op, arg_sorts, result in signature:
+            read, table = _READ[op], getattr(self, op)
+            for args in itertools.product(*map(A.elements, arg_sorts)):
+                value = read(table, args)
+                if value is None:
+                    if op in live:
+                        raise ValueError(f"{op} not total at {args!r}")
+                elif sorts.get(value) != result:
+                    raise ValueError(_wrong_sort(op, args, value, result))
+                else:
+                    found[op] += 1
+        # a table with more entries holds bare comp slots or entries that fit
+        # no shape: check each of its entries
+        rest = {op for op in _OPS if len(getattr(self, op)) > found[op]}
+        if rest:
+            shapes = {(op, args): result for op, args, result in signature}
+            slot_sort = {**sorts, VAR: 1}.get  # a bare comp slot passes x0 through
+            for op, args, value in _entries(self):
+                if op not in rest:
+                    continue
+                slots = map(slot_sort if op == "comp" else sorts.get, args[1:])
+                result = shapes.get((op, (sorts.get(args[0]), *slots)))
+                if result is None:
+                    raise ValueError(f"{op} entry at {args!r} fits no operation")
+                if sorts.get(value) != result:
+                    raise ValueError(_wrong_sort(op, args, value, result))
         bad = _incompatibility(self, A.leq_pairs())
         if bad:
             raise ValueError(f"{bad[0]} not monotone at {bad[1]!r} vs {bad[2]!r}")
 
-    def _iter_required_tree_keys(self):
-        A = self.carrier
-        max_arity = self.monad.max_arity
-        for n in A.sorts:
-            for a in A.elements(n):
-                pools = [
-                    [e for s in A.sorts for e in A.elements(s)] for _ in range(n)
-                ]
-                for slots in itertools.product(*pools):
-                    if sum(A.sort_of(e) for e in slots) <= max_arity:
-                        yield a, slots
-
-    def _validate_tree_tables(self):
-        A = self.carrier
-        if not isinstance(self.monad, TreeMonad):
-            raise ValueError("tree tables need a tree monad")
-        max_arity = self.monad.max_arity
-        for a, slots in self._iter_required_tree_keys():
-            if len(slots) > 0 and (a, slots) not in self.comp:
-                raise ValueError(f"comp not total at ({a!r},{slots!r})")
-        for (a, slots), r in self.comp.items():
-            if a not in A or A.sort_of(a) != len(slots):
-                raise ValueError(f"comp head {a!r} has wrong arity for {slots!r}")
-            rsort = sum(_slot_sort(A, s) for s in slots)
-            if rsort > max_arity:
-                raise ValueError(f"comp entry ({a!r},{slots!r}) exceeds the arity cap")
-            if r not in A or A.sort_of(r) != rsort:
-                raise ValueError(f"comp value {r!r} has sort != {rsort}")
-
     # -- shallow application ---------------------------------------------------
-
-    def mul(self, a, b):
-        return self.mult[(a, b)]
 
     def comp_value(self, a, slots: tuple):
         """Value of the shallow tree a(slot_1,...,slot_n); VAR slots pass a
@@ -201,15 +172,18 @@ class FinAlgebra:
 # -- the table view -------------------------------------------------------------
 #
 # Whatever the instance, an algebra's data is a set of shallow operation
-# tables.  The helpers below see them as one list of entries
-# (op, args, value) with a flat argument tuple:
+# tables, one per op of the monad's signature, whose argument sorts are
+# those of the signature's shapes.  The helpers below see them as one list
+# of entries (op, args, value) with a flat argument tuple:
 #
 #   ("mult", (a, b))   ("dot", (a, b))   ("mix", (a, e))   ("omega", (a,))
 #   ("comp", (head, slot_1, ..., slot_n)), VAR standing for a bare slot
 #
-# Morphism tests, restriction, quotients, products, closure and the
-# compatibility check are written once over this view.  The per-op dicts
-# stay the storage and the public face.
+# Validation, the terminal algebra, morphism tests, restriction, quotients,
+# products, closure and the compatibility check are written once over this
+# view and the signature; so are the syntactic one-step context functions
+# and the term folds of ``profinite``.  The per-op dicts stay the storage
+# and the public face.
 
 _OPS = ("mult", "dot", "mix", "omega", "comp")
 
@@ -394,29 +368,17 @@ def tree_algebra(monad: TreeMonad, carrier: SortedOrderedSet, comp: dict) -> Fin
 
 
 def one_element_algebra(monad: Monad) -> FinAlgebra:
-    """The terminal algebra: exactly one element per sort."""
-    units = {s: [("unit", s)] for s in monad.sorts}
-    A = SortedOrderedSet(units)
+    """The terminal algebra: one element per sort, the unit of the sort, and
+    every op of the signature sends units to the unit of its result sort."""
     u = {s: ("unit", s) for s in monad.sorts}
-    if monad.kind == "word":
-        return FinAlgebra(monad, A, mult={(u[0], u[0]): u[0]})
-    if monad.kind == "omega":
-        return FinAlgebra(
-            monad,
-            A,
-            dot={(u[SORT_FIN], u[SORT_FIN]): u[SORT_FIN]},
-            mix={(u[SORT_FIN], u[SORT_INF]): u[SORT_INF]},
-            omega={u[SORT_FIN]: u[SORT_INF]},
-        )
-    comp = {}
-    for n in monad.sorts:
-        a = u[n]
-        pools = [[u[s] for s in monad.sorts] for _ in range(n)]
-        for slots in itertools.product(*pools):
-            rsort = sum(s[1] for s in slots)
-            if rsort <= monad.max_arity:
-                comp[(a, slots)] = u[rsort]
-    return FinAlgebra(monad, A, comp=comp)
+    return _build(
+        monad,
+        SortedOrderedSet({s: [u[s]] for s in monad.sorts}),
+        (
+            (op, tuple(u[s] for s in args), u[result])
+            for op, args, result in monad.signature
+        ),
+    )
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -943,7 +905,15 @@ def check_algebra_laws(alg: FinAlgebra, *, seed: int = 0, samples: int = 100) ->
             check_pair(UPWord(ws, per))
     else:
         # canonical depth-two shapes: outer root sing(a), children sing(b_i)
-        for a, bs in alg._iter_required_tree_keys():
+        elems = list(A)
+        keys = (
+            (a, bs)
+            for n in A.sorts
+            for a in A.elements(n)
+            for bs in itertools.product(elems, repeat=n)
+            if sum(A.sort_of(b) for b in bs) <= monad.max_arity
+        )
+        for a, bs in keys:
             children = []
             off = 0
             for b in bs:

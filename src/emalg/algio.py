@@ -8,7 +8,7 @@ Algebra files ('#' comments, blank lines ignored):
     dot ei ej ek          (word kind also uses dot lines for its product)
     mix ei ej ek
     omega ei ej
-    comp a s1 .. sn r     (tree; a slot may be '_' for a bare variable)
+    comp a s1 .. sn r     (tree, n >= 1; a slot may be '_' for a bare variable)
 
 Word algebras live at sort 0; omega algebras use sorts '1' and 'inf'
 (the literal '2' is accepted for 'inf'); tree algebras use arities as

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 from .algebra import Recognizer, word_algebra
 from .core import SortedOrderedSet
-from .monads import SORT_WORD, Word
+from .monads import SORT_WORD
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def words_up_to(alphabet: Iterable, n: int) -> Iterator[tuple]:
 
 # -- regex parsing ----------------------------------------------------------------
 
-_META = set("()|*+?")
+_META = set("()|*+?{}")  # braces are reserved: repetition counts are not supported
 
 
 class RegexSyntaxError(ValueError):
@@ -377,7 +377,3 @@ def dfa_to_recognizer(dfa: Dfa) -> Recognizer:
     alphabet = SortedOrderedSet({SORT_WORD: list(dfa.alphabet)})
     accepting = frozenset(t for t in elems if t[dfa.start] in dfa.accepting)
     return Recognizer(alphabet, alg, dict(letter_maps), accepting)
-
-
-def recognizer_accepts_word(rec: Recognizer, letters: Iterable) -> bool:
-    return rec.accepts(Word(tuple(letters)))

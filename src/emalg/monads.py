@@ -15,6 +15,7 @@ mentioned here only as a non-example.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
@@ -238,6 +239,10 @@ def _as_label_fn(f) -> Callable[[Any, Sort], Any]:
 
 class Monad:
     kind: str = ""
+    #: The shallow operations of a finitary algebra over this monad, one
+    #: ``(op, argument sorts, result sort)`` per shape.  ``FinAlgebra``
+    #: stores the entries of op ``op`` in its attribute of that name.
+    signature: tuple[tuple[str, tuple[Sort, ...], Sort], ...] = ()
 
     @property
     def sorts(self) -> tuple[Sort, ...]:
@@ -270,6 +275,7 @@ class Monad:
 
 class WordMonad(Monad):
     kind = "word"
+    signature = (("mult", (SORT_WORD, SORT_WORD), SORT_WORD),)
 
     @property
     def sorts(self):
@@ -316,6 +322,12 @@ class OmegaMonad(Monad):
     """
 
     kind = "omega"
+    # Wilke's data: u.v, u.t and v^w determine every ultimately periodic word
+    signature = (
+        ("dot", (SORT_FIN, SORT_FIN), SORT_FIN),
+        ("mix", (SORT_FIN, SORT_INF), SORT_INF),
+        ("omega", (SORT_FIN,), SORT_INF),
+    )
 
     @property
     def sorts(self):
@@ -414,6 +426,18 @@ class TreeMonad(Monad):
     @property
     def sorts(self):
         return tuple(range(self.max_arity + 1))
+
+    @functools.cached_property
+    def signature(self):
+        """comp (n, s1..sn) -> s1+..+sn: a head of arity n >= 1 with a tree
+        of sort s_i in slot i, for every sum within the arity cap."""
+        m = self.max_arity
+        return tuple(
+            ("comp", (n, *slots), sum(slots))
+            for n in range(1, m + 1)
+            for slots in itertools.product(range(m + 1), repeat=n)
+            if sum(slots) <= m
+        )
 
     def element_sort(self, t):
         if not isinstance(t, Tree):

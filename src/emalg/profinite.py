@@ -15,9 +15,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
-from .algebra import FinAlgebra
+from .algebra import _READ, FinAlgebra, MissingTableEntry
 from .core import Elem
-from .monads import SORT_FIN, SORT_INF, SORT_WORD, SortMismatch
+from .monads import SortMismatch
 
 
 @dataclass(frozen=True)
@@ -197,18 +197,22 @@ def term_to_str(t: Term) -> str:
 # -- evaluation -----------------------------------------------------------------
 
 
-def _self_compose(alg: FinAlgebra):
-    if alg.kind == "word":
-        return lambda a, b: alg.mult[(a, b)]
-    if alg.kind == "omega":
-        return lambda a, b: alg.dot[(a, b)]
-    return lambda a, b: alg.comp_value(a, (b,))
+def _apply(alg: FinAlgebra, op: str, args: tuple) -> Elem:
+    """``op``'s entry at ``args``; MissingTableEntry where there is none."""
+    value = _READ[op](getattr(alg, op), args)
+    if value is None:
+        raise MissingTableEntry(f"no {op} entry at {args!r}")
+    return value
 
 
-def _composable_sort(alg: FinAlgebra) -> int:
-    if alg.kind == "word":
-        return SORT_WORD
-    return SORT_FIN  # sort 1 both for omega (dot) and tree (unary composition)
+def _self_op(alg: FinAlgebra) -> Optional[tuple[str, int]]:
+    """(op, sort) for the signature's binary op whose argument and result
+    sorts are one sort: word multiplication, omega dot, or unary tree
+    composition.  None where there is none (trees of arity cap 0)."""
+    for op, args, result in alg.monad.signature:
+        if args == (result, result):
+            return op, result
+    return None
 
 
 def idempotent_power(alg: FinAlgebra, v: Elem) -> Elem:
@@ -218,27 +222,30 @@ def idempotent_power(alg: FinAlgebra, v: Elem) -> Elem:
     idempotent inside it; this matches the factorial-power limit and needs at
     most carrier-size many steps.
     """
-    A = alg.carrier
-    if A.sort_of(v) != _composable_sort(alg):
+    self_op = _self_op(alg)
+    if self_op is None or alg.carrier.sort_of(v) != self_op[1]:
         raise SortMismatch(f"{v!r} does not live at a self-composable sort")
-    op = _self_compose(alg)
+    op = self_op[0]
     powers = [v]
     seen = {v}
     cur = v
     while True:
-        cur = op(cur, v)
+        cur = _apply(alg, op, (cur, v))
         if cur in seen:
             break
         seen.add(cur)
         powers.append(cur)
     for p in powers:
-        if op(p, p) == p:
+        if _apply(alg, op, (p, p)) == p:
             return p
     raise AssertionError("finite cyclic subsemigroup without idempotent")
 
 
-def default_var_sort(alg: FinAlgebra) -> int:
-    return _composable_sort(alg)
+def default_var_sort(alg: FinAlgebra) -> Optional[int]:
+    """The sort that variables range over: that of the self-composable op,
+    None where the signature has none (no variable then has a value)."""
+    self_op = _self_op(alg)
+    return None if self_op is None else self_op[1]
 
 
 def eval_term(alg: FinAlgebra, beta: dict, t: Term) -> Elem:
@@ -247,28 +254,24 @@ def eval_term(alg: FinAlgebra, beta: dict, t: Term) -> Elem:
     if isinstance(t, TermVar):
         return beta[t.name]
     if isinstance(t, TermSeq):
+        # fold left to right, each step by the binary op taking those sorts
+        binary = {args: op for op, args, _ in alg.monad.signature if len(args) == 2}
         vals = [eval_term(alg, beta, x) for x in t.items]
         acc = vals[0]
         for v in vals[1:]:
-            if alg.kind == "word":
-                acc = alg.mult[(acc, v)]
-            elif alg.kind == "omega":
-                if A.sort_of(acc) == SORT_INF:
-                    raise SortMismatch("an infinite value may only end a sequence")
-                acc = (
-                    alg.mix[(acc, v)]
-                    if A.sort_of(v) == SORT_INF
-                    else alg.dot[(acc, v)]
-                )
-            else:
-                acc = alg.comp_value(acc, (v,))
+            sorts = (A.sort_of(acc), A.sort_of(v))
+            if sorts not in binary:
+                raise SortMismatch(f"no binary operation takes sorts {sorts}")
+            acc = _apply(alg, binary[sorts], (acc, v))
         return acc
     if isinstance(t, OmegaPow):
         return idempotent_power(alg, eval_term(alg, beta, t.body))
     if isinstance(t, InfPow):
-        if alg.kind != "omega":
+        unary = [op for op, args, _ in alg.monad.signature if len(args) == 1]
+        if not unary:
             raise SortMismatch("the infinite power needs a two-sorted algebra")
-        return alg.omega[idempotent_power(alg, eval_term(alg, beta, t.body))]
+        power = idempotent_power(alg, eval_term(alg, beta, t.body))
+        return _apply(alg, unary[0], (power,))
     if isinstance(t, TreeTerm):
         head = eval_term(alg, beta, t.head)
         slots = tuple(eval_term(alg, beta, c) for c in t.children)

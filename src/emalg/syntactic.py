@@ -20,6 +20,7 @@ rebuilt from the pair layers is the one saturation would list first.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
@@ -34,6 +35,7 @@ from .core import (
     is_upward_closed,
 )
 from .algebra import (
+    _READ,
     VAR,
     FinAlgebra,
     GeneratedSubalgebra,
@@ -289,149 +291,57 @@ class ContextFunction:
         )
 
 
+def _word_step_context(args: tuple, sorts: tuple) -> WordContext:
+    i = args.index(HOLE)
+    return WordContext(args[:i], args[i + 1 :])
+
+
+def _tree_step_context(args: tuple, sorts: tuple) -> TreeContext:
+    """head(slot_1, ..., slot_n) with each slot a node over fresh variables,
+    as many as its sort."""
+    children, off = [], 0
+    for x, k in zip(args[1:], sorts[1:]):
+        children.append(Node(x, tuple(Var(off + j) for j in range(k))))
+        off += k
+    return TreeContext(Tree(Node(args[0], tuple(children)), off))
+
+
+#: For each op, the context of a one-step function: the op applied to its
+#: arguments, HOLE at the hole, whose sorts are given.
+_STEP_CONTEXT = {
+    "mult": _word_step_context,
+    "dot": lambda args, sorts: OmegaContext(args),
+    "mix": lambda args, sorts: OmegaContext(args[:1], None, args[1]),
+    "omega": lambda args, sorts: OmegaContext((), args),
+    "comp": _tree_step_context,
+}
+
+
 def _one_step_functions(alg: FinAlgebra) -> list[ContextFunction]:
+    """The one-step context functions, from which every context function is
+    composed: an op of the monad's signature with one argument position as
+    the hole and elements of their sorts fixed in the others, mapping e to
+    the op applied with e in the hole.  A step whose table is empty, or has
+    a gap (an op with nowhere to land has no entries), is left out.  Sorted
+    by source sort, target sort and witness text, so the order does not
+    depend on how the steps were found."""
     A = alg.carrier
     out: list[ContextFunction] = []
-    if alg.kind == "word":
-        es = A.elements(SORT_WORD)
-        for u in es:
-            out.append(
-                ContextFunction(
-                    SORT_WORD,
-                    SORT_WORD,
-                    {e: alg.mult[(u, e)] for e in es},
-                    WordContext((u,), ()),
-                )
-            )
-            out.append(
-                ContextFunction(
-                    SORT_WORD,
-                    SORT_WORD,
-                    {e: alg.mult[(e, u)] for e in es},
-                    WordContext((), (u,)),
-                )
-            )
-    elif alg.kind == "omega":
-        fin, inf = A.elements(SORT_FIN), A.elements(SORT_INF)
-        for u in fin:
-            out.append(
-                ContextFunction(
-                    SORT_FIN,
-                    SORT_FIN,
-                    {e: alg.dot[(u, e)] for e in fin},
-                    OmegaContext((u, HOLE)),
-                )
-            )
-            out.append(
-                ContextFunction(
-                    SORT_FIN,
-                    SORT_FIN,
-                    {e: alg.dot[(e, u)] for e in fin},
-                    OmegaContext((HOLE, u)),
-                )
-            )
-            out.append(
-                ContextFunction(
-                    SORT_INF,
-                    SORT_INF,
-                    {e: alg.mix[(u, e)] for e in inf},
-                    OmegaContext((u,), None, HOLE),
-                )
-            )
-        if fin:
-            out.append(
-                ContextFunction(
-                    SORT_FIN,
-                    SORT_INF,
-                    {e: alg.omega[e] for e in fin},
-                    OmegaContext((), (HOLE,), None),
-                )
-            )
-        for t in inf:
-            out.append(
-                ContextFunction(
-                    SORT_FIN,
-                    SORT_INF,
-                    {e: alg.mix[(e, t)] for e in fin},
-                    OmegaContext((HOLE,), None, t),
-                )
-            )
-    else:
-        def sing_node(b, off):
-            k = A.sort_of(b)
-            return Node(b, tuple(Var(off + i) for i in range(k))), off + k
-
-        # wrap steps: e -> comp(b; c.., e, c..), one per table row position
-        seen_rows = set()
-        for (b, slots) in alg.comp:
-            if any(s is VAR for s in slots):
-                continue
-            for i in range(len(slots)):
-                row = (b, slots[:i], slots[i + 1 :], A.sort_of(slots[i]))
-                if row in seen_rows:
-                    continue
-                seen_rows.add(row)
-                zeta = A.sort_of(slots[i])
-                table = {}
-                total = True
-                for e in A.elements(zeta):
-                    key = (b, slots[:i] + (e,) + slots[i + 1 :])
-                    if key not in alg.comp:
-                        total = False
-                        break
-                    table[e] = alg.comp[key]
-                if not total or not table:
-                    continue
-                children = []
-                off = 0
-                for j, s in enumerate(slots):
-                    if j == i:
-                        children.append(
-                            Node(HOLE, tuple(Var(off + k) for k in range(zeta)))
-                        )
-                        off += zeta
-                    else:
-                        node, off = sing_node(s, off)
-                        children.append(node)
-                out.append(
-                    ContextFunction(
-                        zeta,
-                        sum(A.sort_of(s) for s in slots),
-                        table,
-                        TreeContext(Tree(Node(b, tuple(children)), off)),
-                    )
-                )
-        # fill steps: e -> comp(e; v..), one per slot tuple
-        seen_fill = set()
-        for (b, slots) in alg.comp:
-            if any(s is VAR for s in slots) or not slots:
-                continue
-            n = len(slots)
-            if slots in seen_fill:
-                continue
-            seen_fill.add(slots)
-            table = {}
-            total = True
-            for e in A.elements(n):
-                if (e, slots) not in alg.comp:
-                    total = False
-                    break
-                table[e] = alg.comp[(e, slots)]
-            if not total or not table:
-                continue
-            children = []
-            off = 0
-            for s in slots:
-                node, off = sing_node(s, off)
-                children.append(node)
-            out.append(
-                ContextFunction(
-                    n,
-                    sum(A.sort_of(s) for s in slots),
-                    table,
-                    TreeContext(Tree(Node(HOLE, tuple(children)), off)),
-                )
-            )
+    for op, sorts, result in alg.monad.signature:
+        read, table = _READ[op], getattr(alg, op)
+        for i, hole_sort in enumerate(sorts):
+            es = A.elements(hole_sort)
+            pools = [A.elements(s) for s in sorts]
+            pools[i] = (HOLE,)
+            for fixed in itertools.product(*pools):
+                columns = [(x,) for x in fixed]
+                columns[i] = es
+                args = itertools.product(*columns)
+                values = list(map(read, itertools.repeat(table), args))
+                if values and None not in values:
+                    step = dict(zip(es, values))
+                    witness = _STEP_CONTEXT[op](fixed, sorts)
+                    out.append(ContextFunction(hole_sort, result, step, witness))
     out.sort(key=lambda f: (f.source_sort, f.target_sort, context_to_str(f.witness, repr)))
     return out
 

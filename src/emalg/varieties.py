@@ -136,9 +136,6 @@ class CanonicalCover:
     mu: Morphism  # cover restricted to the sorts, onto base restricted
     letter_tuples: dict  # generator element -> its tuple in the cover
 
-    def component_order(self) -> list:
-        return list(self.components)
-
 
 def canonical_cover(A: FinAlgebra, delta: Optional[Iterable[Sort]] = None) -> CanonicalCover:
     """Build the canonical cover of A over the sort set delta.

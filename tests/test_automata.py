@@ -101,3 +101,10 @@ def test_dfa_serialization_round_trip():
         back = parse_dfa_file(dfa_to_text(dfa))
         for w in words_up_to(dfa.alphabet, 8):
             assert back.accepts(w) == dfa.accepts(w), (rx, w)
+
+
+@pytest.mark.parametrize("text", ["(a|b){4}", "a{2,3}", "a}", "{"])
+def test_braces_are_rejected(text):
+    # repetition counts are not supported; braces are no letters either
+    with pytest.raises(RegexSyntaxError, match="unexpected '[{}]'"):
+        parse_regex(text)

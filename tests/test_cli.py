@@ -221,3 +221,73 @@ def test_internal_inconsistencies_report_their_witness(monkeypatch, exc, expecte
     code, out = run_cli("decide", "fo", "(aa)+")
     assert code == EXIT_INTERNAL
     assert json.loads(out) == {"command": "decide", **expected}
+
+
+# one algebra file per instance, for the check and cover reports
+CHECK_AND_COVER_FILES = {
+    "word.alg": """kind word
+elems 0 z e g
+leq 0 z e
+leq 0 z g
+dot z z z
+dot z e z
+dot z g z
+dot e z z
+dot e e e
+dot e g g
+dot g z z
+dot g e g
+dot g g e
+""",
+    "omega.alg": """kind omega
+elems 1 n h
+elems inf no yes
+leq 1 n h
+leq inf no yes
+dot n n n
+dot n h h
+dot h n h
+dot h h h
+mix n no no
+mix n yes yes
+mix h no yes
+mix h yes yes
+omega n no
+omega h yes
+""",
+    "tree.alg": """kind tree
+elems 0 c d
+elems 1 u v
+comp u c c
+comp u d c
+comp u u u
+comp u v u
+comp v c d
+comp v d d
+comp v u v
+comp v v v
+comp u _ u
+""",
+}
+
+CHECK_INEQUALITIES = ["APERIODIC", "COMMUTATIVE", "IDEMPOTENT", "x y x <= x", "x^w <= x", "x y = y x"]
+
+CHECK_AND_COVER_PIN = "e648571e2b99cdf9fff18d0a3bc56ed1e1fd3702edff1c677cc32c1efd6746e7"
+
+
+def test_check_and_cover_reports_are_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for name, text in CHECK_AND_COVER_FILES.items():
+        path = tmp_path / name
+        path.write_text(text)
+        runs = [("check", str(path), ineq) for ineq in CHECK_INEQUALITIES]
+        for argv in runs + [("cover", str(path))]:
+            code, out = run_cli(*argv)
+            digest.update(f"{name} {argv[2:]}\n{code}\n{out}".encode())
+    assert digest.hexdigest() == CHECK_AND_COVER_PIN
+
+
+def test_a_repetition_count_is_an_input_error():
+    code, out = run_cli("syn", "(a|b)*a(a|b){4}")
+    assert code == EXIT_INPUT
+    assert json.loads(out) == {"command": "syn", "error": "regex error at position 12: unexpected '{'"}
