@@ -8,11 +8,16 @@ sorts, are the monad's ``signature`` (``emalg.monads``):
 * omega: dot (1,1)->1, mix (1,inf)->inf and omega 1->inf (Wilke-style data,
   which determines evaluation of every ultimately periodic word);
 * tree: comp (n, s1..sn)->s1+..+sn for 1 <= n and a sum within the arity
-  cap, giving the value of the depth-two tree a(b1(...),...,bn(...)); deep
-  trees evaluate by recursion.  A slot may also be the marker ``VAR``
-  (stored as None) for a bare variable child, of sort 1, passed through in
-  order.  Entries with VAR slots are optional data; evaluation raises
-  ``MissingTableEntry`` when one is needed but absent.
+  cap, giving the value of the depth-two tree a(b1(...),...,bn(...)).  A
+  slot may also be the marker ``VAR`` (stored as None) for a bare variable
+  child, of sort 1, passed through in order.  Entries with VAR slots are
+  optional data; evaluation raises ``MissingTableEntry`` when one is needed
+  but absent.
+
+One evaluator, ``eval_element``, is the structure map for all three: it
+checks every label's sort against its position, folds a finite sequence by
+the binary op of its argument sorts (mult, dot or mix), closes an omega
+period with omega, and evaluates a deep tree by recursion.
 
 Construction checks the tables against the signature (every entry fits an
 operation and lands in its result sort, every operation is total) and for
@@ -54,6 +59,7 @@ from .monads import (
     Var,
     Word,
     WordMonad,
+    _tree_vars,
     substitute_vars,
 )
 
@@ -180,9 +186,10 @@ class FinAlgebra:
 #   ("comp", (head, slot_1, ..., slot_n)), VAR standing for a bare slot
 #
 # Validation, the terminal algebra, morphism tests, restriction, quotients,
-# products, closure and the compatibility check are written once over this
-# view and the signature; so are the syntactic one-step context functions
-# and the term folds of ``profinite``.  The per-op dicts stay the storage
+# products, the compatibility check and the word and omega closure are
+# written once over this view and the signature; so are the sequence fold
+# that evaluation, contexts and the ``profinite`` terms share, and the
+# syntactic one-step context functions.  The per-op dicts stay the storage
 # and the public face.
 
 _OPS = ("mult", "dot", "mix", "omega", "comp")
@@ -229,6 +236,15 @@ _READ = {
     "mix": dict.get,
     "omega": _read_omega,
     "comp": _read_comp,
+}
+
+#: For each op of the word and omega signatures, its shallow term: the free
+#: element op(x1, ..., xn) over the labels ``args``.
+_TERM = {
+    "mult": Word,
+    "dot": Word,
+    "omega": lambda args: UPWord((), args),
+    "mix": lambda args: MixedWord(args[:1], args[1]),
 }
 
 
@@ -384,85 +400,72 @@ def one_element_algebra(monad: Monad) -> FinAlgebra:
 # -- evaluation ----------------------------------------------------------------
 
 
-def _check_tree_evaluable(t: Tree):
-    """Evaluation needs the variables x0..x{sort-1} to occur exactly once
-    each, in increasing order across the leaves.  Shallow tables do not
-    determine the value of permuted or partial variable patterns (those are
-    independent data in the full container), so such trees are rejected."""
-    seq = []
+def _apply(alg: FinAlgebra, op: str, args: tuple) -> Elem:
+    """``op``'s entry at ``args``; MissingTableEntry where there is none."""
+    value = _READ[op](getattr(alg, op), args)
+    if value is None:
+        raise MissingTableEntry(f"no {op} entry at {args!r}")
+    return value
 
-    def walk(n):
-        if isinstance(n, Var):
-            seq.append(n.index)
-        else:
-            for c in n.children:
-                walk(c)
 
-    walk(t.root)
-    if seq != list(range(t.sort)):
-        raise SortMismatch(
-            f"tree variables {seq} are not x0..x{t.sort - 1} in order; "
-            "the value of such a tree is not determined by shallow tables"
-        )
+def _fold(alg: FinAlgebra, values: list) -> Elem:
+    """``values`` multiplied left to right, each step by the op of the
+    signature that takes the sorts of its two arguments: mult, dot or mix
+    (and, for terms over trees, unary composition)."""
+    sort_of, binary = alg.carrier.sort_of, alg.monad.binary
+    acc, acc_sort = values[0], sort_of(values[0])
+    for v in values[1:]:
+        sorts = (acc_sort, sort_of(v))
+        if sorts not in binary:
+            raise SortMismatch(f"no binary operation takes sorts {sorts}")
+        op, acc_sort = binary[sorts]
+        acc = _apply(alg, op, (acc, v))
+    return acc
 
 
 def eval_element(alg: FinAlgebra, beta, t) -> Elem:
     """The unique extension of the label assignment ``beta`` applied to ``t``.
 
-    ``beta`` maps labels of ``t`` to carrier elements (dict or callable).
+    ``beta`` maps labels of ``t`` to carrier elements (dict or callable);
+    each value must have the sort of its label's position.  A sequence
+    folds by ``_fold``, an omega period is closed by ``omega`` first, and a
+    tree evaluates by recursion through ``comp_value``.
+
+    A tree's variables x0..x{sort-1} must occur exactly once each, in
+    increasing order across the leaves.  Shallow tables do not determine
+    the value of permuted or partial variable patterns (those are
+    independent data in the full container), so such trees are rejected.
     """
     get = beta.__getitem__ if isinstance(beta, dict) else beta
-    A = alg.carrier
-
-    if alg.kind == "word":
-        if not isinstance(t, Word):
-            raise SortMismatch(f"expected a word, got {t!r}")
-        vals = [get(a) for a in t.labels]
-        acc = vals[0]
-        for v in vals[1:]:
-            acc = alg.mult[(acc, v)]
-        return acc
-
-    if alg.kind == "omega":
-        def dot_fold(labels):
-            vals = [get(a) for a in labels]
-            for v in vals:
-                if A.sort_of(v) != SORT_FIN:
-                    raise SortMismatch(f"finite position holds sort-inf value {v!r}")
-            acc = vals[0]
-            for v in vals[1:]:
-                acc = alg.dot[(acc, v)]
-            return acc
-
-        if isinstance(t, Word):
-            return dot_fold(t.labels)
-        if isinstance(t, UPWord):
-            tail = alg.omega[dot_fold(t.period)]
-            return alg.mix[(dot_fold(t.prefix), tail)] if t.prefix else tail
-        if isinstance(t, MixedWord):
-            tail = get(t.tail)
-            if A.sort_of(tail) != SORT_INF:
-                raise SortMismatch(f"tail {t.tail!r} maps to a finite value")
-            return alg.mix[(dot_fold(t.prefix), tail)] if t.prefix else tail
-        raise SortMismatch(f"not an omega-word element: {t!r}")
-
-    # tree
-    if not isinstance(t, Tree):
-        raise SortMismatch(f"expected a tree, got {t!r}")
-    _check_tree_evaluable(t)
-
-    def ev(n):
-        if isinstance(n, Var):
-            return VAR
-        v = get(n.label)
-        if A.sort_of(v) != len(n.children):
+    sort_of = alg.carrier.sort_of
+    alg.monad.element_sort(t)  # a shape of another instance is rejected here
+    values = []
+    for a, s in alg.monad.labels(t):
+        v = get(a)
+        if sort_of(v) != s:
+            wrong = f"label {a!r} maps to {v!r} of sort {sort_of(v)}, not {s}"
+            raise SortMismatch(wrong)
+        values.append(v)
+    if isinstance(t, Tree):
+        order = list(_tree_vars(t.root))
+        if order != list(range(t.sort)):
             raise SortMismatch(
-                f"label {n.label!r} maps to sort {A.sort_of(v)} but has "
-                f"{len(n.children)} children"
+                f"tree variables {order} are not x0..x{t.sort - 1} in order; "
+                "the value of such a tree is not determined by shallow tables"
             )
-        return alg.comp_value(v, tuple(ev(c) for c in n.children))
+        next_value = iter(values).__next__  # labels come depth first
 
-    return ev(t.root)
+        def ev(n):
+            if n.__class__ is Var:
+                return VAR
+            v = next_value()
+            return alg.comp_value(v, tuple([ev(c) for c in n.children]))
+
+        return ev(t.root)
+    if isinstance(t, UPWord):
+        n = len(t.prefix)
+        values[n:] = [_apply(alg, "omega", (_fold(alg, values[n:]),))]
+    return _fold(alg, values)
 
 
 def eval_upword(alg: FinAlgebra, u: Iterable, v: Iterable, beta) -> Elem:
@@ -573,7 +576,18 @@ class GeneratedSubalgebra:
 
 def _closure(alg: FinAlgebra, start: dict) -> dict:
     """Close a set of (element -> witness free element) under all shallow
-    products, recording a witness for every new element."""
+    products, recording a witness for every new element.
+
+    Words and omega-words: rounds over the signature.  A round applies each
+    op to the argument tuples that hold an element found in the round
+    before at one position and elements known at the start of the round at
+    the others, the others outermost and the found element's position
+    innermost (a.b, then b.a).  A new element's witness is ``flat`` of the
+    op's shallow term over the witnesses of its arguments.
+
+    Trees: the comp entries in table order until none adds an element, so
+    that the entries with bare slots, which no argument tuple of elements
+    reaches, are used too."""
     wit = dict(start)
     if alg.kind == "tree":
         changed = True
@@ -598,44 +612,29 @@ def _closure(alg: FinAlgebra, start: dict) -> dict:
                 wit[r] = Tree(substitute_vars(wit[a].root, sub), off)
                 changed = True
         return wit
+    monad, sort_of = alg.monad, alg.carrier.sort_of
+    # for each sort, the (op, sorts of the other arguments, positions) where
+    # an element of that sort can stand, in signature order
+    places: dict = {s: {} for s in monad.sorts}
+    for op, sorts, _ in monad.signature:
+        for i, s in enumerate(sorts):
+            places[s].setdefault((op, sorts[:i] + sorts[i + 1 :]), []).append(i)
     frontier = list(start)
     while frontier:
-        new_frontier: list = []
-        current = list(wit)
-
-        def found(c, witness):
-            if c not in wit:
-                wit[c] = witness
-                new_frontier.append(c)
-
-        if alg.kind == "word":
-            for a in frontier:
-                for b in current:
-                    found(alg.mult[(a, b)], Word(wit[a].labels + wit[b].labels))
-                    found(alg.mult[(b, a)], Word(wit[b].labels + wit[a].labels))
-        else:
-            A = alg.carrier
-            fins = [e for e in current if A.sort_of(e) == SORT_FIN]
-            infs = [e for e in current if A.sort_of(e) == SORT_INF]
-            for a in frontier:
-                if A.sort_of(a) == SORT_FIN:
-                    for b in fins:
-                        found(alg.dot[(a, b)], Word(wit[a].labels + wit[b].labels))
-                        found(alg.dot[(b, a)], Word(wit[b].labels + wit[a].labels))
-                    found(alg.omega[a], UPWord((), wit[a].labels))
-                    for e in infs:
-                        found(alg.mix[(a, e)], _prepend(wit[a].labels, wit[e]))
-                else:
-                    for x in fins:
-                        found(alg.mix[(x, a)], _prepend(wit[x].labels, wit[a]))
-        frontier = new_frontier
+        known = {s: [e for e in wit if sort_of(e) == s] for s in places}
+        new: list = []
+        for a in frontier:
+            for (op, rest), positions in places[sort_of(a)].items():
+                read, table, term = _READ[op], getattr(alg, op), _TERM[op]
+                for others in itertools.product(*map(known.__getitem__, rest)):
+                    for i in positions:
+                        args = others[:i] + (a,) + others[i:]
+                        c = read(table, args)
+                        if c is not None and c not in wit:
+                            wit[c] = monad.flat(term(tuple([wit[x] for x in args])))
+                            new.append(c)
+        frontier = new
     return wit
-
-
-def _prepend(labels: tuple, tail):
-    if isinstance(tail, UPWord):
-        return UPWord(labels + tail.prefix, tail.period)
-    return MixedWord(labels + tail.prefix, tail.tail)
 
 
 def subalgebra_generated(alg: FinAlgebra, gens: Iterable[Elem]) -> GeneratedSubalgebra:

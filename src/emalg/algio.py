@@ -5,15 +5,16 @@ Algebra files ('#' comments, blank lines ignored):
     kind word|omega|tree
     elems <sort> e1 e2 ...
     leq <sort> ei ej
-    dot ei ej ek          (word kind also uses dot lines for its product)
-    mix ei ej ek
-    omega ei ej
+    dot ei ej ek          (word and omega; a word algebra's product)
+    mix ei ej ek          (omega)
+    omega ei ej           (omega)
     comp a s1 .. sn r     (tree, n >= 1; a slot may be '_' for a bare variable)
 
 Word algebras live at sort 0; omega algebras use sorts '1' and 'inf'
 (the literal '2' is accepted for 'inf'); tree algebras use arities as
 sorts.  The reflexive-transitive closure of the leq lines is taken.
-Tables must be total or the file is rejected; errors carry line numbers.
+Tables must be total or the file is rejected, and so is a line of a table
+that the kind does not have; errors carry line numbers.
 """
 
 from __future__ import annotations
@@ -21,6 +22,17 @@ from __future__ import annotations
 from .algebra import VAR, FinAlgebra, wilke_algebra
 from .core import SortedOrderedSet
 from .monads import SORT_FIN, SORT_INF, SORT_WORD, TreeMonad, WordMonad
+
+
+#: The table lines of each kind (a word algebra spells its product ``dot``).
+_TABLES = {"word": ("dot",), "omega": ("dot", "mix", "omega"), "tree": ("comp",)}
+#: Each table line's argument count (None: at least 2) and its usage.
+_TABLE_ARGS = {
+    "dot": (3, "dot takes three elements"),
+    "mix": (3, "mix takes three elements"),
+    "omega": (2, "omega takes two elements"),
+    "comp": (None, "comp takes: head slots... result"),
+}
 
 
 class ParseError(ValueError):
@@ -56,10 +68,7 @@ def parse_algebra(text: str) -> FinAlgebra:
     kind = None
     elems: dict[int, list[str]] = {}
     leq_pairs: list[tuple[str, str]] = []
-    dot: dict = {}
-    mix: dict = {}
-    omega: dict = {}
-    comp: dict = {}
+    tables: dict[str, dict] = {op: {} for op in _TABLE_ARGS}
     known: set[str] = set()
 
     def need(name: str, args: list[str], line_no: int):
@@ -92,27 +101,19 @@ def parse_algebra(text: str) -> FinAlgebra:
             _parse_sort(args[0], kind, line_no)
             need("leq", args[1:], line_no)
             leq_pairs.append((args[1], args[2]))
-        elif head == "dot":
-            if len(args) != 3:
-                raise ParseError(line_no, "dot takes three elements")
-            need("dot", args, line_no)
-            dot[(args[0], args[1])] = args[2]
-        elif head == "mix":
-            if len(args) != 3:
-                raise ParseError(line_no, "mix takes three elements")
-            need("mix", args, line_no)
-            mix[(args[0], args[1])] = args[2]
-        elif head == "omega":
-            if len(args) != 2:
-                raise ParseError(line_no, "omega takes two elements")
-            need("omega", args, line_no)
-            omega[args[0]] = args[1]
-        elif head == "comp":
-            if len(args) < 2:
-                raise ParseError(line_no, "comp takes: head slots... result")
-            need("comp", [a for a in args if a != "_"], line_no)
-            slots = tuple(VAR if a == "_" else a for a in args[1:-1])
-            comp[(args[0], slots)] = args[-1]
+        elif head in _TABLE_ARGS:
+            if head not in _TABLES[kind]:
+                raise ParseError(line_no, f"{kind} algebras have no {head} table")
+            n, usage = _TABLE_ARGS[head]
+            if (len(args) != n) if n else (len(args) < 2):
+                raise ParseError(line_no, usage)
+            if head == "comp":
+                need(head, [a for a in args if a != "_"], line_no)
+                key = (args[0], tuple(VAR if a == "_" else a for a in args[1:-1]))
+            else:
+                need(head, args, line_no)
+                key = args[0] if head == "omega" else (args[0], args[1])
+            tables[head][key] = args[-1]
         else:
             raise ParseError(line_no, f"unknown directive {head!r}")
 
@@ -121,11 +122,11 @@ def parse_algebra(text: str) -> FinAlgebra:
     try:
         carrier = SortedOrderedSet(elems, leq_pairs)
         if kind == "word":
-            return FinAlgebra(WordMonad(), carrier, mult=dot)
+            return FinAlgebra(WordMonad(), carrier, mult=tables["dot"])
         if kind == "omega":
-            return wilke_algebra(carrier, dot, mix, omega)
+            return wilke_algebra(carrier, tables["dot"], tables["mix"], tables["omega"])
         max_arity = max(elems, default=0)
-        return FinAlgebra(TreeMonad(max_arity), carrier, comp=comp)
+        return FinAlgebra(TreeMonad(max_arity), carrier, comp=tables["comp"])
     except ValueError as exc:
         raise ParseError(0, str(exc)) from exc
 

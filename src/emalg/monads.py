@@ -244,6 +244,12 @@ class Monad:
     #: stores the entries of op ``op`` in its attribute of that name.
     signature: tuple[tuple[str, tuple[Sort, ...], Sort], ...] = ()
 
+    @functools.cached_property
+    def binary(self) -> dict[tuple[Sort, Sort], tuple[str, Sort]]:
+        """(op, result sort) of each binary op of the signature, by its
+        argument sorts."""
+        return {args: (op, r) for op, args, r in self.signature if len(args) == 2}
+
     @property
     def sorts(self) -> tuple[Sort, ...]:
         raise NotImplementedError
@@ -322,11 +328,11 @@ class OmegaMonad(Monad):
     """
 
     kind = "omega"
-    # Wilke's data: u.v, u.t and v^w determine every ultimately periodic word
+    # Wilke's data: u.v, v^w and u.t determine every ultimately periodic word
     signature = (
         ("dot", (SORT_FIN, SORT_FIN), SORT_FIN),
-        ("mix", (SORT_FIN, SORT_INF), SORT_INF),
         ("omega", (SORT_FIN,), SORT_INF),
+        ("mix", (SORT_FIN, SORT_INF), SORT_INF),
     )
 
     @property
@@ -648,24 +654,28 @@ def parse_element(text: str, monad: Monad) -> FreeElement:
 
 
 def serialize(t: FreeElement, name=str) -> str:
-    """Render a free element in the literal grammar; labels through ``name``."""
+    """Render a free element in the literal grammar; labels through ``name``,
+    the context hole as ``_``."""
+
+    def lab(a):
+        return "_" if a is HOLE else name(a)
+
     if isinstance(t, Word):
-        return "[" + ",".join(name(a) for a in t.labels) + "]"
+        return "[" + ",".join(lab(a) for a in t.labels) + "]"
     if isinstance(t, UPWord):
-        pre = ",".join(name(a) for a in t.prefix)
-        per = ",".join(name(a) for a in t.period)
+        pre = ",".join(lab(a) for a in t.prefix)
+        per = ",".join(lab(a) for a in t.period)
         return f"[{pre}]([{per}])^w"
     if isinstance(t, MixedWord):
-        pre = ",".join(name(a) for a in t.prefix)
-        return f"[{pre}]{name(t.tail)}"
+        pre = ",".join(lab(a) for a in t.prefix)
+        return f"[{pre}]{lab(t.tail)}"
     if isinstance(t, Tree):
         def go(n):
             if isinstance(n, Var):
                 return f"x{n.index}"
-            lab = "_" if n.label is HOLE else name(n.label)
             if not n.children:
-                return lab
-            return lab + "(" + ",".join(go(c) for c in n.children) + ")"
+                return lab(n.label)
+            return lab(n.label) + "(" + ",".join(go(c) for c in n.children) + ")"
 
         return go(t.root)
     raise TypeError(f"not a free element: {t!r}")

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
-from .algebra import _READ, FinAlgebra, MissingTableEntry
+from .algebra import FinAlgebra, _apply, _fold
 from .core import Elem
 from .monads import SortMismatch
 
@@ -197,14 +197,6 @@ def term_to_str(t: Term) -> str:
 # -- evaluation -----------------------------------------------------------------
 
 
-def _apply(alg: FinAlgebra, op: str, args: tuple) -> Elem:
-    """``op``'s entry at ``args``; MissingTableEntry where there is none."""
-    value = _READ[op](getattr(alg, op), args)
-    if value is None:
-        raise MissingTableEntry(f"no {op} entry at {args!r}")
-    return value
-
-
 def _self_op(alg: FinAlgebra) -> Optional[tuple[str, int]]:
     """(op, sort) for the signature's binary op whose argument and result
     sorts are one sort: word multiplication, omega dot, or unary tree
@@ -250,20 +242,10 @@ def default_var_sort(alg: FinAlgebra) -> Optional[int]:
 
 def eval_term(alg: FinAlgebra, beta: dict, t: Term) -> Elem:
     """Value of an omega-term under a variable assignment."""
-    A = alg.carrier
     if isinstance(t, TermVar):
         return beta[t.name]
     if isinstance(t, TermSeq):
-        # fold left to right, each step by the binary op taking those sorts
-        binary = {args: op for op, args, _ in alg.monad.signature if len(args) == 2}
-        vals = [eval_term(alg, beta, x) for x in t.items]
-        acc = vals[0]
-        for v in vals[1:]:
-            sorts = (A.sort_of(acc), A.sort_of(v))
-            if sorts not in binary:
-                raise SortMismatch(f"no binary operation takes sorts {sorts}")
-            acc = _apply(alg, binary[sorts], (acc, v))
-        return acc
+        return _fold(alg, [eval_term(alg, beta, x) for x in t.items])
     if isinstance(t, OmegaPow):
         return idempotent_power(alg, eval_term(alg, beta, t.body))
     if isinstance(t, InfPow):

@@ -1,10 +1,15 @@
 """Contexts, context-function saturation, syntactic preorders and algebras.
 
-A context is a free element over the carrier plus one hole; applying it gives
-a unary polynomial map.  The defining preorder of a language quantifies over
-infinitely many contexts, but it is also the greatest relation that lies
-inside "a in P implies b in P" on the accepting sort and is closed under the
-one-step context functions.  ``syntactic_preorder`` computes it by
+A context is a free element over the carrier with one label ``HOLE``, its
+``term``.  Applying it to a gives a unary polynomial map: ``eval_element``
+on the term, the hole labelled a and every other label standing for
+itself.  It prints as ``serialize`` of the term.  (An omega period is kept
+raw: normalising it could move the hole.)
+
+The defining preorder of a language quantifies over infinitely many
+contexts, but it is also the greatest relation that lies inside "a in P
+implies b in P" on the accepting sort and is closed under the one-step
+context functions.  ``syntactic_preorder`` computes it by
 refinement, as simulations are computed: a backward breadth-first search
 over pairs from the pairs that P itself separates, so each separated pair
 also records the length of its shortest separating context, from which
@@ -36,13 +41,13 @@ from .core import (
 )
 from .algebra import (
     _READ,
-    VAR,
     FinAlgebra,
     GeneratedSubalgebra,
     Morphism,
     NotCongruence,
     Recognizer,
-    eval_upword,  # noqa: F401  (re-exported: ultimately periodic evaluation)
+    _raw_up,
+    eval_element,
     generated_tuples,
     quotient_algebra,
     subalgebra_generated,
@@ -52,6 +57,7 @@ from .monads import (
     SORT_FIN,
     SORT_INF,
     SORT_WORD,
+    MixedWord,
     Node,
     SortMismatch,
     Tree,
@@ -59,6 +65,7 @@ from .monads import (
     Word,
     serialize,
     substitute_vars,
+    tree_labels,
 )
 
 # -- context shapes ------------------------------------------------------------
@@ -71,9 +78,9 @@ class WordContext:
     left: tuple = ()
     right: tuple = ()
 
-    def to_str(self, name=str) -> str:
-        parts = [name(a) for a in self.left] + ["_"] + [name(a) for a in self.right]
-        return "[" + ",".join(parts) + "]"
+    @property
+    def term(self) -> Word:
+        return Word(self.left + (HOLE,) + self.right)
 
 
 @dataclass(frozen=True)
@@ -106,16 +113,13 @@ class OmegaContext:
     def result_sort(self) -> Sort:
         return SORT_FIN if self.period is None and self.tail is None else SORT_INF
 
-    def to_str(self, name=str) -> str:
-        def render(a):
-            return "_" if a is HOLE else name(a)
-
-        pre = "[" + ",".join(render(a) for a in self.items) + "]"
+    @property
+    def term(self):
         if self.period is not None:
-            return pre + "([" + ",".join(render(a) for a in self.period) + "])^w"
+            return _raw_up(self.items, self.period)  # normalising could move the hole
         if self.tail is not None:
-            return pre + render(self.tail)
-        return pre
+            return MixedWord(self.items, self.tail)
+        return Word(self.items)
 
 
 @dataclass(frozen=True)
@@ -126,91 +130,32 @@ class TreeContext:
     tree: Tree
 
     def __post_init__(self):
-        if self._count_holes(self.tree.root) != 1:
+        if sum(a is HOLE for a, _ in tree_labels(self.tree.root)) != 1:
             raise ValueError("tree context needs exactly one hole")
-
-    @staticmethod
-    def _count_holes(n) -> int:
-        if isinstance(n, Var):
-            return 0
-        own = 1 if n.label is HOLE else 0
-        return own + sum(TreeContext._count_holes(c) for c in n.children)
-
-    @property
-    def hole_sort(self) -> Sort:
-        def find(n):
-            if isinstance(n, Var):
-                return None
-            if n.label is HOLE:
-                return len(n.children)
-            for c in n.children:
-                got = find(c)
-                if got is not None:
-                    return got
-            return None
-
-        return find(self.tree.root)
 
     @property
     def result_sort(self) -> Sort:
         return self.tree.sort
 
-    def to_str(self, name=str) -> str:
-        return serialize(self.tree, lambda a: "_" if a is HOLE else name(a))
+    @property
+    def term(self) -> Tree:
+        return self.tree
 
 
 Context = Any  # WordContext | OmegaContext | TreeContext
 
 
 def context_to_str(ctx: Context, name=str) -> str:
-    return ctx.to_str(name)
+    return serialize(ctx.term, name)
 
 
 # -- applying and composing contexts ---------------------------------------------
 
 
 def context_apply(alg: FinAlgebra, ctx: Context, a: Elem) -> Elem:
-    """Evaluate the context with the hole replaced by ``a``."""
-    A = alg.carrier
-    if isinstance(ctx, WordContext):
-        if A.sort_of(a) != SORT_WORD:
-            raise SortMismatch(f"{a!r} is not a word-sort element")
-        acc = None
-        for x in ctx.left + (a,) + ctx.right:
-            acc = x if acc is None else alg.mult[(acc, x)]
-        return acc
-    if isinstance(ctx, OmegaContext):
-        if A.sort_of(a) != ctx.hole_sort:
-            raise SortMismatch(f"{a!r} has sort {A.sort_of(a)}, hole wants {ctx.hole_sort}")
-
-        def fold(labels) -> Optional[Elem]:
-            acc = None
-            for x in labels:
-                v = a if x is HOLE else x
-                acc = v if acc is None else alg.dot[(acc, v)]
-            return acc
-
-        head = fold(ctx.items)
-        if ctx.period is None and ctx.tail is None:
-            return head
-        if ctx.period is not None:
-            tail = alg.omega[fold(ctx.period)]
-        else:
-            tail = a if ctx.tail is HOLE else ctx.tail
-        return tail if head is None else alg.mix[(head, tail)]
-    if isinstance(ctx, TreeContext):
-        if A.sort_of(a) != ctx.hole_sort:
-            raise SortMismatch(f"{a!r} has sort {A.sort_of(a)}, hole wants {ctx.hole_sort}")
-
-        def ev(n):
-            if isinstance(n, Var):
-                return VAR
-            slots = tuple(ev(c) for c in n.children)
-            head = a if n.label is HOLE else n.label
-            return alg.comp_value(head, slots)
-
-        return ev(ctx.tree.root)
-    raise TypeError(f"not a context: {ctx!r}")
+    """Evaluate the context with the hole replaced by ``a``: its free element
+    over the carrier, each label standing for itself and the hole for ``a``."""
+    return eval_element(alg, lambda x: a if x is HOLE else x, ctx.term)
 
 
 def _splice(items: tuple, inner: tuple) -> tuple:
