@@ -35,7 +35,6 @@ from .profinite import (
 from .syntactic import (
     decompose_as_derivatives,
     factor_to_syntactic,
-    saturate_contexts,
     syntactic_algebra,
     syntactic_preorder,
 )
@@ -54,7 +53,7 @@ __all__ = [
     "OMEGA_UP", "WORD", "parse_element", "serialize", "tree_monad",
     "eval_term", "identity_library", "mod_filter", "parse_inequalities",
     "parse_term", "satisfies",
-    "decompose_as_derivatives", "factor_to_syntactic", "saturate_contexts",
-    "syntactic_algebra", "syntactic_preorder",
+    "decompose_as_derivatives", "factor_to_syntactic", "syntactic_algebra",
+    "syntactic_preorder",
     "canonical_cover", "divides", "generated_membership",
 ]

@@ -60,7 +60,6 @@ from .monads import (
     Word,
     WordMonad,
     _tree_vars,
-    substitute_vars,
 )
 
 #: Marker for a bare-variable slot in tree composition tables.
@@ -238,13 +237,30 @@ _READ = {
     "comp": _read_comp,
 }
 
-#: For each op of the word and omega signatures, its shallow term: the free
-#: element op(x1, ..., xn) over the labels ``args``.
+def _comp_term(args: tuple, sorts: tuple) -> Tree:
+    """head(slot_1, ..., slot_n): each slot a node over fresh variables, as
+    many as its sort, or a bare variable where it is VAR."""
+    children, off = [], 0
+    for x, k in zip(args[1:], sorts[1:]):
+        if x is VAR:
+            children.append(Var(off))
+            off += 1
+        else:
+            children.append(Node(x, tuple(Var(off + j) for j in range(k))))
+            off += k
+    return Tree(Node(args[0], tuple(children)), off)
+
+
+#: For each op, its shallow term: the free element op(x1, ..., xn) over the
+#: labels ``args`` of sorts ``sorts``.  Every term the package builds is one
+#: of these or comes from one through the monad's ``sing``, ``map`` and
+#: ``flat``: closure witnesses, one-step contexts, composed contexts.
 _TERM = {
-    "mult": Word,
-    "dot": Word,
-    "omega": lambda args: UPWord((), args),
-    "mix": lambda args: MixedWord(args[:1], args[1]),
+    "mult": lambda args, sorts: Word(args),
+    "dot": lambda args, sorts: Word(args),
+    "omega": lambda args, sorts: UPWord((), args),
+    "mix": lambda args, sorts: MixedWord(args[:1], args[1]),
+    "comp": _comp_term,
 }
 
 
@@ -578,41 +594,33 @@ def _closure(alg: FinAlgebra, start: dict) -> dict:
     """Close a set of (element -> witness free element) under all shallow
     products, recording a witness for every new element.
 
+    A new element's witness is ``flat`` of the op's shallow term over the
+    witnesses of its arguments.
+
     Words and omega-words: rounds over the signature.  A round applies each
     op to the argument tuples that hold an element found in the round
     before at one position and elements known at the start of the round at
     the others, the others outermost and the found element's position
-    innermost (a.b, then b.a).  A new element's witness is ``flat`` of the
-    op's shallow term over the witnesses of its arguments.
+    innermost (a.b, then b.a).
 
     Trees: the comp entries in table order until none adds an element, so
     that the entries with bare slots, which no argument tuple of elements
-    reaches, are used too."""
+    reaches, are used too; a bare slot stays a bare variable."""
     wit = dict(start)
+    monad, sort_of = alg.monad, alg.carrier.sort_of
     if alg.kind == "tree":
         changed = True
         while changed:
             changed = False
             for (a, slots), r in alg.comp.items():
-                if r in wit or a not in wit:
+                args = (a, *slots)
+                if r in wit or any(x is not VAR and x not in wit for x in args):
                     continue
-                if any(s is not VAR and s not in wit for s in slots):
-                    continue
-                sub: dict = {}
-                off = 0
-                for i, s in enumerate(slots):
-                    if s is VAR:
-                        sub[i] = Var(off)
-                        off += 1
-                    else:
-                        w = wit[s]
-                        shift = {j: Var(off + j) for j in range(w.sort)}
-                        sub[i] = substitute_vars(w.root, shift)
-                        off += w.sort
-                wit[r] = Tree(substitute_vars(wit[a].root, sub), off)
+                labels = tuple([VAR if x is VAR else wit[x] for x in args])
+                sorts = tuple([1 if x is VAR else sort_of(x) for x in args])
+                wit[r] = monad.flat(_comp_term(labels, sorts))
                 changed = True
         return wit
-    monad, sort_of = alg.monad, alg.carrier.sort_of
     # for each sort, the (op, sorts of the other arguments, positions) where
     # an element of that sort can stand, in signature order
     places: dict = {s: {} for s in monad.sorts}
@@ -631,7 +639,8 @@ def _closure(alg: FinAlgebra, start: dict) -> dict:
                         args = others[:i] + (a,) + others[i:]
                         c = read(table, args)
                         if c is not None and c not in wit:
-                            wit[c] = monad.flat(term(tuple([wit[x] for x in args])))
+                            labels = tuple([wit[x] for x in args])
+                            wit[c] = monad.flat(term(labels, tuple(map(sort_of, args))))
                             new.append(c)
         frontier = new
     return wit
@@ -903,25 +912,33 @@ def check_algebra_laws(alg: FinAlgebra, *, seed: int = 0, samples: int = 100) ->
             )
             check_pair(UPWord(ws, per))
     else:
-        # canonical depth-two shapes: outer root sing(a), children sing(b_i)
-        elems = list(A)
-        keys = (
-            (a, bs)
-            for n in A.sorts
-            for a in A.elements(n)
-            for bs in itertools.product(elems, repeat=n)
-            if sum(A.sort_of(b) for b in bs) <= monad.max_arity
-        )
-        for a, bs in keys:
-            children = []
-            off = 0
-            for b in bs:
-                k = A.sort_of(b)
-                children.append(
-                    Node(alg.monad.sing(b, k), tuple(Var(off + i) for i in range(k)))
-                )
-                off += k
-            check_pair(Tree(Node(alg.monad.sing(a, len(bs)), tuple(children)), off))
+        elems, sort_of, term = list(A), A.sort_of, _TERM["comp"]
+
+        def sing(x):
+            return monad.sing(x, sort_of(x))
+
+        # for each arity, the tuples of that many elements within the cap
+        slots = {
+            n: [
+                bs
+                for bs in itertools.product(elems, repeat=n)
+                if sum(map(sort_of, bs)) <= monad.max_arity
+            ]
+            for n in monad.sorts
+        }
+        # canonical depth-two shapes: outer root sing(a), children sing(b_i),
+        # whose two sides agree by the unit law
+        keys = [(a, *bs) for n in A.sorts for a in A.elements(n) for bs in slots[n]]
+        for args in keys:
+            check_pair(term(tuple(map(sing, args)), tuple(map(sort_of, args))))
+        # seeded draws whose root label is such a shape itself, a(b_1, ..)
+        # over sing(c_1), ..: the two sides differ by where comp associates
+        for _ in range(samples if keys else 0):
+            args = rng.choice(keys)
+            root = term(args, tuple(map(sort_of, args)))
+            if slots[root.sort]:
+                cs = rng.choice(slots[root.sort])
+                check_pair(term((root, *map(sing, cs)), (root.sort, *map(sort_of, cs))))
         _check_var_slot_coherence(alg, report)
     return report
 

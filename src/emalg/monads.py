@@ -205,15 +205,6 @@ def _var_tuple(k: int) -> tuple:
     return tuple(Var(i) for i in range(k))
 
 
-def substitute_vars(node, subs: dict):
-    """``node`` with every variable x_i that ``subs`` maps replaced by
-    ``subs[i]``; the other variables stay.  Keeping the result linear is the
-    caller's business (``TreeMonad.flat`` has its own budgeted copy)."""
-    if node.__class__ is Var:
-        return subs.get(node.index, node)
-    return _node(node.label, tuple([substitute_vars(c, subs) for c in node.children]))
-
-
 def tree_labels(node) -> Iterator[tuple[Any, int]]:
     """All (label, arity) pairs of a tree node, depth first."""
     if isinstance(node, Var):

@@ -4,7 +4,12 @@ A context is a free element over the carrier with one label ``HOLE``, its
 ``term``.  Applying it to a gives a unary polynomial map: ``eval_element``
 on the term, the hole labelled a and every other label standing for
 itself.  It prints as ``serialize`` of the term.  (An omega period is kept
-raw: normalising it could move the hole.)
+raw: normalising it could move the hole.)  Composing two contexts is the
+monad's multiplication: ``flat`` of the outer term with the hole labelled
+by the inner term and every other label by its singleton, so ``flat``
+also rejects an inner context whose result sort is not the hole's.  The
+identity context is the singleton hole, and a one-step context is the
+shallow term of an op over its fixed arguments and the hole.
 
 The defining preorder of a language quantifies over infinitely many
 contexts, but it is also the greatest relation that lies inside "a in P
@@ -41,6 +46,7 @@ from .core import (
 )
 from .algebra import (
     _READ,
+    _TERM,
     FinAlgebra,
     GeneratedSubalgebra,
     Morphism,
@@ -54,17 +60,18 @@ from .algebra import (
 )
 from .monads import (
     HOLE,
+    OMEGA_UP,
     SORT_FIN,
     SORT_INF,
     SORT_WORD,
+    WORD,
+    FreeElement,
     MixedWord,
-    Node,
-    SortMismatch,
+    Monad,
     Tree,
-    Var,
+    TreeMonad,
     Word,
     serialize,
-    substitute_vars,
     tree_labels,
 )
 
@@ -77,6 +84,7 @@ class WordContext:
 
     left: tuple = ()
     right: tuple = ()
+    monad = WORD
 
     @property
     def term(self) -> Word:
@@ -97,6 +105,7 @@ class OmegaContext:
     items: tuple = ()
     period: Optional[tuple] = None
     tail: Any = None
+    monad = OMEGA_UP
 
     def __post_init__(self):
         holes = list(self.items).count(HOLE)
@@ -134,15 +143,33 @@ class TreeContext:
             raise ValueError("tree context needs exactly one hole")
 
     @property
-    def result_sort(self) -> Sort:
-        return self.tree.sort
-
-    @property
     def term(self) -> Tree:
         return self.tree
 
+    @property
+    def monad(self) -> TreeMonad:
+        """A tree monad whose arity cap no node of the tree exceeds."""
+        return TreeMonad(max(k for _, k in tree_labels(self.tree.root)))
+
 
 Context = Any  # WordContext | OmegaContext | TreeContext
+
+#: The context class of each instance, by its monad's kind.
+_CONTEXT = {"word": WordContext, "omega": OmegaContext, "tree": TreeContext}
+
+
+def _as_context(cls: type, t: FreeElement) -> Context:
+    """The context of class ``cls`` whose term is ``t``."""
+    if cls is WordContext:
+        i = t.labels.index(HOLE)
+        return WordContext(t.labels[:i], t.labels[i + 1 :])
+    if cls is TreeContext:
+        return TreeContext(t)
+    if isinstance(t, Word):
+        return OmegaContext(t.labels)
+    if isinstance(t, MixedWord):
+        return OmegaContext(t.prefix, None, t.tail)
+    return OmegaContext(t.prefix, t.period)
 
 
 def context_to_str(ctx: Context, name=str) -> str:
@@ -158,58 +185,25 @@ def context_apply(alg: FinAlgebra, ctx: Context, a: Elem) -> Elem:
     return eval_element(alg, lambda x: a if x is HOLE else x, ctx.term)
 
 
-def _splice(items: tuple, inner: tuple) -> tuple:
-    i = items.index(HOLE)
-    return items[:i] + inner + items[i + 1 :]
+def _plug(monad: Monad, ctx: Context, hole: FreeElement, label) -> FreeElement:
+    """``flat`` of the context's term with the hole labelled by the free
+    element ``hole`` and every other label a by ``label(a, sort)``."""
+    return monad.flat(monad.map(lambda a, s: hole if a is HOLE else label(a, s), ctx.term))
 
 
 def context_compose(outer: Context, inner: Context) -> Context:
-    """The context outer[inner]: apply inner first, then outer."""
-    if isinstance(outer, WordContext) and isinstance(inner, WordContext):
-        return WordContext(outer.left + inner.left, inner.right + outer.right)
-    if isinstance(outer, OmegaContext):
-        if inner_result_sort(inner) != outer.hole_sort:
-            raise SortMismatch("inner context result does not fit the outer hole")
-        if outer.tail is HOLE:
-            # outer = items . hole(inf): splice the whole inner shape after items
-            if isinstance(inner, OmegaContext) and inner.result_sort == SORT_INF:
-                return OmegaContext(outer.items + inner.items, inner.period, inner.tail)
-            raise SortMismatch("outer hole has infinite sort")
-        body = inner.left + (HOLE,) + inner.right if isinstance(inner, WordContext) else None
-        if body is None:
-            if not (isinstance(inner, OmegaContext) and inner.result_sort == SORT_FIN):
-                raise SortMismatch("outer hole has finite sort")
-            body = inner.items
-        if HOLE in outer.items:
-            return OmegaContext(_splice(outer.items, body), outer.period, outer.tail)
-        return OmegaContext(outer.items, _splice(outer.period, body), outer.tail)
-    if isinstance(outer, TreeContext) and isinstance(inner, TreeContext):
-        def go(n):
-            if isinstance(n, Var):
-                return n
-            if n.label is HOLE:
-                # inner's variables refer to the outer hole's children
-                return substitute_vars(inner.tree.root, dict(enumerate(n.children)))
-            return Node(n.label, tuple(go(c) for c in n.children))
-
-        return TreeContext(Tree(go(outer.tree.root), outer.tree.sort))
-    raise TypeError(f"cannot compose {outer!r} with {inner!r}")
+    """The context outer[inner]: apply inner first, then outer.  Its term
+    is inner's term plugged into outer, every other label standing for its
+    singleton."""
+    if type(outer) is not type(inner):
+        raise TypeError(f"cannot compose {outer!r} with {inner!r}")
+    monad = outer.monad
+    return _as_context(type(outer), _plug(monad, outer, inner.term, monad.sing))
 
 
-def inner_result_sort(ctx: Context) -> Sort:
-    if isinstance(ctx, WordContext):
-        return SORT_WORD
-    return ctx.result_sort
-
-
-def identity_context(kind: str, sort: Sort) -> Context:
-    if kind == "word":
-        return WordContext((), ())
-    if kind == "omega":
-        if sort == SORT_FIN:
-            return OmegaContext((HOLE,), None, None)
-        return OmegaContext((), None, HOLE)
-    return TreeContext(Tree(Node(HOLE, tuple(Var(i) for i in range(sort))), sort))
+def identity_context(monad: Monad, sort: Sort) -> Context:
+    """The context of the singleton hole at ``sort``."""
+    return _as_context(_CONTEXT[monad.kind], monad.sing(HOLE, sort))
 
 
 # -- saturation -------------------------------------------------------------------
@@ -236,41 +230,16 @@ class ContextFunction:
         )
 
 
-def _word_step_context(args: tuple, sorts: tuple) -> WordContext:
-    i = args.index(HOLE)
-    return WordContext(args[:i], args[i + 1 :])
-
-
-def _tree_step_context(args: tuple, sorts: tuple) -> TreeContext:
-    """head(slot_1, ..., slot_n) with each slot a node over fresh variables,
-    as many as its sort."""
-    children, off = [], 0
-    for x, k in zip(args[1:], sorts[1:]):
-        children.append(Node(x, tuple(Var(off + j) for j in range(k))))
-        off += k
-    return TreeContext(Tree(Node(args[0], tuple(children)), off))
-
-
-#: For each op, the context of a one-step function: the op applied to its
-#: arguments, HOLE at the hole, whose sorts are given.
-_STEP_CONTEXT = {
-    "mult": _word_step_context,
-    "dot": lambda args, sorts: OmegaContext(args),
-    "mix": lambda args, sorts: OmegaContext(args[:1], None, args[1]),
-    "omega": lambda args, sorts: OmegaContext((), args),
-    "comp": _tree_step_context,
-}
-
-
 def _one_step_functions(alg: FinAlgebra) -> list[ContextFunction]:
     """The one-step context functions, from which every context function is
     composed: an op of the monad's signature with one argument position as
     the hole and elements of their sorts fixed in the others, mapping e to
-    the op applied with e in the hole.  A step whose table is empty, or has
-    a gap (an op with nowhere to land has no entries), is left out.  Sorted
-    by source sort, target sort and witness text, so the order does not
-    depend on how the steps were found."""
-    A = alg.carrier
+    the op applied with e in the hole, whose witness is the op's shallow
+    term over the fixed elements and the hole.  A step whose table is
+    empty, or has a gap (an op with nowhere to land has no entries), is
+    left out.  Sorted by source sort, target sort and witness text, so the
+    order does not depend on how the steps were found."""
+    A, cls = alg.carrier, _CONTEXT[alg.kind]
     out: list[ContextFunction] = []
     for op, sorts, result in alg.monad.signature:
         read, table = _READ[op], getattr(alg, op)
@@ -285,7 +254,7 @@ def _one_step_functions(alg: FinAlgebra) -> list[ContextFunction]:
                 values = list(map(read, itertools.repeat(table), args))
                 if values and None not in values:
                     step = dict(zip(es, values))
-                    witness = _STEP_CONTEXT[op](fixed, sorts)
+                    witness = _as_context(cls, _TERM[op](fixed, sorts))
                     out.append(ContextFunction(hole_sort, result, step, witness))
     out.sort(key=lambda f: (f.source_sort, f.target_sort, context_to_str(f.witness, repr)))
     return out
@@ -311,7 +280,7 @@ def saturate_all(alg: FinAlgebra) -> dict[tuple[Sort, Sort], list[ContextFunctio
     queue: list[ContextFunction] = []
     for s in A.sorts:
         ident = ContextFunction(
-            s, s, {e: e for e in A.elements(s)}, identity_context(alg.kind, s)
+            s, s, {e: e for e in A.elements(s)}, identity_context(alg.monad, s)
         )
         found[ident.key(A)] = ident
         queue.append(ident)
@@ -320,14 +289,10 @@ def saturate_all(alg: FinAlgebra) -> dict[tuple[Sort, Sort], list[ContextFunctio
         for f in queue:
             for g in by_source.get(f.target_sort, ()):
                 table = {e: g.table[f.table[e]] for e in f.table}
-                h = ContextFunction(
-                    f.source_sort,
-                    g.target_sort,
-                    table,
-                    context_compose(g.witness, f.witness),
-                )
+                h = ContextFunction(f.source_sort, g.target_sort, table, None)
                 k = h.key(A)
                 if k not in found:
+                    h.witness = context_compose(g.witness, f.witness)
                     found[k] = h
                     nxt.append(h)
         queue = nxt
@@ -442,7 +407,7 @@ def _separating_context(alg: FinAlgebra, steps, layer: dict, a: Elem, b: Elem) -
     whose image pair lies one layer closer starts a shortest separating
     sequence, and no earlier step does."""
     sort = alg.carrier.sort_of(a)
-    ctx = identity_context(alg.kind, sort)
+    ctx = identity_context(alg.monad, sort)
     depth = layer[(a, b)]
     while depth:
         depth -= 1
@@ -569,15 +534,12 @@ class DerivativeDecomposition:
     clauses: list  # list of (class elem, list[Context over the alphabet])
 
     def matches(self, t) -> bool:
+        """Whether, for some clause, each of its contexts with ``t`` plugged
+        into the hole is accepted."""
         rec = self.syn.recognizer
-        if rec.algebra.kind != "word":
-            raise NotImplementedError("membership replay only for word languages")
-        if not isinstance(t, Word):
-            raise SortMismatch(f"expected a word, got {t!r}")
+        monad = rec.algebra.monad
         for _, ctxs in self.clauses:
-            if all(
-                rec.accepts(Word(c.left + t.labels + c.right)) for c in ctxs
-            ):
+            if all(rec.accepts(_plug(monad, c, t, monad.sing)) for c in ctxs):
                 return True
         return False
 
@@ -611,24 +573,14 @@ def decompose_as_derivatives(syn: SyntacticResult, target: Iterable[Elem]) -> De
     letter_of = {}
     for c in syn.recognizer.alphabet:
         letter_of.setdefault(syn.recognizer.assignment[c], c)
+    # each image element spelt over the alphabet: its witness, every
+    # generator read as its first letter
+    monad = syn.recognizer.algebra.monad
+    spelling = {x: monad.map(letter_of, w) for x, w in syn.image.witnesses.items()}
+    hole = monad.sing(HOLE, SORT_WORD)
 
     def to_alphabet(ctx) -> Context:
-        wit = syn.image.witnesses
-
-        def expand_word(labels) -> tuple:
-            out: list = []
-            for x in labels:
-                if x is HOLE:
-                    out.append(HOLE)
-                else:
-                    out.extend(letter_of[l] for l in wit[x].labels)
-            return tuple(out)
-
-        if isinstance(ctx, WordContext):
-            both = expand_word(ctx.left + (HOLE,) + ctx.right)
-            i = both.index(HOLE)
-            return WordContext(both[:i], both[i + 1 :])
-        raise NotImplementedError("alphabet-level contexts only for word languages")
+        return _as_context(WordContext, _plug(monad, ctx, hole, lambda x, s: spelling[x]))
 
     clauses = []
     for a in sorted(Q, key=repr):

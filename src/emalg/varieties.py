@@ -203,13 +203,11 @@ def verify_cover_evaluation(cov: CanonicalCover, words: Iterable) -> bool:
     A = cov.base
     if A.kind != "word":
         raise NotImplementedError("evaluation replay implemented for words")
+    ident = {e: e for e in A.carrier}
     for w in words:
-        letters = w.labels if isinstance(w, Word) else tuple(w)
-        acc = cov.letter_tuples[letters[0]]
-        for c in letters[1:]:
-            acc = cov.cover.mult[(acc, cov.letter_tuples[c])]
-        direct = eval_element(A, {e: e for e in A.carrier}, Word(letters))
-        if cov.mu(acc) != direct:
+        w = w if isinstance(w, Word) else Word(tuple(w))
+        paired = eval_element(cov.cover, cov.letter_tuples, w)
+        if cov.mu(paired) != eval_element(A, ident, w):
             return False
     return True
 

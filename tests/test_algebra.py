@@ -423,3 +423,14 @@ def test_recognizer_validation():
     )
     with pytest.raises(ValueError):
         Recognizer(alphabet, chain, {"a": 1}, frozenset({0}))  # not upward closed
+
+
+def test_check_algebra_laws_flags_nonassociative_tree_composition():
+    # comp(x; y) = y if x == p else p: comp(comp(q; q); q) = q but
+    # comp(q; comp(q; q)) = p
+    carrier = SortedOrderedSet({0: [], 1: ["p", "q"]})
+    comp = {(x, (y,)): y if x == "p" else "p" for x in "pq" for y in "pq"}
+    report = check_algebra_laws(FinAlgebra(tree_monad(1), carrier, comp=comp))
+    assert any(law == "assoc" for law, _ in report.violations)
+    assert check_algebra_laws(bool_tree_algebra()).ok
+    assert check_algebra_laws(bool_tree_algebra(with_var_slots=True)).ok
