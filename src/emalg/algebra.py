@@ -96,6 +96,25 @@ class FinAlgebra:
         omega: Optional[dict] = None,
         comp: Optional[dict] = None,
     ):
+        self._store(monad, carrier, mult, dot, mix, omega, comp)
+        self._validate()
+        bad = _incompatibility(self, carrier.leq_pairs())
+        if bad:
+            raise ValueError(f"{bad[0]} not monotone at {bad[1]!r} vs {bad[2]!r}")
+
+    @classmethod
+    def _trusted(cls, monad: Monad, carrier: SortedOrderedSet, **tables):
+        """The algebra ``FinAlgebra(monad, carrier, **tables)`` for tables
+        known to be monotone, as a quotient by a compatible preorder is (see
+        ``quotient_algebra``): every check but the monotonicity walk."""
+        alg = cls.__new__(cls)
+        alg._store(monad, carrier, **tables)
+        alg._validate()
+        return alg
+
+    def _store(
+        self, monad, carrier, mult=None, dot=None, mix=None, omega=None, comp=None
+    ):
         self.monad = monad
         self.carrier = carrier
         self.kind = monad.kind
@@ -107,7 +126,6 @@ class FinAlgebra:
         if comp:
             for (a, slots), r in comp.items():
                 self.comp[(a, tuple(slots))] = r
-        self._validate()
 
     # -- validation ----------------------------------------------------------
 
@@ -116,7 +134,8 @@ class FinAlgebra:
         and lands in its result sort, except an op that has nowhere to land
         (a sort restriction emptied every result sort it has, as it empties
         the infinite sort of an omega algebra); every other entry fits a
-        shape too (a comp entry with a bare slot); the tables are monotone."""
+        shape too (a comp entry with a bare slot).  Construction then walks
+        the tables for monotonicity."""
         A = self.carrier
         signature = self.monad.signature
         sorts = {e: s for s in A.sorts for e in A.elements(s)}
@@ -148,9 +167,6 @@ class FinAlgebra:
                     raise ValueError(f"{op} entry at {args!r} fits no operation")
                 if sorts.get(value) != result:
                     raise ValueError(_wrong_sort(op, args, value, result))
-        bad = _incompatibility(self, A.leq_pairs())
-        if bad:
-            raise ValueError(f"{bad[0]} not monotone at {bad[1]!r} vs {bad[2]!r}")
 
     # -- shallow application ---------------------------------------------------
 
@@ -264,8 +280,9 @@ _TERM = {
 }
 
 
-def _build(monad: Monad, carrier: SortedOrderedSet, entries) -> FinAlgebra:
-    """The algebra on ``carrier`` whose tables hold ``entries``."""
+def _build(monad: Monad, carrier: SortedOrderedSet, entries, make=FinAlgebra):
+    """The algebra on ``carrier`` whose tables hold ``entries``, constructed
+    by ``make`` (``FinAlgebra`` or ``FinAlgebra._trusted``)."""
     tables: dict = {op: {} for op in _OPS}
     for op, args, value in entries:
         if op == "omega":
@@ -274,7 +291,7 @@ def _build(monad: Monad, carrier: SortedOrderedSet, entries) -> FinAlgebra:
             tables[op][(args[0], args[1:])] = value
         else:
             tables[op][args] = value
-    return FinAlgebra(monad, carrier, **tables)
+    return make(monad, carrier, **tables)
 
 
 def _image(f, args: tuple) -> tuple:
@@ -777,7 +794,16 @@ def is_congruence_ordering(alg: FinAlgebra, q: Preorder) -> bool:
 
 def quotient_algebra(alg: FinAlgebra, q: Preorder) -> tuple[FinAlgebra, Morphism]:
     """Quotient by a congruence ordering; the returned map is a surjective
-    morphism whose kernel is exactly ``q``."""
+    morphism whose kernel is exactly ``q``.
+
+    ``is_congruence_ordering`` walks the tables once, and the quotient is
+    built without walking them again for monotonicity, because a compatible
+    preorder makes its tables monotone: [a] <= [a'] in the quotient means
+    a q a', so op(.., a, ..) q op(.., a', ..) by compatibility, that is
+    [op(.., a, ..)] <= [op(.., a', ..)].  (The quotient's entry at a tuple
+    of classes is the class of the entry at any tuple of representatives:
+    q-equivalent representatives give q-equivalent values, by the same
+    argument both ways.)  Totality and result sorts are still checked."""
     if not is_congruence_ordering(alg, q):
         raise NotCongruence(None, "preorder fails shallow compatibility")
     Q, qfn = quotient_set(alg.carrier, q)
@@ -786,6 +812,7 @@ def quotient_algebra(alg: FinAlgebra, q: Preorder) -> tuple[FinAlgebra, Morphism
         alg.monad,
         Q,
         ((op, _image(cls, args), cls[value]) for op, args, value in _entries(alg)),
+        FinAlgebra._trusted,
     )
     return quot, Morphism(alg, quot, SortedFunction(alg.carrier, Q, cls))
 

@@ -9,6 +9,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
+from math import floor
 from typing import Callable, Optional
 
 from .algebra import (
@@ -58,21 +59,68 @@ class CheckResult:
 
 
 # -- random free elements -----------------------------------------------------------
+#
+# The samplers draw through exact copies of ``Random.choice``, unweighted
+# ``Random.choices``, ``Random.randint`` and ``Random.randrange(n)``, bound
+# to the generator's ``getrandbits`` and ``random``: CPython's rejection
+# loop ``_randbelow_with_getrandbits`` and the ``floor(random() * n)`` path
+# of ``choices``.  They make the same calls to the generator in the same
+# order, so they draw the same values, with fewer Python calls per draw
+# (tests/test_lawsuite.py pins the stream).
+
+
+def _below(bits, n: int) -> int:
+    """``Random._randbelow(n)``, an int in [0, n) for n > 0; ``bits`` is the
+    generator's ``getrandbits``."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _randint(bits, a: int, b: int) -> int:
+    """``Random.randint(a, b)``."""
+    if b < a:
+        raise ValueError(f"empty range for randrange() ({a}, {b + 1}, {b + 1 - a})")
+    return a + _below(bits, b - a + 1)
+
+
+def _choice(bits, seq):
+    """``Random.choice(seq)``, with ``_below`` inlined; an empty ``seq``
+    raises IndexError."""
+    n = len(seq)
+    if not n:
+        raise IndexError("Cannot choose from an empty sequence")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return seq[r]
+
+
+def _choices(rand, pool, k: int) -> list:
+    """``Random.choices(pool, k=k)`` without weights; ``rand`` is the
+    generator's ``random``.  An empty pool raises IndexError unless k is 0."""
+    n = len(pool) + 0.0
+    return [pool[floor(rand() * n)] for _ in range(k)]
 
 
 def rand_word_elem(rng: random.Random, pool, max_len=4) -> Word:
-    return Word(tuple(rng.choices(pool, k=rng.randint(1, max_len))))
+    k = _randint(rng.getrandbits, 1, max_len)
+    return Word(tuple(_choices(rng.random, pool, k)))
 
 
 def rand_omega_elem(rng, pool_fin, pool_inf, sort, max_len=3):
+    bits, rand = rng.getrandbits, rng.random
     if sort == SORT_FIN:
-        return Word(tuple(rng.choices(pool_fin, k=rng.randint(1, max_len))))
-    shape = rng.randrange(2 if pool_inf else 1)
-    prefix = tuple(rng.choices(pool_fin, k=rng.randint(0, max_len)))
+        return Word(tuple(_choices(rand, pool_fin, _randint(bits, 1, max_len))))
+    shape = _below(bits, 2 if pool_inf else 1)  # randrange(n)
+    prefix = tuple(_choices(rand, pool_fin, _randint(bits, 0, max_len)))
     if shape == 0:
-        period = tuple(rng.choices(pool_fin, k=rng.randint(1, max_len)))
+        period = tuple(_choices(rand, pool_fin, _randint(bits, 1, max_len)))
         return UPWord(prefix, period)
-    return MixedWord(prefix, rng.choice(pool_inf))
+    return MixedWord(prefix, _choice(bits, pool_inf))
 
 
 def rand_tree_elem(rng, pool_by_arity, sort, max_nodes=8) -> Tree:
@@ -87,15 +135,15 @@ def rand_tree_elem(rng, pool_by_arity, sort, max_nodes=8) -> Tree:
     budget = max_nodes
     vars_left = list(_var_tuple(sort))
     rng.shuffle(vars_left)
-    choice, random = rng.choice, rng.random
+    bits, random = rng.getrandbits, rng.random
 
     def grow(allow_var: bool):
         nonlocal budget
         if allow_var and vars_left and random() < 0.4:
             return vars_left.pop()
-        a = choice(wide if budget > 1 else leaf)
+        a = _choice(bits, wide if budget > 1 else leaf)
         budget -= 1
-        label = choice(pool_by_arity[a])
+        label = _choice(bits, pool_by_arity[a])
         if not a:
             return _node(label, ())
         return _node(label, tuple([grow(True) for _ in range(a)]))

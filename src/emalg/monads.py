@@ -234,6 +234,11 @@ class Monad:
     #: ``(op, argument sorts, result sort)`` per shape.  ``FinAlgebra``
     #: stores the entries of op ``op`` in its attribute of that name.
     signature: tuple[tuple[str, tuple[Sort, ...], Sort], ...] = ()
+    #: The sort whose binary op spells every element of a generated algebra
+    #: as a product of generators and acts on the other sorts, so that a
+    #: one-step context may fix an argument of this sort to a generator
+    #: only (``syntactic.syntactic_preorder``); None keeps every element.
+    generated_sort: Sort | None = None
 
     @functools.cached_property
     def binary(self) -> dict[tuple[Sort, Sort], tuple[str, Sort]]:
@@ -273,6 +278,7 @@ class Monad:
 class WordMonad(Monad):
     kind = "word"
     signature = (("mult", (SORT_WORD, SORT_WORD), SORT_WORD),)
+    generated_sort = SORT_WORD
 
     @property
     def sorts(self):
@@ -325,6 +331,7 @@ class OmegaMonad(Monad):
         ("omega", (SORT_FIN,), SORT_INF),
         ("mix", (SORT_FIN, SORT_INF), SORT_INF),
     )
+    generated_sort = SORT_FIN
 
     @property
     def sorts(self):

@@ -14,11 +14,14 @@ shallow term of an op over its fixed arguments and the hole.
 The defining preorder of a language quantifies over infinitely many
 contexts, but it is also the greatest relation that lies inside "a in P
 implies b in P" on the accepting sort and is closed under the one-step
-context functions.  ``syntactic_preorder`` computes it by
-refinement, as simulations are computed: a backward breadth-first search
-over pairs from the pairs that P itself separates, so each separated pair
-also records the length of its shortest separating context, from which
-``decompose_as_derivatives`` rebuilds the context.
+context functions.  It is computed by refinement, as simulations are
+computed: a backward breadth-first search over pairs from the pairs that P
+itself separates, so each separated pair also records the length of its
+shortest separating context.  ``syntactic_preorder`` searches over the
+steps that multiply by generators, which suffice in a generated algebra,
+and ``syntactic_algebra`` certifies the result; ``decompose_as_derivatives``
+searches over every element step and rebuilds the contexts from the
+layers.
 
 Saturation (``saturate_all``) is kept as the definition the refinement is
 tested against: the finite set of context *functions*, the closure of the
@@ -52,6 +55,7 @@ from .algebra import (
     Morphism,
     NotCongruence,
     Recognizer,
+    _fold,
     _raw_up,
     eval_element,
     generated_tuples,
@@ -230,22 +234,29 @@ class ContextFunction:
         )
 
 
-def _one_step_functions(alg: FinAlgebra) -> list[ContextFunction]:
+def _one_step_functions(
+    alg: FinAlgebra, generators: Optional[tuple] = None
+) -> list[ContextFunction]:
     """The one-step context functions, from which every context function is
     composed: an op of the monad's signature with one argument position as
     the hole and elements of their sorts fixed in the others, mapping e to
     the op applied with e in the hole, whose witness is the op's shallow
-    term over the fixed elements and the hole.  A step whose table is
-    empty, or has a gap (an op with nowhere to land has no entries), is
-    left out.  Sorted by source sort, target sort and witness text, so the
-    order does not depend on how the steps were found."""
+    term over the fixed elements and the hole.  With ``generators``, an
+    argument of the monad's ``generated_sort`` is fixed to them only: the
+    generator steps.  A step whose table is empty, or has a gap (an op with
+    nowhere to land has no entries), is left out.  Sorted by source sort,
+    target sort and witness text, so the order does not depend on how the
+    steps were found."""
     A, cls = alg.carrier, _CONTEXT[alg.kind]
+    pool = {s: A.elements(s) for s in A.sorts}
+    if generators is not None:
+        pool[alg.monad.generated_sort] = generators
     out: list[ContextFunction] = []
     for op, sorts, result in alg.monad.signature:
         read, table = _READ[op], getattr(alg, op)
         for i, hole_sort in enumerate(sorts):
             es = A.elements(hole_sort)
-            pools = [A.elements(s) for s in sorts]
+            pools = [pool.get(s, ()) for s in sorts]
             pools[i] = (HOLE,)
             for fixed in itertools.product(*pools):
                 columns = [(x,) for x in fixed]
@@ -315,22 +326,20 @@ _refinement_cache: "weakref.WeakKeyDictionary[FinAlgebra, dict]" = (
 )
 
 
-def _separation_layers(alg: FinAlgebra, P: frozenset, sort: Sort):
-    """The one-step functions of the algebra, and for every same-sort pair
-    (a, b) that some context separates (sends a into ``P`` and b out of it)
-    the length of the shortest separating context.
+def _pair_depths(alg: FinAlgebra, P: frozenset, sort: Sort, steps) -> tuple[list, list]:
+    """The elements of the algebra, and for each pair (a, b) of them, at
+    index i * n + j for their indices i and j, the length of the shortest
+    composite of ``steps`` that separates it (sends a into ``P`` and b out
+    of it), or -1 if none does.
 
     A backward BFS over pairs: layer 0 is {(a, b) : a in P, b not in P} on
     ``sort``; layer L+1 holds the pairs not seen before that some step maps
-    into layer L, found through the step's inverse table.  The pairs never
-    reached are exactly the syntactic preorder, the greatest relation inside
-    "a in P implies b in P" closed under every step."""
-    memo = _refinement_cache.setdefault(alg, {})
-    key = (P, sort)
-    if key in memo:
-        return memo[key]
+    into layer L, found through the step's inverse table.  A step maps
+    same-sort pairs to same-sort pairs, so only those are reached.  Over
+    the element steps, the same-sort pairs never reached are exactly the
+    syntactic preorder, the greatest relation inside "a in P implies b in
+    P" closed under every step."""
     A = alg.carrier
-    steps = _one_step_functions(alg)
     # elements by index; the pair (i, j) is the integer i * n + j
     elems = list(A)
     index = {e: i for i, e in enumerate(elems)}
@@ -370,25 +379,106 @@ def _separation_layers(alg: FinAlgebra, P: frozenset, sort: Sort):
                                 depths[a + b] = depth
                                 found.append(a + b)
         frontier = found
+    return elems, depths
+
+
+def _separation_layers(alg: FinAlgebra, P: frozenset, sort: Sort):
+    """The one-step functions of the algebra, and for every same-sort pair
+    (a, b) that some context separates the length of the shortest
+    separating context (``_pair_depths`` over every element step), kept per
+    algebra so that ``decompose_as_derivatives`` rebuilds its contexts from
+    one search."""
+    memo = _refinement_cache.setdefault(alg, {})
+    key = (P, sort)
+    if key in memo:
+        return memo[key]
+    steps = _one_step_functions(alg)
+    elems, depths = _pair_depths(alg, P, sort, steps)
+    n = len(elems)
     layer = {(elems[p // n], elems[p % n]): d for p, d in enumerate(depths) if d >= 0}
     memo[key] = steps, layer
     return steps, layer
 
 
+def _generators(alg: FinAlgebra) -> Optional[tuple]:
+    """Elements that generate the monad's ``generated_sort`` of ``alg``
+    under its binary op, or None if the monad declares no such sort.
+
+    In carrier order, an element joins when the closure of the ones before
+    it misses it.  The closure multiplies by the generators on either side,
+    which by associativity reaches every product of them: 2 reads per
+    generator and element."""
+    sort = alg.monad.generated_sort
+    if sort is None:
+        return None
+    op, _ = alg.monad.binary[(sort, sort)]
+    read, table = _READ[op], getattr(alg, op)
+    gens: list = []
+    reached: list = []
+    seen: set = set()
+    for g in alg.elements(sort):
+        if g in seen:
+            continue
+        gens.append(g)
+        seen.add(g)
+        # the known elements and g times g, then each element found times
+        # every generator, until none is new
+        multiply, by, new = reached + [g], [g], [g]
+        while multiply:
+            for x in multiply:
+                for h in by:
+                    for c in (read(table, (x, h)), read(table, (h, x))):
+                        if c not in seen:
+                            seen.add(c)
+                            new.append(c)
+            reached += new
+            multiply, by, new = new, gens, []
+    return tuple(gens)
+
+
 def syntactic_preorder(alg: FinAlgebra, accepting: Iterable[Elem], sort: Sort) -> Preorder:
     """a <= b iff every context that sends a into the accepting set also
-    sends b there: the pairs that ``_separation_layers`` never reaches."""
+    sends b there: the same-sort pairs that ``_pair_depths`` never reaches
+    over the generator steps of the generators ``_generators`` finds in
+    ``alg``.
+
+    The preorder is the greatest relation inside "a in P implies b in P" on
+    ``sort`` that is closed under every one-step context function.  When
+    the monad declares a ``generated_sort`` (words: the one sort under
+    mult; omega-words: the finite sort under dot), a step may fix an
+    argument of that sort to a generator only.  By induction on the length
+    of a product c = g1 ... gk of generators: by associativity c.x is
+    g1.(g2 ... gk.x) and x.c is (x.g1 ... gk-1).gk, and since mix is an
+    action, mix(c, e) is mix(g1, mix(g2 ... gk, e)); so the step that
+    fixes c is a composite of generator steps, and a relation closed under
+    these is closed under it.  The other steps keep every element: the
+    omega power omega(_), which fixes nothing, and mix(_, e) for every
+    infinite e.  Trees keep the element steps.  Words need 2|gens| steps
+    instead of 2n.
+
+    ``syntactic_algebra`` certifies the result.  The generator steps are
+    some of the element steps, so they separate no more pairs, and the
+    pairs never reached form a relation R that contains the preorder.
+    ``syntactic_algebra`` checks that R lies inside "a in P implies b in
+    P", and ``quotient_algebra`` that it is compatible (closed under every
+    element step); then R lies inside the greatest such relation, so R is
+    the preorder.  The induction uses the monad's laws, which construction
+    does not check: on tables that break them, or with a wrong generating
+    set, ``syntactic_algebra`` raises ``NotCongruence`` and never returns a
+    wrong algebra."""
     P = frozenset(accepting)
     if not is_upward_closed(alg.carrier, P):
         raise ValueError("accepting set is not upward closed")
-    _, layer = _separation_layers(alg, P, sort)
-    pairs = [
-        (a, b)
-        for zeta in alg.carrier.sorts
-        for a in alg.elements(zeta)
-        for b in alg.elements(zeta)
-        if (a, b) not in layer
-    ]
+    steps = _one_step_functions(alg, _generators(alg))
+    elems, depths = _pair_depths(alg, P, sort, steps)
+    # the carrier lists its sorts one after the other, each from lo to hi
+    n, lo, pairs = len(elems), 0, []
+    for zeta in alg.carrier.sorts:
+        hi = lo + len(alg.elements(zeta))
+        for i in range(lo, hi):
+            row, a = i * n, elems[i]
+            pairs += [(a, elems[j]) for j in range(lo, hi) if depths[row + j] < 0]
+        lo = hi
     return Preorder(alg.carrier, pairs)
 
 
@@ -459,6 +549,15 @@ def syntactic_algebra(rec: Recognizer) -> SyntacticResult:
     B = sub.algebra
     P = frozenset(p for p in rec.accepting if p in B.carrier)
     pre = syntactic_preorder(B, P, rec.accepting_sort)
+    # with the compatibility walk of ``quotient_algebra``, this certifies
+    # the preorder (see ``syntactic_preorder``)
+    for a, b in pre.pairs():
+        if a in P and b not in P:
+            raise NotCongruence(
+                (a, b),
+                "syntactic preorder relates an accepted element to a rejected "
+                "one; this indicates a bug",
+            )
     try:
         syn, qm = quotient_algebra(B, pre)
     except NotCongruence:
@@ -533,15 +632,30 @@ class DerivativeDecomposition:
     target: frozenset
     clauses: list  # list of (class elem, list[Context over the alphabet])
 
+    def __post_init__(self):
+        # each context's left and right parts as values (a list of at most
+        # one element), so that a word is evaluated once and costs at most
+        # two products per context
+        value = self.syn.recognizer.value
+
+        def part(labels: tuple) -> list:
+            return [value(Word(labels))] if labels else []
+
+        self._parts = [
+            [(part(c.left), part(c.right)) for c in ctxs] for _, ctxs in self.clauses
+        ]
+
     def matches(self, t) -> bool:
         """Whether, for some clause, each of its contexts with ``t`` plugged
-        into the hole is accepted."""
+        into the hole is accepted: left . t . right multiplied in the
+        recognizer's algebra, t evaluated once."""
         rec = self.syn.recognizer
-        monad = rec.algebra.monad
-        for _, ctxs in self.clauses:
-            if all(rec.accepts(_plug(monad, c, t, monad.sing)) for c in ctxs):
-                return True
-        return False
+        alg, accepting = rec.algebra, rec.accepting
+        word = [rec.value(t)] if t.labels else []
+        return any(
+            all(_fold(alg, left + word + right) in accepting for left, right in parts)
+            for parts in self._parts
+        )
 
 
 def decompose_as_derivatives(syn: SyntacticResult, target: Iterable[Elem]) -> DerivativeDecomposition:

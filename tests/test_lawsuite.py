@@ -2,6 +2,8 @@ import hashlib
 import itertools
 import random
 
+import pytest
+
 from emalg.algebra import product
 from emalg.lawsuite import (
     _bits,
@@ -124,3 +126,60 @@ def test_product_problems_match_a_direct_check_of_every_subalgebra():
         assert _product_problems(p) == want
         found += bool(want)
     assert 0 < found < 39
+
+
+# Recorded before the samplers drew through local copies of the ``Random``
+# methods: every element that ``rand_element`` returns in the
+# ``check_monad_laws`` loop at 1000 samples per instance (each input t, the
+# label pools, and each nested input big), as the ``repr`` of their list.
+MONAD_LAW_DRAWS_SEED0_SHA256 = "39ca46e347d7db2a740c85903aa03cc377ec19081aab87cbe5219317b6a7adec"
+
+
+def test_monad_law_draws_are_pinned(monkeypatch):
+    from emalg import lawsuite
+
+    draws = []
+    draw = lawsuite.rand_element
+
+    def recorded(*args):
+        draws.append(draw(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(lawsuite, "rand_element", recorded)
+    assert lawsuite.check_monad_laws(0, samples=1000).ok
+    assert len(draws) == 42000
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == MONAD_LAW_DRAWS_SEED0_SHA256
+
+
+def test_sampler_draws_are_those_of_random():
+    from emalg.lawsuite import _below, _choice, _choices, _randint
+
+    for seed in range(5):
+        a, b = random.Random(seed), random.Random(seed)
+        for n in (1, 2, 3, 5, 8, 13, 64, 100):
+            pool = list(range(n))
+            assert _choice(b.getrandbits, pool) == a.choice(pool)
+            assert _choices(b.random, pool, n % 7) == a.choices(pool, k=n % 7)
+            assert _randint(b.getrandbits, 1, n) == a.randint(1, n)
+            assert _below(b.getrandbits, n) == a.randrange(n)
+        assert a.random() == b.random()
+
+
+def test_samplers_still_reject_an_empty_pool():
+    from emalg.lawsuite import _choice, _choices, _randint, rand_omega_elem, rand_word_elem
+    from emalg.monads import SORT_FIN
+
+    rng = random.Random(0)
+    with pytest.raises(IndexError):
+        _choice(rng.getrandbits, [])
+    with pytest.raises(IndexError):
+        _choices(rng.random, [], 1)
+    assert _choices(rng.random, [], 0) == []
+    with pytest.raises(ValueError):
+        _randint(rng.getrandbits, 1, 0)
+    with pytest.raises(IndexError):
+        rand_word_elem(rng, [])
+    with pytest.raises(IndexError):
+        rand_omega_elem(rng, [], ["e"], SORT_FIN)
+    with pytest.raises(IndexError):
+        rand_tree_elem(rng, {0: []}, 0)
