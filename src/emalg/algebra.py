@@ -30,6 +30,7 @@ evaluation representation independent).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -186,6 +187,12 @@ class FinAlgebra:
     def elements(self, sort: Sort):
         return self.carrier.elements(sort)
 
+    @functools.cached_property
+    def _ints(self) -> "_IntTables":
+        """The tables over element indices, built on first use and kept:
+        an algebra's tables do not change after construction."""
+        return _IntTables(self)
+
     def __repr__(self):
         return f"FinAlgebra({self.kind}, {len(self.carrier)} elements)"
 
@@ -309,13 +316,47 @@ def _tables(algs: list[FinAlgebra]) -> dict:
     return {op: [getattr(a, op) for a in algs] for op in _OPS}
 
 
+class _IntTables:
+    """An algebra's tables over element indices.
+
+    The elements are numbered 0..n-1 in carrier order (``elems``, and
+    ``index`` back), so each sort is one run of indices.  An argument tuple
+    with indices d_0, ..., d_(m-1) has the code d_0 + d_1 n + ... +
+    d_(m-1) n^(m-1), and ``tables[(op, m)]`` maps the code of the arguments
+    of each entry without a bare slot to the index of its value.
+    ``entries`` lists the entries in ``_entries`` order as (op, table,
+    args, code, value): the table of (op, m), the argument indices, their
+    code and the value's index; an entry with a bare slot keeps its labels,
+    with None for the table and the code.  The public dicts stay the
+    storage; labels stay at the boundary."""
+
+    def __init__(self, alg: FinAlgebra):
+        self.elems = list(alg.carrier)
+        self.index = index = {e: i for i, e in enumerate(self.elems)}
+        n = len(self.elems)
+        self.tables: dict = {}
+        self.entries: list = []
+        for op, args, value in _entries(alg):
+            if op == "comp" and VAR in args:
+                self.entries.append((op, None, args, None, value))
+                continue
+            digits = tuple([index[a] for a in args])
+            code = 0
+            for d in reversed(digits):
+                code = code * n + d
+            table = self.tables.setdefault((op, len(args)), {})
+            table[code] = v = index[value]
+            self.entries.append((op, table, digits, code, v))
+
+
 def _incompatibility(alg: FinAlgebra, rel: frozenset) -> Optional[tuple]:
     """A witness (op, args, args2) that the reflexive, transitive relation
     ``rel`` (a set of pairs) is not compatible with the tables, or None.
 
     Compatible means: two entries of one op whose arguments are related
     position by position (a bare slot matching only a bare slot) have
-    related values.  Under a discrete relation there are none.
+    related values.  Under a discrete relation there are none, and the
+    walk returns before it numbers anything.
 
     Each entry is compared only with the entries that raise *one* of its
     arguments to an element of that argument's up-set.  When every
@@ -329,33 +370,56 @@ def _incompatibility(alg: FinAlgebra, rel: frozenset) -> Optional[tuple]:
     without a bare slot, whose keys are all required; a raised argument
     keeps its sort, so the raised key is required too.  Entries with a bare
     slot are optional data, so an intermediate may be missing: they keep
-    the walk over the whole product of up-sets."""
-    A = alg.carrier
-    up = {}  # x first, then the elements strictly above it
-    for s in A.sorts:
-        es = A.elements(s)
-        for x in es:
-            up[x] = [x] + [y for y in es if y != x and (x, y) in rel]
-    if all(len(u) == 1 for u in up.values()):
+    the walk over the whole product of up-sets.
+
+    The walk reads the algebra's integer tables (``_IntTables``).  Each
+    element's up-set is a bitmask over element indices, within its sort;
+    raising position i of an argument tuple with code c from x to y gives
+    the code c + (y - x) n^i, one int lookup, and its value is related when
+    its bit is set in the up-set of the entry's value.  The entries, the
+    positions and the elements above each argument are visited in the same
+    order as over labels (``_entries`` order, then position, then carrier
+    order, which is index order), so the first witness, returned in labels,
+    is the same."""
+    if all(a == b for a, b in rel):
         return None
-    up_set = {x: set(u) for x, u in up.items()}
-    up.setdefault(VAR, [VAR])
-    for op, args, value in _entries(alg):
-        read, table = _READ[op], getattr(alg, op)
-        if VAR in args:
-            above = itertools.product(*(up.get(a, ()) for a in args))
-            next(above, None)  # args itself
-        else:
-            above = [
-                args[:i] + (y,) + args[i + 1 :]
-                for i, x in enumerate(args)
-                for y in up[x][1:]
-            ]
-        related = up_set[value]
-        for args2 in above:
-            value2 = read(table, args2)
-            if value2 is not None and value2 not in related:
-                return op, args, args2
+    view = alg._ints
+    elems, index, n = view.elems, view.index, len(view.elems)
+    up = [1 << i for i in range(n)]  # the up-set of each element
+    for a, b in rel:
+        i, j = index.get(a), index.get(b)
+        if i is not None and j is not None:
+            up[i] |= 1 << j
+    above: list = []  # the indices strictly above each element, in its sort
+    lo = 0
+    for s in alg.carrier.sorts:
+        hi = lo + len(alg.elements(s))
+        for i in range(lo, hi):
+            u = up[i]
+            above.append([j for j in range(lo, hi) if u >> j & 1 and j != i])
+        lo = hi
+    labels_up = None
+    for op, table, args, code, v in view.entries:
+        if table is None:  # a bare slot: the whole product of up-sets
+            if labels_up is None:
+                labels_up = {x: [x] + [elems[j] for j in js] for x, js in zip(elems, above)}
+                labels_up[VAR] = [VAR]
+            above_args = itertools.product(*(labels_up.get(a, ()) for a in args))
+            next(above_args, None)  # args itself
+            related = up[index[v]]
+            for args2 in above_args:
+                value2 = _read_comp(alg.comp, args2)
+                if value2 is not None and not related >> index[value2] & 1:
+                    return op, args, args2
+            continue
+        related, get, w = up[v], table.get, 1  # w = n^i
+        for i, x in enumerate(args):
+            for y in above[x]:
+                value2 = get(code + (y - x) * w)
+                if value2 is not None and not related >> value2 & 1:
+                    args = tuple([elems[d] for d in args])
+                    return op, args, args[:i] + (elems[y],) + args[i + 1 :]
+            w *= n
     return None
 
 
@@ -808,10 +872,16 @@ def quotient_algebra(alg: FinAlgebra, q: Preorder) -> tuple[FinAlgebra, Morphism
         raise NotCongruence(None, "preorder fails shallow compatibility")
     Q, qfn = quotient_set(alg.carrier, q)
     cls = qfn.mapping
+    of = [cls[e] for e in alg._ints.elems]  # the class of each element index
     quot = _build(
         alg.monad,
         Q,
-        ((op, _image(cls, args), cls[value]) for op, args, value in _entries(alg)),
+        (
+            (op, _image(cls, args), cls[value])
+            if table is None
+            else (op, tuple([of[d] for d in args]), of[value])
+            for op, table, args, _, value in alg._ints.entries
+        ),
         FinAlgebra._trusted,
     )
     return quot, Morphism(alg, quot, SortedFunction(alg.carrier, Q, cls))

@@ -62,6 +62,13 @@ def _element_names(alg: FinAlgebra) -> dict:
 def _dump_syntactic(syn: SyntacticResult) -> dict:
     alg = syn.syn_algebra
     names = _element_names(alg)
+    r = {e: repr(e) for e in alg.carrier}
+
+    def by_repr(entry) -> str:
+        """repr(((a, b), c)), each element's repr computed once."""
+        (a, b), c = entry
+        return "((%s, %s), %s)" % (r[a], r[b], r[c])
+
     return {
         "size": len(alg.carrier),
         "elements": [names[e] for e in alg.carrier],
@@ -73,9 +80,8 @@ def _dump_syntactic(syn: SyntacticResult) -> dict:
             if a != b
         ),
         "table": {
-            f"{names[a]} {names[b]}": names[c] for (a, b), c in sorted(
-                alg.mult.items(), key=repr
-            )
+            f"{names[a]} {names[b]}": names[c]
+            for (a, b), c in sorted(alg.mult.items(), key=by_repr)
         }
         if alg.kind == "word"
         else "non-word algebra",
@@ -148,9 +154,10 @@ def _cmd_decompose(args) -> int:
     from .automata import words_up_to
     from .monads import Word
 
+    value = syn.recognizer.value  # each word evaluated once, for both sides
     agree = all(
-        dec.matches(Word(w)) == (syn.syn_value(Word(w)) in target)
-        for w in words_up_to(dfa.alphabet, 6)
+        dec._matches_value([v]) == (syn.syn_morphism(v) in target)
+        for v in (value(Word(w)) for w in words_up_to(dfa.alphabet, 6))
     )
     evidence = {
         "target": sorted(names[e] for e in target),

@@ -38,20 +38,34 @@ class NoFactorisation(Exception):
 
 
 def _transitive_closure(pairs: set[tuple[Elem, Elem]]) -> set[tuple[Elem, Elem]]:
-    succ: dict[Elem, set[Elem]] = {}
-    for a, b in pairs:
-        succ.setdefault(a, set()).add(b)
-    changed = True
-    while changed:
-        changed = False
-        for a, outs in succ.items():
-            new = set()
-            for b in tuple(outs):
-                new |= succ.get(b, set())
-            if not new <= outs:
-                outs |= new
-                changed = True
-    return {(a, b) for a, outs in succ.items() for b in outs}
+    """The pairs (a, c) joined by a path of one or more pairs.
+
+    The elements are numbered in order of appearance and each one's
+    successors are a bitmask.  A row is closed by taking in the successors
+    of each element it reaches, one element at a time, until it reaches
+    nothing new, so an already transitive relation costs one step per
+    pair."""
+    index: dict = {}
+    edges = [(index.setdefault(a, len(index)), index.setdefault(b, len(index))) for a, b in pairs]
+    elems = list(index)
+    succ = [0] * len(elems)
+    for i, j in edges:
+        succ[i] |= 1 << j
+    for i, reach in enumerate(succ):
+        todo, seen = reach, 0
+        while todo:
+            low = todo & -todo
+            reach |= succ[low.bit_length() - 1]
+            seen |= low
+            todo = reach & ~seen
+        succ[i] = reach
+    out = set()
+    for a, s in zip(elems, succ):
+        while s:
+            low = s & -s
+            out.add((a, elems[low.bit_length() - 1]))
+            s ^= low
+    return out
 
 
 class SortedOrderedSet:
@@ -91,7 +105,7 @@ class SortedOrderedSet:
                 raise ValueError(f"leq pair ({a!r},{b!r}) crosses sorts")
             pairs.add((a, b))
         pairs |= {(e, e) for e in self._sort_of}
-        closed = _transitive_closure(pairs) | pairs
+        closed = _transitive_closure(pairs)
         for a, b in closed:
             if a != b and (b, a) in closed:
                 raise ValueError(f"order not antisymmetric: {a!r} and {b!r}")
@@ -210,7 +224,7 @@ class Preorder:
                 raise ValueError(f"pair ({a!r},{b!r}) crosses sorts")
             ps.add((a, b))
         ps |= {(e, e) for e in carrier}
-        self._pairs = frozenset(_transitive_closure(ps) | ps)
+        self._pairs = frozenset(_transitive_closure(ps))
 
     def holds(self, a: Elem, b: Elem) -> bool:
         return (a, b) in self._pairs
@@ -297,26 +311,33 @@ def quotient_set(
         raise ValueError("preorder is over a different carrier")
     if not q.is_order_extending():
         raise ValueError("preorder does not contain the carrier order")
+    # each element's up-set and down-set under q as bitmasks over element
+    # indices in carrier order; its class is their intersection, named by
+    # its lowest index, the first representative in carrier order
+    elems = list(A)
+    index = {e: i for i, e in enumerate(elems)}
+    up = [0] * len(elems)
+    down = [0] * len(elems)
+    for a, b in q.pairs():
+        i, j = index[a], index[b]
+        up[i] |= 1 << j
+        down[j] |= 1 << i
     rep: dict = {}
-    class_elems: dict[Sort, list] = {}
+    classes: dict[Sort, list] = {}  # the class names of each sort, as indices
+    i = 0
     for s in A.sorts:
-        class_elems[s] = []
+        classes[s] = []
         for x in A.elements(s):
-            for r in class_elems[s]:
-                if q.equivalent(x, r):
-                    rep[x] = r
-                    break
-            else:
-                rep[x] = x
-                class_elems[s].append(x)
+            same = up[i] & down[i]
+            r = (same & -same).bit_length() - 1
+            rep[x] = elems[r]
+            if r == i:
+                classes[s].append(i)
+            i += 1
     pairs = [
-        (ra, rb)
-        for s in A.sorts
-        for ra in class_elems[s]
-        for rb in class_elems[s]
-        if q.holds(ra, rb)
+        (elems[a], elems[b]) for cs in classes.values() for a in cs for b in cs if up[a] >> b & 1
     ]
-    Q = SortedOrderedSet({s: es for s, es in class_elems.items()}, pairs)
+    Q = SortedOrderedSet({s: [elems[a] for a in cs] for s, cs in classes.items()}, pairs)
     return Q, SortedFunction(A, Q, rep)
 
 

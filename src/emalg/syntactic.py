@@ -340,9 +340,9 @@ def _pair_depths(alg: FinAlgebra, P: frozenset, sort: Sort, steps) -> tuple[list
     syntactic preorder, the greatest relation inside "a in P implies b in
     P" closed under every step."""
     A = alg.carrier
-    # elements by index; the pair (i, j) is the integer i * n + j
-    elems = list(A)
-    index = {e: i for i, e in enumerate(elems)}
+    # the algebra's numbering of its elements; the pair (i, j) is the
+    # integer i * n + j
+    elems, index = alg._ints.elems, alg._ints.index
     n = len(elems)
     # for each element x, one (preimage of x scaled by n, inverse table of
     # the step) per step that reaches x, in step order
@@ -649,9 +649,13 @@ class DerivativeDecomposition:
         """Whether, for some clause, each of its contexts with ``t`` plugged
         into the hole is accepted: left . t . right multiplied in the
         recognizer's algebra, t evaluated once."""
+        return self._matches_value([self.syn.recognizer.value(t)] if t.labels else [])
+
+    def _matches_value(self, word: list) -> bool:
+        """``matches`` for a word given by its value in the recognizer's
+        algebra, as a list of one element, or of none for the empty word."""
         rec = self.syn.recognizer
         alg, accepting = rec.algebra, rec.accepting
-        word = [rec.value(t)] if t.labels else []
         return any(
             all(_fold(alg, left + word + right) in accepting for left, right in parts)
             for parts in self._parts
