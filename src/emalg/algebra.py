@@ -228,15 +228,19 @@ def _entries(alg: FinAlgebra):
         yield "comp", (a, *slots), value
 
 
-def _shapes(alg: FinAlgebra) -> set:
-    """The (op, number of arguments) of the entries without bare slots: the
-    pairs ``(op, len(args))`` that ``_entries`` would give, read off the
-    table keys without listing every entry."""
-    shapes = {(op, 2) for op in ("mult", "dot", "mix") if getattr(alg, op)}
+def _places(alg: FinAlgebra) -> list:
+    """The (op, number of arguments, positions of the bare slots) of the
+    entries, in ``_entries``' argument layout, read off the table keys
+    without listing every entry.  An all-bare pattern is the unit law,
+    which gives nothing new, and is left out."""
+    places = {(op, 2, ()) for op in ("mult", "dot", "mix") if getattr(alg, op)}
     if alg.omega:
-        shapes.add(("omega", 1))
-    shapes.update(("comp", 1 + len(slots)) for _, slots in alg.comp if VAR not in slots)
-    return shapes
+        places.add(("omega", 1, ()))
+    for _, slots in alg.comp:
+        if slots.count(VAR) < len(slots):
+            bare = tuple([i + 1 for i, x in enumerate(slots) if x is VAR])
+            places.add(("comp", 1 + len(slots), bare))
+    return sorted(places)
 
 
 def _read_omega(table: dict, args: tuple):
@@ -761,43 +765,62 @@ def _restrict(alg: FinAlgebra, keep: set) -> FinAlgebra:
     )
 
 
-def generated_tuples(algs: list[FinAlgebra], seeds: Iterable[tuple]) -> set:
-    """Carrier of the subalgebra of the product generated by the seed tuples,
-    computed by componentwise closure without materialising the product.
+def _grow_tuples(algs: list[FinAlgebra], seeds: Iterable[tuple]):
+    """The tuples of the subalgebra of the product generated by the seed
+    tuples, each yielded once as it is found, the seeds first; computed by
+    componentwise closure without materialising the product, so a caller
+    may stop as soon as it has seen enough.
 
     Frontier-only: each round applies every op to the argument tuples that
     hold a tuple found in the round before in one position and known tuples
-    in the others.  A tuple arises only where every component has the entry;
-    bare-variable slots are never filled."""
-    tuples = set()
+    in the others.  A bare slot of the first component's entries holds VAR
+    in every component, as in ``tuple_algebra``.  A tuple arises only where
+    every component has the entry."""
+    seeds = list(map(tuple, seeds))
+    if set(map(len, seeds)) - {len(algs)}:
+        raise ValueError("seed arity does not match the component count")
+    tuples: set = set()
+    frontier = []
     for t in seeds:
-        if len(t) != len(algs):
-            raise ValueError("seed arity does not match the component count")
-        tuples.add(tuple(t))
-    shapes = _shapes(algs[0])
-    tables = _tables(algs)
+        if t not in tuples:
+            tuples.add(t)
+            frontier.append(t)
+            yield t
+    places = _places(algs[0])
+    bare_column = (VAR,)
     known: list = []
-    frontier = list(tuples)
     while frontier:
         known += frontier
         columns = list(zip(*known))
-        found = set()
-        for op, n in shapes:
-            read, ts = _READ[op], tables[op]
+        found = []
+        for op, n, bare in places:
+            read, ts = _READ[op], [getattr(a, op) for a in algs]
             for x in frontier:
                 for j in range(n):
+                    if j in bare:
+                        continue
                     # x at position j, known tuples elsewhere, evaluated one
                     # component (one column of the known tuples) at a time
                     per_component = []
                     for table, a, column in zip(ts, x, columns):
                         pools = [column] * n
+                        for i in bare:
+                            pools[i] = bare_column
                         pools[j] = (a,)
                         args = itertools.product(*pools)
                         per_component.append(map(read, itertools.repeat(table), args))
-                    found.update(zip(*per_component))
-        frontier = [t for t in found if None not in t and t not in tuples]
-        tuples.update(frontier)
-    return tuples
+                    for t in set(zip(*per_component)) - tuples:
+                        if None not in t:
+                            tuples.add(t)
+                            found.append(t)
+                            yield t
+        frontier = found
+
+
+def generated_tuples(algs: list[FinAlgebra], seeds: Iterable[tuple]) -> set:
+    """Carrier of the subalgebra of the product generated by the seed tuples
+    (see ``_grow_tuples``)."""
+    return set(_grow_tuples(algs, seeds))
 
 
 def tuple_algebra(algs: list[FinAlgebra], tuples: Iterable[tuple]) -> FinAlgebra:

@@ -61,12 +61,12 @@ class CheckResult:
 # -- random free elements -----------------------------------------------------------
 #
 # The samplers draw through exact copies of ``Random.choice``, unweighted
-# ``Random.choices``, ``Random.randint`` and ``Random.randrange(n)``, bound
-# to the generator's ``getrandbits`` and ``random``: CPython's rejection
-# loop ``_randbelow_with_getrandbits`` and the ``floor(random() * n)`` path
-# of ``choices``.  They make the same calls to the generator in the same
-# order, so they draw the same values, with fewer Python calls per draw
-# (tests/test_lawsuite.py pins the stream).
+# ``Random.choices``, ``Random.randint``, ``Random.randrange(n)`` and
+# ``Random.shuffle``, bound to the generator's ``getrandbits`` and
+# ``random``: CPython's rejection loop ``_randbelow_with_getrandbits`` and
+# the ``floor(random() * n)`` path of ``choices``.  They make the same
+# calls to the generator in the same order, so they draw the same values,
+# with fewer Python calls per draw (tests/test_lawsuite.py pins the stream).
 
 
 def _below(bits, n: int) -> int:
@@ -97,6 +97,13 @@ def _choice(bits, seq):
     while r >= n:
         r = bits(k)
     return seq[r]
+
+
+def _shuffle(bits, x: list) -> None:
+    """``Random.shuffle(x)``: Fisher-Yates from the end, in place."""
+    for i in reversed(range(1, len(x))):
+        j = _below(bits, i + 1)
+        x[i], x[j] = x[j], x[i]
 
 
 def _choices(rand, pool, k: int) -> list:
@@ -133,9 +140,9 @@ def rand_tree_elem(rng, pool_by_arity, sort, max_nodes=8) -> Tree:
     wide = [a for a, pool in pool_by_arity.items() if pool] or [0]
     leaf = [0]
     budget = max_nodes
-    vars_left = list(_var_tuple(sort))
-    rng.shuffle(vars_left)
     bits, random = rng.getrandbits, rng.random
+    vars_left = list(_var_tuple(sort))
+    _shuffle(bits, vars_left)
 
     def grow(allow_var: bool):
         nonlocal budget
@@ -187,7 +194,7 @@ def check_monad_laws(seed: int = 0, samples: int = 10_000) -> CheckResult:
     for monad, base in instances:
         sorts = [s for s in monad.sorts if base.get(s)] or list(monad.sorts)
         for i in range(per_instance):
-            sort = rng.choice(sorts)
+            sort = _choice(rng.getrandbits, sorts)
             t = rand_element(monad, rng, base, sort)
             outer = monad.sing(t, monad.element_sort(t))
             if monad.flat(outer) != t:

@@ -4,8 +4,13 @@ bounded membership in a generatively-described pseudo-variety.
 Division (being a quotient of a subalgebra) is decided by searching for a
 generating tuple in the ambient algebra whose product closure, paired with a
 generating tuple of the candidate, yields the graph of a surjective monotone
-morphism.  Searches are bounded and a blown bound is reported as an explicit
-"unknown", never as a verdict.
+morphism.  The closure of each candidate is read as it grows, and the
+candidate is rejected at its first conflict: an ambient element paired with
+two candidate elements.  Such a graph is not a function, and it is not
+monotone either (b <= b would need a1 <= a2 <= a1, so a1 = a2 by
+antisymmetry), so stopping there never changes a verdict.  Searches are
+bounded and a blown bound is reported as an explicit "unknown", never as a
+verdict.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from .algebra import (
     FinAlgebra,
     Morphism,
     Recognizer,
+    _closure,
+    _grow_tuples,
     eval_element,
     generated_tuples,
     is_morphism,
@@ -71,10 +78,12 @@ def generating_sets(alg: FinAlgebra, max_size: Optional[int] = None):
     n = len(elems)
     cap = n if max_size is None else min(n, max_size)
     full = set(elems)
+    sing, sort_of = alg.monad.sing, alg.carrier.sort_of
     for k in range(1, cap + 1):
         for combo in itertools.combinations(elems, k):
-            sub = subalgebra_generated(alg, combo)
-            if set(sub.algebra.carrier) == full:
+            # the elements ``subalgebra_generated`` would keep, without
+            # building the subalgebra
+            if _closure(alg, {g: sing(g, sort_of(g)) for g in combo}).keys() == full:
                 yield combo
 
 
@@ -85,8 +94,12 @@ def divides(
 
     Searches assignments of a generating tuple of A to same-sorted elements
     of B; an assignment works iff the closure of the element pairs is a
-    monotone function from B-side to A-side.  Raises SearchBoundExceeded
-    when the candidate space times the closure cost passes the budget.
+    monotone function from B-side onto A.  The closure is grown pair by pair
+    and an assignment is dropped at the first B-element that meets a second
+    A-element: that graph is no function, and the monotonicity test would
+    reject it too, since b <= b and the order of A is antisymmetric.  Raises
+    SearchBoundExceeded when the candidate space times the closure cost
+    passes the budget.
     """
     if A.kind != B.kind:
         raise ValueError("division only relates algebras of one instance")
@@ -104,20 +117,23 @@ def divides(
             f"{n_candidates} assignments over carriers of sizes "
             f"{len(B.carrier)}x{len(A.carrier)} exceed the budget {max_steps}"
         )
+    b_leq, a_leq = B.carrier.leq, A.carrier.leq
     for bs in itertools.product(*pools):
         seeds = list(zip(bs, gens))
-        pairs = generated_tuples([B, A], seeds)
-        ok = True
-        for b1, a1 in pairs:
-            if not ok:
-                break
-            for b2, a2 in pairs:
-                if B.carrier.leq(b1, b2) and not A.carrier.leq(a1, a2):
-                    ok = False
-                    break
-        if ok:
-            witness = DividesWitness(B, A, seeds, frozenset(pairs))
-            return True, witness
+        graph: dict = {}
+        for b, a in _grow_tuples([B, A], seeds):
+            if graph.setdefault(b, a) != a:
+                break  # b has two images
+        else:
+            if len(set(graph.values())) < len(A.carrier):
+                continue  # not onto A: B lacks an entry with a bare slot
+            if all(
+                a_leq(a1, a2)
+                for b1, a1 in graph.items()
+                for b2, a2 in graph.items()
+                if b_leq(b1, b2)
+            ):
+                return True, DividesWitness(B, A, seeds, frozenset(graph.items()))
     return False, None
 
 

@@ -4,11 +4,17 @@ package's integer-coded versions are tested against.
 ``incompatibility`` is the label-keyed compatibility walk and
 ``quotient_set`` the class search by pairwise equivalence, as the package
 had them before it numbered the elements of each algebra; the results must
-agree exactly, first witnesses, class names and orders included."""
+agree exactly, first witnesses, class names and orders included.
+
+``generated_tuples`` is the product closure computed round by round to the
+end, and ``divides`` the division search that closes every candidate
+assignment before it tests the graph, as the package had them before the
+search stopped a candidate at its first conflict; verdicts, seed pairs and
+graphs must agree."""
 
 import itertools
 
-from emalg.algebra import _READ, VAR, _entries
+from emalg.algebra import _READ, VAR, _entries, subalgebra_generated
 from emalg.core import SortedFunction, SortedOrderedSet
 
 
@@ -93,3 +99,73 @@ def transitive_closure(pairs):
                 outs |= new
                 changed = True
     return {(a, b) for a, outs in succ.items() for b in outs}
+
+
+def generated_tuples(algs, seeds):
+    """The closure of the seed tuples under the ops of the first component
+    without bare slots, a frontier round at a time; a tuple arises only
+    where every component has the entry."""
+    tuples = set()
+    for t in seeds:
+        if len(t) != len(algs):
+            raise ValueError("seed arity does not match the component count")
+        tuples.add(tuple(t))
+    first = algs[0]
+    shapes = {(op, 2) for op in ("mult", "dot", "mix") if getattr(first, op)}
+    if first.omega:
+        shapes.add(("omega", 1))
+    shapes.update(("comp", 1 + len(slots)) for _, slots in first.comp if VAR not in slots)
+    known: list = []
+    frontier = list(tuples)
+    while frontier:
+        known += frontier
+        columns = list(zip(*known))
+        found = set()
+        for op, n in shapes:
+            read, ts = _READ[op], [getattr(a, op) for a in algs]
+            for x in frontier:
+                for j in range(n):
+                    per_component = []
+                    for table, a, column in zip(ts, x, columns):
+                        pools = [column] * n
+                        pools[j] = (a,)
+                        args = itertools.product(*pools)
+                        per_component.append(map(read, itertools.repeat(table), args))
+                    found.update(zip(*per_component))
+        frontier = [t for t in found if None not in t and t not in tuples]
+        tuples.update(frontier)
+    return tuples
+
+
+def divides(A, B, max_steps=200_000):
+    """(verdict, seed pairs, graph) of the division search, or the message
+    of the exceeded budget: the first generating set of A by size, then
+    every assignment of it to same-sorted elements of B in
+    ``itertools.product`` order, each closed to the end with
+    ``generated_tuples`` and tested for monotonicity over all pairs."""
+    elems = sorted(A.carrier, key=repr)
+    combos = (c for k in range(1, len(elems) + 1) for c in itertools.combinations(elems, k))
+    gens = next(
+        (c for c in combos if set(subalgebra_generated(A, c).algebra.carrier) == set(elems)), ()
+    )
+    pools = [B.carrier.elements(A.carrier.sort_of(g)) for g in gens]
+    n_candidates = 1
+    for p in pools:
+        n_candidates *= max(1, len(p))
+    budget = n_candidates * max(1, len(A.carrier) * len(B.carrier))
+    if budget > max_steps:
+        return (
+            f"{n_candidates} assignments over carriers of sizes "
+            f"{len(B.carrier)}x{len(A.carrier)} exceed the budget {max_steps}"
+        )
+    for bs in itertools.product(*pools):
+        seeds = list(zip(bs, gens))
+        pairs = generated_tuples([B, A], seeds)
+        if all(
+            A.carrier.leq(a1, a2)
+            for b1, a1 in pairs
+            for b2, a2 in pairs
+            if B.carrier.leq(b1, b2)
+        ):
+            return True, seeds, frozenset(pairs)
+    return False, None, None

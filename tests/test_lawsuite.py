@@ -152,7 +152,7 @@ def test_monad_law_draws_are_pinned(monkeypatch):
 
 
 def test_sampler_draws_are_those_of_random():
-    from emalg.lawsuite import _below, _choice, _choices, _randint
+    from emalg.lawsuite import _below, _choice, _choices, _randint, _shuffle
 
     for seed in range(5):
         a, b = random.Random(seed), random.Random(seed)
@@ -162,6 +162,10 @@ def test_sampler_draws_are_those_of_random():
             assert _choices(b.random, pool, n % 7) == a.choices(pool, k=n % 7)
             assert _randint(b.getrandbits, 1, n) == a.randint(1, n)
             assert _below(b.getrandbits, n) == a.randrange(n)
+            shuffled = list(pool)
+            _shuffle(b.getrandbits, shuffled)
+            a.shuffle(pool)
+            assert shuffled == pool
         assert a.random() == b.random()
 
 
