@@ -765,7 +765,7 @@ def _restrict(alg: FinAlgebra, keep: set) -> FinAlgebra:
     )
 
 
-def _grow_tuples(algs: list[FinAlgebra], seeds: Iterable[tuple]):
+def _grow_tuples(algs: list[FinAlgebra], seeds: Iterable[tuple], places=None):
     """The tuples of the subalgebra of the product generated by the seed
     tuples, each yielded once as it is found, the seeds first; computed by
     componentwise closure without materialising the product, so a caller
@@ -773,7 +773,8 @@ def _grow_tuples(algs: list[FinAlgebra], seeds: Iterable[tuple]):
 
     Frontier-only: each round applies every op to the argument tuples that
     hold a tuple found in the round before in one position and known tuples
-    in the others.  A bare slot of the first component's entries holds VAR
+    in the others.  The ops are ``places`` (as ``_places`` lists them), by
+    default those of the first component's entries.  A bare slot holds VAR
     in every component, as in ``tuple_algebra``.  A tuple arises only where
     every component has the entry."""
     seeds = list(map(tuple, seeds))
@@ -786,7 +787,8 @@ def _grow_tuples(algs: list[FinAlgebra], seeds: Iterable[tuple]):
             tuples.add(t)
             frontier.append(t)
             yield t
-    places = _places(algs[0])
+    if places is None:
+        places = _places(algs[0])
     bare_column = (VAR,)
     known: list = []
     while frontier:

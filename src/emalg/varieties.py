@@ -23,8 +23,8 @@ from .algebra import (
     FinAlgebra,
     Morphism,
     Recognizer,
-    _closure,
     _grow_tuples,
+    _places,
     eval_element,
     generated_tuples,
     is_morphism,
@@ -72,18 +72,22 @@ class DividesWitness:
         return all(a in seconds for a in self.candidate.carrier)
 
 
-def generating_sets(alg: FinAlgebra, max_size: Optional[int] = None):
-    """Generating subsets of the carrier in increasing size, smallest first."""
+def generating_sets(
+    alg: FinAlgebra, max_size: Optional[int] = None, places: Optional[list] = None
+):
+    """Generating subsets of the carrier in increasing size, smallest first.
+
+    ``places`` (as ``algebra._places`` lists them) limits the closure to the
+    entries of those shapes; by default every entry of ``alg`` counts."""
     elems = sorted(alg.carrier, key=repr)
     n = len(elems)
     cap = n if max_size is None else min(n, max_size)
-    full = set(elems)
-    sing, sort_of = alg.monad.sing, alg.carrier.sort_of
+    if places is None:
+        places = _places(alg)
     for k in range(1, cap + 1):
         for combo in itertools.combinations(elems, k):
-            # the elements ``subalgebra_generated`` would keep, without
-            # building the subalgebra
-            if _closure(alg, {g: sing(g, sort_of(g)) for g in combo}).keys() == full:
+            grown = _grow_tuples([alg], [(g,) for g in combo], places)
+            if sum(1 for _ in grown) == n:
                 yield combo
 
 
@@ -100,13 +104,29 @@ def divides(
     reject it too, since b <= b and the order of A is antisymmetric.  Raises
     SearchBoundExceeded when the candidate space times the closure cost
     passes the budget.
+
+    The closure runs over B's entry shapes, so A's generating tuple is
+    chosen under them: preimages of the generators in a division graph then
+    close inside it, onto A, and one tuple suffices.  Where B lacks some
+    entry with a bare slot, that closure can fall short of A; if a monotone
+    function graph did, the search is run again with every element of A as
+    a generator.
     """
     if A.kind != B.kind:
         raise ValueError("division only relates algebras of one instance")
-    # one minimal generating set suffices: any surjection onto A hits a
-    # preimage of each generator, so the candidate tuples range over all of
-    # them anyway
-    gens = next(generating_sets(A), ())
+    places = _places(B)
+    gens = next(generating_sets(A, places=places), ())
+    witness, short = _first_division(A, B, gens, places, max_steps)
+    if witness is None and short:
+        everything = tuple(sorted(A.carrier, key=repr))
+        witness, _ = _first_division(A, B, everything, places, max_steps)
+    return witness is not None, witness
+
+
+def _first_division(A, B, gens, places, max_steps):
+    """The first assignment of ``gens`` to B, in ``itertools.product``
+    order, whose closure is a monotone function onto A, as a witness or
+    None; and whether some closure was a monotone function short of onto."""
     pools = [B.carrier.elements(A.carrier.sort_of(g)) for g in gens]
     n_candidates = 1
     for p in pools:
@@ -118,23 +138,24 @@ def divides(
             f"{len(B.carrier)}x{len(A.carrier)} exceed the budget {max_steps}"
         )
     b_leq, a_leq = B.carrier.leq, A.carrier.leq
+    short = False
     for bs in itertools.product(*pools):
         seeds = list(zip(bs, gens))
         graph: dict = {}
-        for b, a in _grow_tuples([B, A], seeds):
+        for b, a in _grow_tuples([B, A], seeds, places):
             if graph.setdefault(b, a) != a:
                 break  # b has two images
         else:
-            if len(set(graph.values())) < len(A.carrier):
-                continue  # not onto A: B lacks an entry with a bare slot
             if all(
                 a_leq(a1, a2)
                 for b1, a1 in graph.items()
                 for b2, a2 in graph.items()
                 if b_leq(b1, b2)
             ):
-                return True, DividesWitness(B, A, seeds, frozenset(graph.items()))
-    return False, None
+                if len(set(graph.values())) == len(A.carrier):
+                    return DividesWitness(B, A, seeds, frozenset(graph.items())), short
+                short = True
+    return None, short
 
 
 # -- canonical covers ---------------------------------------------------------------

@@ -1,13 +1,23 @@
 """The division search against the search that closes every candidate to
 the end (``tests/_reference.py``), the lazy product closure against the
-eager one, and division between tree algebras with bare-slot entries."""
+eager one and against ``_closure``, and division between tree algebras
+with bare-slot entries."""
 
 import itertools
 
-from emalg.algebra import _grow_tuples, generated_tuples, product, word_algebra
+from emalg.algebra import (
+    VAR,
+    FinAlgebra,
+    _closure,
+    _grow_tuples,
+    _places,
+    generated_tuples,
+    product,
+    word_algebra,
+)
 from emalg.core import SortedOrderedSet
 from emalg.lawsuite import small_semigroups
-from emalg.varieties import SearchBoundExceeded, divides
+from emalg.varieties import SearchBoundExceeded, divides, generating_sets
 from tests import _reference
 from tests.test_algebra import bool_tree_algebra
 from tests.test_algebra_tables import _closure_cases
@@ -72,13 +82,63 @@ def test_grow_tuples_yields_each_tuple_once_seeds_first():
 
 def test_tree_division_witnesses_verify():
     """A bare slot of the candidate is filled in the closure, and a graph
-    that misses an element of the candidate is no division."""
+    that misses an element of the candidate is no division.  The bare-slot
+    entries of ``tv`` agree with its full entries, so ``t`` and ``tv`` are
+    one algebra and each divides the other."""
     t = bool_tree_algebra(2)
     tv = bool_tree_algebra(2, with_var_slots=True)
     for A, B in itertools.product((t, tv), repeat=2):
         ok, wit = divides(A, B)
-        if ok:
-            assert wit.verify(), (A, B)
-    ok, wit = divides(tv, tv)
+        assert ok and wit.verify(), (A, B)
+        assert {a for _, a in wit.graph} == set(A.carrier)
+        assert set(wit.graph) == {(e, e) for e in A.carrier}
+        # found from A's generating tuple under B's shapes, not the carrier
+        assert len(wit.seed_pairs) == len(next(generating_sets(A, places=_places(B)))) < 6
+
+
+def test_division_into_partial_bare_slot_entries():
+    """Without the entries that make (1, False) from (2, False) and a bare
+    slot, no assignment of tv's first generating tuple reaches all of tv;
+    the search over the whole carrier still finds the division."""
+    tv = bool_tree_algebra(2, with_var_slots=True)
+    f1, f2 = (1, False), (2, False)
+    comp = {k: v for k, v in tv.comp.items() if not (k[0] == f2 and VAR in k[1] and v == f1)}
+    assert len(comp) == len(tv.comp) - 2
+    B = FinAlgebra(tv.monad, tv.carrier, comp=comp)
+    ok, wit = divides(tv, B)
     assert ok and wit.verify()
-    assert {a for _, a in wit.graph} == set(tv.carrier)
+    assert [a for _, a in wit.seed_pairs] == sorted(tv.carrier, key=repr)
+
+
+def test_generating_sets_agree_with_the_witness_closure():
+    """By default a set generates iff ``_closure``, which uses the bare-slot
+    entries on its own, reaches the whole carrier."""
+    t = bool_tree_algebra(2)
+    tv = bool_tree_algebra(2, with_var_slots=True)
+    for alg in [t, tv] + small_semigroups()[:12]:
+        elems = sorted(alg.carrier, key=repr)
+        expected = [
+            c
+            for k in range(1, 4)
+            for c in itertools.combinations(elems, k)
+            if _closure(alg, {g: alg.monad.sing(g, alg.carrier.sort_of(g)) for g in c}).keys()
+            == set(elems)
+        ]
+        assert list(generating_sets(alg, max_size=3)) == expected
+    # t has no bare-slot entry, so under its shapes tv needs a sort-1 generator
+    assert next(generating_sets(tv)) == ((0, False), (0, True), (2, False))
+    assert next(generating_sets(tv, places=_places(t))) == (
+        (0, False), (0, True), (1, False), (2, False)
+    )
+
+
+def test_bare_slots_are_filled_in_every_component():
+    """The closure of diagonal seeds in [tv, tv] is the diagonal over the
+    elements that ``_closure`` reaches from the seeds."""
+    tv = bool_tree_algebra(2, with_var_slots=True)
+    sing, sort_of = tv.monad.sing, tv.carrier.sort_of
+    for k in range(1, 4):
+        for gens in itertools.combinations(sorted(tv.carrier, key=repr), k):
+            reached = _closure(tv, {g: sing(g, sort_of(g)) for g in gens}).keys()
+            got = generated_tuples([tv, tv], [(g, g) for g in gens])
+            assert got == {(e, e) for e in reached}, gens
