@@ -5,8 +5,17 @@ two-sided definability decision.
 Rank-m equivalence is computed as equality of canonical type objects: the
 rank-0 type of a pebbled word is its atomic diagram over order, successor and
 letter predicates, and the rank-(r+1) type is the atomic diagram together
-with the set of rank-r types reachable by placing one more pebble.  Types are
-hash-consed globally so fingerprints are cheap to compare across words.
+with the set of rank-r types reachable by placing one more pebble.  A
+pebble's relation codes to the earlier pebbles depend only on the word
+length, so they are read from per-length columns, and the last round takes
+every placement at once: with the parent's diagram fixed, a child's rank-0
+type is just the new pebble's letter and codes.  Types are hash-consed
+globally so fingerprints are cheap to compare across words; an id means
+nothing beyond equality with other ids.
+
+The rank side of the definability decision checks each rank on the product
+closure of letter pairs, consumed as it grows, and stops at the first class
+found on both sides of the language.
 
 For words over a single letter the equivalence collapses to a length
 threshold.  The threshold follows from the same game analysis (gaps beyond a
@@ -24,12 +33,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Union
 
-from .algebra import FinAlgebra, Recognizer, word_algebra
+from .algebra import FinAlgebra, Recognizer, _grow_tuples, word_algebra
 from .automata import Dfa, dfa_to_recognizer
 from .core import SortedOrderedSet, upward_closure
 from .monads import SORT_WORD, Word
 from .profinite import identity_library, satisfies_all
-from .syntactic import SyntacticResult, generated_pairs, syntactic_algebra
+from .syntactic import SyntacticResult, syntactic_algebra
 
 
 @dataclass(frozen=True)
@@ -68,34 +77,44 @@ def _intern_obj(x) -> int:
     return got
 
 
+@lru_cache(maxsize=64)
+def _columns(n: int) -> tuple:
+    """``cols[p][q]``: how a pebble on q relates to an earlier pebble on p
+    (0 equal, 1 successor, 2 predecessor, 3 later, 4 earlier), for the
+    positions of a word of length n.  The codes depend on the length alone;
+    the cache is bounded because any word may be typed."""
+    cols = []
+    for p in range(n):
+        col = [4] * p + [0] + [3] * (n - p - 1)
+        if p > 0:
+            col[p - 1] = 2
+        if p + 1 < n:
+            col[p + 1] = 1
+        cols.append(tuple(col))
+    return tuple(cols)
+
+
 def _general_type(word: tuple, m: int) -> int:
-    n = len(word)
-    # code[q][p]: how a pebble on q relates to an earlier pebble on p
-    # (equal, successor, predecessor, later, earlier)
-    code = [
-        [0 if q == p else 1 if q == p + 1 else 2 if q == p - 1 else 3 if q > p else 4
-         for p in range(n)]
-        for q in range(n)
-    ]
+    cols = _columns(len(word))
 
     # the atomic diagram of the pebbles is their letters and the relation
-    # codes of each pebble to the ones before it; each child extends its
-    # parent's by one pebble.  Every pebble sequence is reached once, from
-    # its prefix, so nothing is memoised.
+    # codes of each pebble to the ones before it.  A child extends its
+    # parent's diagram by one row: the new pebble's letter and its codes to
+    # the earlier pebbles, read for every position at once by zipping the
+    # word with the pebbles' columns.  With one round left the children are
+    # rank-0 types, which the parent's diagram and that row fix, so the node
+    # is interned with its set of rows and no child is interned at all.
     def t(pebbles: tuple, letters: tuple, rels: tuple, r: int) -> int:
-        a = _intern_obj(("atom", letters, rels))
         if r == 0:
-            return a
+            return _intern_obj(("atom", letters, rels))
+        rows = zip(word, *[cols[p] for p in pebbles])
+        if r == 1:
+            return _intern_obj(("last", letters, rels, frozenset(rows)))
         succ = frozenset([
-            t(
-                pebbles + (q,),
-                letters + (word[q],),
-                rels + tuple(map(code[q].__getitem__, pebbles)),
-                r - 1,
-            )
-            for q in range(n)
+            t(pebbles + (q,), letters + row[:1], rels + row[1:], r - 1)
+            for q, row in enumerate(rows)
         ])
-        return _intern_obj(("node", a, succ))
+        return _intern_obj(("node", letters, rels, succ))
 
     return t((), (), (), m)
 
@@ -114,8 +133,11 @@ def ef_type(w, m: int) -> int:
     Words over a single letter take a threshold fast path (for every rank
     at least 1 they are never equivalent to a word containing another
     letter, so the two fingerprint families may never collide).  The
-    threshold is validated against the direct game in the test suite.
+    threshold is validated against the direct game in the test suite.  A
+    negative rank is a ValueError.
     """
+    if m < 0:
+        raise ValueError(f"rank {m} is negative")
     word = _as_letters(w)
     if m >= 1 and len(set(word)) == 1:
         t = _unary_threshold(m)
@@ -196,6 +218,8 @@ def theory_algebra(
     letters = _normalised_letters(alphabet)
     if not letters:
         raise ValueError("empty alphabet")
+    if m < 0:
+        raise ValueError(f"rank {m} is negative")
     if m > 8:
         raise TheoryBoundExceeded(f"rank {m} is past any desk-scale use")
     cap = rep_cap if rep_cap is not None else 2 ** (m + 2)
@@ -311,7 +335,9 @@ def recognizes_at_rank(lang: Union[Dfa, Recognizer, SyntacticResult], m: int) ->
     """Whether the rank-m theory map recognises the language: no two words of
     the same rank-m class may differ on membership.  Checked on the image of
     the pairing of the theory map with the syntactic morphism, i.e. on the
-    subalgebra of the product generated by the letter pairs.
+    subalgebra of the product generated by the letter pairs, consumed as the
+    closure grows: the answer is False at the first class seen both inside
+    and outside the accepting set, and True once the closure is exhausted.
 
     The theory algebra comes from ``cached_theory_algebra``, so each
     (letters, rank) is built, or fails its bound, once per process; a
@@ -319,9 +345,8 @@ def recognizes_at_rank(lang: Union[Dfa, Recognizer, SyntacticResult], m: int) ->
     syn = _as_syntactic(lang)
     theta = cached_theory_algebra(syn.letter_map, m)
     seeds = [(theta.letter_class[c], syn.letter_map[c]) for c in theta.alphabet]
-    pairs = generated_pairs(theta.algebra, syn.syn_algebra, seeds)
     member: dict = {}
-    for t, s in pairs:
+    for t, s in _grow_tuples([theta.algebra, syn.syn_algebra], seeds):
         inside = s in syn.accepting
         if member.setdefault(t, inside) != inside:
             return False
@@ -361,6 +386,8 @@ def fo_definable(
     rank) for the life of the process, so the guard is paid once per
     alphabet rather than once per language.
     """
+    if rank_bound < 0:
+        raise ValueError(f"rank bound {rank_bound} is negative")
     syn = _as_syntactic(lang)
     aperiodic, fail = satisfies_all(syn.syn_algebra, identity_library()["APERIODIC"])
     witness_rank = None

@@ -10,12 +10,21 @@ agree exactly, first witnesses, class names and orders included.
 end, and ``divides`` the division search that closes every candidate
 assignment before it tests the graph, as the package had them before the
 search stopped a candidate at its first conflict; verdicts, seed pairs and
-graphs must agree."""
+graphs must agree.
+
+``general_type`` is the rank-m type that interns one atom per pebble
+sequence, the last round included, and ``recognizes_at_rank`` the rank test
+that builds the whole product closure before it looks for a class on both
+sides of the language, as the package had them before the last round was
+read in one ``zip`` and the rank sweep stopped at its first conflict; the
+types must induce the same partition of words, and the rank tests must give
+the same verdicts and raise the same bound failures."""
 
 import itertools
 
 from emalg.algebra import _READ, VAR, _entries, subalgebra_generated
 from emalg.core import SortedFunction, SortedOrderedSet
+from emalg.logic import cached_theory_algebra
 
 
 def incompatibility(alg, rel):
@@ -169,3 +178,59 @@ def divides(A, B, max_steps=200_000):
         ):
             return True, seeds, frozenset(pairs)
     return False, None, None
+
+
+_types: dict = {}
+
+
+def _intern_type(x) -> int:
+    got = _types.get(x)
+    if got is None:
+        got = len(_types)
+        _types[x] = got
+    return got
+
+
+def general_type(word, m):
+    """Rank-m type id of a tuple of letters, interned in a table of its own:
+    the atomic diagram of every pebble sequence, each node with the set of
+    its children's types."""
+    n = len(word)
+    # code[q][p]: how a pebble on q relates to an earlier pebble on p
+    # (equal, successor, predecessor, later, earlier)
+    code = [
+        [0 if q == p else 1 if q == p + 1 else 2 if q == p - 1 else 3 if q > p else 4
+         for p in range(n)]
+        for q in range(n)
+    ]
+
+    def t(pebbles, letters, rels, r):
+        a = _intern_type(("atom", letters, rels))
+        if r == 0:
+            return a
+        succ = frozenset([
+            t(
+                pebbles + (q,),
+                letters + (word[q],),
+                rels + tuple(map(code[q].__getitem__, pebbles)),
+                r - 1,
+            )
+            for q in range(n)
+        ])
+        return _intern_type(("node", a, succ))
+
+    return t((), (), (), m)
+
+
+def recognizes_at_rank(syn, m):
+    """Whether the rank-m theory map recognises the language of the
+    syntactic result ``syn``, tested on the whole closure of the letter
+    pairs (see ``generated_tuples``)."""
+    theta = cached_theory_algebra(syn.letter_map, m)
+    seeds = [(theta.letter_class[c], syn.letter_map[c]) for c in theta.alphabet]
+    member = {}
+    for t, s in generated_tuples([theta.algebra, syn.syn_algebra], seeds):
+        inside = s in syn.accepting
+        if member.setdefault(t, inside) != inside:
+            return False
+    return True

@@ -3,6 +3,10 @@ import hashlib
 import itertools
 import json
 import contextlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -291,3 +295,75 @@ def test_a_repetition_count_is_an_input_error():
     code, out = run_cli("syn", "(a|b)*a(a|b){4}")
     assert code == EXIT_INPUT
     assert json.loads(out) == {"command": "syn", "error": "regex error at position 12: unexpected '{'"}
+
+
+def test_negative_ranks_are_input_errors():
+    code, out = run_cli("theory", "-1", "ab")
+    assert code == EXIT_INPUT
+    assert json.loads(out) == {"command": "theory", "error": "rank -1 is negative"}
+    code, out = run_cli("decide", "fo", "a*", "--rank-bound", "-1")
+    assert code == EXIT_INPUT
+    assert json.loads(out) == {"command": "decide", "error": "rank bound -1 is negative"}
+
+
+def _run_capturing(*argv):
+    """(exit code, stdout, stderr) of one call, a usage error included, with
+    the timing field masked."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    text = out.getvalue()
+    if '"timing_ms"' in text:
+        report = json.loads(text)
+        report["timing_ms"] = report["timing_ms"] is not None
+        text = json.dumps(report)
+    return code, text, err.getvalue()
+
+
+SHARED_PARSER_CALLS = [
+    ("syn", "(aa)+"),
+    ("synn", "(aa)+"),
+    ("--timing", "syn", "(aa)+"),
+    ("decide", "fo", "(a"),
+    ("theory", "1", "ab"),
+    ("theory", "one", "ab"),
+    ("syn", "(aa)+"),
+]
+
+
+@pytest.fixture
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_one_parser_serves_every_call_as_fresh_ones_do(fresh_parser, monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    shared = [_run_capturing(*argv) for argv in SHARED_PARSER_CALLS]
+    assert len(builds) == 1
+    monkeypatch.setattr(cli, "_parser", build)
+    fresh = [_run_capturing(*argv) for argv in SHARED_PARSER_CALLS]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 2, 0, 2, 0]
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout(tmp_path):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "emalg", "theory", "1", "ab"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"]["classes"] == 3
