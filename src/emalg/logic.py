@@ -6,12 +6,12 @@ Rank-m equivalence is computed as equality of canonical type objects: the
 rank-0 type of a pebbled word is its atomic diagram over order, successor and
 letter predicates, and the rank-(r+1) type is the atomic diagram together
 with the set of rank-r types reachable by placing one more pebble.  A
-pebble's relation codes to the earlier pebbles depend only on the word
-length, so they are read from per-length columns, and the last round takes
-every placement at once: with the parent's diagram fixed, a child's rank-0
-type is just the new pebble's letter and codes.  Types are hash-consed
-globally so fingerprints are cheap to compare across words; an id means
-nothing beyond equality with other ids.
+position's relation code to a pebble depends only on the distance between
+them, so every pebble's column of codes is a slice of one code row per word
+length, and the last round takes every placement at once: with the parent's
+diagram fixed, a child's rank-0 type is just the new pebble's letter and
+codes.  Types are hash-consed globally so fingerprints are cheap to compare
+across words; an id means nothing beyond equality with other ids.
 
 The rank side of the definability decision checks each rank on the product
 closure of letter pairs, consumed as it grows, and stops at the first class
@@ -78,24 +78,18 @@ def _intern_obj(x) -> int:
 
 
 @lru_cache(maxsize=64)
-def _columns(n: int) -> tuple:
-    """``cols[p][q]``: how a pebble on q relates to an earlier pebble on p
-    (0 equal, 1 successor, 2 predecessor, 3 later, 4 earlier), for the
-    positions of a word of length n.  The codes depend on the length alone;
-    the cache is bounded because any word may be typed."""
-    cols = []
-    for p in range(n):
-        col = [4] * p + [0] + [3] * (n - p - 1)
-        if p > 0:
-            col[p - 1] = 2
-        if p + 1 < n:
-            col[p + 1] = 1
-        cols.append(tuple(col))
-    return tuple(cols)
+def _codes(n: int) -> tuple:
+    """How position q of a word of length n relates to an earlier pebble on
+    p (0 equal, 1 successor, 2 predecessor, 3 later, 4 earlier), at index
+    q - p + n.  The code depends on q - p alone, so the column of a pebble
+    on p is the slice [n - p, 2n - p).  Cached per length, at O(n) each,
+    because any word may be typed."""
+    return (4,) * (n - 1) + (2, 0, 1) + (3,) * (n - 1)
 
 
 def _general_type(word: tuple, m: int) -> int:
-    cols = _columns(len(word))
+    n = len(word)
+    codes = _codes(n)
 
     # the atomic diagram of the pebbles is their letters and the relation
     # codes of each pebble to the ones before it.  A child extends its
@@ -107,7 +101,7 @@ def _general_type(word: tuple, m: int) -> int:
     def t(pebbles: tuple, letters: tuple, rels: tuple, r: int) -> int:
         if r == 0:
             return _intern_obj(("atom", letters, rels))
-        rows = zip(word, *[cols[p] for p in pebbles])
+        rows = zip(word, *[codes[n - p : 2 * n - p] for p in pebbles])
         if r == 1:
             return _intern_obj(("last", letters, rels, frozenset(rows)))
         succ = frozenset([
