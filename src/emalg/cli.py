@@ -56,6 +56,13 @@ def _load_language(arg: str, args=None) -> Dfa:
     return parse_regex(arg, tuple(alphabet) if alphabet else None)
 
 
+def _warn_if_epsilon(evidence: dict, dfa: Dfa) -> None:
+    """Say in the evidence that the empty word was dropped, if the regex
+    matched it: every language here is taken over nonempty words."""
+    if dfa.matches_epsilon:
+        evidence["warning"] = "regex matched the empty word; language taken over nonempty words"
+
+
 def _element_names(alg: FinAlgebra) -> dict:
     return {e: f"e{i}" for i, e in enumerate(alg.carrier)}
 
@@ -93,8 +100,7 @@ def _cmd_syn(args) -> int:
     dfa = _load_language(args.language, args)
     syn = syntactic_algebra(dfa_to_recognizer(dfa))
     evidence = _dump_syntactic(syn)
-    if dfa.matches_epsilon:
-        evidence["warning"] = "regex matched the empty word; language taken over nonempty words"
+    _warn_if_epsilon(evidence, dfa)
     _emit("syn", {"size": syn.size()}, evidence, args)
     return EXIT_OK
 
@@ -116,6 +122,7 @@ def _cmd_decide(args) -> int:
         "blocked_at_rank": v.blocked_at_rank,
         "syntactic_size": v.syn_size,
     }
+    _warn_if_epsilon(evidence, dfa)
     _emit("decide fo", {"definable": v.definable}, evidence, args)
     return EXIT_OK if v.definable else EXIT_NEGATIVE
 
@@ -171,6 +178,7 @@ def _cmd_decompose(args) -> int:
         ],
         "verified_up_to_length_6": agree,
     }
+    _warn_if_epsilon(evidence, dfa)
     _emit("decompose", {"clauses": len(dec.clauses), "verified": agree}, evidence, args)
     return EXIT_OK if agree else EXIT_NEGATIVE
 

@@ -19,16 +19,18 @@ computed: a backward breadth-first search over pairs from the pairs that P
 itself separates, so each separated pair also records the length of its
 shortest separating context.  ``syntactic_preorder`` searches over the
 steps that multiply by generators, which suffice in a generated algebra,
-and ``syntactic_algebra`` certifies the result; ``decompose_as_derivatives``
-searches over every element step and rebuilds the contexts from the
-layers.
+and ``syntactic_algebra`` certifies the result.  ``decompose_as_derivatives``
+searches over the steps that multiply by a letter's image on either side
+(the letter images generate the image algebra) and walks each pair down
+the layers, so its contexts are the shortest over the alphabet.
 
-Saturation (``saturate_all``) is kept as the definition the refinement is
-tested against: the finite set of context *functions*, the closure of the
-identities under post-composition with one-step functions, keeping for each
-function the first (shortest) context that produced it.  Determinism
-matters: the fixed BFS orders make witnesses reproducible, and the context
-rebuilt from the pair layers is the one saturation would list first.
+Saturation (``saturate_all``) is kept only as the definition the refinement
+is tested against: the finite set of context *functions*, the closure of
+the identities under post-composition with one-step functions, keeping for
+each function the first (shortest) context that produced it.  Determinism
+matters: the fixed BFS orders make witnesses reproducible, and over every
+element step the context walked down the pair layers is the one saturation
+would list first.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ from .monads import (
     OMEGA_UP,
     SORT_FIN,
     SORT_INF,
-    SORT_WORD,
     WORD,
     FreeElement,
     MixedWord,
@@ -189,12 +190,6 @@ def context_apply(alg: FinAlgebra, ctx: Context, a: Elem) -> Elem:
     return eval_element(alg, lambda x: a if x is HOLE else x, ctx.term)
 
 
-def _plug(monad: Monad, ctx: Context, hole: FreeElement, label) -> FreeElement:
-    """``flat`` of the context's term with the hole labelled by the free
-    element ``hole`` and every other label a by ``label(a, sort)``."""
-    return monad.flat(monad.map(lambda a, s: hole if a is HOLE else label(a, s), ctx.term))
-
-
 def context_compose(outer: Context, inner: Context) -> Context:
     """The context outer[inner]: apply inner first, then outer.  Its term
     is inner's term plugged into outer, every other label standing for its
@@ -202,7 +197,8 @@ def context_compose(outer: Context, inner: Context) -> Context:
     if type(outer) is not type(inner):
         raise TypeError(f"cannot compose {outer!r} with {inner!r}")
     monad = outer.monad
-    return _as_context(type(outer), _plug(monad, outer, inner.term, monad.sing))
+    term = monad.map(lambda a, s: inner.term if a is HOLE else monad.sing(a, s), outer.term)
+    return _as_context(type(outer), monad.flat(term))
 
 
 def identity_context(monad: Monad, sort: Sort) -> Context:
@@ -321,11 +317,6 @@ def saturate_contexts(alg: FinAlgebra, source: Sort, target: Sort) -> list[Conte
 # -- syntactic preorder and algebra ------------------------------------------------
 
 
-_refinement_cache: "weakref.WeakKeyDictionary[FinAlgebra, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def _pair_depths(alg: FinAlgebra, P: frozenset, sort: Sort, steps) -> tuple[list, list]:
     """The elements of the algebra, and for each pair (a, b) of them, at
     index i * n + j for their indices i and j, the length of the shortest
@@ -380,24 +371,6 @@ def _pair_depths(alg: FinAlgebra, P: frozenset, sort: Sort, steps) -> tuple[list
                                 found.append(a + b)
         frontier = found
     return elems, depths
-
-
-def _separation_layers(alg: FinAlgebra, P: frozenset, sort: Sort):
-    """The one-step functions of the algebra, and for every same-sort pair
-    (a, b) that some context separates the length of the shortest
-    separating context (``_pair_depths`` over every element step), kept per
-    algebra so that ``decompose_as_derivatives`` rebuilds its contexts from
-    one search."""
-    memo = _refinement_cache.setdefault(alg, {})
-    key = (P, sort)
-    if key in memo:
-        return memo[key]
-    steps = _one_step_functions(alg)
-    elems, depths = _pair_depths(alg, P, sort, steps)
-    n = len(elems)
-    layer = {(elems[p // n], elems[p % n]): d for p, d in enumerate(depths) if d >= 0}
-    memo[key] = steps, layer
-    return steps, layer
 
 
 def _generators(alg: FinAlgebra) -> Optional[tuple]:
@@ -483,19 +456,24 @@ def syntactic_preorder(alg: FinAlgebra, accepting: Iterable[Elem], sort: Sort) -
 
 
 def _separating_context(alg: FinAlgebra, steps, layer: dict, a: Elem, b: Elem) -> Context:
-    """The first function in ``saturate_all``'s order that separates (a, b),
-    as a context: from the pair's layer down to layer 0, the first step in
-    ``_one_step_functions`` order whose image pair lies one layer closer.
+    """A shortest composite of ``steps`` that separates (a, b), as a
+    context, where ``layer`` maps each separated pair to its depth as
+    ``_pair_depths`` finds it over the same steps: from the pair's layer
+    down to layer 0, the first step in ``_one_step_functions`` order whose
+    image pair lies one layer closer.
+    So among the shortest separating step sequences it is the least in the
+    lexicographic order of steps, first step most significant.
 
-    Saturation finds functions by length, and within a length in the
-    lexicographic order of their step sequences, first step most
-    significant.  It drops a sequence whose function an earlier sequence
-    gave, and then every extension of it gives a function that the same
-    extension of the earlier sequence gave before.  So the first
-    separating function it lists is the one of the least shortest
-    separating sequence, and that is the path walked here: a first step
-    whose image pair lies one layer closer starts a shortest separating
-    sequence, and no earlier step does."""
+    ``decompose_as_derivatives`` walks the steps that multiply by a
+    letter's image on one side, so its contexts are shortest over the
+    alphabet.  Over every element step, the walk gives the first function
+    in ``saturate_all``'s order that separates the pair, as the tests
+    check: saturation finds functions by length, and within a length in
+    the same lexicographic order.  It drops a sequence whose function an
+    earlier sequence gave, and then every extension of it gives a function
+    that the same extension of the earlier sequence gave before, so the
+    first separating function it lists is the one of the least shortest
+    separating sequence."""
     sort = alg.carrier.sort_of(a)
     ctx = identity_context(alg.monad, sort)
     depth = layer[(a, b)]
@@ -664,7 +642,12 @@ class DerivativeDecomposition:
 
 def decompose_as_derivatives(syn: SyntacticResult, target: Iterable[Elem]) -> DerivativeDecomposition:
     """Express the language with syntactic image ``target`` as a finite
-    union of intersections of context derivatives of the base language."""
+    union of intersections of context derivatives of the base language.
+
+    The clause of a class a in ``target`` lists, for each class b outside
+    it, a shortest context over the alphabet that sends a into the base
+    language and b out of it (``_separating_context`` over the letter
+    steps), each context once."""
     if syn.recognizer.algebra.kind != "word":
         raise NotImplementedError(
             "alphabet-level derivative decompositions are implemented for "
@@ -686,19 +669,19 @@ def decompose_as_derivatives(syn: SyntacticResult, target: Iterable[Elem]) -> De
     for x in B.carrier:
         reps.setdefault(qm(x), x)
     P = frozenset(p for p in syn.recognizer.accepting if p in B.carrier)
-    steps, layer = _separation_layers(B, P, syn.accepting_sort)
-
+    # B is generated by the letter images, so their steps separate every
+    # pair that some context separates (see ``syntactic_preorder``); each
+    # image is read back as its first letter
     letter_of = {}
     for c in syn.recognizer.alphabet:
         letter_of.setdefault(syn.recognizer.assignment[c], c)
-    # each image element spelt over the alphabet: its witness, every
-    # generator read as its first letter
-    monad = syn.recognizer.algebra.monad
-    spelling = {x: monad.map(letter_of, w) for x, w in syn.image.witnesses.items()}
-    hole = monad.sing(HOLE, SORT_WORD)
+    steps = _one_step_functions(B, tuple(letter_of))
+    elems, depths = _pair_depths(B, P, syn.accepting_sort, steps)
+    n = len(elems)
+    layer = {(elems[p // n], elems[p % n]): d for p, d in enumerate(depths) if d >= 0}
 
-    def to_alphabet(ctx) -> Context:
-        return _as_context(WordContext, _plug(monad, ctx, hole, lambda x, s: spelling[x]))
+    def over_letters(ctx: WordContext) -> WordContext:
+        return WordContext(*(tuple(letter_of[g] for g in side) for side in (ctx.left, ctx.right)))
 
     clauses = []
     for a in sorted(Q, key=repr):
@@ -707,7 +690,7 @@ def decompose_as_derivatives(syn: SyntacticResult, target: Iterable[Elem]) -> De
         for b in sorted(complement, key=repr):
             if (reps[a], reps[b]) not in layer:
                 raise NotCongruence((a, b), "no separating context; quotient broken")
-            ctx = to_alphabet(_separating_context(B, steps, layer, reps[a], reps[b]))
+            ctx = over_letters(_separating_context(B, steps, layer, reps[a], reps[b]))
             key = context_to_str(ctx, repr)
             if key not in seen:
                 seen.add(key)

@@ -18,13 +18,19 @@ that builds the whole product closure before it looks for a class on both
 sides of the language, as the package had them before the last round was
 read in one ``zip`` and the rank sweep stopped at its first conflict; the
 types must induce the same partition of words, and the rank tests must give
-the same verdicts and raise the same bound failures."""
+the same verdicts and raise the same bound failures.
+
+``separation_layers`` is the pair search over every element step that
+``decompose_as_derivatives`` ran before it searched over letter steps; it
+keeps the element-step preorder and the saturation-order contexts under
+test."""
 
 import itertools
 
 from emalg.algebra import _READ, VAR, _entries, subalgebra_generated
 from emalg.core import SortedFunction, SortedOrderedSet
 from emalg.logic import cached_theory_algebra
+from emalg.syntactic import _one_step_functions, _pair_depths
 
 
 def incompatibility(alg, rel):
@@ -234,3 +240,13 @@ def recognizes_at_rank(syn, m):
         if member.setdefault(t, inside) != inside:
             return False
     return True
+
+
+def separation_layers(alg, P, sort):
+    """The one-step functions of the algebra, and for every same-sort pair
+    (a, b) that some context separates the length of the shortest
+    separating context (``_pair_depths`` over every element step)."""
+    steps = _one_step_functions(alg)
+    elems, depths = _pair_depths(alg, P, sort, steps)
+    n = len(elems)
+    return steps, {(elems[p // n], elems[p % n]): d for p, d in enumerate(depths) if d >= 0}

@@ -145,6 +145,20 @@ def test_decompose_command():
     assert report["evidence"]["verified_up_to_length_6"] is True
 
 
+EPSILON_WARNING = "regex matched the empty word; language taken over nonempty words"
+
+
+@pytest.mark.parametrize(
+    "command", [["syn"], ["decide", "fo"], ["decompose"]], ids=["syn", "decide", "decompose"]
+)
+def test_a_regex_matching_the_empty_word_is_warned_about(command):
+    code, out = run_cli(*command, "a*")
+    assert code == EXIT_OK
+    assert json.loads(out)["evidence"]["warning"] == EPSILON_WARNING
+    _, out = run_cli(*command, "a+")
+    assert "warning" not in json.loads(out)["evidence"]
+
+
 def test_cover_command(tmp_path):
     z2 = tmp_path / "z2.alg"
     z2.write_text(

@@ -33,11 +33,11 @@ from emalg.monads import SORT_FIN, SORT_INF, SORT_WORD, Word
 from emalg.syntactic import (
     _generators,
     _one_step_functions,
-    _separation_layers,
     decompose_as_derivatives,
     syntactic_algebra,
     syntactic_preorder,
 )
+from tests._reference import separation_layers
 from tests.test_syntactic import _refinement_cases
 
 
@@ -81,7 +81,7 @@ def count_cap_omega(cap: int) -> FinAlgebra:
 def element_step_preorder(alg, P, sort) -> frozenset:
     """The syntactic preorder over every element step: the same-sort pairs
     that the element-step layers never reach."""
-    _, layer = _separation_layers(alg, frozenset(P), sort)
+    _, layer = separation_layers(alg, frozenset(P), sort)
     pairs = [
         (a, b)
         for zeta in alg.carrier.sorts
@@ -156,14 +156,6 @@ def test_every_upset_of_the_count_cap_omega_algebras_gives_the_same_preorder():
                 assert got == element_step_preorder(alg, P, sort), (cap, sorted(P), sort)
                 cases += 1
     assert cases == 84
-
-
-def test_decompose_layers_are_the_element_step_layers():
-    # the generator steps and the element steps never share a cache entry
-    _, B, P = image(family("b", 2))
-    syntactic_preorder(B, P, SORT_WORD)
-    steps, _ = _separation_layers(B, P, SORT_WORD)
-    assert len(steps) == 2 * len(B.carrier)
 
 
 # -- Pin's ordered syntactic monoid as an oracle -------------------------------------

@@ -30,7 +30,6 @@ from emalg.syntactic import (
     TreeContext,
     WordContext,
     _separating_context,
-    _separation_layers,
     context_apply,
     context_compose,
     context_to_str,
@@ -41,6 +40,7 @@ from emalg.syntactic import (
     syntactic_algebra,
     syntactic_preorder,
 )
+from tests._reference import separation_layers
 
 
 def zmod(n):
@@ -615,7 +615,7 @@ def test_separating_contexts_are_the_first_separating_functions():
     # function in saturation order that separates the pair
     separated = 0
     for alg, P, sort in _refinement_cases():
-        steps, layer = _separation_layers(alg, frozenset(P), sort)
+        steps, layer = separation_layers(alg, frozenset(P), sort)
         grouped = saturate_all(alg)
         for zeta in alg.carrier.sorts:
             fns = grouped.get((zeta, sort), ())
@@ -631,40 +631,62 @@ def test_separating_contexts_are_the_first_separating_functions():
     assert separated > 500
 
 
-def _on_alphabet(syn, ctx: WordContext) -> WordContext:
-    """A context over the image algebra, spelt over the alphabet through
-    the image witnesses, as decompose_as_derivatives spells it."""
-    letter_of = {}
-    for c in syn.recognizer.alphabet:
-        letter_of.setdefault(syn.recognizer.assignment[c], c)
-
-    def spell(labels):
-        return tuple(letter_of[g] for x in labels for g in syn.image.witnesses[x].labels)
-
-    return WordContext(spell(ctx.left), spell(ctx.right))
-
-
 @pytest.mark.parametrize(
     "language",
     ["(a|b)*a(a|b)(a|b)", "(a|b)*b(a|b)", "(a|b)*aa(a|b)*", "(ab)+", "(aa)+", "(a|b|c)*abc(a|b|c)*"],
 )
-def test_decompose_contexts_are_the_first_separating_functions(language):
+def test_decompose_contexts_are_shortest_over_letters(language):
+    # for every upward-closed target, each clause class a and each class b
+    # outside the target, some listed context sends a into the language and
+    # b out of it, and no pair of words u, v of up to 8 letters does so with
+    # fewer letters than the shortest such context
     syn = syntactic_algebra(dfa_to_recognizer(parse_regex(language)))
-    B, Syn = syn.image.algebra, syn.syn_algebra
-    reps = {}
-    for x in B.carrier:
-        reps.setdefault(syn.syn_morphism(x), x)
-    P = frozenset(p for p in syn.recognizer.accepting if p in B.carrier)
-    fns = saturate_contexts(B, SORT_WORD, syn.accepting_sort)
-    targets = {syn.accepting} | {upward_closure(Syn.carrier, {x}) for x in Syn.carrier}
-    for target in sorted(targets, key=lambda t: sorted(map(repr, t))):
+    Syn, K = syn.syn_algebra, syn.accepting
+
+    def times(*xs):
+        # the product in the syntactic algebra, None standing for the empty word
+        out = None
+        for x in xs:
+            if x is not None:
+                out = x if out is None else Syn.mult[(out, x)]
+        return out
+
+    def value(word):
+        return times(*(syn.letter_map[c] for c in word))
+
+    # the shortest length of a word of each value, the empty word included
+    shortest = {None: 0}
+    for w in words_up_to(syn.recognizer.alphabet, 8):
+        shortest.setdefault(value(w), len(w))
+    least = {}
+    for a, b in itertools.product(Syn.carrier, repeat=2):
+        lengths = [
+            shortest[u] + shortest[v]
+            for u, v in itertools.product(shortest, repeat=2)
+            if times(u, a, v) in K and times(u, b, v) not in K
+        ]
+        if lengths:
+            least[(a, b)] = min(lengths)
+
+    targets = {frozenset()}
+    grown = targets
+    while grown:
+        grown = {upward_closure(Syn.carrier, T | {x}) for T in grown for x in Syn.carrier} - targets
+        targets |= grown
+    checked = 0
+    for target in targets:
         dec = decompose_as_derivatives(syn, target)
-        complement = sorted((x for x in Syn.carrier if x not in target), key=repr)
+        assert sorted(a for a, _ in dec.clauses) == sorted(target)
         for a, ctxs in dec.clauses:
-            expected = []
-            for b in complement:
-                first = next(f for f in fns if f.table[reps[a]] in P and f.table[reps[b]] not in P)
-                text = context_to_str(_on_alphabet(syn, first.witness), repr)
-                if text not in expected:
-                    expected.append(text)
-            assert [context_to_str(c, repr) for c in ctxs] == expected
+            for b in Syn.carrier:
+                if b in target:
+                    continue
+                separating = [
+                    len(c.left) + len(c.right)
+                    for c in ctxs
+                    if times(value(c.left), a, value(c.right)) in K
+                    and times(value(c.left), b, value(c.right)) not in K
+                ]
+                assert separating and min(separating) == least[(a, b)], (target, a, b)
+                checked += 1
+    assert checked > 0
