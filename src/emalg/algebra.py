@@ -208,7 +208,7 @@ class FinAlgebra:
 #   ("comp", (head, slot_1, ..., slot_n)), VAR standing for a bare slot
 #
 # Validation, the terminal algebra, morphism tests, restriction, quotients,
-# products, the compatibility check and the word and omega closure are
+# products, the compatibility check and the closure with witnesses are
 # written once over this view and the signature; so are the sequence fold
 # that evaluation, contexts and the ``profinite`` terms share, and the
 # syntactic one-step context functions.  The per-op dicts stay the storage
@@ -434,25 +434,17 @@ def word_algebra(carrier: SortedOrderedSet, mult: dict) -> FinAlgebra:
     return FinAlgebra(WordMonad(), carrier, mult=mult)
 
 
-def wilke_algebra(
-    carrier: SortedOrderedSet,
-    dot: dict,
-    mix: dict,
-    omega: dict,
-    *,
-    check_coherence: bool = True,
-) -> FinAlgebra:
+def wilke_algebra(carrier: SortedOrderedSet, dot: dict, mix: dict, omega: dict) -> FinAlgebra:
     """A two-sorted algebra from Wilke data.
 
-    Coherence axioms checked (and violations rejected) by default:
-    associativity of dot, mix as an action, omega(s^k) = omega(s), and
+    Coherence axioms checked (and violations rejected): associativity of
+    dot, mix as an action, omega(s^k) = omega(s), and
     mix(s, omega(dot(t,s))) = omega(dot(s,t)).
     """
     alg = FinAlgebra(OmegaMonad(), carrier, dot=dot, mix=mix, omega=omega)
-    if check_coherence:
-        bad = wilke_coherence_violations(alg)
-        if bad:
-            raise ValueError(f"Wilke coherence violated: {bad[0]}")
+    bad = wilke_coherence_violations(alg)
+    if bad:
+        raise ValueError(f"Wilke coherence violated: {bad[0]}")
     return alg
 
 
@@ -676,65 +668,35 @@ class GeneratedSubalgebra:
 
 
 def _closure(alg: FinAlgebra, start: dict) -> dict:
-    """Close a set of (element -> witness free element) under all shallow
-    products, recording a witness for every new element.
+    """Close a set of (element -> witness free element) under the table
+    entries, recording a witness for every new element: the least fixpoint,
+    the same for every instance.
 
-    A new element's witness is ``flat`` of the op's shallow term over the
-    witnesses of its arguments.
-
-    Words and omega-words: rounds over the signature.  A round applies each
-    op to the argument tuples that hold an element found in the round
-    before at one position and elements known at the start of the round at
-    the others, the others outermost and the found element's position
-    innermost (a.b, then b.a).
-
-    Trees: the comp entries in table order until none adds an element, so
-    that the entries with bare slots, which no argument tuple of elements
-    reaches, are used too; a bare slot stays a bare variable."""
+    Sweeps the entries in table order (``_entries``) until a sweep adds
+    nothing.  An entry whose arguments all have witnesses gives its value,
+    if that has none yet, ``flat`` of the op's shallow term over them.  A
+    bare tree slot needs no witness and stays a bare variable of sort 1, so
+    the entries with bare slots, which no argument tuple of elements
+    reaches, are used too."""
     wit = dict(start)
     monad, sort_of = alg.monad, alg.carrier.sort_of
-    if alg.kind == "tree":
-        changed = True
-        while changed:
-            changed = False
-            for (a, slots), r in alg.comp.items():
-                args = (a, *slots)
-                if r in wit or any(x is not VAR and x not in wit for x in args):
-                    continue
-                labels = tuple([VAR if x is VAR else wit[x] for x in args])
-                sorts = tuple([1 if x is VAR else sort_of(x) for x in args])
-                wit[r] = monad.flat(_comp_term(labels, sorts))
-                changed = True
-        return wit
-    # for each sort, the (op, sorts of the other arguments, positions) where
-    # an element of that sort can stand, in signature order
-    places: dict = {s: {} for s in monad.sorts}
-    for op, sorts, _ in monad.signature:
-        for i, s in enumerate(sorts):
-            places[s].setdefault((op, sorts[:i] + sorts[i + 1 :]), []).append(i)
-    frontier = list(start)
-    while frontier:
-        known = {s: [e for e in wit if sort_of(e) == s] for s in places}
-        new: list = []
-        for a in frontier:
-            for (op, rest), positions in places[sort_of(a)].items():
-                read, table, term = _READ[op], getattr(alg, op), _TERM[op]
-                for others in itertools.product(*map(known.__getitem__, rest)):
-                    for i in positions:
-                        args = others[:i] + (a,) + others[i:]
-                        c = read(table, args)
-                        if c is not None and c not in wit:
-                            labels = tuple([wit[x] for x in args])
-                            wit[c] = monad.flat(term(labels, tuple(map(sort_of, args))))
-                            new.append(c)
-        frontier = new
+    changed = True
+    while changed:
+        changed = False
+        for op, args, r in _entries(alg):
+            if r in wit or any(x is not VAR and x not in wit for x in args):
+                continue
+            labels = tuple([VAR if x is VAR else wit[x] for x in args])
+            sorts = tuple([1 if x is VAR else sort_of(x) for x in args])
+            wit[r] = monad.flat(_TERM[op](labels, sorts))
+            changed = True
     return wit
 
 
 def subalgebra_generated(alg: FinAlgebra, gens: Iterable[Elem]) -> GeneratedSubalgebra:
     """Least product-closed subset containing ``gens``, with the inherited
-    order and restricted tables; witnesses are free elements over the
-    generators themselves (used to reconstruct contexts over an alphabet)."""
+    order and restricted tables; each element's witness is a free element
+    over the generators themselves that evaluates to it (see ``_closure``)."""
     monad = alg.monad
     start = {}
     for g in gens:

@@ -144,7 +144,18 @@ def load_algebra(path: str) -> FinAlgebra:
 #   accept 2
 #   trans <state> <letter> <state>
 #
-# Totality over states x alphabet is validated.
+# States are integers in 0..states-1.  Totality over states x alphabet is
+# validated.
+
+#: Each DFA directive's least and greatest argument count (None: no most),
+#: and its usage.
+_DFA_ARGS = {
+    "alphabet": (1, None, "alphabet takes one or more letters"),
+    "states": (1, 1, "states takes one count"),
+    "start": (1, 1, "start takes one state"),
+    "accept": (0, None, "accept takes states"),
+    "trans": (3, 3, "trans takes: state letter state"),
+}
 
 
 def dfa_to_text(dfa) -> str:
@@ -158,6 +169,13 @@ def dfa_to_text(dfa) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_int(tok: str, what: str, line_no: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(line_no, f"bad {what} {tok!r}") from None
+
+
 def parse_dfa_file(text: str):
     from .automata import Dfa
 
@@ -166,24 +184,38 @@ def parse_dfa_file(text: str):
     start = None
     accept: set[int] = set()
     trans: dict = {}
+    named: list[tuple[int, int]] = []  # (line, state), checked against the count
+
+    def states(toks: list[str], line_no: int) -> list[int]:
+        qs = [_parse_int(t, "state", line_no) for t in toks]
+        named.extend((line_no, q) for q in qs)
+        return qs
+
     for line_no, toks in _lines(text):
         head, args = toks[0], toks[1:]
+        if head not in _DFA_ARGS:
+            raise ParseError(line_no, f"unknown directive {head!r}")
+        least, most, usage = _DFA_ARGS[head]
+        if len(args) < least or (most is not None and len(args) > most):
+            raise ParseError(line_no, usage)
         if head == "alphabet":
             alphabet = list(args)
         elif head == "states":
-            n_states = int(args[0])
+            n_states = _parse_int(args[0], "state count", line_no)
+            if n_states < 1:
+                raise ParseError(line_no, "states must be at least 1")
         elif head == "start":
-            start = int(args[0])
+            (start,) = states(args, line_no)
         elif head == "accept":
-            accept = {int(a) for a in args}
-        elif head == "trans":
-            if len(args) != 3:
-                raise ParseError(line_no, "trans takes: state letter state")
-            trans[(int(args[0]), args[1])] = int(args[2])
+            accept = set(states(args, line_no))
         else:
-            raise ParseError(line_no, f"unknown directive {head!r}")
+            q, r = states([args[0], args[2]], line_no)
+            trans[(q, args[1])] = r
     if n_states is None or start is None or not alphabet:
         raise ParseError(0, "alphabet, states and start are required")
+    for line_no, q in named:
+        if not 0 <= q < n_states:
+            raise ParseError(line_no, f"state {q} is outside 0..{n_states - 1}")
     for q in range(n_states):
         for c in alphabet:
             if (q, c) not in trans:

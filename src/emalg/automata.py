@@ -1,7 +1,7 @@
 """Regexes, DFAs and transition semigroups.
 
 The pipeline is the classical one: Thompson construction, epsilon-closure
-subset construction, Hopcroft minimisation.  Languages live over nonempty
+subset construction, Moore minimisation.  Languages live over nonempty
 words; a regex that also matches the empty word is silently intersected with
 the nonempty fragment (callers can inspect ``matches_epsilon``).  After
 minimisation, a start state whose outgoing row duplicates another state's is
@@ -231,48 +231,29 @@ def _subset_construction(b: _Builder, frag: _Frag, alphabet: tuple) -> Dfa:
     return Dfa(alphabet, len(order), 0, accepting, trans, matches_epsilon=eps)
 
 
-def _hopcroft(dfa: Dfa) -> Dfa:
+def _moore(dfa: Dfa) -> Dfa:
+    """The minimal automaton, by Moore's refinement: from {accepting,
+    rejecting}, split each block by the blocks of its states' successors
+    until the block count stops growing."""
     states = range(dfa.n_states)
-    acc = set(dfa.accepting)
-    rej = set(states) - acc
-    partition = [s for s in (acc, rej) if s]
-    work = [s for s in (acc, rej) if s]
-    preimage: dict[tuple, set] = {}
-    for (q, c), r in dfa.trans.items():
-        preimage.setdefault((r, c), set()).add(q)
-    while work:
-        A = work.pop()
-        for c in dfa.alphabet:
-            X = set()
-            for r in A:
-                X |= preimage.get((r, c), set())
-            new_partition = []
-            for Y in partition:
-                inter, diff = Y & X, Y - X
-                if inter and diff:
-                    new_partition.extend([inter, diff])
-                    if Y in work:
-                        work.remove(Y)
-                        work.extend([inter, diff])
-                    else:
-                        work.append(min(inter, diff, key=len))
-                else:
-                    new_partition.append(Y)
-            partition = new_partition
-    block_of = {}
-    for i, block in enumerate(partition):
-        for q in block:
-            block_of[q] = i
+    block = [q in dfa.accepting for q in states]
+    count = 0
+    while True:
+        keys = [
+            (block[q], *(block[dfa.trans[(q, c)]] for c in dfa.alphabet)) for q in states
+        ]
+        index: dict = {}
+        block = [index.setdefault(k, len(index)) for k in keys]
+        if len(index) == count:
+            break
+        count = len(index)
     return _renumber(
         Dfa(
             dfa.alphabet,
-            len(partition),
-            block_of[dfa.start],
-            frozenset(block_of[q] for q in dfa.accepting),
-            {
-                (block_of[q], c): block_of[r]
-                for (q, c), r in dfa.trans.items()
-            },
+            count,
+            block[dfa.start],
+            frozenset(block[q] for q in dfa.accepting),
+            {(block[q], c): block[r] for (q, c), r in dfa.trans.items()},
             matches_epsilon=dfa.matches_epsilon,
         )
     )
@@ -342,7 +323,7 @@ def parse_regex(text: str, alphabet: Iterable | None = None) -> Dfa:
         raise RegexSyntaxError(0, "regex has no letters and no alphabet was given")
     b = _Builder()
     frag = _thompson(ast, b)
-    return _merge_start(_hopcroft(_subset_construction(b, frag, alphabet)))
+    return _merge_start(_moore(_subset_construction(b, frag, alphabet)))
 
 
 # -- transition semigroups ----------------------------------------------------------

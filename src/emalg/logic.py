@@ -192,15 +192,15 @@ class TheoryAlgebra:
         return self.fingerprint_class[fp]
 
 
-def theory_algebra(
-    alphabet: Iterable,
-    m: int,
-    *,
-    max_classes: int = 512,
-    rep_cap: Optional[int] = None,
-    check_samples: int = 20,
-    seed: int = 0,
-) -> TheoryAlgebra:
+#: The most rank-m classes ``theory_algebra`` discovers before it gives up.
+MAX_THEORY_CLASSES = 512
+#: The seeded random words on which ``theory_algebra`` re-checks its table
+#: against direct classification: how many, and the seed.
+THEORY_CHECK_SAMPLES = 20
+THEORY_CHECK_SEED = 0
+
+
+def theory_algebra(alphabet: Iterable, m: int) -> TheoryAlgebra:
     """Discover the rank-m classes from the letters by concatenation closure.
 
     Class discovery assumes rank equivalence is a congruence (every class is
@@ -216,7 +216,7 @@ def theory_algebra(
         raise ValueError(f"rank {m} is negative")
     if m > 8:
         raise TheoryBoundExceeded(f"rank {m} is past any desk-scale use")
-    cap = rep_cap if rep_cap is not None else 2 ** (m + 2)
+    cap = 2 ** (m + 2)
 
     fp_class: dict = {}
     reps: list[tuple] = []
@@ -229,8 +229,8 @@ def theory_algebra(
             raise TheoryBoundExceeded(
                 f"representative of length {len(wd)} exceeds the cap {cap}"
             )
-        if len(reps) >= max_classes:
-            raise TheoryBoundExceeded(f"more than {max_classes} classes at rank {m}")
+        if len(reps) >= MAX_THEORY_CLASSES:
+            raise TheoryBoundExceeded(f"more than {MAX_THEORY_CLASSES} classes at rank {m}")
         cid = len(reps)
         fp_class[fp] = cid
         reps.append(wd)
@@ -281,9 +281,9 @@ def theory_algebra(
         letter_class=letter_class,
         fingerprint_class=fp_class,
     )
-    rng = random.Random(seed)
+    rng = random.Random(THEORY_CHECK_SEED)
     limit = min(2 * cap, 12)
-    for _ in range(check_samples):
+    for _ in range(THEORY_CHECK_SAMPLES):
         wd = tuple(rng.choices(letters, k=rng.randint(1, max(1, limit))))
         if theta.class_of(wd) != theta.classify(wd):
             raise AssertionError(

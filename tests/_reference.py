@@ -23,11 +23,16 @@ the same verdicts and raise the same bound failures.
 ``separation_layers`` is the pair search over every element step that
 ``decompose_as_derivatives`` ran before it searched over letter steps; it
 keeps the element-step preorder and the saturation-order contexts under
-test."""
+test.
+
+``hopcroft`` is the partition-refinement DFA minimisation that
+``parse_regex`` ran before Moore's refinement replaced it; the minimal
+automata must be equal."""
 
 import itertools
 
 from emalg.algebra import _READ, VAR, _entries, subalgebra_generated
+from emalg.automata import Dfa, _renumber
 from emalg.core import SortedFunction, SortedOrderedSet
 from emalg.logic import cached_theory_algebra
 from emalg.syntactic import _one_step_functions, _pair_depths
@@ -250,3 +255,51 @@ def separation_layers(alg, P, sort):
     elems, depths = _pair_depths(alg, P, sort, steps)
     n = len(elems)
     return steps, {(elems[p // n], elems[p % n]): d for p, d in enumerate(depths) if d >= 0}
+
+
+def hopcroft(dfa):
+    """The minimal automaton, by Hopcroft's refinement over preimages."""
+    states = range(dfa.n_states)
+    acc = set(dfa.accepting)
+    rej = set(states) - acc
+    partition = [s for s in (acc, rej) if s]
+    work = [s for s in (acc, rej) if s]
+    preimage: dict[tuple, set] = {}
+    for (q, c), r in dfa.trans.items():
+        preimage.setdefault((r, c), set()).add(q)
+    while work:
+        A = work.pop()
+        for c in dfa.alphabet:
+            X = set()
+            for r in A:
+                X |= preimage.get((r, c), set())
+            new_partition = []
+            for Y in partition:
+                inter, diff = Y & X, Y - X
+                if inter and diff:
+                    new_partition.extend([inter, diff])
+                    if Y in work:
+                        work.remove(Y)
+                        work.extend([inter, diff])
+                    else:
+                        work.append(min(inter, diff, key=len))
+                else:
+                    new_partition.append(Y)
+            partition = new_partition
+    block_of = {}
+    for i, block in enumerate(partition):
+        for q in block:
+            block_of[q] = i
+    return _renumber(
+        Dfa(
+            dfa.alphabet,
+            len(partition),
+            block_of[dfa.start],
+            frozenset(block_of[q] for q in dfa.accepting),
+            {
+                (block_of[q], c): block_of[r]
+                for (q, c), r in dfa.trans.items()
+            },
+            matches_epsilon=dfa.matches_epsilon,
+        )
+    )

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from emalg.algio import ParseError, parse_algebra
+from emalg.algio import ParseError, parse_algebra, parse_dfa_file
 from emalg.cli import EXIT_INPUT
 from tests.test_cli import run_cli
 
@@ -41,3 +41,37 @@ def test_a_stray_table_line_exits_as_an_input_error(tmp_path):
     code, out = run_cli("check", str(path), "APERIODIC")
     assert code == EXIT_INPUT == 2
     assert json.loads(out) == {"command": "check", "error": "line 4: word algebras have no mix table"}
+
+
+_EVEN = "alphabet a\nstates 2\nstart 0\naccept 0\ntrans 0 a 1\ntrans 1 a 0\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("states 2", "states", "line 2: states takes one count"),
+        ("start 0", "start", "line 3: start takes one state"),
+        ("alphabet a", "alphabet", "line 1: alphabet takes one or more letters"),
+        ("states 2", "states 2 3", "line 2: states takes one count"),
+        ("trans 0 a 1", "trans 0 a 1 1", "line 5: trans takes: state letter state"),
+        ("states 2", "states x", "line 2: bad state count 'x'"),
+        ("states 2", "states 0", "line 2: states must be at least 1"),
+        ("start 0", "start x", "line 3: bad state 'x'"),
+        ("accept 0", "accept 0 x", "line 4: bad state 'x'"),
+        ("trans 1 a 0", "trans 1 a y", "line 6: bad state 'y'"),
+        ("start 0", "start 2", "line 3: state 2 is outside 0..1"),
+        ("accept 0", "accept 0 -1", "line 4: state -1 is outside 0..1"),
+        ("trans 0 a 1", "trans 0 a 2", "line 5: state 2 is outside 0..1"),
+        ("trans 1 a 0", "trans 1 a 0\ntrans 7 a 0", "line 7: state 7 is outside 0..1"),
+    ],
+)
+def test_a_bad_dfa_line_exits_as_a_numbered_input_error(tmp_path, old, new, message):
+    path = tmp_path / "even.dfa"
+    path.write_text(_EVEN.replace(old, new))
+    code, out = run_cli("syn", str(path))
+    assert code == EXIT_INPUT
+    assert json.loads(out) == {"command": "syn", "error": message}
+
+
+def test_an_accept_line_may_name_no_state():
+    assert parse_dfa_file(_EVEN.replace("accept 0", "accept")).accepting == frozenset()

@@ -1,7 +1,9 @@
+import random
 import re as pyre
 
 import pytest
 
+from emalg import automata
 from emalg.algio import ParseError, parse_dfa_file
 from emalg.automata import (
     Dfa,
@@ -11,6 +13,7 @@ from emalg.automata import (
     words_up_to,
 )
 from emalg.monads import Word
+from tests._reference import hopcroft
 
 
 CASES = [
@@ -108,3 +111,24 @@ def test_braces_are_rejected(text):
     # repetition counts are not supported; braces are no letters either
     with pytest.raises(RegexSyntaxError, match="unexpected '[{}]'"):
         parse_regex(text)
+
+
+def _random_regex(rng: random.Random, depth: int) -> str:
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice("abc")
+    kind = rng.choice("|.*+?")
+    if kind in "|.":
+        parts = [_random_regex(rng, depth - 1) for _ in range(rng.randint(2, 3))]
+        return "(" + ("|" if kind == "|" else "").join(parts) + ")"
+    return "(" + _random_regex(rng, depth - 1) + ")" + kind
+
+
+def test_moore_refinement_gives_the_automata_of_hopcroft_minimisation(monkeypatch):
+    rng = random.Random(0)
+    regexes = [_random_regex(rng, 4) for _ in range(1000)]
+    regexes += ["(a|b)*" + x + "(a|b)" * k for x in "ab" for k in range(7)]
+    ours = [parse_regex(r) for r in regexes]
+    assert len({d.n_states for d in ours}) > 10
+    monkeypatch.setattr(automata, "_moore", hopcroft)
+    assert [parse_regex(r) for r in regexes] == ours
+

@@ -7,7 +7,12 @@ import random
 
 import pytest
 
-from emalg.algebra import eval_element, restrict_sorts, subalgebra_generated
+from emalg.algebra import (
+    eval_element,
+    generated_tuples,
+    restrict_sorts,
+    subalgebra_generated,
+)
 from emalg.automata import dfa_to_recognizer, parse_regex
 from emalg.lawsuite import finitely_many_a, rand_recognizer
 from emalg.monads import (
@@ -68,7 +73,20 @@ def _witness_cases():
             yield alg, rng.sample(elems, rng.randint(1, 3))
 
 
-WITNESS_PIN = "cb8fe9fc017e98112cd0f1ed142e75701cf68ac7742dc7fa4af99e78103af2c4"
+def test_generated_witnesses_are_terms_over_the_generators_for_their_elements():
+    for alg, gens in _witness_cases():
+        sub = subalgebra_generated(alg, gens)
+        monad, sort_of = alg.monad, alg.carrier.sort_of
+        itself = {g: g for g in gens}
+        for e, w in sub.witnesses.items():
+            assert monad.element_sort(w) == sort_of(e)
+            assert {a for a, _ in monad.labels(w)} <= set(gens)
+            assert eval_element(alg, itself, w) == e
+        closure = {t for (t,) in generated_tuples([alg], [(g,) for g in gens])}
+        assert set(sub.witnesses) == set(sub.algebra.carrier) == closure
+
+
+WITNESS_PIN = "a2463ec29b15ee327a43f34bcc9e95308928ed5a0708f7371db80e330433aefe"
 
 
 def test_generated_witnesses_are_pinned():
