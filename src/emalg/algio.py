@@ -145,7 +145,9 @@ def load_algebra(path: str) -> FinAlgebra:
 #   trans <state> <letter> <state>
 #
 # States are integers in 0..states-1.  Totality over states x alphabet is
-# validated.
+# validated.  Each directive but trans is given once, the alphabet names
+# each letter once, each (state, letter) has one trans line, and each trans
+# letter must be in the alphabet.
 
 #: Each DFA directive's least and greatest argument count (None: no most),
 #: and its usage.
@@ -185,6 +187,8 @@ def parse_dfa_file(text: str):
     accept: set[int] = set()
     trans: dict = {}
     named: list[tuple[int, int]] = []  # (line, state), checked against the count
+    letters: list[tuple[int, str]] = []  # (line, letter), checked against the alphabet
+    seen: set[str] = set()
 
     def states(toks: list[str], line_no: int) -> list[int]:
         qs = [_parse_int(t, "state", line_no) for t in toks]
@@ -198,7 +202,12 @@ def parse_dfa_file(text: str):
         least, most, usage = _DFA_ARGS[head]
         if len(args) < least or (most is not None and len(args) > most):
             raise ParseError(line_no, usage)
+        if head in seen and head != "trans":
+            raise ParseError(line_no, f"duplicate {head} line")
+        seen.add(head)
         if head == "alphabet":
+            if len(set(args)) < len(args):
+                raise ParseError(line_no, "alphabet names a letter twice")
             alphabet = list(args)
         elif head == "states":
             n_states = _parse_int(args[0], "state count", line_no)
@@ -210,12 +219,18 @@ def parse_dfa_file(text: str):
             accept = set(states(args, line_no))
         else:
             q, r = states([args[0], args[2]], line_no)
+            if (q, args[1]) in trans:
+                raise ParseError(line_no, f"duplicate transition for state {q}, letter {args[1]!r}")
             trans[(q, args[1])] = r
+            letters.append((line_no, args[1]))
     if n_states is None or start is None or not alphabet:
         raise ParseError(0, "alphabet, states and start are required")
     for line_no, q in named:
         if not 0 <= q < n_states:
             raise ParseError(line_no, f"state {q} is outside 0..{n_states - 1}")
+    for line_no, c in letters:
+        if c not in alphabet:
+            raise ParseError(line_no, f"letter {c!r} is not in the alphabet")
     for q in range(n_states):
         for c in alphabet:
             if (q, c) not in trans:

@@ -90,9 +90,7 @@ def _dump_syntactic(syn: SyntacticResult) -> dict:
         "table": {
             f"{names[a]} {names[b]}": names[c]
             for (a, b), c in sorted(alg.mult.items(), key=by_repr)
-        }
-        if alg.kind == "word"
-        else "non-word algebra",
+        },
     }
 
 

@@ -174,8 +174,6 @@ def _label_pools(monad: Monad, base_pools, rng, per_sort=3):
     pools = {}
     for s in monad.sorts:
         pools[s] = [rand_element(monad, rng, base_pools, s) for _ in range(per_sort)]
-        if monad.kind == "tree" and not base_pools.get(0):
-            pools[s] = []
     return pools
 
 
@@ -630,11 +628,6 @@ def _semigroup_tables(n: int):
 def _canonical_form(n: int, table: dict) -> tuple:
     best = None
     for perm in itertools.permutations(range(n)):
-        img = tuple(
-            perm[table[(a, b)]]
-            for a in range(n)
-            for b in range(n)
-        )
         # renumber arguments consistently with the permutation
         relab = tuple(
             perm[table[(pa, pb)]]

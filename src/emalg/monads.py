@@ -643,12 +643,17 @@ def parse_tree(text: str, *, allow_hole: bool = False, sort: int | None = None) 
 
 
 def parse_element(text: str, monad: Monad) -> FreeElement:
-    """Parse a free-element literal appropriate for the given instance."""
-    if monad.kind == "word":
-        return parse_word(text)
-    if monad.kind == "omega":
-        return parse_upword(text) if ")^w" in text.replace(" ", "") else parse_word(text)
-    return parse_tree(text)
+    """Parse a free-element literal by its shape ('...)^w' an omega-word,
+    '[...]' a word, else a tree); a shape the instance lacks raises
+    ``SortMismatch``."""
+    if ")^w" in text.replace(" ", ""):
+        t = parse_upword(text)
+    elif text.lstrip().startswith("["):
+        t = parse_word(text)
+    else:
+        t = parse_tree(text)
+    monad.element_sort(t)
+    return t
 
 
 def serialize(t: FreeElement, name=str) -> str:

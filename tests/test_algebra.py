@@ -108,6 +108,7 @@ def test_check_algebra_laws_clean():
     assert check_algebra_laws(zmod(3)).ok
     assert check_algebra_laws(finitely_many_a()[0]).ok
     assert check_algebra_laws(bool_tree_algebra()).ok
+    assert check_algebra_laws(zmod(64)).ok
 
 
 def test_check_algebra_laws_flags_nonassociative_table():
@@ -133,6 +134,21 @@ def test_check_algebra_laws_flags_incoherent_omega():
     report = check_algebra_laws(raw)
     assert not report.ok
     assert any(law == "assoc" for law, _ in report.violations)
+
+
+def test_check_algebra_laws_flags_a_mix_that_is_not_an_action():
+    # mix(h, .) swaps x and y, so mix(h.h, x) = y but mix(h, mix(h, x)) = x;
+    # only a mixed word whose infinite part is itself mixed shows it
+    carrier = SortedOrderedSet({SORT_FIN: ["n", "h"], SORT_INF: ["x", "y", "z"]})
+    dot = {(a, b): "h" if "h" in (a, b) else "n" for a in "nh" for b in "nh"}
+    swap = {"x": "y", "y": "x", "z": "z"}
+    mix = {(a, e): swap[e] if a == "h" else e for a in "nh" for e in "xyz"}
+    omega = {"n": "z", "h": "z"}
+    with pytest.raises(ValueError) as info:
+        wilke_algebra(carrier, dot, mix, omega)
+    assert str(info.value) == "Wilke coherence violated: ('mix-action', ('h', 'h', 'x'))"
+    report = check_algebra_laws(FinAlgebra(OMEGA_UP, carrier, dot=dot, mix=mix, omega=omega))
+    assert ("assoc", ("mix-action", ("h", "h", "x"))) in report.violations
 
 
 def test_check_algebra_laws_flags_incoherent_var_slot():

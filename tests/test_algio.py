@@ -63,6 +63,13 @@ _EVEN = "alphabet a\nstates 2\nstart 0\naccept 0\ntrans 0 a 1\ntrans 1 a 0\n"
         ("accept 0", "accept 0 -1", "line 4: state -1 is outside 0..1"),
         ("trans 0 a 1", "trans 0 a 2", "line 5: state 2 is outside 0..1"),
         ("trans 1 a 0", "trans 1 a 0\ntrans 7 a 0", "line 7: state 7 is outside 0..1"),
+        ("trans 1 a 0", "trans 1 a 0\ntrans 0 b 1", "line 7: letter 'b' is not in the alphabet"),
+        ("trans 1 a 0", "trans 1 a 0\ntrans 0 a 0", "line 7: duplicate transition for state 0, letter 'a'"),
+        ("start 0", "start 0\nstart 1", "line 4: duplicate start line"),
+        ("accept 0", "accept 0\naccept 1", "line 5: duplicate accept line"),
+        ("alphabet a", "alphabet a\nalphabet a b", "line 2: duplicate alphabet line"),
+        ("alphabet a", "alphabet a a", "line 1: alphabet names a letter twice"),
+        ("states 2", "states 2\nstates 3", "line 3: duplicate states line"),
     ],
 )
 def test_a_bad_dfa_line_exits_as_a_numbered_input_error(tmp_path, old, new, message):
