@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("laws", help="run the full invariant suite")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--fast", action="store_true", help="reduced sample counts")
+    s.add_argument("--fast", action="store_true", help="reduced sample counts for the seeded checks")
     s.set_defaults(fn=_cmd_laws)
     return p
 

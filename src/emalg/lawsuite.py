@@ -1,6 +1,7 @@
-"""The cross-validation battery: randomized law checks and the desk-scale
-regression corpus, shared by the ``laws`` CLI command and the acceptance
-tests.  Every check returns (name, ok, detail); determinism is seeded.
+"""The cross-validation battery, shared by the ``laws`` CLI command and the
+acceptance tests: the monad laws on every free element up to a declared
+size, seeded randomized law checks, and the desk-scale regression corpus.
+Every check returns (name, ok, detail); determinism is seeded.
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from math import floor
 from typing import Callable, Optional
 
 from .algebra import (
@@ -34,15 +34,8 @@ from .monads import (
     SORT_INF,
     SORT_WORD,
     WORD,
-    MixedWord,
     Monad,
-    Tree,
-    UPWord,
-    Var,
     Word,
-    _node,
-    _tree,
-    _var_tuple,
     tree_monad,
 )
 from .profinite import identity_library, satisfies_all
@@ -58,161 +51,60 @@ class CheckResult:
     seconds: float
 
 
-# -- random free elements -----------------------------------------------------------
+# -- the monad laws ------------------------------------------------------------------
 #
-# The samplers draw through exact copies of ``Random.choice``, unweighted
-# ``Random.choices``, ``Random.randint``, ``Random.randrange(n)`` and
-# ``Random.shuffle``, bound to the generator's ``getrandbits`` and
-# ``random``: CPython's rejection loop ``_randbelow_with_getrandbits`` and
-# the ``floor(random() * n)`` path of ``choices``.  They make the same
-# calls to the generator in the same order, so they draw the same values,
-# with fewer Python calls per draw (tests/test_lawsuite.py pins the stream).
+# Per instance: its labels by sort, the size of the elements the unit laws
+# run on, and the sizes of the three levels the associative law runs on.
+# The unit laws cost two flats per element, so their scope is deeper: a
+# word flat that repeats the last label of a result of 5 or more letters
+# passes the associative law at sizes 2, 2, 2.
+MONAD_LAW_SCOPE = (
+    (WORD, {SORT_WORD: ["a", "b", "c"]}, 5, (2, 2, 2)),
+    (OMEGA_UP, {SORT_FIN: ["a", "b"], SORT_INF: ["e", "f"]}, 4, (2, 1, 2)),
+    (tree_monad(2), {0: ["c", "d"], 1: ["u"], 2: ["b"]}, 4, (2, 1, 2)),
+)
 
 
-def _below(bits, n: int) -> int:
-    """``Random._randbelow(n)``, an int in [0, n) for n > 0; ``bits`` is the
-    generator's ``getrandbits``."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
-def _randint(bits, a: int, b: int) -> int:
-    """``Random.randint(a, b)``."""
-    if b < a:
-        raise ValueError(f"empty range for randrange() ({a}, {b + 1}, {b + 1 - a})")
-    return a + _below(bits, b - a + 1)
-
-
-def _choice(bits, seq):
-    """``Random.choice(seq)``, with ``_below`` inlined; an empty ``seq``
-    raises IndexError."""
-    n = len(seq)
-    if not n:
-        raise IndexError("Cannot choose from an empty sequence")
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return seq[r]
-
-
-def _shuffle(bits, x: list) -> None:
-    """``Random.shuffle(x)``: Fisher-Yates from the end, in place."""
-    for i in reversed(range(1, len(x))):
-        j = _below(bits, i + 1)
-        x[i], x[j] = x[j], x[i]
-
-
-def _choices(rand, pool, k: int) -> list:
-    """``Random.choices(pool, k=k)`` without weights; ``rand`` is the
-    generator's ``random``.  An empty pool raises IndexError unless k is 0."""
-    n = len(pool) + 0.0
-    return [pool[floor(rand() * n)] for _ in range(k)]
-
-
-def rand_word_elem(rng: random.Random, pool, max_len=4) -> Word:
-    k = _randint(rng.getrandbits, 1, max_len)
-    return Word(tuple(_choices(rng.random, pool, k)))
-
-
-def rand_omega_elem(rng, pool_fin, pool_inf, sort, max_len=3):
-    bits, rand = rng.getrandbits, rng.random
-    if sort == SORT_FIN:
-        return Word(tuple(_choices(rand, pool_fin, _randint(bits, 1, max_len))))
-    shape = _below(bits, 2 if pool_inf else 1)  # randrange(n)
-    prefix = tuple(_choices(rand, pool_fin, _randint(bits, 0, max_len)))
-    if shape == 0:
-        period = tuple(_choices(rand, pool_fin, _randint(bits, 1, max_len)))
-        return UPWord(prefix, period)
-    return MixedWord(prefix, _choice(bits, pool_inf))
-
-
-def rand_tree_elem(rng, pool_by_arity, sort, max_nodes=8) -> Tree:
-    """A random linear tree of the given sort; variables may appear in any
-    order and some may be dropped, exercising the full free container."""
-    # Once the budget is spent only a leaf may be drawn; the draw is still
-    # made, from a one-element list, because every generated input follows
-    # from the exact sequence of calls to ``rng`` (tests/test_lawsuite.py
-    # pins it).
-    wide = [a for a, pool in pool_by_arity.items() if pool] or [0]
-    leaf = [0]
-    budget = max_nodes
-    bits, random = rng.getrandbits, rng.random
-    vars_left = list(_var_tuple(sort))
-    _shuffle(bits, vars_left)
-
-    def grow(allow_var: bool):
-        nonlocal budget
-        if allow_var and vars_left and random() < 0.4:
-            return vars_left.pop()
-        a = _choice(bits, wide if budget > 1 else leaf)
-        budget -= 1
-        label = _choice(bits, pool_by_arity[a])
-        if not a:
-            return _node(label, ())
-        return _node(label, tuple([grow(True) for _ in range(a)]))
-
-    # each variable is popped at most once and all are below ``sort``
-    return _tree(grow(False), sort)
-
-
-def rand_element(monad: Monad, rng, pool_by_sort, sort):
-    if monad.kind == "word":
-        return rand_word_elem(rng, pool_by_sort[SORT_WORD])
-    if monad.kind == "omega":
-        return rand_omega_elem(
-            rng, pool_by_sort[SORT_FIN], pool_by_sort.get(SORT_INF, []), sort
-        )
-    return rand_tree_elem(rng, pool_by_sort, sort)
-
-
-def _label_pools(monad: Monad, base_pools, rng, per_sort=3):
-    """Pools of level-1 free elements for building nested elements."""
-    pools = {}
-    for s in monad.sorts:
-        pools[s] = [rand_element(monad, rng, base_pools, s) for _ in range(per_sort)]
+def _by_sort(monad: Monad, elements) -> dict:
+    """``elements`` as label pools: sort -> its elements, for every sort."""
+    pools: dict = {s: [] for s in monad.sorts}
+    for t in elements:
+        pools[monad.element_sort(t)].append(t)
     return pools
 
 
-def check_monad_laws(seed: int = 0, samples: int = 10_000) -> CheckResult:
-    """flat.sing = id, flat.map(sing) = id, flat.flat = flat.map(flat) on
-    randomized nested inputs, for all three instances."""
+def check_monad_laws() -> CheckResult:
+    """flat.sing = id and flat.map(sing) = id on every free element up to
+    the unit size of ``MONAD_LAW_SCOPE``, and flat.flat = flat.map(flat) on
+    every three-level element up to its level sizes, for all three
+    instances.  The level-k elements are the labels of level k+1; the
+    outermost level is streamed, not held."""
     t0 = time.time()
-    rng = random.Random(seed)
     violations = 0
-    instances = []
-    instances.append((WORD, {SORT_WORD: list("abc")}))
-    instances.append((OMEGA_UP, {SORT_FIN: list("ab"), SORT_INF: ["e", "f"]}))
-    tm = tree_monad(2)
-    instances.append((tm, {0: ["c", "d"], 1: ["u"], 2: ["b"]}))
-    per_instance = samples
-    for monad, base in instances:
-        sorts = [s for s in monad.sorts if base.get(s)] or list(monad.sorts)
-        for i in range(per_instance):
-            sort = _choice(rng.getrandbits, sorts)
-            t = rand_element(monad, rng, base, sort)
-            outer = monad.sing(t, monad.element_sort(t))
-            if monad.flat(outer) != t:
+    scopes = []
+    for monad, base, unit_size, sizes in MONAD_LAW_SCOPE:
+        units = 0
+        for t in monad.free_elements(base, unit_size):
+            units += 1
+            if monad.flat(monad.sing(t, monad.element_sort(t))) != t:
                 violations += 1
-            if monad.flat(monad.map(lambda a, s: monad.sing(a, s), t)) != t:
+            if monad.flat(monad.map(monad.sing, t)) != t:
                 violations += 1
-            # triple-decker associativity
-            level1 = _label_pools(monad, base, rng)
-            level2 = _label_pools(monad, {s: p for s, p in level1.items()}, rng)
-            if not all(level2.get(s) for s in [sort]):
-                continue
-            big = rand_element(monad, rng, level2, sort)
+        pools = base
+        for size in sizes[:-1]:
+            pools = _by_sort(monad, monad.free_elements(pools, size))
+        nested = 0
+        for big in monad.free_elements(pools, sizes[-1]):
+            nested += 1
             lhs = monad.flat(monad.flat(big))
-            rhs = monad.flat(monad.map(lambda w, s: monad.flat(w), big))
-            if lhs != rhs:
+            if lhs != monad.flat(monad.map(lambda w, s: monad.flat(w), big)):
                 violations += 1
-    detail = (
-        f"{per_instance} randomized inputs per instance across the three laws, "
-        f"{violations} violations"
-    )
+        levels = "/".join(map(str, sizes))
+        scopes.append(
+            f"{monad.kind}: {units} elements to size {unit_size}, "
+            f"{nested} nestings to sizes {levels}"
+        )
+    detail = f"{'; '.join(scopes)}; {violations} violations"
     return CheckResult("monad-laws", violations == 0, detail, time.time() - t0)
 
 
@@ -831,7 +723,7 @@ def check_mod_closure(max_size: int = 3) -> CheckResult:
 def run_all(seed: int = 0, *, fast: bool = False) -> list[CheckResult]:
     scale = 10 if fast else 1
     checks: list[Callable[[], CheckResult]] = [
-        lambda: check_monad_laws(seed, samples=10_000 // scale),
+        check_monad_laws,
         lambda: check_congruence_characterisations(seed, cases=500 // scale),
         lambda: check_terminality(seed, cases=100 // scale),
         check_syntactic_constants,

@@ -268,6 +268,17 @@ class Monad:
         """Standard ordering: identical shape, labels pointwise <=."""
         raise NotImplementedError
 
+    def restricted(self, sorts) -> "Monad":
+        """The monad of an algebra restricted to ``sorts``: this one, where
+        a restriction only empties sorts."""
+        return self
+
+    def free_elements(self, pools: dict, size: int) -> Iterator[FreeElement]:
+        """Every free element of every sort, up to ``size``, whose labels
+        come from ``pools`` (sort -> labels of that sort), each once, in a
+        fixed order."""
+        raise NotImplementedError
+
     def labels(self, t: FreeElement) -> Iterator[tuple[Any, Sort]]:
         raise NotImplementedError
 
@@ -310,6 +321,12 @@ class WordMonad(Monad):
         return len(s.labels) == len(t.labels) and all(
             order.leq(a, b) for a, b in zip(s.labels, t.labels)
         )
+
+    def free_elements(self, pools, size):
+        """The words of length 1..size."""
+        for n in range(1, size + 1):
+            for w in itertools.product(pools[SORT_WORD], repeat=n):
+                yield Word(w)
 
     def labels(self, t):
         for a in t.labels:
@@ -406,6 +423,22 @@ class OmegaMonad(Monad):
             )
         return False
 
+    def free_elements(self, pools, size):
+        """The finite words of length 1..size, then each run u of length
+        0..size followed by every period v of length 1..size (the pairs
+        already in normal form, so each u.v^w once) and by every infinite
+        label."""
+        fin, inf = pools.get(SORT_FIN, ()), pools.get(SORT_INF, ())
+        runs = [u for n in range(size + 1) for u in itertools.product(fin, repeat=n)]
+        for u in runs[1:]:
+            yield Word(u)
+        for u in runs:
+            for v in runs[1:]:
+                if normalize_up(u, v) == (u, v):
+                    yield UPWord(u, v)
+            for e in inf:
+                yield MixedWord(u, e)
+
     def labels(self, t):
         if isinstance(t, Word):
             for a in t.labels:
@@ -442,6 +475,12 @@ class TreeMonad(Monad):
             for slots in itertools.product(range(m + 1), repeat=n)
             if sum(slots) <= m
         )
+
+    def restricted(self, sorts):
+        """No tree above the largest sort kept remains, so the shapes that
+        land there go: the arity cap falls to that sort."""
+        cap = max(set(sorts) & set(self.sorts), default=0)
+        return self if cap == self.max_arity else TreeMonad(cap)
 
     def element_sort(self, t):
         if not isinstance(t, Tree):
@@ -513,6 +552,36 @@ class TreeMonad(Monad):
 
         return go(s.root, t.root)
 
+    def free_elements(self, pools, size):
+        """The trees of each sort k with at most ``size`` nodes, a label of
+        arity n at a node with n children: every shape, with its variable
+        leaves any distinct members of x0..x{k-1}, in any order, so some
+        variables may be dropped."""
+
+        def grow(budget, free):
+            # (node, nodes left, variables left) for each tree over ``free``
+            for n, labels in pools.items():
+                if budget and labels:
+                    for children, left, rest in kids(n, budget - 1, free):
+                        for a in labels:
+                            yield _node(a, children), left, rest
+
+        def kids(n, budget, free):
+            if not n:
+                yield (), budget, free
+                return
+            for v in free:
+                others = tuple([w for w in free if w is not v])
+                for more, left, rest in kids(n - 1, budget, others):
+                    yield (v, *more), left, rest
+            for c, left, rest in grow(budget, free):
+                for more, left2, rest2 in kids(n - 1, left, rest):
+                    yield (c, *more), left2, rest2
+
+        for k in self.sorts:
+            for root, _, _ in grow(size, _var_tuple(k)):
+                yield _tree(root, k)
+
     def labels(self, t):
         yield from tree_labels(t.root)
 
@@ -529,12 +598,16 @@ def tree_monad(max_arity: int = 3) -> TreeMonad:
 #
 #   word    := '[' labels ']'                     e.g.  [a,b,a]
 #   upword  := '[' labels? ']' '(' word ')^w'     e.g.  [a]([b,a])^w
-#   tree    := sym | sym '(' tree {',' tree} ')' | 'x' digits
+#   mixed   := '[' labels? ']' label              e.g.  [a,b]e
+#   tree    := term [':' digits]                  e.g.  b(x1,c)  b(x0,c):2
+#   term    := sym | sym '(' term {',' term} ')' | 'x' digits
 #
 # Labels are identifiers; whitespace is ignored.  The token '_' denotes the
-# context hole when holes are allowed.
+# context hole when holes are allowed.  A tree's sort is its ':' suffix, or
+# else one more than its highest variable; ``serialize`` writes the suffix
+# only where a tree drops its highest variables.
 
-_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|\^w|[_()\[\],])")
+_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|\^w|:\s*\d+|[_()\[\],])")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -563,8 +636,10 @@ def _parse_bracket_labels(toks: list[str], allow_hole: bool, allow_empty: bool):
             if not allow_hole:
                 raise ValueError("hole not allowed here")
             labels.append(HOLE)
-        else:
+        elif t[0].isalpha():
             labels.append(t)
+        else:
+            raise ValueError(f"expected a label, got {t!r}")
     if not toks:
         raise ValueError("unterminated '['")
     toks.pop(0)
@@ -574,11 +649,23 @@ def _parse_bracket_labels(toks: list[str], allow_hole: bool, allow_empty: bool):
 
 
 def parse_word(text: str, *, allow_hole: bool = False) -> Word:
+    t = _parse_word_or_mixed(text, allow_hole)
+    if isinstance(t, MixedWord):
+        raise ValueError(f"trailing input {[t.tail]!r}")
+    return t
+
+
+def _parse_word_or_mixed(text: str, allow_hole: bool = False) -> Word | MixedWord:
+    """'[u]' the word u, or '[u]e' the mixed word u.e (u may be empty)."""
     toks = _tokenize(text)
-    labels = _parse_bracket_labels(toks, allow_hole, allow_empty=False)
-    if toks:
+    prefix = tuple(_parse_bracket_labels(toks, allow_hole, allow_empty=True))
+    if not toks:
+        if not prefix:
+            raise ValueError("empty word literal")
+        return Word(prefix)
+    if len(toks) > 1 or not toks[0][0].isalpha():
         raise ValueError(f"trailing input {toks!r}")
-    return Word(tuple(labels))
+    return MixedWord(prefix, toks[0])
 
 
 def parse_up_raw(text: str, *, allow_hole: bool = False) -> tuple[tuple, tuple]:
@@ -604,7 +691,7 @@ def parse_upword(text: str) -> UPWord:
     return UPWord(prefix, period)
 
 
-def parse_tree(text: str, *, allow_hole: bool = False, sort: int | None = None) -> Tree:
+def parse_tree(text: str, *, allow_hole: bool = False) -> Tree:
     toks = _tokenize(text)
 
     def node():
@@ -617,8 +704,10 @@ def parse_tree(text: str, *, allow_hole: bool = False, sort: int | None = None) 
             label: Any = HOLE
         elif re.fullmatch(r"x\d+", t):
             return Var(int(t[1:]))
-        else:
+        elif t[0].isalpha():
             label = t
+        else:
+            raise ValueError(f"expected a label, got {t!r}")
         children: list = []
         if toks and toks[0] == "(":
             toks.pop(0)
@@ -634,22 +723,24 @@ def parse_tree(text: str, *, allow_hole: bool = False, sort: int | None = None) 
         return Node(label, tuple(children))
 
     root = node()
+    suffix = toks.pop() if toks and toks[-1][0] == ":" else None
     if toks:
         raise ValueError(f"trailing input {toks!r}")
     if isinstance(root, Var):
         raise ValueError("tree root must be a symbol")
-    inferred = max((v + 1 for v in _tree_vars(root)), default=0)
-    return Tree(root, inferred if sort is None else sort)
+    if suffix:
+        return Tree(root, int(suffix[1:]))
+    return Tree(root, max((v + 1 for v in _tree_vars(root)), default=0))
 
 
 def parse_element(text: str, monad: Monad) -> FreeElement:
     """Parse a free-element literal by its shape ('...)^w' an omega-word,
-    '[...]' a word, else a tree); a shape the instance lacks raises
-    ``SortMismatch``."""
+    '[...]' a word, '[...]e' a mixed word, else a tree); a shape the
+    instance lacks raises ``SortMismatch``."""
     if ")^w" in text.replace(" ", ""):
         t = parse_upword(text)
     elif text.lstrip().startswith("["):
-        t = parse_word(text)
+        t = _parse_word_or_mixed(text)
     else:
         t = parse_tree(text)
     monad.element_sort(t)
@@ -673,12 +764,18 @@ def serialize(t: FreeElement, name=str) -> str:
         pre = ",".join(lab(a) for a in t.prefix)
         return f"[{pre}]{lab(t.tail)}"
     if isinstance(t, Tree):
+        least = 0  # the sort parse_tree infers: one more than the top variable
+
         def go(n):
+            nonlocal least
             if isinstance(n, Var):
+                if n.index >= least:
+                    least = n.index + 1
                 return f"x{n.index}"
             if not n.children:
                 return lab(n.label)
             return lab(n.label) + "(" + ",".join(go(c) for c in n.children) + ")"
 
-        return go(t.root)
+        text = go(t.root)
+        return text if t.sort == least else f"{text}:{t.sort}"
     raise TypeError(f"not a free element: {t!r}")

@@ -26,7 +26,7 @@ from emalg.algebra import (
 )
 from emalg.algio import ParseError, parse_algebra
 from emalg.core import Preorder, SortedOrderedSet, kernel
-from emalg.lawsuite import finitely_many_a, rand_element
+from emalg.lawsuite import finitely_many_a
 from emalg.monads import (
     OMEGA_UP,
     SORT_FIN,
@@ -165,6 +165,16 @@ def test_check_algebra_laws_flags_incoherent_var_slot():
     assert any(law == "assoc" for law, _ in report.violations)
 
 
+def test_check_algebra_laws_flags_a_stored_unit_entry_that_is_not_the_head():
+    # a(x0) = a is the unit law; evaluation takes it as given, so a stored
+    # entry a(x0) = b with b != a is a unit violation
+    alg = bool_tree_algebra()
+    comp = dict(alg.comp)
+    comp[((1, False), (VAR,))] = (1, True)
+    report = check_algebra_laws(FinAlgebra(alg.monad, alg.carrier, comp=comp))
+    assert report.violations == [("unit", ("comp-unit", ((1, False), (VAR,))))]
+
+
 def test_is_morphism_examples():
     z2 = zmod(2)
     assert is_morphism({0: 0, 1: 1}, z2, z2)
@@ -276,16 +286,25 @@ def test_restrict_sorts():
     assert set(same.carrier) == set(tree.carrier)
 
 
-def test_eval_is_morphism_on_random_nestings():
-    rng = random.Random(5)
-    z3 = zmod(3)
-    base = {SORT_WORD: [0, 1, 2]}
-    ident = {e: e for e in z3.carrier}
-    from emalg.lawsuite import _label_pools
+def test_restrict_sorts_lowers_the_tree_arity_cap():
+    # comp of a sort-2 head with slots of sorts 1 and 2 lands in sort 3,
+    # which the restriction drops: under the cap 2 that shape is gone
+    tree = bool_tree_algebra(3)
+    assert tree.comp[((2, False), ((1, False), (2, False)))] == (3, False)
+    mid = restrict_sorts(tree, {1, 2})
+    assert mid.monad.max_arity == 2
+    assert set(mid.carrier) == {(n, f) for n in (1, 2) for f in (False, True)}
+    assert mid.comp[((1, False), ((2, True),))] == (2, True)
+    assert check_algebra_laws(mid).ok
+    assert restrict_sorts(tree, {0, 3}).monad is tree.monad
 
-    for _ in range(200):
-        pools = _label_pools(WORD, base, rng)
-        big = rand_element(WORD, rng, pools, SORT_WORD)
+
+def test_eval_is_morphism_on_random_nestings():
+    """On every word of up to 2 words of up to 3 letters each."""
+    z3 = zmod(3)
+    level1 = list(WORD.free_elements({SORT_WORD: [0, 1, 2]}, 3))
+    ident = {e: e for e in z3.carrier}
+    for big in WORD.free_elements({SORT_WORD: level1}, 2):
         lhs = eval_element(z3, ident, WORD.flat(big))
         rhs = eval_element(
             z3, ident, WORD.map(lambda w, s: eval_element(z3, ident, w), big)

@@ -1,6 +1,4 @@
-import hashlib
 import itertools
-import random
 
 import pytest
 
@@ -9,11 +7,21 @@ from emalg.lawsuite import (
     _bits,
     _index_table,
     _subalgebra_lattice,
-    rand_tree_elem,
+    check_monad_laws,
     run_all,
     small_semigroups,
 )
-from emalg.monads import serialize
+from emalg.monads import (
+    MixedWord,
+    OmegaMonad,
+    TreeMonad,
+    UPWord,
+    Var,
+    Word,
+    WordMonad,
+    _node,
+    _tree,
+)
 
 
 def _brute_force_lattice(mult, elems):
@@ -66,7 +74,11 @@ def test_subalgebra_lattice_is_none_exactly_past_the_cap():
 # rewritten for speed.  Any change in the order of the random draws changes
 # these values.
 FAST_SEED0_DETAILS = {
-    "monad-laws": "1000 randomized inputs per instance across the three laws, 0 violations",
+    "monad-laws": (
+        "word: 363 elements to size 5, 24492 nestings to sizes 2/2/2; "
+        "omega: 444 elements to size 4, 11916 nestings to sizes 2/1/2; "
+        "tree: 460 elements to size 4, 8730 nestings to sizes 2/1/2; 0 violations"
+    ),
     "congruence-characterisations": "50 preorders, 33 congruences, 0 disagreements",
     "terminality": "10 recognizers, 0 failures",
     "syntactic-constants": "sizes 5 and 2, witnesses match",
@@ -77,22 +89,12 @@ FAST_SEED0_DETAILS = {
     "canonical-covers": "6 algebras covered and verified",
     "mod-closure": "6 aperiodic members of 9; closure holds",
 }
-TREE_DRAWS_SEED0_SHA256 = "3111fb4fec64df8be857f799d5b4675fb7340e1d1c2fecbbb60010abd0f3b4e2"
 
 
 def test_fast_battery_details_are_pinned():
     results = run_all(seed=0, fast=True)
     assert {r.name: r.detail for r in results} == FAST_SEED0_DETAILS
     assert all(r.ok for r in results)
-
-
-def test_random_tree_stream_is_pinned():
-    rng = random.Random(0)
-    pools = {0: ["c", "d"], 1: ["u"], 2: ["b"]}
-    lines = [serialize(rand_tree_elem(rng, pools, i % 3)) for i in range(200)]
-    assert lines[:3] == ["u(d)", "b(u(x0),c)", "c"]
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == TREE_DRAWS_SEED0_SHA256
 
 
 def test_product_problems_match_a_direct_check_of_every_subalgebra():
@@ -128,62 +130,90 @@ def test_product_problems_match_a_direct_check_of_every_subalgebra():
     assert 0 < found < 39
 
 
-# Recorded before the samplers drew through local copies of the ``Random``
-# methods: every element that ``rand_element`` returns in the
-# ``check_monad_laws`` loop at 1000 samples per instance (each input t, the
-# label pools, and each nested input big), as the ``repr`` of their list.
-MONAD_LAW_DRAWS_SEED0_SHA256 = "39ca46e347d7db2a740c85903aa03cc377ec19081aab87cbe5219317b6a7adec"
+# -- flat mutants that the monad-law check must catch ---------------------------
 
 
-def test_monad_law_draws_are_pinned(monkeypatch):
-    from emalg import lawsuite
+def _repeat_last_at_5(flat):
+    def mutant(self, t):
+        w = flat(self, t).labels
+        return Word(w + w[-1:] if len(w) >= 5 else w)
 
-    draws = []
-    draw = lawsuite.rand_element
-
-    def recorded(*args):
-        draws.append(draw(*args))
-        return draws[-1]
-
-    monkeypatch.setattr(lawsuite, "rand_element", recorded)
-    assert lawsuite.check_monad_laws(0, samples=1000).ok
-    assert len(draws) == 42000
-    assert hashlib.sha256(repr(draws).encode()).hexdigest() == MONAD_LAW_DRAWS_SEED0_SHA256
+    return mutant
 
 
-def test_sampler_draws_are_those_of_random():
-    from emalg.lawsuite import _below, _choice, _choices, _randint, _shuffle
+def _reverse_at_outer_3(flat):
+    def mutant(self, t):
+        w = flat(self, t).labels
+        return Word(w[::-1] if len(t.labels) >= 3 else w)
 
-    for seed in range(5):
-        a, b = random.Random(seed), random.Random(seed)
-        for n in (1, 2, 3, 5, 8, 13, 64, 100):
-            pool = list(range(n))
-            assert _choice(b.getrandbits, pool) == a.choice(pool)
-            assert _choices(b.random, pool, n % 7) == a.choices(pool, k=n % 7)
-            assert _randint(b.getrandbits, 1, n) == a.randint(1, n)
-            assert _below(b.getrandbits, n) == a.randrange(n)
-            shuffled = list(pool)
-            _shuffle(b.getrandbits, shuffled)
-            a.shuffle(pool)
-            assert shuffled == pool
-        assert a.random() == b.random()
+    return mutant
 
 
-def test_samplers_still_reject_an_empty_pool():
-    from emalg.lawsuite import _choice, _choices, _randint, rand_omega_elem, rand_word_elem
-    from emalg.monads import SORT_FIN
+def _prefix_after_tail_run(tail_type):
+    """Flattening u.t with t of ``tail_type`` puts t's own run before u's."""
 
-    rng = random.Random(0)
-    with pytest.raises(IndexError):
-        _choice(rng.getrandbits, [])
-    with pytest.raises(IndexError):
-        _choices(rng.random, [], 1)
-    assert _choices(rng.random, [], 0) == []
-    with pytest.raises(ValueError):
-        _randint(rng.getrandbits, 1, 0)
-    with pytest.raises(IndexError):
-        rand_word_elem(rng, [])
-    with pytest.raises(IndexError):
-        rand_omega_elem(rng, [], ["e"], SORT_FIN)
-    with pytest.raises(IndexError):
-        rand_tree_elem(rng, {0: []}, 0)
+    def mutate(flat):
+        def mutant(self, t):
+            if isinstance(t, MixedWord) and isinstance(t.tail, tail_type):
+                run = flat(self, Word(t.prefix)).labels if t.prefix else ()
+                tail = t.tail
+                if tail_type is UPWord:
+                    return UPWord(tail.prefix + run, tail.period)
+                return MixedWord(tail.prefix + run, tail.tail)
+            return flat(self, t)
+
+        return mutant
+
+    return mutate
+
+
+def _swap_binary_children(flat):
+    def mutant(self, t):
+        r = flat(self, t)
+
+        def go(n):
+            if isinstance(n, Var):
+                return n
+            children = tuple([go(c) for c in n.children])
+            return _node(n.label, children[::-1] if len(children) == 2 else children)
+
+        return _tree(go(r.root), r.sort)
+
+    return mutant
+
+
+def _renumber_variables(flat):
+    """The variables of the result renumbered in order of appearance."""
+
+    def mutant(self, t):
+        r = flat(self, t)
+        seen = []
+
+        def go(n):
+            if isinstance(n, Var):
+                seen.append(n)
+                return Var(len(seen) - 1)
+            return _node(n.label, tuple([go(c) for c in n.children]))
+
+        return _tree(go(r.root), r.sort)
+
+    return mutant
+
+
+FLAT_MUTANTS = {
+    "word-repeat-last-label-at-5": (WordMonad, _repeat_last_at_5),
+    "word-reverse-at-outer-3": (WordMonad, _reverse_at_outer_3),
+    "omega-upword-tail-run-first": (OmegaMonad, _prefix_after_tail_run(UPWord)),
+    "omega-mixed-tail-run-first": (OmegaMonad, _prefix_after_tail_run(MixedWord)),
+    "tree-swap-binary-children": (TreeMonad, _swap_binary_children),
+    "tree-renumber-variables": (TreeMonad, _renumber_variables),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_MUTANTS))
+def test_monad_laws_catch_flat_mutants(name, monkeypatch):
+    cls, mutate = FLAT_MUTANTS[name]
+    monkeypatch.setattr(cls, "flat", mutate(cls.flat))
+    result = check_monad_laws()
+    assert not result.ok
+    assert not result.detail.endswith("; 0 violations")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from emalg import monads
 from emalg.core import SortedOrderedSet
-from emalg.lawsuite import rand_element, rand_tree_elem, _label_pools
+from emalg.lawsuite import MONAD_LAW_SCOPE, _by_sort
 from emalg.monads import (
     HOLE,
     MAX_TREE_SIZE,
@@ -136,6 +137,26 @@ def test_parsing_round_trips():
             assert parse_element(serialize(elem), monad) == elem
 
 
+def test_every_enumerated_element_round_trips():
+    # mixed words ([a]e) and trees that drop their highest variables
+    # (c:2) included
+    for monad, base, size, _ in MONAD_LAW_SCOPE:
+        for t in monad.free_elements(base, size):
+            assert parse_element(serialize(t), monad) == t
+    assert serialize(MixedWord(("a",), "e")) == "[a]e"
+    assert parse_element("[]e", OMEGA_UP) == MixedWord((), "e")
+    assert serialize(Tree(Node("u", (Var(0),)), 2)) == "u(x0):2"
+    assert parse_element("b(x1, c) : 2", TREE2) == Tree(Node("b", (Var(1), Node("c"))), 2)
+
+
+@pytest.mark.parametrize(
+    "text", ["[a]e f", "[a]:2", "[(]", ",", "b(,)", ":2", "c:", "b(x1,c):1"]
+)
+def test_malformed_literals_are_rejected(text):
+    with pytest.raises(ValueError):
+        parse_element(text, OMEGA_UP if text.startswith("[") else TREE2)
+
+
 def test_parse_word_whitespace():
     assert parse_word(" [ a , b ] ") == Word(("a", "b"))
     with pytest.raises(ValueError):
@@ -162,25 +183,74 @@ def test_hole_token():
         parse_tree("b(_,c)")
 
 
+def _levels(monad, base, sizes):
+    """The label pools of the level after ``len(sizes)`` levels of elements
+    up to those sizes, the first over ``base``."""
+    pools = base
+    for size in sizes:
+        pools = _by_sort(monad, monad.free_elements(pools, size))
+    return pools
+
+
 def test_monad_laws_randomized():
-    rng = random.Random(7)
+    """The three laws on every element up to size 3 and every three-level
+    element up to sizes 2, 1, 2, over one label of some sorts where the
+    battery's scope has two."""
     cases = [
         (WORD, {SORT_WORD: list("ab")}),
         (OMEGA_UP, {SORT_FIN: list("ab"), SORT_INF: ["e"]}),
         (TREE2, {0: ["c"], 1: ["u"], 2: ["b"]}),
     ]
     for monad, base in cases:
-        for _ in range(300):
-            sort = rng.choice([s for s in monad.sorts if base.get(s)])
-            t = rand_element(monad, rng, base, sort)
+        for t in monad.free_elements(base, 3):
             assert monad.flat(monad.sing(t, monad.element_sort(t))) == t
             assert monad.flat(monad.map(lambda a, s: monad.sing(a, s), t)) == t
-            level1 = _label_pools(monad, base, rng)
-            level2 = _label_pools(monad, level1, rng)
-            big = rand_element(monad, rng, level2, sort)
+        sorts = set()
+        for big in monad.free_elements(_levels(monad, base, (2, 1)), 2):
+            sorts.add(monad.element_sort(big))
             assert monad.flat(monad.flat(big)) == monad.flat(
                 monad.map(lambda w, s: monad.flat(w), big)
             )
+        assert sorts == set(monad.sorts)
+
+
+def _rename(node, image):
+    """``node`` with each variable x_i renamed x_image[i]."""
+    if isinstance(node, Var):
+        return Var(image[node.index])
+    return Node(node.label, tuple(_rename(c, image) for c in node.children))
+
+
+def test_tree_elements_are_every_linear_tree():
+    """Up to 3 nodes and the arity cap: the brute force of
+    tests/test_law_axioms lists each shape with its variables in order, and
+    every injective renaming into a sort at least their number gives the
+    trees whose variables come in any order, some dropped."""
+    from tests.test_law_axioms import _trees
+
+    want = set()
+    for t, _ in _trees({"c": (0, 1), "u": (1, 1), "b": (2, 1)}, 3, 2):
+        for k in range(t.sort, 3):
+            for image in itertools.permutations(range(k), t.sort):
+                want.add(Tree(_rename(t.root, image), k))
+    got = list(TREE2.free_elements({0: ["c"], 1: ["u"], 2: ["b"]}, 3))
+    assert len(got) == len(set(got))
+    assert set(got) == want
+    assert parse_tree("b(x1,x0)") in want and parse_tree("u(x1)") in want
+    assert Tree(Node("u", (Var(0),)), 2) in want  # x1 dropped
+
+
+def test_word_and_omega_elements_are_every_element_once():
+    runs = [u for n in range(3) for u in itertools.product("ab", repeat=n)]
+    words = list(WORD.free_elements({SORT_WORD: ["a", "b"]}, 2))
+    assert words == [Word(u) for u in runs[1:]]
+    got = list(OMEGA_UP.free_elements({SORT_FIN: ["a", "b"], SORT_INF: ["e"]}, 2))
+    assert len(got) == len(set(got))
+    assert set(got) == (
+        set(words)
+        | {UPWord(u, v) for u in runs for v in runs[1:]}
+        | {MixedWord(u, "e") for u in runs}
+    )
 
 
 def test_map_preserves_leq():
@@ -195,14 +265,13 @@ def test_map_preserves_leq():
 
 
 def test_tree_flat_preserves_linearity_and_sort():
-    rng = random.Random(11)
-    base = {0: ["c"], 1: ["u"], 2: ["b"]}
-    for _ in range(200):
-        level1 = _label_pools(TREE2, base, rng)
-        sort = rng.choice([0, 1, 2])
-        big = rand_element(TREE2, rng, level1, sort)
+    level1 = _levels(TREE2, {0: ["c"], 1: ["u"], 2: ["b"]}, (2,))
+    sorts = set()
+    for big in TREE2.free_elements(level1, 2):
+        sorts.add(big.sort)
         flat = TREE2.flat(big)
-        assert flat.sort == sort  # linearity: test_trusted_trees_pass_the_public_checks
+        assert flat.sort == big.sort  # linearity: test_trusted_trees_pass_the_public_checks
+    assert sorts == {0, 1, 2}
 
 
 def _recheck(t):
@@ -219,18 +288,21 @@ def _recheck(t):
 
 
 def test_trusted_trees_pass_the_public_checks():
-    rng = random.Random(5)
     base = {0: ["c", "d"], 1: ["u"], 2: ["b"]}
-    for _ in range(300):
-        sort = rng.choice([0, 1, 2])
-        t = _recheck(rand_tree_elem(rng, base, sort))
-        _recheck(TREE2.sing(t, sort))
-        _recheck(TREE2.flat(TREE2.sing(t, sort)))
+    for t in TREE2.free_elements(base, 3):
+        _recheck(t)
+        _recheck(TREE2.sing(t, t.sort))
+        _recheck(TREE2.flat(TREE2.sing(t, t.sort)))
         _recheck(TREE2.map(lambda a, s: a * 2, t))
         _recheck(TREE2.flat(TREE2.map(lambda a, s: TREE2.sing(a, s), t)))
-        level1 = {s: [_recheck(x) for x in p] for s, p in _label_pools(TREE2, base, rng).items()}
-        level2 = {s: [_recheck(x) for x in p] for s, p in _label_pools(TREE2, level1, rng).items()}
-        big = _recheck(rand_element(TREE2, rng, level2, sort))
+    level1 = _levels(TREE2, base, (2,))
+    level2 = _levels(TREE2, level1, (1,))
+    for pools in (level1, level2):
+        for p in pools.values():
+            for x in p:
+                _recheck(x)
+    for big in TREE2.free_elements(level2, 2):
+        _recheck(big)
         _recheck(TREE2.flat(TREE2.flat(big)))
         _recheck(TREE2.flat(TREE2.map(lambda w, s: _recheck(TREE2.flat(w)), big)))
 
