@@ -803,7 +803,9 @@ def restrict_sorts(alg: FinAlgebra, delta: Iterable[Sort]) -> FinAlgebra:
     """Keep only the elements whose sort lies in ``delta``; products that
     mention a dropped sort disappear with them, over the monad that
     ``Monad.restricted`` gives (a tree algebra's arity cap falls to the
-    largest sort kept)."""
+    largest sort kept).  A tree shape whose arguments are all kept but
+    whose result sort, below that cap, is dropped has no table to hold
+    it, and construction raises."""
     ds = set(delta)
     keep = {e for e in alg.carrier if alg.carrier.sort_of(e) in ds}
     return _restrict(alg, keep, alg.monad.restricted(ds))
