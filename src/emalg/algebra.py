@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Optional
 
 from .core import (
@@ -86,7 +87,14 @@ def _wrong_sort(op: str, args: tuple, value, result: Sort) -> str:
 
 
 class FinAlgebra:
-    """A finitary algebra over one of the three instances."""
+    """A finitary algebra over one of the three instances.
+
+    ``tables`` holds one read-only mapping per op of ``_OPS``, keyed by the
+    flat argument tuple of each entry (the layout under "the table view"
+    below).  The keyword tables keep their documented shapes and are
+    converted once, on the way in; ``mult``, ``dot`` and ``mix`` are the
+    stored tables, and ``omega`` (keyed by a) and ``comp`` (keyed by (head,
+    slots)) are read-only views in those shapes, built on first use."""
 
     def __init__(
         self,
@@ -99,36 +107,44 @@ class FinAlgebra:
         omega: Optional[dict] = None,
         comp: Optional[dict] = None,
     ):
-        self._store(monad, carrier, mult, dot, mix, omega, comp)
-        self._validate()
-        bad = _incompatibility(self, carrier.leq_pairs())
-        if bad:
-            raise ValueError(f"{bad[0]} not monotone at {bad[1]!r} vs {bad[2]!r}")
+        tables = {
+            "mult": dict(mult or {}),
+            "dot": dict(dot or {}),
+            "mix": dict(mix or {}),
+            "omega": {(a,): v for a, v in (omega or {}).items()},
+            "comp": {(a, *slots): v for (a, slots), v in (comp or {}).items()},
+        }
+        self._init(monad, carrier, tables)
 
-    @classmethod
-    def _trusted(cls, monad: Monad, carrier: SortedOrderedSet, **tables):
-        """The algebra ``FinAlgebra(monad, carrier, **tables)`` for tables
-        known to be monotone, as a quotient by a compatible preorder is (see
-        ``quotient_algebra``): every check but the monotonicity walk."""
-        alg = cls.__new__(cls)
-        alg._store(monad, carrier, **tables)
-        alg._validate()
-        return alg
-
-    def _store(
-        self, monad, carrier, mult=None, dot=None, mix=None, omega=None, comp=None
-    ):
+    def _init(self, monad, carrier, tables: dict, monotone: bool = False):
+        """Take over ``tables`` (op -> dict keyed by flat argument tuples),
+        check them against the signature and, unless they are known to be
+        ``monotone`` (a quotient's are, see ``quotient_algebra``), walk them
+        for monotonicity."""
         self.monad = monad
         self.carrier = carrier
         self.kind = monad.kind
-        self.mult = dict(mult) if mult else {}
-        self.dot = dict(dot) if dot else {}
-        self.mix = dict(mix) if mix else {}
-        self.omega = dict(omega) if omega else {}
-        self.comp = {}
-        if comp:
-            for (a, slots), r in comp.items():
-                self.comp[(a, tuple(slots))] = r
+        self.tables = MappingProxyType({op: MappingProxyType(tables[op]) for op in _OPS})
+        # each op's lookup args -> value, None where the table has no entry
+        self._read = {op: tables[op].get for op in _OPS}
+        self._read["comp"] = functools.partial(_read_comp, tables["comp"])
+        self._validate()
+        if not monotone:
+            bad = _incompatibility(self, carrier.leq_pairs())
+            if bad:
+                raise ValueError(f"{bad[0]} not monotone at {bad[1]!r} vs {bad[2]!r}")
+
+    mult = property(lambda self: self.tables["mult"])
+    dot = property(lambda self: self.tables["dot"])
+    mix = property(lambda self: self.tables["mix"])
+
+    @functools.cached_property
+    def omega(self):
+        return MappingProxyType({a: v for (a,), v in self.tables["omega"].items()})
+
+    @functools.cached_property
+    def comp(self):
+        return MappingProxyType({(k[0], k[1:]): v for k, v in self.tables["comp"].items()})
 
     # -- validation ----------------------------------------------------------
 
@@ -137,17 +153,16 @@ class FinAlgebra:
         and lands in its result sort, except an op that has nowhere to land
         (a sort restriction emptied every result sort it has, as it empties
         the infinite sort of an omega algebra); every other entry fits a
-        shape too (a comp entry with a bare slot).  Construction then walks
-        the tables for monotonicity."""
+        shape too (a comp entry with a bare slot)."""
         A = self.carrier
         signature = self.monad.signature
         sorts = {e: s for s in A.sorts for e in A.elements(s)}
         live = {op for op, _, result in signature if A.elements(result)}
         found = dict.fromkeys(_OPS, 0)  # entries whose arguments are elements
         for op, arg_sorts, result in signature:
-            read, table = _READ[op], getattr(self, op)
+            read = self._read[op]
             for args in itertools.product(*map(A.elements, arg_sorts)):
-                value = read(table, args)
+                value = read(args)
                 if value is None:
                     if op in live:
                         raise ValueError(f"{op} not total at {args!r}")
@@ -157,7 +172,7 @@ class FinAlgebra:
                     found[op] += 1
         # a table with more entries holds bare comp slots or entries that fit
         # no shape: check each of its entries
-        rest = {op for op in _OPS if len(getattr(self, op)) > found[op]}
+        rest = {op for op in _OPS if len(self.tables[op]) > found[op]}
         if rest:
             shapes = {(op, args): result for op, args, result in signature}
             slot_sort = {**sorts, VAR: 1}.get  # a bare comp slot passes x0 through
@@ -176,15 +191,12 @@ class FinAlgebra:
     def comp_value(self, a, slots: tuple):
         """Value of the shallow tree a(slot_1,...,slot_n); VAR slots pass a
         variable through.  The all-variable pattern is the unit law."""
-        slots = tuple(slots)
-        if all(s is VAR for s in slots):
-            return a
-        try:
-            return self.comp[(a, slots)]
-        except KeyError:
+        value = self._read["comp"]((a, *slots))
+        if value is None:
             raise MissingTableEntry(
-                f"no composition entry for head {a!r} with slots {slots!r}"
-            ) from None
+                f"no composition entry for head {a!r} with slots {tuple(slots)!r}"
+            )
+        return value
 
     def elements(self, sort: Sort):
         return self.carrier.elements(sort)
@@ -192,7 +204,7 @@ class FinAlgebra:
     @functools.cached_property
     def _ints(self) -> "_IntTables":
         """The tables over element indices, built on first use and kept:
-        an algebra's tables do not change after construction."""
+        an algebra's tables are read-only."""
         return _IntTables(self)
 
     def __repr__(self):
@@ -209,25 +221,22 @@ class FinAlgebra:
 #   ("mult", (a, b))   ("dot", (a, b))   ("mix", (a, e))   ("omega", (a,))
 #   ("comp", (head, slot_1, ..., slot_n)), VAR standing for a bare slot
 #
+# This layout is the storage: ``alg.tables[op]`` is keyed by ``args``.
 # Validation, the terminal algebra, morphism tests, restriction, quotients,
 # products, the compatibility check and the closure with witnesses are
-# written once over this view and the signature; so are the sequence fold
-# that evaluation, contexts and the ``profinite`` terms share, and the
-# syntactic one-step context functions.  The per-op dicts stay the storage
-# and the public face.
+# written once over it and the signature; so are the sequence fold that
+# evaluation, contexts and the ``profinite`` terms share, and the syntactic
+# one-step context functions.  Only the keyword tables of ``FinAlgebra`` and
+# its ``omega`` and ``comp`` views have other shapes.
 
 _OPS = ("mult", "dot", "mix", "omega", "comp")
 
 
 def _entries(alg: FinAlgebra):
     """Every table entry as (op, args, value), table by table."""
-    for op in ("mult", "dot", "mix"):
-        for args, value in getattr(alg, op).items():
+    for op, table in alg.tables.items():
+        for args, value in table.items():
             yield op, args, value
-    for a, value in alg.omega.items():
-        yield "omega", (a,), value
-    for (a, slots), value in alg.comp.items():
-        yield "comp", (a, *slots), value
 
 
 def _places(alg: FinAlgebra) -> list:
@@ -235,36 +244,24 @@ def _places(alg: FinAlgebra) -> list:
     entries, in ``_entries``' argument layout, read off the table keys
     without listing every entry.  An all-bare pattern is the unit law,
     which gives nothing new, and is left out."""
-    places = {(op, 2, ()) for op in ("mult", "dot", "mix") if getattr(alg, op)}
-    if alg.omega:
-        places.add(("omega", 1, ()))
-    for _, slots in alg.comp:
-        if slots.count(VAR) < len(slots):
-            bare = tuple([i + 1 for i, x in enumerate(slots) if x is VAR])
-            places.add(("comp", 1 + len(slots), bare))
+    places = {
+        (op, len(next(iter(table))), ())
+        for op, table in alg.tables.items()
+        if table and op != "comp"
+    }
+    for args in alg.tables["comp"]:
+        if args.count(VAR) < len(args) - 1:
+            places.add(("comp", len(args), tuple([i for i, x in enumerate(args) if x is VAR])))
     return sorted(places)
 
 
-def _read_omega(table: dict, args: tuple):
-    return table.get(args[0])
-
-
 def _read_comp(table: dict, args: tuple):
-    slots = args[1:]
-    if slots.count(VAR) == len(slots):  # the unit law, as in ``comp_value``
+    """comp's entry at ``args``, None where there is none; an all-bare
+    pattern is the unit law, as in ``comp_value``."""
+    if args.count(VAR) == len(args) - 1:
         return args[0]
-    return table.get((args[0], slots))
+    return table.get(args)
 
-
-#: For each op, the lookup (table, args) -> value, None where the table has
-#: no entry: ``_READ[op](getattr(alg, op), args)``.
-_READ = {
-    "mult": dict.get,
-    "dot": dict.get,
-    "mix": dict.get,
-    "omega": _read_omega,
-    "comp": _read_comp,
-}
 
 def _comp_term(args: tuple, sorts: tuple) -> Tree:
     """head(slot_1, ..., slot_n): each slot a node over fresh variables, as
@@ -293,33 +290,20 @@ _TERM = {
 }
 
 
-def _build(monad: Monad, carrier: SortedOrderedSet, entries, make=FinAlgebra):
-    """The algebra on ``carrier`` whose tables hold ``entries``, constructed
-    by ``make`` (``FinAlgebra`` or ``FinAlgebra._trusted``)."""
+def _build(monad: Monad, carrier: SortedOrderedSet, entries, monotone: bool = False):
+    """The algebra on ``carrier`` whose tables hold ``entries``; tables
+    known to be ``monotone`` skip the monotonicity walk."""
     tables: dict = {op: {} for op in _OPS}
     for op, args, value in entries:
-        if op == "omega":
-            tables[op][args[0]] = value
-        elif op == "comp":
-            tables[op][(args[0], args[1:])] = value
-        else:
-            tables[op][args] = value
-    return make(monad, carrier, **tables)
+        tables[op][args] = value
+    alg = FinAlgebra.__new__(FinAlgebra)
+    alg._init(monad, carrier, tables, monotone)
+    return alg
 
 
 def _image(f, args: tuple) -> tuple:
     """``args`` relabelled by the mapping ``f``; bare slots stay bare."""
     return tuple([VAR if a is VAR else f[a] for a in args])
-
-
-def _tables(algs: list[FinAlgebra]) -> dict:
-    """For each op, the tables of the given components, in order.
-
-    For argument tuples ``combo`` whose members are tuples over the
-    components, ``tuple(map(_READ[op], tables[op], zip(*combo)))`` is then
-    the tuple of each component's entry at its column of ``combo``, with
-    None where a component lacks the entry."""
-    return {op: [getattr(a, op) for a in algs] for op in _OPS}
 
 
 class _IntTables:
@@ -333,8 +317,7 @@ class _IntTables:
     ``entries`` lists the entries in ``_entries`` order as (op, table,
     args, code, value): the table of (op, m), the argument indices, their
     code and the value's index; an entry with a bare slot keeps its labels,
-    with None for the table and the code.  The public dicts stay the
-    storage; labels stay at the boundary."""
+    with None for the table and the code."""
 
     def __init__(self, alg: FinAlgebra):
         self.elems = list(alg.carrier)
@@ -404,7 +387,7 @@ def _incompatibility(alg: FinAlgebra, rel: frozenset) -> Optional[tuple]:
             u = up[i]
             above.append([j for j in range(lo, hi) if u >> j & 1 and j != i])
         lo = hi
-    labels_up = None
+    labels_up, read_comp = None, alg._read["comp"]
     for op, table, args, code, v in view.entries:
         if table is None:  # a bare slot: the whole product of up-sets
             if labels_up is None:
@@ -414,7 +397,7 @@ def _incompatibility(alg: FinAlgebra, rel: frozenset) -> Optional[tuple]:
             next(above_args, None)  # args itself
             related = up[index[v]]
             for args2 in above_args:
-                value2 = _read_comp(alg.comp, args2)
+                value2 = read_comp(args2)
                 if value2 is not None and not related >> index[value2] & 1:
                     return op, args, args2
             continue
@@ -471,7 +454,7 @@ def one_element_algebra(monad: Monad) -> FinAlgebra:
 
 def _apply(alg: FinAlgebra, op: str, args: tuple) -> Elem:
     """``op``'s entry at ``args``; MissingTableEntry where there is none."""
-    value = _READ[op](getattr(alg, op), args)
+    value = alg._read[op](args)
     if value is None:
         raise MissingTableEntry(f"no {op} entry at {args!r}")
     return value
@@ -594,7 +577,7 @@ def is_morphism(phi, A: FinAlgebra, B: FinAlgebra) -> bool:
     if A.kind != B.kind:
         return False
     for op, args, value in _entries(A):
-        target = _READ[op](getattr(B, op), _image(f, args))
+        target = B._read[op](_image(f, args))
         # an optional slot entry absent in the target cannot refute
         if target is not None and f[value] != target:
             return False
@@ -734,7 +717,7 @@ def _grow_tuples(algs: list[FinAlgebra], seeds: Iterable[tuple], places=None):
         columns = list(zip(*known))
         found = []
         for op, n, bare in places:
-            read, ts = _READ[op], [getattr(a, op) for a in algs]
+            reads = [a._read[op] for a in algs]
             for x in frontier:
                 for j in range(n):
                     if j in bare:
@@ -742,13 +725,12 @@ def _grow_tuples(algs: list[FinAlgebra], seeds: Iterable[tuple], places=None):
                     # x at position j, known tuples elsewhere, evaluated one
                     # component (one column of the known tuples) at a time
                     per_component = []
-                    for table, a, column in zip(ts, x, columns):
+                    for read, a, column in zip(reads, x, columns):
                         pools = [column] * n
                         for i in bare:
                             pools[i] = bare_column
                         pools[j] = (a,)
-                        args = itertools.product(*pools)
-                        per_component.append(map(read, itertools.repeat(table), args))
+                        per_component.append(map(read, itertools.product(*pools)))
                     for t in set(zip(*per_component)) - tuples:
                         if None not in t:
                             tuples.add(t)
@@ -786,12 +768,18 @@ def tuple_algebra(algs: list[FinAlgebra], tuples: Iterable[tuple]) -> FinAlgebra
     by_first: dict = {VAR: [bare]}
     for t in ts:
         by_first.setdefault(t[0], []).append(t)
+    columns = {a: list(zip(*group)) for a, group in by_first.items()}
+    no_columns = [()] * len(algs)
     tset = set(ts)
-    tables = _tables(algs)
     entries = []
     for op, args, _ in _entries(algs[0]):
-        for combo in itertools.product(*(by_first.get(a, ()) for a in args)):
-            t = tuple(map(_READ[op], tables[op], zip(*combo)))
+        # each component's entries at its columns, in the order of the combos
+        values = zip(*(
+            map(alg._read[op], itertools.product(*[columns.get(a, no_columns)[i] for a in args]))
+            for i, alg in enumerate(algs)
+        ))
+        combos = itertools.product(*(by_first.get(a, ()) for a in args))
+        for combo, t in zip(combos, values):
             if t in tset:
                 if VAR in args:
                     combo = tuple([VAR if c is bare else c for c in combo])
@@ -850,7 +838,7 @@ def quotient_algebra(alg: FinAlgebra, q: Preorder) -> tuple[FinAlgebra, Morphism
             else (op, tuple([of[d] for d in args]), of[value])
             for op, table, args, _, value in alg._ints.entries
         ),
-        FinAlgebra._trusted,
+        monotone=True,
     )
     return quot, Morphism(alg, quot, SortedFunction(alg.carrier, Q, cls))
 
@@ -954,7 +942,7 @@ def _axiom_violations(alg: FinAlgebra):
                 continue
             op2, op4 = binary[(r1, s3)][0], binary[(s1, r2)][0]
             name = f"{op2}-assoc" if op2 == op1 else f"{op2}-action"
-            xy, out, yz, xr = (getattr(alg, op) for op in (op1, op2, op3, op4))
+            xy, out, yz, xr = (alg.tables[op] for op in (op1, op2, op3, op4))
             zs = elements(s3)
             for x, y in itertools.product(elements(s1), elements(s2)):
                 p = xy[(x, y)]
@@ -965,34 +953,36 @@ def _axiom_violations(alg: FinAlgebra):
         if len(args) != 1 or not elements(r):
             continue
         (s,) = args
-        u, mul, act = (getattr(alg, o) for o in (op, binary[(s, s)][0], binary[(s, r)][0]))
+        u, mul, act = (alg.tables[o] for o in (op, binary[(s, s)][0], binary[(s, r)][0]))
         xs = elements(s)
         for x, y in itertools.product(xs, xs):
-            if act[(x, u[mul[(y, x)]])] != u[mul[(x, y)]]:
+            if act[(x, u[(mul[(y, x)],)])] != u[(mul[(x, y)],)]:
                 yield f"{op}-shift", (x, y)
         for x in xs:
-            p = x
+            p, ux = x, u[(x,)]
             for _ in range(2 * max(1, len(xs)) + 1):
                 p = mul[(p, x)]
-                if u[p] != u[x]:
+                if u[(p,)] != ux:
                     yield f"{op}-power", (x, p)
                     break
-    if not alg.comp:
+    comp = alg.tables["comp"]
+    if not comp:
         return
     # the argument tuples of a head of each sort, by the signature's shapes
     pools = {s: [*elements(s), VAR] if s == 1 else elements(s) for s in monad.sorts}
     tuples: dict = {}
     for op, (n, *slot_sorts), _ in monad.signature:
         tuples.setdefault(n, []).extend(itertools.product(*map(pools.get, slot_sorts)))
-    comp, sort_of = alg.comp, A.sort_of
-    for (a, slots), m in comp.items():
+    read, sort_of = alg._read["comp"], A.sort_of
+    for key, m in comp.items():
+        a, slots = key[0], key[1:]
         if slots.count(VAR) == len(slots):  # as in ``_read_comp``
             if m != a:
                 yield "comp-unit", (a, slots)
             continue
         widths = [1 if b is VAR else sort_of(b) for b in slots]
         for args in tuples.get(sort_of(m), ()):
-            via_m = _read_comp(comp, (m, *args))
+            via_m = read((m, *args))
             if via_m is None:
                 continue
             filled, pos = [], 0
@@ -1002,11 +992,11 @@ def _axiom_violations(alg: FinAlgebra):
                 if b is VAR:  # a bare slot passes its argument through
                     filled.append(segment[0])
                     continue
-                v = _read_comp(comp, (b, *segment))
+                v = read((b, *segment))
                 if v is None:
                     break
                 filled.append(v)
             else:
-                direct = _read_comp(comp, (a, *filled))
+                direct = read((a, *filled))
                 if direct is not None and direct != via_m:
                     yield "comp-assoc", (a, slots, args)

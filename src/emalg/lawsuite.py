@@ -153,13 +153,13 @@ def _bounded_quotient_compatibility(alg: FinAlgebra, q: Preorder, max_len=3) -> 
     _, qfn = quotient_set(alg.carrier, q)
     cls = qfn.mapping
     Q = qfn.cod
-    elems = list(alg.carrier)
+    elems, mult = list(alg.carrier), alg.mult
     by_vec: dict = {}
     for ln in range(1, max_len + 1):
         for w in itertools.product(elems, repeat=ln):
             acc = w[0]
             for x in w[1:]:
-                acc = alg.mult[(acc, x)]
+                acc = mult[(acc, x)]
             by_vec.setdefault(tuple(cls[x] for x in w), set()).add(acc)
     vecs = list(by_vec)
     for v1 in vecs:

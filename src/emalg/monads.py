@@ -232,7 +232,8 @@ class Monad:
     kind: str = ""
     #: The shallow operations of a finitary algebra over this monad, one
     #: ``(op, argument sorts, result sort)`` per shape.  ``FinAlgebra``
-    #: stores the entries of op ``op`` in its attribute of that name.
+    #: stores the entries of op ``op`` in ``tables[op]``, keyed by their
+    #: flat argument tuples.
     signature: tuple[tuple[str, tuple[Sort, ...], Sort], ...] = ()
     #: The sort whose binary op spells every element of a generated algebra
     #: as a product of generators and acts on the other sorts, so that a

@@ -50,7 +50,6 @@ from .core import (
     is_upward_closed,
 )
 from .algebra import (
-    _READ,
     _TERM,
     FinAlgebra,
     GeneratedSubalgebra,
@@ -249,7 +248,7 @@ def _one_step_functions(
         pool[alg.monad.generated_sort] = generators
     out: list[ContextFunction] = []
     for op, sorts, result in alg.monad.signature:
-        read, table = _READ[op], getattr(alg, op)
+        read = alg._read[op]
         for i, hole_sort in enumerate(sorts):
             es = A.elements(hole_sort)
             pools = [pool.get(s, ()) for s in sorts]
@@ -257,8 +256,7 @@ def _one_step_functions(
             for fixed in itertools.product(*pools):
                 columns = [(x,) for x in fixed]
                 columns[i] = es
-                args = itertools.product(*columns)
-                values = list(map(read, itertools.repeat(table), args))
+                values = list(map(read, itertools.product(*columns)))
                 if values and None not in values:
                     step = dict(zip(es, values))
                     witness = _as_context(cls, _TERM[op](fixed, sorts))
@@ -385,7 +383,7 @@ def _generators(alg: FinAlgebra) -> Optional[tuple]:
     if sort is None:
         return None
     op, _ = alg.monad.binary[(sort, sort)]
-    read, table = _READ[op], getattr(alg, op)
+    read = alg._read[op]
     gens: list = []
     reached: list = []
     seen: set = set()
@@ -400,7 +398,7 @@ def _generators(alg: FinAlgebra) -> Optional[tuple]:
         while multiply:
             for x in multiply:
                 for h in by:
-                    for c in (read(table, (x, h)), read(table, (h, x))):
+                    for c in (read((x, h)), read((h, x))):
                         if c not in seen:
                             seen.add(c)
                             new.append(c)

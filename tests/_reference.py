@@ -31,7 +31,7 @@ automata must be equal."""
 
 import itertools
 
-from emalg.algebra import _READ, VAR, _entries, subalgebra_generated
+from emalg.algebra import VAR, _entries, subalgebra_generated
 from emalg.automata import Dfa, _renumber
 from emalg.core import SortedFunction, SortedOrderedSet
 from emalg.logic import cached_theory_algebra
@@ -55,7 +55,7 @@ def incompatibility(alg, rel):
     up_set = {x: set(u) for x, u in up.items()}
     up.setdefault(VAR, [VAR])
     for op, args, value in _entries(alg):
-        read, table = _READ[op], getattr(alg, op)
+        read = alg._read[op]
         if VAR in args:
             above = itertools.product(*(up.get(a, ()) for a in args))
             next(above, None)  # args itself
@@ -67,7 +67,7 @@ def incompatibility(alg, rel):
             ]
         related = up_set[value]
         for args2 in above:
-            value2 = read(table, args2)
+            value2 = read(args2)
             if value2 is not None and value2 not in related:
                 return op, args, args2
     return None
@@ -142,15 +142,14 @@ def generated_tuples(algs, seeds):
         columns = list(zip(*known))
         found = set()
         for op, n in shapes:
-            read, ts = _READ[op], [getattr(a, op) for a in algs]
+            reads = [a._read[op] for a in algs]
             for x in frontier:
                 for j in range(n):
                     per_component = []
-                    for table, a, column in zip(ts, x, columns):
+                    for read, a, column in zip(reads, x, columns):
                         pools = [column] * n
                         pools[j] = (a,)
-                        args = itertools.product(*pools)
-                        per_component.append(map(read, itertools.repeat(table), args))
+                        per_component.append(map(read, itertools.product(*pools)))
                     found.update(zip(*per_component))
         frontier = [t for t in found if None not in t and t not in tuples]
         tuples.update(frontier)

@@ -102,8 +102,12 @@ def test_dfa_serialization_round_trip():
     for rx, _ in CASES:
         dfa = parse_regex(rx)
         back = parse_dfa_file(dfa_to_text(dfa))
+        assert back == dfa, rx
         for w in words_up_to(dfa.alphabet, 8):
             assert back.accepts(w) == dfa.accepts(w), (rx, w)
+    for rx in _seeded_regexes():
+        dfa = parse_regex(rx)
+        assert parse_dfa_file(dfa_to_text(dfa)) == dfa, rx
 
 
 @pytest.mark.parametrize("text", ["(a|b){4}", "a{2,3}", "a}", "{"])
@@ -123,9 +127,13 @@ def _random_regex(rng: random.Random, depth: int) -> str:
     return "(" + _random_regex(rng, depth - 1) + ")" + kind
 
 
-def test_moore_refinement_gives_the_automata_of_hopcroft_minimisation(monkeypatch):
+def _seeded_regexes() -> list[str]:
     rng = random.Random(0)
-    regexes = [_random_regex(rng, 4) for _ in range(1000)]
+    return [_random_regex(rng, 4) for _ in range(1000)]
+
+
+def test_moore_refinement_gives_the_automata_of_hopcroft_minimisation(monkeypatch):
+    regexes = _seeded_regexes()
     regexes += ["(a|b)*" + x + "(a|b)" * k for x in "ab" for k in range(7)]
     ours = [parse_regex(r) for r in regexes]
     assert len({d.n_states for d in ours}) > 10
