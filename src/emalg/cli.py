@@ -6,8 +6,9 @@ errors, 3 for an exceeded search, theory or carrier bound, 4 for an internal
 inconsistency (a failed cross-check: a bug, not bad input), reported with
 the exception's witness when it has one.  Reports are emitted as a single
 JSON record with a fixed key order (command, verdict, evidence, timing_ms);
-timing is null unless --timing is given so that reports are byte-stable
-across runs with a fixed seed.
+timing is null, and the ``laws`` evidence carries no per-check ``ms``,
+unless --timing is given, so that reports are byte-stable across runs with a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ EXIT_OK, EXIT_NEGATIVE, EXIT_INPUT, EXIT_BOUND, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 def _emit(command: str, verdict, evidence, args) -> None:
-    elapsed = time.time() - args._t0
+    elapsed = time.perf_counter() - args._t0
     report = {
         "command": command,
         "verdict": verdict,
@@ -219,6 +220,9 @@ def _cmd_laws(args) -> int:
     for r in results:
         print(f"{'PASS' if r.ok else 'FAIL'}  {r.name:32s} {r.seconds:7.2f}s  {r.detail}")
     evidence = {r.name: {"ok": r.ok, "detail": r.detail} for r in results}
+    if args.timing:
+        for r in results:
+            evidence[r.name]["ms"] = round(r.seconds * 1000, 1)
     _emit("laws", {"ok": ok, "seed": args.seed}, evidence, args)
     return EXIT_OK if ok else EXIT_NEGATIVE
 
@@ -279,7 +283,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    args._t0 = time.time()
+    args._t0 = time.perf_counter()
     try:
         return args.fn(args)
     except (ParseError, RegexSyntaxError, FileNotFoundError, ValueError) as exc:

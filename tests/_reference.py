@@ -27,13 +27,21 @@ test.
 
 ``hopcroft`` is the partition-refinement DFA minimisation that
 ``parse_regex`` ran before Moore's refinement replaced it; the minimal
-automata must be equal."""
+automata must be equal.
+
+``bounded_quotient_compatibility`` is the law battery's bounded
+congruence definition as it enumerated every word up to the length bound,
+before the class-vector groups grew one letter at a time; here its
+``quotient_set`` is the label-keyed one above.  ``all_preorders`` builds a
+``Preorder`` for every subset of the same-sort pairs, as the battery did
+before it closed the subsets as bitmasks; verdicts and the sequence of
+preorders must agree."""
 
 import itertools
 
 from emalg.algebra import VAR, _entries, subalgebra_generated
 from emalg.automata import Dfa, _renumber
-from emalg.core import SortedFunction, SortedOrderedSet
+from emalg.core import Preorder, SortedFunction, SortedOrderedSet
 from emalg.logic import cached_theory_algebra
 from emalg.syntactic import _one_step_functions, _pair_depths
 
@@ -302,3 +310,47 @@ def hopcroft(dfa):
             matches_epsilon=dfa.matches_epsilon,
         )
     )
+
+
+def bounded_quotient_compatibility(alg, q, max_len=3):
+    """The definition itself, on words up to a length bound: whenever the
+    classwise images compare, the products must compare."""
+    _, qfn = quotient_set(alg.carrier, q)
+    cls = qfn.mapping
+    Q = qfn.cod
+    elems, mult = list(alg.carrier), alg.mult
+    by_vec: dict = {}
+    for ln in range(1, max_len + 1):
+        for w in itertools.product(elems, repeat=ln):
+            acc = w[0]
+            for x in w[1:]:
+                acc = mult[(acc, x)]
+            by_vec.setdefault(tuple(cls[x] for x in w), set()).add(acc)
+    vecs = list(by_vec)
+    for v1 in vecs:
+        for v2 in vecs:
+            if len(v1) != len(v2):
+                continue
+            if all(Q.leq(x, y) for x, y in zip(v1, v2)):
+                for a in by_vec[v1]:
+                    for b in by_vec[v2]:
+                        if not q.holds(a, b):
+                            return False
+    return True
+
+
+def all_preorders(carrier):
+    elems = list(carrier)
+    nonrefl = [
+        (a, b)
+        for a in elems
+        for b in elems
+        if a != b and carrier.sort_of(a) == carrier.sort_of(b)
+    ]
+    seen = set()
+    for mask in range(2 ** len(nonrefl)):
+        chosen = [p for i, p in enumerate(nonrefl) if mask >> i & 1]
+        q = Preorder(carrier, chosen)
+        if q.pairs() not in seen:
+            seen.add(q.pairs())
+            yield q

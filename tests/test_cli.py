@@ -191,6 +191,34 @@ def test_laws_fast_smoke():
     assert all(l.startswith("PASS") for l in lines)
 
 
+def _laws_report(out: str) -> str:
+    """The JSON report of ``emalg laws``, after its per-check lines."""
+    return out[out.index("{"):]
+
+
+# The report of ``emalg laws --fast --seed 0`` without --timing, recorded
+# before each check's evidence could carry its milliseconds.
+LAWS_FAST_SEED0_REPORT_SHA256 = "5c0a41a3ac0dc39257f4ea085fb6066208e3c4db3f4e27a2b7665bd225e34bfa"
+
+
+def test_laws_report_without_timing_is_pinned():
+    code, out = run_cli("laws", "--fast", "--seed", "0")
+    assert code == EXIT_OK
+    report = _laws_report(out)
+    assert hashlib.sha256(report.encode()).hexdigest() == LAWS_FAST_SEED0_REPORT_SHA256
+    assert all(list(e) == ["ok", "detail"] for e in json.loads(report)["evidence"].values())
+
+
+def test_laws_timing_gives_each_check_its_milliseconds():
+    code, out = run_cli("--timing", "laws", "--fast", "--seed", "0")
+    assert code == EXIT_OK
+    report = json.loads(_laws_report(out))
+    assert len(report["evidence"]) == 10
+    for entry in report["evidence"].values():
+        assert list(entry) == ["ok", "detail", "ms"]
+        assert entry["ms"] >= 0
+
+
 def test_carrier_cap_exits_with_the_bound_code(tmp_path):
     # the syntactic algebra of (a|b)*a(a|b){5} has 126 elements, past the cap
     code, out = run_cli("syn", "(a|b)*a" + "(a|b)" * 5)

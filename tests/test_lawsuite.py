@@ -1,13 +1,20 @@
 import itertools
+import random
 
 import pytest
 
+from emalg import algebra, lawsuite
 from emalg.algebra import product
+from emalg.core import SortedOrderedSet
 from emalg.lawsuite import (
+    _all_preorders,
     _bits,
+    _bounded_quotient_compatibility,
     _index_table,
     _subalgebra_lattice,
     check_monad_laws,
+    rand_preorder,
+    rand_transformation_algebra,
     run_all,
     small_semigroups,
 )
@@ -22,6 +29,7 @@ from emalg.monads import (
     _node,
     _tree,
 )
+from tests import _reference
 
 
 def _brute_force_lattice(mult, elems):
@@ -217,3 +225,56 @@ def test_monad_laws_catch_flat_mutants(name, monkeypatch):
     result = check_monad_laws()
     assert not result.ok
     assert not result.detail.endswith("; 0 violations")
+
+
+# -- the bounded congruence definition and the preorder enumeration --------------
+
+
+def _congruence_cases():
+    """3,000 seeded (algebra, preorder) pairs, with up to 6 drawn pairs
+    each, so that both verdicts occur."""
+    for seed in range(6):
+        rng = random.Random(seed)
+        for _ in range(500):
+            alg = rand_transformation_algebra(rng)
+            yield alg, rand_preorder(rng, alg.carrier, extra_pairs=6)
+
+
+def test_grown_compatibility_oracle_matches_the_word_enumeration():
+    verdicts = []
+    for alg, q in _congruence_cases():
+        got = _bounded_quotient_compatibility(alg, q)
+        assert got == _reference.bounded_quotient_compatibility(alg, q), (alg, q)
+        verdicts.append(got)
+    assert len(verdicts) == 3000
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_compatibility_oracle_shares_no_code_with_the_library_walk(monkeypatch):
+    """The congruence check compares three criteria; the bounded definition
+    is only a witness if it answers without the library's walk."""
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the library walk was called")
+
+    cases = list(itertools.islice(_congruence_cases(), 200))
+    want = [_reference.bounded_quotient_compatibility(alg, q) for alg, q in cases]
+    monkeypatch.setattr(algebra, "_incompatibility", broken)
+    monkeypatch.setattr(algebra, "is_congruence_ordering", broken)
+    monkeypatch.setattr(lawsuite, "is_congruence_ordering", broken)
+    assert [_bounded_quotient_compatibility(alg, q) for alg, q in cases] == want
+    assert 0 < sum(want) < len(want)
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 4), (3, 29), (4, 355)])
+def test_all_preorders_counts_the_labelled_preorders(n, count):
+    """OEIS A000798: the number of preorders on n labelled points."""
+    carrier = SortedOrderedSet({0: list(range(n))})
+    pairs = [q.pairs() for q in _all_preorders(carrier)]
+    assert len(pairs) == len(set(pairs)) == count
+
+
+def test_all_preorders_yields_the_mask_enumeration_sequence():
+    for alg in small_semigroups(3):
+        got = [q.pairs() for q in _all_preorders(alg.carrier)]
+        assert got == [q.pairs() for q in _reference.all_preorders(alg.carrier)]
