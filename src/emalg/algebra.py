@@ -47,6 +47,9 @@ from .core import (
     Sort,
     SortedFunction,
     SortedOrderedSet,
+    _contains_order,
+    _members,
+    _rows_of,
     is_upward_closed,
     quotient_set,
 )
@@ -129,7 +132,7 @@ class FinAlgebra:
         self._read = {op: tables[op].get for op in _OPS}
         self._read["comp"] = functools.partial(_read_comp, tables["comp"])
         self._validate()
-        if not monotone:
+        if not monotone and not carrier.is_trivially_ordered():
             bad = _incompatibility(self, carrier.leq_pairs())
             if bad:
                 raise ValueError(f"{bad[0]} not monotone at {bad[1]!r} vs {bad[2]!r}")
@@ -156,7 +159,7 @@ class FinAlgebra:
         shape too (a comp entry with a bare slot)."""
         A = self.carrier
         signature = self.monad.signature
-        sorts = {e: s for s in A.sorts for e in A.elements(s)}
+        sorts = A._sort_of
         live = {op for op, _, result in signature if A.elements(result)}
         found = dict.fromkeys(_OPS, 0)  # entries whose arguments are elements
         for op, arg_sorts, result in signature:
@@ -309,19 +312,19 @@ def _image(f, args: tuple) -> tuple:
 class _IntTables:
     """An algebra's tables over element indices.
 
-    The elements are numbered 0..n-1 in carrier order (``elems``, and
-    ``index`` back), so each sort is one run of indices.  An argument tuple
-    with indices d_0, ..., d_(m-1) has the code d_0 + d_1 n + ... +
-    d_(m-1) n^(m-1), and ``tables[(op, m)]`` maps the code of the arguments
-    of each entry without a bare slot to the index of its value.
-    ``entries`` lists the entries in ``_entries`` order as (op, table,
-    args, code, value): the table of (op, m), the argument indices, their
-    code and the value's index; an entry with a bare slot keeps its labels,
-    with None for the table and the code."""
+    The indices are the carrier's numbering, 0..n-1 in carrier order
+    (``elems``, and ``index`` back), so each sort is one run of indices.
+    An argument tuple with indices d_0, ..., d_(m-1) has the code d_0 +
+    d_1 n + ... + d_(m-1) n^(m-1), and ``tables[(op, m)]`` maps the code of
+    the arguments of each entry without a bare slot to the index of its
+    value.  ``entries`` lists the entries in ``_entries`` order as (op,
+    table, args, code, value): the table of (op, m), the argument indices,
+    their code and the value's index; an entry with a bare slot keeps its
+    labels, with None for the table and the code."""
 
     def __init__(self, alg: FinAlgebra):
-        self.elems = list(alg.carrier)
-        self.index = index = {e: i for i, e in enumerate(self.elems)}
+        self.elems = alg.carrier._by_index
+        self.index = index = alg.carrier._index
         n = len(self.elems)
         self.tables: dict = {}
         self.entries: list = []
@@ -345,7 +348,7 @@ def _incompatibility(alg: FinAlgebra, rel: frozenset) -> Optional[tuple]:
     Compatible means: two entries of one op whose arguments are related
     position by position (a bare slot matching only a bare slot) have
     related values.  Under a discrete relation there are none, and the
-    walk returns before it numbers anything.
+    walk returns before it builds the integer tables.
 
     Each entry is compared only with the entries that raise *one* of its
     arguments to an element of that argument's up-set.  When every
@@ -362,31 +365,20 @@ def _incompatibility(alg: FinAlgebra, rel: frozenset) -> Optional[tuple]:
     the walk over the whole product of up-sets.
 
     The walk reads the algebra's integer tables (``_IntTables``).  Each
-    element's up-set is a bitmask over element indices, within its sort;
-    raising position i of an argument tuple with code c from x to y gives
-    the code c + (y - x) n^i, one int lookup, and its value is related when
-    its bit is set in the up-set of the entry's value.  The entries, the
-    positions and the elements above each argument are visited in the same
-    order as over labels (``_entries`` order, then position, then carrier
-    order, which is index order), so the first witness, returned in labels,
-    is the same."""
+    element's up-set under ``rel`` is a row built by ``core._rows_of``
+    over the carrier's numbering, within its sort; raising position i of
+    an argument tuple with code c from x to y gives the code c + (y - x)
+    n^i, one int lookup, and its value is related when its bit is set in
+    the up-set of the entry's value.  The entries, the positions and the
+    elements above each argument are visited in the same order as over
+    labels (``_entries`` order, then position, then carrier order, which is
+    index order), so the first witness, returned in labels, is the same."""
     if all(a == b for a, b in rel):
         return None
     view = alg._ints
     elems, index, n = view.elems, view.index, len(view.elems)
-    up = [1 << i for i in range(n)]  # the up-set of each element
-    for a, b in rel:
-        i, j = index.get(a), index.get(b)
-        if i is not None and j is not None:
-            up[i] |= 1 << j
-    above: list = []  # the indices strictly above each element, in its sort
-    lo = 0
-    for s in alg.carrier.sorts:
-        hi = lo + len(alg.elements(s))
-        for i in range(lo, hi):
-            u = up[i]
-            above.append([j for j in range(lo, hi) if u >> j & 1 and j != i])
-        lo = hi
+    up = _rows_of(alg.carrier, rel)  # the up-set of each element
+    above = [_members(u & ~(1 << i)) for i, u in enumerate(up)]  # strictly above
     labels_up, read_comp = None, alg._read["comp"]
     for op, table, args, code, v in view.entries:
         if table is None:  # a bare slot: the whole product of up-sets
@@ -803,13 +795,13 @@ def restrict_sorts(alg: FinAlgebra, delta: Iterable[Sort]) -> FinAlgebra:
 
 
 def is_congruence_ordering(alg: FinAlgebra, q: Preorder) -> bool:
-    """Shallow compatibility of an order-extending preorder with every
-    product entry, checked one argument position at a time (see
-    ``_incompatibility``).  By associativity a deep violation decomposes
-    into a chain of one-step replacements, so the shallow check is
-    complete; that reduction is exercised by tests rather than taken on
-    faith."""
-    return q.is_order_extending() and _incompatibility(alg, q.pairs()) is None
+    """Whether q contains the order of ``alg``'s carrier (a q over other
+    elements raises ValueError) and is compatible with every product entry,
+    checked one argument position at a time (see ``_incompatibility``).  By
+    associativity a deep violation decomposes into a chain of one-step
+    replacements, so the shallow check is complete; that reduction is
+    exercised by tests rather than taken on faith."""
+    return _contains_order(alg.carrier, q) and _incompatibility(alg, q.pairs()) is None
 
 
 def quotient_algebra(alg: FinAlgebra, q: Preorder) -> tuple[FinAlgebra, Morphism]:

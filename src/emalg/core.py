@@ -7,6 +7,9 @@ extend the carrier order; kernels and quotients.
 
 All values are immutable after construction and all operations are pure, so
 they can be shared freely.
+
+Orders and preorders are up-set bitmask rows over their carrier's one
+numbering of its elements (see ``SortedOrderedSet``).
 """
 
 from __future__ import annotations
@@ -37,35 +40,61 @@ class NoFactorisation(Exception):
         super().__init__(message or f"kernel violation at pair {witness!r}")
 
 
-def _transitive_closure(pairs: set[tuple[Elem, Elem]]) -> set[tuple[Elem, Elem]]:
-    """The pairs (a, c) joined by a path of one or more pairs.
+def _members(row: int) -> list[int]:
+    """The indices of the set bits of ``row``, lowest first."""
+    out = []
+    while row:
+        low = row & -row
+        out.append(low.bit_length() - 1)
+        row ^= low
+    return out
 
-    The elements are numbered in order of appearance and each one's
-    successors are a bitmask.  A row is closed by taking in the successors
-    of each element it reaches, one element at a time, until it reaches
-    nothing new, so an already transitive relation costs one step per
-    pair."""
-    index: dict = {}
-    edges = [(index.setdefault(a, len(index)), index.setdefault(b, len(index))) for a, b in pairs]
-    elems = list(index)
-    succ = [0] * len(elems)
-    for i, j in edges:
-        succ[i] |= 1 << j
-    for i, reach in enumerate(succ):
+
+def _rows_of(A: "SortedOrderedSet", pairs: Iterable[tuple[Elem, Elem]], what: str = "pair") -> list[int]:
+    """Row i: the bitmask of element i and of what ``pairs`` relates it to,
+    over A's numbering.  A pair (a ``what``) outside A or across sorts is
+    an error, so no row leaves its sort."""
+    index, sort_of = A._index, A._sort_of
+    rows = [1 << i for i in range(len(index))]
+    for a, b in pairs:
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
+            raise ValueError(f"{what} ({a!r},{b!r}) mentions unknown element")
+        if sort_of[a] != sort_of[b]:
+            raise ValueError(f"{what} ({a!r},{b!r}) crosses sorts")
+        rows[i] |= 1 << j
+    return rows
+
+
+def _transitive_closure(rows: list[int]) -> list[int]:
+    """Close ``rows`` in place (row i the bitmask of the successors of
+    element i) and return them; carriers and preorders keep the result.
+    A row takes in the successors of each element it reaches, one at a
+    time, so an already transitive relation costs one step per pair."""
+    for i, reach in enumerate(rows):
         todo, seen = reach, 0
         while todo:
             low = todo & -todo
-            reach |= succ[low.bit_length() - 1]
+            reach |= rows[low.bit_length() - 1]
             seen |= low
             todo = reach & ~seen
-        succ[i] = reach
-    out = set()
-    for a, s in zip(elems, succ):
-        while s:
-            low = s & -s
-            out.add((a, elems[low.bit_length() - 1]))
-            s ^= low
-    return out
+        rows[i] = reach
+    return rows
+
+
+def _related(self, a: Elem, b: Elem) -> bool:
+    """A carrier's ``leq``, a preorder's ``holds``: bit b of a's row."""
+    index = self._index
+    try:
+        return 1 << index[b] & self._rows[index[a]] != 0
+    except KeyError:
+        return False
+
+
+def _pair_set(self) -> frozenset[tuple[Elem, Elem]]:
+    """A carrier's ``leq_pairs``, a preorder's ``pairs``: its rows as pairs."""
+    es = self._by_index
+    return frozenset((es[i], es[j]) for i, row in enumerate(self._rows) for j in _members(row))
 
 
 class SortedOrderedSet:
@@ -75,6 +104,11 @@ class SortedOrderedSet:
     sort.  Elements of distinct sorts are incomparable.  Antisymmetry is
     validated at construction; violations are construction errors.
     Empty sorts are permitted.
+
+    Its elements are numbered 0..n-1 in carrier order (``_by_index``, and
+    ``_index`` back), once: preorders, integer tables and the syntactic
+    pair search read this numbering.  The order is kept as up-set bitmask
+    rows over it (``_rows``).
     """
 
     def __init__(
@@ -88,6 +122,7 @@ class SortedOrderedSet:
             s: tuple(es) for s, es in sorted(elems.items())
         }
         self._sort_of: dict[Elem, Sort] = {}
+        self._index: dict[Elem, int] = {}
         for s, es in self._elems.items():
             if len(es) > max_size:
                 raise CarrierBoundExceeded(
@@ -97,19 +132,14 @@ class SortedOrderedSet:
                 if e in self._sort_of:
                     raise ValueError(f"element {e!r} occurs twice")
                 self._sort_of[e] = s
-        pairs = set()
-        for a, b in leq_pairs:
-            if a not in self._sort_of or b not in self._sort_of:
-                raise ValueError(f"leq pair ({a!r},{b!r}) mentions unknown element")
-            if self._sort_of[a] != self._sort_of[b]:
-                raise ValueError(f"leq pair ({a!r},{b!r}) crosses sorts")
-            pairs.add((a, b))
-        pairs |= {(e, e) for e in self._sort_of}
-        closed = _transitive_closure(pairs)
-        for a, b in closed:
-            if a != b and (b, a) in closed:
-                raise ValueError(f"order not antisymmetric: {a!r} and {b!r}")
-        self._leq = frozenset(closed)
+                self._index[e] = len(self._index)
+        self._by_index: list[Elem] = list(self._index)
+        self._rows = rows = _transitive_closure(_rows_of(self, leq_pairs, "leq pair"))
+        for i, row in enumerate(rows):
+            for j in _members(row & -(2 << i)):  # above i, after it
+                if rows[j] >> i & 1:
+                    a, b = self._by_index[i], self._by_index[j]
+                    raise ValueError(f"order not antisymmetric: {a!r} and {b!r}")
 
     @classmethod
     def chain(cls, elems: Iterable[Elem], sort: Sort = 0) -> "SortedOrderedSet":
@@ -128,11 +158,10 @@ class SortedOrderedSet:
         return self._elems.get(sort, ())
 
     def __iter__(self) -> Iterator[Elem]:
-        for es in self._elems.values():
-            yield from es
+        return iter(self._by_index)
 
     def __len__(self) -> int:
-        return sum(len(es) for es in self._elems.values())
+        return len(self._by_index)
 
     def __contains__(self, x: Any) -> bool:
         return x in self._sort_of
@@ -140,14 +169,12 @@ class SortedOrderedSet:
     def sort_of(self, x: Elem) -> Sort:
         return self._sort_of[x]
 
-    def leq(self, a: Elem, b: Elem) -> bool:
-        return (a, b) in self._leq
+    leq = _related
 
-    def leq_pairs(self) -> frozenset[tuple[Elem, Elem]]:
-        return self._leq
+    leq_pairs = _pair_set
 
     def is_trivially_ordered(self) -> bool:
-        return all(a == b for a, b in self._leq)
+        return all(row == 1 << i for i, row in enumerate(self._rows))
 
     def same_elements(self, other: "SortedOrderedSet") -> bool:
         return self._elems == other._elems
@@ -156,11 +183,11 @@ class SortedOrderedSet:
         return (
             isinstance(other, SortedOrderedSet)
             and self._elems == other._elems
-            and self._leq == other._leq
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((tuple(self._elems.items()), self._leq))
+        return hash((tuple(self._elems.items()), tuple(self._rows)))
 
     def __repr__(self):
         parts = ", ".join(f"{s}:{list(es)!r}" for s, es in self._elems.items())
@@ -216,49 +243,35 @@ class Preorder:
 
     def __init__(self, carrier: SortedOrderedSet, pairs: Iterable[tuple[Elem, Elem]]):
         self.carrier = carrier
-        ps = set()
-        for a, b in pairs:
-            if a not in carrier or b not in carrier:
-                raise ValueError(f"pair ({a!r},{b!r}) mentions unknown element")
-            if carrier.sort_of(a) != carrier.sort_of(b):
-                raise ValueError(f"pair ({a!r},{b!r}) crosses sorts")
-            ps.add((a, b))
-        ps |= {(e, e) for e in carrier}
-        self._pairs = frozenset(_transitive_closure(ps))
+        self._index, self._by_index = carrier._index, carrier._by_index
+        self._rows = _transitive_closure(_rows_of(carrier, pairs))
 
-    def holds(self, a: Elem, b: Elem) -> bool:
-        return (a, b) in self._pairs
+    holds = _related
 
     def equivalent(self, a: Elem, b: Elem) -> bool:
-        return (a, b) in self._pairs and (b, a) in self._pairs
+        return self.holds(a, b) and self.holds(b, a)
 
-    def pairs(self) -> frozenset[tuple[Elem, Elem]]:
-        return self._pairs
+    pairs = _pair_set
 
     def is_order_extending(self) -> bool:
-        return self.carrier.leq_pairs() <= self._pairs
+        return _contains_order(self.carrier, self)
 
     def is_total_per_sort(self) -> bool:
-        for s in self.carrier.sorts:
-            es = self.carrier.elements(s)
-            for a in es:
-                for b in es:
-                    if (a, b) not in self._pairs:
-                        return False
-        return True
+        es = self.carrier.elements
+        return all(self.holds(a, b) for s in self.carrier.sorts for a in es(s) for b in es(s))
 
     def __eq__(self, other: Any) -> bool:
         return (
             isinstance(other, Preorder)
             and self.carrier.same_elements(other.carrier)
-            and self._pairs == other._pairs
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash(self._pairs)
+        return hash(tuple(self._rows))
 
     def __repr__(self):
-        nontriv = sorted((repr(a), repr(b)) for a, b in self._pairs if a != b)
+        nontriv = sorted((repr(a), repr(b)) for a, b in self.pairs() if a != b)
         return f"Preorder({nontriv})"
 
 
@@ -303,51 +316,45 @@ def quotient_set(
 ) -> tuple[SortedOrderedSet, SortedFunction]:
     """Classes of the preorder q, ordered by [a] <= [b] iff a q b.
 
-    q must contain A's order.  Each class is named by its first representative
-    in carrier enumeration order; the returned map sends an element to its
+    q must be over A's elements and contain A's order; a ValueError says
+    which fails.  Each class is named by its first representative in
+    carrier enumeration order; the returned map sends an element to its
     class representative and is surjective and monotone, with kernel q.
+    The classes are read off A's numbering and q's up-set rows, with no
+    numbering of their own.
     """
-    if not A.same_elements(q.carrier):
-        raise ValueError("preorder is over a different carrier")
-    if not q.is_order_extending():
+    if not _contains_order(A, q):
         raise ValueError("preorder does not contain the carrier order")
-    # each element's up-set and down-set under q as bitmasks over element
-    # indices in carrier order; its class is their intersection, named by
-    # its lowest index, the first representative in carrier order
-    elems = list(A)
-    index = {e: i for i, e in enumerate(elems)}
-    up = [0] * len(elems)
-    down = [0] * len(elems)
-    for a, b in q.pairs():
-        i, j = index[a], index[b]
-        up[i] |= 1 << j
-        down[j] |= 1 << i
+    # the class of element i is named by its lowest index r with i q r and
+    # r q i, the first representative in carrier order
+    elems, up = A._by_index, q._rows
     rep: dict = {}
-    classes: dict[Sort, list] = {}  # the class names of each sort, as indices
-    i = 0
-    for s in A.sorts:
-        classes[s] = []
-        for x in A.elements(s):
-            same = up[i] & down[i]
-            r = (same & -same).bit_length() - 1
-            rep[x] = elems[r]
-            if r == i:
-                classes[s].append(i)
-            i += 1
-    pairs = [
-        (elems[a], elems[b]) for cs in classes.values() for a in cs for b in cs if up[a] >> b & 1
-    ]
-    Q = SortedOrderedSet({s: [elems[a] for a in cs] for s, cs in classes.items()}, pairs)
+    classes: dict[Sort, list] = {s: [] for s in A.sorts}
+    for i, x in enumerate(elems):
+        r = next(j for j in _members(up[i] & ((2 << i) - 1)) if up[j] >> i & 1)
+        rep[x] = elems[r]
+        if r == i:
+            classes[A.sort_of(x)].append(x)
+    pairs = [(a, b) for cs in classes.values() for a in cs for b in cs if q.holds(a, b)]
+    Q = SortedOrderedSet(classes, pairs)
     return Q, SortedFunction(A, Q, rep)
 
 
+def _contains_order(A: SortedOrderedSet, q: Preorder) -> bool:
+    """Whether q, a preorder over A's elements, contains A's order."""
+    if not A.same_elements(q.carrier):
+        raise ValueError("preorder is over a different carrier")
+    return all(a & ~b == 0 for a, b in zip(A._rows, q._rows))
+
+
 def upward_closure(A: SortedOrderedSet, X: Iterable[Elem]) -> frozenset:
-    """Union of the principal up-sets of the elements of X."""
-    xs = set(X)
-    for x in xs:
+    """Union of the principal up-sets of the elements of X: OR of rows."""
+    up = 0
+    for x in X:
         if x not in A:
             raise ValueError(f"{x!r} not in carrier")
-    return frozenset(b for b in A for x in xs if A.leq(x, b))
+        up |= A._rows[A._index[x]]
+    return frozenset(A._by_index[j] for j in _members(up))
 
 
 def is_upward_closed(A: SortedOrderedSet, X: Iterable[Elem]) -> bool:

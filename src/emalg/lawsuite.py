@@ -26,7 +26,7 @@ from .algebra import (
     word_algebra,
 )
 from .automata import dfa_to_recognizer, parse_regex, words_up_to
-from .core import Preorder, SortedOrderedSet, quotient_set, upward_closure
+from .core import Preorder, SortedOrderedSet, _transitive_closure, quotient_set, upward_closure
 from .logic import fo_definable, theory_algebra
 from .monads import (
     OMEGA_UP,
@@ -587,8 +587,9 @@ def _all_preorders(carrier: SortedOrderedSet):
     once each, in the order of the first subset of the same-sort pairs
     (read as a binary number) that generates it.
 
-    Each subset's relation is closed as successor bitmasks over element
-    indices; a ``Preorder`` is built only for a closure not met before."""
+    Each subset's relation is closed as successor bitmasks over the
+    carrier's numbering; a ``Preorder`` is built only for a closure not met
+    before."""
     elems = list(carrier)
     nonrefl = [
         (a, b)
@@ -596,7 +597,7 @@ def _all_preorders(carrier: SortedOrderedSet):
         for b in elems
         if a != b and carrier.sort_of(a) == carrier.sort_of(b)
     ]
-    index = {e: i for i, e in enumerate(elems)}
+    index = carrier._index
     steps = [(index[a], 1 << index[b]) for a, b in nonrefl]
     reflexive = [1 << i for i in range(len(elems))]
     seen = set()
@@ -605,11 +606,7 @@ def _all_preorders(carrier: SortedOrderedSet):
         for k, (i, bit) in enumerate(steps):
             if mask >> k & 1:
                 succ[i] |= bit
-        for k, via in enumerate(succ):
-            for i, row in enumerate(succ):
-                if row >> k & 1:
-                    succ[i] = row | via
-        key = tuple(succ)
+        key = tuple(_transitive_closure(succ))
         if key not in seen:
             seen.add(key)
             yield Preorder(carrier, [p for k, p in enumerate(nonrefl) if mask >> k & 1])

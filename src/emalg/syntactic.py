@@ -317,9 +317,9 @@ def saturate_contexts(alg: FinAlgebra, source: Sort, target: Sort) -> list[Conte
 
 def _pair_depths(alg: FinAlgebra, P: frozenset, sort: Sort, steps) -> tuple[list, list]:
     """The elements of the algebra, and for each pair (a, b) of them, at
-    index i * n + j for their indices i and j, the length of the shortest
-    composite of ``steps`` that separates it (sends a into ``P`` and b out
-    of it), or -1 if none does.
+    index i * n + j for their indices i and j in the carrier's numbering,
+    the length of the shortest composite of ``steps`` that separates it
+    (sends a into ``P`` and b out of it), or -1 if none does.
 
     A backward BFS over pairs: layer 0 is {(a, b) : a in P, b not in P} on
     ``sort``; layer L+1 holds the pairs not seen before that some step maps
@@ -329,9 +329,9 @@ def _pair_depths(alg: FinAlgebra, P: frozenset, sort: Sort, steps) -> tuple[list
     syntactic preorder, the greatest relation inside "a in P implies b in
     P" closed under every step."""
     A = alg.carrier
-    # the algebra's numbering of its elements; the pair (i, j) is the
+    # the carrier's numbering of its elements; the pair (i, j) is the
     # integer i * n + j
-    elems, index = alg._ints.elems, alg._ints.index
+    elems, index = A._by_index, A._index
     n = len(elems)
     # for each element x, one (preimage of x scaled by n, inverse table of
     # the step) per step that reaches x, in step order
@@ -442,14 +442,13 @@ def syntactic_preorder(alg: FinAlgebra, accepting: Iterable[Elem], sort: Sort) -
         raise ValueError("accepting set is not upward closed")
     steps = _one_step_functions(alg, _generators(alg))
     elems, depths = _pair_depths(alg, P, sort, steps)
-    # the carrier lists its sorts one after the other, each from lo to hi
-    n, lo, pairs = len(elems), 0, []
-    for zeta in alg.carrier.sorts:
-        hi = lo + len(alg.elements(zeta))
-        for i in range(lo, hi):
-            row, a = i * n, elems[i]
-            pairs += [(a, elems[j]) for j in range(lo, hi) if depths[row + j] < 0]
-        lo = hi
+    n, sort_of = len(elems), alg.carrier._sort_of
+    pairs = [
+        (a, b)
+        for i, a in enumerate(elems)
+        for j, b in enumerate(elems)
+        if depths[i * n + j] < 0 and sort_of[a] == sort_of[b]
+    ]
     return Preorder(alg.carrier, pairs)
 
 

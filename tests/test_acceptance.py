@@ -15,10 +15,10 @@ _TOTAL = None
 def _results():
     global _TOTAL
     if not _RESULTS:
-        t0 = time.time()
+        t0 = time.perf_counter()
         for r in run_all(seed=0):
             _RESULTS[r.name] = r
-        _TOTAL = time.time() - t0
+        _TOTAL = time.perf_counter() - t0
     return _RESULTS
 
 

@@ -245,6 +245,28 @@ def test_is_congruence_ordering_examples():
     assert not is_congruence_ordering(z3, partial)
 
 
+def test_a_congruence_ordering_contains_the_algebras_own_order():
+    """A preorder extends its own carrier's order, which may be smaller
+    than the algebra's; over other elements it is rejected as
+    ``quotient_set`` rejects it."""
+    from emalg.core import quotient_set
+
+    chain = SortedOrderedSet.chain([0, 1])
+    alg = word_algebra(chain, {(a, b): max(a, b) for a in (0, 1) for b in (0, 1)})
+    discrete = Preorder(SortedOrderedSet({0: [0, 1]}), [])
+    assert discrete.is_order_extending()
+    assert not is_congruence_ordering(alg, discrete)
+    with pytest.raises(NotCongruence):
+        quotient_algebra(alg, discrete)
+    with pytest.raises(ValueError, match="does not contain the carrier order"):
+        quotient_set(chain, discrete)
+    other = Preorder(SortedOrderedSet({0: ["x", "y"]}), [])
+    for check in (is_congruence_ordering, quotient_algebra):
+        with pytest.raises(ValueError, match="over a different carrier"):
+            check(alg, other)
+    assert is_congruence_ordering(alg, Preorder(chain, [(0, 1)]))
+
+
 def test_quotient_algebra():
     z2 = zmod(2)
     eq = Preorder(z2.carrier, [])

@@ -4,6 +4,7 @@ label-keyed references in ``tests._reference``; reports and construction
 messages are pinned."""
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -15,7 +16,14 @@ from emalg.algebra import (
     _incompatibility,
     word_algebra,
 )
-from emalg.core import Preorder, SortedOrderedSet, _transitive_closure, quotient_set
+from emalg.core import (
+    Preorder,
+    SortedOrderedSet,
+    _transitive_closure,
+    is_upward_closed,
+    quotient_set,
+    upward_closure,
+)
 from emalg.lawsuite import _all_preorders, rand_preorder, rand_transformation_algebra
 from emalg.monads import OMEGA_UP
 from emalg.syntactic import syntactic_preorder
@@ -204,8 +212,64 @@ def test_the_closure_is_the_reference_closure():
     for _ in range(300):
         elems = list(range(rng.randint(1, 9)))
         pairs = {(rng.choice(elems), rng.choice(elems)) for _ in range(rng.randint(0, 12))}
-        assert _transitive_closure(pairs) == _reference.transitive_closure(pairs)
-    assert _transitive_closure(set()) == set()
+        rows = [sum({1 << b for a2, b in pairs if a2 == a}) for a in elems]
+        closed = _transitive_closure(rows)
+        got = {(a, b) for a in elems for b in elems if closed[a] >> b & 1}
+        assert got == _reference.transitive_closure(pairs)
+    assert _transitive_closure([]) == []
+
+
+# -- the carrier's numbering and the stored rows -----------------------------------------
+
+
+def _rows_from_pairs(C, pairs) -> list:
+    """Row i: the bitmask of the positions, in ``list(C)``, of the elements
+    that the i-th element is related to by ``pairs``."""
+    position = {e: i for i, e in enumerate(C)}
+    rows = [0] * len(position)
+    for a, b in pairs:
+        rows[position[a]] |= 1 << position[b]
+    return rows
+
+
+def test_the_stored_rows_are_the_rows_of_the_pairs():
+    count = 0
+    for alg, q in _cases():
+        C = alg.carrier
+        assert C._by_index == list(C)
+        assert C._index == {e: i for i, e in enumerate(C)}
+        assert C._rows == _rows_from_pairs(C, C.leq_pairs())
+        assert q._rows == _rows_from_pairs(q.carrier, q.pairs())
+        # the pairs are the reflexive, transitive relation the rows close to
+        for rel, elems in ((C.leq_pairs(), C), (q.pairs(), q.carrier)):
+            assert {(e, e) for e in elems} <= rel
+            assert _reference.transitive_closure(rel) == rel
+        count += 1
+    assert count > 1000
+
+
+def test_the_int_tables_use_the_carriers_numbering():
+    algs = {id(alg): alg for alg, _ in _cases()}  # each algebra once
+    for alg in algs.values():
+        view = alg._ints
+        assert view.index is alg.carrier._index and view.elems is alg.carrier._by_index
+        assert view.index == {e: i for i, e in enumerate(alg.carrier)}
+    assert len(algs) > 150
+
+
+def test_upward_closure_is_the_pairwise_definition():
+    rng = random.Random(7)
+    closed = 0
+    for alg, _ in itertools.islice(_cases(), 0, None, 3):
+        C = alg.carrier
+        elems = list(C)
+        for _ in range(3):
+            X = set(rng.sample(elems, rng.randint(0, len(elems))))
+            up = frozenset(b for a, b in C.leq_pairs() if a in X)
+            assert upward_closure(C, X) == up
+            assert is_upward_closed(C, X) == (up == X)
+            closed += up == X
+    assert closed > 50
 
 
 # -- the view itself ---------------------------------------------------------------------
