@@ -133,7 +133,7 @@ class FinAlgebra:
         self._read["comp"] = functools.partial(_read_comp, tables["comp"])
         self._validate()
         if not monotone and not carrier.is_trivially_ordered():
-            bad = _incompatibility(self, carrier.leq_pairs())
+            bad = _walk_rows(self, carrier._rows)
             if bad:
                 raise ValueError(f"{bad[0]} not monotone at {bad[1]!r} vs {bad[2]!r}")
 
@@ -351,34 +351,86 @@ def _incompatibility(alg: FinAlgebra, rel: frozenset) -> Optional[tuple]:
     walk returns before it builds the integer tables.
 
     Each entry is compared only with the entries that raise *one* of its
-    arguments to an element of that argument's up-set.  When every
-    intermediate tuple has an entry this is the same test as comparing it
-    with every entry in the product of the up-sets: raising the arguments
-    one position at a time walks from args to args2 through entries whose
+    arguments along one generating edge of the relation
+    (``_generating_edges``): to another member of the argument's class,
+    or into a class that covers it.  Every related pair is joined by a
+    path of such edges, so when every intermediate tuple has an entry this
+    is the same test as comparing the entry with every entry in the
+    product of the up-sets: raising the arguments one edge and one
+    position at a time walks from args to args2 through entries whose
     values are related step by step (ab <= a'b <= a'b'), and transitivity
     relates the two ends.  The carrier order and every ``Preorder`` are
-    transitive.  The intermediate entries exist for the word and omega
-    tables, which are total on their argument sorts, and for tree entries
-    without a bare slot, whose keys are all required; a raised argument
-    keeps its sort, so the raised key is required too.  Entries with a bare
-    slot are optional data, so an intermediate may be missing: they keep
-    the walk over the whole product of up-sets.
+    transitive.  The covers are taken between classes, and the
+    equivalence edges stay: a reduction that counted class-mates as
+    strictly above one another would remove, through each class-mate,
+    every edge that leaves the class, and the class would be compared
+    with nothing above it.  The intermediate entries exist for the word
+    and omega tables, which are total on their argument sorts, and for
+    tree entries without a bare slot, whose keys are all required; a
+    raised argument keeps its sort, so the raised key is required too.
+    Entries with a bare slot are optional data, so an intermediate may be
+    missing: they keep the walk over the whole product of up-sets.
 
-    The walk reads the algebra's integer tables (``_IntTables``).  Each
-    element's up-set under ``rel`` is a row built by ``core._rows_of``
-    over the carrier's numbering, within its sort; raising position i of
-    an argument tuple with code c from x to y gives the code c + (y - x)
-    n^i, one int lookup, and its value is related when its bit is set in
-    the up-set of the entry's value.  The entries, the positions and the
-    elements above each argument are visited in the same order as over
-    labels (``_entries`` order, then position, then carrier order, which is
-    index order), so the first witness, returned in labels, is the same."""
-    if all(a == b for a, b in rel):
+    The walk (``_walk_rows``) reads the relation as up-set rows over the
+    carrier's numbering (``core._rows_of``) and the algebra's integer
+    tables (``_IntTables``): raising position i of an argument tuple with
+    code c from x to y gives the code c + (y - x) n^i, one int lookup, and
+    its value is related when its bit is set in the up-set of the entry's
+    value.  When the edges find a violation, the walk runs again over
+    every element above each argument, visited in the same order as over
+    labels (``_entries`` order, then position, then carrier order, which
+    is index order), so the witness, returned in labels, is the first one
+    over all related pairs."""
+    return _walk_rows(alg, _rows_of(alg.carrier, rel))
+
+
+def _walk_rows(alg: FinAlgebra, up: list) -> Optional[tuple]:
+    """``_incompatibility`` of the relation whose up-set rows are ``up``
+    (row i: the bitmask of what element i is related to, over the
+    carrier's numbering)."""
+    if all(row == 1 << i for i, row in enumerate(up)):
         return None
+    above = [_members(u & ~(1 << i)) for i, u in enumerate(up)]
+    if _first_violation(alg, up, above, _generating_edges(up, above)) is None:
+        return None
+    return _first_violation(alg, up, above, above)
+
+
+def _generating_edges(up: list, above: list) -> list:
+    """For each element i, the elements j that a generating edge of the
+    relation with up-set rows ``up`` leads to from i: j is another member
+    of i's class (i <= j <= i), or j's class covers i's (i < j, and no k
+    has i < k < j).  ``above[i]`` lists the j != i with i <= j.  A path of
+    these edges joins every related pair: up the covers of the classes,
+    then across the last class.
+
+    The strict part leaves out i's class-mates.  A cover reduction that
+    took them as strictly above i would drop, through each class-mate,
+    every edge that leaves the class, so the class would be compared with
+    nothing above it."""
+    same, strict = [], []
+    for i, js in enumerate(above):
+        peers = 0
+        for j in js:
+            if up[j] >> i & 1:
+                peers |= 1 << j
+        same.append(peers)
+        strict.append(up[i] & ~peers & ~(1 << i))
+    edges = []
+    for i, row in enumerate(strict):
+        through = 0
+        for j in _members(row):
+            through |= strict[j]
+        edges.append(_members(row & ~through | same[i]))
+    return edges
+
+
+def _first_violation(alg: FinAlgebra, up: list, above: list, raise_to: list) -> Optional[tuple]:
+    """The first witness of ``_walk_rows``, raising each argument x of an
+    entry without a bare slot to the elements ``raise_to[x]``, and each of
+    an entry with one over ``above[x]``, the rest of x's up-set."""
     view = alg._ints
     elems, index, n = view.elems, view.index, len(view.elems)
-    up = _rows_of(alg.carrier, rel)  # the up-set of each element
-    above = [_members(u & ~(1 << i)) for i, u in enumerate(up)]  # strictly above
     labels_up, read_comp = None, alg._read["comp"]
     for op, table, args, code, v in view.entries:
         if table is None:  # a bare slot: the whole product of up-sets
@@ -395,7 +447,7 @@ def _incompatibility(alg: FinAlgebra, rel: frozenset) -> Optional[tuple]:
             continue
         related, get, w = up[v], table.get, 1  # w = n^i
         for i, x in enumerate(args):
-            for y in above[x]:
+            for y in raise_to[x]:
                 value2 = get(code + (y - x) * w)
                 if value2 is not None and not related >> value2 & 1:
                     args = tuple([elems[d] for d in args])
@@ -666,8 +718,13 @@ def subalgebra_generated(alg: FinAlgebra, gens: Iterable[Elem]) -> GeneratedSuba
 
 def _restrict(alg: FinAlgebra, keep: set, monad: Monad) -> FinAlgebra:
     """The elements in ``keep`` with the inherited order, and the entries
-    that mention only them, as an algebra over ``monad``."""
+    that mention only them, as an algebra over ``monad``.  When ``keep``
+    is the whole carrier and ``monad`` is ``alg``'s own, that is ``alg``
+    itself, returned as it is: its tables are read-only and already
+    checked."""
     A = alg.carrier
+    if monad is alg.monad and keep.issuperset(A):
+        return alg
     elems = {s: [e for e in A.elements(s) if e in keep] for s in A.sorts}
     pairs = [(a, b) for a, b in A.leq_pairs() if a in keep and b in keep]
     keep_slots = keep | {VAR}
@@ -801,7 +858,7 @@ def is_congruence_ordering(alg: FinAlgebra, q: Preorder) -> bool:
     associativity a deep violation decomposes into a chain of one-step
     replacements, so the shallow check is complete; that reduction is
     exercised by tests rather than taken on faith."""
-    return _contains_order(alg.carrier, q) and _incompatibility(alg, q.pairs()) is None
+    return _contains_order(alg.carrier, q) and _walk_rows(alg, q._rows) is None
 
 
 def quotient_algebra(alg: FinAlgebra, q: Preorder) -> tuple[FinAlgebra, Morphism]:
@@ -815,23 +872,34 @@ def quotient_algebra(alg: FinAlgebra, q: Preorder) -> tuple[FinAlgebra, Morphism
     [op(.., a, ..)] <= [op(.., a', ..)].  (The quotient's entry at a tuple
     of classes is the class of the entry at any tuple of representatives:
     q-equivalent representatives give q-equivalent values, by the same
-    argument both ways.)  Totality and result sorts are still checked."""
+    argument both ways.)  Totality and result sorts are still checked.
+
+    When every class is a singleton, each named by its element, the
+    quotient's tables are the source's, entry for entry: it shares them,
+    read-only, under the order of ``q``, and checks nothing again (the
+    source's construction checked totality and sorts).  The walk of
+    ``is_congruence_ordering`` still runs: it is the certificate."""
     if not is_congruence_ordering(alg, q):
         raise NotCongruence(None, "preorder fails shallow compatibility")
     Q, qfn = quotient_set(alg.carrier, q)
     cls = qfn.mapping
-    of = [cls[e] for e in alg._ints.elems]  # the class of each element index
-    quot = _build(
-        alg.monad,
-        Q,
-        (
-            (op, _image(cls, args), cls[value])
-            if table is None
-            else (op, tuple([of[d] for d in args]), of[value])
-            for op, table, args, _, value in alg._ints.entries
-        ),
-        monotone=True,
-    )
+    if len(Q) == len(alg.carrier):
+        quot = FinAlgebra.__new__(FinAlgebra)
+        quot.monad, quot.carrier, quot.kind = alg.monad, Q, alg.kind
+        quot.tables, quot._read = alg.tables, alg._read
+    else:
+        of = [cls[e] for e in alg._ints.elems]  # the class of each element index
+        quot = _build(
+            alg.monad,
+            Q,
+            (
+                (op, _image(cls, args), cls[value])
+                if table is None
+                else (op, tuple([of[d] for d in args]), of[value])
+                for op, table, args, _, value in alg._ints.entries
+            ),
+            monotone=True,
+        )
     return quot, Morphism(alg, quot, SortedFunction(alg.carrier, Q, cls))
 
 

@@ -14,13 +14,15 @@ Word algebras live at sort 0; omega algebras use sorts '1' and 'inf'
 (the literal '2' is accepted for 'inf'); tree algebras use arities as
 sorts.  The reflexive-transitive closure of the leq lines is taken.
 Tables must be total or the file is rejected, and so is a line of a table
-that the kind does not have; errors carry line numbers.
+that the kind does not have; errors carry line numbers.  An ``elems`` line
+that takes a sort past the carrier cap raises ``CarrierBoundExceeded`` at
+once, whatever errors later lines hold.
 """
 
 from __future__ import annotations
 
 from .algebra import VAR, FinAlgebra, wilke_algebra
-from .core import SortedOrderedSet
+from .core import SortedOrderedSet, _check_sort_size
 from .monads import SORT_FIN, SORT_INF, SORT_WORD, TreeMonad, WordMonad
 
 
@@ -95,6 +97,7 @@ def parse_algebra(text: str) -> FinAlgebra:
                     raise ParseError(line_no, f"element {e!r} declared twice")
                 known.add(e)
             elems.setdefault(s, []).extend(args[1:])
+            _check_sort_size(s, len(elems[s]))  # fail at the line past the cap
         elif head == "leq":
             if len(args) != 3:
                 raise ParseError(line_no, "leq takes: sort a b")

@@ -332,28 +332,59 @@ def parse_regex(text: str, alphabet: Iterable | None = None) -> Dfa:
 def dfa_to_recognizer(dfa: Dfa) -> Recognizer:
     """The transition semigroup generated by the letter transformations,
     with the acceptance set of transformations sending start into accepting.
-    A semigroup past the carrier cap raises ``CarrierBoundExceeded``."""
+    A semigroup past the carrier cap raises ``CarrierBoundExceeded``.
+
+    The elements are found two-sided, breadth first: the distinct letter
+    maps, then, for each element t in turn and each letter map g, t.g and
+    g.t, each kept if new (a dict finds it).  This discovery order is the
+    carrier order, and it fixes the element names of every report.  Each
+    element but a letter map records how it was first found, t.g or g.t
+    for an earlier t, and the right multiplications by the letters are
+    kept (the right Cayley graph).  The product table is then filled
+    column by column in carrier order, after Froidure and Pin (1997), with
+    one lookup per entry and no composition: for a column t = t'.g, s.t is
+    (s.t').g, read in the right Cayley graph; for t = g.t', s.t is (s.g).t',
+    read in the earlier column of t'."""
     letter_maps = {
         c: tuple(dfa.trans[(q, c)] for q in range(dfa.n_states))
         for c in dfa.alphabet
     }
 
     def compose(s: tuple, t: tuple) -> tuple:
-        return tuple(t[q] for q in s)
+        return tuple(map(t.__getitem__, s))
 
-    elems = list(dict.fromkeys(letter_maps.values()))
-    frontier = list(elems)
-    while frontier:
-        new = []
-        for t in frontier:
-            for g in letter_maps.values():
-                for c_ in (compose(t, g), compose(g, t)):
-                    if c_ not in elems:
-                        elems.append(c_)
-                        new.append(c_)
-        frontier = new
+    gens = list(dict.fromkeys(letter_maps.values()))
+    elems = list(gens)
+    index = {t: i for i, t in enumerate(elems)}
+    found = [None] * len(gens)  # (t, g, True) for elems[t].g, False for g.elems[t]
+    right = []  # right[t][g]: the index of elems[t].gens[g]
+    while len(right) < len(elems):
+        t = len(right)
+        row = []
+        for g, y in enumerate(gens):
+            for c_, on_right in ((compose(elems[t], y), True), (compose(y, elems[t]), False)):
+                i = index.get(c_)
+                if i is None:
+                    i = index[c_] = len(elems)
+                    elems.append(c_)
+                    found.append((t, g, on_right))
+                if on_right:
+                    row.append(i)
+        right.append(row)
     carrier = SortedOrderedSet({SORT_WORD: elems})
-    mult = {(s, t): compose(s, t) for s in elems for t in elems}
+    n = len(elems)
+    columns = []  # columns[t][s]: the index of elems[s].elems[t]
+    for t, how in enumerate(found):
+        if how is None:  # a letter map
+            columns.append([row[t] for row in right])
+            continue
+        u, g, on_right = how
+        column = columns[u]
+        if on_right:
+            columns.append([right[su][g] for su in column])
+        else:
+            columns.append([column[row[g]] for row in right])
+    mult = {(elems[s], elems[t]): elems[columns[t][s]] for s in range(n) for t in range(n)}
     alg = word_algebra(carrier, mult)
     alphabet = SortedOrderedSet({SORT_WORD: list(dfa.alphabet)})
     accepting = frozenset(t for t in elems if t[dfa.start] in dfa.accepting)

@@ -32,6 +32,13 @@ class CarrierBoundExceeded(RuntimeError):
     the bound exit code."""
 
 
+def _check_sort_size(sort: Sort, size: int, cap: int = MAX_SORT_SIZE) -> None:
+    """Raise ``CarrierBoundExceeded`` when ``size`` elements of ``sort``
+    are more than ``cap``."""
+    if size > cap:
+        raise CarrierBoundExceeded(f"sort {sort} has {size} elements, cap is {cap}")
+
+
 class NoFactorisation(Exception):
     """Raised when ``factor_through`` fails; carries one violating pair."""
 
@@ -124,10 +131,7 @@ class SortedOrderedSet:
         self._sort_of: dict[Elem, Sort] = {}
         self._index: dict[Elem, int] = {}
         for s, es in self._elems.items():
-            if len(es) > max_size:
-                raise CarrierBoundExceeded(
-                    f"sort {s} has {len(es)} elements, cap is {max_size}"
-                )
+            _check_sort_size(s, len(es), max_size)
             for e in es:
                 if e in self._sort_of:
                     raise ValueError(f"element {e!r} occurs twice")
@@ -329,13 +333,15 @@ def quotient_set(
     # r q i, the first representative in carrier order
     elems, up = A._by_index, q._rows
     rep: dict = {}
+    reps = 0  # the bitmask of the representatives
     classes: dict[Sort, list] = {s: [] for s in A.sorts}
     for i, x in enumerate(elems):
         r = next(j for j in _members(up[i] & ((2 << i) - 1)) if up[j] >> i & 1)
         rep[x] = elems[r]
         if r == i:
             classes[A.sort_of(x)].append(x)
-    pairs = [(a, b) for cs in classes.values() for a in cs for b in cs if q.holds(a, b)]
+            reps |= 1 << i
+    pairs = [(elems[i], elems[j]) for i in _members(reps) for j in _members(up[i] & reps)]
     Q = SortedOrderedSet(classes, pairs)
     return Q, SortedFunction(A, Q, rep)
 

@@ -22,7 +22,9 @@ steps that multiply by generators, which suffice in a generated algebra,
 and ``syntactic_algebra`` certifies the result.  ``decompose_as_derivatives``
 searches over the steps that multiply by a letter's image on either side
 (the letter images generate the image algebra) and walks each pair down
-the layers, so its contexts are the shortest over the alphabet.
+the layers, so its contexts are the shortest over the alphabet.  When the
+generators ``syntactic_preorder`` found are the letter images, in order,
+the two searches are one, and the preorder keeps its layers for it.
 
 Saturation (``saturate_all``) is kept only as the definition the refinement
 is tested against: the finite set of context *functions*, the closure of
@@ -407,6 +409,17 @@ def _generators(alg: FinAlgebra) -> Optional[tuple]:
     return tuple(gens)
 
 
+class _LayeredPreorder(Preorder):
+    """A syntactic preorder with the search that found it: the
+    ``generators`` whose steps it ran over, the ``steps`` and the
+    ``depths`` of ``_pair_depths``.  ``decompose_as_derivatives`` walks
+    these layers when the generators are its letter images."""
+
+    def __init__(self, carrier, pairs, generators, steps, depths):
+        super().__init__(carrier, pairs)
+        self.generators, self.steps, self.depths = generators, steps, depths
+
+
 def syntactic_preorder(alg: FinAlgebra, accepting: Iterable[Elem], sort: Sort) -> Preorder:
     """a <= b iff every context that sends a into the accepting set also
     sends b there: the same-sort pairs that ``_pair_depths`` never reaches
@@ -440,7 +453,8 @@ def syntactic_preorder(alg: FinAlgebra, accepting: Iterable[Elem], sort: Sort) -
     P = frozenset(accepting)
     if not is_upward_closed(alg.carrier, P):
         raise ValueError("accepting set is not upward closed")
-    steps = _one_step_functions(alg, _generators(alg))
+    gens = _generators(alg)
+    steps = _one_step_functions(alg, gens)
     elems, depths = _pair_depths(alg, P, sort, steps)
     n, sort_of = len(elems), alg.carrier._sort_of
     pairs = [
@@ -449,7 +463,7 @@ def syntactic_preorder(alg: FinAlgebra, accepting: Iterable[Elem], sort: Sort) -
         for j, b in enumerate(elems)
         if depths[i * n + j] < 0 and sort_of[a] == sort_of[b]
     ]
-    return Preorder(alg.carrier, pairs)
+    return _LayeredPreorder(alg.carrier, pairs, gens, steps, depths)
 
 
 def _separating_context(alg: FinAlgebra, steps, layer: dict, a: Elem, b: Elem) -> Context:
@@ -672,8 +686,13 @@ def decompose_as_derivatives(syn: SyntacticResult, target: Iterable[Elem]) -> De
     letter_of = {}
     for c in syn.recognizer.alphabet:
         letter_of.setdefault(syn.recognizer.assignment[c], c)
-    steps = _one_step_functions(B, tuple(letter_of))
-    elems, depths = _pair_depths(B, P, syn.accepting_sort, steps)
+    pre = syn.preorder
+    if isinstance(pre, _LayeredPreorder) and pre.generators == tuple(letter_of):
+        steps, depths = pre.steps, pre.depths  # the same search, run once
+    else:
+        steps = _one_step_functions(B, tuple(letter_of))
+        _, depths = _pair_depths(B, P, syn.accepting_sort, steps)
+    elems = B.carrier._by_index
     n = len(elems)
     layer = {(elems[p // n], elems[p % n]): d for p, d in enumerate(depths) if d >= 0}
 

@@ -15,6 +15,7 @@ verdict.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -252,6 +253,15 @@ def verify_cover_evaluation(cov: CanonicalCover, words: Iterable) -> bool:
 # -- bounded generated membership ------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
+def _product(factors: tuple) -> FinAlgebra:
+    """``product`` of the factors, built once for each tuple of them (an
+    algebra hashes by identity, and its tables are read-only), so repeated
+    calls with one generator list share their products.  The cache keeps
+    the last 32 products, and their factors, alive."""
+    return product(list(factors))
+
+
 def generated_membership(
     A: FinAlgebra,
     gens: list[FinAlgebra],
@@ -269,8 +279,7 @@ def generated_membership(
     unknown = False
     for k in range(1, max_product_arity + 1):
         for combo in itertools.combinations_with_replacement(range(len(gens)), k):
-            factors = [gens[i] for i in combo]
-            P = factors[0] if len(factors) == 1 else product(factors)
+            P = gens[combo[0]] if k == 1 else _product(tuple(gens[i] for i in combo))
             try:
                 ok, wit = divides(A, P, max_steps=max_steps)
             except SearchBoundExceeded:

@@ -25,6 +25,11 @@ the same verdicts and raise the same bound failures.
 keeps the element-step preorder and the saturation-order contexts under
 test.
 
+``transition_semigroup`` is the two-sided closure of the letter maps, with
+a list test for new elements and one composition per product, that
+``dfa_to_recognizer`` ran before it filled its table by Froidure and Pin's
+rule; the carrier order and the table, entry order included, must agree.
+
 ``hopcroft`` is the partition-refinement DFA minimisation that
 ``parse_regex`` ran before Moore's refinement replaced it; the minimal
 automata must be equal.
@@ -262,6 +267,28 @@ def separation_layers(alg, P, sort):
     elems, depths = _pair_depths(alg, P, sort, steps)
     n = len(elems)
     return steps, {(elems[p // n], elems[p % n]): d for p, d in enumerate(depths) if d >= 0}
+
+
+def transition_semigroup(dfa):
+    """The elements of the transition semigroup of ``dfa`` in discovery
+    order, and its product table {(s, t): s.t}, built row by row."""
+
+    def compose(s, t):
+        return tuple(t[q] for q in s)
+
+    letter_maps = [tuple(dfa.trans[(q, c)] for q in range(dfa.n_states)) for c in dfa.alphabet]
+    elems = list(dict.fromkeys(letter_maps))
+    frontier = list(elems)
+    while frontier:
+        new = []
+        for t in frontier:
+            for g in letter_maps:
+                for c in (compose(t, g), compose(g, t)):
+                    if c not in elems:
+                        elems.append(c)
+                        new.append(c)
+        frontier = new
+    return elems, {(s, t): compose(s, t) for s in elems for t in elems}
 
 
 def hopcroft(dfa):

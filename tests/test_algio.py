@@ -3,7 +3,8 @@ import json
 import pytest
 
 from emalg.algio import ParseError, parse_algebra, parse_dfa_file
-from emalg.cli import EXIT_INPUT
+from emalg.cli import EXIT_BOUND, EXIT_INPUT
+from emalg.core import CarrierBoundExceeded
 from tests.test_cli import run_cli
 
 
@@ -41,6 +42,36 @@ def test_a_stray_table_line_exits_as_an_input_error(tmp_path):
     code, out = run_cli("check", str(path), "APERIODIC")
     assert code == EXIT_INPUT == 2
     assert json.loads(out) == {"command": "check", "error": "line 4: word algebras have no mix table"}
+
+
+def _names(lo: int, hi: int) -> str:
+    return " ".join(f"e{i}" for i in range(lo, hi))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # one line past the cap fails there, before its bad table lines
+        ("kind word\nelems 0 " + _names(0, 126) + "\ndot e0 e0\nnonsense\n", "sort 0 has 126 elements, cap is 64"),
+        # a sort declared over several lines fails at the line that passes the cap
+        ("kind word\nelems 0 " + _names(0, 40) + "\nelems 0 " + _names(40, 70) + "\nelems 1 x\n", "sort 0 has 70 elements, cap is 64"),
+        ("kind tree\nelems 0 c\nelems 2 " + _names(0, 65) + "\ncomp\n", "sort 2 has 65 elements, cap is 64"),
+    ],
+)
+def test_an_elems_line_past_the_cap_exits_with_the_bound_code_at_once(tmp_path, text, message):
+    with pytest.raises(CarrierBoundExceeded) as info:
+        parse_algebra(text)
+    assert str(info.value) == message
+    path = tmp_path / "big.alg"
+    path.write_text(text)
+    code, out = run_cli("check", str(path), "APERIODIC")
+    assert code == EXIT_BOUND
+    assert json.loads(out) == {"command": "check", "error": message}
+
+
+def test_a_sort_at_the_cap_is_read_to_the_end():
+    with pytest.raises(ParseError, match="line 3: dot takes three elements"):
+        parse_algebra("kind word\nelems 0 " + _names(0, 64) + "\ndot e0 e0\n")
 
 
 _EVEN = "alphabet a\nstates 2\nstart 0\naccept 0\ntrans 0 a 1\ntrans 1 a 0\n"

@@ -12,8 +12,9 @@ from emalg.automata import (
     parse_regex,
     words_up_to,
 )
+from emalg.core import CarrierBoundExceeded
 from emalg.monads import Word
-from tests._reference import hopcroft
+from tests._reference import hopcroft, transition_semigroup
 
 
 CASES = [
@@ -140,3 +141,33 @@ def test_moore_refinement_gives_the_automata_of_hopcroft_minimisation(monkeypatc
     monkeypatch.setattr(automata, "_moore", hopcroft)
     assert [parse_regex(r) for r in regexes] == ours
 
+
+
+def _random_dfa(rng: random.Random) -> Dfa:
+    """A total DFA of up to 5 states over up to 3 letters; sometimes two
+    letters act alike."""
+    n, alphabet = rng.randint(1, 5), tuple("abc"[: rng.randint(1, 3)])
+    trans = {(q, c): rng.randrange(n) for q in range(n) for c in alphabet}
+    if len(alphabet) > 1 and rng.random() < 0.3:
+        trans.update({(q, alphabet[1]): trans[(q, alphabet[0])] for q in range(n)})
+    return Dfa(alphabet, n, 0, frozenset(q for q in range(n) if rng.random() < 0.5), trans)
+
+
+def test_the_product_fill_is_the_composed_table():
+    rng = random.Random(4)
+    dfas = [parse_regex(r) for r in _seeded_regexes()[:200]]
+    dfas += [parse_regex("(a|b)*a" + "(a|b)" * k) for k in range(5)]
+    dfas += [_random_dfa(rng) for _ in range(300)]
+    checked = capped = 0
+    for dfa in dfas:
+        elems, mult = transition_semigroup(dfa)
+        if len(elems) > 64:
+            with pytest.raises(CarrierBoundExceeded, match=f"sort 0 has {len(elems)} elements"):
+                dfa_to_recognizer(dfa)
+            capped += 1
+            continue
+        alg = dfa_to_recognizer(dfa).algebra
+        assert list(alg.carrier) == elems
+        assert list(alg.mult.items()) == list(mult.items())
+        checked += 1
+    assert checked > 400 and capped > 10

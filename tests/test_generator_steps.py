@@ -2,6 +2,7 @@
 quotient built after one compatibility walk."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import random
@@ -20,9 +21,9 @@ from emalg.algebra import (
     subalgebra_generated,
     wilke_algebra,
 )
-from emalg.automata import dfa_to_recognizer, parse_regex, words_up_to
+from emalg.automata import Dfa, dfa_to_recognizer, parse_regex, words_up_to
 from emalg.cli import EXIT_INTERNAL, EXIT_OK
-from emalg.core import Preorder, SortedOrderedSet, quotient_set, upward_closure
+from emalg.core import Preorder, SortedOrderedSet, _members, quotient_set, upward_closure
 from emalg.lawsuite import (
     corpus_languages,
     ordered_finitely_many_a,
@@ -307,17 +308,19 @@ def test_the_trusted_quotient_is_the_validated_quotient():
 
 
 def _count_walks(monkeypatch) -> list:
-    """Record the relation of every ``_incompatibility`` walk that is not
+    """Record the relation, as a set of pairs, of every walk over up-set
+    rows (``_walk_rows``, which ``_incompatibility`` also runs) that is not
     over a discrete relation."""
     walks = []
-    walk = algebra._incompatibility
+    walk = algebra._walk_rows
 
-    def counted(alg, rel):
-        if any(a != b for a, b in rel):
-            walks.append(rel)
-        return walk(alg, rel)
+    def counted(alg, up):
+        if any(row != 1 << i for i, row in enumerate(up)):
+            es = alg.carrier._by_index
+            walks.append(frozenset((es[i], es[j]) for i, row in enumerate(up) for j in _members(row)))
+        return walk(alg, up)
 
-    monkeypatch.setattr(algebra, "_incompatibility", counted)
+    monkeypatch.setattr(algebra, "_walk_rows", counted)
     return walks
 
 
@@ -338,7 +341,65 @@ def test_one_quotient_makes_one_compatibility_walk(monkeypatch):
         assert len(walks) == any(a != b for a, b in q.pairs())
 
 
+def _count_calls(monkeypatch, module, name) -> list:
+    """Record the arguments of every call of ``module.name``."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "rx", [family("a", k) for k in range(1, 5)] + ["(a|b)*aa(a|b)*", "(a|b)*ab", "b*a*", "(ab)+"]
+)
+def test_a_dfa_recognizer_is_its_own_image_and_syntactic_algebra(monkeypatch, rx):
+    # the transition semigroup of a minimal automaton is the syntactic
+    # semigroup: the image is the recognizer's algebra, the quotient shares
+    # its tables, and one compatibility walk certifies the preorder
+    rec = dfa_to_recognizer(parse_regex(rx))
+    builds = _count_calls(monkeypatch, algebra, "_build")
+    walks = _count_calls(monkeypatch, algebra, "_walk_rows")
+    syn = syntactic_algebra(rec)
+    assert builds == [] and len(walks) == 1
+    assert syn.image.algebra is rec.algebra
+    assert syn.syn_algebra.tables is rec.algebra.tables
+    assert syn.syn_algebra.carrier.leq_pairs() == syn.preorder.pairs()
+
+
+def test_a_subalgebra_on_the_whole_carrier_is_the_algebra_itself():
+    for alg, _ in congruences():
+        assert subalgebra_generated(alg, alg.carrier).algebra is alg
+    rec = dfa_to_recognizer(parse_regex(family("b", 2)))
+    sub = subalgebra_generated(rec.algebra, [rec.assignment["a"]])
+    assert len(sub.algebra.carrier) < len(rec.algebra.carrier)
+
+
 # -- derivative decompositions -----------------------------------------------------------
+
+
+def _mod_3_with_b_twice_a() -> Dfa:
+    """Words whose weight, 1 per a and 2 per b, is 0 mod 3: b acts as aa,
+    so the letter images (a, b) are not the generators (a) of the image."""
+    trans = {(q, c): (q + w) % 3 for q in range(3) for c, w in (("a", 1), ("b", 2))}
+    return Dfa(("a", "b"), 3, 0, frozenset([0]), trans)
+
+
+@pytest.mark.parametrize("dfa, searches", [(parse_regex(family("a", 3)), 1), (_mod_3_with_b_twice_a(), 2)])
+def test_decompose_walks_the_preorder_layers_when_the_letters_generate(monkeypatch, dfa, searches):
+    # one pair search when the generators are the letter images; the
+    # contexts are those of a search of decompose's own
+    calls = _count_calls(monkeypatch, syntactic, "_pair_depths")
+    syn = syntactic_algebra(dfa_to_recognizer(dfa))
+    dec = decompose_as_derivatives(syn, syn.accepting)
+    assert len(calls) == searches
+    plain = dataclasses.replace(syn, preorder=Preorder(syn.preorder.carrier, syn.preorder.pairs()))
+    assert decompose_as_derivatives(plain, syn.accepting).clauses == dec.clauses
+    assert len(calls) == searches + 1
 
 
 @pytest.mark.parametrize("rx, alphabet", list(corpus_languages().values()))

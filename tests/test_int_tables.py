@@ -13,12 +13,14 @@ from emalg.algebra import (
     VAR,
     FinAlgebra,
     _entries,
+    _generating_edges,
     _incompatibility,
     word_algebra,
 )
 from emalg.core import (
     Preorder,
     SortedOrderedSet,
+    _members,
     _transitive_closure,
     is_upward_closed,
     quotient_set,
@@ -189,6 +191,72 @@ def test_the_int_walk_returns_the_reference_witness():
                 bare += VAR in got[1]
     # witnesses, bare-slot witnesses and compatible relations all occur
     assert found > 300 and bare > 5 and compatible > 300
+
+
+def _preorder_with_classes(rng, alg) -> Preorder:
+    """The carrier order and a few random same-sort pairs, each taken both
+    ways at random, so that classes form."""
+    C = alg.carrier
+    pairs = list(C.leq_pairs())
+    for _ in range(rng.randint(1, 5)):
+        es = C.elements(rng.choice([s for s in C.sorts if C.elements(s)]))
+        a, b = rng.choice(es), rng.choice(es)
+        pairs += [(a, b), (b, a)] if rng.random() < 0.5 else [(a, b)]
+    return Preorder(C, pairs)
+
+
+def _preorders_with_classes():
+    """(algebra, preorder) with a class of two or more elements: random
+    preorders of random transformation semigroups and of the count-cap
+    omega algebras, and every such preorder of the bare-slot tree
+    fixtures."""
+    rng = random.Random(17)
+    cases = []
+    for _ in range(600):
+        alg = rand_transformation_algebra(rng, max_carrier=8)
+        cases.append((alg, _preorder_with_classes(rng, alg)))
+    for cap in (2, 3):
+        alg = count_cap_omega(cap)
+        cases += [(alg, _preorder_with_classes(rng, alg)) for _ in range(100)]
+    for alg in (
+        bool_tree_algebra(2, with_var_slots=True),
+        diagonal_bare_slot_algebra(),
+        _negated_bare_slots(),
+    ):
+        cases += [(alg, q) for q in _all_preorders(alg.carrier)]
+    for alg, q in cases:
+        if any(a != b and q.holds(b, a) for a, b in q.pairs()):
+            yield alg, q
+
+
+def test_the_generating_edges_generate_the_relation():
+    # each edge is a related pair, and the edges' reflexive, transitive
+    # closure is the whole relation, classes included
+    count = 0
+    for alg, q in itertools.chain(_cases(), _preorders_with_classes()):
+        up = q._rows
+        above = [_members(u & ~(1 << i)) for i, u in enumerate(up)]
+        edges = _generating_edges(up, above)
+        assert all(j in above[i] for i, js in enumerate(edges) for j in js)
+        closed = _transitive_closure([sum(1 << j for j in [i, *js]) for i, js in enumerate(edges)])
+        assert closed == up
+        count += 1
+    assert count > 1500
+
+
+def test_the_edge_walk_is_the_reference_walk_across_classes():
+    # the walk raises arguments along generating edges only, and must still
+    # find every violation that reaches a class above through a class-mate
+    found = compatible = bare = 0
+    for alg, q in _preorders_with_classes():
+        got = _incompatibility(alg, q.pairs())
+        assert got == _reference.incompatibility(alg, q.pairs()), (alg, q)
+        if got is None:
+            compatible += 1
+        else:
+            found += 1
+            bare += VAR in got[1]
+    assert found > 300 and compatible > 150 and bare >= 3
 
 
 def test_quotient_classes_are_the_reference_classes():

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from emalg import varieties
 from emalg.algebra import (
     is_morphism,
     one_element_algebra,
@@ -131,6 +132,20 @@ def test_generated_membership():
     assert v is True
     v, _ = generated_membership(z3, [z2], max_product_arity=3)
     assert v is not True  # never a witness; exhaustive search says no
+
+
+def test_generated_membership_builds_each_product_once(monkeypatch):
+    # U1 divides neither group, so each search tries U1, U1^2 and U1^3;
+    # the two products are built on the first call and shared after it
+    built = []
+    monkeypatch.setattr(varieties, "product", lambda algs: built.append(len(algs)) or product(algs))
+    varieties._product.cache_clear()
+    u1 = word_algebra(SortedOrderedSet({SORT_WORD: [0, 1]}), {(x, y): min(x, y) for x in (0, 1) for y in (0, 1)})
+    for n in (2, 3, 2):
+        assert generated_membership(zmod(n), [u1]) == (False, None)
+    assert built == [2, 3]
+    assert generated_membership(zmod(2), [u1, zmod(2)])[0] is True
+    assert built == [2, 3]  # the group divides itself before any product
 
 
 def test_variety_language_closure_harness():
