@@ -340,6 +340,16 @@ class _IntTables:
             table[code] = v = index[value]
             self.entries.append((op, table, digits, code, v))
 
+    @classmethod
+    def given(cls, carrier: SortedOrderedSet, tables: dict, entries: list) -> "_IntTables":
+        """The view of ``tables`` and ``entries`` already coded over
+        ``carrier``'s numbering, as a construction that held them hands
+        them over; they must be what ``_IntTables`` would build."""
+        view = cls.__new__(cls)
+        view.elems, view.index = carrier._by_index, carrier._index
+        view.tables, view.entries = tables, entries
+        return view
+
 
 def _incompatibility(alg: FinAlgebra, rel: frozenset) -> Optional[tuple]:
     """A witness (op, args, args2) that the reflexive, transitive relation

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .algebra import Recognizer, word_algebra
+from .algebra import Recognizer, _IntTables, word_algebra
 from .core import SortedOrderedSet
 from .monads import SORT_WORD
 
@@ -311,18 +311,21 @@ def _merge_start(dfa: Dfa) -> Dfa:
 
 
 def parse_regex(text: str, alphabet: Iterable | None = None) -> Dfa:
-    """Compile a regex to a minimal total DFA over nonempty words."""
-    ast = _parse_regex_ast(text)
-    if alphabet is None:
-        letters: set = set()
+    """Compile a regex to a minimal total DFA over nonempty words.  The
+    parser and the Thompson construction recurse once per level of groups
+    and postfix operators; a pattern nested past the interpreter's
+    recursion limit is a syntax error."""
+    letters: set = set()
+    b = _Builder()
+    try:
+        ast = _parse_regex_ast(text)
         _collect_literals(ast, letters)
-        alphabet = tuple(sorted(letters))
-    else:
-        alphabet = tuple(alphabet)
+        frag = _thompson(ast, b)
+    except RecursionError:
+        raise RegexSyntaxError(0, "pattern nests too deeply") from None
+    alphabet = tuple(sorted(letters)) if alphabet is None else tuple(alphabet)
     if not alphabet:
         raise RegexSyntaxError(0, "regex has no letters and no alphabet was given")
-    b = _Builder()
-    frag = _thompson(ast, b)
     return _merge_start(_moore(_subset_construction(b, frag, alphabet)))
 
 
@@ -344,7 +347,9 @@ def dfa_to_recognizer(dfa: Dfa) -> Recognizer:
     column by column in carrier order, after Froidure and Pin (1997), with
     one lookup per entry and no composition: for a column t = t'.g, s.t is
     (s.t').g, read in the right Cayley graph; for t = g.t', s.t is (s.g).t',
-    read in the earlier column of t'."""
+    read in the earlier column of t'.  The algebra keeps those columns as
+    its integer view (``FinAlgebra._ints``), so nothing downstream numbers
+    the elements again."""
     letter_maps = {
         c: tuple(dfa.trans[(q, c)] for q in range(dfa.n_states))
         for c in dfa.alphabet
@@ -384,8 +389,15 @@ def dfa_to_recognizer(dfa: Dfa) -> Recognizer:
             columns.append([right[su][g] for su in column])
         else:
             columns.append([column[row[g]] for row in right])
-    mult = {(elems[s], elems[t]): elems[columns[t][s]] for s in range(n) for t in range(n)}
-    alg = word_algebra(carrier, mult)
+    # the index of s.t for s major, then t, by the code s + t n of (s, t),
+    # as ``_IntTables`` codes it
+    values = list(itertools.chain.from_iterable(zip(*columns)))
+    codes = dict(zip([s + t * n for s in range(n) for t in range(n)], values))
+    pairs = itertools.product(elems, repeat=2)
+    alg = word_algebra(carrier, dict(zip(pairs, map(elems.__getitem__, values))))
+    args = itertools.product(range(n), repeat=2)
+    entries = list(zip(itertools.repeat("mult"), itertools.repeat(codes), args, codes, values))
+    alg._ints = _IntTables.given(carrier, {("mult", 2): codes}, entries)
     alphabet = SortedOrderedSet({SORT_WORD: list(dfa.alphabet)})
     accepting = frozenset(t for t in elems if t[dfa.start] in dfa.accepting)
     return Recognizer(alphabet, alg, dict(letter_maps), accepting)

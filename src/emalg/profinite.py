@@ -147,9 +147,18 @@ def _parse_factor(toks: list[str]) -> Term:
     return node
 
 
+def _parse_nested(toks: list[str]) -> Term:
+    """``_parse_seq``, which recurses once per parenthesis: a term nested
+    past the interpreter's recursion limit is a ValueError."""
+    try:
+        return _parse_seq(toks)
+    except RecursionError:
+        raise ValueError("term nests too deeply") from None
+
+
 def parse_term(text: str) -> Term:
     toks = _tokenize(text)
-    t = _parse_seq(toks)
+    t = _parse_nested(toks)
     if toks:
         raise ValueError(f"trailing input {toks!r}")
     return t
@@ -158,11 +167,11 @@ def parse_term(text: str) -> Term:
 def parse_inequalities(text: str) -> list[Inequality]:
     """Parse 's <= t' into one inequality or 's = t' into the two halves."""
     toks = _tokenize(text)
-    lhs = _parse_seq(toks)
+    lhs = _parse_nested(toks)
     if not toks or toks[0] not in ("<=", "="):
         raise ValueError("expected '<=' or '='")
     op = toks.pop(0)
-    rhs = _parse_seq(toks)
+    rhs = _parse_nested(toks)
     if toks:
         raise ValueError(f"trailing input {toks!r}")
     if op == "<=":

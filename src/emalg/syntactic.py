@@ -24,7 +24,10 @@ searches over the steps that multiply by a letter's image on either side
 (the letter images generate the image algebra) and walks each pair down
 the layers, so its contexts are the shortest over the alphabet.  When the
 generators ``syntactic_preorder`` found are the letter images, in order,
-the two searches are one, and the preorder keeps its layers for it.
+the two searches are one, and the preorder keeps its layers for it.  The
+search reads each step as int arrays over the carrier's numbering, each
+distinct table once; only ``decompose_as_derivatives`` builds the steps'
+witness contexts, since it is the one that prints contexts.
 
 Saturation (``saturate_all``) is kept only as the definition the refinement
 is tested against: the finite set of context *functions*, the closure of
@@ -49,6 +52,7 @@ from .core import (
     Sort,
     SortedFunction,
     SortedOrderedSet,
+    _members,
     is_upward_closed,
 )
 from .algebra import (
@@ -234,16 +238,18 @@ class ContextFunction:
 def _one_step_functions(
     alg: FinAlgebra, generators: Optional[tuple] = None
 ) -> list[ContextFunction]:
-    """The one-step context functions, from which every context function is
-    composed: an op of the monad's signature with one argument position as
-    the hole and elements of their sorts fixed in the others, mapping e to
-    the op applied with e in the hole, whose witness is the op's shallow
-    term over the fixed elements and the hole.  With ``generators``, an
-    argument of the monad's ``generated_sort`` is fixed to them only: the
-    generator steps.  A step whose table is empty, or has a gap (an op with
-    nowhere to land has no entries), is left out.  Sorted by source sort,
-    target sort and witness text, so the order does not depend on how the
-    steps were found."""
+    """The one-step context functions with their witnesses, for the
+    contexts that ``decompose_as_derivatives`` prints and for the
+    saturation definition: an op of the monad's signature with one argument
+    position as the hole and elements of their sorts fixed in the others,
+    mapping e to the op applied with e in the hole, whose witness is the
+    op's shallow term over the fixed elements and the hole.  With
+    ``generators``, an argument of the monad's ``generated_sort`` is fixed
+    to them only: the generator steps.  A step whose table is empty, or has
+    a gap (an op with nowhere to land has no entries), is left out.  Sorted
+    by source sort, target sort and witness text, so the order does not
+    depend on how the steps were found.  The pair search itself runs over
+    ``_step_arrays``, the same steps with no witness."""
     A, cls = alg.carrier, _CONTEXT[alg.kind]
     pool = {s: A.elements(s) for s in A.sorts}
     if generators is not None:
@@ -264,6 +270,43 @@ def _one_step_functions(
                     witness = _as_context(cls, _TERM[op](fixed, sorts))
                     out.append(ContextFunction(hole_sort, result, step, witness))
     out.sort(key=lambda f: (f.source_sort, f.target_sort, context_to_str(f.witness, repr)))
+    return out
+
+
+def _step_arrays(alg: FinAlgebra, generators: Optional[tuple] = None) -> list[tuple]:
+    """The steps of ``_one_step_functions`` over the carrier's numbering,
+    each as a pair of int arrays: the indices of its hole sort, one run of
+    the numbering, and the index of each one's value, read from the
+    algebra's integer tables (``FinAlgebra._ints``).  No witness is built
+    and nothing is sorted.  A step whose table repeats an earlier one's
+    over the same hole sort is left out: ``_pair_depths`` finds the same
+    layers over any list of the same distinct tables, since a layer is the
+    set of pairs that some step maps one layer down."""
+    A, view = alg.carrier, alg._ints
+    index, n = view.index, len(view.elems)
+    runs = {s: range(index[es[0]], index[es[0]] + len(es)) for s in A.sorts if (es := A.elements(s))}
+    pool = dict(runs)
+    if generators is not None:
+        pool[alg.monad.generated_sort] = [index[g] for g in generators]
+    seen: set = set()
+    out: list[tuple] = []
+    for op, sorts, _ in alg.monad.signature:
+        get = view.tables.get((op, len(sorts)), {}).get
+        for i, hole_sort in enumerate(sorts):
+            hole = runs.get(hole_sort, ())
+            weight = n**i  # the hole's place in an argument code
+            # the fixed arguments, each scaled by its place, in every
+            # combination
+            pools = [[d * n**j for d in pool.get(s, ())] for j, s in enumerate(sorts)]
+            pools[i] = (0,)
+            for fixed in itertools.product(*pools):
+                base = sum(fixed)
+                values = [get(base + x * weight) for x in hole]
+                if values and None not in values:
+                    key = (hole_sort, tuple(values))
+                    if key not in seen:
+                        seen.add(key)
+                        out.append((hole, values))
     return out
 
 
@@ -321,7 +364,9 @@ def _pair_depths(alg: FinAlgebra, P: frozenset, sort: Sort, steps) -> tuple[list
     """The elements of the algebra, and for each pair (a, b) of them, at
     index i * n + j for their indices i and j in the carrier's numbering,
     the length of the shortest composite of ``steps`` that separates it
-    (sends a into ``P`` and b out of it), or -1 if none does.
+    (sends a into ``P`` and b out of it), or -1 if none does.  Each step is
+    a pair of int arrays over that numbering, as ``_step_arrays`` gives
+    them: the indices it maps and the index of each one's value.
 
     A backward BFS over pairs: layer 0 is {(a, b) : a in P, b not in P} on
     ``sort``; layer L+1 holds the pairs not seen before that some step maps
@@ -338,10 +383,10 @@ def _pair_depths(alg: FinAlgebra, P: frozenset, sort: Sort, steps) -> tuple[list
     # for each element x, one (preimage of x scaled by n, inverse table of
     # the step) per step that reaches x, in step order
     preimages: list[list] = [[] for _ in elems]
-    for g in steps:
+    for sources, values in steps:
         inverse: list[list] = [[] for _ in elems]
-        for e, v in g.table.items():
-            inverse[index[v]].append(index[e])
+        for e, v in zip(sources, values):
+            inverse[v].append(e)
         for x, pre in enumerate(inverse):
             if pre:
                 preimages[x].append(([i * n for i in pre], inverse))
@@ -411,13 +456,30 @@ def _generators(alg: FinAlgebra) -> Optional[tuple]:
 
 class _LayeredPreorder(Preorder):
     """A syntactic preorder with the search that found it: the
-    ``generators`` whose steps it ran over, the ``steps`` and the
-    ``depths`` of ``_pair_depths``.  ``decompose_as_derivatives`` walks
-    these layers when the generators are its letter images."""
+    ``generators`` whose steps it ran over and the ``depths`` of
+    ``_pair_depths``.  Its up-set rows are read off the depths: row i
+    holds the j of i's sort with depth -1 at i * n + j.  They need no
+    transitive closure, since the pairs that no composite of steps
+    separates are transitive already: a composite that sends a into P and
+    c out of it separates (a, b) or (b, c), whichever side b falls.
+    ``decompose_as_derivatives`` reuses the depths when the generators are
+    its letter images."""
 
-    def __init__(self, carrier, pairs, generators, steps, depths):
-        super().__init__(carrier, pairs)
-        self.generators, self.steps, self.depths = generators, steps, depths
+    def __init__(self, carrier, depths, generators):
+        self.carrier, self.generators, self.depths = carrier, generators, depths
+        self._index, self._by_index = carrier._index, carrier._by_index
+        n = len(self._by_index)
+        self._rows = rows = []
+        start = 0
+        for s in carrier.sorts:
+            stop = start + len(carrier.elements(s))
+            for i in range(start, stop):
+                row, at = 0, i * n
+                for j in range(start, stop):
+                    if depths[at + j] < 0:
+                        row |= 1 << j
+                rows.append(row)
+            start = stop
 
 
 def syntactic_preorder(alg: FinAlgebra, accepting: Iterable[Elem], sort: Sort) -> Preorder:
@@ -440,6 +502,12 @@ def syntactic_preorder(alg: FinAlgebra, accepting: Iterable[Elem], sort: Sort) -
     infinite e.  Trees keep the element steps.  Words need 2|gens| steps
     instead of 2n.
 
+    The steps are ``_step_arrays``: int arrays over the carrier's
+    numbering, each distinct table once per hole sort, with no witness and
+    no order (on the mod-5 tree recognizer of the benchmark, 480 steps
+    carry 45 distinct tables).  The rows of the result are read off the
+    search's depths (``_LayeredPreorder``).
+
     ``syntactic_algebra`` certifies the result.  The generator steps are
     some of the element steps, so they separate no more pairs, and the
     pairs never reached form a relation R that contains the preorder.
@@ -454,24 +522,19 @@ def syntactic_preorder(alg: FinAlgebra, accepting: Iterable[Elem], sort: Sort) -
     if not is_upward_closed(alg.carrier, P):
         raise ValueError("accepting set is not upward closed")
     gens = _generators(alg)
-    steps = _one_step_functions(alg, gens)
-    elems, depths = _pair_depths(alg, P, sort, steps)
-    n, sort_of = len(elems), alg.carrier._sort_of
-    pairs = [
-        (a, b)
-        for i, a in enumerate(elems)
-        for j, b in enumerate(elems)
-        if depths[i * n + j] < 0 and sort_of[a] == sort_of[b]
-    ]
-    return _LayeredPreorder(alg.carrier, pairs, gens, steps, depths)
+    _, depths = _pair_depths(alg, P, sort, _step_arrays(alg, gens))
+    return _LayeredPreorder(alg.carrier, depths, gens)
 
 
 def _separating_context(alg: FinAlgebra, steps, layer: dict, a: Elem, b: Elem) -> Context:
     """A shortest composite of ``steps`` that separates (a, b), as a
-    context, where ``layer`` maps each separated pair to its depth as
-    ``_pair_depths`` finds it over the same steps: from the pair's layer
-    down to layer 0, the first step in ``_one_step_functions`` order whose
-    image pair lies one layer closer.
+    context, where ``steps`` are witnessed steps in ``_one_step_functions``
+    order and ``layer`` maps each separated pair to its depth as
+    ``_pair_depths`` finds it over the same steps (or over their
+    ``_step_arrays``, which hold the same distinct tables and so give the
+    same depths): from the pair's layer down to layer 0, the first step
+    whose image pair lies one layer closer.  This is the one place that
+    builds contexts from steps.
     So among the shortest separating step sequences it is the least in the
     lexicographic order of steps, first step most significant.
 
@@ -539,11 +602,15 @@ def syntactic_algebra(rec: Recognizer) -> SyntacticResult:
     P = frozenset(p for p in rec.accepting if p in B.carrier)
     pre = syntactic_preorder(B, P, rec.accepting_sort)
     # with the compatibility walk of ``quotient_algebra``, this certifies
-    # the preorder (see ``syntactic_preorder``)
-    for a, b in pre.pairs():
-        if a in P and b not in P:
+    # the preorder (see ``syntactic_preorder``): no up-set row of an
+    # accepted element leaves P's bitmask
+    elems, index = B.carrier._by_index, B.carrier._index
+    accepted = sum(1 << index[p] for p in P)
+    for i in _members(accepted):
+        outside = pre._rows[i] & ~accepted
+        if outside:
             raise NotCongruence(
-                (a, b),
+                (elems[i], elems[_members(outside)[0]]),
                 "syntactic preorder relates an accepted element to a rejected "
                 "one; this indicates a bug",
             )
@@ -686,12 +753,12 @@ def decompose_as_derivatives(syn: SyntacticResult, target: Iterable[Elem]) -> De
     letter_of = {}
     for c in syn.recognizer.alphabet:
         letter_of.setdefault(syn.recognizer.assignment[c], c)
-    pre = syn.preorder
-    if isinstance(pre, _LayeredPreorder) and pre.generators == tuple(letter_of):
-        steps, depths = pre.steps, pre.depths  # the same search, run once
+    letters, pre = tuple(letter_of), syn.preorder
+    steps = _one_step_functions(B, letters)  # with witnesses, in order
+    if isinstance(pre, _LayeredPreorder) and pre.generators == letters:
+        depths = pre.depths  # the same search, run once
     else:
-        steps = _one_step_functions(B, tuple(letter_of))
-        _, depths = _pair_depths(B, P, syn.accepting_sort, steps)
+        _, depths = _pair_depths(B, P, syn.accepting_sort, _step_arrays(B, letters))
     elems = B.carrier._by_index
     n = len(elems)
     layer = {(elems[p // n], elems[p % n]): d for p, d in enumerate(depths) if d >= 0}

@@ -259,12 +259,19 @@ def recognizes_at_rank(syn, m):
     return True
 
 
+def step_arrays(alg, steps):
+    """Witnessed steps as ``_pair_depths`` takes them: for each, the
+    indices of its arguments and of their values, every step kept."""
+    index = alg.carrier._index
+    return [([index[e] for e in f.table], [index[v] for v in f.table.values()]) for f in steps]
+
+
 def separation_layers(alg, P, sort):
     """The one-step functions of the algebra, and for every same-sort pair
     (a, b) that some context separates the length of the shortest
     separating context (``_pair_depths`` over every element step)."""
     steps = _one_step_functions(alg)
-    elems, depths = _pair_depths(alg, P, sort, steps)
+    elems, depths = _pair_depths(alg, P, sort, step_arrays(alg, steps))
     n = len(elems)
     return steps, {(elems[p // n], elems[p % n]): d for p, d in enumerate(depths) if d >= 0}
 
