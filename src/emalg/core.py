@@ -26,7 +26,8 @@ MAX_SORT_SIZE = 64
 
 
 class CarrierBoundExceeded(RuntimeError):
-    """A sort would hold more elements than the carrier cap allows.
+    """A sort would hold more elements than the carrier cap allows, or a
+    tree-algebra file declares a sort above its arity cap.
 
     A resource bound, not malformed input: the command line reports it with
     the bound exit code."""

@@ -13,9 +13,13 @@ diagram fixed, a child's rank-0 type is just the new pebble's letter and
 codes.  Types are hash-consed globally so fingerprints are cheap to compare
 across words; an id means nothing beyond equality with other ids.
 
-The rank side of the definability decision checks each rank on the product
-closure of letter pairs, consumed as it grows, and stops at the first class
-found on both sides of the language.
+Rank-m equivalence is a right congruence, so a theory algebra is found
+along its right Cayley graph: each class pair it concatenates is one letter
+step from an entry already in its table, and each (class, letter) step is
+typed once.  The rank side of the definability decision walks the letter
+steps of the theory algebra and the syntactic algebra together, from the
+letter pairs; it types no word, and stops at the first class found on both
+sides of the language.
 
 For words over a single letter the equivalence collapses to a length
 threshold.  The threshold follows from the same game analysis (gaps beyond a
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Union
 
-from .algebra import FinAlgebra, Recognizer, _grow_tuples, word_algebra
+from .algebra import FinAlgebra, Recognizer, word_algebra
 from .automata import Dfa, dfa_to_recognizer
 from .core import SortedOrderedSet, upward_closure
 from .monads import SORT_WORD, Word
@@ -205,8 +209,11 @@ def theory_algebra(alphabet: Iterable, m: int) -> TheoryAlgebra:
 
     Class discovery assumes rank equivalence is a congruence (every class is
     then a product of letter classes); that assumption is re-verified on
-    random samples at the end rather than trusted.  Representative length is
-    capped at 2^{m+2}; exceeding the cap is a hard error, never a silent
+    random samples at the end rather than trusted.  Each concatenation is
+    read as one step of the right Cayley graph from an entry already in the
+    table, and each (class, letter) step is typed once, so a build types at
+    most |letters| * (classes + 1) words.  Representative length is capped
+    at 2^{m+2}; exceeding the cap is a hard error, never a silent
     truncation.
     """
     letters = _normalised_letters(alphabet)
@@ -220,25 +227,27 @@ def theory_algebra(alphabet: Iterable, m: int) -> TheoryAlgebra:
 
     fp_class: dict = {}
     reps: list[tuple] = []
+    # prefix[k]: the class of reps[k] without its last letter, None for a
+    # letter
+    prefix: list = []
 
-    def register(wd: tuple) -> tuple[int, bool]:
-        fp = ef_type(wd, m)
-        if fp in fp_class:
-            return fp_class[fp], False
+    def register(wd: tuple, fp: int, before: Optional[int]) -> int:
         if len(wd) > cap:
             raise TheoryBoundExceeded(
                 f"representative of length {len(wd)} exceeds the cap {cap}"
             )
         if len(reps) >= MAX_THEORY_CLASSES:
             raise TheoryBoundExceeded(f"more than {MAX_THEORY_CLASSES} classes at rank {m}")
-        cid = len(reps)
-        fp_class[fp] = cid
+        fp_class[fp] = len(reps)
         reps.append(wd)
-        return cid, True
+        prefix.append(before)
+        return len(reps) - 1
 
     letter_class = {}
     for c in letters:
-        letter_class[c], _ = register((c,))
+        fp = ef_type((c,), m)
+        got = fp_class.get(fp)
+        letter_class[c] = register((c,), fp, None) if got is None else got
 
     # Pairs (i, j) of classes are concatenated in (cost, i, j) order, the
     # cost being the length of reps[i] + reps[j].  Every new representative
@@ -246,7 +255,16 @@ def theory_algebra(alphabet: Iterable, m: int) -> TheoryAlgebra:
     # as ids grow, and each row i is in that order by j alone.  The heap
     # therefore holds one cursor per row, its first pair not yet taken; a
     # row whose cursor has passed the newest class waits for the next one.
+    #
+    # A pair is typed by one step of the right Cayley graph.  Rank-m
+    # equivalence is a right congruence, so reps[i] + reps[j] lies in the
+    # class k of reps[i] + prefix[j]'s representative followed by the last
+    # letter c of reps[j], and every word of class k followed by c lies in
+    # one class: the edge (k, c), typed once on reps[k] + (c,).  The class
+    # prefix[j] has a shorter representative than j, so it precedes j, and
+    # row i has taken (i, prefix[j]) already.
     table: dict = {}
+    edges: dict = {}
     heap: list = []
     waiting: list = []
 
@@ -260,13 +278,20 @@ def theory_algebra(alphabet: Iterable, m: int) -> TheoryAlgebra:
         offer(i, 0)
     while heap:
         _, i, j = heapq.heappop(heap)
-        cid, new = register(reps[i] + reps[j])
+        k = i if prefix[j] is None else table[(i, prefix[j])]
+        c = reps[j][-1]
+        cid = edges.get((k, c))
+        if cid is None:
+            fp = ef_type(reps[k] + (c,), m)
+            cid = fp_class.get(fp)
+            if cid is None:
+                cid = register(reps[i] + reps[j], fp, k)
+                for w in waiting:
+                    heapq.heappush(heap, (len(reps[w]) + len(reps[cid]), w, cid))
+                waiting.clear()
+                offer(cid, 0)
+            edges[(k, c)] = cid
         table[(i, j)] = cid
-        if new:
-            for k in waiting:
-                heapq.heappush(heap, (len(reps[k]) + len(reps[cid]), k, cid))
-            waiting.clear()
-            offer(cid, 0)
         offer(i, j + 1)
 
     carrier = SortedOrderedSet(
@@ -327,23 +352,34 @@ def _as_syntactic(lang: Union[Dfa, Recognizer, SyntacticResult]) -> SyntacticRes
 
 def recognizes_at_rank(lang: Union[Dfa, Recognizer, SyntacticResult], m: int) -> bool:
     """Whether the rank-m theory map recognises the language: no two words of
-    the same rank-m class may differ on membership.  Checked on the image of
-    the pairing of the theory map with the syntactic morphism, i.e. on the
-    subalgebra of the product generated by the letter pairs, consumed as the
-    closure grows: the answer is False at the first class seen both inside
-    and outside the accepting set, and True once the closure is exhausted.
+    the same rank-m class may differ on membership.  Checked on the pairs
+    (θ(w), σ(w)) of the theory map and the syntactic morphism over all
+    nonempty words w, reached by a breadth-first walk from the letter pairs
+    that extends a word by one letter per step, i.e. along the right Cayley
+    graphs of both algebras at once: the answer is False at the first class
+    seen both inside and outside the accepting set, and True once the walk
+    is exhausted.  The walk reads only the two tables and types no word.
 
     The theory algebra comes from ``cached_theory_algebra``, so each
     (letters, rank) is built, or fails its bound, once per process; a
     memoised failure raises ``TheoryBoundExceeded`` again."""
     syn = _as_syntactic(lang)
     theta = cached_theory_algebra(syn.letter_map, m)
-    seeds = [(theta.letter_class[c], syn.letter_map[c]) for c in theta.alphabet]
+    tmult, smult = theta.algebra.mult, syn.syn_algebra.mult
+    letters = [(theta.letter_class[c], syn.letter_map[c]) for c in theta.alphabet]
+    walk = list(dict.fromkeys(letters))
+    seen = set(walk)
     member: dict = {}
-    for t, s in _grow_tuples([theta.algebra, syn.syn_algebra], seeds):
+    # the loop reads the pairs appended to ``walk`` as it goes, in order
+    for t, s in walk:
         inside = s in syn.accepting
         if member.setdefault(t, inside) != inside:
             return False
+        for tc, sc in letters:
+            nxt = (tmult[(t, tc)], smult[(s, sc)])
+            if nxt not in seen:
+                seen.add(nxt)
+                walk.append(nxt)
     return True
 
 

@@ -205,6 +205,18 @@ def _var_tuple(k: int) -> tuple:
     return tuple(Var(i) for i in range(k))
 
 
+def _bounded_slots(n: int, budget: int) -> Iterator[tuple]:
+    """The n-tuples of sorts with sum at most ``budget``, in
+    ``itertools.product`` order: each slot takes only what the ones before
+    it leave, so no tuple past the budget is built."""
+    if n == 0:
+        yield ()
+        return
+    for s in range(budget + 1):
+        for rest in _bounded_slots(n - 1, budget - s):
+            yield (s, *rest)
+
+
 def tree_labels(node) -> Iterator[tuple[Any, int]]:
     """All (label, arity) pairs of a tree node, depth first."""
     if isinstance(node, Var):
@@ -473,8 +485,7 @@ class TreeMonad(Monad):
         return tuple(
             ("comp", (n, *slots), sum(slots))
             for n in range(1, m + 1)
-            for slots in itertools.product(range(m + 1), repeat=n)
-            if sum(slots) <= m
+            for slots in _bounded_slots(n, m)
         )
 
     def restricted(self, sorts):

@@ -20,6 +20,11 @@ read in one ``zip`` and the rank sweep stopped at its first conflict; the
 types must induce the same partition of words, and the rank tests must give
 the same verdicts and raise the same bound failures.
 
+``theory_algebra`` is the rank-m class discovery that types every pair it
+concatenates, as the package had it before each pair became one step of the
+right Cayley graph; representatives, letter classes and tables must agree,
+and so must the bound failures.
+
 ``separation_layers`` is the pair search over every element step that
 ``decompose_as_derivatives`` ran before it searched over letter steps; it
 keeps the element-step preorder and the saturation-order contexts under
@@ -42,12 +47,19 @@ before the class-vector groups grew one letter at a time; here its
 before it closed the subsets as bitmasks; verdicts and the sequence of
 preorders must agree."""
 
+import heapq
 import itertools
 
 from emalg.algebra import VAR, _entries, subalgebra_generated
 from emalg.automata import Dfa, _renumber
 from emalg.core import Preorder, SortedFunction, SortedOrderedSet
-from emalg.logic import cached_theory_algebra
+from emalg.logic import (
+    MAX_THEORY_CLASSES,
+    TheoryBoundExceeded,
+    _normalised_letters,
+    cached_theory_algebra,
+    ef_type,
+)
 from emalg.syntactic import _one_step_functions, _pair_depths
 
 
@@ -257,6 +269,56 @@ def recognizes_at_rank(syn, m):
         if member.setdefault(t, inside) != inside:
             return False
     return True
+
+
+def theory_algebra(alphabet, m):
+    """(representatives, letter classes, table) of the rank-m classes, found
+    by concatenating class pairs in (cost, i, j) order and typing each
+    concatenation with ``ef_type``; a bound failure raises
+    ``TheoryBoundExceeded`` with the package's message."""
+    letters = _normalised_letters(alphabet)
+    cap = 2 ** (m + 2)
+    fp_class = {}
+    reps = []
+
+    def register(wd):
+        fp = ef_type(wd, m)
+        if fp in fp_class:
+            return fp_class[fp], False
+        if len(wd) > cap:
+            raise TheoryBoundExceeded(
+                f"representative of length {len(wd)} exceeds the cap {cap}"
+            )
+        if len(reps) >= MAX_THEORY_CLASSES:
+            raise TheoryBoundExceeded(f"more than {MAX_THEORY_CLASSES} classes at rank {m}")
+        fp_class[fp] = len(reps)
+        reps.append(wd)
+        return len(reps) - 1, True
+
+    letter_class = {c: register((c,))[0] for c in letters}
+    table = {}
+    heap = []
+    waiting = []
+
+    def offer(i, j):
+        if j < len(reps):
+            heapq.heappush(heap, (len(reps[i]) + len(reps[j]), i, j))
+        else:
+            waiting.append(i)
+
+    for i in range(len(reps)):
+        offer(i, 0)
+    while heap:
+        _, i, j = heapq.heappop(heap)
+        cid, new = register(reps[i] + reps[j])
+        table[(i, j)] = cid
+        if new:
+            for k in waiting:
+                heapq.heappush(heap, (len(reps[k]) + len(reps[cid]), k, cid))
+            waiting.clear()
+            offer(cid, 0)
+        offer(i, j + 1)
+    return dict(enumerate(reps)), letter_class, table
 
 
 def step_arrays(alg, steps):

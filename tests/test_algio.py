@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from emalg.algio import ParseError, parse_algebra, parse_dfa_file
+from emalg.algio import MAX_TREE_ARITY, ParseError, parse_algebra, parse_dfa_file
 from emalg.cli import EXIT_BOUND, EXIT_INPUT
 from emalg.core import CarrierBoundExceeded
 from tests.test_cli import run_cli
@@ -56,6 +56,10 @@ def _names(lo: int, hi: int) -> str:
         # a sort declared over several lines fails at the line that passes the cap
         ("kind word\nelems 0 " + _names(0, 40) + "\nelems 0 " + _names(40, 70) + "\nelems 1 x\n", "sort 0 has 70 elements, cap is 64"),
         ("kind tree\nelems 0 c\nelems 2 " + _names(0, 65) + "\ncomp\n", "sort 2 has 65 elements, cap is 64"),
+        # a tree sort above the arity cap fails at its line, before its
+        # signature is built
+        ("kind tree\nelems 9 a\n", "tree sort 9 exceeds the arity cap 8"),
+        ("kind tree\nelems 0 c\nelems 40 a\nnonsense\n", "tree sort 40 exceeds the arity cap 8"),
     ],
 )
 def test_an_elems_line_past_the_cap_exits_with_the_bound_code_at_once(tmp_path, text, message):
@@ -72,6 +76,10 @@ def test_an_elems_line_past_the_cap_exits_with_the_bound_code_at_once(tmp_path, 
 def test_a_sort_at_the_cap_is_read_to_the_end():
     with pytest.raises(ParseError, match="line 3: dot takes three elements"):
         parse_algebra("kind word\nelems 0 " + _names(0, 64) + "\ndot e0 e0\n")
+    with pytest.raises(ParseError, match="line 3: unknown directive 'nonsense'"):
+        parse_algebra(f"kind tree\nelems {MAX_TREE_ARITY} a\nnonsense\n")
+    alg = parse_algebra(f"kind tree\nelems {MAX_TREE_ARITY} a\n")
+    assert alg.monad.max_arity == MAX_TREE_ARITY
 
 
 _EVEN = "alphabet a\nstates 2\nstart 0\naccept 0\ntrans 0 a 1\ntrans 1 a 0\n"

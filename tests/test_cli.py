@@ -229,6 +229,12 @@ def test_carrier_cap_exits_with_the_bound_code(tmp_path):
     code, out = run_cli("check", str(big), "APERIODIC")
     assert code == EXIT_BOUND
     assert json.loads(out)["error"] == "sort 0 has 65 elements, cap is 64"
+    # a tree sort above the arity cap would build about 4^m comp shapes
+    tall = tmp_path / "tall.alg"
+    tall.write_text("kind tree\nelems 0 c\nelems 12 a\n")
+    code, out = run_cli("check", str(tall), "APERIODIC")
+    assert code == EXIT_BOUND
+    assert json.loads(out) == {"command": "check", "error": "tree sort 12 exceeds the arity cap 8"}
 
 
 def _incompatible_preorder(alg, accepting, sort):

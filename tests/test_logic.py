@@ -196,7 +196,10 @@ def test_theory_outcomes_are_built_once_bound_failures_included(fresh_theory_mem
 
 
 def test_theory_table_matches_concatenation():
-    for th in (theory_algebra("ab", 1), theory_algebra("a", 3)):
+    # every build that completes within the class guard
+    builds = [("a", m) for m in range(6)] + [(a, m) for a in ("ab", "abc") for m in (0, 1)]
+    for alphabet, m in builds:
+        th = theory_algebra(alphabet, m)
         for i, ri in th.reps.items():
             for j, rj in th.reps.items():
                 assert th.algebra.mult[(i, j)] == th.classify(ri + rj)

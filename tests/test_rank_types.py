@@ -3,6 +3,7 @@
 and the rank test that closes the whole product before it looks for a
 conflict."""
 
+import dataclasses
 import itertools
 import random
 
@@ -44,16 +45,22 @@ def test_types_partition_words_as_the_reference_does():
         _assert_same_partition(abc, m)
 
 
-def _outcome(alphabet, m):
+def _outcome(build, alphabet, m):
     try:
-        theta = theory_algebra(alphabet, m)
+        return build(alphabet, m)
     except TheoryBoundExceeded as exc:
         return str(exc)
+
+
+def _package_build(alphabet, m):
+    theta = theory_algebra(alphabet, m)
     return theta.reps, theta.letter_class, theta.algebra.mult
 
 
 def test_theory_algebras_equal_the_reference_builds(monkeypatch):
-    cases = [("a", m) for m in range(6)] + [("ab", 0), ("ab", 1), ("abc", 1), ("ab", 2)]
+    cases = [("a", m) for m in range(6)] + [
+        ("ab", 0), ("ab", 1), ("abc", 1), ("abc", 2), ("ab", 2)
+    ]
     typed = []  # the words the reference builds send to the general type
 
     def reference_type(word, m):
@@ -61,13 +68,41 @@ def test_theory_algebras_equal_the_reference_builds(monkeypatch):
         return _reference.general_type(word, m)
 
     monkeypatch.setattr(logic, "_general_type", reference_type)
-    want = [_outcome(*case) for case in cases]
+    want = [_outcome(_reference.theory_algebra, *case) for case in cases]
     monkeypatch.undo()
-    assert [_outcome(*case) for case in cases] == want
-    assert want[-1] == "more than 512 classes at rank 2"
+    assert [_outcome(_package_build, *case) for case in cases] == want
+    assert want[-2:] == ["more than 512 classes at rank 2"] * 2
     guard = [w for w, m in typed if m == 2]
     assert len(guard) > 3000
     _assert_same_partition(guard, 2)
+
+
+def _types_met(monkeypatch, module, build, alphabet):
+    """The rank-2 types that ``build`` computes, in order, until it fails
+    the class guard."""
+    met = []
+    ef = logic.ef_type
+
+    def recorded(w, m):
+        met.append(ef(w, m))
+        return met[-1]
+
+    monkeypatch.setattr(module, "ef_type", recorded)
+    with pytest.raises(TheoryBoundExceeded, match="more than 512 classes at rank 2"):
+        build(alphabet, 2)
+    monkeypatch.undo()
+    return met
+
+
+def test_the_rank_2_guards_type_each_class_and_letter_once(monkeypatch):
+    # the rank-2 theories are the first that do not commute, and no build
+    # of one completes: the guard builds must still meet their classes in
+    # the reference builds' order
+    for alphabet in ("ab", "abc"):
+        met = _types_met(monkeypatch, logic, theory_algebra, alphabet)
+        assert len(met) <= len(alphabet) * (logic.MAX_THEORY_CLASSES + 1)
+        want = _types_met(monkeypatch, _reference, _reference.theory_algebra, alphabet)
+        assert list(dict.fromkeys(met)) == list(dict.fromkeys(want))
 
 
 def _sweep_languages():
@@ -87,8 +122,9 @@ def _rank_outcome(test, syn, m):
 
 def test_rank_tests_equal_the_full_closure_reference():
     # over two letters every rank from 2 on fails its theory bound; ranks
-    # 3 to 5 fail it too, after builds of about 1, 9 and 70 seconds, and
-    # the rank test only re-raises the memoised failure
+    # 3 to 5 fail it too, after builds of about 0.2, 2 and 18 seconds
+    # (Python 3.11, 2 cores), and the rank test only re-raises the
+    # memoised failure
     for name, dfa in _sweep_languages():
         syn = syntactic_algebra(dfa_to_recognizer(dfa))
         ranks = range(6) if len(syn.letter_map) == 1 else range(3)
@@ -97,21 +133,35 @@ def test_rank_tests_equal_the_full_closure_reference():
             assert got == _rank_outcome(_reference.recognizes_at_rank, syn, m), (name, m)
 
 
-def test_a_failing_rank_stops_before_the_closure_ends(monkeypatch):
+def _visits(syn, m):
+    """The verdict of the rank test on ``syn`` and the number of pairs its
+    walk visits: each visited pair reads the accepting set once."""
+    visited = []
+
+    class Counted(frozenset):
+        def __contains__(self, s):
+            visited.append(s)
+            return super().__contains__(s)
+
+    verdict = recognizes_at_rank(dataclasses.replace(syn, accepting=Counted(syn.accepting)), m)
+    return verdict, len(visited)
+
+
+def _closure_size(syn, m):
+    theta = logic.cached_theory_algebra(syn.letter_map, m)
+    seeds = [(theta.letter_class[c], syn.letter_map[c]) for c in theta.alphabet]
+    return len(algebra.generated_tuples([theta.algebra, syn.syn_algebra], seeds))
+
+
+def test_a_failing_rank_stops_before_the_closure_ends():
     syn = syntactic_algebra(dfa_to_recognizer(parse_regex("aaa(aaaaa)*")))
-    consumed = []
-
-    def counted(algs, seeds):
-        for t in algebra._grow_tuples(algs, seeds):
-            consumed.append(t)
-            yield t
-
-    monkeypatch.setattr(logic, "_grow_tuples", counted)
-    assert not recognizes_at_rank(syn, 1)
-    theta = logic.cached_theory_algebra("a", 1)
-    seeds = [(theta.letter_class["a"], syn.letter_map["a"])]
-    whole = algebra.generated_tuples([theta.algebra, syn.syn_algebra], seeds)
-    assert len(consumed) < len(whole)
+    verdict, visited = _visits(syn, 1)
+    assert not verdict
+    assert 0 < visited < _closure_size(syn, 1)
+    # a rank that recognises the language walks the whole closure, each
+    # pair once
+    syn = syntactic_algebra(dfa_to_recognizer(parse_regex("(a|b)*a(a|b)*")))
+    assert _visits(syn, 1) == (True, _closure_size(syn, 1))
 
 
 def test_negative_ranks_are_value_errors():

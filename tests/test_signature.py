@@ -97,6 +97,18 @@ def test_comp_results_stay_within_the_arity_cap():
         _build("comp", lambda t: t.__setitem__(((2, False), ((2, False), (1, False))), (2, False)))
 
 
+def test_the_tree_signature_is_every_slot_tuple_within_the_cap():
+    # in the order of filtering the whole product, which it no longer builds
+    for m in range(7):
+        assert tree_monad(m).signature == tuple(
+            ("comp", (n, *slots), sum(slots))
+            for n in range(1, m + 1)
+            for slots in itertools.product(range(m + 1), repeat=n)
+            if sum(slots) <= m
+        )
+    assert len(tree_monad(8).signature) == 24309
+
+
 def test_an_empty_infinite_sort_leaves_omega_without_entries():
     """Sort restriction keeps the finite sort of an omega algebra alone: a
     bare ordered semigroup, with nowhere for mix and omega to land."""
