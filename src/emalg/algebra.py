@@ -244,18 +244,10 @@ def _entries(alg: FinAlgebra):
 
 def _places(alg: FinAlgebra) -> list:
     """The (op, number of arguments, positions of the bare slots) of the
-    entries, in ``_entries``' argument layout, read off the table keys
-    without listing every entry.  An all-bare pattern is the unit law,
-    which gives nothing new, and is left out."""
-    places = {
-        (op, len(next(iter(table))), ())
-        for op, table in alg.tables.items()
-        if table and op != "comp"
-    }
-    for args in alg.tables["comp"]:
-        if args.count(VAR) < len(args) - 1:
-            places.add(("comp", len(args), tuple([i for i, x in enumerate(args) if x is VAR])))
-    return sorted(places)
+    entries, in ``_entries``' argument layout: the keys of the integer
+    tables (``_IntTables``).  An all-bare pattern is the unit law, which
+    gives nothing new, and is left out."""
+    return sorted(p for p in alg._ints.tables if not p[2] or len(p[2]) < p[1] - 1)
 
 
 def _read_comp(table: dict, args: tuple):
@@ -315,12 +307,14 @@ class _IntTables:
     The indices are the carrier's numbering, 0..n-1 in carrier order
     (``elems``, and ``index`` back), so each sort is one run of indices.
     An argument tuple with indices d_0, ..., d_(m-1) has the code d_0 +
-    d_1 n + ... + d_(m-1) n^(m-1), and ``tables[(op, m)]`` maps the code of
-    the arguments of each entry without a bare slot to the index of its
-    value.  ``entries`` lists the entries in ``_entries`` order as (op,
-    table, args, code, value): the table of (op, m), the argument indices,
-    their code and the value's index; an entry with a bare slot keeps its
-    labels, with None for the table and the code."""
+    d_1 n + ... + d_(m-1) n^(m-1), a bare slot counting as 0, and
+    ``tables[(op, m, bare)]``, keyed by the place as ``_places`` lists it,
+    maps the code of the arguments of each entry whose bare slots sit at
+    the positions ``bare`` to the index of its value.  ``entries`` lists
+    the entries in ``_entries`` order as (op, table, args, code, value):
+    the table of (op, m, ()), the argument indices, their code and the
+    value's index; an entry with a bare slot keeps its labels, with None
+    for the table and the code."""
 
     def __init__(self, alg: FinAlgebra):
         self.elems = alg.carrier._by_index
@@ -330,15 +324,18 @@ class _IntTables:
         self.entries: list = []
         for op, args, value in _entries(alg):
             if op == "comp" and VAR in args:
+                bare = tuple([i for i, a in enumerate(args) if a is VAR])
                 self.entries.append((op, None, args, None, value))
-                continue
-            digits = tuple([index[a] for a in args])
+                digits = tuple([0 if a is VAR else index[a] for a in args])
+            else:
+                bare, digits = (), tuple([index[a] for a in args])
             code = 0
             for d in reversed(digits):
                 code = code * n + d
-            table = self.tables.setdefault((op, len(args)), {})
+            table = self.tables.setdefault((op, len(args), bare), {})
             table[code] = v = index[value]
-            self.entries.append((op, table, digits, code, v))
+            if not bare:
+                self.entries.append((op, table, digits, code, v))
 
     @classmethod
     def given(cls, carrier: SortedOrderedSet, tables: dict, entries: list) -> "_IntTables":
@@ -745,57 +742,114 @@ def _restrict(alg: FinAlgebra, keep: set, monad: Monad) -> FinAlgebra:
     )
 
 
-def _grow_tuples(algs: list[FinAlgebra], seeds: Iterable[tuple], places=None):
-    """The tuples of the subalgebra of the product generated by the seed
-    tuples, each yielded once as it is found, the seeds first; computed by
-    componentwise closure without materialising the product, so a caller
-    may stop as soon as it has seen enough.
+def _index_closure(algs: list[FinAlgebra], places: list):
+    """The product-closure kernel, over element indices: a generator
+    function ``grow(seeds, closed=())`` that takes seed tuples, each a
+    tuple of indices in the components' carrier numberings, and yields the
+    tuples of the subalgebra of the product that they generate, each once
+    as it is found, the seeds first, so a caller may stop as soon as it
+    has seen enough.  ``closed``, an already closed list of tuples, is
+    taken as found and not yielded again: the closure grows on from it.
+    Nothing of the product is materialised up front.
 
-    Frontier-only: each round applies every op to the argument tuples that
-    hold a tuple found in the round before in one position and known tuples
-    in the others.  The ops are ``places`` (as ``_places`` lists them), by
-    default those of the first component's entries.  A bare slot holds VAR
-    in every component, as in ``tuple_algebra``.  A tuple arises only where
-    every component has the entry."""
+    The ops are ``places`` (as ``_places`` lists them), read in each
+    component's integer tables (``_IntTables``), which key them the same
+    way; a bare slot counts as 0 in every component's argument code, so it
+    holds VAR in every component, as in ``tuple_algebra``.  A tuple arises
+    only where every component has the entry.
+
+    Each round evaluates the argument tuples that hold a tuple found in
+    the round before, once each: at the first such position j, with tuples
+    known before the round at the positions before j and any known tuple
+    after it (``_product_entry``); nothing is kept between closures, so a
+    closure holds no more than its own tuples."""
+    views = [a._ints for a in algs]
+    shapes = []  # (the product's entry at one place, its pools at each j)
+    for place in places:
+        tables = [v.tables.get(place) for v in views]
+        if None not in tables:
+            opened, layouts = _layouts(place)
+            shapes.append((_product_entry(views, tables, opened), layouts))
+
+    def grow(seeds, closed=()):
+        known = list(closed)
+        seen = set(known)
+        before = len(known)  # known[:before] was known before the round
+        for t in seeds:
+            if t not in seen:
+                seen.add(t)
+                known.append(t)
+                yield t
+        while before < len(known):
+            after = len(known)
+            pools = (known[:before], known[before:], known[:after])
+            for entry, layouts in shapes:
+                for layout in layouts:
+                    columns = [pools[i] for i in layout]
+                    if not all(columns):
+                        continue
+                    for t in map(entry, itertools.product(*columns)):
+                        if t not in seen and None not in t:  # None: no entry
+                            seen.add(t)
+                            known.append(t)
+                            yield t
+            before = after
+
+    return grow
+
+
+@functools.lru_cache(maxsize=256)
+def _layouts(place: tuple) -> tuple:
+    """The open (not bare) positions of a place, and the pool each of them
+    draws from when the first tuple new in the round sits at open position
+    j: 0, the tuples known before the round, before j; 1, the new ones, at
+    j; 2, every known tuple, after j."""
+    _, m, bare = place
+    opened = tuple(p for p in range(m) if p not in bare)
+    r = len(opened)
+    return opened, tuple((0,) * j + (1,) + (2,) * (r - 1 - j) for j in range(r))
+
+
+def _product_entry(views: list, tables: list, opened: tuple):
+    """The product's entry at one place, as a function of the argument
+    tuples at its open positions ``opened``: the tuple of the components'
+    values, with None for a component that has no entry.  Component c
+    reads its index in each argument, scales it by the argument's position
+    in its own argument code, and looks the sum up in ``tables[c]``."""
+    parts = [
+        (c, table.get, [len(v.elems) ** p for p in opened])
+        for c, (v, table) in enumerate(zip(views, tables))
+    ]
+
+    def entry(args: tuple) -> tuple:
+        value = []
+        for c, get, scales in parts:
+            code = 0
+            for t, s in zip(args, scales):
+                code += t[c] * s
+            value.append(get(code))
+        return tuple(value)
+
+    return entry
+
+
+def _grow_tuples(algs: list[FinAlgebra], seeds: Iterable[tuple]):
+    """The tuples of the subalgebra of the product generated by the seed
+    tuples, in labels, each yielded once as it is found, the seeds first
+    (``_index_closure``, over the places of the first component's
+    entries)."""
     seeds = list(map(tuple, seeds))
     if set(map(len, seeds)) - {len(algs)}:
         raise ValueError("seed arity does not match the component count")
-    tuples: set = set()
-    frontier = []
-    for t in seeds:
-        if t not in tuples:
-            tuples.add(t)
-            frontier.append(t)
-            yield t
-    if places is None:
-        places = _places(algs[0])
-    bare_column = (VAR,)
-    known: list = []
-    while frontier:
-        known += frontier
-        columns = list(zip(*known))
-        found = []
-        for op, n, bare in places:
-            reads = [a._read[op] for a in algs]
-            for x in frontier:
-                for j in range(n):
-                    if j in bare:
-                        continue
-                    # x at position j, known tuples elsewhere, evaluated one
-                    # component (one column of the known tuples) at a time
-                    per_component = []
-                    for read, a, column in zip(reads, x, columns):
-                        pools = [column] * n
-                        for i in bare:
-                            pools[i] = bare_column
-                        pools[j] = (a,)
-                        per_component.append(map(read, itertools.product(*pools)))
-                    for t in set(zip(*per_component)) - tuples:
-                        if None not in t:
-                            tuples.add(t)
-                            found.append(t)
-                            yield t
-        frontier = found
+    indices = [a.carrier._index for a in algs]
+    elems = [a.carrier._by_index for a in algs]
+    try:
+        seeds = [tuple(map(dict.__getitem__, indices, t)) for t in seeds]
+    except KeyError as exc:
+        raise ValueError(f"seed component {exc.args[0]!r} is not in its carrier") from None
+    grow = _index_closure(algs, _places(algs[0]))
+    for t in grow(seeds):
+        yield tuple(map(list.__getitem__, elems, t))
 
 
 def generated_tuples(algs: list[FinAlgebra], seeds: Iterable[tuple]) -> set:

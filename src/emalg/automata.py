@@ -397,7 +397,7 @@ def dfa_to_recognizer(dfa: Dfa) -> Recognizer:
     alg = word_algebra(carrier, dict(zip(pairs, map(elems.__getitem__, values))))
     args = itertools.product(range(n), repeat=2)
     entries = list(zip(itertools.repeat("mult"), itertools.repeat(codes), args, codes, values))
-    alg._ints = _IntTables.given(carrier, {("mult", 2): codes}, entries)
+    alg._ints = _IntTables.given(carrier, {("mult", 2, ()): codes}, entries)
     alphabet = SortedOrderedSet({SORT_WORD: list(dfa.alphabet)})
     accepting = frozenset(t for t in elems if t[dfa.start] in dfa.accepting)
     return Recognizer(alphabet, alg, dict(letter_maps), accepting)

@@ -524,17 +524,44 @@ def check_canonical_covers() -> CheckResult:
 
 
 def _semigroup_tables(n: int):
-    """All associative tables on range(n), as element-indexed dicts."""
+    """All associative tables on range(n), as element-indexed dicts, in
+    ``itertools.product`` order over the row-major cells.
+
+    The cells are filled in that order, each with 0..n-1 in turn, and a
+    partial table is dropped as soon as a triple whose four products are
+    all filled breaks associativity: no completion of it is associative.
+    Each triple is tested once, when the last of its four cells is filled,
+    so a complete table that survives is associative."""
     cells = [(i, j) for i in range(n) for j in range(n)]
-    for values in itertools.product(range(n), repeat=len(cells)):
-        table = dict(zip(cells, values))
-        if all(
-            table[(table[(a, b)], c)] == table[(a, table[(b, c)])]
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-        ):
-            yield table
+    t = [0] * (n * n)  # t[a n + b] is the product of a and b
+
+    def associative_through(k: int) -> bool:
+        # the triples whose four cells lie in 0..k, cell k among them
+        for a in range(n):
+            for b in range(n):
+                ab = a * n + b
+                if ab > k:
+                    return True
+                for c in range(n):
+                    bc = b * n + c
+                    if bc > k:
+                        break
+                    left, right = t[ab] * n + c, a * n + t[bc]
+                    if left <= k and right <= k and k in (ab, bc, left, right):
+                        if t[left] != t[right]:
+                            return False
+        return True
+
+    def fill(k: int):
+        if k == len(t):
+            yield dict(zip(cells, t))
+            return
+        for v in range(n):
+            t[k] = v
+            if associative_through(k):
+                yield from fill(k + 1)
+
+    return fill(0)
 
 
 def _canonical_form(n: int, table: dict) -> tuple:

@@ -11,6 +11,7 @@ limit points are out of scope and documented as such.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
@@ -312,14 +313,21 @@ def mod_filter(algs: list[FinAlgebra], phi) -> list[FinAlgebra]:
     return [a for a in algs if satisfies_all(a, phi)[0]]
 
 
-def identity_library() -> dict[str, list[Inequality]]:
-    """Named inequality sets for the classical properties."""
+@functools.lru_cache(maxsize=1)
+def _parsed_library() -> dict[str, tuple[Inequality, ...]]:
     lib = {
         "APERIODIC": ["x^w x <= x^w", "x^w <= x^w x"],
         "COMMUTATIVE": ["x y <= y x", "y x <= x y"],
         "IDEMPOTENT": ["x x <= x", "x <= x x"],
     }
     return {
-        name: [iq for line in lines for iq in parse_inequalities(line)]
+        name: tuple(iq for line in lines for iq in parse_inequalities(line))
         for name, lines in lib.items()
     }
+
+
+def identity_library() -> dict[str, list[Inequality]]:
+    """Named inequality sets for the classical properties, parsed once per
+    process; each call returns a fresh dict of fresh lists (the
+    inequalities themselves are immutable)."""
+    return {name: list(ineqs) for name, ineqs in _parsed_library().items()}

@@ -291,7 +291,7 @@ def _step_arrays(alg: FinAlgebra, generators: Optional[tuple] = None) -> list[tu
     seen: set = set()
     out: list[tuple] = []
     for op, sorts, _ in alg.monad.signature:
-        get = view.tables.get((op, len(sorts)), {}).get
+        get = view.tables.get((op, len(sorts), ()), {}).get
         for i, hole_sort in enumerate(sorts):
             hole = runs.get(hole_sort, ())
             weight = n**i  # the hole's place in an argument code

@@ -4,13 +4,19 @@ bounded membership in a generatively-described pseudo-variety.
 Division (being a quotient of a subalgebra) is decided by searching for a
 generating tuple in the ambient algebra whose product closure, paired with a
 generating tuple of the candidate, yields the graph of a surjective monotone
-morphism.  The closure of each candidate is read as it grows, and the
-candidate is rejected at its first conflict: an ambient element paired with
-two candidate elements.  Such a graph is not a function, and it is not
-monotone either (b <= b would need a1 <= a2 <= a1, so a1 = a2 by
-antisymmetry), so stopping there never changes a verdict.  Searches are
-bounded and a blown bound is reported as an explicit "unknown", never as a
-verdict.
+morphism.  The search runs on element indices: each closure grows in the
+product-closure kernel ``algebra._index_closure``, its graph is an array of
+candidate indices indexed by the ambient elements, and monotonicity reads
+the up-set bitmask rows of both carriers.  The assignments are tried in
+``itertools.product`` order, depth first: the closure of an assignment of
+the first generators is grown once, and each assignment of the next one
+grows on from it.  A closure is rejected at its first conflict: an ambient
+element paired with two candidate elements.  Such a graph is not a
+function, and it is not monotone either (b <= b would need a1 <= a2 <= a1,
+so a1 = a2 by antisymmetry); the closure of every assignment that extends
+it holds the same conflict, so dropping them all never changes a verdict or
+the first witness.  Searches are bounded and a blown bound is reported as
+an explicit "unknown", never as a verdict.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .algebra import (
     FinAlgebra,
     Morphism,
     Recognizer,
-    _grow_tuples,
+    _index_closure,
     _places,
     eval_element,
     generated_tuples,
@@ -39,6 +45,7 @@ from .core import (
     Sort,
     SortedFunction,
     SortedOrderedSet,
+    _members,
     upward_closure,
 )
 from .monads import Word
@@ -85,10 +92,11 @@ def generating_sets(
     cap = n if max_size is None else min(n, max_size)
     if places is None:
         places = _places(alg)
+    grow = _index_closure([alg], places)
+    index = alg.carrier._index
     for k in range(1, cap + 1):
         for combo in itertools.combinations(elems, k):
-            grown = _grow_tuples([alg], [(g,) for g in combo], places)
-            if sum(1 for _ in grown) == n:
+            if sum(1 for _ in grow([(index[g],) for g in combo])) == n:
                 yield combo
 
 
@@ -115,8 +123,8 @@ def divides(
     """
     if A.kind != B.kind:
         raise ValueError("division only relates algebras of one instance")
-    places = _places(B)
-    gens = next(generating_sets(A, places=places), ())
+    places = tuple(_places(B))
+    gens = _generating_tuple(A, places)
     witness, short = _first_division(A, B, gens, places, max_steps)
     if witness is None and short:
         everything = tuple(sorted(A.carrier, key=repr))
@@ -124,10 +132,21 @@ def divides(
     return witness is not None, witness
 
 
+@functools.lru_cache(maxsize=32)
+def _generating_tuple(A: FinAlgebra, places: tuple) -> tuple:
+    """A's first generating tuple under ``places`` (``generating_sets``),
+    found once for each algebra and places: ``generated_membership`` tries
+    one product after another, and products of one instance mostly share
+    their places.  The cache keeps the last 32, and their algebras, alive."""
+    return next(generating_sets(A, places=list(places)), ())
+
+
 def _first_division(A, B, gens, places, max_steps):
     """The first assignment of ``gens`` to B, in ``itertools.product``
     order, whose closure is a monotone function onto A, as a witness or
-    None; and whether some closure was a monotone function short of onto."""
+    None; and whether some closure was a monotone function short of onto.
+    Only assignments whose closures are functions are visited (see the
+    module docstring)."""
     pools = [B.carrier.elements(A.carrier.sort_of(g)) for g in gens]
     n_candidates = 1
     for p in pools:
@@ -138,24 +157,52 @@ def _first_division(A, B, gens, places, max_steps):
             f"{n_candidates} assignments over carriers of sizes "
             f"{len(B.carrier)}x{len(A.carrier)} exceed the budget {max_steps}"
         )
-    b_leq, a_leq = B.carrier.leq, A.carrier.leq
+    grow = _index_closure([B, A], places)
+    b_elems, b_up, b_index = B.carrier._by_index, B.carrier._rows, B.carrier._index
+    a_elems, a_up, a_index = A.carrier._by_index, A.carrier._rows, A.carrier._index
+    a_gens = [a_index[g] for g in gens]
+    pools = [[b_index[b] for b in pool] for pool in pools]
+
+    def extend(closed: list, image: list, seed: tuple) -> Optional[tuple]:
+        """The closure ``closed`` (pairs of indices in B and A) and its
+        graph ``image`` grown by one seed pair, or None at the first
+        B-element with two images; every pair the kernel yields is new, so
+        a B-element that has an image already gets a second one."""
+        closed, image = closed + [], image.copy()
+        for t in grow([seed], closed):
+            b, a = t
+            if image[b] is not None:
+                return None
+            image[b] = a
+            closed.append(t)
+        return closed, image
+
+    def assignments(d: int, bs: tuple, closed: list, image: list):
+        """The assignments of the generators from d on that extend ``bs``
+        and whose closures are functions, in product order, each with its
+        graph; ``closed`` is the closure of ``bs`` and ``image`` its graph."""
+        if d == len(pools):
+            yield bs, image
+            return
+        a = a_gens[d]
+        for b in pools[d]:
+            if image[b] is None:
+                grown = extend(closed, image, (b, a))
+                if grown is not None:
+                    yield from assignments(d + 1, bs + (b,), *grown)
+            elif image[b] == a:  # the seed is in the closure already
+                yield from assignments(d + 1, bs + (b,), closed, image)
+
     short = False
-    for bs in itertools.product(*pools):
-        seeds = list(zip(bs, gens))
-        graph: dict = {}
-        for b, a in _grow_tuples([B, A], seeds, places):
-            if graph.setdefault(b, a) != a:
-                break  # b has two images
-        else:
-            if all(
-                a_leq(a1, a2)
-                for b1, a1 in graph.items()
-                for b2, a2 in graph.items()
-                if b_leq(b1, b2)
-            ):
-                if len(set(graph.values())) == len(A.carrier):
-                    return DividesWitness(B, A, seeds, frozenset(graph.items())), short
-                short = True
+    for bs, image in assignments(0, (), [], [None] * len(b_elems)):
+        graph = [(b, a) for b, a in enumerate(image) if a is not None]
+        domain = sum([1 << b for b, _ in graph])
+        if all(a_up[a] >> image[c] & 1 for b, a in graph for c in _members(b_up[b] & domain)):
+            if len({a for _, a in graph}) == len(a_elems):
+                seeds = [(b_elems[b], g) for b, g in zip(bs, gens)]
+                graph = frozenset((b_elems[b], a_elems[a]) for b, a in graph)
+                return DividesWitness(B, A, seeds, graph), short
+            short = True
     return None, short
 
 

@@ -10,7 +10,11 @@ agree exactly, first witnesses, class names and orders included.
 end, and ``divides`` the division search that closes every candidate
 assignment before it tests the graph, as the package had them before the
 search stopped a candidate at its first conflict; verdicts, seed pairs and
-graphs must agree.
+graphs must agree.  ``grow_tuples`` is the lazy product closure over
+labels, seeds first, with one set per (frontier tuple, argument position),
+as the package had it before the closure and the division search ran on
+element indices; the closures must be equal, bare slots and ``places``
+included.
 
 ``general_type`` is the rank-m type that interns one atom per pebble
 sequence, the last round included, and ``recognizes_at_rank`` the rank test
@@ -45,12 +49,16 @@ before the class-vector groups grew one letter at a time; here its
 ``quotient_set`` is the label-keyed one above.  ``all_preorders`` builds a
 ``Preorder`` for every subset of the same-sort pairs, as the battery did
 before it closed the subsets as bitmasks; verdicts and the sequence of
-preorders must agree."""
+preorders must agree.
+
+``semigroup_tables`` tests every table on range(n) for associativity, as
+``lawsuite.small_semigroups`` did before it filled the cells by
+backtracking; the lists of tables must be equal, order included."""
 
 import heapq
 import itertools
 
-from emalg.algebra import VAR, _entries, subalgebra_generated
+from emalg.algebra import VAR, _entries, _places, subalgebra_generated
 from emalg.automata import Dfa, _renumber
 from emalg.core import Preorder, SortedFunction, SortedOrderedSet
 from emalg.logic import (
@@ -147,38 +155,87 @@ def transitive_closure(pairs):
 
 
 def generated_tuples(algs, seeds):
-    """The closure of the seed tuples under the ops of the first component
-    without bare slots, a frontier round at a time; a tuple arises only
-    where every component has the entry."""
+    """The closure of the seed tuples under the ops of the first component,
+    a frontier round at a time; a bare slot holds VAR in every component,
+    and a tuple arises only where every component has the entry."""
     tuples = set()
     for t in seeds:
         if len(t) != len(algs):
             raise ValueError("seed arity does not match the component count")
         tuples.add(tuple(t))
     first = algs[0]
-    shapes = {(op, 2) for op in ("mult", "dot", "mix") if getattr(first, op)}
+    shapes = {(op, 2, ()) for op in ("mult", "dot", "mix") if getattr(first, op)}
     if first.omega:
-        shapes.add(("omega", 1))
-    shapes.update(("comp", 1 + len(slots)) for _, slots in first.comp if VAR not in slots)
+        shapes.add(("omega", 1, ()))
+    for _, slots in first.comp:
+        bare = tuple(i + 1 for i, x in enumerate(slots) if x is VAR)
+        if len(bare) < len(slots):  # an all-bare pattern is the unit law
+            shapes.add(("comp", 1 + len(slots), bare))
     known: list = []
     frontier = list(tuples)
     while frontier:
         known += frontier
         columns = list(zip(*known))
         found = set()
-        for op, n in shapes:
+        for op, n, bare in shapes:
             reads = [a._read[op] for a in algs]
             for x in frontier:
-                for j in range(n):
+                for j in set(range(n)) - set(bare):
                     per_component = []
                     for read, a, column in zip(reads, x, columns):
-                        pools = [column] * n
+                        pools = [(VAR,) if i in bare else column for i in range(n)]
                         pools[j] = (a,)
                         per_component.append(map(read, itertools.product(*pools)))
                     found.update(zip(*per_component))
         frontier = [t for t in found if None not in t and t not in tuples]
         tuples.update(frontier)
     return tuples
+
+
+def grow_tuples(algs, seeds, places=None):
+    """The lazy product closure over labels, each tuple yielded once as it
+    is found, the seeds first: frontier-only rounds that apply every op of
+    ``places`` (as ``algebra._places`` lists them; by default those of the
+    first component's entries) to the argument tuples holding a frontier
+    tuple in one position and known tuples in the others, with one set per
+    (frontier tuple, argument position)."""
+    seeds = list(map(tuple, seeds))
+    if set(map(len, seeds)) - {len(algs)}:
+        raise ValueError("seed arity does not match the component count")
+    tuples: set = set()
+    frontier = []
+    for t in seeds:
+        if t not in tuples:
+            tuples.add(t)
+            frontier.append(t)
+            yield t
+    if places is None:
+        places = _places(algs[0])
+    bare_column = (VAR,)
+    known: list = []
+    while frontier:
+        known += frontier
+        columns = list(zip(*known))
+        found = []
+        for op, n, bare in places:
+            reads = [a._read[op] for a in algs]
+            for x in frontier:
+                for j in range(n):
+                    if j in bare:
+                        continue
+                    per_component = []
+                    for read, a, column in zip(reads, x, columns):
+                        pools = [column] * n
+                        for i in bare:
+                            pools[i] = bare_column
+                        pools[j] = (a,)
+                        per_component.append(map(read, itertools.product(*pools)))
+                    for t in set(zip(*per_component)) - tuples:
+                        if None not in t:
+                            tuples.add(t)
+                            found.append(t)
+                            yield t
+        frontier = found
 
 
 def divides(A, B, max_steps=200_000):
@@ -450,3 +507,19 @@ def all_preorders(carrier):
         if q.pairs() not in seen:
             seen.add(q.pairs())
             yield q
+
+
+def semigroup_tables(n):
+    """All associative tables on range(n), as element-indexed dicts: every
+    table in ``itertools.product`` order over the row-major cells, kept
+    when all n^3 triples associate."""
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    for values in itertools.product(range(n), repeat=len(cells)):
+        table = dict(zip(cells, values))
+        if all(
+            table[(table[(a, b)], c)] == table[(a, table[(b, c)])]
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+        ):
+            yield table

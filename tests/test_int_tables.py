@@ -15,6 +15,7 @@ from emalg.algebra import (
     _entries,
     _generating_edges,
     _incompatibility,
+    _places,
     word_algebra,
 )
 from emalg.core import (
@@ -350,9 +351,12 @@ def test_an_unordered_algebra_builds_no_view():
     assert "_ints" not in vars(alg)
 
 
-def test_the_view_codes_every_entry_without_a_bare_slot():
+def test_the_view_codes_every_entry_under_its_place():
+    """A bare slot counts as digit 0, and its entry sits in the table of
+    its place, as ``_places`` lists it."""
     for alg in (
         ordered_bool_tree_algebra(),
+        diagonal_bare_slot_algebra(),
         count_cap_omega(2),
         rand_transformation_algebra(random.Random(2)),
     ):
@@ -360,10 +364,18 @@ def test_the_view_codes_every_entry_without_a_bare_slot():
         assert view.elems == list(alg.carrier)
         n, coded = len(view.elems), 0
         for op, args, value in _entries(alg):
-            if VAR in args:
-                continue
-            code = sum(view.index[a] * n**k for k, a in enumerate(args))
-            assert view.tables[(op, len(args))][code] == view.index[value]
+            bare = tuple(k for k, a in enumerate(args) if a is VAR)
+            code = sum(view.index[a] * n**k for k, a in enumerate(args) if a is not VAR)
+            assert view.tables[(op, len(args), bare)][code] == view.index[value]
             coded += 1
         assert coded == sum(map(len, view.tables.values()))
+        # the places, worked out from the labels: every pattern of bare
+        # slots but the all-bare one of the unit law
+        assert _places(alg) == sorted(
+            {
+                (op, len(args), tuple(k for k, a in enumerate(args) if a is VAR))
+                for op, args, _ in _entries(alg)
+                if args.count(VAR) < len(args) - 1 or op != "comp"
+            }
+        )
 

@@ -279,3 +279,14 @@ def test_all_preorders_yields_the_mask_enumeration_sequence():
     for alg in small_semigroups(3):
         got = [q.pairs() for q in _all_preorders(alg.carrier)]
         assert got == [q.pairs() for q in _reference.all_preorders(alg.carrier)]
+
+
+def test_backtracking_yields_the_brute_force_semigroup_tables():
+    """Same tables in the same order, so ``small_semigroups`` keeps its
+    representatives: 1, 8 and 113 associative tables on 1, 2, 3 elements."""
+    counts = []
+    for n in range(1, 4):
+        got = list(lawsuite._semigroup_tables(n))
+        assert got == list(_reference.semigroup_tables(n))
+        counts.append(len(got))
+    assert counts == [1, 8, 113]

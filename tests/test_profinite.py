@@ -194,3 +194,16 @@ def test_tree_terms():
     seq = parse_term("g g g")
     assert eval_term(alg, {"g": (1, False)}, seq) == (1, False)
     assert eval_term(alg, {"g": (1, True)}, parse_term("g^w")) == (1, True)
+
+
+def test_identity_library_returns_fresh_lists():
+    """The inequalities are parsed once, but a caller that edits its copy
+    of the library leaves the next call's unchanged."""
+    first = identity_library()
+    kept = {name: list(ineqs) for name, ineqs in first.items()}
+    first["APERIODIC"].clear()
+    first["COMMUTATIVE"].append(first["IDEMPOTENT"][0])
+    del first["IDEMPOTENT"]
+    again = identity_library()
+    assert again == kept
+    assert again["APERIODIC"] is not first["APERIODIC"]

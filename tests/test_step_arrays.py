@@ -160,4 +160,4 @@ def test_the_handed_view_is_the_view_of_the_labels():
             assert list(handed.tables[table]) == list(rebuilt.tables[table])
         # entries in ``_entries`` order: the walk's first witness reads them so
         assert [e[:1] + e[2:] for e in handed.entries] == [e[:1] + e[2:] for e in rebuilt.entries]
-        assert all(e[1] is handed.tables[(e[0], len(e[2]))] for e in handed.entries)
+        assert all(e[1] is handed.tables[(e[0], len(e[2]), ())] for e in handed.entries)
