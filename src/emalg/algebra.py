@@ -609,24 +609,20 @@ class Morphism:
 
 
 def is_morphism(phi, A: FinAlgebra, B: FinAlgebra) -> bool:
-    """Whether phi (a mapping or SortedFunction) is monotone and commutes
-    with every shallow product entry."""
+    """Whether phi (a mapping or SortedFunction) is a total, sort-preserving
+    and monotone map from A's carrier to B's that commutes with every
+    shallow product entry.  A SortedFunction between exactly these carriers
+    has been checked as a map already."""
     if isinstance(phi, Morphism):
         phi = phi.fn
-    if isinstance(phi, SortedFunction):
-        f = phi.mapping
-    else:
-        f = dict(phi)
-    for x in A.carrier:
-        if x not in f or f[x] not in B.carrier:
-            return False
-        if B.carrier.sort_of(f[x]) != A.carrier.sort_of(x):
-            return False
-    for a, b in A.carrier.leq_pairs():
-        if not B.carrier.leq(f[a], f[b]):
+    if not isinstance(phi, SortedFunction) or (phi.dom, phi.cod) != (A.carrier, B.carrier):
+        try:
+            phi = SortedFunction(A.carrier, B.carrier, getattr(phi, "mapping", phi))
+        except ValueError:
             return False
     if A.kind != B.kind:
         return False
+    f = phi.mapping
     for op, args, value in _entries(A):
         target = B._read[op](_image(f, args))
         # an optional slot entry absent in the target cannot refute

@@ -639,91 +639,6 @@ def _all_preorders(carrier: SortedOrderedSet):
             yield Preorder(carrier, [p for k, p in enumerate(nonrefl) if mask >> k & 1])
 
 
-# The products checked here have at most 16 elements, so their subsets are
-# int bitmasks over element indices; ``_index_table`` gives the product on
-# those indices, four index bits at a time.
-
-
-def _index_table(mult: dict, elems: list) -> list[tuple[list[int], ...]]:
-    """Row a, chunk k, entry m: bit mask of {a*b, b*a} over the members b
-    of m, a 4-bit set of the indices 4k..4k+3.  So a's products with any
-    set of members are four lookups, one per 4-bit chunk of its mask."""
-    if len(elems) > 16:
-        raise ValueError(f"index tables hold at most 16 elements, not {len(elems)}")
-    index = {e: i for i, e in enumerate(elems)}
-    rows = []
-    for a in elems:
-        row = []
-        for k in range(0, 16, 4):
-            chunk = [0]
-            for b in elems[k : k + 4]:
-                cell = 1 << index[mult[(a, b)]] | 1 << index[mult[(b, a)]]
-                chunk += [m | cell for m in chunk]
-            row.append(chunk)
-        rows.append(tuple(row))
-    return rows
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _close_mask(table: list, closed: int, frontier: int) -> int:
-    """Close ``closed`` under the product, given that every product of two
-    members outside ``frontier`` is already in it: each round multiplies
-    only the newest members against all members.  It walks the frontier
-    mask in place and reads each new member's products with all members in
-    four lookups, one per 4-bit chunk of the members' mask."""
-    while frontier:
-        c0, c1, c2, c3 = closed & 15, closed >> 4 & 15, closed >> 8 & 15, closed >> 12
-        new = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            r0, r1, r2, r3 = table[low.bit_length() - 1]
-            new |= r0[c0] | r1[c1] | r2[c2] | r3[c3]
-        frontier = new & ~closed
-        closed |= frontier
-    return closed
-
-
-def _subalgebra_lattice(table: list, cap: int = 400) -> Optional[set[int]]:
-    """All nonempty product-closed subsets, as masks over ``table``'s
-    indices.
-
-    Returns None exactly when there are more than ``cap`` of them
-    (idempotent-heavy algebras have exponentially many); callers then rely
-    on the cyclic subalgebras, which are exhaustive for single-variable
-    identities.  Each closed set is cyclic or the closure of a smaller
-    closed set and one more element, so extending the closed sets found so
-    far by each missing element reaches them all; the result does not
-    depend on the order of discovery."""
-    n = len(table)
-    closed = {_close_mask(table, 1 << x, 1 << x) for x in range(n)}
-    if len(closed) > cap:
-        return None
-    worklist = list(closed)
-    seen: dict[int, int] = {}  # closure of each extension met so far
-    while worklist:
-        s = worklist.pop()
-        for x in _bits(((1 << n) - 1) & ~s):
-            u = s | 1 << x
-            c = seen.get(u)
-            if c is None:
-                c = seen[u] = _close_mask(table, u, 1 << x)
-                if c not in closed:
-                    closed.add(c)
-                    worklist.append(c)
-                    if len(closed) > cap:
-                        return None
-    return closed
-
-
 def _aperiodic(mult: dict, x) -> bool:
     """x^w x = x^w, with x^w the idempotent power of x."""
     powers = [x]
@@ -740,32 +655,26 @@ def _aperiodic(mult: dict, x) -> bool:
 
 
 def _product_problems(p: FinAlgebra) -> list[str]:
-    """One problem for each cyclic subalgebra of the word algebra ``p`` and
-    each member of its subalgebra lattice that fails x^w x = x^w.
+    """One problem for each element of the word algebra ``p`` that fails
+    x^w x = x^w.
 
-    The identity concerns x alone, so a subalgebra satisfies it iff its
-    members do.  The cyclic subalgebra of x does iff x does: its members are
-    powers of x and share x's idempotent power.  Cyclic subalgebras decide
-    the single-variable identity for every subalgebra; the explicit lattice
-    is exercised when small."""
-    elems = list(p.carrier)
-    problems = []
-    aperiodic_mask = 0
-    for x, e in enumerate(elems):
-        if _aperiodic(p.mult, e):
-            aperiodic_mask |= 1 << x
-        else:
-            problems.append("cyclic subalgebra of product not aperiodic")
-    for subset in _subalgebra_lattice(_index_table(p.mult, elems)) or ():
-        if subset & ~aperiodic_mask:
-            problems.append("subalgebra of product not aperiodic")
-    return problems
+    The identity involves x alone, so a subalgebra satisfies it iff each of
+    its members does, and the cyclic subalgebra of x does iff x does: its
+    members are powers of x and share x's idempotent power.  So the
+    elements decide the identity for every subalgebra of ``p``."""
+    return [
+        "cyclic subalgebra of product not aperiodic"
+        for x in p.carrier
+        if not _aperiodic(p.mult, x)
+    ]
 
 
 def check_mod_closure(max_size: int = 3) -> CheckResult:
     """Mod(APERIODIC) over the enumerated small semigroups is closed under
-    quotients and under subalgebras of binary products (all members of the
-    subalgebra lattice), exhaustively at this size."""
+    quotients and under subalgebras of binary products, exhaustively at this
+    size.  Aperiodicity involves x alone, so checking each element of a
+    product decides it for every subalgebra of that product: no subalgebra
+    is sampled or skipped."""
     t0 = time.perf_counter()
     lib = identity_library()["APERIODIC"]
     algs = small_semigroups(max_size)

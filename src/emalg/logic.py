@@ -202,6 +202,12 @@ MAX_THEORY_CLASSES = 512
 #: against direct classification: how many, and the seed.
 THEORY_CHECK_SAMPLES = 20
 THEORY_CHECK_SEED = 0
+#: The highest rank ``theory_algebra`` attempts.
+MAX_THEORY_RANK = 8
+
+
+def _too_many_classes(m: int) -> str:
+    return f"more than {MAX_THEORY_CLASSES} classes at rank {m}"
 
 
 def theory_algebra(alphabet: Iterable, m: int) -> TheoryAlgebra:
@@ -221,7 +227,7 @@ def theory_algebra(alphabet: Iterable, m: int) -> TheoryAlgebra:
         raise ValueError("empty alphabet")
     if m < 0:
         raise ValueError(f"rank {m} is negative")
-    if m > 8:
+    if m > MAX_THEORY_RANK:
         raise TheoryBoundExceeded(f"rank {m} is past any desk-scale use")
     cap = 2 ** (m + 2)
 
@@ -237,7 +243,7 @@ def theory_algebra(alphabet: Iterable, m: int) -> TheoryAlgebra:
                 f"representative of length {len(wd)} exceeds the cap {cap}"
             )
         if len(reps) >= MAX_THEORY_CLASSES:
-            raise TheoryBoundExceeded(f"more than {MAX_THEORY_CLASSES} classes at rank {m}")
+            raise TheoryBoundExceeded(_too_many_classes(m))
         fp_class[fp] = len(reps)
         reps.append(wd)
         prefix.append(before)
@@ -321,7 +327,12 @@ def theory_algebra(alphabet: Iterable, m: int) -> TheoryAlgebra:
 @lru_cache(maxsize=128)
 def _theory_outcome(letters: tuple, m: int) -> Union[TheoryAlgebra, str]:
     # a bound failure is kept as its message: a cached exception's traceback
-    # would keep the failed build's frames, and their tables, alive
+    # would keep the failed build's frames, and their tables, alive.
+    # Rank-m classes refine rank-(m-1) ones, so a class guard that fired at
+    # rank m-1 fires at rank m too; the ranks below are settled first, each
+    # once per process.
+    if 0 < m <= MAX_THEORY_RANK and _theory_outcome(letters, m - 1) == _too_many_classes(m - 1):
+        return _too_many_classes(m)
     try:
         return theory_algebra(letters, m)
     except TheoryBoundExceeded as exc:

@@ -6,12 +6,10 @@ import pytest
 from emalg import algebra, lawsuite
 from emalg.algebra import product
 from emalg.core import SortedOrderedSet
+from emalg.profinite import identity_library, satisfies_all
 from emalg.lawsuite import (
     _all_preorders,
-    _bits,
     _bounded_quotient_compatibility,
-    _index_table,
-    _subalgebra_lattice,
     check_monad_laws,
     rand_preorder,
     rand_transformation_algebra,
@@ -51,33 +49,6 @@ def _small_products():
                 yield product([a, b])
 
 
-def _lattice(p, cap=400):
-    elems = list(p.carrier)
-    masks = _subalgebra_lattice(_index_table(p.mult, elems), cap)
-    if masks is None:
-        return None
-    return {frozenset(elems[i] for i in _bits(m)) for m in masks}
-
-
-def test_subalgebra_lattice_matches_brute_force():
-    checked = 0
-    for p in _small_products():
-        assert _lattice(p) == _brute_force_lattice(p.mult, list(p.carrier))
-        checked += 1
-    assert checked == 39
-
-
-def test_subalgebra_lattice_is_none_exactly_past_the_cap():
-    for p in _small_products():
-        want = _brute_force_lattice(p.mult, list(p.carrier))
-        for cap in range(1, len(want) + 2):
-            got = _lattice(p, cap)
-            if len(want) > cap:
-                assert got is None
-            else:
-                assert got == want
-
-
 # Recorded before tree construction and the subalgebra lattice were
 # rewritten for speed.  Any change in the order of the random draws changes
 # these values.
@@ -106,11 +77,12 @@ def test_fast_battery_details_are_pinned():
 
 
 def test_product_problems_match_a_direct_check_of_every_subalgebra():
-    """mod-closure decides x^w x = x^w per element; the reference checks
-    every element of each cyclic subalgebra and of each lattice member, so
-    the problem lists must agree entry for entry.  The products here
-    include non-aperiodic factors, so both verdicts occur."""
-    from emalg.lawsuite import _close_mask, _product_problems
+    """mod-closure decides x^w x = x^w per element.  The reference checks
+    the powers of each element, and every member of the brute-force
+    subalgebra lattice is aperiodic exactly when no element is flagged.
+    The products here include non-aperiodic factors, so both verdicts
+    occur."""
+    from emalg.lawsuite import _product_problems
 
     def aperiodic(mult, subset):
         for x in subset:
@@ -124,18 +96,31 @@ def test_product_problems_match_a_direct_check_of_every_subalgebra():
     found = 0
     for p in _small_products():
         elems = list(p.carrier)
-        table = _index_table(p.mult, elems)
-        want = []
-        for x in range(len(elems)):
-            cyclic = _close_mask(table, 1 << x, 1 << x)
-            if not aperiodic(p.mult, [elems[i] for i in _bits(cyclic)]):
-                want.append("cyclic subalgebra of product not aperiodic")
-        for m in _subalgebra_lattice(table) or ():
-            if not aperiodic(p.mult, [elems[i] for i in _bits(m)]):
-                want.append("subalgebra of product not aperiodic")
-        assert _product_problems(p) == want
+        want = [
+            "cyclic subalgebra of product not aperiodic"
+            for x in elems
+            if not aperiodic(p.mult, [x])
+        ]
+        got = _product_problems(p)
+        assert got == want
+        lattice = _brute_force_lattice(p.mult, elems)
+        assert all(aperiodic(p.mult, s) for s in lattice) == (not got)
         found += bool(want)
     assert 0 < found < 39
+
+
+def test_mod_closure_catches_a_non_aperiodic_product(monkeypatch):
+    """With ``product`` answering Z2, a group, the per-element pass must
+    flag the product."""
+    z2 = next(
+        a
+        for a in small_semigroups(2)
+        if len(a.carrier) == 2 and not satisfies_all(a, identity_library()["APERIODIC"])[0]
+    )
+    monkeypatch.setattr(lawsuite, "product", lambda algs: z2)
+    result = lawsuite.check_mod_closure(max_size=2)
+    assert not result.ok
+    assert "cyclic subalgebra of product not aperiodic" in result.detail
 
 
 # -- flat mutants that the monad-law check must catch ---------------------------

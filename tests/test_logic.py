@@ -195,6 +195,51 @@ def test_theory_outcomes_are_built_once_bound_failures_included(fresh_theory_mem
     assert builds[3:] == [("ab", 2)]
 
 
+def test_a_class_guard_failure_answers_every_higher_rank(fresh_theory_memo, monkeypatch):
+    """Rank-m classes refine rank-(m-1) ones, so once {a, b} fails the class
+    guard at rank 2, rank 3 fails it too, with the message of a full build."""
+    with pytest.raises(TheoryBoundExceeded) as full:
+        theory_algebra("ab", 3)
+    builds = []
+    build = logic.theory_algebra
+
+    def counted(alphabet, m, **kwargs):
+        builds.append(m)
+        return build(alphabet, m, **kwargs)
+
+    monkeypatch.setattr(logic, "theory_algebra", counted)
+    with pytest.raises(TheoryBoundExceeded) as short:
+        cached_theory_algebra("ab", 3)
+    assert str(short.value) == str(full.value) == "more than 512 classes at rank 3"
+    assert builds == [0, 1, 2]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["theory", "5", "ab"])
+    assert code == cli.EXIT_BOUND
+    assert json.loads(out.getvalue()) == {
+        "command": "theory",
+        "error": "more than 512 classes at rank 5",
+    }
+    assert builds == [0, 1, 2]
+
+
+def test_a_representative_length_failure_does_not_answer_higher_ranks(
+    fresh_theory_memo, monkeypatch
+):
+    builds = []
+    build = logic.theory_algebra
+
+    def capped_at_rank_1(alphabet, m, **kwargs):
+        builds.append(m)
+        if m == 1:
+            raise TheoryBoundExceeded("representative of length 9 exceeds the cap 8")
+        return build(alphabet, m, **kwargs)
+
+    monkeypatch.setattr(logic, "theory_algebra", capped_at_rank_1)
+    assert cached_theory_algebra("a", 2).size() == 5
+    assert builds == [0, 1, 2]
+
+
 def test_theory_table_matches_concatenation():
     # every build that completes within the class guard
     builds = [("a", m) for m in range(6)] + [(a, m) for a in ("ab", "abc") for m in (0, 1)]
