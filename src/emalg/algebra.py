@@ -960,7 +960,7 @@ def quotient_algebra(alg: FinAlgebra, q: Preorder) -> tuple[FinAlgebra, Morphism
             ),
             monotone=True,
         )
-    return quot, Morphism(alg, quot, SortedFunction(alg.carrier, Q, cls))
+    return quot, Morphism(alg, quot, qfn)
 
 
 # -- recognizers -------------------------------------------------------------------

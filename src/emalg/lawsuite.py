@@ -1,16 +1,15 @@
 """The cross-validation battery, shared by the ``laws`` CLI command and the
 acceptance tests: the monad laws on every free element up to a declared
-size, seeded randomized law checks, and the desk-scale regression corpus.
-Every check returns (name, ok, detail); determinism is seeded.
+size, the other law checks on every case of their declared scopes, and the
+desk-scale regression corpus.  Every check returns (name, ok, detail).
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .algebra import (
     FinAlgebra,
@@ -39,7 +38,7 @@ from .monads import (
     tree_monad,
 )
 from .profinite import identity_library, satisfies_all
-from .syntactic import factor_to_syntactic, syntactic_algebra
+from .syntactic import decompose_as_derivatives, factor_to_syntactic, syntactic_algebra
 from .varieties import canonical_cover, verify_cover_evaluation
 
 
@@ -63,6 +62,13 @@ MONAD_LAW_SCOPE = (
     (OMEGA_UP, {SORT_FIN: ["a", "b"], SORT_INF: ["e", "f"]}, 4, (2, 1, 2)),
     (tree_monad(2), {0: ["c", "d"], 1: ["u"], 2: ["b"]}, 4, (2, 1, 2)),
 )
+
+# The scopes of the other law checks, each enumerated in a fixed order (the
+# small-scope hypothesis: a broken law shows on a small case).
+SEMIGROUP_SCOPE = 3  # congruences and terminality: semigroups of at most 3 elements
+TERMINALITY_LETTERS = "ab"  # terminality: recognizers over these letters
+DECOMPOSITION_WORD_LENGTH = 6  # decomposition: membership on the words up to 6 letters
+WILKE_SCOPE = ("ab", 4, 4)  # wilke: every u.v^w over a, b with |u| <= 4 and 1 <= |v| <= 4
 
 
 def _by_sort(monad: Monad, elements) -> dict:
@@ -113,43 +119,7 @@ def check_monad_laws() -> CheckResult:
     return CheckResult("monad-laws", violations == 0, detail, time.perf_counter() - t0)
 
 
-# -- random word algebras and preorders -------------------------------------------------
-
-
-def rand_transformation_algebra(rng, max_carrier=5, n_points=3) -> FinAlgebra:
-    """A genuine finite semigroup: the closure of random transformations."""
-    while True:
-        k = rng.randint(1, 3)
-        gens = [
-            tuple(rng.randrange(n_points) for _ in range(n_points)) for _ in range(k)
-        ]
-        elems = list(dict.fromkeys(gens))
-        frontier = list(elems)
-        while frontier and len(elems) <= max_carrier:
-            new = []
-            for t in frontier:
-                for g in elems[:]:
-                    for c in (tuple(g[q] for q in t), tuple(t[q] for q in g)):
-                        if c not in elems:
-                            elems.append(c)
-                            new.append(c)
-            frontier = new
-        if len(elems) <= max_carrier:
-            carrier = SortedOrderedSet({SORT_WORD: elems})
-            mult = {
-                (s, t): tuple(t[q] for q in s) for s in elems for t in elems
-            }
-            return word_algebra(carrier, mult)
-
-
-def rand_preorder(rng, carrier: SortedOrderedSet, extra_pairs=3) -> Preorder:
-    pairs = list(carrier.leq_pairs())
-    elems = list(carrier)
-    for _ in range(rng.randint(0, extra_pairs)):
-        a, b = rng.choice(elems), rng.choice(elems)
-        if carrier.sort_of(a) == carrier.sort_of(b):
-            pairs.append((a, b))
-    return Preorder(carrier, pairs)
+# -- congruence characterisations and terminality ----------------------------------------
 
 
 def _bounded_quotient_compatibility(alg: FinAlgebra, q: Preorder, max_len=3) -> bool:
@@ -208,52 +178,67 @@ def _kernel_of_quotient_verdict(alg: FinAlgebra, q: Preorder) -> bool:
     return is_morphism(cls, alg, quot)
 
 
-def check_congruence_characterisations(seed: int = 0, cases: int = 500) -> CheckResult:
+def _scope_semigroups() -> list[FinAlgebra]:
+    """The members of ``small_semigroups`` with at most SEMIGROUP_SCOPE elements."""
+    return [a for a in small_semigroups(SEMIGROUP_SCOPE) if len(a.carrier) <= SEMIGROUP_SCOPE]
+
+
+def check_congruence_characterisations() -> CheckResult:
     """Agreement of the three congruence-ordering criteria: the bounded
     direct definition, the quotient-construction kernel, and shallow
-    compatibility."""
+    compatibility, on every preorder of every semigroup in scope."""
     t0 = time.perf_counter()
-    rng = random.Random(seed)
-    disagreements = 0
-    congruences = 0
-    for _ in range(cases):
-        alg = rand_transformation_algebra(rng)
-        q = rand_preorder(rng, alg.carrier)
-        v1 = _bounded_quotient_compatibility(alg, q)
-        v2 = _kernel_of_quotient_verdict(alg, q)
-        v3 = is_congruence_ordering(alg, q)
-        if not (v1 == v2 == v3):
-            disagreements += 1
-        if v3:
-            congruences += 1
-    detail = f"{cases} preorders, {congruences} congruences, {disagreements} disagreements"
+    algs = _scope_semigroups()
+    cases = disagreements = congruences = 0
+    for alg in algs:
+        for q in _all_preorders(alg.carrier):
+            cases += 1
+            v1 = _bounded_quotient_compatibility(alg, q)
+            v2 = _kernel_of_quotient_verdict(alg, q)
+            v3 = is_congruence_ordering(alg, q)
+            if not (v1 == v2 == v3):
+                disagreements += 1
+            if v3:
+                congruences += 1
+    detail = (
+        f"every preorder of the {len(algs)} semigroups of at most {SEMIGROUP_SCOPE} "
+        f"elements: {cases} preorders, {congruences} congruences, "
+        f"{disagreements} disagreements"
+    )
     return CheckResult(
         "congruence-characterisations", disagreements == 0, detail, time.perf_counter() - t0
     )
 
 
-def rand_recognizer(rng, letters="ab", n_points=3) -> Recognizer:
-    alg = rand_transformation_algebra(rng, max_carrier=27, n_points=n_points)
-    elems = list(alg.carrier)
-    assignment = {c: rng.choice(elems) for c in letters}
-    sub = subalgebra_generated(alg, set(assignment.values()))
-    accepting = frozenset(
-        e for e in sub.algebra.carrier if rng.random() < 0.5
-    )
-    alphabet = SortedOrderedSet({SORT_WORD: list(letters)})
-    return Recognizer(alphabet, sub.algebra, assignment, accepting)
+def _scope_recognizers():
+    """Every recognizer over ``TERMINALITY_LETTERS`` whose letters generate
+    a semigroup in scope, with every accepting set: assignments in
+    ``itertools.product`` order, accepting sets by bitmask.  A recognizer
+    whose letters generate a proper subalgebra is isomorphic to one over a
+    smaller member, so none is left out."""
+    alphabet = SortedOrderedSet({SORT_WORD: list(TERMINALITY_LETTERS)})
+    for alg in _scope_semigroups():
+        elems = list(alg.carrier)
+        for images in itertools.product(elems, repeat=len(TERMINALITY_LETTERS)):
+            if len(subalgebra_generated(alg, images).algebra.carrier) < len(elems):
+                continue
+            assignment = dict(zip(TERMINALITY_LETTERS, images))
+            for mask in range(2 ** len(elems)):
+                accepting = [e for i, e in enumerate(elems) if mask >> i & 1]
+                yield Recognizer(alphabet, alg, assignment, accepting)
 
 
-def check_terminality(seed: int = 0, cases: int = 100) -> CheckResult:
-    """Factorisation onto the syntactic algebra exists and commutes with the
-    evaluation maps, for random surjective recognizers."""
+def check_terminality() -> CheckResult:
+    """Factorisation onto the syntactic algebra exists, is the syntactic
+    morphism, and keeps the language, for every recognizer in scope.  The
+    letters generate the recognizer's algebra, so each element is the value
+    of a word: agreeing on the elements is agreeing on every word."""
     t0 = time.perf_counter()
-    rng = random.Random(seed)
-    failures = 0
-    for _ in range(cases):
-        rec = rand_recognizer(rng)
-        syn = syntactic_algebra(rec)
+    cases = failures = 0
+    for rec in _scope_recognizers():
+        cases += 1
         try:
+            syn = syntactic_algebra(rec)
             rho = factor_to_syntactic(rec, syn)
         except Exception:
             failures += 1
@@ -264,14 +249,13 @@ def check_terminality(seed: int = 0, cases: int = 100) -> CheckResult:
         if any(rho(b) != syn.syn_morphism(b) for b in rec.algebra.carrier):
             failures += 1
             continue
-        for w in itertools.islice(words_up_to("ab", 4), 20):
-            if rho(rec.value(Word(w))) != syn.syn_value(Word(w)):
-                failures += 1
-                break
-    return CheckResult(
-        "terminality", failures == 0, f"{cases} recognizers, {failures} failures",
-        time.perf_counter() - t0,
+        if any((rho(b) in syn.accepting) != (b in rec.accepting) for b in rec.algebra.carrier):
+            failures += 1
+    detail = (
+        f"every recognizer over {TERMINALITY_LETTERS} onto a semigroup of at most "
+        f"{SEMIGROUP_SCOPE} elements: {cases} recognizers, {failures} failures"
     )
+    return CheckResult("terminality", failures == 0, detail, time.perf_counter() - t0)
 
 
 # -- syntactic constants and decompositions -----------------------------------------------
@@ -313,34 +297,38 @@ def check_syntactic_constants() -> CheckResult:
     )
 
 
-def check_decomposition(seed: int = 0, targets_per_language: int = 20) -> CheckResult:
-    """Derivative decompositions agree with direct membership on all words of
-    length at most six, for random upward-closed targets."""
-    from .syntactic import decompose_as_derivatives
+def _up_sets(carrier: SortedOrderedSet) -> list[frozenset]:
+    """Every upward-closed subset of ``carrier``, once each, in the order of
+    the first subset (in ``itertools.product`` order of membership bits)
+    whose upward closure it is."""
+    elems = list(carrier)
+    masks = itertools.product((0, 1), repeat=len(elems))
+    return list(dict.fromkeys(upward_closure(carrier, itertools.compress(elems, m)) for m in masks))
 
+
+def check_decomposition() -> CheckResult:
+    """Derivative decompositions agree with direct membership on all words of
+    length at most ``DECOMPOSITION_WORD_LENGTH``, for every upward-closed
+    target of each corpus language."""
     t0 = time.perf_counter()
-    rng = random.Random(seed)
-    failures = 0
-    checked = 0
+    failures = checked = targets = 0
     for name, (rx, alphabet) in corpus_languages().items():
         dfa = parse_regex(rx, alphabet)
         syn = syntactic_algebra(dfa_to_recognizer(dfa))
-        elems = list(syn.syn_algebra.carrier)
-        targets = [frozenset(syn.accepting)]
-        while len(targets) < targets_per_language:
-            seedset = [e for e in elems if rng.random() < 0.5]
-            targets.append(upward_closure(syn.syn_algebra.carrier, seedset))
-        for t in targets:
+        words = [Word(w) for w in words_up_to(dfa.alphabet, DECOMPOSITION_WORD_LENGTH)]
+        for t in _up_sets(syn.syn_algebra.carrier):
+            targets += 1
             dec = decompose_as_derivatives(syn, t)
-            for w in words_up_to(dfa.alphabet, 6):
-                word = Word(w)
+            for word in words:
                 checked += 1
                 if dec.matches(word) != (syn.syn_value(word) in t):
                     failures += 1
     return CheckResult(
         "derivative-decomposition",
         failures == 0,
-        f"{checked} membership comparisons, {failures} failures",
+        f"every up-set of the {len(corpus_languages())} corpus languages, words to length "
+        f"{DECOMPOSITION_WORD_LENGTH}: {targets} targets, {checked} membership "
+        f"comparisons, {failures} failures",
         time.perf_counter() - t0,
     )
 
@@ -453,28 +441,32 @@ def ordered_finitely_many_a() -> tuple[FinAlgebra, dict]:
     return alg, beta
 
 
-def check_wilke_invariance(seed: int = 0, pairs: int = 1000) -> CheckResult:
+def check_wilke_invariance() -> CheckResult:
     """Ultimately periodic evaluation must not depend on the representation:
-    (u,v), (uv,v), (u,vv) and rotations all evaluate alike."""
+    (u,v), (uv,v), (u,vv) and rotations all evaluate alike, for every (u, v)
+    in ``WILKE_SCOPE``."""
     t0 = time.perf_counter()
-    rng = random.Random(seed)
+    letters, max_u, max_v = WILKE_SCOPE
+    prefixes = [()] + list(words_up_to(letters, max_u))
+    periods = list(words_up_to(letters, max_v))
     failures = 0
     for alg, beta in (finitely_many_a(), exists_a(), ordered_finitely_many_a()):
-        for _ in range(pairs):
-            u = tuple(rng.choices("ab", k=rng.randint(0, 4)))
-            v = tuple(rng.choices("ab", k=rng.randint(1, 4)))
-            base = eval_upword(alg, u, v, beta)
-            rot = v[1:] + v[:1]
-            variants = [
-                eval_upword(alg, u + v, v, beta),
-                eval_upword(alg, u, v + v, beta),
-                eval_upword(alg, u + v[:1], rot, beta),
-            ]
-            if any(x != base for x in variants):
-                failures += 1
+        for u in prefixes:
+            for v in periods:
+                base = eval_upword(alg, u, v, beta)
+                rot = v[1:] + v[:1]
+                variants = [
+                    eval_upword(alg, u + v, v, beta),
+                    eval_upword(alg, u, v + v, beta),
+                    eval_upword(alg, u + v[:1], rot, beta),
+                ]
+                if any(x != base for x in variants):
+                    failures += 1
+    pairs = len(prefixes) * len(periods)
     return CheckResult(
         "wilke-invariance",
         failures == 0,
+        f"every u.v^w over {letters} with |u| <= {max_u} and 1 <= |v| <= {max_v}: "
         f"3 algebras x {pairs} pairs, {failures} failures",
         time.perf_counter() - t0,
     )
@@ -669,7 +661,7 @@ def _product_problems(p: FinAlgebra) -> list[str]:
     ]
 
 
-def check_mod_closure(max_size: int = 3) -> CheckResult:
+def check_mod_closure() -> CheckResult:
     """Mod(APERIODIC) over the enumerated small semigroups is closed under
     quotients and under subalgebras of binary products, exhaustively at this
     size.  Aperiodicity involves x alone, so checking each element of a
@@ -677,7 +669,7 @@ def check_mod_closure(max_size: int = 3) -> CheckResult:
     is sampled or skipped."""
     t0 = time.perf_counter()
     lib = identity_library()["APERIODIC"]
-    algs = small_semigroups(max_size)
+    algs = small_semigroups()
     aperiodic = [a for a in algs if satisfies_all(a, lib)[0]]
     problems = []
     for a in aperiodic:
@@ -703,18 +695,13 @@ def check_mod_closure(max_size: int = 3) -> CheckResult:
 # -- the full battery -----------------------------------------------------------------
 
 
-def run_all(seed: int = 0, *, fast: bool = False) -> list[CheckResult]:
-    scale = 10 if fast else 1
-    checks: list[Callable[[], CheckResult]] = [
-        check_monad_laws,
-        lambda: check_congruence_characterisations(seed, cases=500 // scale),
-        lambda: check_terminality(seed, cases=100 // scale),
-        check_syntactic_constants,
-        lambda: check_decomposition(seed, targets_per_language=20 // scale or 2),
-        check_dual_deciders,
-        check_theory_constants,
-        lambda: check_wilke_invariance(seed, pairs=1000 // scale),
-        check_canonical_covers,
-        lambda: check_mod_closure(max_size=2 if fast else 3),
+def run_all() -> list[CheckResult]:
+    return [
+        check()
+        for check in (
+            check_monad_laws, check_congruence_characterisations, check_terminality,
+            check_syntactic_constants, check_decomposition, check_dual_deciders,
+            check_theory_constants, check_wilke_invariance, check_canonical_covers,
+            check_mod_closure,
+        )
     ]
-    return [c() for c in checks]

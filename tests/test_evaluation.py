@@ -14,7 +14,7 @@ from emalg.algebra import (
     subalgebra_generated,
 )
 from emalg.automata import dfa_to_recognizer, parse_regex
-from emalg.lawsuite import finitely_many_a, rand_recognizer
+from emalg.lawsuite import finitely_many_a
 from emalg.monads import (
     HOLE,
     SORT_FIN,
@@ -36,6 +36,7 @@ from emalg.syntactic import (
     context_apply,
     context_to_str,
 )
+from tests._samplers import rand_recognizer
 from tests.test_algebra import bool_tree_algebra, zmod
 from tests.test_algebra_tables import _recognizers
 

@@ -24,12 +24,7 @@ from emalg.algebra import (
 from emalg.automata import Dfa, dfa_to_recognizer, parse_regex, words_up_to
 from emalg.cli import EXIT_INTERNAL, EXIT_OK
 from emalg.core import Preorder, SortedOrderedSet, _members, quotient_set, upward_closure
-from emalg.lawsuite import (
-    corpus_languages,
-    ordered_finitely_many_a,
-    rand_preorder,
-    rand_transformation_algebra,
-)
+from emalg.lawsuite import corpus_languages, ordered_finitely_many_a
 from emalg.monads import SORT_FIN, SORT_INF, SORT_WORD, Word
 from emalg.syntactic import (
     _generators,
@@ -39,6 +34,7 @@ from emalg.syntactic import (
     syntactic_preorder,
 )
 from tests._reference import separation_layers
+from tests._samplers import rand_preorder, rand_transformation_algebra
 from tests.test_syntactic import _refinement_cases
 
 

@@ -27,10 +27,11 @@ from emalg.core import (
     quotient_set,
     upward_closure,
 )
-from emalg.lawsuite import _all_preorders, rand_preorder, rand_transformation_algebra
+from emalg.lawsuite import _all_preorders
 from emalg.monads import OMEGA_UP
 from emalg.syntactic import syntactic_preorder
 from tests import _reference
+from tests._samplers import rand_preorder, rand_transformation_algebra
 from tests.test_algebra import bool_tree_algebra
 from tests.test_algebra_tables import (
     _ordered_tree_tables,

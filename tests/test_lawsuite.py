@@ -1,18 +1,17 @@
 import itertools
 import random
+import re
 
 import pytest
 
-from emalg import algebra, lawsuite
+from emalg import algebra, lawsuite, syntactic
 from emalg.algebra import product
-from emalg.core import SortedOrderedSet
+from emalg.core import SortedOrderedSet, _members, is_upward_closed
 from emalg.profinite import identity_library, satisfies_all
 from emalg.lawsuite import (
     _all_preorders,
     _bounded_quotient_compatibility,
     check_monad_laws,
-    rand_preorder,
-    rand_transformation_algebra,
     run_all,
     small_semigroups,
 )
@@ -27,7 +26,9 @@ from emalg.monads import (
     _node,
     _tree,
 )
+from emalg.syntactic import DerivativeDecomposition
 from tests import _reference
+from tests._samplers import rand_preorder, rand_transformation_algebra
 
 
 def _brute_force_lattice(mult, elems):
@@ -49,30 +50,41 @@ def _small_products():
                 yield product([a, b])
 
 
-# Recorded before tree construction and the subalgebra lattice were
-# rewritten for speed.  Any change in the order of the random draws changes
-# these values.
-FAST_SEED0_DETAILS = {
+# The details of the full battery.  Every check enumerates a declared scope
+# in a fixed order, so these change only with a scope or a check.
+BATTERY_DETAILS = {
     "monad-laws": (
         "word: 363 elements to size 5, 24492 nestings to sizes 2/2/2; "
         "omega: 444 elements to size 4, 11916 nestings to sizes 2/1/2; "
         "tree: 460 elements to size 4, 8730 nestings to sizes 2/1/2; 0 violations"
     ),
-    "congruence-characterisations": "50 preorders, 33 congruences, 0 disagreements",
-    "terminality": "10 recognizers, 0 failures",
+    "congruence-characterisations": (
+        "every preorder of the 30 semigroups of at most 3 elements: "
+        "717 preorders, 383 congruences, 0 disagreements"
+    ),
+    "terminality": (
+        "every recognizer over ab onto a semigroup of at most 3 elements: "
+        "418 recognizers, 0 failures"
+    ),
     "syntactic-constants": "sizes 5 and 2, witnesses match",
-    "derivative-decomposition": "768 membership comparisons, 0 failures",
+    "derivative-decomposition": (
+        "every up-set of the 4 corpus languages, words to length 6: "
+        "24 targets, 2544 membership comparisons, 0 failures"
+    ),
     "dual-decider-agreement": "12 languages, verdicts and minimal ranks stable",
     "theory-constants": "1 class at rank 0 and 3 at rank 1; table matches",
-    "wilke-invariance": "3 algebras x 100 pairs, 0 failures",
+    "wilke-invariance": (
+        "every u.v^w over ab with |u| <= 4 and 1 <= |v| <= 4: "
+        "3 algebras x 930 pairs, 0 failures"
+    ),
     "canonical-covers": "6 algebras covered and verified",
-    "mod-closure": "6 aperiodic members of 9; closure holds",
+    "mod-closure": "25 aperiodic members of 33; closure holds",
 }
 
 
-def test_fast_battery_details_are_pinned():
-    results = run_all(seed=0, fast=True)
-    assert {r.name: r.detail for r in results} == FAST_SEED0_DETAILS
+def test_battery_details_are_pinned():
+    results = run_all()
+    assert {r.name: r.detail for r in results} == BATTERY_DETAILS
     assert all(r.ok for r in results)
 
 
@@ -118,7 +130,7 @@ def test_mod_closure_catches_a_non_aperiodic_product(monkeypatch):
         if len(a.carrier) == 2 and not satisfies_all(a, identity_library()["APERIODIC"])[0]
     )
     monkeypatch.setattr(lawsuite, "product", lambda algs: z2)
-    result = lawsuite.check_mod_closure(max_size=2)
+    result = lawsuite.check_mod_closure()
     assert not result.ok
     assert "cyclic subalgebra of product not aperiodic" in result.detail
 
@@ -212,6 +224,93 @@ def test_monad_laws_catch_flat_mutants(name, monkeypatch):
     assert not result.detail.endswith("; 0 violations")
 
 
+# -- library mutants that the scoped checks must catch --------------------------
+
+
+def _generating_edges_mutant(*, equivalences: bool, mates_above: bool):
+    """``algebra._generating_edges`` without the edges inside a class, or
+    reducing the covers through class-mates as if they lay strictly above."""
+
+    def mutant(up, above):
+        same, strict = [], []
+        for i, js in enumerate(above):
+            peers = 0
+            for j in js:
+                if up[j] >> i & 1:
+                    peers |= 1 << j
+            same.append(peers if equivalences else 0)
+            strict.append(up[i] & ~(1 << i) & (-1 if mates_above else ~peers))
+        edges = []
+        for i, row in enumerate(strict):
+            through = 0
+            for j in _members(row):
+                through |= strict[j]
+            edges.append(_members(row & ~through | same[i]))
+        return edges
+
+    return mutant
+
+
+def _one_generator_short(generators):
+    def mutant(alg):
+        return generators(alg)[:-1]
+
+    return mutant
+
+
+def _drop_last_context(decompose):
+    def mutant(syn, target):
+        dec = decompose(syn, target)
+        clauses = [(a, ctxs[:-1]) for a, ctxs in dec.clauses]
+        return DerivativeDecomposition(dec.syn, dec.target, clauses)
+
+    return mutant
+
+
+def _omega_of_first_period_value(eval_element):
+    """An omega period closed over the value of its first letter alone."""
+
+    def mutant(alg, beta, t):
+        if isinstance(t, UPWord):
+            t = algebra._raw_up(t.prefix, t.period[:1])
+        return eval_element(alg, beta, t)
+
+    return mutant
+
+
+# name -> (module, attribute, mutation, the check that must fail)
+SCOPE_MUTANTS = {
+    "congruence-no-equivalence-edges": (
+        algebra, "_generating_edges",
+        lambda f: _generating_edges_mutant(equivalences=False, mates_above=False),
+        "check_congruence_characterisations",
+    ),
+    "congruence-covers-through-class-mates": (
+        algebra, "_generating_edges",
+        lambda f: _generating_edges_mutant(equivalences=True, mates_above=True),
+        "check_congruence_characterisations",
+    ),
+    "terminality-one-generator-short": (
+        syntactic, "_generators", _one_generator_short, "check_terminality"
+    ),
+    "decomposition-drop-last-context": (
+        lawsuite, "decompose_as_derivatives", _drop_last_context, "check_decomposition"
+    ),
+    "wilke-omega-of-first-period-value": (
+        algebra, "eval_element", _omega_of_first_period_value, "check_wilke_invariance"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCOPE_MUTANTS))
+def test_scoped_checks_catch_library_mutants(name, monkeypatch):
+    module, attr, mutate, check = SCOPE_MUTANTS[name]
+    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
+    result = getattr(lawsuite, check)()
+    assert not result.ok
+    assert not re.search(r" 0 (failures|disagreements)$", result.detail)
+
+
 # -- the bounded congruence definition and the preorder enumeration --------------
 
 
@@ -264,6 +363,22 @@ def test_all_preorders_yields_the_mask_enumeration_sequence():
     for alg in small_semigroups(3):
         got = [q.pairs() for q in _all_preorders(alg.carrier)]
         assert got == [q.pairs() for q in _reference.all_preorders(alg.carrier)]
+
+
+def test_up_sets_are_the_upward_closed_subsets_once_each():
+    """The decomposition scope: every subset that is its own upward closure,
+    on the ordered corpus carriers and a three-element chain."""
+    chain = SortedOrderedSet({0: [0, 1, 2]}, [(0, 1), (1, 2)])
+    carriers = [alg.carrier for alg in lawsuite.cover_corpus().values()] + [chain]
+    for carrier in carriers:
+        elems = list(carrier)
+        subsets = itertools.chain.from_iterable(
+            itertools.combinations(elems, r) for r in range(len(elems) + 1)
+        )
+        want = {frozenset(x) for x in subsets if is_upward_closed(carrier, x)}
+        got = lawsuite._up_sets(carrier)
+        assert len(got) == len(set(got)) and set(got) == want
+    assert len(lawsuite._up_sets(chain)) == 4
 
 
 def test_backtracking_yields_the_brute_force_semigroup_tables():

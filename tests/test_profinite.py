@@ -154,7 +154,7 @@ def test_eval_monotone_in_assignment():
 
 def test_omega_pow_output_is_idempotent_power():
     rng = random.Random(8)
-    from emalg.lawsuite import rand_transformation_algebra
+    from tests._samplers import rand_transformation_algebra
 
     for _ in range(50):
         alg = rand_transformation_algebra(rng, max_carrier=8)

@@ -15,7 +15,6 @@ from emalg.lawsuite import (
     exists_a,
     finitely_many_a,
     ordered_finitely_many_a,
-    rand_recognizer,
 )
 from emalg.monads import (
     HOLE,
@@ -41,6 +40,7 @@ from emalg.syntactic import (
     syntactic_preorder,
 )
 from tests._reference import separation_layers
+from tests._samplers import rand_recognizer
 
 
 def zmod(n):

@@ -1,0 +1,168 @@
+"""The word pipeline against oracles on plain tuples, over drawn regexes.
+
+Hypothesis draws small regexes over {a, b}.  The syntactic semigroup of a
+language is the transition semigroup of its minimal automaton
+(McNaughton and Papert 1971), and the language is first-order definable iff
+that semigroup is aperiodic (Schützenberger 1965).  The oracles below read
+the automaton's transition table as tuples and share no code with
+``emalg.algebra``, ``emalg.syntactic`` or ``emalg.profinite``: they are a
+breadth-first search over letter-word transformations and a power test.
+The automaton itself is checked against the drawn expression's words up to
+a length, built up the expression's tree as sets of strings (Python's
+``re`` backtracks exponentially on nested stars), and the algebra that
+``syn`` prints must accept the same words, read off its printed table.
+
+A draw whose semigroup passes the carrier cap must make ``syn`` and
+``decide fo`` exit with the bound code; such draws are counted, never
+dropped.
+"""
+
+import collections
+import contextlib
+import io
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from emalg.algio import dfa_to_text, parse_dfa_file
+from emalg.automata import dfa_to_recognizer, parse_regex, words_up_to
+from emalg.cli import EXIT_BOUND, EXIT_NEGATIVE, EXIT_OK, main
+from emalg.core import MAX_SORT_SIZE
+from emalg.monads import Word
+
+LETTERS = "ab"
+MEMBERSHIP_LENGTH = 6
+
+
+def _expressions():
+    """Regex trees over {a, b} with at most 12 letters: a letter, or
+    ("." | "|", left, right), or ("*" | "+" | "?", inner)."""
+
+    def extend(inner):
+        pairs = st.tuples(inner, inner)
+        return st.one_of(
+            pairs.map(lambda p: (".",) + p),
+            pairs.map(lambda p: ("|",) + p),
+            st.tuples(st.sampled_from("*+?"), inner),
+        )
+
+    return st.recursive(st.sampled_from(LETTERS), extend, max_leaves=12)
+
+
+def text(e) -> str:
+    """The regex of a tree; every union and postfix operand is
+    parenthesised."""
+    if isinstance(e, str):
+        return e
+    if e[0] == ".":
+        return text(e[1]) + text(e[2])
+    if e[0] == "|":
+        return f"({text(e[1])}|{text(e[2])})"
+    return f"({text(e[1])}){e[0]}"
+
+
+def words_of(e, n: int) -> set:
+    """The words of length at most ``n`` that the tree matches, the empty
+    word included."""
+    if isinstance(e, str):
+        return {e}
+    if e[0] == ".":
+        right = words_of(e[2], n)
+        return {u + v for u in words_of(e[1], n) for v in right if len(u + v) <= n}
+    if e[0] == "|":
+        return words_of(e[1], n) | words_of(e[2], n)
+    inner = words_of(e[1], n)
+    if e[0] == "?":
+        return inner | {""}
+    found = set(inner)
+    while True:
+        more = {u + v for u in found for v in inner if len(u + v) <= n} - found
+        if not more:
+            break
+        found |= more
+    return found | {""} if e[0] == "*" else found
+
+
+def transformations(dfa) -> list[tuple]:
+    """The distinct maps of the states induced by nonempty words, found
+    breadth first from the letters by appending one letter at a time."""
+    letter_maps = [tuple(dfa.trans[(q, c)] for q in range(dfa.n_states)) for c in dfa.alphabet]
+    found = list(dict.fromkeys(letter_maps))
+    seen = set(found)
+    for t in found:  # grows while it is read
+        for g in letter_maps:
+            tg = tuple(g[q] for q in t)
+            if tg not in seen:
+                seen.add(tg)
+                found.append(tg)
+    return found
+
+
+def aperiodic(semigroup: list[tuple]) -> bool:
+    """s^n = s^(n+1) for every s, with n the size of the semigroup."""
+    n = len(semigroup)
+    for s in semigroup:
+        power = s
+        for _ in range(n - 1):
+            power = tuple(s[q] for q in power)
+        if tuple(s[q] for q in power) != power:
+            return False
+    return True
+
+
+def _value(dump: dict, word: str) -> str:
+    """The value of ``word`` in the algebra that ``syn`` printed, read off
+    its letter images and its product table."""
+    value = dump["letters"][word[0]]
+    for c in word[1:]:
+        value = dump["table"][f"{value} {dump['letters'][c]}"]
+    return value
+
+
+def _run(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, json.loads(buf.getvalue())
+
+
+def test_word_pipeline_matches_the_tuple_oracles():
+    tally = collections.Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_expressions())
+    def check(e):
+        rx = text(e)
+        dfa = parse_regex(rx, LETTERS)
+        assert parse_dfa_file(dfa_to_text(dfa)) == dfa
+        words = ["".join(w) for w in words_up_to(LETTERS, MEMBERSHIP_LENGTH)]
+        matched = words_of(e, MEMBERSHIP_LENGTH)
+        assert [w for w in words if dfa.accepts(w)] == [w for w in words if w in matched], rx
+        semigroup = transformations(dfa)
+        syn_code, syn = _run("syn", rx, "--alphabet", LETTERS)
+        fo_code, fo = _run("decide", "fo", rx, "--alphabet", LETTERS)
+        if len(semigroup) > MAX_SORT_SIZE:
+            tally["past the cap"] += 1
+            cap = f"has {len(semigroup)} elements, cap is {MAX_SORT_SIZE}"
+            assert syn_code == fo_code == EXIT_BOUND, rx
+            assert cap in syn["error"] and cap in fo["error"], rx
+            return
+        tally["checked"] += 1
+        assert syn_code == EXIT_OK and syn["verdict"]["size"] == len(semigroup), rx
+        definable = aperiodic(semigroup)
+        tally["definable" if definable else "not definable"] += 1
+        assert fo_code == (EXIT_OK if definable else EXIT_NEGATIVE), rx
+        assert fo["verdict"]["definable"] is definable, rx
+        rec = dfa_to_recognizer(dfa)
+        dump = syn["evidence"]
+        accepting = set(dump["accepting"])
+        for w in words:
+            assert rec.accepts(Word(tuple(w))) == dfa.accepts(w), (rx, w)
+            assert (_value(dump, w) in accepting) == dfa.accepts(w), (rx, w)
+
+    check()
+    # both verdicts occur, and the draws past the cap, if any, were asserted
+    # one by one above
+    assert tally["definable"] and tally["not definable"], tally
+    assert tally["checked"] > tally["past the cap"], tally
