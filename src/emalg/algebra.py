@@ -14,6 +14,12 @@ sorts, are the monad's ``signature`` (``emalg.monads``):
   optional data; evaluation raises ``MissingTableEntry`` when one is needed
   but absent.
 
+The tables are stored over element indices, laid out under "the table
+view" below, and only this module reads that storage.  Labels exist only at
+the boundary: the keyword tables of ``FinAlgebra`` are coded once and kept
+as the label view; the internal constructions write integer tables, and
+their label views are decoded on first access.
+
 One evaluator, ``eval_element``, is the structure map for all three: it
 checks every label's sort against its position, folds a finite sequence by
 the binary op of its argument sorts (mult, dot or mix), closes an omega
@@ -35,8 +41,10 @@ independent).
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Optional
@@ -49,7 +57,6 @@ from .core import (
     SortedOrderedSet,
     _contains_order,
     _members,
-    _rows_of,
     is_upward_closed,
     quotient_set,
 )
@@ -85,19 +92,14 @@ class MissingTableEntry(KeyError):
     """A tree evaluation needed an optional slot entry that is absent."""
 
 
-def _wrong_sort(op: str, args: tuple, value, result: Sort) -> str:
-    return f"{op} value {value!r} at {args!r} is not of sort {result}"
-
-
 class FinAlgebra:
     """A finitary algebra over one of the three instances.
 
-    ``tables`` holds one read-only mapping per op of ``_OPS``, keyed by the
-    flat argument tuple of each entry (the layout under "the table view"
-    below).  The keyword tables keep their documented shapes and are
-    converted once, on the way in; ``mult``, ``dot`` and ``mix`` are the
-    stored tables, and ``omega`` (keyed by a) and ``comp`` (keyed by (head,
-    slots)) are read-only views in those shapes, built on first use."""
+    It stores integer tables (``_coded`` in the label order ``_order``, see
+    "the table view" below).  ``tables`` is its label view, one read-only
+    mapping per op of ``_OPS`` keyed by flat argument tuples; ``mult``,
+    ``dot`` and ``mix`` are three of them, and ``omega`` (keyed by a) and
+    ``comp`` (keyed by (head, slots)) show theirs in the keyword shapes."""
 
     def __init__(
         self,
@@ -110,32 +112,50 @@ class FinAlgebra:
         omega: Optional[dict] = None,
         comp: Optional[dict] = None,
     ):
-        tables = {
-            "mult": dict(mult or {}),
-            "dot": dict(dot or {}),
-            "mix": dict(mix or {}),
-            "omega": {(a,): v for a, v in (omega or {}).items()},
-            "comp": {(a, *slots): v for (a, slots), v in (comp or {}).items()},
-        }
-        self._init(monad, carrier, tables)
+        tables = {"mult": dict(mult or {}), "dot": dict(dot or {}), "mix": dict(mix or {})}
+        tables["omega"] = {(a,): v for a, v in (omega or {}).items()}
+        tables["comp"] = {(a, *slots): v for (a, slots), v in (comp or {}).items()}
+        self._labelled = tables
+        self._init(monad, carrier, *_encode(carrier, tables))
 
-    def _init(self, monad, carrier, tables: dict, monotone: bool = False):
-        """Take over ``tables`` (op -> dict keyed by flat argument tuples),
+    def _init(self, monad, carrier, coded: dict, order: list, monotone: bool = False):
+        """Take over the integer tables ``coded`` in the label ``order``,
         check them against the signature and, unless they are known to be
-        ``monotone`` (a quotient's are, see ``quotient_algebra``), walk them
-        for monotonicity."""
+        ``monotone`` (see ``quotient_algebra``), walk them for monotonicity."""
         self.monad = monad
         self.carrier = carrier
         self.kind = monad.kind
-        self.tables = MappingProxyType({op: MappingProxyType(tables[op]) for op in _OPS})
-        # each op's lookup args -> value, None where the table has no entry
-        self._read = {op: tables[op].get for op in _OPS}
-        self._read["comp"] = functools.partial(_read_comp, tables["comp"])
+        self._coded, self._order = coded, order
         self._validate()
         if not monotone and not carrier.is_trivially_ordered():
             bad = _walk_rows(self, carrier._rows)
             if bad:
                 raise ValueError(f"{bad[0]} not monotone at {bad[1]!r} vs {bad[2]!r}")
+
+    @functools.cached_property
+    def _labelled(self) -> dict:
+        """The label tables (op -> flat argument tuple -> value): the keyword
+        tables it was built from, else decoded in label order on first use."""
+        elems, n = self.carrier._by_index, len(self.carrier)
+        tables: dict = {op: {} for op in _OPS}
+        for place, _, items in _runs(self):
+            if place[1:] == (2, ()):  # a binary op, decoded inline
+                tables[place[0]].update({(elems[c % n], elems[c // n]): elems[v] for c, v in items})
+            else:
+                tables[place[0]].update({_labels(elems, place, c): elems[v] for c, v in items})
+        return tables
+
+    @functools.cached_property
+    def tables(self):
+        """The label view: one read-only mapping per op of ``_OPS``."""
+        return MappingProxyType({op: MappingProxyType(t) for op, t in self._labelled.items()})
+
+    @functools.cached_property
+    def _read(self) -> dict:
+        """Each op's lookup args -> value, None where there is no entry."""
+        read = {op: table.get for op, table in self._labelled.items()}
+        read["comp"] = functools.partial(_read_comp, self._labelled["comp"])
+        return read
 
     mult = property(lambda self: self.tables["mult"])
     dot = property(lambda self: self.tables["dot"])
@@ -156,38 +176,37 @@ class FinAlgebra:
         and lands in its result sort, except an op that has nowhere to land
         (a sort restriction emptied every result sort it has, as it empties
         the infinite sort of an omega algebra); every other entry fits a
-        shape too (a comp entry with a bare slot)."""
-        A = self.carrier
-        signature = self.monad.signature
-        sorts = A._sort_of
+        shape too (a comp entry with a bare slot).  A shape's keys are the
+        codes of a box of sort runs, read in one pass."""
+        A, coded = self.carrier, self._coded
+        elems, n, signature = A._by_index, len(A), self.monad.signature
+        sort_at = [A._sort_of[e] for e in elems]
         live = {op for op, _, result in signature if A.elements(result)}
-        found = dict.fromkeys(_OPS, 0)  # entries whose arguments are elements
+        found = dict.fromkeys(coded, 0)  # entries at argument tuples of elements
         for op, arg_sorts, result in signature:
-            read = self._read[op]
-            for args in itertools.product(*map(A.elements, arg_sorts)):
-                value = read(args)
-                if value is None:
-                    if op in live:
-                        raise ValueError(f"{op} not total at {args!r}")
-                elif sorts.get(value) != result:
-                    raise ValueError(_wrong_sort(op, args, value, result))
-                else:
-                    found[op] += 1
-        # a table with more entries holds bare comp slots or entries that fit
-        # no shape: check each of its entries
-        rest = {op for op in _OPS if len(self.tables[op]) > found[op]}
-        if rest:
-            shapes = {(op, args): result for op, args, result in signature}
-            slot_sort = {**sorts, VAR: 1}.get  # a bare comp slot passes x0 through
-            for op, args, value in _entries(self):
-                if op not in rest:
-                    continue
-                slots = map(slot_sort if op == "comp" else sorts.get, args[1:])
-                result = shapes.get((op, (sorts.get(args[0]), *slots)))
+            place, codes = (op, len(arg_sorts), ()), [0]
+            for i, s in enumerate(arg_sorts):
+                digits = [A._index[e] * n**i for e in A.elements(s)]
+                codes = [c + d for c in codes for d in digits]
+            values = list(map(coded.get(place, {}).get, codes))
+            if None in values and op in live:
+                args = _labels(elems, place, codes[values.index(None)])
+                raise ValueError(f"{op} not total at {args!r}")
+            if all(sort_at[v] == result for v in set(values) - {None}):
+                found[place] = found.get(place, 0) + len(values) - values.count(None)
+        # a table with entries left over holds bare comp slots, values of the
+        # wrong sort or entries that fit no shape: check each of its entries
+        shapes = {(op, args): result for op, args, result in signature}
+        for place, table in coded.items():
+            op, _, bare = place
+            for code, v in table.items() if len(table) > found[place] else ():
+                args = _labels(elems, place, code)
+                sorts = [1 if i in bare else A._sort_of[a] for i, a in enumerate(args)]
+                result = shapes.get((op, tuple(sorts)))
                 if result is None:
                     raise ValueError(f"{op} entry at {args!r} fits no operation")
-                if sorts.get(value) != result:
-                    raise ValueError(_wrong_sort(op, args, value, result))
+                if sort_at[v] != result:
+                    raise ValueError(f"{op} value {elems[v]!r} at {args!r} is not of sort {result}")
 
     # -- shallow application ---------------------------------------------------
 
@@ -204,50 +223,91 @@ class FinAlgebra:
     def elements(self, sort: Sort):
         return self.carrier.elements(sort)
 
-    @functools.cached_property
-    def _ints(self) -> "_IntTables":
-        """The tables over element indices, built on first use and kept:
-        an algebra's tables are read-only."""
-        return _IntTables(self)
-
     def __repr__(self):
         return f"FinAlgebra({self.kind}, {len(self.carrier)} elements)"
 
 
 # -- the table view -------------------------------------------------------------
 #
-# Whatever the instance, an algebra's data is a set of shallow operation
-# tables, one per op of the monad's signature, whose argument sorts are
-# those of the signature's shapes.  The helpers below see them as one list
-# of entries (op, args, value) with a flat argument tuple:
+# An algebra's data is one table of shallow entries per op of the monad's
+# signature.  In labels, an entry is (op, args, value) with a flat argument
+# tuple, and ``alg.tables[op]`` is keyed by ``args``:
 #
 #   ("mult", (a, b))   ("dot", (a, b))   ("mix", (a, e))   ("omega", (a,))
 #   ("comp", (head, slot_1, ..., slot_n)), VAR standing for a bare slot
 #
-# This layout is the storage: ``alg.tables[op]`` is keyed by ``args``.
-# Validation, the terminal algebra, morphism tests, restriction, quotients,
-# products, the compatibility check and the closure with witnesses are
-# written once over it and the signature; so are the sequence fold that
-# evaluation, contexts and the ``profinite`` terms share, and the syntactic
-# one-step context functions.  Only the keyword tables of ``FinAlgebra`` and
-# its ``omega`` and ``comp`` views have other shapes.
+# The storage is the same entries over the carrier's n element indices:
+# arguments d_0, ..., d_(m-1) have the code d_0 + d_1 n + ... + d_(m-1)
+# n^(m-1), a bare slot counting as 0, and ``alg._coded[(op, m, bare)]``
+# (a place) maps the code of each entry with bare slots at the positions
+# ``bare`` to its value's index.  One op's entries may alternate between
+# places (comp with bare slots), so ``alg._order`` keeps the label order as
+# runs [place, count], op by op in ``_OPS`` order (``_runs``).  ``_encode``
+# is the one place where labels become codes; ``_labels`` decodes them.
 
 _OPS = ("mult", "dot", "mix", "omega", "comp")
 
 
 def _entries(alg: FinAlgebra):
-    """Every table entry as (op, args, value), table by table."""
+    """Every table entry as (op, args, value), in labels, table by table."""
     for op, table in alg.tables.items():
         for args, value in table.items():
             yield op, args, value
 
 
 def _places(alg: FinAlgebra) -> list:
-    """The (op, number of arguments, positions of the bare slots) of the
-    entries, in ``_entries``' argument layout: the keys of the integer
-    tables (``_IntTables``).  An all-bare pattern is the unit law, which
+    """The places of the entries, (op, number of arguments, positions of
+    the bare slots), sorted.  An all-bare pattern is the unit law, which
     gives nothing new, and is left out."""
-    return sorted(p for p in alg._ints.tables if not p[2] or len(p[2]) < p[1] - 1)
+    return sorted(p for p in alg._coded if not p[2] or len(p[2]) < p[1] - 1)
+
+
+def _runs(alg: FinAlgebra):
+    """The runs of ``alg``'s entries in label order, to be read in order:
+    (place, its table, an iterator over the run's (code, value) pairs)."""
+    items = {place: iter(table.items()) for place, table in alg._coded.items()}
+    return [(p, alg._coded[p], itertools.islice(items[p], count)) for p, count in alg._order]
+
+
+def _extend(order: list, place: tuple, count: int):
+    """Append ``count`` entries of ``place`` to the label ``order``."""
+    if order and order[-1][0] == place:
+        order[-1][1] += count
+    elif count:
+        order.append([place, count])
+
+
+def _encode(carrier: SortedOrderedSet, tables: dict) -> tuple:
+    """The integer tables (``FinAlgebra._coded``) of the label ``tables``
+    (op -> flat argument tuple -> value) over ``carrier``'s numbering, and
+    their label order; an argument or value outside the carrier raises
+    ValueError."""
+    index, n = carrier._index, len(carrier)
+    coded: dict = {}
+    places: list = []  # the place of each entry, in order
+    for op, table in tables.items():
+        for args, value in table.items():
+            bare = tuple([i for i, a in enumerate(args) if i and a is VAR]) if op == "comp" else ()
+            code, w = 0, 1
+            for i, a in enumerate(args):
+                if i not in bare:
+                    if a not in index:
+                        raise ValueError(f"{op} entry at {args!r} fits no operation")
+                    code += index[a] * w
+                w *= n
+            if value not in index:
+                raise ValueError(f"{op} value {value!r} at {args!r} is not an element")
+            place = (op, len(args), bare)
+            coded.setdefault(place, {})[code] = index[value]
+            places.append(place)
+    return coded, [[place, len(list(run))] for place, run in itertools.groupby(places)]
+
+
+def _labels(elems: list, place: tuple, code: int) -> tuple:
+    """The flat argument tuple, in labels, of the entry at ``code`` in the
+    table of ``place``; VAR at a bare slot."""
+    n = len(elems)
+    return tuple([VAR if i in place[2] else elems[code // n**i % n] for i in range(place[1])])
 
 
 def _read_comp(table: dict, args: tuple):
@@ -285,15 +345,39 @@ _TERM = {
 }
 
 
-def _build(monad: Monad, carrier: SortedOrderedSet, entries, monotone: bool = False):
-    """The algebra on ``carrier`` whose tables hold ``entries``; tables
+def _build(monad: Monad, carrier: SortedOrderedSet, coded: dict, order=None, monotone=False):
+    """The algebra on ``carrier`` with the integer tables ``coded`` in the
+    label ``order`` (by default place by place, in ``_OPS`` order); tables
     known to be ``monotone`` skip the monotonicity walk."""
-    tables: dict = {op: {} for op in _OPS}
-    for op, args, value in entries:
-        tables[op][args] = value
     alg = FinAlgebra.__new__(FinAlgebra)
-    alg._init(monad, carrier, tables, monotone)
+    places = sorted(coded, key=lambda place: _OPS.index(place[0]))
+    order = order or [[place, len(coded[place])] for place in places]
+    alg._init(monad, carrier, coded, order, monotone)
     return alg
+
+
+def _mapped(alg: FinAlgebra, f: list, size: int) -> tuple:
+    """``alg``'s integer tables and their label order, carried along ``f``
+    (element index -> index over a carrier of ``size`` elements, or None):
+    an entry that mentions an index with no image is left out, and where
+    two entries meet the first keeps its place in the order."""
+    n, out, order = len(alg.carrier), {}, []
+    for place, _, items in _runs(alg):
+        opened = [(n**i, size**i) for i in range(place[1]) if i not in place[2]]
+        mapped = out.setdefault(place, {})
+        before = len(mapped)
+        for code, v in items:
+            new = 0
+            for w, s in opened:
+                d = f[code // w % n]
+                if d is None:
+                    break
+                new += d * s
+            else:
+                if f[v] is not None:
+                    mapped[new] = f[v]
+        _extend(order, place, len(mapped) - before)
+    return {place: table for place, table in out.items() if table}, order
 
 
 def _image(f, args: tuple) -> tuple:
@@ -301,100 +385,33 @@ def _image(f, args: tuple) -> tuple:
     return tuple([VAR if a is VAR else f[a] for a in args])
 
 
-class _IntTables:
-    """An algebra's tables over element indices.
-
-    The indices are the carrier's numbering, 0..n-1 in carrier order
-    (``elems``, and ``index`` back), so each sort is one run of indices.
-    An argument tuple with indices d_0, ..., d_(m-1) has the code d_0 +
-    d_1 n + ... + d_(m-1) n^(m-1), a bare slot counting as 0, and
-    ``tables[(op, m, bare)]``, keyed by the place as ``_places`` lists it,
-    maps the code of the arguments of each entry whose bare slots sit at
-    the positions ``bare`` to the index of its value.  ``entries`` lists
-    the entries in ``_entries`` order as (op, table, args, code, value):
-    the table of (op, m, ()), the argument indices, their code and the
-    value's index; an entry with a bare slot keeps its labels, with None
-    for the table and the code."""
-
-    def __init__(self, alg: FinAlgebra):
-        self.elems = alg.carrier._by_index
-        self.index = index = alg.carrier._index
-        n = len(self.elems)
-        self.tables: dict = {}
-        self.entries: list = []
-        for op, args, value in _entries(alg):
-            if op == "comp" and VAR in args:
-                bare = tuple([i for i, a in enumerate(args) if a is VAR])
-                self.entries.append((op, None, args, None, value))
-                digits = tuple([0 if a is VAR else index[a] for a in args])
-            else:
-                bare, digits = (), tuple([index[a] for a in args])
-            code = 0
-            for d in reversed(digits):
-                code = code * n + d
-            table = self.tables.setdefault((op, len(args), bare), {})
-            table[code] = v = index[value]
-            if not bare:
-                self.entries.append((op, table, digits, code, v))
-
-    @classmethod
-    def given(cls, carrier: SortedOrderedSet, tables: dict, entries: list) -> "_IntTables":
-        """The view of ``tables`` and ``entries`` already coded over
-        ``carrier``'s numbering, as a construction that held them hands
-        them over; they must be what ``_IntTables`` would build."""
-        view = cls.__new__(cls)
-        view.elems, view.index = carrier._by_index, carrier._index
-        view.tables, view.entries = tables, entries
-        return view
-
-
-def _incompatibility(alg: FinAlgebra, rel: frozenset) -> Optional[tuple]:
+def _walk_rows(alg: FinAlgebra, up: list) -> Optional[tuple]:
     """A witness (op, args, args2) that the reflexive, transitive relation
-    ``rel`` (a set of pairs) is not compatible with the tables, or None.
+    with up-set rows ``up`` (row i: the bitmask of what element i is
+    related to, over the carrier's numbering) is not compatible with the
+    tables, or None.
 
     Compatible means: two entries of one op whose arguments are related
     position by position (a bare slot matching only a bare slot) have
-    related values.  Under a discrete relation there are none, and the
-    walk returns before it builds the integer tables.
+    related values.  Under a discrete relation there are none.
 
     Each entry is compared only with the entries that raise *one* of its
     arguments along one generating edge of the relation
-    (``_generating_edges``): to another member of the argument's class,
-    or into a class that covers it.  Every related pair is joined by a
-    path of such edges, so when every intermediate tuple has an entry this
-    is the same test as comparing the entry with every entry in the
-    product of the up-sets: raising the arguments one edge and one
-    position at a time walks from args to args2 through entries whose
-    values are related step by step (ab <= a'b <= a'b'), and transitivity
-    relates the two ends.  The carrier order and every ``Preorder`` are
-    transitive.  The covers are taken between classes, and the
-    equivalence edges stay: a reduction that counted class-mates as
-    strictly above one another would remove, through each class-mate,
-    every edge that leaves the class, and the class would be compared
-    with nothing above it.  The intermediate entries exist for the word
-    and omega tables, which are total on their argument sorts, and for
-    tree entries without a bare slot, whose keys are all required; a
-    raised argument keeps its sort, so the raised key is required too.
-    Entries with a bare slot are optional data, so an intermediate may be
-    missing: they keep the walk over the whole product of up-sets.
+    (``_generating_edges``).  Every related pair is joined by a path of
+    such edges, so when every intermediate tuple has an entry this is the
+    same test as over the whole product of the up-sets: the values along
+    the path are related step by step (ab <= a'b <= a'b'), and transitivity
+    relates the ends.  The intermediate entries exist for the total word
+    and omega tables, and for tree entries without a bare slot, whose
+    raised keys are required too; entries with a bare slot are optional,
+    so they keep the walk over the whole product of up-sets.
 
-    The walk (``_walk_rows``) reads the relation as up-set rows over the
-    carrier's numbering (``core._rows_of``) and the algebra's integer
-    tables (``_IntTables``): raising position i of an argument tuple with
-    code c from x to y gives the code c + (y - x) n^i, one int lookup, and
-    its value is related when its bit is set in the up-set of the entry's
-    value.  When the edges find a violation, the walk runs again over
-    every element above each argument, visited in the same order as over
-    labels (``_entries`` order, then position, then carrier order, which
-    is index order), so the witness, returned in labels, is the first one
-    over all related pairs."""
-    return _walk_rows(alg, _rows_of(alg.carrier, rel))
-
-
-def _walk_rows(alg: FinAlgebra, up: list) -> Optional[tuple]:
-    """``_incompatibility`` of the relation whose up-set rows are ``up``
-    (row i: the bitmask of what element i is related to, over the
-    carrier's numbering)."""
+    Raising position i of the code c from x to y gives the code c + (y - x)
+    n^i, one lookup, and its value is related when its bit is set in the
+    up-set row of the entry's value.  When the edges find a violation, the
+    walk runs again over every element above each argument, in label
+    order, then position, then index order, so the witness, returned in
+    labels, is the first one over all related pairs."""
     if all(row == 1 << i for i, row in enumerate(up)):
         return None
     above = [_members(u & ~(1 << i)) for i, u in enumerate(up)]
@@ -409,12 +426,9 @@ def _generating_edges(up: list, above: list) -> list:
     of i's class (i <= j <= i), or j's class covers i's (i < j, and no k
     has i < k < j).  ``above[i]`` lists the j != i with i <= j.  A path of
     these edges joins every related pair: up the covers of the classes,
-    then across the last class.
-
-    The strict part leaves out i's class-mates.  A cover reduction that
-    took them as strictly above i would drop, through each class-mate,
-    every edge that leaves the class, so the class would be compared with
-    nothing above it."""
+    then across the last class.  The strict part leaves out i's
+    class-mates: a cover reduction that took them as strictly above i
+    would drop every edge that leaves the class."""
     same, strict = [], []
     for i, js in enumerate(above):
         peers = 0
@@ -435,31 +449,32 @@ def _generating_edges(up: list, above: list) -> list:
 def _first_violation(alg: FinAlgebra, up: list, above: list, raise_to: list) -> Optional[tuple]:
     """The first witness of ``_walk_rows``, raising each argument x of an
     entry without a bare slot to the elements ``raise_to[x]``, and each of
-    an entry with one over ``above[x]``, the rest of x's up-set."""
-    view = alg._ints
-    elems, index, n = view.elems, view.index, len(view.elems)
-    labels_up, read_comp = None, alg._read["comp"]
-    for op, table, args, code, v in view.entries:
-        if table is None:  # a bare slot: the whole product of up-sets
-            if labels_up is None:
-                labels_up = {x: [x] + [elems[j] for j in js] for x, js in zip(elems, above)}
-                labels_up[VAR] = [VAR]
-            above_args = itertools.product(*(labels_up.get(a, ()) for a in args))
-            next(above_args, None)  # args itself
-            related = up[index[v]]
-            for args2 in above_args:
-                value2 = read_comp(args2)
-                if value2 is not None and not related >> index[value2] & 1:
-                    return op, args, args2
-            continue
-        related, get, w = up[v], table.get, 1  # w = n^i
-        for i, x in enumerate(args):
-            for y in raise_to[x]:
-                value2 = get(code + (y - x) * w)
-                if value2 is not None and not related >> value2 & 1:
-                    args = tuple([elems[d] for d in args])
-                    return op, args, args[:i] + (elems[y],) + args[i + 1 :]
-            w *= n
+    an entry with one over ``above[x]``; bare slots stay bare."""
+    elems, n = alg.carrier._by_index, len(alg.carrier)
+    for place, table, items in _runs(alg):
+        op, m, bare = place
+        get, weights = table.get, [n**i for i in range(m)]
+        opened = [w for i, w in enumerate(weights) if i not in bare]
+        for code, v in items:
+            related = up[v]
+            if bare:  # the whole product of up-sets
+                xs = [code // w % n for w in opened]
+                tuples = itertools.product(*([x] + above[x] for x in xs))
+                next(tuples)  # the entry itself
+                for ys in tuples:
+                    code2 = sum(map(int.__mul__, ys, opened))
+                    # an all-bare pattern is the unit law: its value is its head
+                    value2 = ys[0] if len(ys) == 1 else get(code2)
+                    if value2 is not None and not related >> value2 & 1:
+                        return op, _labels(elems, place, code), _labels(elems, place, code2)
+                continue
+            for w in weights:
+                x = code // w % n
+                for y in raise_to[x]:
+                    code2 = code + (y - x) * w
+                    value2 = get(code2)
+                    if value2 is not None and not related >> value2 & 1:
+                        return op, _labels(elems, place, code), _labels(elems, place, code2)
     return None
 
 
@@ -489,15 +504,21 @@ def tree_algebra(monad: TreeMonad, carrier: SortedOrderedSet, comp: dict) -> Fin
 def one_element_algebra(monad: Monad) -> FinAlgebra:
     """The terminal algebra: one element per sort, the unit of the sort, and
     every op of the signature sends units to the unit of its result sort."""
-    u = {s: ("unit", s) for s in monad.sorts}
-    return _build(
-        monad,
-        SortedOrderedSet({s: [u[s]] for s in monad.sorts}),
-        (
-            (op, tuple(u[s] for s in args), u[result])
-            for op, args, result in monad.signature
-        ),
-    )
+    carrier = SortedOrderedSet({s: [("unit", s)] for s in monad.sorts})
+    unit = {s: i for i, s in enumerate(carrier.sorts)}  # each unit's index
+    n, coded = len(carrier), {}
+    for op, args, result in monad.signature:
+        code = sum(unit[s] * n**i for i, s in enumerate(args))
+        coded.setdefault((op, len(args), ()), {})[code] = unit[result]
+    return _build(monad, carrier, coded)
+
+
+def _word_algebra_of_columns(carrier: SortedOrderedSet, columns: list) -> FinAlgebra:
+    """The word algebra on ``carrier`` whose product of the elements with
+    indices s and t is the element with index ``columns[t][s]``."""
+    n = len(carrier)
+    mult = {s + t * n: column[s] for s in range(n) for t, column in enumerate(columns)}
+    return _build(WordMonad(), carrier, {("mult", 2, ()): mult})
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -656,16 +677,6 @@ def product(algs: list[FinAlgebra], monad: Optional[Monad] = None) -> FinAlgebra
     )
 
 
-def projections(prod: FinAlgebra, algs: list[FinAlgebra]) -> list[Morphism]:
-    out = []
-    for i, a in enumerate(algs):
-        fn = SortedFunction(
-            prod.carrier, a.carrier, {x: x[i] for x in prod.carrier}
-        )
-        out.append(Morphism(prod, a, fn))
-    return out
-
-
 @dataclass
 class GeneratedSubalgebra:
     algebra: FinAlgebra
@@ -676,14 +687,11 @@ class GeneratedSubalgebra:
 def _closure(alg: FinAlgebra, start: dict) -> dict:
     """Close a set of (element -> witness free element) under the table
     entries, recording a witness for every new element: the least fixpoint,
-    the same for every instance.
-
-    Sweeps the entries in table order (``_entries``) until a sweep adds
-    nothing.  An entry whose arguments all have witnesses gives its value,
-    if that has none yet, ``flat`` of the op's shallow term over them.  A
-    bare tree slot needs no witness and stays a bare variable of sort 1, so
-    the entries with bare slots, which no argument tuple of elements
-    reaches, are used too."""
+    the same for every instance.  Sweeps the entries in label order
+    (``_entries``) until a sweep adds nothing.  An entry whose arguments
+    all have witnesses gives its value, if that has none yet, ``flat`` of
+    the op's shallow term over them.  A bare tree slot needs no witness
+    and stays a bare variable of sort 1."""
     wit = dict(start)
     monad, sort_of = alg.monad, alg.carrier.sort_of
     changed = True
@@ -721,51 +729,38 @@ def subalgebra_generated(alg: FinAlgebra, gens: Iterable[Elem]) -> GeneratedSuba
 
 def _restrict(alg: FinAlgebra, keep: set, monad: Monad) -> FinAlgebra:
     """The elements in ``keep`` with the inherited order, and the entries
-    that mention only them, as an algebra over ``monad``.  When ``keep``
-    is the whole carrier and ``monad`` is ``alg``'s own, that is ``alg``
-    itself, returned as it is: its tables are read-only and already
-    checked."""
+    that mention only them, as an algebra over ``monad``; ``alg`` itself
+    when that keeps the whole carrier over ``alg``'s own monad."""
     A = alg.carrier
     if monad is alg.monad and keep.issuperset(A):
         return alg
     elems = {s: [e for e in A.elements(s) if e in keep] for s in A.sorts}
     pairs = [(a, b) for a, b in A.leq_pairs() if a in keep and b in keep]
-    keep_slots = keep | {VAR}
-    return _build(
-        monad,
-        SortedOrderedSet(elems, pairs),
-        (e for e in _entries(alg) if e[2] in keep and keep_slots.issuperset(e[1])),
-    )
+    C = SortedOrderedSet(elems, pairs)
+    return _build(monad, C, *_mapped(alg, list(map(C._index.get, A)), len(C)))
 
 
 def _index_closure(algs: list[FinAlgebra], places: list):
     """The product-closure kernel, over element indices: a generator
-    function ``grow(seeds, closed=())`` that takes seed tuples, each a
-    tuple of indices in the components' carrier numberings, and yields the
-    tuples of the subalgebra of the product that they generate, each once
-    as it is found, the seeds first, so a caller may stop as soon as it
-    has seen enough.  ``closed``, an already closed list of tuples, is
-    taken as found and not yielded again: the closure grows on from it.
-    Nothing of the product is materialised up front.
+    function ``grow(seeds, closed=())`` that takes seed tuples of indices in
+    the components' numberings and yields the tuples of the subalgebra of
+    the product that they generate, each once as it is found, the seeds
+    first, so a caller may stop as soon as it has seen enough.  ``closed``,
+    an already closed list of tuples, is taken as found and not yielded
+    again: the closure grows on from it.
 
-    The ops are ``places`` (as ``_places`` lists them), read in each
-    component's integer tables (``_IntTables``), which key them the same
-    way; a bare slot counts as 0 in every component's argument code, so it
-    holds VAR in every component, as in ``tuple_algebra``.  A tuple arises
-    only where every component has the entry.
-
-    Each round evaluates the argument tuples that hold a tuple found in
-    the round before, once each: at the first such position j, with tuples
-    known before the round at the positions before j and any known tuple
-    after it (``_product_entry``); nothing is kept between closures, so a
-    closure holds no more than its own tuples."""
-    views = [a._ints for a in algs]
+    The ops are ``places`` (as ``_places`` lists them); a bare slot holds
+    VAR in every component, and a tuple arises only where every component
+    has the entry.  Each round evaluates the argument tuples that hold a
+    tuple found in the round before, once each: at the first such position
+    j, with tuples known before the round before j and any known tuple
+    after it (``_product_entry``).  Nothing is kept between closures."""
     shapes = []  # (the product's entry at one place, its pools at each j)
     for place in places:
-        tables = [v.tables.get(place) for v in views]
+        tables = [a._coded.get(place) for a in algs]
         if None not in tables:
             opened, layouts = _layouts(place)
-            shapes.append((_product_entry(views, tables, opened), layouts))
+            shapes.append((_product_entry(algs, tables, opened), layouts))
 
     def grow(seeds, closed=()):
         known = list(closed)
@@ -806,15 +801,15 @@ def _layouts(place: tuple) -> tuple:
     return opened, tuple((0,) * j + (1,) + (2,) * (r - 1 - j) for j in range(r))
 
 
-def _product_entry(views: list, tables: list, opened: tuple):
+def _product_entry(algs: list, tables: list, opened: tuple):
     """The product's entry at one place, as a function of the argument
     tuples at its open positions ``opened``: the tuple of the components'
     values, with None for a component that has no entry.  Component c
     reads its index in each argument, scales it by the argument's position
     in its own argument code, and looks the sum up in ``tables[c]``."""
     parts = [
-        (c, table.get, [len(v.elems) ** p for p in opened])
-        for c, (v, table) in enumerate(zip(views, tables))
+        (c, table.get, [len(a.carrier) ** p for p in opened])
+        for c, (a, table) in enumerate(zip(algs, tables))
     ]
 
     def entry(args: tuple) -> tuple:
@@ -829,11 +824,24 @@ def _product_entry(views: list, tables: list, opened: tuple):
     return entry
 
 
+def _columns(alg: FinAlgebra, op: str, sorts: tuple, i: int, pools: list):
+    """The columns of ``op``'s shape with argument sorts ``sorts`` along
+    position i: for each choice of the other arguments from ``pools``
+    (lists of element indices), in ``itertools.product`` order, the value
+    indices at the elements of ``pools[i]``, None where there is no entry."""
+    n = len(alg.carrier)
+    get = alg._coded.get((op, len(sorts), ()), {}).get
+    weight = n**i  # position i's place in an argument code
+    hole = [x * weight for x in pools[i]]
+    scaled = [[d * n**j for d in pool] for j, pool in enumerate(pools)]
+    scaled[i] = (0,)
+    return [[get(base + x) for x in hole] for base in map(sum, itertools.product(*scaled))]
+
+
 def _grow_tuples(algs: list[FinAlgebra], seeds: Iterable[tuple]):
     """The tuples of the subalgebra of the product generated by the seed
     tuples, in labels, each yielded once as it is found, the seeds first
-    (``_index_closure``, over the places of the first component's
-    entries)."""
+    (``_index_closure``, over the first component's places)."""
     seeds = list(map(tuple, seeds))
     if set(map(len, seeds)) - {len(algs)}:
         raise ValueError("seed arity does not match the component count")
@@ -856,56 +864,75 @@ def generated_tuples(algs: list[FinAlgebra], seeds: Iterable[tuple]) -> set:
 
 def tuple_algebra(algs: list[FinAlgebra], tuples: Iterable[tuple]) -> FinAlgebra:
     """The subalgebra of the product of ``algs`` on an already product-closed
-    set of tuples, with componentwise order and tables."""
+    set of tuples, with componentwise order and tables: each entry of the
+    first component is read at the argument tuples whose first components
+    are its arguments (``_product_entry``), and kept where its value is
+    one of the tuples."""
     ts = list(dict.fromkeys(tuple(t) for t in tuples))
     A0 = algs[0].carrier
     elems: dict[Sort, list] = {}
     for t in ts:
         elems.setdefault(A0.sort_of(t[0]), []).append(t)
-    pairs = []
-    for s, es in elems.items():
-        for x in es:
-            for y in es:
-                if all(a.carrier.leq(xi, yi) for a, xi, yi in zip(algs, x, y)):
-                    pairs.append((x, y))
+    pairs = [
+        (x, y)
+        for es in elems.values()
+        for x, y in itertools.product(es, es)
+        if all(a.carrier.leq(xi, yi) for a, xi, yi in zip(algs, x, y))
+    ]
     size = max((len(es) for es in elems.values()), default=1)
     sorts = sorted(set(s for a in algs for s in a.carrier.sorts) | set(elems))
     carrier = SortedOrderedSet(
         {s: elems.get(s, []) for s in sorts}, pairs, max_size=max(64, size)
     )
-    bare = (VAR,) * len(algs)  # a bare slot in every component
-    by_first: dict = {VAR: [bare]}
-    for t in ts:
+    # each tuple over the components' numberings -> its index in the product
+    indices = [a.carrier._index for a in algs]
+    number = {tuple(map(dict.__getitem__, indices, t)): carrier._index[t] for t in ts}
+    by_first: dict = {}
+    for t in number:
         by_first.setdefault(t[0], []).append(t)
-    columns = {a: list(zip(*group)) for a, group in by_first.items()}
-    no_columns = [()] * len(algs)
-    tset = set(ts)
-    entries = []
-    for op, args, _ in _entries(algs[0]):
-        # each component's entries at its columns, in the order of the combos
-        values = zip(*(
-            map(alg._read[op], itertools.product(*[columns.get(a, no_columns)[i] for a in args]))
-            for i, alg in enumerate(algs)
-        ))
-        combos = itertools.product(*(by_first.get(a, ()) for a in args))
-        for combo, t in zip(combos, values):
-            if t in tset:
-                if VAR in args:
-                    combo = tuple([VAR if c is bare else c for c in combo])
-                entries.append((op, combo, t))
-    return _build(algs[0].monad, carrier, entries)
+    n0, n, coded, order = len(A0), len(carrier), {}, []
+    for place, _, items in _runs(algs[0]):
+        tables = [a._coded.get(place) for a in algs]
+        if None in tables:
+            continue
+        opened, _ = _layouts(place)
+        if place[2] and len(opened) == 1:  # all bare: the unit law, a(x0, ..) = a
+            entry = operator.itemgetter(0)
+        else:
+            entry = _product_entry(algs, tables, opened)
+        weights = [n0**p for p in opened]
+        pools = ([by_first.get(code // w % n0, ()) for w in weights] for code, _ in items)
+        args = [t for columns in pools for t in itertools.product(*columns)]
+        codes = [0] * len(args)  # the product's argument codes
+        for p, s in enumerate(n**i for i in opened):
+            codes = [c + number[t[p]] * s for c, t in zip(codes, args)]
+        out = coded.setdefault(place, {})
+        before = len(out)
+        out.update((c, v) for c, v in zip(codes, map(number.get, map(entry, args))) if v is not None)
+        _extend(order, place, len(out) - before)
+    coded = {place: table for place, table in coded.items() if table}
+    return _build(algs[0].monad, carrier, coded, order)
 
 
 def restrict_sorts(alg: FinAlgebra, delta: Iterable[Sort]) -> FinAlgebra:
-    """Keep only the elements whose sort lies in ``delta``; products that
-    mention a dropped sort disappear with them, over the monad that
-    ``Monad.restricted`` gives (a tree algebra's arity cap falls to the
-    largest sort kept).  A tree shape whose arguments are all kept but
-    whose result sort, below that cap, is dropped has no table to hold
-    it, and construction raises."""
+    """Keep only the elements whose sort lies in ``delta``, and the entries
+    that mention only them, over the monad that ``Monad.restricted`` gives
+    (a tree algebra's arity cap falls to the largest sort kept).  The kept
+    sorts must be closed under each op that keeps a result sort: where a
+    shape takes kept, nonempty sorts to a dropped one, ValueError names
+    that sort before anything is built.  (An op with no kept result sort
+    goes, as omega does when an omega algebra keeps its finite sort.)  Of
+    the nonempty subsets of {0, 1, 2, 3}, only {0, 1, 3} raises on a tree
+    algebra of cap 3: a head of sort 3 on sorts 0, 1, 1 lands in sort 2."""
     ds = set(delta)
+    monad = alg.monad.restricted(ds)
+    kept = {s for s in alg.carrier.sorts if s in ds and alg.elements(s)}
+    live = {op for op, _, result in monad.signature if result in kept}
+    for op, args, result in monad.signature:
+        if op in live and result not in ds and kept.issuperset(args):
+            raise ValueError(f"the kept sorts {sorted(ds)} compose into the dropped sort {result}")
     keep = {e for e in alg.carrier if alg.carrier.sort_of(e) in ds}
-    return _restrict(alg, keep, alg.monad.restricted(ds))
+    return _restrict(alg, keep, monad)
 
 
 # -- congruence orderings ---------------------------------------------------------
@@ -914,7 +941,7 @@ def restrict_sorts(alg: FinAlgebra, delta: Iterable[Sort]) -> FinAlgebra:
 def is_congruence_ordering(alg: FinAlgebra, q: Preorder) -> bool:
     """Whether q contains the order of ``alg``'s carrier (a q over other
     elements raises ValueError) and is compatible with every product entry,
-    checked one argument position at a time (see ``_incompatibility``).  By
+    checked one argument position at a time (see ``_walk_rows``).  By
     associativity a deep violation decomposes into a chain of one-step
     replacements, so the shallow check is complete; that reduction is
     exercised by tests rather than taken on faith."""
@@ -927,39 +954,22 @@ def quotient_algebra(alg: FinAlgebra, q: Preorder) -> tuple[FinAlgebra, Morphism
 
     ``is_congruence_ordering`` walks the tables once, and the quotient is
     built without walking them again for monotonicity, because a compatible
-    preorder makes its tables monotone: [a] <= [a'] in the quotient means
-    a q a', so op(.., a, ..) q op(.., a', ..) by compatibility, that is
-    [op(.., a, ..)] <= [op(.., a', ..)].  (The quotient's entry at a tuple
-    of classes is the class of the entry at any tuple of representatives:
-    q-equivalent representatives give q-equivalent values, by the same
-    argument both ways.)  Totality and result sorts are still checked.
-
-    When every class is a singleton, each named by its element, the
-    quotient's tables are the source's, entry for entry: it shares them,
-    read-only, under the order of ``q``, and checks nothing again (the
-    source's construction checked totality and sorts).  The walk of
-    ``is_congruence_ordering`` still runs: it is the certificate."""
+    preorder makes its tables monotone: a q a' gives op(.., a, ..) q
+    op(.., a', ..).  (So the quotient's entry at a tuple of classes is the
+    class of the entry at any tuple of representatives.)  Its integer
+    tables are the source's carried to the class indices (``_mapped``).
+    When every class is a singleton, the quotient is a copy of the source
+    under the order of ``q``, sharing its tables and label views; the walk
+    still runs as the certificate."""
     if not is_congruence_ordering(alg, q):
         raise NotCongruence(None, "preorder fails shallow compatibility")
     Q, qfn = quotient_set(alg.carrier, q)
-    cls = qfn.mapping
     if len(Q) == len(alg.carrier):
-        quot = FinAlgebra.__new__(FinAlgebra)
-        quot.monad, quot.carrier, quot.kind = alg.monad, Q, alg.kind
-        quot.tables, quot._read = alg.tables, alg._read
+        quot = copy.copy(alg)
+        quot.carrier = Q
     else:
-        of = [cls[e] for e in alg._ints.elems]  # the class of each element index
-        quot = _build(
-            alg.monad,
-            Q,
-            (
-                (op, _image(cls, args), cls[value])
-                if table is None
-                else (op, tuple([of[d] for d in args]), of[value])
-                for op, table, args, _, value in alg._ints.entries
-            ),
-            monotone=True,
-        )
+        cls = list(map(Q._index.__getitem__, map(qfn.mapping.__getitem__, alg.carrier)))
+        quot = _build(alg.monad, Q, *_mapped(alg, cls, len(Q)), monotone=True)
     return quot, Morphism(alg, quot, qfn)
 
 

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .algebra import Recognizer, _IntTables, word_algebra
+from .algebra import Recognizer, _word_algebra_of_columns
 from .core import SortedOrderedSet
 from .monads import SORT_WORD
 
@@ -339,17 +339,15 @@ def dfa_to_recognizer(dfa: Dfa) -> Recognizer:
 
     The elements are found two-sided, breadth first: the distinct letter
     maps, then, for each element t in turn and each letter map g, t.g and
-    g.t, each kept if new (a dict finds it).  This discovery order is the
-    carrier order, and it fixes the element names of every report.  Each
-    element but a letter map records how it was first found, t.g or g.t
-    for an earlier t, and the right multiplications by the letters are
-    kept (the right Cayley graph).  The product table is then filled
-    column by column in carrier order, after Froidure and Pin (1997), with
-    one lookup per entry and no composition: for a column t = t'.g, s.t is
-    (s.t').g, read in the right Cayley graph; for t = g.t', s.t is (s.g).t',
-    read in the earlier column of t'.  The algebra keeps those columns as
-    its integer view (``FinAlgebra._ints``), so nothing downstream numbers
-    the elements again."""
+    g.t, each kept if new.  This discovery order is the carrier order, and
+    it fixes the element names of every report.  Each element but a letter
+    map records how it was first found, t.g or g.t for an earlier t, and
+    the right Cayley graph is kept.  The product table is then filled
+    column by column, after Froidure and Pin (1997), with one lookup per
+    entry: for a column t = t'.g, s.t is (s.t').g, read in the right Cayley
+    graph; for t = g.t', s.t is (s.g).t', read in the earlier column of t'.
+    The algebra is built from those integer columns, with no label table
+    (``algebra._word_algebra_of_columns``)."""
     letter_maps = {
         c: tuple(dfa.trans[(q, c)] for q in range(dfa.n_states))
         for c in dfa.alphabet
@@ -377,7 +375,6 @@ def dfa_to_recognizer(dfa: Dfa) -> Recognizer:
                     row.append(i)
         right.append(row)
     carrier = SortedOrderedSet({SORT_WORD: elems})
-    n = len(elems)
     columns = []  # columns[t][s]: the index of elems[s].elems[t]
     for t, how in enumerate(found):
         if how is None:  # a letter map
@@ -389,15 +386,7 @@ def dfa_to_recognizer(dfa: Dfa) -> Recognizer:
             columns.append([right[su][g] for su in column])
         else:
             columns.append([column[row[g]] for row in right])
-    # the index of s.t for s major, then t, by the code s + t n of (s, t),
-    # as ``_IntTables`` codes it
-    values = list(itertools.chain.from_iterable(zip(*columns)))
-    codes = dict(zip([s + t * n for s in range(n) for t in range(n)], values))
-    pairs = itertools.product(elems, repeat=2)
-    alg = word_algebra(carrier, dict(zip(pairs, map(elems.__getitem__, values))))
-    args = itertools.product(range(n), repeat=2)
-    entries = list(zip(itertools.repeat("mult"), itertools.repeat(codes), args, codes, values))
-    alg._ints = _IntTables.given(carrier, {("mult", 2, ()): codes}, entries)
+    alg = _word_algebra_of_columns(carrier, columns)
     alphabet = SortedOrderedSet({SORT_WORD: list(dfa.alphabet)})
     accepting = frozenset(t for t in elems if t[dfa.start] in dfa.accepting)
     return Recognizer(alphabet, alg, dict(letter_maps), accepting)

@@ -367,8 +367,3 @@ def upward_closure(A: SortedOrderedSet, X: Iterable[Elem]) -> frozenset:
 def is_upward_closed(A: SortedOrderedSet, X: Iterable[Elem]) -> bool:
     xs = frozenset(X)
     return upward_closure(A, xs) == xs
-
-
-def strip_order(A: SortedOrderedSet) -> SortedOrderedSet:
-    """The same elements with the trivial order on every sort."""
-    return SortedOrderedSet({s: A.elements(s) for s in A.sorts})

@@ -62,9 +62,9 @@ from .algebra import (
     Morphism,
     NotCongruence,
     Recognizer,
+    _columns,
     _fold,
     _raw_up,
-    eval_element,
     generated_tuples,
     quotient_algebra,
     subalgebra_generated,
@@ -189,12 +189,6 @@ def context_to_str(ctx: Context, name=str) -> str:
 # -- applying and composing contexts ---------------------------------------------
 
 
-def context_apply(alg: FinAlgebra, ctx: Context, a: Elem) -> Elem:
-    """Evaluate the context with the hole replaced by ``a``: its free element
-    over the carrier, each label standing for itself and the hole for ``a``."""
-    return eval_element(alg, lambda x: a if x is HOLE else x, ctx.term)
-
-
 def context_compose(outer: Context, inner: Context) -> Context:
     """The context outer[inner]: apply inner first, then outer.  Its term
     is inner's term plugged into outer, every other label standing for its
@@ -277,13 +271,12 @@ def _step_arrays(alg: FinAlgebra, generators: Optional[tuple] = None) -> list[tu
     """The steps of ``_one_step_functions`` over the carrier's numbering,
     each as a pair of int arrays: the indices of its hole sort, one run of
     the numbering, and the index of each one's value, read from the
-    algebra's integer tables (``FinAlgebra._ints``).  No witness is built
+    algebra's integer tables (``algebra._columns``).  No witness is built
     and nothing is sorted.  A step whose table repeats an earlier one's
     over the same hole sort is left out: ``_pair_depths`` finds the same
     layers over any list of the same distinct tables, since a layer is the
     set of pairs that some step maps one layer down."""
-    A, view = alg.carrier, alg._ints
-    index, n = view.index, len(view.elems)
+    A, index = alg.carrier, alg.carrier._index
     runs = {s: range(index[es[0]], index[es[0]] + len(es)) for s in A.sorts if (es := A.elements(s))}
     pool = dict(runs)
     if generators is not None:
@@ -291,17 +284,11 @@ def _step_arrays(alg: FinAlgebra, generators: Optional[tuple] = None) -> list[tu
     seen: set = set()
     out: list[tuple] = []
     for op, sorts, _ in alg.monad.signature:
-        get = view.tables.get((op, len(sorts), ()), {}).get
         for i, hole_sort in enumerate(sorts):
             hole = runs.get(hole_sort, ())
-            weight = n**i  # the hole's place in an argument code
-            # the fixed arguments, each scaled by its place, in every
-            # combination
-            pools = [[d * n**j for d in pool.get(s, ())] for j, s in enumerate(sorts)]
-            pools[i] = (0,)
-            for fixed in itertools.product(*pools):
-                base = sum(fixed)
-                values = [get(base + x * weight) for x in hole]
+            pools = [pool.get(s, ()) for s in sorts]
+            pools[i] = hole
+            for values in _columns(alg, op, sorts, i, pools):
                 if values and None not in values:
                     key = (hole_sort, tuple(values))
                     if key not in seen:

@@ -51,6 +51,10 @@ before the class-vector groups grew one letter at a time; here its
 before it closed the subsets as bitmasks; verdicts and the sequence of
 preorders must agree.
 
+``context_apply`` evaluates a context at an element through
+``eval_element``, the definition the context laws are tested against; the
+package itself applies contexts only as one-step tables.
+
 ``semigroup_tables`` tests every table on range(n) for associativity, as
 ``lawsuite.small_semigroups`` did before it filled the cells by
 backtracking; the lists of tables must be equal, order included."""
@@ -58,7 +62,7 @@ backtracking; the lists of tables must be equal, order included."""
 import heapq
 import itertools
 
-from emalg.algebra import VAR, _entries, _places, subalgebra_generated
+from emalg.algebra import VAR, _entries, _places, eval_element, subalgebra_generated
 from emalg.automata import Dfa, _renumber
 from emalg.core import Preorder, SortedFunction, SortedOrderedSet
 from emalg.logic import (
@@ -68,6 +72,7 @@ from emalg.logic import (
     cached_theory_algebra,
     ef_type,
 )
+from emalg.monads import HOLE
 from emalg.syntactic import _one_step_functions, _pair_depths
 
 
@@ -507,6 +512,12 @@ def all_preorders(carrier):
         if q.pairs() not in seen:
             seen.add(q.pairs())
             yield q
+
+
+def context_apply(alg, ctx, a):
+    """Evaluate the context with the hole replaced by ``a``: its free element
+    over the carrier, each label standing for itself and the hole for ``a``."""
+    return eval_element(alg, lambda x: a if x is HOLE else x, ctx.term)
 
 
 def semigroup_tables(n):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from emalg import algebra
 from emalg.algebra import (
     VAR,
     FinAlgebra,
@@ -17,7 +18,6 @@ from emalg.algebra import (
     morphism,
     one_element_algebra,
     product,
-    projections,
     quotient_algebra,
     restrict_sorts,
     subalgebra_generated,
@@ -195,8 +195,8 @@ def test_product_and_projections():
     p = product([z2, z2])
     assert len(p.carrier) == 4
     assert p.mult[((1, 0), (1, 1))] == (0, 1)
-    for proj in projections(p, [z2, z2]):
-        assert is_morphism(proj.fn, p, z2)
+    for i in range(2):  # each projection
+        assert is_morphism({x: x[i] for x in p.carrier}, p, z2)
     only = product([z2])
     assert len(only.carrier) == 2
 
@@ -319,6 +319,32 @@ def test_restrict_sorts_lowers_the_tree_arity_cap():
     assert mid.comp[((1, False), ((2, True),))] == (2, True)
     assert check_algebra_laws(mid).ok
     assert restrict_sorts(tree, {0, 3}).monad is tree.monad
+
+
+def test_restrict_sorts_on_every_subset_of_four_sorts(monkeypatch):
+    """Of the 15 nonempty subsets of {0, 1, 2, 3}, 14 restrict a tree
+    algebra of cap 3 to the elements of the kept sorts.  {0, 1, 3} is
+    rejected by name before anything is built: a head of sort 3 with slots
+    of sorts 0, 1 and 1 composes into the dropped sort 2."""
+    tree = bool_tree_algebra(3)
+    kept = []
+    for k in range(1, 5):
+        for ds in itertools.combinations(range(4), k):
+            if ds == (0, 1, 3):
+                continue
+            sub = restrict_sorts(tree, set(ds))
+            assert set(sub.carrier) == {e for e in tree.carrier if e[0] in ds}
+            assert sub.monad.max_arity == max(ds)
+            assert check_algebra_laws(sub).ok
+            kept.append(ds)
+    assert len(kept) == 14
+
+    def built(*args):
+        raise AssertionError("the restriction was built")
+
+    monkeypatch.setattr(algebra, "_restrict", built)
+    with pytest.raises(ValueError, match="compose into the dropped sort 2"):
+        restrict_sorts(tree, {0, 1, 3})
 
 
 def test_eval_is_morphism_on_random_nestings():

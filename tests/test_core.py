@@ -12,7 +12,6 @@ from emalg.core import (
     is_upward_closed,
     kernel,
     quotient_set,
-    strip_order,
     upward_closure,
 )
 
@@ -120,14 +119,6 @@ def test_upward_closure():
     assert upward_closure(trivial, {"a"}) == {"a"}
     assert is_upward_closed(A, {1, 2})
     assert not is_upward_closed(A, {1})
-
-
-def test_strip_order():
-    A = chain01()
-    S = strip_order(A)
-    assert S.is_trivially_ordered()
-    assert S.same_elements(A)
-    assert strip_order(S) == S
 
 
 def _random_preorder_cases():

@@ -33,9 +33,9 @@ from emalg.syntactic import (
     OmegaContext,
     TreeContext,
     WordContext,
-    context_apply,
     context_to_str,
 )
+from tests._reference import context_apply
 from tests._samplers import rand_recognizer
 from tests.test_algebra import bool_tree_algebra, zmod
 from tests.test_algebra_tables import _recognizers

@@ -14,8 +14,8 @@ from emalg.algebra import (
     FinAlgebra,
     _entries,
     _generating_edges,
-    _incompatibility,
     _places,
+    product,
     word_algebra,
 )
 from emalg.core import (
@@ -39,7 +39,14 @@ from tests.test_algebra_tables import (
     diagonal_bare_slot_algebra,
     ordered_bool_tree_algebra,
 )
-from tests.test_generator_steps import all_upsets, congruences, count_cap_omega, family, run_cli
+from tests.test_generator_steps import (
+    all_upsets,
+    congruences,
+    count_cap_omega,
+    family,
+    incompatibility,
+    run_cli,
+)
 
 # -- pins recorded before the tables were numbered ---------------------------------------
 
@@ -184,7 +191,7 @@ def test_the_int_walk_returns_the_reference_witness():
     found = compatible = bare = 0
     for alg, q in _cases():
         for rel in (q.pairs(), alg.carrier.leq_pairs()):
-            got = _incompatibility(alg, rel)
+            got = incompatibility(alg, rel)
             assert got == _reference.incompatibility(alg, rel), (alg, q)
             if got is None:
                 compatible += 1
@@ -251,7 +258,7 @@ def test_the_edge_walk_is_the_reference_walk_across_classes():
     # find every violation that reaches a class above through a class-mate
     found = compatible = bare = 0
     for alg, q in _preorders_with_classes():
-        got = _incompatibility(alg, q.pairs())
+        got = incompatibility(alg, q.pairs())
         assert got == _reference.incompatibility(alg, q.pairs()), (alg, q)
         if got is None:
             compatible += 1
@@ -321,9 +328,12 @@ def test_the_stored_rows_are_the_rows_of_the_pairs():
 def test_the_int_tables_use_the_carriers_numbering():
     algs = {id(alg): alg for alg, _ in _cases()}  # each algebra once
     for alg in algs.values():
-        view = alg._ints
-        assert view.index is alg.carrier._index and view.elems is alg.carrier._by_index
-        assert view.index == {e: i for i, e in enumerate(alg.carrier)}
+        index, n = alg.carrier._index, len(alg.carrier)
+        assert index == {e: i for i, e in enumerate(alg.carrier)}
+        for op, args, value in _entries(alg):
+            bare = tuple(k for k, a in enumerate(args) if a is VAR)
+            code = sum(index[a] * n**k for k, a in enumerate(args) if a is not VAR)
+            assert alg._coded[(op, len(args), bare)][code] == index[value]
     assert len(algs) > 150
 
 
@@ -342,14 +352,17 @@ def test_upward_closure_is_the_pairwise_definition():
     assert closed > 50
 
 
-# -- the view itself ---------------------------------------------------------------------
+# -- the integer tables ------------------------------------------------------------------
 
 
-def test_an_unordered_algebra_builds_no_view():
-    alg = bool_tree_algebra(with_var_slots=True)
-    assert "_ints" not in vars(alg)
-    assert _incompatibility(alg, alg.carrier.leq_pairs()) is None
-    assert "_ints" not in vars(alg)
+def test_the_walk_builds_no_label_view():
+    """The walk reads the integer tables: a product, built from them, keeps
+    its label tables undecoded through its construction's walk and another."""
+    for alg in (product([bool_tree_algebra(with_var_slots=True)]), product([ordered_bool_tree_algebra()])):
+        assert not {"_labelled", "tables"} & set(vars(alg))
+        assert incompatibility(alg, alg.carrier.leq_pairs()) is None
+        assert not {"_labelled", "tables"} & set(vars(alg))
+    assert not product([ordered_bool_tree_algebra()]).carrier.is_trivially_ordered()
 
 
 def test_the_view_codes_every_entry_under_its_place():
@@ -361,15 +374,13 @@ def test_the_view_codes_every_entry_under_its_place():
         count_cap_omega(2),
         rand_transformation_algebra(random.Random(2)),
     ):
-        view = alg._ints
-        assert view.elems == list(alg.carrier)
-        n, coded = len(view.elems), 0
+        index, n, coded = alg.carrier._index, len(alg.carrier), 0
         for op, args, value in _entries(alg):
             bare = tuple(k for k, a in enumerate(args) if a is VAR)
-            code = sum(view.index[a] * n**k for k, a in enumerate(args) if a is not VAR)
-            assert view.tables[(op, len(args), bare)][code] == view.index[value]
+            code = sum(index[a] * n**k for k, a in enumerate(args) if a is not VAR)
+            assert alg._coded[(op, len(args), bare)][code] == index[value]
             coded += 1
-        assert coded == sum(map(len, view.tables.values()))
+        assert coded == sum(map(len, alg._coded.values()))
         # the places, worked out from the labels: every pattern of bare
         # slots but the all-bare one of the unit law
         assert _places(alg) == sorted(

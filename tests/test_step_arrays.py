@@ -1,5 +1,5 @@
 """The pair search over distinct integer steps, contexts built only where
-they are printed, and the integer view a DFA recognizer hands over."""
+they are printed, and the integer tables a DFA recognizer is built from."""
 
 import contextlib
 import io
@@ -8,7 +8,7 @@ import itertools
 import pytest
 
 from emalg import algebra, cli, syntactic
-from emalg.algebra import Recognizer, _IntTables
+from emalg.algebra import Recognizer, word_algebra
 from emalg.automata import dfa_to_recognizer, parse_regex
 from emalg.core import Preorder, SortedOrderedSet, upward_closure
 from emalg.lawsuite import corpus_languages, exists_a, finitely_many_a, ordered_finitely_many_a
@@ -138,7 +138,7 @@ def test_distinct_steps_give_the_witnessed_steps_preorder_and_depths():
     assert searches > 150 and dropped > 0
 
 
-# -- the integer view a DFA recognizer hands over -------------------------------------
+# -- the integer tables a DFA recognizer is built from ----------------------------------
 
 
 def _dfa_algebras():
@@ -149,15 +149,12 @@ def _dfa_algebras():
             yield dfa_to_recognizer(parse_regex(family(letter, k))).algebra
 
 
-def test_the_handed_view_is_the_view_of_the_labels():
+def test_the_column_tables_are_the_coded_labels():
+    """The tables ``dfa_to_recognizer`` codes from its columns are those
+    that coding its label view gives, entry order included: the walk's
+    first witness reads them in that order."""
     for alg in _dfa_algebras():
-        handed = vars(alg)["_ints"]  # set by dfa_to_recognizer, not built lazily
-        rebuilt = _IntTables(alg)
-        assert handed.elems is alg.carrier._by_index and handed.index is alg.carrier._index
-        assert handed.elems == rebuilt.elems and handed.index == rebuilt.index
-        assert handed.tables == rebuilt.tables
-        for table in handed.tables:
-            assert list(handed.tables[table]) == list(rebuilt.tables[table])
-        # entries in ``_entries`` order: the walk's first witness reads them so
-        assert [e[:1] + e[2:] for e in handed.entries] == [e[:1] + e[2:] for e in rebuilt.entries]
-        assert all(e[1] is handed.tables[(e[0], len(e[2]), ())] for e in handed.entries)
+        rebuilt = word_algebra(alg.carrier, alg.mult)
+        assert list(alg._coded) == list(rebuilt._coded) == [("mult", 2, ())]
+        for place, table in alg._coded.items():
+            assert list(table.items()) == list(rebuilt._coded[place].items())

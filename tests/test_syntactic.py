@@ -29,7 +29,6 @@ from emalg.syntactic import (
     TreeContext,
     WordContext,
     _separating_context,
-    context_apply,
     context_compose,
     context_to_str,
     decompose_as_derivatives,
@@ -39,7 +38,7 @@ from emalg.syntactic import (
     syntactic_algebra,
     syntactic_preorder,
 )
-from tests._reference import separation_layers
+from tests._reference import context_apply, separation_layers
 from tests._samplers import rand_recognizer
 
 

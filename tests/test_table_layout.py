@@ -1,18 +1,24 @@
-"""The stored table layout: one read-only mapping per op, keyed by the flat
-argument tuple of each entry, converted once from the keyword tables and
-shown back in their shapes."""
+"""The stored table layout: integer tables, coded once from the keyword
+tables or written directly by the internal constructions, and shown back
+as one read-only mapping per op, keyed by the flat argument tuple of each
+entry, and in the keyword shapes."""
 
 import pytest
 
+from emalg import algebra, lawsuite
 from emalg.algebra import (
     _OPS,
     FinAlgebra,
     _entries,
     eval_element,
     is_congruence_ordering,
+    one_element_algebra,
+    product,
     quotient_algebra,
+    restrict_sorts,
     word_algebra,
 )
+from emalg.automata import dfa_to_recognizer, parse_regex
 from emalg.core import Preorder, SortedOrderedSet
 from emalg.lawsuite import (
     cover_corpus,
@@ -21,9 +27,11 @@ from emalg.lawsuite import (
     ordered_finitely_many_a,
     small_semigroups,
 )
-from emalg.monads import SORT_WORD, Word
+from emalg.monads import OMEGA_UP, SORT_FIN, SORT_WORD, Word, tree_monad
+from emalg.syntactic import syntactic_algebra
 from tests.test_algebra import bool_tree_algebra
-from tests.test_algebra_tables import _closure_cases, _small_algebras
+from tests.test_algebra_tables import _closure_cases, _recognizers, _small_algebras
+from tests.test_generator_steps import family, run_cli
 
 
 def _library():
@@ -34,6 +42,21 @@ def _library():
     yield from cover_corpus().values()
     for make in (finitely_many_a, exists_a, ordered_finitely_many_a):
         yield make()[0]
+    yield from _integer_built()
+
+
+def _integer_built():
+    """Algebras that the internal constructions write as integer tables: a
+    DFA recognizer's, quotients, restrictions, products and terminal
+    algebras, bare slots and orders included."""
+    yield dfa_to_recognizer(parse_regex(family("a", 3))).algebra
+    for rec in _recognizers():
+        yield syntactic_algebra(rec).syn_algebra
+    tv = bool_tree_algebra(3, with_var_slots=True)
+    yield from (restrict_sorts(tv, {0, 1}), restrict_sorts(tv, {1, 3}))
+    yield restrict_sorts(finitely_many_a()[0], {SORT_FIN})
+    yield from (product([tv, bool_tree_algebra(3)]), product([ordered_finitely_many_a()[0]] * 2))
+    yield from (one_element_algebra(OMEGA_UP), one_element_algebra(tree_monad(2)))
 
 
 def _old_shape(op: str, table) -> list:
@@ -54,8 +77,44 @@ def test_the_keyword_tables_round_trip_through_the_stored_layout():
             assert list(views[op].items()) == _old_shape(op, alg.tables[op]), op
         rebuilt = FinAlgebra(alg.monad, alg.carrier, **views)
         assert list(_entries(rebuilt)) == list(_entries(alg))
+        # coding the view gives the stored tables back, entry order included
+        assert rebuilt._order == alg._order
+        assert [list(t.items()) for t in rebuilt._coded.values()] == [
+            list(alg._coded[place].items()) for place in rebuilt._coded
+        ]
         count += 1
-    assert count > 50
+    assert count > 60
+
+
+def _count_codings(monkeypatch) -> tuple:
+    """Record each label -> integer coding and each algebra built from
+    label tables."""
+    codings, label_built = [], []
+    encode, init = algebra._encode, FinAlgebra.__init__
+
+    def counted_encode(carrier, tables):
+        codings.append(carrier)
+        return encode(carrier, tables)
+
+    def counted_init(self, *args, **kwargs):
+        label_built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(algebra, "_encode", counted_encode)
+    monkeypatch.setattr(FinAlgebra, "__init__", counted_init)
+    return codings, label_built
+
+
+def test_label_tables_are_coded_once_per_label_built_algebra(monkeypatch):
+    """The word pipeline builds every algebra from integer tables, and the
+    canonical covers code each corpus algebra once: quotients,
+    restrictions and products are written as integers."""
+    codings, label_built = _count_codings(monkeypatch)
+    for command in ("syn", "decompose"):
+        assert run_cli(command, family("a", 4))[0] == 0
+    assert codings == label_built == []
+    assert lawsuite.check_canonical_covers().ok
+    assert len(codings) == len(label_built) > 0
 
 
 def _constant_word_algebra():
