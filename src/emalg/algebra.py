@@ -133,6 +133,14 @@ class FinAlgebra:
                 raise ValueError(f"{bad[0]} not monotone at {bad[1]!r} vs {bad[2]!r}")
 
     @functools.cached_property
+    def _memo(self) -> dict:
+        """What the library derives from this algebra and an ordered tuple of
+        its elements alone, keyed by (function, arguments...): see
+        ``_per_algebra``.  It lives as long as the algebra, and the copy
+        that ``quotient_algebra`` makes under another order starts empty."""
+        return {}
+
+    @functools.cached_property
     def _labelled(self) -> dict:
         """The label tables (op -> flat argument tuple -> value): the keyword
         tables it was built from, else decoded in label order on first use."""
@@ -225,6 +233,23 @@ class FinAlgebra:
 
     def __repr__(self):
         return f"FinAlgebra({self.kind}, {len(self.carrier)} elements)"
+
+
+def _per_algebra(fn):
+    """``fn(alg, *args)``, memoised on ``alg`` (``FinAlgebra._memo``) by
+    ``fn`` and the hashable ``args``, for a result that depends on nothing
+    else.  Callers share the result and must not mutate it.  The memo sits
+    inside the function, so replacing a module's function replaces its
+    memo too."""
+
+    @functools.wraps(fn)
+    def memoised(alg: FinAlgebra, *args):
+        memo, key = alg._memo, (fn, *args)
+        if key not in memo:
+            memo[key] = fn(alg, *args)
+        return memo[key]
+
+    return memoised
 
 
 # -- the table view -------------------------------------------------------------
@@ -710,7 +735,25 @@ def _closure(alg: FinAlgebra, start: dict) -> dict:
 def subalgebra_generated(alg: FinAlgebra, gens: Iterable[Elem]) -> GeneratedSubalgebra:
     """Least product-closed subset containing ``gens``, with the inherited
     order and restricted tables; each element's witness is a free element
-    over the generators themselves that evaluates to it (see ``_closure``)."""
+    over the generators themselves that evaluates to it (see ``_closure``).
+
+    The closure is memoised on ``alg`` by the tuple of ``gens``
+    (``_per_algebra``): a repeated call shares the subalgebra, and so what
+    is memoised on that, and gets its own copy of the witnesses."""
+    sub, wit = _generated(alg, tuple(gens))
+    if sub is None:
+        sub = alg
+    incl = Morphism(
+        sub, alg, SortedFunction(sub.carrier, alg.carrier, {e: e for e in sub.carrier})
+    )
+    return GeneratedSubalgebra(sub, incl, dict(wit))
+
+
+@_per_algebra
+def _generated(alg: FinAlgebra, gens: tuple) -> tuple:
+    """The subalgebra that ``gens`` generate, None when it is ``alg`` itself
+    (so that the memo holds no reference back to ``alg`` and the algebra is
+    freed as soon as it is dropped), and the witnesses."""
     monad = alg.monad
     start = {}
     for g in gens:
@@ -721,10 +764,7 @@ def subalgebra_generated(alg: FinAlgebra, gens: Iterable[Elem]) -> GeneratedSuba
             start[g] = monad.sing(g, sort)
     wit = _closure(alg, start)
     sub = _restrict(alg, set(wit), monad)
-    incl = Morphism(
-        sub, alg, SortedFunction(sub.carrier, alg.carrier, {e: e for e in sub.carrier})
-    )
-    return GeneratedSubalgebra(sub, incl, wit)
+    return (None if sub is alg else sub), wit
 
 
 def _restrict(alg: FinAlgebra, keep: set, monad: Monad) -> FinAlgebra:
@@ -967,6 +1007,7 @@ def quotient_algebra(alg: FinAlgebra, q: Preorder) -> tuple[FinAlgebra, Morphism
     if len(Q) == len(alg.carrier):
         quot = copy.copy(alg)
         quot.carrier = Q
+        quot.__dict__.pop("_memo", None)  # derived under the source's order
     else:
         cls = list(map(Q._index.__getitem__, map(qfn.mapping.__getitem__, alg.carrier)))
         quot = _build(alg.monad, Q, *_mapped(alg, cls, len(Q)), monotone=True)
@@ -994,9 +1035,14 @@ class Recognizer:
             if c not in self.assignment:
                 raise ValueError(f"letter {c!r} unassigned")
             v = self.assignment[c]
+            if v not in self.algebra.carrier:
+                raise ValueError(f"letter {c!r} is assigned {v!r}, which is not in the carrier")
             if self.alphabet.sort_of(c) != self.algebra.carrier.sort_of(v):
                 raise ValueError(f"assignment of {c!r} does not preserve sorts")
         self.accepting = frozenset(self.accepting)
+        outside = sorted((p for p in self.accepting if p not in self.algebra.carrier), key=repr)
+        if outside:
+            raise ValueError(f"accepting element {outside[0]!r} is not in the carrier")
         sorts = {self.algebra.carrier.sort_of(p) for p in self.accepting}
         if len(sorts) > 1:
             raise ValueError("accepting set must sit inside one sort")

@@ -40,8 +40,8 @@ would list first.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import weakref
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
@@ -64,6 +64,7 @@ from .algebra import (
     Recognizer,
     _columns,
     _fold,
+    _per_algebra,
     _raw_up,
     generated_tuples,
     quotient_algebra,
@@ -229,6 +230,7 @@ class ContextFunction:
         )
 
 
+@_per_algebra
 def _one_step_functions(
     alg: FinAlgebra, generators: Optional[tuple] = None
 ) -> list[ContextFunction]:
@@ -243,7 +245,8 @@ def _one_step_functions(
     a gap (an op with nowhere to land has no entries), is left out.  Sorted
     by source sort, target sort and witness text, so the order does not
     depend on how the steps were found.  The pair search itself runs over
-    ``_step_arrays``, the same steps with no witness."""
+    ``_step_arrays``, the same steps with no witness.  Memoised on the
+    algebra (``_per_algebra``)."""
     A, cls = alg.carrier, _CONTEXT[alg.kind]
     pool = {s: A.elements(s) for s in A.sorts}
     if generators is not None:
@@ -267,7 +270,8 @@ def _one_step_functions(
     return out
 
 
-def _step_arrays(alg: FinAlgebra, generators: Optional[tuple] = None) -> list[tuple]:
+@_per_algebra
+def _step_arrays(alg: FinAlgebra, generators: Optional[tuple] = None) -> _StepArrays:
     """The steps of ``_one_step_functions`` over the carrier's numbering,
     each as a pair of int arrays: the indices of its hole sort, one run of
     the numbering, and the index of each one's value, read from the
@@ -275,7 +279,9 @@ def _step_arrays(alg: FinAlgebra, generators: Optional[tuple] = None) -> list[tu
     and nothing is sorted.  A step whose table repeats an earlier one's
     over the same hole sort is left out: ``_pair_depths`` finds the same
     layers over any list of the same distinct tables, since a layer is the
-    set of pairs that some step maps one layer down."""
+    set of pairs that some step maps one layer down.  Memoised on the
+    algebra (``_per_algebra``), with the inverse tables that
+    ``_pair_depths`` builds from the steps."""
     A, index = alg.carrier, alg.carrier._index
     runs = {s: range(index[es[0]], index[es[0]] + len(es)) for s in A.sorts if (es := A.elements(s))}
     pool = dict(runs)
@@ -294,20 +300,38 @@ def _step_arrays(alg: FinAlgebra, generators: Optional[tuple] = None) -> list[tu
                     if key not in seen:
                         seen.add(key)
                         out.append((hole, values))
-    return out
+    return _StepArrays(out, len(A))
 
 
-_saturation_cache: "weakref.WeakKeyDictionary[FinAlgebra, dict]" = (
-    weakref.WeakKeyDictionary()
-)
+class _StepArrays(list):
+    """Steps as ``_pair_depths`` takes them, over a numbering of ``n``
+    elements, with the inverse tables it reads: for each element x, one
+    (preimage of x scaled by n, inverse table of the step) per step that
+    reaches x, in step order."""
+
+    def __init__(self, steps, n: int):
+        super().__init__(steps)
+        self.n = n
+
+    @functools.cached_property
+    def preimages(self) -> list[list]:
+        n = self.n
+        preimages: list[list] = [[] for _ in range(n)]
+        for sources, values in self:
+            inverse: list[list] = [[] for _ in range(n)]
+            for e, v in zip(sources, values):
+                inverse[v].append(e)
+            for x, pre in enumerate(inverse):
+                if pre:
+                    preimages[x].append(([i * n for i in pre], inverse))
+        return preimages
 
 
+@_per_algebra
 def saturate_all(alg: FinAlgebra) -> dict[tuple[Sort, Sort], list[ContextFunction]]:
     """All context functions of the algebra, grouped by (source, target) sort
-    pair, in deterministic BFS discovery order."""
-    cached = _saturation_cache.get(alg)
-    if cached is not None:
-        return cached
+    pair, in deterministic BFS discovery order.  Memoised on the algebra
+    (``_per_algebra``)."""
     A = alg.carrier
     steps = _one_step_functions(alg)
     by_source: dict[Sort, list[ContextFunction]] = {}
@@ -336,7 +360,6 @@ def saturate_all(alg: FinAlgebra) -> dict[tuple[Sort, Sort], list[ContextFunctio
     grouped: dict[tuple[Sort, Sort], list[ContextFunction]] = {}
     for fn in found.values():
         grouped.setdefault((fn.source_sort, fn.target_sort), []).append(fn)
-    _saturation_cache[alg] = grouped
     return grouped
 
 
@@ -367,16 +390,9 @@ def _pair_depths(alg: FinAlgebra, P: frozenset, sort: Sort, steps) -> tuple[list
     # integer i * n + j
     elems, index = A._by_index, A._index
     n = len(elems)
-    # for each element x, one (preimage of x scaled by n, inverse table of
-    # the step) per step that reaches x, in step order
-    preimages: list[list] = [[] for _ in elems]
-    for sources, values in steps:
-        inverse: list[list] = [[] for _ in elems]
-        for e, v in zip(sources, values):
-            inverse[v].append(e)
-        for x, pre in enumerate(inverse):
-            if pre:
-                preimages[x].append(([i * n for i in pre], inverse))
+    if not isinstance(steps, _StepArrays):
+        steps = _StepArrays(steps, n)
+    preimages = steps.preimages
     depths = [-1] * (n * n)
     frontier = [
         index[a] * n + index[b]
@@ -405,6 +421,7 @@ def _pair_depths(alg: FinAlgebra, P: frozenset, sort: Sort, steps) -> tuple[list
     return elems, depths
 
 
+@_per_algebra
 def _generators(alg: FinAlgebra) -> Optional[tuple]:
     """Elements that generate the monad's ``generated_sort`` of ``alg``
     under its binary op, or None if the monad declares no such sort.
@@ -412,7 +429,7 @@ def _generators(alg: FinAlgebra) -> Optional[tuple]:
     In carrier order, an element joins when the closure of the ones before
     it misses it.  The closure multiplies by the generators on either side,
     which by associativity reaches every product of them: 2 reads per
-    generator and element."""
+    generator and element.  Memoised on the algebra (``_per_algebra``)."""
     sort = alg.monad.generated_sort
     if sort is None:
         return None
@@ -581,6 +598,13 @@ def syntactic_algebra(rec: Recognizer) -> SyntacticResult:
 
     The shallow-compatibility reduction is re-verified on every run; a
     failure would indicate an implementation bug and is surfaced loudly.
+
+    Half of the work does not depend on the accepting set: the image
+    subalgebra (``subalgebra_generated``), its generators and its step
+    arrays.  It is memoised on the algebras themselves (``_per_algebra``),
+    so recognizers that share an algebra and an assignment, as the up-sets
+    of one algebra do, pay for it once; the search, its certificate and
+    the quotient run for each accepting set.
     """
     # generators in assignment order, not a set's, so that the witnesses do
     # not depend on the hash seed

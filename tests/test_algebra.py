@@ -508,6 +508,18 @@ def test_recognizer_validation():
         Recognizer(alphabet, chain, {"a": 1}, frozenset({0}))  # not upward closed
 
 
+def test_a_recognizer_names_an_assigned_value_outside_the_carrier():
+    alphabet = SortedOrderedSet({SORT_WORD: ["a"]})
+    with pytest.raises(ValueError, match="assigned 5, which is not in the carrier"):
+        Recognizer(alphabet, zmod(2), {"a": 5}, frozenset({1}))
+
+
+def test_a_recognizer_names_an_accepting_element_outside_the_carrier():
+    alphabet = SortedOrderedSet({SORT_WORD: ["a"]})
+    with pytest.raises(ValueError, match="accepting element 7 is not in the carrier"):
+        Recognizer(alphabet, zmod(2), {"a": 1}, frozenset({7}))
+
+
 def test_check_algebra_laws_flags_nonassociative_tree_composition():
     # comp(x; y) = y if x == p else p: comp(comp(q; q); q) = q but
     # comp(q; comp(q; q)) = p
