@@ -37,7 +37,7 @@ from .monads import (
     Word,
     tree_monad,
 )
-from .profinite import identity_library, satisfies_all
+from .profinite import identity_library, idempotent_power, satisfies_all
 from .syntactic import decompose_as_derivatives, factor_to_syntactic, syntactic_algebra
 from .varieties import canonical_cover, verify_cover_evaluation
 
@@ -631,21 +631,6 @@ def _all_preorders(carrier: SortedOrderedSet):
             yield Preorder(carrier, [p for k, p in enumerate(nonrefl) if mask >> k & 1])
 
 
-def _aperiodic(mult: dict, x) -> bool:
-    """x^w x = x^w, with x^w the idempotent power of x."""
-    powers = [x]
-    seen = {x}
-    p = x
-    while True:
-        p = mult[(p, x)]
-        if p in seen:
-            break
-        seen.add(p)
-        powers.append(p)
-    e = next(q for q in powers if mult[(q, q)] == q)
-    return mult[(e, x)] == e
-
-
 def _product_problems(p: FinAlgebra) -> list[str]:
     """One problem for each element of the word algebra ``p`` that fails
     x^w x = x^w.
@@ -654,11 +639,12 @@ def _product_problems(p: FinAlgebra) -> list[str]:
     its members does, and the cyclic subalgebra of x does iff x does: its
     members are powers of x and share x's idempotent power.  So the
     elements decide the identity for every subalgebra of ``p``."""
-    return [
-        "cyclic subalgebra of product not aperiodic"
-        for x in p.carrier
-        if not _aperiodic(p.mult, x)
-    ]
+    problems = []
+    for x in p.carrier:
+        e = idempotent_power(p, x)
+        if p.mult[(e, x)] != e:
+            problems.append("cyclic subalgebra of product not aperiodic")
+    return problems
 
 
 def check_mod_closure() -> CheckResult:

@@ -14,12 +14,14 @@ codes.  Types are hash-consed globally so fingerprints are cheap to compare
 across words; an id means nothing beyond equality with other ids.
 
 Rank-m equivalence is a right congruence, so a theory algebra is found
-along its right Cayley graph: each class pair it concatenates is one letter
-step from an entry already in its table, and each (class, letter) step is
-typed once.  The rank side of the definability decision walks the letter
-steps of the theory algebra and the syntactic algebra together, from the
-letter pairs; it types no word, and stops at the first class found on both
-sides of the language.
+along its right Cayley graph: it concatenates class pairs level by level,
+by the length of the concatenation, each pair is one letter step from an
+entry already in its table, and each (class, letter) step is typed once.
+The same congruence keeps every representative within the class count, so
+the class guard is the build's only size bound.  The rank side of the
+definability decision walks the letter steps of the theory algebra and the
+syntactic algebra together, from the letter pairs; it types no word, and
+stops at the first class found on both sides of the language.
 
 For words over a single letter the equivalence collapses to a length
 threshold.  The threshold follows from the same game analysis (gaps beyond a
@@ -31,13 +33,13 @@ tractable.
 
 from __future__ import annotations
 
-import heapq
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Union
 
-from .algebra import FinAlgebra, Recognizer, word_algebra
+from .algebra import FinAlgebra, Recognizer, _word_algebra_of_columns
 from .automata import Dfa, dfa_to_recognizer
 from .core import SortedOrderedSet, upward_closure
 from .monads import SORT_WORD, Word
@@ -215,12 +217,14 @@ def theory_algebra(alphabet: Iterable, m: int) -> TheoryAlgebra:
 
     Class discovery assumes rank equivalence is a congruence (every class is
     then a product of letter classes); that assumption is re-verified on
-    random samples at the end rather than trusted.  Each concatenation is
-    read as one step of the right Cayley graph from an entry already in the
-    table, and each (class, letter) step is typed once, so a build types at
-    most |letters| * (classes + 1) words.  Representative length is capped
-    at 2^{m+2}; exceeding the cap is a hard error, never a silent
-    truncation.
+    random samples at the end rather than trusted.  Class pairs are taken
+    level by level, the level being the length of the concatenation, and
+    each concatenation is read as one step of the right Cayley graph from an
+    entry already in the table, so a build types at most |letters| *
+    (classes + 1) words.  The class guard ``MAX_THEORY_CLASSES`` is the only
+    size bound: every proper prefix of a representative is the
+    representative of its own class, so no representative is longer than
+    the class count.
     """
     letters = _normalised_letters(alphabet)
     if not letters:
@@ -229,24 +233,24 @@ def theory_algebra(alphabet: Iterable, m: int) -> TheoryAlgebra:
         raise ValueError(f"rank {m} is negative")
     if m > MAX_THEORY_RANK:
         raise TheoryBoundExceeded(f"rank {m} is past any desk-scale use")
-    cap = 2 ** (m + 2)
 
     fp_class: dict = {}
     reps: list[tuple] = []
+    lengths: list[int] = []  # len(reps[k]), never decreasing as k grows
     # prefix[k]: the class of reps[k] without its last letter, None for a
     # letter
     prefix: list = []
+    # rows[i][j]: the class of reps[i] + reps[j]
+    rows: list[list] = []
 
     def register(wd: tuple, fp: int, before: Optional[int]) -> int:
-        if len(wd) > cap:
-            raise TheoryBoundExceeded(
-                f"representative of length {len(wd)} exceeds the cap {cap}"
-            )
         if len(reps) >= MAX_THEORY_CLASSES:
             raise TheoryBoundExceeded(_too_many_classes(m))
         fp_class[fp] = len(reps)
         reps.append(wd)
+        lengths.append(len(wd))
         prefix.append(before)
+        rows.append([])
         return len(reps) - 1
 
     letter_class = {}
@@ -255,67 +259,54 @@ def theory_algebra(alphabet: Iterable, m: int) -> TheoryAlgebra:
         got = fp_class.get(fp)
         letter_class[c] = register((c,), fp, None) if got is None else got
 
-    # Pairs (i, j) of classes are concatenated in (cost, i, j) order, the
-    # cost being the length of reps[i] + reps[j].  Every new representative
-    # is the concatenation just taken, so representatives never get shorter
-    # as ids grow, and each row i is in that order by j alone.  The heap
-    # therefore holds one cursor per row, its first pair not yet taken; a
-    # row whose cursor has passed the newest class waits for the next one.
+    # Level L takes the pairs (i, j) with len(reps[i]) + len(reps[j]) = L,
+    # in (i, j) order, over the classes that exist when it starts.  A class
+    # found at level L has a representative of length L, so it joins only
+    # later levels, and the ids of one length form a contiguous range; each
+    # row i is thus filled in order of j.  The last level pairs the longest
+    # representative with itself.
     #
     # A pair is typed by one step of the right Cayley graph.  Rank-m
     # equivalence is a right congruence, so reps[i] + reps[j] lies in the
     # class k of reps[i] + prefix[j]'s representative followed by the last
     # letter c of reps[j], and every word of class k followed by c lies in
     # one class: the edge (k, c), typed once on reps[k] + (c,).  The class
-    # prefix[j] has a shorter representative than j, so it precedes j, and
-    # row i has taken (i, prefix[j]) already.
-    table: dict = {}
+    # prefix[j] has a shorter representative than j, so row i took it at an
+    # earlier level.
     edges: dict = {}
-    heap: list = []
-    waiting: list = []
-
-    def offer(i: int, j: int):
-        if j < len(reps):
-            heapq.heappush(heap, (len(reps[i]) + len(reps[j]), i, j))
-        else:
-            waiting.append(i)
-
-    for i in range(len(reps)):
-        offer(i, 0)
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        k = i if prefix[j] is None else table[(i, prefix[j])]
-        c = reps[j][-1]
-        cid = edges.get((k, c))
-        if cid is None:
-            fp = ef_type(reps[k] + (c,), m)
-            cid = fp_class.get(fp)
-            if cid is None:
-                cid = register(reps[i] + reps[j], fp, k)
-                for w in waiting:
-                    heapq.heappush(heap, (len(reps[w]) + len(reps[cid]), w, cid))
-                waiting.clear()
-                offer(cid, 0)
-            edges[(k, c)] = cid
-        table[(i, j)] = cid
-        offer(i, j + 1)
+    level = 2
+    while level <= 2 * lengths[-1]:
+        for i in range(len(reps)):
+            want = level - lengths[i]
+            row = rows[i]
+            for j in range(bisect_left(lengths, want), bisect_right(lengths, want)):
+                k = i if prefix[j] is None else row[prefix[j]]
+                c = reps[j][-1]
+                cid = edges.get((k, c))
+                if cid is None:
+                    fp = ef_type(reps[k] + (c,), m)
+                    cid = fp_class.get(fp)
+                    if cid is None:
+                        cid = register(reps[i] + reps[j], fp, k)
+                    edges[(k, c)] = cid
+                row.append(cid)
+        level += 1
 
     carrier = SortedOrderedSet(
         {SORT_WORD: list(range(len(reps)))}, max_size=max(64, len(reps))
     )
-    alg = word_algebra(carrier, table)
     theta = TheoryAlgebra(
         alphabet=letters,
         rank=m,
-        algebra=alg,
+        algebra=_word_algebra_of_columns(carrier, list(zip(*rows))),
         reps=dict(enumerate(reps)),
         letter_class=letter_class,
         fingerprint_class=fp_class,
     )
     rng = random.Random(THEORY_CHECK_SEED)
-    limit = min(2 * cap, 12)
+    limit = 8 if m == 0 else 12
     for _ in range(THEORY_CHECK_SAMPLES):
-        wd = tuple(rng.choices(letters, k=rng.randint(1, max(1, limit))))
+        wd = tuple(rng.choices(letters, k=rng.randint(1, limit)))
         if theta.class_of(wd) != theta.classify(wd):
             raise AssertionError(
                 f"rank-{m} composition table disagrees with direct "

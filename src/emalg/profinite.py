@@ -274,15 +274,19 @@ def eval_term(alg: FinAlgebra, beta: dict, t: Term) -> Elem:
 # -- satisfaction ------------------------------------------------------------------
 
 
-def satisfies(
-    alg: FinAlgebra, ineq: Inequality, *, max_vars: int = 4
-) -> tuple[bool, Optional[dict]]:
+#: The most variables an inequality may have: ``satisfies`` tries every
+#: assignment of them.
+MAX_VARS = 4
+
+
+def satisfies(alg: FinAlgebra, ineq: Inequality) -> tuple[bool, Optional[dict]]:
     """Whether every assignment makes lhs <= rhs; on failure also returns the
-    first counterexample assignment in enumeration order."""
+    first counterexample assignment in enumeration order.  An inequality in
+    more than ``MAX_VARS`` variables is a ValueError."""
     names = ineq.variables()
-    if len(names) > max_vars:
+    if len(names) > MAX_VARS:
         raise ValueError(
-            f"{len(names)} variables exceed the assignment bound {max_vars}"
+            f"{len(names)} variables exceed the assignment bound {MAX_VARS}"
         )
     pool = alg.carrier.elements(default_var_sort(alg))
     if not pool:
@@ -298,11 +302,9 @@ def satisfies(
     return True, None
 
 
-def satisfies_all(
-    alg: FinAlgebra, ineqs, *, max_vars: int = 4
-) -> tuple[bool, Optional[tuple[Inequality, dict]]]:
+def satisfies_all(alg: FinAlgebra, ineqs) -> tuple[bool, Optional[tuple[Inequality, dict]]]:
     for ineq in ineqs:
-        ok, beta = satisfies(alg, ineq, max_vars=max_vars)
+        ok, beta = satisfies(alg, ineq)
         if not ok:
             return False, (ineq, beta)
     return True, None

@@ -21,7 +21,6 @@ an explicit "unknown", never as a verdict.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -31,6 +30,7 @@ from .algebra import (
     Morphism,
     Recognizer,
     _index_closure,
+    _per_algebra,
     _places,
     eval_element,
     generated_tuples,
@@ -48,7 +48,6 @@ from .core import (
     _members,
     upward_closure,
 )
-from .monads import Word
 from .syntactic import syntactic_algebra
 
 
@@ -132,12 +131,12 @@ def divides(
     return witness is not None, witness
 
 
-@functools.lru_cache(maxsize=32)
+@_per_algebra
 def _generating_tuple(A: FinAlgebra, places: tuple) -> tuple:
     """A's first generating tuple under ``places`` (``generating_sets``),
-    found once for each algebra and places: ``generated_membership`` tries
-    one product after another, and products of one instance mostly share
-    their places.  The cache keeps the last 32, and their algebras, alive."""
+    memoised on A by the places: ``generated_membership`` tries one
+    product after another, and products of one instance mostly share their
+    places."""
     return next(generating_sets(A, places=list(places)), ())
 
 
@@ -282,17 +281,14 @@ def canonical_cover(A: FinAlgebra, delta: Optional[Iterable[Sort]] = None) -> Ca
     return CanonicalCover(A, ds, components, cover, mu, letter_tuples)
 
 
-def verify_cover_evaluation(cov: CanonicalCover, words: Iterable) -> bool:
+def verify_cover_evaluation(cov: CanonicalCover, elements: Iterable) -> bool:
     """mu after the pairing evaluation equals the plain product evaluation,
-    checked on given free elements over the generators (word kind)."""
-    A = cov.base
-    if A.kind != "word":
-        raise NotImplementedError("evaluation replay implemented for words")
-    ident = {e: e for e in A.carrier}
-    for w in words:
-        w = w if isinstance(w, Word) else Word(tuple(w))
-        paired = eval_element(cov.cover, cov.letter_tuples, w)
-        if cov.mu(paired) != eval_element(A, ident, w):
+    checked on given free elements over the generators, of any instance,
+    whose values lie in the sorts of the cover."""
+    ident = {e: e for e in cov.base.carrier}
+    for t in elements:
+        paired = eval_element(cov.cover, cov.letter_tuples, t)
+        if cov.mu(paired) != eval_element(cov.base, ident, t):
             return False
     return True
 
@@ -300,13 +296,20 @@ def verify_cover_evaluation(cov: CanonicalCover, words: Iterable) -> bool:
 # -- bounded generated membership ------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=32)
 def _product(factors: tuple) -> FinAlgebra:
-    """``product`` of the factors, built once for each tuple of them (an
-    algebra hashes by identity, and its tables are read-only), so repeated
-    calls with one generator list share their products.  The cache keeps
-    the last 32 products, and their factors, alive."""
-    return product(list(factors))
+    """``product`` of the factors, built once for each tuple of them, so
+    repeated calls with one generator list share their products."""
+    return _product_after(factors[0], factors[1:])
+
+
+@_per_algebra
+def _product_after(first: FinAlgebra, rest: tuple) -> FinAlgebra:
+    """``product`` of ``first`` and the algebras ``rest``, memoised on
+    ``first`` by ``rest`` (an algebra hashes by identity, and its tables are
+    read-only): it lives as long as ``first``.  Where ``first`` recurs in
+    ``rest`` the memo refers back to it, and the cycle is left to the
+    garbage collector."""
+    return product([first, *rest])
 
 
 def generated_membership(

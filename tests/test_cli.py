@@ -80,6 +80,24 @@ def test_theory_command():
     assert code == EXIT_BOUND
 
 
+def test_check_rejects_an_inequality_past_the_assignment_bound(tmp_path):
+    alg = tmp_path / "triv.alg"
+    alg.write_text("kind word\nelems 0 u\ndot u u u\n")
+    code, out = run_cli("check", str(alg), "x y z u v <= v")
+    assert code == EXIT_INPUT
+    assert json.loads(out) == {"command": "check", "error": "5 variables exceed the assignment bound 4"}
+
+
+def test_theory_at_rank_1_completes_to_the_class_guard():
+    # the rank-1 classes over k letters are the 2^k - 1 nonempty letter sets
+    code, out = run_cli("theory", "1", "abcdefghi")
+    assert code == EXIT_OK
+    assert json.loads(out)["verdict"]["classes"] == 511
+    code, out = run_cli("theory", "1", "abcdefghij")
+    assert code == EXIT_BOUND
+    assert json.loads(out) == {"command": "theory", "error": "more than 512 classes at rank 1"}
+
+
 # theory over one and two letters interleaved with two-letter and unary
 # decisions, in one process
 THEORY_AND_DECIDE = [

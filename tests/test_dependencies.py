@@ -1,5 +1,6 @@
 """emalg has no runtime dependencies: the project declares none, and the
-package imports nothing but itself and the standard library."""
+package imports nothing but itself and the standard library.  Its
+process-wide caches are declared here, and each is keyed by values."""
 
 import ast
 import pathlib
@@ -26,9 +27,50 @@ def imported_modules(tree: ast.AST):
             yield None if node.level else node.module.split(".")[0]
 
 
+def package_sources() -> list:
+    return sorted((ROOT / "src" / "emalg").rglob("*.py"))
+
+
 def test_the_package_imports_only_itself_and_the_standard_library():
-    sources = sorted((ROOT / "src" / "emalg").rglob("*.py"))
+    sources = package_sources()
     assert len(sources) > 10
     for path in sources:
         for name in imported_modules(ast.parse(path.read_text(), str(path))):
             assert name in (None, "emalg") or name in sys.stdlib_module_names, (path.name, name)
+
+
+# The functions memoised for the life of the process.  Each is keyed by
+# values (letters, ranks, lengths, text, element-index layouts), never by an
+# algebra: what is derived from an algebra is memoised on the algebra
+# (``algebra._per_algebra``) and lives as long as it does.
+VALUE_KEYED_CACHES = {
+    "logic._codes",
+    "logic._theory_outcome",
+    "algebra._layouts",
+    "monads._var_tuple",
+    "profinite._parsed_library",
+    "cli._parser",
+}
+
+
+def _names_a_cache(node: ast.AST) -> bool:
+    """Whether ``node`` is ``functools.lru_cache``, ``functools.cache`` or
+    one of the two imported by name."""
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and node.value.id == "functools" and node.attr in ("lru_cache", "cache")
+    return isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
+
+
+def test_every_process_wide_cache_is_declared():
+    found, uses = set(), 0
+    for path in package_sources():
+        tree = ast.parse(path.read_text(), str(path))
+        uses += sum(map(_names_a_cache, ast.walk(tree)))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for deco in node.decorator_list:
+                    if _names_a_cache(deco.func if isinstance(deco, ast.Call) else deco):
+                        found.add(f"{path.stem}.{node.name}")
+    # a cache made by a call outside a decorator would escape the list
+    assert uses == len(found)
+    assert found == VALUE_KEYED_CACHES

@@ -8,6 +8,7 @@ from emalg.core import SortedOrderedSet
 from emalg.lawsuite import finitely_many_a
 from emalg.monads import SORT_WORD, SortMismatch
 from emalg.profinite import (
+    MAX_VARS,
     InfPow,
     Inequality,
     OmegaPow,
@@ -97,6 +98,14 @@ def test_satisfies_reflexive_and_var_bound():
     )
     with pytest.raises(ValueError):
         satisfies(z3, many)
+
+
+def test_the_assignment_bound_is_four_variables():
+    z2 = zmod(2)
+    assert MAX_VARS == 4
+    assert satisfies(z2, parse_inequalities("x y z u <= u z y x")[0])[0]
+    with pytest.raises(ValueError, match="^5 variables exceed the assignment bound 4$"):
+        satisfies_all(z2, parse_inequalities("x y z u v <= v"))
 
 
 def test_mod_filter():

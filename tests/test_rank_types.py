@@ -105,6 +105,36 @@ def test_the_rank_2_guards_type_each_class_and_letter_once(monkeypatch):
         assert list(dict.fromkeys(met)) == list(dict.fromkeys(want))
 
 
+# every build that completes: 'a' at ranks 0-6, and the letter sets at the
+# ranks where their classes stay within the class guard
+COMPLETING = [("a", m) for m in range(7)] + [
+    ("ab", 0), ("ab", 1), ("abc", 0), ("abc", 1), ("abcd", 1), ("abcdefghi", 1)
+]
+
+
+def test_each_representative_drops_its_last_letter_into_a_shorter_one():
+    # rank-m equivalence is a right congruence, so a shortest word of a
+    # class without its last letter is a shortest word of its own class:
+    # no representative is longer than the class count
+    for alphabet, m in COMPLETING:
+        theta = theory_algebra(alphabet, m)
+        for r in theta.reps.values():
+            if len(r) >= 2:
+                shorter = theta.reps[theta.class_of(r[:-1])]
+                assert len(shorter) == len(r) - 1, (alphabet, m, r)
+        assert max(map(len, theta.reps.values())) <= theta.size()
+
+
+def test_nine_letters_complete_at_rank_1_past_the_old_representative_cap():
+    # the rank-1 classes over k letters are the 2^k - 1 nonempty letter
+    # sets, and their representatives have up to k letters, past the
+    # 2^(1+2) = 8 that the representative cap allowed; ten letters fail
+    # the class guard (tests/test_cli.py)
+    theta = theory_algebra("abcdefghi", 1)
+    assert theta.size() == 511
+    assert max(map(len, theta.reps.values())) == 9
+
+
 def _sweep_languages():
     for name, rx, alphabet, *_ in dual_decider_corpus():
         yield name, parse_regex(rx, alphabet)

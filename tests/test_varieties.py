@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -11,7 +13,8 @@ from emalg.algebra import (
 )
 from emalg.automata import Dfa, dfa_to_recognizer, parse_regex, words_up_to
 from emalg.core import SortedOrderedSet
-from emalg.monads import SORT_WORD, WORD, Word
+from emalg.lawsuite import exists_a, finitely_many_a
+from emalg.monads import OMEGA_UP, SORT_WORD, WORD, Var, Word
 from emalg.profinite import identity_library, satisfies_all
 from emalg.syntactic import syntactic_algebra
 from emalg.varieties import (
@@ -21,6 +24,7 @@ from emalg.varieties import (
     generated_membership,
     verify_cover_evaluation,
 )
+from tests.test_algebra import bool_tree_algebra
 
 
 def zmod(n):
@@ -102,6 +106,38 @@ def test_canonical_cover_syn_aa():
     assert verify_cover_evaluation(cov, words)
 
 
+def _pools(alg):
+    return {s: alg.carrier.elements(s) for s in alg.carrier.sorts}
+
+
+def test_omega_covers_replay_every_free_element():
+    for build in (finitely_many_a, exists_a):
+        alg, _ = build()
+        elements = list(OMEGA_UP.free_elements(_pools(alg), 3))
+        assert len(elements) == 124
+        assert verify_cover_evaluation(canonical_cover(alg), elements)
+
+
+def _variables(node):
+    if isinstance(node, Var):
+        yield node.index
+    else:
+        for child in node.children:
+            yield from _variables(child)
+
+
+def test_a_tree_cover_replays_the_trees_with_ordered_variables():
+    # eval_element evaluates exactly the trees whose variables are
+    # x0..x{k-1} in order; the bare-slot entries let it evaluate every one
+    alg = bool_tree_algebra(2, with_var_slots=True)
+    trees = [
+        t for t in alg.monad.free_elements(_pools(alg), 3)
+        if list(_variables(t.root)) == list(range(t.sort))
+    ]
+    assert len(trees) == 202
+    assert verify_cover_evaluation(canonical_cover(alg), trees)
+
+
 def test_canonical_cover_requires_generation():
     z3 = zmod(3)
     with pytest.raises(ValueError):
@@ -139,13 +175,25 @@ def test_generated_membership_builds_each_product_once(monkeypatch):
     # the two products are built on the first call and shared after it
     built = []
     monkeypatch.setattr(varieties, "product", lambda algs: built.append(len(algs)) or product(algs))
-    varieties._product.cache_clear()
     u1 = word_algebra(SortedOrderedSet({SORT_WORD: [0, 1]}), {(x, y): min(x, y) for x in (0, 1) for y in (0, 1)})
     for n in (2, 3, 2):
         assert generated_membership(zmod(n), [u1]) == (False, None)
     assert built == [2, 3]
     assert generated_membership(zmod(2), [u1, zmod(2)])[0] is True
     assert built == [2, 3]  # the group divides itself before any product
+
+
+def test_generated_membership_keeps_no_algebra_alive():
+    # the division search memoises on the algebras themselves: U1 x U1 is
+    # memoised on U1 by (U1,), a reference cycle through U1's memo that the
+    # garbage collector frees once nothing else holds U1
+    A = zmod(2)
+    g = word_algebra(SortedOrderedSet({SORT_WORD: [0, 1]}), {(x, y): min(x, y) for x in (0, 1) for y in (0, 1)})
+    assert generated_membership(A, [g]) == (False, None)
+    refs = [weakref.ref(A), weakref.ref(g)]
+    del A, g
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 def test_variety_language_closure_harness():
