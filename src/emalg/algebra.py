@@ -92,6 +92,17 @@ class MissingTableEntry(KeyError):
     """A tree evaluation needed an optional slot entry that is absent."""
 
 
+class _label_view(functools.cached_property):
+    """A label view of an algebra's tables, decoded on first use.  An
+    algebra that shares another's tables (``FinAlgebra._tables_of``) reads
+    that one's view, so the two share it however many decode it first."""
+
+    def __get__(self, alg, owner=None):
+        if alg is not None and alg._tables_of is not None:
+            return getattr(alg._tables_of, self.attrname)
+        return super().__get__(alg, owner)
+
+
 class FinAlgebra:
     """A finitary algebra over one of the three instances.
 
@@ -100,6 +111,10 @@ class FinAlgebra:
     mapping per op of ``_OPS`` keyed by flat argument tuples; ``mult``,
     ``dot`` and ``mix`` are three of them, and ``omega`` (keyed by a) and
     ``comp`` (keyed by (head, slots)) show theirs in the keyword shapes."""
+
+    #: The algebra whose tables, and so whose label views, this one shares
+    #: (see ``quotient_algebra``), or None.
+    _tables_of = None
 
     def __init__(
         self,
@@ -140,7 +155,7 @@ class FinAlgebra:
         that ``quotient_algebra`` makes under another order starts empty."""
         return {}
 
-    @functools.cached_property
+    @_label_view
     def _labelled(self) -> dict:
         """The label tables (op -> flat argument tuple -> value): the keyword
         tables it was built from, else decoded in label order on first use."""
@@ -153,12 +168,12 @@ class FinAlgebra:
                 tables[place[0]].update({_labels(elems, place, c): elems[v] for c, v in items})
         return tables
 
-    @functools.cached_property
+    @_label_view
     def tables(self):
         """The label view: one read-only mapping per op of ``_OPS``."""
         return MappingProxyType({op: MappingProxyType(t) for op, t in self._labelled.items()})
 
-    @functools.cached_property
+    @_label_view
     def _read(self) -> dict:
         """Each op's lookup args -> value, None where there is no entry."""
         read = {op: table.get for op, table in self._labelled.items()}
@@ -169,11 +184,11 @@ class FinAlgebra:
     dot = property(lambda self: self.tables["dot"])
     mix = property(lambda self: self.tables["mix"])
 
-    @functools.cached_property
+    @_label_view
     def omega(self):
         return MappingProxyType({a: v for (a,), v in self.tables["omega"].items()})
 
-    @functools.cached_property
+    @_label_view
     def comp(self):
         return MappingProxyType({(k[0], k[1:]): v for k, v in self.tables["comp"].items()})
 
@@ -712,30 +727,47 @@ class GeneratedSubalgebra:
 def _closure(alg: FinAlgebra, start: dict) -> dict:
     """Close a set of (element -> witness free element) under the table
     entries, recording a witness for every new element: the least fixpoint,
-    the same for every instance.  Sweeps the entries in label order
-    (``_entries``) until a sweep adds nothing.  An entry whose arguments
-    all have witnesses gives its value, if that has none yet, ``flat`` of
-    the op's shallow term over them.  A bare tree slot needs no witness
-    and stays a bare variable of sort 1."""
-    wit = dict(start)
-    monad, sort_of = alg.monad, alg.carrier.sort_of
+    the same for every instance.  Sweeps the integer tables in label order
+    (``_runs``) until a sweep adds nothing or every element has a witness,
+    keeping the witnesses in a list over the carrier's numbering.  An entry
+    whose arguments all have witnesses gives its value, if that has none
+    yet, ``flat`` of the op's shallow term over them.  A bare tree slot
+    needs no witness and stays a bare variable of sort 1.  The result
+    lists ``start`` first, then each new element as it was found."""
+    A, monad = alg.carrier, alg.monad
+    elems, n = A._by_index, len(A)
+    wit: list = [None] * n
+    for e, w in start.items():
+        wit[A._index[e]] = w
+    found: list = []  # the indices of the new elements, in order
+    missing = n - len(start)
     changed = True
-    while changed:
+    while changed and missing:
         changed = False
-        for op, args, r in _entries(alg):
-            if r in wit or any(x is not VAR and x not in wit for x in args):
-                continue
-            labels = tuple([VAR if x is VAR else wit[x] for x in args])
-            sorts = tuple([1 if x is VAR else sort_of(x) for x in args])
-            wit[r] = monad.flat(_TERM[op](labels, sorts))
-            changed = True
-    return wit
+        for (op, m, bare), _, items in _runs(alg):
+            term, weights = _TERM[op], [n**i for i in range(m)]
+            for code, r in items:
+                if wit[r] is not None:
+                    continue
+                xs = [VAR if i in bare else code // w % n for i, w in enumerate(weights)]
+                if any(x is not VAR and wit[x] is None for x in xs):
+                    continue
+                labels = tuple([VAR if x is VAR else wit[x] for x in xs])
+                sorts = tuple([1 if x is VAR else A._sort_of[elems[x]] for x in xs])
+                wit[r] = monad.flat(term(labels, sorts))
+                found.append(r)
+                missing -= 1
+                changed = True
+    out = dict(start)
+    out.update((elems[r], wit[r]) for r in found)
+    return out
 
 
 def subalgebra_generated(alg: FinAlgebra, gens: Iterable[Elem]) -> GeneratedSubalgebra:
     """Least product-closed subset containing ``gens``, with the inherited
     order and restricted tables; each element's witness is a free element
-    over the generators themselves that evaluates to it (see ``_closure``).
+    over the generators themselves that evaluates to it (see ``_closure``,
+    which sweeps the integer tables and so decodes no label view).
 
     The closure is memoised on ``alg`` by the tuple of ``gens``
     (``_per_algebra``): a repeated call shares the subalgebra, and so what
@@ -864,13 +896,21 @@ def _product_entry(algs: list, tables: list, opened: tuple):
     return entry
 
 
+def _table(alg: FinAlgebra, op: str, arity: int) -> dict:
+    """``op``'s integer table at ``arity`` arguments with no bare slot: the
+    code of each argument tuple of indices (see "the table view") -> the
+    index of its value, in the label order of those entries; empty where
+    there are none.  Callers read it and must not mutate it."""
+    return alg._coded.get((op, arity, ()), {})
+
+
 def _columns(alg: FinAlgebra, op: str, sorts: tuple, i: int, pools: list):
     """The columns of ``op``'s shape with argument sorts ``sorts`` along
     position i: for each choice of the other arguments from ``pools``
     (lists of element indices), in ``itertools.product`` order, the value
     indices at the elements of ``pools[i]``, None where there is no entry."""
     n = len(alg.carrier)
-    get = alg._coded.get((op, len(sorts), ()), {}).get
+    get = _table(alg, op, len(sorts)).get
     weight = n**i  # position i's place in an argument code
     hole = [x * weight for x in pools[i]]
     scaled = [[d * n**j for d in pool] for j, pool in enumerate(pools)]
@@ -999,14 +1039,15 @@ def quotient_algebra(alg: FinAlgebra, q: Preorder) -> tuple[FinAlgebra, Morphism
     class of the entry at any tuple of representatives.)  Its integer
     tables are the source's carried to the class indices (``_mapped``).
     When every class is a singleton, the quotient is a copy of the source
-    under the order of ``q``, sharing its tables and label views; the walk
-    still runs as the certificate."""
+    under the order of ``q``, sharing its tables and label views, decoded
+    or not (``_tables_of``); the walk still runs as the certificate."""
     if not is_congruence_ordering(alg, q):
         raise NotCongruence(None, "preorder fails shallow compatibility")
     Q, qfn = quotient_set(alg.carrier, q)
     if len(Q) == len(alg.carrier):
         quot = copy.copy(alg)
         quot.carrier = Q
+        quot._tables_of = alg._tables_of or alg
         quot.__dict__.pop("_memo", None)  # derived under the source's order
     else:
         cls = list(map(Q._index.__getitem__, map(qfn.mapping.__getitem__, alg.carrier)))

@@ -20,10 +20,10 @@ import os
 import sys
 import time
 
-from .algebra import FinAlgebra, NotCongruence
+from .algebra import FinAlgebra, NotCongruence, _table
 from .algio import ParseError, load_algebra, parse_dfa_file
 from .automata import Dfa, RegexSyntaxError, dfa_to_recognizer, parse_regex
-from .core import CarrierBoundExceeded, NoFactorisation
+from .core import CarrierBoundExceeded, NoFactorisation, _members
 from .lawsuite import run_all
 from .logic import TheoryBoundExceeded, cached_theory_algebra, fo_definable
 from .profinite import identity_library, parse_inequalities, satisfies_all
@@ -69,28 +69,33 @@ def _element_names(alg: FinAlgebra) -> dict:
 
 
 def _dump_syntactic(syn: SyntacticResult) -> dict:
+    """The report of a syntactic algebra, named, ordered and tabled over
+    its carrier's numbering: element i is named e<i>.  The table is sorted
+    by the repr of ((a, b), a b), as over labels, each element's repr
+    computed once."""
     alg = syn.syn_algebra
-    names = _element_names(alg)
-    r = {e: repr(e) for e in alg.carrier}
+    n = len(alg.carrier)
+    names, index = [f"e{i}" for i in range(n)], alg.carrier._index
+    r = [repr(e) for e in alg.carrier]
 
     def by_repr(entry) -> str:
-        """repr(((a, b), c)), each element's repr computed once."""
-        (a, b), c = entry
-        return "((%s, %s), %s)" % (r[a], r[b], r[c])
+        code, c = entry
+        return "((%s, %s), %s)" % (r[code % n], r[code // n], r[c])
 
     return {
-        "size": len(alg.carrier),
-        "elements": [names[e] for e in alg.carrier],
-        "letters": {str(c): names[v] for c, v in sorted(syn.letter_map.items(), key=repr)},
-        "accepting": sorted(names[e] for e in syn.accepting),
+        "size": n,
+        "elements": names,
+        "letters": {str(c): names[index[v]] for c, v in sorted(syn.letter_map.items(), key=repr)},
+        "accepting": sorted(names[index[e]] for e in syn.accepting),
         "order": sorted(
-            f"{names[a]} <= {names[b]}"
-            for a, b in alg.carrier.leq_pairs()
-            if a != b
+            f"{names[i]} <= {names[j]}"
+            for i, row in enumerate(alg.carrier._rows)
+            for j in _members(row)
+            if i != j
         ),
         "table": {
-            f"{names[a]} {names[b]}": names[c]
-            for (a, b), c in sorted(alg.mult.items(), key=by_repr)
+            f"{names[code % n]} {names[code // n]}": names[c]
+            for code, c in sorted(_table(alg, "mult", 2).items(), key=by_repr)
         },
     }
 
@@ -158,13 +163,19 @@ def _cmd_decompose(args) -> int:
         except KeyError as exc:
             raise ParseError(0, f"unknown element {exc.args[0]!r}") from exc
     dec = decompose_as_derivatives(syn, target)
-    from .automata import words_up_to
-    from .monads import Word
-
-    value = syn.recognizer.value  # each word evaluated once, for both sides
+    # every word of 1 to 6 letters, as the index of its value in the
+    # recognizer's algebra: each its prefix's value times its last letter's,
+    # one table read; each distinct value is matched once
+    mult, n = dec._mult, dec._n
+    letters = [dec._letter[c] for c in dfa.alphabet]
+    values = dict.fromkeys(letters)
+    level = letters
+    for _ in range(2, 7):
+        level = [mult[v + c * n] for v in level for c in letters]
+        values.update(dict.fromkeys(level))
+    elems = syn.recognizer.algebra.carrier._by_index
     agree = all(
-        dec._matches_value([v]) == (syn.syn_morphism(v) in target)
-        for v in (value(Word(w)) for w in words_up_to(dfa.alphabet, 6))
+        dec._matches_value([v]) == (syn.syn_morphism(elems[v]) in target) for v in values
     )
     evidence = {
         "target": sorted(names[e] for e in target),

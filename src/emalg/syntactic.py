@@ -63,9 +63,9 @@ from .algebra import (
     NotCongruence,
     Recognizer,
     _columns,
-    _fold,
     _per_algebra,
     _raw_up,
+    _table,
     generated_tuples,
     quotient_algebra,
     subalgebra_generated,
@@ -230,77 +230,99 @@ class ContextFunction:
         )
 
 
+def _step_columns(alg: FinAlgebra, generators: Optional[tuple]):
+    """The one-step context functions of ``alg`` over the carrier's
+    numbering, shape by shape: for each op of the monad's signature and
+    each argument position i as the hole, (op, argument sorts, result
+    sort, i, pools, columns).  ``pools[i]`` holds the indices of the hole
+    sort, one run of the numbering, and each other pool the indices that
+    argument is fixed to: every element of its sort, or only the
+    ``generators`` at the monad's ``generated_sort`` when they are given.
+    ``columns`` are read from the integer tables (``algebra._columns``):
+    for each choice of the fixed arguments, in ``itertools.product`` order,
+    the value indices at the hole's elements.  A column that is empty, or
+    has a gap (None: an op with nowhere to land has no entries), is no
+    step."""
+    A, index = alg.carrier, alg.carrier._index
+    runs = {s: range(index[es[0]], index[es[0]] + len(es)) for s in A.sorts if (es := A.elements(s))}
+    pool = dict(runs)
+    if generators is not None:
+        pool[alg.monad.generated_sort] = [index[g] for g in generators]
+    for op, sorts, result in alg.monad.signature:
+        for i, hole_sort in enumerate(sorts):
+            pools = [pool.get(s, ()) for s in sorts]
+            pools[i] = runs.get(hole_sort, ())
+            yield op, sorts, result, i, pools, _columns(alg, op, sorts, i, pools)
+
+
+@_per_algebra
+def _witnessed_steps(alg: FinAlgebra, generators: Optional[tuple] = None) -> list[tuple]:
+    """The one-step context functions with their witnesses, over the
+    carrier's numbering, for the contexts that ``decompose_as_derivatives``
+    prints and for the saturation definition: an op of the monad's
+    signature with one argument position as the hole and elements of their
+    sorts fixed in the others (``_step_columns``), mapping e to the op
+    applied with e in the hole, whose witness is the op's shallow term over
+    the fixed elements and the hole.  Each is (hole sort, result sort,
+    values, witness), where ``values`` runs over the whole numbering: the
+    index of the value at each element of the hole sort, None elsewhere.
+    Sorted by hole sort, result sort and witness text, so the order does
+    not depend on how the steps were found.  Memoised on the algebra
+    (``_per_algebra``)."""
+    elems, n, cls = alg.carrier._by_index, len(alg.carrier), _CONTEXT[alg.kind]
+    out = []
+    for op, sorts, result, i, pools, columns in _step_columns(alg, generators):
+        hole = pools[i]
+        labels = [[elems[x] for x in pool] for pool in pools]
+        labels[i] = (HOLE,)
+        for fixed, values in zip(itertools.product(*labels), columns):
+            if values and None not in values:
+                full = [None] * n
+                full[hole.start : hole.stop] = values
+                out.append((sorts[i], result, full, _as_context(cls, _TERM[op](fixed, sorts))))
+    out.sort(key=lambda step: (step[0], step[1], context_to_str(step[3], repr)))
+    return out
+
+
 @_per_algebra
 def _one_step_functions(
     alg: FinAlgebra, generators: Optional[tuple] = None
 ) -> list[ContextFunction]:
-    """The one-step context functions with their witnesses, for the
-    contexts that ``decompose_as_derivatives`` prints and for the
-    saturation definition: an op of the monad's signature with one argument
-    position as the hole and elements of their sorts fixed in the others,
-    mapping e to the op applied with e in the hole, whose witness is the
-    op's shallow term over the fixed elements and the hole.  With
-    ``generators``, an argument of the monad's ``generated_sort`` is fixed
-    to them only: the generator steps.  A step whose table is empty, or has
-    a gap (an op with nowhere to land has no entries), is left out.  Sorted
-    by source sort, target sort and witness text, so the order does not
-    depend on how the steps were found.  The pair search itself runs over
+    """The steps of ``_witnessed_steps`` as context functions over labels,
+    in its order: each decodes its own table, over its hole sort.  With
+    ``generators``, the generator steps.  The pair search itself runs over
     ``_step_arrays``, the same steps with no witness.  Memoised on the
     algebra (``_per_algebra``)."""
-    A, cls = alg.carrier, _CONTEXT[alg.kind]
-    pool = {s: A.elements(s) for s in A.sorts}
-    if generators is not None:
-        pool[alg.monad.generated_sort] = generators
-    out: list[ContextFunction] = []
-    for op, sorts, result in alg.monad.signature:
-        read = alg._read[op]
-        for i, hole_sort in enumerate(sorts):
-            es = A.elements(hole_sort)
-            pools = [pool.get(s, ()) for s in sorts]
-            pools[i] = (HOLE,)
-            for fixed in itertools.product(*pools):
-                columns = [(x,) for x in fixed]
-                columns[i] = es
-                values = list(map(read, itertools.product(*columns)))
-                if values and None not in values:
-                    step = dict(zip(es, values))
-                    witness = _as_context(cls, _TERM[op](fixed, sorts))
-                    out.append(ContextFunction(hole_sort, result, step, witness))
-    out.sort(key=lambda f: (f.source_sort, f.target_sort, context_to_str(f.witness, repr)))
-    return out
+    elems = alg.carrier._by_index
+    return [
+        ContextFunction(
+            source, target, {elems[i]: elems[v] for i, v in enumerate(values) if v is not None}, witness
+        )
+        for source, target, values, witness in _witnessed_steps(alg, generators)
+    ]
 
 
 @_per_algebra
 def _step_arrays(alg: FinAlgebra, generators: Optional[tuple] = None) -> _StepArrays:
     """The steps of ``_one_step_functions`` over the carrier's numbering,
     each as a pair of int arrays: the indices of its hole sort, one run of
-    the numbering, and the index of each one's value, read from the
-    algebra's integer tables (``algebra._columns``).  No witness is built
-    and nothing is sorted.  A step whose table repeats an earlier one's
-    over the same hole sort is left out: ``_pair_depths`` finds the same
-    layers over any list of the same distinct tables, since a layer is the
-    set of pairs that some step maps one layer down.  Memoised on the
-    algebra (``_per_algebra``), with the inverse tables that
-    ``_pair_depths`` builds from the steps."""
-    A, index = alg.carrier, alg.carrier._index
-    runs = {s: range(index[es[0]], index[es[0]] + len(es)) for s in A.sorts if (es := A.elements(s))}
-    pool = dict(runs)
-    if generators is not None:
-        pool[alg.monad.generated_sort] = [index[g] for g in generators]
+    the numbering, and the index of each one's value (``_step_columns``).
+    No witness is built and nothing is sorted.  A step whose table repeats
+    an earlier one's over the same hole sort is left out: ``_pair_depths``
+    finds the same layers over any list of the same distinct tables, since
+    a layer is the set of pairs that some step maps one layer down.
+    Memoised on the algebra (``_per_algebra``), with the inverse tables
+    that ``_pair_depths`` builds from the steps."""
     seen: set = set()
     out: list[tuple] = []
-    for op, sorts, _ in alg.monad.signature:
-        for i, hole_sort in enumerate(sorts):
-            hole = runs.get(hole_sort, ())
-            pools = [pool.get(s, ()) for s in sorts]
-            pools[i] = hole
-            for values in _columns(alg, op, sorts, i, pools):
-                if values and None not in values:
-                    key = (hole_sort, tuple(values))
-                    if key not in seen:
-                        seen.add(key)
-                        out.append((hole, values))
-    return _StepArrays(out, len(A))
+    for _, sorts, _, i, pools, columns in _step_columns(alg, generators):
+        for values in columns:
+            if values and None not in values:
+                key = (sorts[i], tuple(values))
+                if key not in seen:
+                    seen.add(key)
+                    out.append((pools[i], values))
+    return _StepArrays(out, len(alg.carrier))
 
 
 class _StepArrays(list):
@@ -428,17 +450,18 @@ def _generators(alg: FinAlgebra) -> Optional[tuple]:
 
     In carrier order, an element joins when the closure of the ones before
     it misses it.  The closure multiplies by the generators on either side,
-    which by associativity reaches every product of them: 2 reads per
-    generator and element.  Memoised on the algebra (``_per_algebra``)."""
+    which by associativity reaches every product of them: 2 reads of the
+    op's integer table per generator and element.  Memoised on the algebra
+    (``_per_algebra``)."""
     sort = alg.monad.generated_sort
     if sort is None:
         return None
     op, _ = alg.monad.binary[(sort, sort)]
-    read = alg._read[op]
+    table, n, A = _table(alg, op, 2), len(alg.carrier), alg.carrier
     gens: list = []
     reached: list = []
     seen: set = set()
-    for g in alg.elements(sort):
+    for g in map(A._index.__getitem__, A.elements(sort)):
         if g in seen:
             continue
         gens.append(g)
@@ -449,13 +472,13 @@ def _generators(alg: FinAlgebra) -> Optional[tuple]:
         while multiply:
             for x in multiply:
                 for h in by:
-                    for c in (read((x, h)), read((h, x))):
+                    for c in (table[x + h * n], table[h + x * n]):
                         if c not in seen:
                             seen.add(c)
                             new.append(c)
             reached += new
             multiply, by, new = new, gens, []
-    return tuple(gens)
+    return tuple([A._by_index[g] for g in gens])
 
 
 class _LayeredPreorder(Preorder):
@@ -530,17 +553,16 @@ def syntactic_preorder(alg: FinAlgebra, accepting: Iterable[Elem], sort: Sort) -
     return _LayeredPreorder(alg.carrier, depths, gens)
 
 
-def _separating_context(alg: FinAlgebra, steps, layer: dict, a: Elem, b: Elem) -> Context:
-    """A shortest composite of ``steps`` that separates (a, b), as a
-    context, where ``steps`` are witnessed steps in ``_one_step_functions``
-    order and ``layer`` maps each separated pair to its depth as
-    ``_pair_depths`` finds it over the same steps (or over their
-    ``_step_arrays``, which hold the same distinct tables and so give the
-    same depths): from the pair's layer down to layer 0, the first step
-    whose image pair lies one layer closer.  This is the one place that
-    builds contexts from steps.
-    So among the shortest separating step sequences it is the least in the
-    lexicographic order of steps, first step most significant.
+def _separating_context(alg: FinAlgebra, steps: list, depths: list, a: Elem, b: Elem) -> Context:
+    """A shortest composite of ``steps`` that separates the pair (a, b), as
+    a context, where ``steps`` are ``_witnessed_steps`` and ``depths`` is
+    the depth array that ``_pair_depths`` finds over the same steps (or
+    over their ``_step_arrays``, which hold the same distinct tables and so
+    give the same depths), in which (a, b) is separated: from the pair's
+    depth down to 0, the first step whose image pair lies one layer closer,
+    read over element indices.  This is the one place that builds contexts
+    from steps.  So among the shortest separating step sequences it is the
+    least in the lexicographic order of steps, first step most significant.
 
     ``decompose_as_derivatives`` walks the steps that multiply by a
     letter's image on one side, so its contexts are shortest over the
@@ -552,19 +574,31 @@ def _separating_context(alg: FinAlgebra, steps, layer: dict, a: Elem, b: Elem) -
     that the same extension of the earlier sequence gave before, so the
     first separating function it lists is the one of the least shortest
     separating sequence."""
-    sort = alg.carrier.sort_of(a)
-    ctx = identity_context(alg.monad, sort)
-    depth = layer[(a, b)]
+    A = alg.carrier
+    ctx = identity_context(alg.monad, A.sort_of(a))
+    for k in _separating_path(steps, depths, len(A), A._index[a], A._index[b]):
+        ctx = context_compose(steps[k][3], ctx)
+    return ctx
+
+
+def _separating_path(steps: list, depths: list, n: int, i: int, j: int) -> tuple:
+    """The walk of ``_separating_context`` from the pair of indices (i, j)
+    over a numbering of ``n`` elements: the positions in ``steps`` of the
+    steps it takes, first step first."""
+    path = []
+    depth = depths[i * n + j]
     while depth:
         depth -= 1
-        g = next(
-            g
-            for g in steps
-            if g.source_sort == sort and layer.get((g.table[a], g.table[b])) == depth
+        # a step's values are None off its hole sort
+        k = next(
+            k
+            for k, (_, _, values, _) in enumerate(steps)
+            if values[i] is not None and depths[values[i] * n + values[j]] == depth
         )
-        ctx = context_compose(g.witness, ctx)
-        a, b, sort = g.table[a], g.table[b], g.target_sort
-    return ctx
+        path.append(k)
+        values = steps[k][2]
+        i, j = values[i], values[j]
+    return tuple(path)
 
 
 @dataclass
@@ -700,31 +734,45 @@ class DerivativeDecomposition:
     clauses: list  # list of (class elem, list[Context over the alphabet])
 
     def __post_init__(self):
-        # each context's left and right parts as values (a list of at most
-        # one element), so that a word is evaluated once and costs at most
-        # two products per context
-        value = self.syn.recognizer.value
+        # the recognizer's algebra over its numbering: its product table,
+        # each letter's value and the accepted elements; then each context's
+        # left and right parts as values (a list of at most one), so that a
+        # word is evaluated once and costs at most two table reads per context
+        rec = self.syn.recognizer
+        index = rec.algebra.carrier._index
+        self._mult, self._n = _table(rec.algebra, "mult", 2), len(index)
+        self._letter = {c: index[v] for c, v in rec.assignment.items()}
+        self._accepted = {index[p] for p in rec.accepting}
 
         def part(labels: tuple) -> list:
-            return [value(Word(labels))] if labels else []
+            return [self._product([self._letter[c] for c in labels])] if labels else []
 
         self._parts = [
             [(part(c.left), part(c.right)) for c in ctxs] for _, ctxs in self.clauses
         ]
 
+    def _product(self, values: list) -> int:
+        """The product of the value indices ``values``, left to right."""
+        mult, n = self._mult, self._n
+        acc = values[0]
+        for v in values[1:]:
+            acc = mult[acc + v * n]
+        return acc
+
     def matches(self, t) -> bool:
         """Whether, for some clause, each of its contexts with ``t`` plugged
         into the hole is accepted: left . t . right multiplied in the
         recognizer's algebra, t evaluated once."""
-        return self._matches_value([self.syn.recognizer.value(t)] if t.labels else [])
+        rec = self.syn.recognizer
+        return self._matches_value([rec.algebra.carrier._index[rec.value(t)]] if t.labels else [])
 
     def _matches_value(self, word: list) -> bool:
-        """``matches`` for a word given by its value in the recognizer's
-        algebra, as a list of one element, or of none for the empty word."""
-        rec = self.syn.recognizer
-        alg, accepting = rec.algebra, rec.accepting
+        """``matches`` for a word given by the index of its value in the
+        recognizer's algebra, as a list of one index, or of none for the
+        empty word."""
+        product, accepted = self._product, self._accepted
         return any(
-            all(_fold(alg, left + word + right) in accepting for left, right in parts)
+            all(product(left + word + right) in accepted for left, right in parts)
             for parts in self._parts
         )
 
@@ -735,8 +783,10 @@ def decompose_as_derivatives(syn: SyntacticResult, target: Iterable[Elem]) -> De
 
     The clause of a class a in ``target`` lists, for each class b outside
     it, a shortest context over the alphabet that sends a into the base
-    language and b out of it (``_separating_context`` over the letter
-    steps), each context once."""
+    language and b out of it, each context once.  The contexts are walked
+    down the depth array of the pair search over the letter steps
+    (``_separating_context``), from the first element of each class in the
+    image algebra's numbering."""
     if syn.recognizer.algebra.kind != "word":
         raise NotImplementedError(
             "alphabet-level derivative decompositions are implemented for "
@@ -750,13 +800,13 @@ def decompose_as_derivatives(syn: SyntacticResult, target: Iterable[Elem]) -> De
     zeta = next(iter(sorts)) if sorts else syn.accepting_sort
     if not is_upward_closed(Syn.carrier, Q):
         raise ValueError("target is not upward closed; not recognized by this quotient")
-    complement = [x for x in Syn.elements(zeta) if x not in Q]
+    complement = sorted((x for x in Syn.elements(zeta) if x not in Q), key=repr)
 
     B = syn.image.algebra
-    qm = syn.syn_morphism
-    reps = {}
-    for x in B.carrier:
-        reps.setdefault(qm(x), x)
+    elems, n = B.carrier._by_index, len(B.carrier)
+    reps = {}  # each class -> the index of its first element
+    for i, x in enumerate(elems):
+        reps.setdefault(syn.syn_morphism(x), i)
     P = frozenset(p for p in syn.recognizer.accepting if p in B.carrier)
     # B is generated by the letter images, so their steps separate every
     # pair that some context separates (see ``syntactic_preorder``); each
@@ -765,27 +815,29 @@ def decompose_as_derivatives(syn: SyntacticResult, target: Iterable[Elem]) -> De
     for c in syn.recognizer.alphabet:
         letter_of.setdefault(syn.recognizer.assignment[c], c)
     letters, pre = tuple(letter_of), syn.preorder
-    steps = _one_step_functions(B, letters)  # with witnesses, in order
+    steps = _witnessed_steps(B, letters)
     if isinstance(pre, _LayeredPreorder) and pre.generators == letters:
         depths = pre.depths  # the same search, run once
     else:
         _, depths = _pair_depths(B, P, syn.accepting_sort, _step_arrays(B, letters))
-    elems = B.carrier._by_index
-    n = len(elems)
-    layer = {(elems[p // n], elems[p % n]): d for p, d in enumerate(depths) if d >= 0}
 
     def over_letters(ctx: WordContext) -> WordContext:
         return WordContext(*(tuple(letter_of[g] for g in side) for side in (ctx.left, ctx.right)))
 
     clauses = []
+    contexts: dict = {}  # each walk's step path -> its context over the letters, and its text
     for a in sorted(Q, key=repr):
         ctxs = []
         seen = set()
-        for b in sorted(complement, key=repr):
-            if (reps[a], reps[b]) not in layer:
+        for b in complement:
+            i, j = reps[a], reps[b]
+            if depths[i * n + j] < 0:
                 raise NotCongruence((a, b), "no separating context; quotient broken")
-            ctx = over_letters(_separating_context(B, steps, layer, reps[a], reps[b]))
-            key = context_to_str(ctx, repr)
+            path = _separating_path(steps, depths, n, i, j)
+            if path not in contexts:
+                ctx = over_letters(_separating_context(B, steps, depths, elems[i], elems[j]))
+                contexts[path] = ctx, context_to_str(ctx, repr)
+            ctx, key = contexts[path]
             if key not in seen:
                 seen.add(key)
                 ctxs.append(ctx)

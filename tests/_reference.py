@@ -34,6 +34,11 @@ and so must the bound failures.
 keeps the element-step preorder and the saturation-order contexts under
 test.
 
+``closure`` is the witness closure that sweeps the label entries
+(``_entries``) with a witness dict keyed by elements, as ``_closure`` did
+before it swept the integer tables; keys, their order and the witnesses
+must agree.
+
 ``transition_semigroup`` is the two-sided closure of the letter maps, with
 a list test for new elements and one composition per product, that
 ``dfa_to_recognizer`` ran before it filled its table by Froidure and Pin's
@@ -62,7 +67,7 @@ backtracking; the lists of tables must be equal, order included."""
 import heapq
 import itertools
 
-from emalg.algebra import VAR, _entries, _places, eval_element, subalgebra_generated
+from emalg.algebra import _TERM, VAR, _entries, _places, eval_element, subalgebra_generated
 from emalg.automata import Dfa, _renumber
 from emalg.core import Preorder, SortedFunction, SortedOrderedSet
 from emalg.logic import (
@@ -73,7 +78,7 @@ from emalg.logic import (
     ef_type,
 )
 from emalg.monads import HOLE
-from emalg.syntactic import _one_step_functions, _pair_depths
+from emalg.syntactic import _one_step_functions, _pair_depths, _witnessed_steps
 
 
 def incompatibility(alg, rel):
@@ -390,14 +395,47 @@ def step_arrays(alg, steps):
     return [([index[e] for e in f.table], [index[v] for v in f.table.values()]) for f in steps]
 
 
+class PairDepths(list):
+    """The depth array of ``_pair_depths`` over ``alg``'s numbering, which
+    also holds each pair of elements (a, b) that it separates."""
+
+    def __init__(self, alg, depths):
+        super().__init__(depths)
+        self.index, self.n = alg.carrier._index, len(alg.carrier)
+
+    def __contains__(self, pair) -> bool:
+        a, b = pair
+        return self[self.index[a] * self.n + self.index[b]] >= 0
+
+
 def separation_layers(alg, P, sort):
-    """The one-step functions of the algebra, and for every same-sort pair
-    (a, b) that some context separates the length of the shortest
-    separating context (``_pair_depths`` over every element step)."""
-    steps = _one_step_functions(alg)
-    elems, depths = _pair_depths(alg, P, sort, step_arrays(alg, steps))
-    n = len(elems)
-    return steps, {(elems[p // n], elems[p % n]): d for p, d in enumerate(depths) if d >= 0}
+    """The witnessed one-step functions of the algebra over its numbering
+    (``_witnessed_steps``), and the depth of every same-sort pair (a, b)
+    that some context separates, the length of the shortest separating
+    context (``_pair_depths`` over every element step), as ``PairDepths``."""
+    _, depths = _pair_depths(alg, P, sort, step_arrays(alg, _one_step_functions(alg)))
+    return _witnessed_steps(alg), PairDepths(alg, depths)
+
+
+def closure(alg, start):
+    """Close ``start`` (element -> witness free element) under the label
+    entries, sweeping them in label order until a sweep adds nothing: an
+    entry whose arguments all have witnesses gives its value, if that has
+    none yet, ``flat`` of the op's shallow term over them; a bare slot
+    stays a bare variable of sort 1."""
+    wit = dict(start)
+    monad, sort_of = alg.monad, alg.carrier.sort_of
+    changed = True
+    while changed:
+        changed = False
+        for op, args, r in _entries(alg):
+            if r in wit or any(x is not VAR and x not in wit for x in args):
+                continue
+            labels = tuple([VAR if x is VAR else wit[x] for x in args])
+            sorts = tuple([1 if x is VAR else sort_of(x) for x in args])
+            wit[r] = monad.flat(_TERM[op](labels, sorts))
+            changed = True
+    return wit
 
 
 def transition_semigroup(dfa):

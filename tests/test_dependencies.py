@@ -1,6 +1,7 @@
 """emalg has no runtime dependencies: the project declares none, and the
 package imports nothing but itself and the standard library.  Its
-process-wide caches are declared here, and each is keyed by values."""
+process-wide caches are declared here, and each is keyed by values.  Only
+``algebra.py`` reads an algebra's integer storage."""
 
 import ast
 import pathlib
@@ -74,3 +75,15 @@ def test_every_process_wide_cache_is_declared():
     # a cache made by a call outside a decorator would escape the list
     assert uses == len(found)
     assert found == VALUE_KEYED_CACHES
+
+
+def test_only_the_algebra_module_reads_the_integer_storage():
+    """An algebra's integer tables (``_coded``) and their label order
+    (``_order``) are read in ``algebra.py`` alone; other modules go through
+    its accessors."""
+    readers = set()
+    for path in package_sources():
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_coded", "_order"):
+                readers.add(path.name)
+    assert readers == {"algebra.py"}

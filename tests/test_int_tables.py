@@ -1,24 +1,31 @@
-"""The integer view of an algebra's tables: the compatibility walk and the
-quotient classes read element indices, and agree exactly with the
-label-keyed references in ``tests._reference``; reports and construction
-messages are pinned."""
+"""The integer view of an algebra's tables: the compatibility walk, the
+quotient classes and the witness closure read element indices, and agree
+exactly with the label-keyed references in ``tests._reference``; reports
+and construction messages are pinned, and the word pipeline decodes no
+label view."""
 
 import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
+from emalg import cli
 from emalg.algebra import (
     VAR,
     FinAlgebra,
+    _closure,
     _entries,
     _generating_edges,
     _places,
     product,
+    restrict_sorts,
     word_algebra,
 )
+from emalg.automata import dfa_to_recognizer, parse_regex
 from emalg.core import (
+    CarrierBoundExceeded,
     Preorder,
     SortedOrderedSet,
     _members,
@@ -27,9 +34,9 @@ from emalg.core import (
     quotient_set,
     upward_closure,
 )
-from emalg.lawsuite import _all_preorders
-from emalg.monads import OMEGA_UP
-from emalg.syntactic import syntactic_preorder
+from emalg.lawsuite import _all_preorders, exists_a, finitely_many_a
+from emalg.monads import OMEGA_UP, SORT_FIN, serialize
+from emalg.syntactic import decompose_as_derivatives, syntactic_algebra, syntactic_preorder
 from tests import _reference
 from tests._samplers import rand_preorder, rand_transformation_algebra
 from tests.test_algebra import bool_tree_algebra
@@ -47,6 +54,7 @@ from tests.test_generator_steps import (
     incompatibility,
     run_cli,
 )
+from tests.test_word_oracles import LETTERS, _expressions, text
 
 # -- pins recorded before the tables were numbered ---------------------------------------
 
@@ -363,6 +371,75 @@ def test_the_walk_builds_no_label_view():
         assert incompatibility(alg, alg.carrier.leq_pairs()) is None
         assert not {"_labelled", "tables"} & set(vars(alg))
     assert not product([ordered_bool_tree_algebra()]).carrier.is_trivially_ordered()
+
+
+def test_the_word_pipeline_decodes_no_label_view(monkeypatch):
+    """From the recognizer to the reports, ``syn`` and ``decompose`` read
+    the integer tables only: a DFA recognizer's algebra, built from
+    integers, is never decoded to labels."""
+    language = family("a", 4)
+    rec = dfa_to_recognizer(parse_regex(language))
+    syn = syntactic_algebra(rec)
+    decompose_as_derivatives(syn, syn.accepting)
+    recognizers = [rec]
+
+    def build(dfa):
+        recognizers.append(dfa_to_recognizer(dfa))
+        return recognizers[-1]
+
+    monkeypatch.setattr(cli, "dfa_to_recognizer", build)
+    for command in ("syn", "decompose"):
+        assert run_cli(command, language)[0] == 0
+    assert len(recognizers) == 3
+    for rec in recognizers:
+        assert "_labelled" not in rec.algebra.__dict__
+
+
+def _same_closure(alg, gens):
+    """The witness closure of ``gens`` and the label closure of the
+    reference: the same elements in the same order, with the same
+    witnesses."""
+    start = {g: alg.monad.sing(g, alg.carrier.sort_of(g)) for g in gens}
+    got, want = _closure(alg, start), _reference.closure(alg, start)
+    assert list(got) == list(want)
+    assert [serialize(w, repr) for w in got.values()] == [serialize(w, repr) for w in want.values()]
+
+
+def _closure_cases():
+    """(algebra, generator lists): the suffix family's recognizers from
+    their letters and from single elements, and omega and tree algebras,
+    bare slots included, from every element and every pair of them."""
+    for letter in "ab":
+        for k in range(1, 5):
+            rec = dfa_to_recognizer(parse_regex(family(letter, k)))
+            elems = list(rec.algebra.carrier)
+            yield rec.algebra, [list(rec.assignment.values())] + [[e] for e in elems[::5]]
+    small = [finitely_many_a()[0], exists_a()[0], restrict_sorts(finitely_many_a()[0], {SORT_FIN})]
+    small += [count_cap_omega(cap) for cap in (1, 2, 3)]
+    small += [bool_tree_algebra(2, with_var_slots=True), ordered_bool_tree_algebra()]
+    small.append(diagonal_bare_slot_algebra())
+    for alg in small:
+        elems = list(alg.carrier)
+        yield alg, [[e] for e in elems] + [list(pair) for pair in itertools.combinations(elems, 2)]
+
+
+def test_the_witness_closure_is_the_label_closure():
+    closures = 0
+    for alg, gen_lists in _closure_cases():
+        for gens in gen_lists:
+            _same_closure(alg, gens)
+            closures += 1
+    assert closures > 200
+
+
+@settings(max_examples=100, deadline=None)
+@given(_expressions())
+def test_the_witness_closure_is_the_label_closure_on_drawn_regexes(e):
+    try:
+        rec = dfa_to_recognizer(parse_regex(text(e), LETTERS))
+    except CarrierBoundExceeded:
+        return
+    _same_closure(rec.algebra, list(rec.assignment.values()))
 
 
 def test_the_view_codes_every_entry_under_its_place():
