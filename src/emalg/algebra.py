@@ -435,29 +435,129 @@ def _walk_rows(alg: FinAlgebra, up: list) -> Optional[tuple]:
     position by position (a bare slot matching only a bare slot) have
     related values.  Under a discrete relation there are none.
 
-    Each entry is compared only with the entries that raise *one* of its
-    arguments along one generating edge of the relation
-    (``_generating_edges``).  Every related pair is joined by a path of
-    such edges, so when every intermediate tuple has an entry this is the
-    same test as over the whole product of the up-sets: the values along
-    the path are related step by step (ab <= a'b <= a'b'), and transitivity
-    relates the ends.  The intermediate entries exist for the total word
-    and omega tables, and for tree entries without a bare slot, whose
-    raised keys are required too; entries with a bare slot are optional,
-    so they keep the walk over the whole product of up-sets.
+    The walk has two steps.  The first only asks whether there is a
+    violation (``_violated``); the second, run only when there is,
+    searches every element above each argument of each entry, in label
+    order, then position, then index order (``_first_violation``), so the
+    witness, returned in labels, is the first one over all related pairs.
 
-    Raising position i of the code c from x to y gives the code c + (y - x)
-    n^i, one lookup, and its value is related when its bit is set in the
-    up-set row of the entry's value.  When the edges find a violation, the
-    walk runs again over every element above each argument, in label
-    order, then position, then index order, so the witness, returned in
-    labels, is the first one over all related pairs."""
+    The first step compares each entry without a bare slot only with the
+    entries that raise *one* of its arguments along one generating edge of
+    the relation (``_generating_edges``).  Every related pair is joined by
+    a path of such edges, so when every intermediate tuple has an entry
+    this is the same test as over the whole product of the up-sets: the
+    values along the path are related step by step (ab <= a'b <= a'b'),
+    and transitivity relates the ends.  The intermediate entries exist for
+    the total word and omega tables, and for tree entries without a bare
+    slot, whose raised keys are required too.  It compares whole fibres
+    (``_fibres``): one big-integer test per position and element that an
+    edge leaves, not one table read per entry.  Entries with a bare slot
+    are optional, so they keep the walk over the whole product of up-sets.
+    The witness comes from the second step alone, so it does not depend
+    on how the first one decides."""
     if all(row == 1 << i for i, row in enumerate(up)):
         return None
     above = [_members(u & ~(1 << i)) for i, u in enumerate(up)]
-    if _first_violation(alg, up, above, _generating_edges(up, above)) is None:
+    if not _violated(alg, up, above):
         return None
-    return _first_violation(alg, up, above, above)
+    return _first_violation(alg, up, above)
+
+
+def _violated(alg: FinAlgebra, up: list, above: list) -> bool:
+    """Whether ``_first_violation(alg, up, above)`` finds a witness.
+
+    Over each argument position of each shape of the monad's signature
+    that has entries, the entries with element x there form x's fibre
+    (``_fibres``).  A generating edge from x to y is violated there iff
+    some entry of y's fibre is not related to the entry of x's fibre with
+    the same other arguments: iff the one-hot code of y's fibre has a bit
+    outside x's fibre read through the up-set rows, block by block.  One
+    big-integer test covers every edge that leaves x, and only the fibres
+    of the elements that edges touch are built.  The entries with a bare
+    slot are compared with the whole product of the up-sets, one by one."""
+    edges = _generating_edges(up, above)
+    rows = _Blocks(up, (len(up) + 7) // 8)
+    for run, fibres in _fibres(alg):
+        for x in run:
+            if edges[x]:
+                raised = 0
+                for y in edges[x]:
+                    raised |= fibres[y][1]
+                if raised & ~int.from_bytes(b"".join(map(rows.__getitem__, fibres[x][0])), "little"):
+                    return True
+    n = len(up)
+    for (op, m, bare), table in alg._coded.items():
+        if bare and any(
+            value2 is not None and not up[v] >> value2 & 1
+            for code, v in table.items()
+            for _, value2 in _raised_bare(table, m, bare, n, code, above)
+        ):
+            return True
+    return False
+
+
+class _Blocks(dict):
+    """Element index v -> the bitmask ``masks[v]`` as ``size`` little-endian
+    bytes, converted on first use."""
+
+    def __init__(self, masks: list, size: int):
+        self.masks, self.size = masks, size
+
+    def __missing__(self, v: int) -> bytes:
+        block = self[v] = self.masks[v].to_bytes(self.size, "little")
+        return block
+
+
+class _Fibres(dict):
+    """The fibres of argument position i of one shape, built on first use:
+    element index x -> (the value indices of the entries with x at
+    position i, the other arguments from ``pools`` in box order; the
+    one-hot code of those values, one block per entry with the bit of its
+    value set).  The box codes are built with the first fibre."""
+
+    def __init__(self, get, n: int, pools: list, i: int, blocks: _Blocks):
+        self.get, self.n, self.pools, self.i, self.blocks = get, n, pools, i, blocks
+        self.weight, self.bases = n**i, None
+
+    def __missing__(self, x: int) -> tuple:
+        if self.bases is None:
+            self.bases = _box_codes(self.n, self.pools, self.i)
+        values = list(map(self.get, map((x * self.weight).__add__, self.bases)))
+        fibre = self[x] = values, int.from_bytes(b"".join(map(self.blocks.__getitem__, values)), "little")
+        return fibre
+
+
+@_per_algebra
+def _fibres(alg: FinAlgebra) -> list:
+    """For each argument position of each shape of the monad's signature
+    that has entries, the indices of the position's sort (``_sort_runs``)
+    and its fibres (``_Fibres``), over the carrier's numbering: a block is
+    the ⌈n/8⌉ bytes of a bitmask over the n elements.  Memoised on the
+    algebra (``_per_algebra``), so the walks of every relation on one
+    algebra share them."""
+    n, runs = len(alg.carrier), _sort_runs(alg.carrier)
+    blocks = _Blocks([1 << v for v in range(n)], (n + 7) // 8)
+    out = []
+    for op, sorts, result in alg.monad.signature:
+        if result in runs:  # an op with nowhere to land has no entries
+            get, pools = _table(alg, op, len(sorts)).get, [runs.get(s, ()) for s in sorts]
+            out.extend((pool, _Fibres(get, n, pools, i, blocks)) for i, pool in enumerate(pools))
+    return out
+
+
+def _raised_bare(table: dict, m: int, bare: tuple, n: int, code: int, above: list):
+    """The argument codes and values of the entries of ``table`` (entries
+    of ``m`` arguments with bare slots at ``bare``) whose arguments are
+    related to those of the entry at ``code``, other than that entry: over
+    the whole product of the up-sets (``above[x]``: the elements other than
+    x above x), in product order.  The value is None where there is no
+    entry; an all-bare pattern is the unit law, whose value is its head."""
+    opened = [n**i for i in range(m) if i not in bare]
+    tuples = itertools.product(*([x] + above[x] for x in (code // w % n for w in opened)))
+    next(tuples)  # the entry itself
+    for ys in tuples:
+        code2 = sum(map(int.__mul__, ys, opened))
+        yield code2, (ys[0] if len(ys) == 1 else table.get(code2))
 
 
 def _generating_edges(up: list, above: list) -> list:
@@ -486,31 +586,25 @@ def _generating_edges(up: list, above: list) -> list:
     return edges
 
 
-def _first_violation(alg: FinAlgebra, up: list, above: list, raise_to: list) -> Optional[tuple]:
-    """The first witness of ``_walk_rows``, raising each argument x of an
-    entry without a bare slot to the elements ``raise_to[x]``, and each of
-    an entry with one over ``above[x]``; bare slots stay bare."""
+def _first_violation(alg: FinAlgebra, up: list, above: list) -> Optional[tuple]:
+    """The first witness of ``_walk_rows``, raising one argument x of an
+    entry without a bare slot at a time to each element of ``above[x]``,
+    and the arguments of an entry with one over the whole product of the
+    up-sets (``_raised_bare``); bare slots stay bare."""
     elems, n = alg.carrier._by_index, len(alg.carrier)
     for place, table, items in _runs(alg):
         op, m, bare = place
         get, weights = table.get, [n**i for i in range(m)]
-        opened = [w for i, w in enumerate(weights) if i not in bare]
         for code, v in items:
             related = up[v]
-            if bare:  # the whole product of up-sets
-                xs = [code // w % n for w in opened]
-                tuples = itertools.product(*([x] + above[x] for x in xs))
-                next(tuples)  # the entry itself
-                for ys in tuples:
-                    code2 = sum(map(int.__mul__, ys, opened))
-                    # an all-bare pattern is the unit law: its value is its head
-                    value2 = ys[0] if len(ys) == 1 else get(code2)
+            if bare:
+                for code2, value2 in _raised_bare(table, m, bare, n, code, above):
                     if value2 is not None and not related >> value2 & 1:
                         return op, _labels(elems, place, code), _labels(elems, place, code2)
                 continue
             for w in weights:
                 x = code // w % n
-                for y in raise_to[x]:
+                for y in above[x]:
                     code2 = code + (y - x) * w
                     value2 = get(code2)
                     if value2 is not None and not related >> value2 & 1:
@@ -904,6 +998,12 @@ def _table(alg: FinAlgebra, op: str, arity: int) -> dict:
     return alg._coded.get((op, arity, ()), {})
 
 
+def _sort_runs(carrier: SortedOrderedSet) -> dict:
+    """Each nonempty sort's element indices, one run of the numbering."""
+    index, elements = carrier._index, carrier.elements
+    return {s: range(index[es[0]], index[es[0]] + len(es)) for s in carrier.sorts if (es := elements(s))}
+
+
 def _columns(alg: FinAlgebra, op: str, sorts: tuple, i: int, pools: list):
     """The columns of ``op``'s shape with argument sorts ``sorts`` along
     position i: for each choice of the other arguments from ``pools``
@@ -911,11 +1011,21 @@ def _columns(alg: FinAlgebra, op: str, sorts: tuple, i: int, pools: list):
     indices at the elements of ``pools[i]``, None where there is no entry."""
     n = len(alg.carrier)
     get = _table(alg, op, len(sorts)).get
-    weight = n**i  # position i's place in an argument code
-    hole = [x * weight for x in pools[i]]
-    scaled = [[d * n**j for d in pool] for j, pool in enumerate(pools)]
-    scaled[i] = (0,)
-    return [[get(base + x) for x in hole] for base in map(sum, itertools.product(*scaled))]
+    hole = [x * n**i for x in pools[i]]  # position i's place in an argument code
+    return [[get(base + x) for x in hole] for base in _box_codes(n, pools, i)]
+
+
+def _box_codes(n: int, pools: list, i: int) -> list:
+    """The argument codes, over a numbering of ``n`` elements, of each
+    choice of the arguments other than position i from ``pools`` (lists
+    of element indices), in ``itertools.product`` order, with 0 at
+    position i."""
+    codes = [0]
+    for j, pool in enumerate(pools):
+        if j != i:
+            w = n**j
+            codes = [c + d * w for c in codes for d in pool]
+    return codes
 
 
 def _grow_tuples(algs: list[FinAlgebra], seeds: Iterable[tuple]):

@@ -71,16 +71,26 @@ def _element_names(alg: FinAlgebra) -> dict:
 def _dump_syntactic(syn: SyntacticResult) -> dict:
     """The report of a syntactic algebra, named, ordered and tabled over
     its carrier's numbering: element i is named e<i>.  The table is sorted
-    by the repr of ((a, b), a b), as over labels, each element's repr
-    computed once."""
+    by the text of ((a, b), a b), as over labels, read off the ranks of
+    the elements' reprs in text order.
+
+    The two orders agree.  The elements are tuples of ints
+    (``dfa_to_recognizer``), whose reprs are prefix-free: each ends at its
+    first ')'.  So the texts of two entries first differ inside the first
+    component whose reprs differ, where the order of those two reprs
+    decides.  A distinct tuple has a distinct repr, and a and b fix the
+    entry, so the rank of a's repr, then of b's, orders the entries as
+    their texts do, with no ties."""
     alg = syn.syn_algebra
     n = len(alg.carrier)
     names, index = [f"e{i}" for i in range(n)], alg.carrier._index
-    r = [repr(e) for e in alg.carrier]
+    rank = [0] * n
+    for k, i in enumerate(sorted(range(n), key=[repr(e) for e in alg.carrier].__getitem__)):
+        rank[i] = k
 
-    def by_repr(entry) -> str:
-        code, c = entry
-        return "((%s, %s), %s)" % (r[code % n], r[code // n], r[c])
+    def by_text(entry) -> int:
+        code = entry[0]
+        return rank[code % n] * n + rank[code // n]
 
     return {
         "size": n,
@@ -95,7 +105,7 @@ def _dump_syntactic(syn: SyntacticResult) -> dict:
         ),
         "table": {
             f"{names[code % n]} {names[code // n]}": names[c]
-            for code, c in sorted(_table(alg, "mult", 2).items(), key=by_repr)
+            for code, c in sorted(_table(alg, "mult", 2).items(), key=by_text)
         },
     }
 

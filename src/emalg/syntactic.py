@@ -65,6 +65,7 @@ from .algebra import (
     _columns,
     _per_algebra,
     _raw_up,
+    _sort_runs,
     _table,
     generated_tuples,
     quotient_algebra,
@@ -243,11 +244,10 @@ def _step_columns(alg: FinAlgebra, generators: Optional[tuple]):
     the value indices at the hole's elements.  A column that is empty, or
     has a gap (None: an op with nowhere to land has no entries), is no
     step."""
-    A, index = alg.carrier, alg.carrier._index
-    runs = {s: range(index[es[0]], index[es[0]] + len(es)) for s in A.sorts if (es := A.elements(s))}
+    runs = _sort_runs(alg.carrier)
     pool = dict(runs)
     if generators is not None:
-        pool[alg.monad.generated_sort] = [index[g] for g in generators]
+        pool[alg.monad.generated_sort] = [alg.carrier._index[g] for g in generators]
     for op, sorts, result in alg.monad.signature:
         for i, hole_sort in enumerate(sorts):
             pools = [pool.get(s, ()) for s in sorts]
@@ -416,13 +416,10 @@ def _pair_depths(alg: FinAlgebra, P: frozenset, sort: Sort, steps) -> tuple[list
         steps = _StepArrays(steps, n)
     preimages = steps.preimages
     depths = [-1] * (n * n)
-    frontier = [
-        index[a] * n + index[b]
-        for a in A.elements(sort)
-        if a in P
-        for b in A.elements(sort)
-        if b not in P
-    ]
+    accepted, rejected = [], []  # the indices of the sort, one test each
+    for e in A.elements(sort):
+        (accepted if e in P else rejected).append(index[e])
+    frontier = [i * n + j for i in accepted for j in rejected]
     for p in frontier:
         depths[p] = 0
     depth = 0

@@ -3,19 +3,27 @@ memoised on the algebra: results built on one shared algebra, in any
 order, equal the builds on fresh copies of it."""
 
 import gc
+import itertools
 import weakref
 
 from emalg import algebra
 from emalg.algebra import (
     FinAlgebra,
     Recognizer,
+    is_congruence_ordering,
     quotient_algebra,
     subalgebra_generated,
     word_algebra,
 )
 from emalg.automata import dfa_to_recognizer, parse_regex
 from emalg.core import Preorder, SortedOrderedSet, upward_closure
-from emalg.lawsuite import _scope_recognizers, finitely_many_a, small_semigroups
+from emalg.lawsuite import (
+    _all_preorders,
+    _scope_recognizers,
+    finitely_many_a,
+    ordered_finitely_many_a,
+    small_semigroups,
+)
 from emalg.logic import fo_definable, is_definable_algebra
 from emalg.monads import SORT_FIN, SORT_WORD
 from emalg.syntactic import _generators, _step_arrays, saturate_all, syntactic_algebra
@@ -124,6 +132,38 @@ def test_an_algebra_is_freed_with_its_last_reference():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_an_algebra_is_freed_with_its_last_reference_after_a_walk():
+    # the fibres that the compatibility walk memoises hold the tables, not
+    # the algebra: ordered carriers walked at construction, and preorders
+    # walked on discrete ones, bare tree slots included
+    makes = (
+        lambda: finitely_many_a()[0],
+        lambda: dfa_to_recognizer(parse_regex("(a|b)*ab")).algebra,
+        lambda: bool_tree_algebra(2, with_var_slots=True),
+        lambda: ordered_finitely_many_a()[0],
+    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for make in makes:
+            alg = make()
+            for q in itertools.islice(_all_preorders(alg.carrier), 40):
+                if q.is_order_extending():
+                    is_congruence_ordering(alg, q)
+            assert any(key[0] is algebra._fibres.__wrapped__ for key in alg._memo)
+            held = weakref.ref(alg)
+            del alg
+            assert held() is None
+    finally:
+        if enabled:
+            gc.enable()
+    alg = ordered_finitely_many_a()[0]  # walked for monotonicity when built
+    held = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert held() is None
 
 
 def test_an_all_singleton_quotient_under_another_order_gets_its_own_results():

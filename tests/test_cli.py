@@ -13,8 +13,11 @@ import pytest
 
 from emalg import cli, logic, syntactic
 from emalg.algebra import is_congruence_ordering
+from emalg.automata import dfa_to_recognizer, parse_regex
 from emalg.cli import EXIT_BOUND, EXIT_INPUT, EXIT_INTERNAL, EXIT_NEGATIVE, EXIT_OK, main
 from emalg.core import NoFactorisation, Preorder
+from emalg.lawsuite import corpus_languages
+from emalg.syntactic import syntactic_algebra
 
 
 def run_cli(*argv):
@@ -155,6 +158,22 @@ def test_syn_and_decompose_reports_are_pinned():
             code, out = run_cli(command, language)
             digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == SYN_AND_DECOMPOSE_PIN
+
+
+def test_the_syn_table_is_sorted_as_its_label_text():
+    # the report sorts the table by per-element ranks; the order must be the
+    # order of the texts repr(((a, b), a b)), which rests on the elements'
+    # reprs being prefix-free
+    languages = [("(a|b)*" + x + "(a|b)" * k, None) for x in "ab" for k in range(1, 5)]
+    languages += list(corpus_languages().values())
+    for rx, alphabet in languages:
+        syn = syntactic_algebra(dfa_to_recognizer(parse_regex(rx, alphabet)))
+        alg = syn.syn_algebra
+        reprs = [repr(e) for e in alg.carrier]
+        assert not any(r != s and s.startswith(r) for r in reprs for s in reprs)
+        name = {e: f"e{i}" for i, e in enumerate(alg.carrier)}
+        by_text = sorted((repr(((a, b), c)), f"{name[a]} {name[b]}") for (a, b), c in alg.mult.items())
+        assert list(cli._dump_syntactic(syn)["table"]) == [key for _, key in by_text], rx
 
 
 def test_decompose_command():
