@@ -15,15 +15,15 @@ sorts, are the monad's ``signature`` (``emalg.monads``):
   but absent.
 
 The tables are stored over element indices, laid out under "the table
-view" below, and only this module reads that storage.  Labels exist only at
-the boundary: the keyword tables of ``FinAlgebra`` are coded once and kept
-as the label view; the internal constructions write integer tables, and
-their label views are decoded on first access.
+view" below, and only this module reads that storage.  Every computation
+reads them; labels exist only at the boundary, where the keyword tables of
+``FinAlgebra`` are coded once and the label views decoded on first access.
 
-One evaluator, ``eval_element``, is the structure map for all three: it
-checks every label's sort against its position, folds a finite sequence by
-the binary op of its argument sorts (mult, dot or mix), closes an omega
-period with omega, and evaluates a deep tree by recursion.
+One evaluator, ``eval_element``, is the structure map for all three: over
+element indices, it checks every label's sort against its position, folds
+a finite sequence by the binary op of its argument sorts (mult, dot or
+mix), closes an omega period with omega, and evaluates a deep tree by
+recursion.
 
 Construction checks the tables against the signature (every entry fits an
 operation and lands in its result sort, every operation is total) and for
@@ -92,17 +92,6 @@ class MissingTableEntry(KeyError):
     """A tree evaluation needed an optional slot entry that is absent."""
 
 
-class _label_view(functools.cached_property):
-    """A label view of an algebra's tables, decoded on first use.  An
-    algebra that shares another's tables (``FinAlgebra._tables_of``) reads
-    that one's view, so the two share it however many decode it first."""
-
-    def __get__(self, alg, owner=None):
-        if alg is not None and alg._tables_of is not None:
-            return getattr(alg._tables_of, self.attrname)
-        return super().__get__(alg, owner)
-
-
 class FinAlgebra:
     """A finitary algebra over one of the three instances.
 
@@ -111,10 +100,6 @@ class FinAlgebra:
     mapping per op of ``_OPS`` keyed by flat argument tuples; ``mult``,
     ``dot`` and ``mix`` are three of them, and ``omega`` (keyed by a) and
     ``comp`` (keyed by (head, slots)) show theirs in the keyword shapes."""
-
-    #: The algebra whose tables, and so whose label views, this one shares
-    #: (see ``quotient_algebra``), or None.
-    _tables_of = None
 
     def __init__(
         self,
@@ -130,8 +115,8 @@ class FinAlgebra:
         tables = {"mult": dict(mult or {}), "dot": dict(dot or {}), "mix": dict(mix or {})}
         tables["omega"] = {(a,): v for a, v in (omega or {}).items()}
         tables["comp"] = {(a, *slots): v for (a, slots), v in (comp or {}).items()}
-        self._labelled = tables
         self._init(monad, carrier, *_encode(carrier, tables))
+        self.tables = MappingProxyType({op: MappingProxyType(t) for op, t in tables.items()})
 
     def _init(self, monad, carrier, coded: dict, order: list, monotone: bool = False):
         """Take over the integer tables ``coded`` in the label ``order``,
@@ -155,10 +140,10 @@ class FinAlgebra:
         that ``quotient_algebra`` makes under another order starts empty."""
         return {}
 
-    @_label_view
-    def _labelled(self) -> dict:
-        """The label tables (op -> flat argument tuple -> value): the keyword
-        tables it was built from, else decoded in label order on first use."""
+    @functools.cached_property
+    def tables(self):
+        """The label view, one read-only mapping per op of ``_OPS``: the
+        keyword tables it was built from, else decoded in label order."""
         elems, n = self.carrier._by_index, len(self.carrier)
         tables: dict = {op: {} for op in _OPS}
         for place, _, items in _runs(self):
@@ -166,29 +151,17 @@ class FinAlgebra:
                 tables[place[0]].update({(elems[c % n], elems[c // n]): elems[v] for c, v in items})
             else:
                 tables[place[0]].update({_labels(elems, place, c): elems[v] for c, v in items})
-        return tables
-
-    @_label_view
-    def tables(self):
-        """The label view: one read-only mapping per op of ``_OPS``."""
-        return MappingProxyType({op: MappingProxyType(t) for op, t in self._labelled.items()})
-
-    @_label_view
-    def _read(self) -> dict:
-        """Each op's lookup args -> value, None where there is no entry."""
-        read = {op: table.get for op, table in self._labelled.items()}
-        read["comp"] = functools.partial(_read_comp, self._labelled["comp"])
-        return read
+        return MappingProxyType({op: MappingProxyType(t) for op, t in tables.items()})
 
     mult = property(lambda self: self.tables["mult"])
     dot = property(lambda self: self.tables["dot"])
     mix = property(lambda self: self.tables["mix"])
 
-    @_label_view
+    @functools.cached_property
     def omega(self):
         return MappingProxyType({a: v for (a,), v in self.tables["omega"].items()})
 
-    @_label_view
+    @functools.cached_property
     def comp(self):
         return MappingProxyType({(k[0], k[1:]): v for k, v in self.tables["comp"].items()})
 
@@ -234,14 +207,12 @@ class FinAlgebra:
     # -- shallow application ---------------------------------------------------
 
     def comp_value(self, a, slots: tuple):
-        """Value of the shallow tree a(slot_1,...,slot_n); VAR slots pass a
-        variable through.  The all-variable pattern is the unit law."""
-        value = self._read["comp"]((a, *slots))
-        if value is None:
-            raise MissingTableEntry(
-                f"no composition entry for head {a!r} with slots {tuple(slots)!r}"
-            )
-        return value
+        """Value of the shallow tree a(slot_1,...,slot_n), in labels; VAR
+        slots pass a variable through.  The all-variable pattern is the unit
+        law (``_apply``)."""
+        index = self.carrier._index
+        args = [VAR if b is VAR else index[b] for b in (a, *slots)]
+        return self.carrier._by_index[_apply(self, "comp", tuple(args))]
 
     def elements(self, sort: Sort):
         return self.carrier.elements(sort)
@@ -286,13 +257,6 @@ def _per_algebra(fn):
 # is the one place where labels become codes; ``_labels`` decodes them.
 
 _OPS = ("mult", "dot", "mix", "omega", "comp")
-
-
-def _entries(alg: FinAlgebra):
-    """Every table entry as (op, args, value), in labels, table by table."""
-    for op, table in alg.tables.items():
-        for args, value in table.items():
-            yield op, args, value
 
 
 def _places(alg: FinAlgebra) -> list:
@@ -345,17 +309,10 @@ def _encode(carrier: SortedOrderedSet, tables: dict) -> tuple:
 
 def _labels(elems: list, place: tuple, code: int) -> tuple:
     """The flat argument tuple, in labels, of the entry at ``code`` in the
-    table of ``place``; VAR at a bare slot."""
+    table of ``place``; VAR at a bare slot.  (``elems`` may be any list
+    over the numbering: a map to another carrier's indices relabels.)"""
     n = len(elems)
     return tuple([VAR if i in place[2] else elems[code // n**i % n] for i in range(place[1])])
-
-
-def _read_comp(table: dict, args: tuple):
-    """comp's entry at ``args``, None where there is none; an all-bare
-    pattern is the unit law, as in ``comp_value``."""
-    if args.count(VAR) == len(args) - 1:
-        return args[0]
-    return table.get(args)
 
 
 def _comp_term(args: tuple, sorts: tuple) -> Tree:
@@ -418,11 +375,6 @@ def _mapped(alg: FinAlgebra, f: list, size: int) -> tuple:
                     mapped[new] = f[v]
         _extend(order, place, len(mapped) - before)
     return {place: table for place, table in out.items() if table}, order
-
-
-def _image(f, args: tuple) -> tuple:
-    """``args`` relabelled by the mapping ``f``; bare slots stay bare."""
-    return tuple([VAR if a is VAR else f[a] for a in args])
 
 
 def _walk_rows(alg: FinAlgebra, up: list) -> Optional[tuple]:
@@ -658,26 +610,58 @@ def _word_algebra_of_columns(carrier: SortedOrderedSet, columns: list) -> FinAlg
 # -- evaluation ----------------------------------------------------------------
 
 
-def _apply(alg: FinAlgebra, op: str, args: tuple) -> Elem:
-    """``op``'s entry at ``args``; MissingTableEntry where there is none."""
-    value = alg._read[op](args)
+@_per_algebra
+def _evaluator(alg: FinAlgebra) -> tuple:
+    """What evaluation reads on ``alg``, set up once: the sort of each
+    element index, and for the argument sorts of each binary op
+    (``Monad.binary``) its integer table's ``get`` and its result sort."""
+    A = alg.carrier
+    steps = {sorts: (_table(alg, op, 2).get, r) for sorts, (op, r) in alg.monad.binary.items()}
+    return [A._sort_of[e] for e in A._by_index], steps
+
+
+def _decoded(alg: FinAlgebra, args: tuple) -> tuple:
+    """The element indices ``args`` in labels; a bare slot stays VAR."""
+    elems = alg.carrier._by_index
+    return tuple([VAR if a is VAR else elems[a] for a in args])
+
+
+def _apply(alg: FinAlgebra, op: str, args: tuple) -> int:
+    """``op``'s entry at the flat argument tuple ``args`` of element indices
+    (VAR at a bare slot); MissingTableEntry where there is none.  A comp
+    pattern whose slots are all bare is the unit law a(x0, .., x{n-1}) = a."""
+    n, code, w, bare = len(alg.carrier._by_index), 0, 1, ()
+    for i, a in enumerate(args):
+        if a is VAR:
+            bare += (i,)
+        else:
+            code += a * w
+        w *= n
+    if op == "comp" and len(bare) == len(args) - 1:
+        return args[0]
+    value = alg._coded.get((op, len(args), bare), {}).get(code)
     if value is None:
-        raise MissingTableEntry(f"no {op} entry at {args!r}")
+        head, *slots = labels = _decoded(alg, args)
+        if op == "comp":
+            raise MissingTableEntry(f"no composition entry for head {head!r} with slots {tuple(slots)!r}")
+        raise MissingTableEntry(f"no {op} entry at {labels!r}")
     return value
 
 
-def _fold(alg: FinAlgebra, values: list) -> Elem:
-    """``values`` multiplied left to right, each step by the op of the
-    signature that takes the sorts of its two arguments: mult, dot or mix
-    (and, for terms over trees, unary composition)."""
-    sort_of, binary = alg.carrier.sort_of, alg.monad.binary
-    acc, acc_sort = values[0], sort_of(values[0])
+def _fold(alg: FinAlgebra, values: list) -> int:
+    """The element indices ``values`` multiplied left to right, each step by
+    the op of the signature that takes the sorts of its two arguments:
+    mult, dot or mix (and, for terms over trees, unary composition).  A
+    binary op lands in one of its argument sorts, so ``_validate`` has
+    made it total: each step is one table read."""
+    sort_at, steps = _evaluator(alg)
+    n, acc, acc_sort = len(sort_at), values[0], sort_at[values[0]]
     for v in values[1:]:
-        sorts = (acc_sort, sort_of(v))
-        if sorts not in binary:
-            raise SortMismatch(f"no binary operation takes sorts {sorts}")
-        op, acc_sort = binary[sorts]
-        acc = _apply(alg, op, (acc, v))
+        step = steps.get((acc_sort, sort_at[v]))
+        if step is None:
+            raise SortMismatch(f"no binary operation takes sorts {(acc_sort, sort_at[v])}")
+        get, acc_sort = step
+        acc = get(acc + v * n)
     return acc
 
 
@@ -685,9 +669,9 @@ def eval_element(alg: FinAlgebra, beta, t) -> Elem:
     """The unique extension of the label assignment ``beta`` applied to ``t``.
 
     ``beta`` maps labels of ``t`` to carrier elements (dict or callable);
-    each value must have the sort of its label's position.  A sequence
-    folds by ``_fold``, an omega period is closed by ``omega`` first, and a
-    tree evaluates by recursion through ``comp_value``.
+    each value must have the sort of its label's position.  Over their
+    indices, a sequence folds by ``_fold``, an omega period is closed by
+    ``omega`` first, and a tree evaluates by recursion through comp.
 
     A tree's variables x0..x{sort-1} must occur exactly once each, in
     increasing order across the leaves.  Shallow tables do not determine
@@ -695,15 +679,14 @@ def eval_element(alg: FinAlgebra, beta, t) -> Elem:
     independent data in the full container), so such trees are rejected.
     """
     get = beta.__getitem__ if isinstance(beta, dict) else beta
-    sort_of = alg.carrier.sort_of
+    index, sort_of, elems = alg.carrier._index, alg.carrier._sort_of, alg.carrier._by_index
     alg.monad.element_sort(t)  # a shape of another instance is rejected here
     values = []
     for a, s in alg.monad.labels(t):
         v = get(a)
-        if sort_of(v) != s:
-            wrong = f"label {a!r} maps to {v!r} of sort {sort_of(v)}, not {s}"
-            raise SortMismatch(wrong)
-        values.append(v)
+        if sort_of[v] != s:
+            raise SortMismatch(f"label {a!r} maps to {v!r} of sort {sort_of[v]}, not {s}")
+        values.append(index[v])
     if isinstance(t, Tree):
         order = list(_tree_vars(t.root))
         if order != list(range(t.sort)):
@@ -717,13 +700,13 @@ def eval_element(alg: FinAlgebra, beta, t) -> Elem:
             if n.__class__ is Var:
                 return VAR
             v = next_value()
-            return alg.comp_value(v, tuple([ev(c) for c in n.children]))
+            return _apply(alg, "comp", (v, *[ev(c) for c in n.children]))
 
-        return ev(t.root)
+        return elems[ev(t.root)]
     if isinstance(t, UPWord):
         n = len(t.prefix)
         values[n:] = [_apply(alg, "omega", (_fold(alg, values[n:]),))]
-    return _fold(alg, values)
+    return elems[_fold(alg, values)]
 
 
 def eval_upword(alg: FinAlgebra, u: Iterable, v: Iterable, beta) -> Elem:
@@ -777,12 +760,18 @@ def is_morphism(phi, A: FinAlgebra, B: FinAlgebra) -> bool:
             return False
     if A.kind != B.kind:
         return False
-    f = phi.mapping
-    for op, args, value in _entries(A):
-        target = B._read[op](_image(f, args))
-        # an optional slot entry absent in the target cannot refute
-        if target is not None and f[value] != target:
-            return False
+    # over element indices: an optional slot entry absent in the target
+    # cannot refute, and an all-bare pattern is the unit law (``_apply``)
+    f = [B.carrier._index[phi.mapping[e]] for e in A.carrier._by_index]
+    nA, nB = len(A.carrier), len(B.carrier)
+    for (op, m, bare), table in A._coded.items():
+        opened = [(nA**i, nB**i) for i in range(m) if i not in bare]
+        target = B._coded.get((op, m, bare), {}).get
+        for code, v in table.items():
+            code2 = sum([f[code // w % nA] * s for w, s in opened])
+            value2 = code2 if bare and len(opened) == 1 else target(code2)
+            if value2 is not None and f[v] != value2:
+                return False
     return True
 
 
@@ -1149,15 +1138,14 @@ def quotient_algebra(alg: FinAlgebra, q: Preorder) -> tuple[FinAlgebra, Morphism
     class of the entry at any tuple of representatives.)  Its integer
     tables are the source's carried to the class indices (``_mapped``).
     When every class is a singleton, the quotient is a copy of the source
-    under the order of ``q``, sharing its tables and label views, decoded
-    or not (``_tables_of``); the walk still runs as the certificate."""
+    under the order of ``q`` that shares its integer tables (and any label
+    view the source has decoded); the walk still runs as the certificate."""
     if not is_congruence_ordering(alg, q):
         raise NotCongruence(None, "preorder fails shallow compatibility")
     Q, qfn = quotient_set(alg.carrier, q)
     if len(Q) == len(alg.carrier):
         quot = copy.copy(alg)
         quot.carrier = Q
-        quot._tables_of = alg._tables_of or alg
         quot.__dict__.pop("_memo", None)  # derived under the source's order
     else:
         cls = list(map(Q._index.__getitem__, map(qfn.mapping.__getitem__, alg.carrier)))
@@ -1257,7 +1245,7 @@ def _axiom_violations(alg: FinAlgebra):
         a(x0, .., x{n-1}) = a, which evaluation takes as given: "comp-unit"
         at (a, slots) where it stores another value."""
     A, monad = alg.carrier, alg.monad
-    binary, elements = monad.binary, A.elements
+    binary, elems, n, runs = monad.binary, A._by_index, len(A), _sort_runs(A)
     for (s1, s2), (op1, r1) in binary.items():
         if op1 == "comp":  # unary composition: comp entries, checked in (c)
             continue
@@ -1269,46 +1257,53 @@ def _axiom_violations(alg: FinAlgebra):
                 continue
             op2, op4 = binary[(r1, s3)][0], binary[(s1, r2)][0]
             name = f"{op2}-assoc" if op2 == op1 else f"{op2}-action"
-            xy, out, yz, xr = (alg.tables[op] for op in (op1, op2, op3, op4))
-            zs = elements(s3)
-            for x, y in itertools.product(elements(s1), elements(s2)):
-                p = xy[(x, y)]
+            xy, out, yz, xr = (_table(alg, op, 2) for op in (op1, op2, op3, op4))
+            zs = runs.get(s3, ())
+            for x, y in itertools.product(runs.get(s1, ()), runs.get(s2, ())):
+                p = xy[x + y * n]
                 for z in zs:
-                    if out[(p, z)] != xr[(x, yz[(y, z)])]:
-                        yield name, (x, y, z)
+                    if out[p + z * n] != xr[x + yz[y + z * n] * n]:
+                        yield name, (elems[x], elems[y], elems[z])
     for op, args, r in monad.signature:
-        if len(args) != 1 or not elements(r):
+        if len(args) != 1 or r not in runs:
             continue
         (s,) = args
-        u, mul, act = (alg.tables[o] for o in (op, binary[(s, s)][0], binary[(s, r)][0]))
-        xs = elements(s)
+        u, mul, act = _table(alg, op, 1), _table(alg, binary[(s, s)][0], 2), _table(alg, binary[(s, r)][0], 2)
+        xs = runs.get(s, ())
         for x, y in itertools.product(xs, xs):
-            if act[(x, u[(mul[(y, x)],)])] != u[(mul[(x, y)],)]:
-                yield f"{op}-shift", (x, y)
+            if act[x + u[mul[y + x * n]] * n] != u[mul[x + y * n]]:
+                yield f"{op}-shift", (elems[x], elems[y])
         for x in xs:
-            p, ux = x, u[(x,)]
+            p, ux = x, u[x]
             for _ in range(2 * max(1, len(xs)) + 1):
-                p = mul[(p, x)]
-                if u[(p,)] != ux:
-                    yield f"{op}-power", (x, p)
+                p = mul[p + x * n]
+                if u[p] != ux:
+                    yield f"{op}-power", (elems[x], elems[p])
                     break
-    comp = alg.tables["comp"]
+    # comp's entries in label order, keyed by flat argument tuples of
+    # indices (``_labels`` over the identity numbering), VAR at a bare slot
+    ids = range(n)
+    comp = {_labels(ids, p, c): v for p, _, items in _runs(alg) if p[0] == "comp" for c, v in items}
     if not comp:
         return
+
+    def read(args):  # as ``_apply``: an all-bare pattern is the unit law
+        return args[0] if args.count(VAR) == len(args) - 1 else comp.get(args)
+
     # the argument tuples of a head of each sort, by the signature's shapes
-    pools = {s: [*elements(s), VAR] if s == 1 else elements(s) for s in monad.sorts}
+    pools = {s: [*runs.get(s, ()), VAR] if s == 1 else runs.get(s, ()) for s in monad.sorts}
     tuples: dict = {}
-    for op, (n, *slot_sorts), _ in monad.signature:
-        tuples.setdefault(n, []).extend(itertools.product(*map(pools.get, slot_sorts)))
-    read, sort_of = alg._read["comp"], A.sort_of
+    for op, (k, *slot_sorts), _ in monad.signature:
+        tuples.setdefault(k, []).extend(itertools.product(*map(pools.get, slot_sorts)))
+    sort_at = _evaluator(alg)[0]
     for key, m in comp.items():
         a, slots = key[0], key[1:]
-        if slots.count(VAR) == len(slots):  # as in ``_read_comp``
+        if slots.count(VAR) == len(slots):  # the unit law
             if m != a:
-                yield "comp-unit", (a, slots)
+                yield "comp-unit", (elems[a], slots)
             continue
-        widths = [1 if b is VAR else sort_of(b) for b in slots]
-        for args in tuples.get(sort_of(m), ()):
+        widths = [1 if b is VAR else sort_at[b] for b in slots]
+        for args in tuples.get(sort_at[m], ()):
             via_m = read((m, *args))
             if via_m is None:
                 continue
@@ -1326,4 +1321,4 @@ def _axiom_violations(alg: FinAlgebra):
             else:
                 direct = read((a, *filled))
                 if direct is not None and direct != via_m:
-                    yield "comp-assoc", (a, slots, args)
+                    yield "comp-assoc", (elems[a], _decoded(alg, slots), _decoded(alg, args))

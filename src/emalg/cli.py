@@ -176,14 +176,15 @@ def _cmd_decompose(args) -> int:
     # every word of 1 to 6 letters, as the index of its value in the
     # recognizer's algebra: each its prefix's value times its last letter's,
     # one table read; each distinct value is matched once
-    mult, n = dec._mult, dec._n
+    alg = syn.recognizer.algebra
+    mult, n = _table(alg, "mult", 2), len(alg.carrier)
     letters = [dec._letter[c] for c in dfa.alphabet]
     values = dict.fromkeys(letters)
     level = letters
     for _ in range(2, 7):
         level = [mult[v + c * n] for v in level for c in letters]
         values.update(dict.fromkeys(level))
-    elems = syn.recognizer.algebra.carrier._by_index
+    elems = alg.carrier._by_index
     agree = all(
         dec._matches_value([v]) == (syn.syn_morphism(elems[v]) in target) for v in values
     )
@@ -205,6 +206,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_theory(args) -> int:
     theta = cached_theory_algebra(args.alphabet, args.rank)
+    mult, n = _table(theta.algebra, "mult", 2), theta.size()  # class ids are the indices
     evidence = {
         "classes": theta.size(),
         "representatives": {
@@ -212,8 +214,7 @@ def _cmd_theory(args) -> int:
         },
         "letters": {str(c): f"c{i}" for c, i in theta.letter_class.items()},
         "table": {
-            f"c{i} c{j}": f"c{k}"
-            for (i, j), k in sorted(theta.algebra.mult.items())
+            f"c{i} c{j}": f"c{mult[i + j * n]}" for i in range(n) for j in range(n)
         },
     }
     _emit("theory", {"classes": theta.size()}, evidence, args)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Union
 
-from .algebra import FinAlgebra, Recognizer, _word_algebra_of_columns
+from .algebra import FinAlgebra, Recognizer, _fold, _table, _word_algebra_of_columns
 from .automata import Dfa, dfa_to_recognizer
 from .core import SortedOrderedSet, upward_closure
 from .monads import SORT_WORD, Word
@@ -180,12 +180,8 @@ class TheoryAlgebra:
         return len(self.reps)
 
     def class_of(self, w) -> int:
-        """Fold a word through letter classes and the composition table."""
-        letters = _as_letters(w)
-        acc = self.letter_class[letters[0]]
-        for c in letters[1:]:
-            acc = self.algebra.mult[(acc, self.letter_class[c])]
-        return acc
+        """Fold a word through letter classes and the table (``_fold``)."""
+        return _fold(self.algebra, [self.letter_class[c] for c in _as_letters(w)])
 
     def classify(self, w) -> int:
         """Classify by type fingerprint, independently of the table."""
@@ -360,25 +356,28 @@ def recognizes_at_rank(lang: Union[Dfa, Recognizer, SyntacticResult], m: int) ->
     that extends a word by one letter per step, i.e. along the right Cayley
     graphs of both algebras at once: the answer is False at the first class
     seen both inside and outside the accepting set, and True once the walk
-    is exhausted.  The walk reads only the two tables and types no word.
+    is exhausted.  The walk reads only the two integer tables (a theory
+    class id is its own element index) and types no word.
 
     The theory algebra comes from ``cached_theory_algebra``, so each
     (letters, rank) is built, or fails its bound, once per process; a
     memoised failure raises ``TheoryBoundExceeded`` again."""
     syn = _as_syntactic(lang)
     theta = cached_theory_algebra(syn.letter_map, m)
-    tmult, smult = theta.algebra.mult, syn.syn_algebra.mult
-    letters = [(theta.letter_class[c], syn.letter_map[c]) for c in theta.alphabet]
+    S = syn.syn_algebra.carrier
+    tmult, smult = _table(theta.algebra, "mult", 2), _table(syn.syn_algebra, "mult", 2)
+    nt, ns = theta.size(), len(S)
+    letters = [(theta.letter_class[c], S._index[syn.letter_map[c]]) for c in theta.alphabet]
     walk = list(dict.fromkeys(letters))
     seen = set(walk)
     member: dict = {}
     # the loop reads the pairs appended to ``walk`` as it goes, in order
     for t, s in walk:
-        inside = s in syn.accepting
+        inside = S._by_index[s] in syn.accepting
         if member.setdefault(t, inside) != inside:
             return False
         for tc, sc in letters:
-            nxt = (tmult[(t, tc)], smult[(s, sc)])
+            nxt = (tmult[t + tc * nt], smult[s + sc * ns])
             if nxt not in seen:
                 seen.add(nxt)
                 walk.append(nxt)

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
-from .algebra import FinAlgebra, _apply, _fold
+from .algebra import FinAlgebra, _apply, _evaluator, _fold
 from .core import Elem
 from .monads import SortMismatch
 
@@ -207,67 +207,64 @@ def term_to_str(t: Term) -> str:
 # -- evaluation -----------------------------------------------------------------
 
 
-def _self_op(alg: FinAlgebra) -> Optional[tuple[str, int]]:
-    """(op, sort) for the signature's binary op whose argument and result
-    sorts are one sort: word multiplication, omega dot, or unary tree
-    composition.  None where there is none (trees of arity cap 0)."""
-    for op, args, result in alg.monad.signature:
+def default_var_sort(alg: FinAlgebra) -> Optional[int]:
+    """The sort that variables range over: that of the signature's binary
+    op whose argument and result sorts are one sort (word multiplication,
+    omega dot, or unary tree composition), None where there is none (trees
+    of arity cap 0; no variable then has a value)."""
+    for _, args, result in alg.monad.signature:
         if args == (result, result):
-            return op, result
+            return result
     return None
 
 
 def idempotent_power(alg: FinAlgebra, v: Elem) -> Elem:
-    """The unique idempotent among the powers of v.
+    """The unique idempotent among the powers of v (``_idempotent``)."""
+    return alg.carrier._by_index[_idempotent(alg, alg.carrier._index[v])]
+
+
+def _idempotent(alg: FinAlgebra, v: int) -> int:
+    """The unique idempotent among the powers of the element index v.
 
     Found by walking v, v^2, v^3, ... until the cycle closes and picking the
     idempotent inside it; this matches the factorial-power limit and needs at
     most carrier-size many steps.
     """
-    self_op = _self_op(alg)
-    if self_op is None or alg.carrier.sort_of(v) != self_op[1]:
-        raise SortMismatch(f"{v!r} does not live at a self-composable sort")
-    op = self_op[0]
+    sort_at, steps = _evaluator(alg)
+    if sort_at[v] != default_var_sort(alg):
+        raise SortMismatch(f"{alg.carrier._by_index[v]!r} does not live at a self-composable sort")
+    get, n = steps[(sort_at[v], sort_at[v])][0], len(sort_at)
     powers = [v]
-    seen = {v}
-    cur = v
-    while True:
-        cur = _apply(alg, op, (cur, v))
-        if cur in seen:
-            break
-        seen.add(cur)
-        powers.append(cur)
+    while (p := get(powers[-1] + v * n)) not in powers:
+        powers.append(p)
     for p in powers:
-        if _apply(alg, op, (p, p)) == p:
+        if get(p + p * n) == p:
             return p
     raise AssertionError("finite cyclic subsemigroup without idempotent")
 
 
-def default_var_sort(alg: FinAlgebra) -> Optional[int]:
-    """The sort that variables range over: that of the self-composable op,
-    None where the signature has none (no variable then has a value)."""
-    self_op = _self_op(alg)
-    return None if self_op is None else self_op[1]
-
-
 def eval_term(alg: FinAlgebra, beta: dict, t: Term) -> Elem:
-    """Value of an omega-term under a variable assignment."""
+    """Value of an omega-term under a label assignment (``_value``)."""
+    index = alg.carrier._index
+    return alg.carrier._by_index[_value(alg, {x: index[beta[x]] for x in _vars(t)}, t)]
+
+
+def _value(alg: FinAlgebra, beta: dict, t: Term) -> int:
+    """Value of an omega-term under an assignment of element indices."""
     if isinstance(t, TermVar):
         return beta[t.name]
     if isinstance(t, TermSeq):
-        return _fold(alg, [eval_term(alg, beta, x) for x in t.items])
+        return _fold(alg, [_value(alg, beta, x) for x in t.items])
     if isinstance(t, OmegaPow):
-        return idempotent_power(alg, eval_term(alg, beta, t.body))
+        return _idempotent(alg, _value(alg, beta, t.body))
     if isinstance(t, InfPow):
         unary = [op for op, args, _ in alg.monad.signature if len(args) == 1]
         if not unary:
             raise SortMismatch("the infinite power needs a two-sorted algebra")
-        power = idempotent_power(alg, eval_term(alg, beta, t.body))
+        power = _idempotent(alg, _value(alg, beta, t.body))
         return _apply(alg, unary[0], (power,))
     if isinstance(t, TreeTerm):
-        head = eval_term(alg, beta, t.head)
-        slots = tuple(eval_term(alg, beta, c) for c in t.children)
-        return alg.comp_value(head, slots)
+        return _apply(alg, "comp", tuple([_value(alg, beta, c) for c in (t.head, *t.children)]))
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -281,24 +278,26 @@ MAX_VARS = 4
 
 def satisfies(alg: FinAlgebra, ineq: Inequality) -> tuple[bool, Optional[dict]]:
     """Whether every assignment makes lhs <= rhs; on failure also returns the
-    first counterexample assignment in enumeration order.  An inequality in
-    more than ``MAX_VARS`` variables is a ValueError."""
+    first counterexample assignment in enumeration order.  The assignments
+    run over element indices, lhs <= rhs is one bit of the carrier's up-set
+    rows, and only the counterexample is decoded.  An inequality in more
+    than ``MAX_VARS`` variables is a ValueError."""
     names = ineq.variables()
     if len(names) > MAX_VARS:
         raise ValueError(
             f"{len(names)} variables exceed the assignment bound {MAX_VARS}"
         )
-    pool = alg.carrier.elements(default_var_sort(alg))
-    if not pool:
-        return True, None
+    A = alg.carrier
+    pool = [A._index[e] for e in A.elements(default_var_sort(alg))]
+    sort_at, rows = _evaluator(alg)[0], A._rows
     for combo in itertools.product(pool, repeat=len(names)):
         beta = dict(zip(names, combo))
-        lv = eval_term(alg, beta, ineq.lhs)
-        rv = eval_term(alg, beta, ineq.rhs)
-        if alg.carrier.sort_of(lv) != alg.carrier.sort_of(rv):
+        lv = _value(alg, beta, ineq.lhs)
+        rv = _value(alg, beta, ineq.rhs)
+        if sort_at[lv] != sort_at[rv]:
             raise SortMismatch("inequality sides have different sorts")
-        if not alg.carrier.leq(lv, rv):
-            return False, beta
+        if not rows[lv] >> rv & 1:
+            return False, {x: A._by_index[i] for x, i in beta.items()}
     return True, None
 
 

@@ -63,6 +63,7 @@ from .algebra import (
     NotCongruence,
     Recognizer,
     _columns,
+    _fold,
     _per_algebra,
     _raw_up,
     _sort_runs,
@@ -731,13 +732,13 @@ class DerivativeDecomposition:
     clauses: list  # list of (class elem, list[Context over the alphabet])
 
     def __post_init__(self):
-        # the recognizer's algebra over its numbering: its product table,
+        # the recognizer's algebra over its numbering: its product (``_fold``),
         # each letter's value and the accepted elements; then each context's
         # left and right parts as values (a list of at most one), so that a
         # word is evaluated once and costs at most two table reads per context
         rec = self.syn.recognizer
         index = rec.algebra.carrier._index
-        self._mult, self._n = _table(rec.algebra, "mult", 2), len(index)
+        self._product = functools.partial(_fold, rec.algebra)
         self._letter = {c: index[v] for c, v in rec.assignment.items()}
         self._accepted = {index[p] for p in rec.accepting}
 
@@ -747,14 +748,6 @@ class DerivativeDecomposition:
         self._parts = [
             [(part(c.left), part(c.right)) for c in ctxs] for _, ctxs in self.clauses
         ]
-
-    def _product(self, values: list) -> int:
-        """The product of the value indices ``values``, left to right."""
-        mult, n = self._mult, self._n
-        acc = values[0]
-        for v in values[1:]:
-            acc = mult[acc + v * n]
-        return acc
 
     def matches(self, t) -> bool:
         """Whether, for some clause, each of its contexts with ``t`` plugged

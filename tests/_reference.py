@@ -35,7 +35,7 @@ keeps the element-step preorder and the saturation-order contexts under
 test.
 
 ``closure`` is the witness closure that sweeps the label entries
-(``_entries``) with a witness dict keyed by elements, as ``_closure`` did
+(``entries``) with a witness dict keyed by elements, as ``_closure`` did
 before it swept the integer tables; keys, their order and the witnesses
 must agree.
 
@@ -62,12 +62,26 @@ package itself applies contexts only as one-step tables.
 
 ``semigroup_tables`` tests every table on range(n) for associativity, as
 ``lawsuite.small_semigroups`` did before it filled the cells by
-backtracking; the lists of tables must be equal, order included."""
+backtracking; the lists of tables must be equal, order included.
+
+``eval_element``, ``eval_term``, ``idempotent_power`` and ``satisfies`` are
+the evaluator over the label tables (``read``), as the package had it
+before evaluation read the integer tables; values, verdicts, first
+counterexamples and the texts of ``MissingTableEntry`` and
+``SortMismatch`` must agree.  ``entries`` lists the label entries that the
+label-keyed references here sweep."""
 
 import heapq
 import itertools
 
-from emalg.algebra import _TERM, VAR, _entries, _places, eval_element, subalgebra_generated
+from emalg.algebra import (
+    _TERM,
+    VAR,
+    MissingTableEntry,
+    _places,
+    eval_element,
+    subalgebra_generated,
+)
 from emalg.automata import Dfa, _renumber
 from emalg.core import Preorder, SortedFunction, SortedOrderedSet
 from emalg.logic import (
@@ -77,8 +91,30 @@ from emalg.logic import (
     cached_theory_algebra,
     ef_type,
 )
-from emalg.monads import HOLE
+from emalg.monads import HOLE, SortMismatch, Tree, UPWord, Var, _tree_vars
+from emalg.profinite import (
+    InfPow,
+    OmegaPow,
+    TermSeq,
+    TermVar,
+    TreeTerm,
+    default_var_sort,
+)
 from emalg.syntactic import _one_step_functions, _pair_depths, _witnessed_steps
+
+
+def entries(alg):
+    """Every table entry as (op, args, value), in labels, table by table."""
+    for op, table in alg.tables.items():
+        for args, value in table.items():
+            yield op, args, value
+
+
+def read(alg, op):
+    """``op``'s label entry at a flat argument tuple, None where there is
+    none; an all-bare comp pattern is the unit law, whose value is its head."""
+    get = alg.tables[op].get
+    return lambda args: args[0] if op == "comp" and args.count(VAR) == len(args) - 1 else get(args)
 
 
 def incompatibility(alg, rel):
@@ -97,8 +133,8 @@ def incompatibility(alg, rel):
         return None
     up_set = {x: set(u) for x, u in up.items()}
     up.setdefault(VAR, [VAR])
-    for op, args, value in _entries(alg):
-        read = alg._read[op]
+    for op, args, value in entries(alg):
+        get = read(alg, op)
         if VAR in args:
             above = itertools.product(*(up.get(a, ()) for a in args))
             next(above, None)  # args itself
@@ -110,7 +146,7 @@ def incompatibility(alg, rel):
             ]
         related = up_set[value]
         for args2 in above:
-            value2 = read(args2)
+            value2 = get(args2)
             if value2 is not None and value2 not in related:
                 return op, args, args2
     return None
@@ -188,14 +224,14 @@ def generated_tuples(algs, seeds):
         columns = list(zip(*known))
         found = set()
         for op, n, bare in shapes:
-            reads = [a._read[op] for a in algs]
+            reads = [read(a, op) for a in algs]
             for x in frontier:
                 for j in set(range(n)) - set(bare):
                     per_component = []
-                    for read, a, column in zip(reads, x, columns):
+                    for get, a, column in zip(reads, x, columns):
                         pools = [(VAR,) if i in bare else column for i in range(n)]
                         pools[j] = (a,)
-                        per_component.append(map(read, itertools.product(*pools)))
+                        per_component.append(map(get, itertools.product(*pools)))
                     found.update(zip(*per_component))
         frontier = [t for t in found if None not in t and t not in tuples]
         tuples.update(frontier)
@@ -228,18 +264,18 @@ def grow_tuples(algs, seeds, places=None):
         columns = list(zip(*known))
         found = []
         for op, n, bare in places:
-            reads = [a._read[op] for a in algs]
+            reads = [read(a, op) for a in algs]
             for x in frontier:
                 for j in range(n):
                     if j in bare:
                         continue
                     per_component = []
-                    for read, a, column in zip(reads, x, columns):
+                    for get, a, column in zip(reads, x, columns):
                         pools = [column] * n
                         for i in bare:
                             pools[i] = bare_column
                         pools[j] = (a,)
-                        per_component.append(map(read, itertools.product(*pools)))
+                        per_component.append(map(get, itertools.product(*pools)))
                     for t in set(zip(*per_component)) - tuples:
                         if None not in t:
                             tuples.add(t)
@@ -428,7 +464,7 @@ def closure(alg, start):
     changed = True
     while changed:
         changed = False
-        for op, args, r in _entries(alg):
+        for op, args, r in entries(alg):
             if r in wit or any(x is not VAR and x not in wit for x in args):
                 continue
             labels = tuple([VAR if x is VAR else wit[x] for x in args])
@@ -572,3 +608,118 @@ def semigroup_tables(n):
             for c in range(n)
         ):
             yield table
+
+
+def apply(alg, op, args):
+    """``op``'s entry at ``args``; MissingTableEntry where there is none."""
+    value = read(alg, op)(args)
+    if value is None:
+        raise MissingTableEntry(f"no {op} entry at {args!r}")
+    return value
+
+
+def fold(alg, values):
+    """``values`` multiplied left to right, each step by the op of the
+    signature that takes the sorts of its two arguments."""
+    sort_of, binary = alg.carrier.sort_of, alg.monad.binary
+    acc, acc_sort = values[0], sort_of(values[0])
+    for v in values[1:]:
+        sorts = (acc_sort, sort_of(v))
+        if sorts not in binary:
+            raise SortMismatch(f"no binary operation takes sorts {sorts}")
+        op, acc_sort = binary[sorts]
+        acc = apply(alg, op, (acc, v))
+    return acc
+
+
+def comp_value(alg, a, slots):
+    """Value of the shallow tree a(slot_1, ..., slot_n); VAR slots pass a
+    variable through, and the all-variable pattern is the unit law."""
+    value = read(alg, "comp")((a, *slots))
+    if value is None:
+        raise MissingTableEntry(f"no composition entry for head {a!r} with slots {tuple(slots)!r}")
+    return value
+
+
+def eval_element(alg, beta, t):
+    """The extension of the label assignment ``beta`` applied to ``t``, over
+    the label tables."""
+    get = beta.__getitem__ if isinstance(beta, dict) else beta
+    sort_of = alg.carrier.sort_of
+    alg.monad.element_sort(t)
+    values = []
+    for a, s in alg.monad.labels(t):
+        v = get(a)
+        if sort_of(v) != s:
+            raise SortMismatch(f"label {a!r} maps to {v!r} of sort {sort_of(v)}, not {s}")
+        values.append(v)
+    if isinstance(t, Tree):
+        order = list(_tree_vars(t.root))
+        if order != list(range(t.sort)):
+            raise SortMismatch(
+                f"tree variables {order} are not x0..x{t.sort - 1} in order; "
+                "the value of such a tree is not determined by shallow tables"
+            )
+        next_value = iter(values).__next__
+
+        def ev(n):
+            if n.__class__ is Var:
+                return VAR
+            v = next_value()
+            return comp_value(alg, v, tuple([ev(c) for c in n.children]))
+
+        return ev(t.root)
+    if isinstance(t, UPWord):
+        n = len(t.prefix)
+        values[n:] = [apply(alg, "omega", (fold(alg, values[n:]),))]
+    return fold(alg, values)
+
+
+def idempotent_power(alg, v):
+    """The first idempotent among the powers v, v^2, ... of v."""
+    sort = alg.carrier.sort_of(v)
+    if sort != default_var_sort(alg):
+        raise SortMismatch(f"{v!r} does not live at a self-composable sort")
+    op = alg.monad.binary[(sort, sort)][0]
+    powers, seen, cur = [v], {v}, v
+    while True:
+        cur = apply(alg, op, (cur, v))
+        if cur in seen:
+            break
+        seen.add(cur)
+        powers.append(cur)
+    return next(p for p in powers if apply(alg, op, (p, p)) == p)
+
+
+def eval_term(alg, beta, t):
+    """Value of an omega-term under a label assignment."""
+    if isinstance(t, TermVar):
+        return beta[t.name]
+    if isinstance(t, TermSeq):
+        return fold(alg, [eval_term(alg, beta, x) for x in t.items])
+    if isinstance(t, OmegaPow):
+        return idempotent_power(alg, eval_term(alg, beta, t.body))
+    if isinstance(t, InfPow):
+        unary = [op for op, args, _ in alg.monad.signature if len(args) == 1]
+        if not unary:
+            raise SortMismatch("the infinite power needs a two-sorted algebra")
+        return apply(alg, unary[0], (idempotent_power(alg, eval_term(alg, beta, t.body)),))
+    if isinstance(t, TreeTerm):
+        head = eval_term(alg, beta, t.head)
+        return comp_value(alg, head, tuple(eval_term(alg, beta, c) for c in t.children))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def satisfies(alg, ineq):
+    """(verdict, first counterexample) of lhs <= rhs over every assignment
+    of the variable sort's labels, in ``itertools.product`` order."""
+    names = ineq.variables()
+    pool = alg.carrier.elements(default_var_sort(alg))
+    for combo in itertools.product(pool, repeat=len(names)) if pool else ():
+        beta = dict(zip(names, combo))
+        lv, rv = eval_term(alg, beta, ineq.lhs), eval_term(alg, beta, ineq.rhs)
+        if alg.carrier.sort_of(lv) != alg.carrier.sort_of(rv):
+            raise SortMismatch("inequality sides have different sorts")
+        if not alg.carrier.leq(lv, rv):
+            return False, beta
+    return True, None

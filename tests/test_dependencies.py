@@ -1,7 +1,8 @@
 """emalg has no runtime dependencies: the project declares none, and the
 package imports nothing but itself and the standard library.  Its
 process-wide caches are declared here, and each is keyed by values.  Only
-``algebra.py`` reads an algebra's integer storage."""
+``algebra.py`` reads an algebra's integer storage, and only the modules at
+the label boundary read its label views."""
 
 import ast
 import pathlib
@@ -87,3 +88,19 @@ def test_only_the_algebra_module_reads_the_integer_storage():
             if isinstance(node, ast.Attribute) and node.attr in ("_coded", "_order"):
                 readers.add(path.name)
     assert readers == {"algebra.py"}
+
+
+def test_only_the_boundary_modules_read_the_label_views():
+    """An algebra's label views (``tables`` and its keyword shapes) are
+    read where labels are written or shown: ``algebra`` (which decodes
+    them), ``algio``, ``cli``, and the law battery, whose own checks stay on
+    labels so that they do not check the integer path with itself.  Every
+    other module computes over the integer tables."""
+    views = ("tables", "mult", "dot", "mix", "omega", "comp")
+    readers = set()
+    for path in package_sources():
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in views:
+                readers.add(path.stem)
+    assert "algebra" in readers
+    assert readers <= {"algebra", "algio", "cli", "lawsuite"}

@@ -11,9 +11,8 @@ import pytest
 
 from emalg import algebra, cli, syntactic
 from emalg.algebra import (
+    VAR,
     FinAlgebra,
-    _entries,
-    _image,
     _walk_rows,
     is_congruence_ordering,
     quotient_algebra,
@@ -32,7 +31,7 @@ from emalg.syntactic import (
     syntactic_algebra,
     syntactic_preorder,
 )
-from tests._reference import separation_layers
+from tests._reference import entries, separation_layers
 from tests._samplers import rand_preorder, rand_transformation_algebra
 from tests.test_syntactic import _refinement_cases
 
@@ -283,13 +282,18 @@ def congruences():
     yield alg, Preorder(alg.carrier, alg.carrier.leq_pairs())
 
 
+def _image(f, args: tuple) -> tuple:
+    """``args`` relabelled by the mapping ``f``; bare slots stay bare."""
+    return tuple([VAR if a is VAR else f[a] for a in args])
+
+
 def validated_quotient(alg, q) -> FinAlgebra:
     """The quotient built through ``FinAlgebra`` from label tables, with
     every check."""
     Q, qfn = quotient_set(alg.carrier, q)
     cls = qfn.mapping
     tables: dict = {op: {} for op in ("mult", "dot", "mix", "omega", "comp")}
-    for op, args, v in _entries(alg):
+    for op, args, v in entries(alg):
         key = _image(cls, args)
         key = key[0] if op == "omega" else (key[0], key[1:]) if op == "comp" else key
         tables[op][key] = cls[v]
@@ -365,14 +369,14 @@ def _count_calls(monkeypatch, module, name) -> list:
 def test_a_dfa_recognizer_is_its_own_image_and_syntactic_algebra(monkeypatch, rx):
     # the transition semigroup of a minimal automaton is the syntactic
     # semigroup: the image is the recognizer's algebra, the quotient shares
-    # its tables, and one compatibility walk certifies the preorder
+    # its integer tables, and one compatibility walk certifies the preorder
     rec = dfa_to_recognizer(parse_regex(rx))
     builds = _count_calls(monkeypatch, algebra, "_build")
     walks = _count_calls(monkeypatch, algebra, "_walk_rows")
     syn = syntactic_algebra(rec)
     assert builds == [] and len(walks) == 1
     assert syn.image.algebra is rec.algebra
-    assert syn.syn_algebra.tables is rec.algebra.tables
+    assert syn.syn_algebra._coded is rec.algebra._coded
     assert syn.syn_algebra.carrier.leq_pairs() == syn.preorder.pairs()
 
 

@@ -12,7 +12,6 @@ from emalg.algebra import (
     VAR,
     FinAlgebra,
     MissingTableEntry,
-    _fold,
     check_algebra_laws,
     eval_element,
     eval_upword,
@@ -125,7 +124,12 @@ def _violates(alg, axiom, args) -> bool:
         return alg.comp_value(alg.comp_value(a, slots), cs) != alg.comp_value(a, filled)
     assert axiom in ("mult-assoc", "dot-assoc", "mix-action"), axiom
     x, y, z = args
-    return _fold(alg, [x, y, z]) != _fold(alg, [x, _fold(alg, [y, z])])
+    binary, sort_of = alg.monad.binary, alg.carrier.sort_of
+
+    def times(a, b):  # the binary op of a's and b's sorts, in labels
+        return alg.tables[binary[(sort_of(a), sort_of(b))][0]][(a, b)]
+
+    return times(times(x, y), z) != times(x, times(y, z))
 
 
 def _perturbed(alg, rng):

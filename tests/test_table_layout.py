@@ -9,7 +9,6 @@ from emalg import algebra, lawsuite
 from emalg.algebra import (
     _OPS,
     FinAlgebra,
-    _entries,
     eval_element,
     is_congruence_ordering,
     one_element_algebra,
@@ -29,6 +28,7 @@ from emalg.lawsuite import (
 )
 from emalg.monads import OMEGA_UP, SORT_FIN, SORT_WORD, Word, tree_monad
 from emalg.syntactic import syntactic_algebra
+from tests import _reference
 from tests.test_algebra import bool_tree_algebra
 from tests.test_algebra_tables import _closure_cases, _recognizers, _small_algebras
 from tests.test_generator_steps import family, run_cli
@@ -76,7 +76,7 @@ def test_the_keyword_tables_round_trip_through_the_stored_layout():
         for op in _OPS:
             assert list(views[op].items()) == _old_shape(op, alg.tables[op]), op
         rebuilt = FinAlgebra(alg.monad, alg.carrier, **views)
-        assert list(_entries(rebuilt)) == list(_entries(alg))
+        assert list(_reference.entries(rebuilt)) == list(_reference.entries(alg))
         # coding the view gives the stored tables back, entry order included
         assert rebuilt._order == alg._order
         assert [list(t.items()) for t in rebuilt._coded.values()] == [
