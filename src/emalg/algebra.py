@@ -96,10 +96,11 @@ class FinAlgebra:
     """A finitary algebra over one of the three instances.
 
     It stores integer tables (``_coded`` in the label order ``_order``, see
-    "the table view" below).  ``tables`` is its label view, one read-only
-    mapping per op of ``_OPS`` keyed by flat argument tuples; ``mult``,
-    ``dot`` and ``mix`` are three of them, and ``omega`` (keyed by a) and
-    ``comp`` (keyed by (head, slots)) show theirs in the keyword shapes."""
+    "the table view" below).  ``tables`` is its label view, decoded from
+    them on first read: one read-only mapping per op of ``_OPS`` keyed by
+    flat argument tuples; ``mult``, ``dot`` and ``mix`` are three of them,
+    and ``omega`` (keyed by a) and ``comp`` (keyed by (head, slots)) show
+    theirs in the keyword shapes."""
 
     def __init__(
         self,
@@ -116,7 +117,6 @@ class FinAlgebra:
         tables["omega"] = {(a,): v for a, v in (omega or {}).items()}
         tables["comp"] = {(a, *slots): v for (a, slots), v in (comp or {}).items()}
         self._init(monad, carrier, *_encode(carrier, tables))
-        self.tables = MappingProxyType({op: MappingProxyType(t) for op, t in tables.items()})
 
     def _init(self, monad, carrier, coded: dict, order: list, monotone: bool = False):
         """Take over the integer tables ``coded`` in the label ``order``,
@@ -142,8 +142,8 @@ class FinAlgebra:
 
     @functools.cached_property
     def tables(self):
-        """The label view, one read-only mapping per op of ``_OPS``: the
-        keyword tables it was built from, else decoded in label order."""
+        """The label view, one read-only mapping per op of ``_OPS``, decoded
+        from the integer tables in label order."""
         elems, n = self.carrier._by_index, len(self.carrier)
         tables: dict = {op: {} for op in _OPS}
         for place, _, items in _runs(self):
@@ -599,9 +599,25 @@ def one_element_algebra(monad: Monad) -> FinAlgebra:
     return _build(monad, carrier, coded)
 
 
-def _word_algebra_of_columns(carrier: SortedOrderedSet, columns: list) -> FinAlgebra:
-    """The word algebra on ``carrier`` whose product of the elements with
-    indices s and t is the element with index ``columns[t][s]``."""
+def _word_algebra_of_cayley(carrier: SortedOrderedSet, right: list, found: list) -> FinAlgebra:
+    """The word algebra on ``carrier`` from its right Cayley graph, with the
+    table filled column by column after Froidure and Pin (1997).  Elements
+    0..g-1 are the generators, ``right[s][h]`` is the index of s.(generator
+    h), and ``found[t]`` is (u, h, True) for t = u.h, (u, h, False) for
+    t = h.u, or None for a generator.  Each entry is one lookup: for
+    t = u.h, s.t is (s.u).h, read in the right Cayley graph; for t = h.u,
+    s.t is (s.h).u, read in the earlier column of u."""
+    columns: list = []  # columns[t][s]: the index of s.t
+    for t, how in enumerate(found):
+        if how is None:
+            columns.append([row[t] for row in right])
+            continue
+        u, h, on_right = how
+        column = columns[u]
+        if on_right:
+            columns.append([right[su][h] for su in column])
+        else:
+            columns.append([column[row[h]] for row in right])
     n = len(carrier)
     mult = {s + t * n: column[s] for s in range(n) for t, column in enumerate(columns)}
     return _build(WordMonad(), carrier, {("mult", 2, ()): mult})

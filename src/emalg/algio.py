@@ -4,20 +4,20 @@ Algebra files ('#' comments, blank lines ignored):
 
     kind word|omega|tree
     elems <sort> e1 e2 ...
-    leq <sort> ei ej
+    leq <sort> ei ej      (ei and ej of that sort)
     dot ei ej ek          (word and omega; a word algebra's product)
     mix ei ej ek          (omega)
     omega ei ej           (omega)
     comp a s1 .. sn r     (tree, n >= 1; a slot may be '_' for a bare variable)
 
 Word algebras live at sort 0; omega algebras use sorts '1' and 'inf'
-(the literal '2' is accepted for 'inf'); tree algebras use arities as
-sorts.  The reflexive-transitive closure of the leq lines is taken.
-Tables must be total or the file is rejected, and so is a line of a table
-that the kind does not have; errors carry line numbers.  An ``elems`` line
-that takes a sort past the carrier cap raises ``CarrierBoundExceeded`` at
-once, whatever errors later lines hold, and so does an ``elems`` line of a
-tree sort above ``MAX_TREE_ARITY``.
+(spelled 'inf', 'w' or '2'); tree algebras use arities as sorts.  The
+reflexive-transitive closure of the leq lines is taken.  Tables must be
+total or the file is rejected, and so is a line of a table that the kind
+does not have; errors carry line numbers.  An ``elems`` line that takes
+a sort past the carrier cap raises ``CarrierBoundExceeded`` at once,
+whatever errors later lines hold, and so does an ``elems`` line of a tree
+sort above ``MAX_TREE_ARITY``.
 """
 
 from __future__ import annotations
@@ -76,11 +76,11 @@ def parse_algebra(text: str) -> FinAlgebra:
     elems: dict[int, list[str]] = {}
     leq_pairs: list[tuple[str, str]] = []
     tables: dict[str, dict] = {op: {} for op in _TABLE_ARGS}
-    known: set[str] = set()
+    sort_of: dict[str, int] = {}  # each element's sort, from its elems line
 
     def need(name: str, args: list[str], line_no: int):
         for a in args:
-            if a not in known:
+            if a not in sort_of:
                 raise ParseError(line_no, f"{name} mentions unknown element {a!r}")
 
     for line_no, toks in _lines(text):
@@ -102,16 +102,19 @@ def parse_algebra(text: str) -> FinAlgebra:
                     f"tree sort {s} exceeds the arity cap {MAX_TREE_ARITY}"
                 )
             for e in args[1:]:
-                if e in known:
+                if e in sort_of:
                     raise ParseError(line_no, f"element {e!r} declared twice")
-                known.add(e)
+                sort_of[e] = s
             elems.setdefault(s, []).extend(args[1:])
             _check_sort_size(s, len(elems[s]))  # fail at the line past the cap
         elif head == "leq":
             if len(args) != 3:
                 raise ParseError(line_no, "leq takes: sort a b")
-            _parse_sort(args[0], kind, line_no)
+            s = _parse_sort(args[0], kind, line_no)
             need("leq", args[1:], line_no)
+            for a in args[1:]:
+                if sort_of[a] != s:
+                    raise ParseError(line_no, f"leq element {a!r} is not of sort {args[0]}")
             leq_pairs.append((args[1], args[2]))
         elif head in _TABLE_ARGS:
             if head not in _TABLES[kind]:

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .algebra import Recognizer, _word_algebra_of_columns
+from .algebra import Recognizer, _word_algebra_of_cayley
 from .core import SortedOrderedSet
 from .monads import SORT_WORD
 
@@ -314,7 +314,9 @@ def parse_regex(text: str, alphabet: Iterable | None = None) -> Dfa:
     """Compile a regex to a minimal total DFA over nonempty words.  The
     parser and the Thompson construction recurse once per level of groups
     and postfix operators; a pattern nested past the interpreter's
-    recursion limit is a syntax error."""
+    recursion limit is a syntax error.  An explicit ``alphabet`` that names
+    a letter twice, or misses a literal of the pattern, is one too, the
+    latter at the literal's first position."""
     letters: set = set()
     b = _Builder()
     try:
@@ -323,7 +325,15 @@ def parse_regex(text: str, alphabet: Iterable | None = None) -> Dfa:
         frag = _thompson(ast, b)
     except RecursionError:
         raise RegexSyntaxError(0, "pattern nests too deeply") from None
-    alphabet = tuple(sorted(letters)) if alphabet is None else tuple(alphabet)
+    if alphabet is None:
+        alphabet = tuple(sorted(letters))
+    else:
+        alphabet = tuple(alphabet)
+        if len(set(alphabet)) < len(alphabet):
+            raise RegexSyntaxError(0, "alphabet names a letter twice")
+        for pos, c in enumerate(text):
+            if c in letters and c not in alphabet:
+                raise RegexSyntaxError(pos, f"letter {c!r} is not in the alphabet")
     if not alphabet:
         raise RegexSyntaxError(0, "regex has no letters and no alphabet was given")
     return _merge_start(_moore(_subset_construction(b, frag, alphabet)))
@@ -342,12 +352,9 @@ def dfa_to_recognizer(dfa: Dfa) -> Recognizer:
     g.t, each kept if new.  This discovery order is the carrier order, and
     it fixes the element names of every report.  Each element but a letter
     map records how it was first found, t.g or g.t for an earlier t, and
-    the right Cayley graph is kept.  The product table is then filled
-    column by column, after Froidure and Pin (1997), with one lookup per
-    entry: for a column t = t'.g, s.t is (s.t').g, read in the right Cayley
-    graph; for t = g.t', s.t is (s.g).t', read in the earlier column of t'.
-    The algebra is built from those integer columns, with no label table
-    (``algebra._word_algebra_of_columns``)."""
+    the right Cayley graph is kept.  The product table is filled from them,
+    after Froidure and Pin (1997), by ``algebra._word_algebra_of_cayley``,
+    with no label table."""
     letter_maps = {
         c: tuple(dfa.trans[(q, c)] for q in range(dfa.n_states))
         for c in dfa.alphabet
@@ -374,19 +381,7 @@ def dfa_to_recognizer(dfa: Dfa) -> Recognizer:
                 if on_right:
                     row.append(i)
         right.append(row)
-    carrier = SortedOrderedSet({SORT_WORD: elems})
-    columns = []  # columns[t][s]: the index of elems[s].elems[t]
-    for t, how in enumerate(found):
-        if how is None:  # a letter map
-            columns.append([row[t] for row in right])
-            continue
-        u, g, on_right = how
-        column = columns[u]
-        if on_right:
-            columns.append([right[su][g] for su in column])
-        else:
-            columns.append([column[row[g]] for row in right])
-    alg = _word_algebra_of_columns(carrier, columns)
+    alg = _word_algebra_of_cayley(SortedOrderedSet({SORT_WORD: elems}), right, found)
     alphabet = SortedOrderedSet({SORT_WORD: list(dfa.alphabet)})
     accepting = frozenset(t for t in elems if t[dfa.start] in dfa.accepting)
     return Recognizer(alphabet, alg, dict(letter_maps), accepting)

@@ -1,6 +1,6 @@
 """First-order logic over finite words: rank-stratified equivalence via
-back-and-forth types, theory algebras built by concatenation closure, and the
-two-sided definability decision.
+back-and-forth types, theory algebras built along their right Cayley graph,
+and the two-sided definability decision.
 
 Rank-m equivalence is computed as equality of canonical type objects: the
 rank-0 type of a pebbled word is its atomic diagram over order, successor and
@@ -14,14 +14,17 @@ codes.  Types are hash-consed globally so fingerprints are cheap to compare
 across words; an id means nothing beyond equality with other ids.
 
 Rank-m equivalence is a right congruence, so a theory algebra is found
-along its right Cayley graph: it concatenates class pairs level by level,
-by the length of the concatenation, each pair is one letter step from an
-entry already in its table, and each (class, letter) step is typed once.
-The same congruence keeps every representative within the class count, so
-the class guard is the build's only size bound.  The rank side of the
-definability decision walks the letter steps of the theory algebra and the
-syntactic algebra together, from the letter pairs; it types no word, and
-stops at the first class found on both sides of the language.
+by breadth-first search over its right Cayley graph, as Froidure and Pin
+(1997) build a semigroup: each class is extended by the letter of each
+generator class, typed once, and the search meets the classes in shortlex
+order of their shortest words, which are the representatives.  Each is an
+earlier one plus a letter, so none is longer than the class count, and the
+class guard is the build's only size bound.  The table is filled from that
+graph by the fill that transition semigroups use too
+(``algebra._word_algebra_of_cayley``).  The rank side of the definability
+decision walks the letter steps of the theory algebra and the syntactic
+algebra together, from the letter pairs; it types no word, and stops at
+the first class found on both sides of the language.
 
 For words over a single letter the equivalence collapses to a length
 threshold.  The threshold follows from the same game analysis (gaps beyond a
@@ -34,12 +37,11 @@ tractable.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Optional, Union
 
-from .algebra import FinAlgebra, Recognizer, _fold, _table, _word_algebra_of_columns
+from .algebra import FinAlgebra, Recognizer, _fold, _table, _word_algebra_of_cayley
 from .automata import Dfa, dfa_to_recognizer
 from .core import SortedOrderedSet, upward_closure
 from .monads import SORT_WORD, Word
@@ -209,18 +211,20 @@ def _too_many_classes(m: int) -> str:
 
 
 def theory_algebra(alphabet: Iterable, m: int) -> TheoryAlgebra:
-    """Discover the rank-m classes from the letters by concatenation closure.
+    """Discover the rank-m classes from the letters, breadth first along the
+    right Cayley graph.
 
-    Class discovery assumes rank equivalence is a congruence (every class is
-    then a product of letter classes); that assumption is re-verified on
-    random samples at the end rather than trusted.  Class pairs are taken
-    level by level, the level being the length of the concatenation, and
-    each concatenation is read as one step of the right Cayley graph from an
-    entry already in the table, so a build types at most |letters| *
-    (classes + 1) words.  The class guard ``MAX_THEORY_CLASSES`` is the only
-    size bound: every proper prefix of a representative is the
-    representative of its own class, so no representative is longer than
-    the class count.
+    The letter classes come first, in letter order; they are the
+    generators.  Then each class k, in id order, is extended by the letter
+    of each generator: reps[k] + (c,) is typed once, and is a new class if
+    its type is new.  So a build types |letters| + classes * generators
+    words, and the class guard ``MAX_THEORY_CLASSES`` is its only size
+    bound.  Since rank equivalence is a right congruence, a shortest word
+    of a class less its last letter is a shortest word of its own class, so
+    the search meets the classes in shortlex order of their shortest words,
+    and those are the representatives.  That it is a congruence (every
+    class is a product of letter classes) is re-verified on random samples
+    at the end rather than trusted.
     """
     letters = _normalised_letters(alphabet)
     if not letters:
@@ -232,21 +236,14 @@ def theory_algebra(alphabet: Iterable, m: int) -> TheoryAlgebra:
 
     fp_class: dict = {}
     reps: list[tuple] = []
-    lengths: list[int] = []  # len(reps[k]), never decreasing as k grows
-    # prefix[k]: the class of reps[k] without its last letter, None for a
-    # letter
-    prefix: list = []
-    # rows[i][j]: the class of reps[i] + reps[j]
-    rows: list[list] = []
+    found: list = []  # (k, h, True) for reps[k] + (gens[h],), None for a generator
 
-    def register(wd: tuple, fp: int, before: Optional[int]) -> int:
+    def register(wd: tuple, fp: int, how: Optional[tuple]) -> int:
         if len(reps) >= MAX_THEORY_CLASSES:
             raise TheoryBoundExceeded(_too_many_classes(m))
         fp_class[fp] = len(reps)
         reps.append(wd)
-        lengths.append(len(wd))
-        prefix.append(before)
-        rows.append([])
+        found.append(how)
         return len(reps) - 1
 
     letter_class = {}
@@ -255,38 +252,16 @@ def theory_algebra(alphabet: Iterable, m: int) -> TheoryAlgebra:
         got = fp_class.get(fp)
         letter_class[c] = register((c,), fp, None) if got is None else got
 
-    # Level L takes the pairs (i, j) with len(reps[i]) + len(reps[j]) = L,
-    # in (i, j) order, over the classes that exist when it starts.  A class
-    # found at level L has a representative of length L, so it joins only
-    # later levels, and the ids of one length form a contiguous range; each
-    # row i is thus filled in order of j.  The last level pairs the longest
-    # representative with itself.
-    #
-    # A pair is typed by one step of the right Cayley graph.  Rank-m
-    # equivalence is a right congruence, so reps[i] + reps[j] lies in the
-    # class k of reps[i] + prefix[j]'s representative followed by the last
-    # letter c of reps[j], and every word of class k followed by c lies in
-    # one class: the edge (k, c), typed once on reps[k] + (c,).  The class
-    # prefix[j] has a shorter representative than j, so row i took it at an
-    # earlier level.
-    edges: dict = {}
-    level = 2
-    while level <= 2 * lengths[-1]:
-        for i in range(len(reps)):
-            want = level - lengths[i]
-            row = rows[i]
-            for j in range(bisect_left(lengths, want), bisect_right(lengths, want)):
-                k = i if prefix[j] is None else row[prefix[j]]
-                c = reps[j][-1]
-                cid = edges.get((k, c))
-                if cid is None:
-                    fp = ef_type(reps[k] + (c,), m)
-                    cid = fp_class.get(fp)
-                    if cid is None:
-                        cid = register(reps[i] + reps[j], fp, k)
-                    edges[(k, c)] = cid
-                row.append(cid)
-        level += 1
+    gens = [r[0] for r in reps]
+    right: list = []  # right[k][h]: the class of reps[k] + (gens[h],)
+    # the loop reads the classes registered as it goes, in order
+    for k, rep in enumerate(reps):
+        row = []
+        for h, c in enumerate(gens):
+            fp = ef_type(rep + (c,), m)
+            cid = fp_class.get(fp)
+            row.append(register(rep + (c,), fp, (k, h, True)) if cid is None else cid)
+        right.append(row)
 
     carrier = SortedOrderedSet(
         {SORT_WORD: list(range(len(reps)))}, max_size=max(64, len(reps))
@@ -294,7 +269,7 @@ def theory_algebra(alphabet: Iterable, m: int) -> TheoryAlgebra:
     theta = TheoryAlgebra(
         alphabet=letters,
         rank=m,
-        algebra=_word_algebra_of_columns(carrier, list(zip(*rows))),
+        algebra=_word_algebra_of_cayley(carrier, right, found),
         reps=dict(enumerate(reps)),
         letter_class=letter_class,
         fingerprint_class=fp_class,

@@ -36,6 +36,21 @@ def test_the_tables_of_each_kind_are_read():
         parse_algebra("kind omega\nelems 1 a\nomega a\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        # both of the finite sort, so the line would order that sort
+        ("leq inf n h", "leq element 'n' is not of sort inf"),
+        ("leq 1 n x", "leq element 'x' is not of sort 1"),
+    ],
+)
+def test_a_leq_line_names_elements_of_its_own_sort(line, message):
+    with pytest.raises(ParseError) as info:
+        parse_algebra(f"kind omega\nelems 1 n h\nelems inf x\n{line}\n")
+    assert info.value.line_no == 4
+    assert str(info.value) == f"line 4: {message}"
+
+
 def test_a_stray_table_line_exits_as_an_input_error(tmp_path):
     path = tmp_path / "stray.alg"
     path.write_text("kind word\nelems 0 e\ndot e e e\nmix e e e\n")

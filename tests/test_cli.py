@@ -421,6 +421,17 @@ def test_a_repetition_count_is_an_input_error():
     assert json.loads(out) == {"command": "syn", "error": "regex error at position 12: unexpected '{'"}
 
 
+def test_an_explicit_alphabet_must_name_each_letter_once_and_cover_the_regex():
+    code, out = run_cli("decide", "fo", "ab", "--alphabet", "a")
+    assert code == EXIT_INPUT
+    assert json.loads(out) == {
+        "command": "decide", "error": "regex error at position 1: letter 'b' is not in the alphabet"
+    }
+    code, out = run_cli("syn", "a", "--alphabet", "aa")
+    assert code == EXIT_INPUT
+    assert json.loads(out) == {"command": "syn", "error": "regex error at position 0: alphabet names a letter twice"}
+
+
 def test_negative_ranks_are_input_errors():
     code, out = run_cli("theory", "-1", "ab")
     assert code == EXIT_INPUT

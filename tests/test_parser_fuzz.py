@@ -57,6 +57,21 @@ def test_parse_regex_returns_a_dfa_or_a_syntax_error(text):
 
 
 @EXAMPLES
+@given(st.text(alphabet="abc()|*+?", max_size=12), st.text(alphabet="abc", max_size=4))
+def test_parse_regex_over_an_alphabet_keeps_it_or_raises_a_syntax_error(text, alphabet):
+    # an alphabet that names a letter twice, or misses a literal, is an
+    # error; an accepted one is the DFA's alphabet as given
+    try:
+        dfa = parse_regex(text, alphabet)
+    except RegexSyntaxError as exc:
+        assert 0 <= exc.pos <= len(text)
+    else:
+        assert dfa.alphabet == tuple(alphabet)
+        assert len(set(alphabet)) == len(alphabet)
+        assert set(text) - set("()|*+?") <= set(alphabet)
+
+
+@EXAMPLES
 @given(
     st.one_of(
         st.text(),

@@ -125,6 +125,46 @@ def test_each_representative_drops_its_last_letter_into_a_shorter_one():
         assert max(map(len, theta.reps.values())) <= theta.size()
 
 
+# the completing builds small enough to enumerate every word up to the
+# longest representative
+ENUMERABLE = [case for case in COMPLETING if case != ("abcdefghi", 1)]
+
+
+def test_shortlex_enumeration_meets_the_classes_in_id_order_at_their_representatives():
+    # rank-m equivalence is a right congruence, so the breadth-first build
+    # meets the classes in shortlex order of their shortest words
+    for alphabet, m in ENUMERABLE:
+        theta = theory_algebra(alphabet, m)
+        longest = max(map(len, theta.reps.values()))
+        first_met = {}
+        for n in range(1, longest + 1):
+            for w in itertools.product(theta.alphabet, repeat=n):
+                first_met.setdefault(theta.classify(w), w)
+        assert list(first_met) == list(range(theta.size())), (alphabet, m)
+        assert first_met == theta.reps, (alphabet, m)
+
+
+def test_a_completing_build_types_each_letter_and_each_class_generator_step_once(monkeypatch):
+    # the letters, then each class extended by the letter of each generator
+    # class in (class, generator) order, then the seeded check's samples
+    for alphabet, m in ENUMERABLE:
+        typed = []
+        ef = logic.ef_type
+
+        def recorded(w, rank):
+            typed.append(tuple(w))
+            return ef(w, rank)
+
+        monkeypatch.setattr(logic, "ef_type", recorded)
+        theta = theory_algebra(alphabet, m)
+        monkeypatch.undo()
+        letters = [(c,) for c in theta.alphabet]
+        gens = [theta.reps[k][0] for k in sorted(set(theta.letter_class.values()))]
+        steps = [theta.reps[k] + (c,) for k in range(theta.size()) for c in gens]
+        assert typed[: len(letters) + len(steps)] == letters + steps, (alphabet, m)
+        assert len(typed) == len(letters) + len(steps) + logic.THEORY_CHECK_SAMPLES
+
+
 def test_nine_letters_complete_at_rank_1_past_the_old_representative_cap():
     # the rank-1 classes over k letters are the 2^k - 1 nonempty letter
     # sets, and their representatives have up to k letters, past the
