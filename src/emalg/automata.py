@@ -1,7 +1,8 @@
 """Regexes, DFAs and transition semigroups.
 
-The pipeline is the classical one: Thompson construction, epsilon-closure
-subset construction, Moore minimisation.  Languages live over nonempty
+The pipeline is Glushkov's: one parse takes the pattern to its positions
+and their follow sets, a subset construction over positions (with no empty
+moves) makes a DFA, and Moore refinement minimises it.  Languages live over nonempty
 words; a regex that also matches the empty word is silently intersected with
 the nonempty fragment (callers can inspect ``matches_epsilon``).  After
 minimisation, a start state whose outgoing row duplicates another state's is
@@ -74,34 +75,13 @@ class RegexSyntaxError(ValueError):
         super().__init__(f"regex error at position {pos}: {message}")
 
 
-class _Frag:
-    """NFA fragment: states are integers allocated by the builder."""
-
-    __slots__ = ("start", "out")
-
-    def __init__(self, start: int, out: int):
-        self.start = start
-        self.out = out
-
-
-class _Builder:
-    def __init__(self):
-        self.eps: dict[int, list[int]] = {}
-        self.sym: dict[tuple[int, str], list[int]] = {}
-        self.n = 0
-
-    def state(self) -> int:
-        self.n += 1
-        return self.n - 1
-
-    def add_eps(self, a: int, b: int):
-        self.eps.setdefault(a, []).append(b)
-
-    def add_sym(self, a: int, c: str, b: int):
-        self.sym.setdefault((a, c), []).append(b)
-
-
-def _parse_regex_ast(text: str):
+def _parse_positions(text: str, letters: list, follow: list):
+    """Parse the pattern once into Glushkov's sets (Glushkov 1961; Berry and
+    Sethi 1986).  Position p is the p-th literal of the pattern: the parse
+    appends its letter to ``letters`` and the set of positions that may
+    follow it to ``follow``, and returns (nullable, first, last) of the
+    whole pattern: whether it matches the empty word, and the positions a
+    match may begin and end at."""
     pos = [0]
 
     def peek():
@@ -113,27 +93,36 @@ def _parse_regex_ast(text: str):
         pos[0] += 1
 
     def alt():
-        parts = [concat()]
+        nullable, first, last = concat()
         while peek() == "|":
             eat("|")
-            parts.append(concat())
-        return ("alt", parts) if len(parts) > 1 else parts[0]
+            n, fst, lst = concat()
+            nullable, first, last = nullable or n, first | fst, last | lst
+        return nullable, first, last
 
     def concat():
-        parts = []
+        nullable, first, last = True, set(), set()
         while peek() is not None and peek() not in ")|":
-            parts.append(repeat())
-        if not parts:
-            return ("eps",)
-        return ("cat", parts) if len(parts) > 1 else parts[0]
+            n, fst, lst = repeat()
+            for p in last:
+                follow[p] |= fst
+            if nullable:
+                first = first | fst
+            last = last | lst if n else lst
+            nullable = nullable and n
+        return nullable, first, last
 
     def repeat():
-        node = atom()
+        nullable, first, last = atom()
         while peek() in ("*", "+", "?"):
             op = peek()
             eat(op)
-            node = ({"*": "star", "+": "plus", "?": "opt"}[op], node)
-        return node
+            if op != "?":
+                for p in last:
+                    follow[p] |= first
+            if op != "+":
+                nullable = True
+        return nullable, first, last
 
     def atom():
         c = peek()
@@ -141,94 +130,49 @@ def _parse_regex_ast(text: str):
             raise RegexSyntaxError(pos[0], "unexpected end of pattern")
         if c == "(":
             eat("(")
-            node = alt()
+            sets = alt()
             eat(")")
-            return node
+            return sets
         if c in _META:
             raise RegexSyntaxError(pos[0], f"unexpected {c!r}")
         eat(c)
-        return ("lit", c)
+        letters.append(c)
+        follow.append(set())
+        return False, {len(letters) - 1}, {len(letters) - 1}
 
-    node = alt()
+    sets = alt()
     if pos[0] != len(text):
         raise RegexSyntaxError(pos[0], "unbalanced ')'")
-    return node
+    return sets
 
 
-def _thompson(node, b: _Builder) -> _Frag:
-    kind = node[0]
-    if kind == "lit":
-        s, t = b.state(), b.state()
-        b.add_sym(s, node[1], t)
-        return _Frag(s, t)
-    if kind == "eps":
-        s = b.state()
-        return _Frag(s, s)
-    if kind == "cat":
-        frags = [_thompson(x, b) for x in node[1]]
-        for f1, f2 in zip(frags, frags[1:]):
-            b.add_eps(f1.out, f2.start)
-        return _Frag(frags[0].start, frags[-1].out)
-    if kind == "alt":
-        s, t = b.state(), b.state()
-        for x in node[1]:
-            f = _thompson(x, b)
-            b.add_eps(s, f.start)
-            b.add_eps(f.out, t)
-        return _Frag(s, t)
-    if kind in ("star", "opt", "plus"):
-        f = _thompson(node[1], b)
-        s, t = b.state(), b.state()
-        b.add_eps(s, f.start)
-        b.add_eps(f.out, t)
-        if kind != "plus":
-            b.add_eps(s, t)
-        if kind != "opt":
-            b.add_eps(f.out, f.start)
-        return _Frag(s, t)
-    raise AssertionError(kind)
-
-
-def _collect_literals(node, acc: set):
-    if node[0] == "lit":
-        acc.add(node[1])
-    elif node[0] in ("cat", "alt"):
-        for x in node[1]:
-            _collect_literals(x, acc)
-    elif node[0] in ("star", "plus", "opt"):
-        _collect_literals(node[1], acc)
-
-
-def _subset_construction(b: _Builder, frag: _Frag, alphabet: tuple) -> Dfa:
-    def closure(states: frozenset) -> frozenset:
-        stack, seen = list(states), set(states)
-        while stack:
-            q = stack.pop()
-            for r in b.eps.get(q, ()):
-                if r not in seen:
-                    seen.add(r)
-                    stack.append(r)
-        return frozenset(seen)
-
-    start = closure(frozenset([frag.start]))
+def _position_dfa(
+    nullable: bool, first: set, last: set, letters: list, follow: list, alphabet: tuple
+) -> Dfa:
+    """The subset construction over positions.  A state is the set of
+    positions the last letter read may sit at; the start is the marker -1,
+    whose successors are ``first``.  There are no empty moves, so a state's
+    successor on c is the positions of letter c that follow any of its
+    own."""
+    succ = follow + [first]  # succ[-1] is the marker's
+    start = frozenset([-1])
     index = {start: 0}
     order = [start]
     trans = {}
-    i = 0
-    while i < len(order):
-        S = order[i]
+    for i, S in enumerate(order):  # grows while it is read
+        by_letter: dict = {c: [] for c in alphabet}
+        for q in set().union(*(succ[p] for p in S)):
+            by_letter[letters[q]].append(q)
         for c in alphabet:
-            nxt = closure(
-                frozenset(r for q in S for r in b.sym.get((q, c), ()))
-            )
+            nxt = frozenset(by_letter[c])
             if nxt not in index:
                 index[nxt] = len(order)
                 order.append(nxt)
             trans[(i, c)] = index[nxt]
-        i += 1
-    accepting = frozenset(i for S, i in index.items() if frag.out in S)
-    eps = frag.out in start
-    return Dfa(alphabet, len(order), 0, accepting, trans, matches_epsilon=eps)
+    accepting = frozenset(
+        i for i, S in enumerate(order) if not S.isdisjoint(last) or (nullable and -1 in S)
+    )
+    return Dfa(alphabet, len(order), 0, accepting, trans, matches_epsilon=nullable)
 
 
 def _moore(dfa: Dfa) -> Dfa:
@@ -312,31 +256,32 @@ def _merge_start(dfa: Dfa) -> Dfa:
 
 def parse_regex(text: str, alphabet: Iterable | None = None) -> Dfa:
     """Compile a regex to a minimal total DFA over nonempty words.  The
-    parser and the Thompson construction recurse once per level of groups
-    and postfix operators; a pattern nested past the interpreter's
-    recursion limit is a syntax error.  An explicit ``alphabet`` that names
-    a letter twice, or misses a literal of the pattern, is one too, the
-    latter at the literal's first position."""
-    letters: set = set()
-    b = _Builder()
+    parser recurses once per level of groups; a pattern nested past the
+    interpreter's recursion limit is a syntax error.  An explicit
+    ``alphabet`` that is empty, names a letter twice, or misses a literal
+    of the pattern, is one too, the last at the literal's first position."""
+    letters: list = []
+    follow: list = []
     try:
-        ast = _parse_regex_ast(text)
-        _collect_literals(ast, letters)
-        frag = _thompson(ast, b)
+        nullable, first, last = _parse_positions(text, letters, follow)
     except RecursionError:
         raise RegexSyntaxError(0, "pattern nests too deeply") from None
+    known = set(letters)
     if alphabet is None:
-        alphabet = tuple(sorted(letters))
+        alphabet = tuple(sorted(known))
     else:
         alphabet = tuple(alphabet)
+        if not alphabet:
+            raise RegexSyntaxError(0, "the alphabet is empty")
         if len(set(alphabet)) < len(alphabet):
             raise RegexSyntaxError(0, "alphabet names a letter twice")
         for pos, c in enumerate(text):
-            if c in letters and c not in alphabet:
+            if c in known and c not in alphabet:
                 raise RegexSyntaxError(pos, f"letter {c!r} is not in the alphabet")
     if not alphabet:
         raise RegexSyntaxError(0, "regex has no letters and no alphabet was given")
-    return _merge_start(_moore(_subset_construction(b, frag, alphabet)))
+    dfa = _position_dfa(nullable, first, last, letters, follow, alphabet)
+    return _merge_start(_moore(dfa))
 
 
 # -- transition semigroups ----------------------------------------------------------

@@ -307,7 +307,7 @@ def main(argv=None) -> int:
     args._t0 = time.perf_counter()
     try:
         return args.fn(args)
-    except (ParseError, RegexSyntaxError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, RegexSyntaxError, OSError, ValueError) as exc:
         print(json.dumps({"command": args.cmd, "error": str(exc)}, indent=2))
         return EXIT_INPUT
     except (TheoryBoundExceeded, SearchBoundExceeded, CarrierBoundExceeded) as exc:

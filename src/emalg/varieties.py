@@ -248,13 +248,14 @@ def canonical_cover(A: FinAlgebra, delta: Optional[Iterable[Sort]] = None) -> Ca
     letter_tuples = {
         c: tuple(components[a].letter_map[c] for a in order) for c in gens
     }
-    closed = generated_tuples(syn_algs, list(letter_tuples.values()))
-    cover = tuple_algebra(syn_algs, sorted(closed, key=repr))
-
-    # factor the product of A through the cover on the restricted sorts
+    # the cover is the projection of the graph: projection is a morphism,
+    # and every component's entry places are A's
     graph = generated_tuples(
         syn_algs + [A], [letter_tuples[c] + (c,) for c in gens]
     )
+    cover = tuple_algebra(syn_algs, sorted({t[:-1] for t in graph}, key=repr))
+
+    # factor the product of A through the cover on the restricted sorts
     mapping: dict = {}
     for t in graph:
         key, val = t[:-1], t[-1]

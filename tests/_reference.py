@@ -48,6 +48,14 @@ rule; the carrier order and the table, entry order included, must agree.
 ``parse_regex`` ran before Moore's refinement replaced it; the minimal
 automata must be equal.
 
+``thompson_dfa`` is the front end that ``parse_regex`` ran before one parse
+took a pattern to its positions: a syntax tree (``_parse_regex_ast``),
+Thompson's epsilon-NFA over it (``_Builder``, ``_Frag``, ``_thompson``), its
+letters (``_collect_literals``) and a subset construction that takes an
+epsilon-closure per state and letter (``_subset_construction``).
+Minimised, its automata must equal ``parse_regex``'s, ``matches_epsilon``
+included, and its syntax errors must have the same positions and texts.
+
 ``bounded_quotient_compatibility`` is the law battery's bounded
 congruence definition as it enumerated every word up to the length bound,
 before the class-vector groups grew one letter at a time; here its
@@ -82,7 +90,7 @@ from emalg.algebra import (
     eval_element,
     subalgebra_generated,
 )
-from emalg.automata import Dfa, _renumber
+from emalg.automata import _META, Dfa, RegexSyntaxError, _renumber
 from emalg.core import Preorder, SortedFunction, SortedOrderedSet
 from emalg.logic import (
     MAX_THEORY_CLASSES,
@@ -542,6 +550,190 @@ def hopcroft(dfa):
             matches_epsilon=dfa.matches_epsilon,
         )
     )
+
+
+class _Frag:
+    """NFA fragment: states are integers allocated by the builder."""
+
+    __slots__ = ("start", "out")
+
+    def __init__(self, start: int, out: int):
+        self.start = start
+        self.out = out
+
+
+class _Builder:
+    def __init__(self):
+        self.eps: dict[int, list[int]] = {}
+        self.sym: dict[tuple[int, str], list[int]] = {}
+        self.n = 0
+
+    def state(self) -> int:
+        self.n += 1
+        return self.n - 1
+
+    def add_eps(self, a: int, b: int):
+        self.eps.setdefault(a, []).append(b)
+
+    def add_sym(self, a: int, c: str, b: int):
+        self.sym.setdefault((a, c), []).append(b)
+
+
+def _parse_regex_ast(text: str):
+    pos = [0]
+
+    def peek():
+        return text[pos[0]] if pos[0] < len(text) else None
+
+    def eat(c):
+        if peek() != c:
+            raise RegexSyntaxError(pos[0], f"expected {c!r}")
+        pos[0] += 1
+
+    def alt():
+        parts = [concat()]
+        while peek() == "|":
+            eat("|")
+            parts.append(concat())
+        return ("alt", parts) if len(parts) > 1 else parts[0]
+
+    def concat():
+        parts = []
+        while peek() is not None and peek() not in ")|":
+            parts.append(repeat())
+        if not parts:
+            return ("eps",)
+        return ("cat", parts) if len(parts) > 1 else parts[0]
+
+    def repeat():
+        node = atom()
+        while peek() in ("*", "+", "?"):
+            op = peek()
+            eat(op)
+            node = ({"*": "star", "+": "plus", "?": "opt"}[op], node)
+        return node
+
+    def atom():
+        c = peek()
+        if c is None:
+            raise RegexSyntaxError(pos[0], "unexpected end of pattern")
+        if c == "(":
+            eat("(")
+            node = alt()
+            eat(")")
+            return node
+        if c in _META:
+            raise RegexSyntaxError(pos[0], f"unexpected {c!r}")
+        eat(c)
+        return ("lit", c)
+
+    node = alt()
+    if pos[0] != len(text):
+        raise RegexSyntaxError(pos[0], "unbalanced ')'")
+    return node
+
+
+def _thompson(node, b: _Builder) -> _Frag:
+    kind = node[0]
+    if kind == "lit":
+        s, t = b.state(), b.state()
+        b.add_sym(s, node[1], t)
+        return _Frag(s, t)
+    if kind == "eps":
+        s = b.state()
+        return _Frag(s, s)
+    if kind == "cat":
+        frags = [_thompson(x, b) for x in node[1]]
+        for f1, f2 in zip(frags, frags[1:]):
+            b.add_eps(f1.out, f2.start)
+        return _Frag(frags[0].start, frags[-1].out)
+    if kind == "alt":
+        s, t = b.state(), b.state()
+        for x in node[1]:
+            f = _thompson(x, b)
+            b.add_eps(s, f.start)
+            b.add_eps(f.out, t)
+        return _Frag(s, t)
+    if kind in ("star", "opt", "plus"):
+        f = _thompson(node[1], b)
+        s, t = b.state(), b.state()
+        b.add_eps(s, f.start)
+        b.add_eps(f.out, t)
+        if kind != "plus":
+            b.add_eps(s, t)
+        if kind != "opt":
+            b.add_eps(f.out, f.start)
+        return _Frag(s, t)
+    raise AssertionError(kind)
+
+
+def _collect_literals(node, acc: set):
+    if node[0] == "lit":
+        acc.add(node[1])
+    elif node[0] in ("cat", "alt"):
+        for x in node[1]:
+            _collect_literals(x, acc)
+    elif node[0] in ("star", "plus", "opt"):
+        _collect_literals(node[1], acc)
+
+
+def _subset_construction(b: _Builder, frag: _Frag, alphabet: tuple) -> Dfa:
+    def closure(states: frozenset) -> frozenset:
+        stack, seen = list(states), set(states)
+        while stack:
+            q = stack.pop()
+            for r in b.eps.get(q, ()):
+                if r not in seen:
+                    seen.add(r)
+                    stack.append(r)
+        return frozenset(seen)
+
+    start = closure(frozenset([frag.start]))
+    index = {start: 0}
+    order = [start]
+    trans = {}
+    i = 0
+    while i < len(order):
+        S = order[i]
+        for c in alphabet:
+            nxt = closure(
+                frozenset(r for q in S for r in b.sym.get((q, c), ()))
+            )
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            trans[(i, c)] = index[nxt]
+        i += 1
+    accepting = frozenset(i for S, i in index.items() if frag.out in S)
+    eps = frag.out in start
+    return Dfa(alphabet, len(order), 0, accepting, trans, matches_epsilon=eps)
+
+
+def thompson_dfa(text, alphabet=None):
+    """The DFA that ``parse_regex`` minimised before it compiled patterns
+    through their positions: Thompson's construction over the syntax tree,
+    then the subset construction with an epsilon-closure per step, with the
+    same alphabet checks and errors."""
+    letters: set = set()
+    b = _Builder()
+    try:
+        ast = _parse_regex_ast(text)
+        _collect_literals(ast, letters)
+        frag = _thompson(ast, b)
+    except RecursionError:
+        raise RegexSyntaxError(0, "pattern nests too deeply") from None
+    if alphabet is None:
+        alphabet = tuple(sorted(letters))
+    else:
+        alphabet = tuple(alphabet)
+        if len(set(alphabet)) < len(alphabet):
+            raise RegexSyntaxError(0, "alphabet names a letter twice")
+        for pos, c in enumerate(text):
+            if c in letters and c not in alphabet:
+                raise RegexSyntaxError(pos, f"letter {c!r} is not in the alphabet")
+    if not alphabet:
+        raise RegexSyntaxError(0, "regex has no letters and no alphabet was given")
+    return _subset_construction(b, frag, alphabet)
 
 
 def bounded_quotient_compatibility(alg, q, max_len=3):

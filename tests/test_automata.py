@@ -1,5 +1,6 @@
 import random
 import re as pyre
+import sys
 
 import pytest
 
@@ -14,7 +15,7 @@ from emalg.automata import (
 )
 from emalg.core import CarrierBoundExceeded
 from emalg.monads import Word
-from tests._reference import hopcroft, transition_semigroup
+from tests._reference import hopcroft, thompson_dfa, transition_semigroup
 
 
 CASES = [
@@ -56,6 +57,11 @@ def test_regex_syntax_errors():
             parse_regex(bad)
     # an empty alternative is legal and denotes the empty word
     assert parse_regex("|a").matches_epsilon
+
+
+def test_an_empty_alphabet_is_named_as_such():
+    with pytest.raises(RegexSyntaxError, match="at position 0: the alphabet is empty"):
+        parse_regex("", ())
 
 
 def test_transition_semigroup_sizes():
@@ -131,6 +137,44 @@ def _random_regex(rng: random.Random, depth: int) -> str:
 def _seeded_regexes() -> list[str]:
     rng = random.Random(0)
     return [_random_regex(rng, 4) for _ in range(1000)]
+
+
+# malformed patterns, empty groups and alternatives, and text of the
+# parser fuzz tests' regex alphabet
+MALFORMED = [
+    "(a", "a)", "*a", "a+*?(", "(a|b){4}", "a{2,3}", "a}", "{", "", "()", "|", "(|)",
+    "((a)", "a||b", "()*", "(|a)+", "a(|)b?", ")(", "a**+?", "(()())", "?", "a|*",
+]
+
+
+def _same_as_thompson(text, alphabet=None):
+    try:
+        want = automata._merge_start(automata._moore(thompson_dfa(text, alphabet)))
+    except RegexSyntaxError as exc:
+        with pytest.raises(RegexSyntaxError) as got:
+            parse_regex(text, alphabet)
+        assert (got.value.pos, str(got.value)) == (exc.pos, str(exc)), text
+    else:
+        got = parse_regex(text, alphabet)
+        assert repr(got) == repr(want), text  # matches_epsilon included
+
+
+def test_positions_give_the_automata_of_thompsons_construction():
+    for r in _seeded_regexes():
+        _same_as_thompson(r)
+    for r in _seeded_regexes()[:200]:
+        _same_as_thompson(r, "cab")
+    for k in range(9):
+        for x in "ab":
+            _same_as_thompson("(a|b)*" + x + "(a|b)" * k)
+    for r in MALFORMED:
+        for alphabet in (None, "ab", "ba", "aa", "()"):
+            _same_as_thompson(r, alphabet)
+    rng = random.Random(1)
+    for _ in range(1000):
+        _same_as_thompson("".join(rng.choices("ab()|*+?{}", k=rng.randint(0, 12))))
+    depth = 2 * sys.getrecursionlimit()
+    _same_as_thompson("(" * depth + "a" + ")" * depth)
 
 
 def test_moore_refinement_gives_the_automata_of_hopcroft_minimisation(monkeypatch):

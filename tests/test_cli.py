@@ -235,6 +235,16 @@ def test_input_errors():
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("argv", [("check", "{}", "APERIODIC"), ("cover", "{}")])
+def test_an_unreadable_path_is_an_input_error(tmp_path, argv):
+    # a directory is no algebra file: the error is reported, not raised
+    with pytest.raises(OSError) as opening:
+        open(tmp_path, encoding="utf-8")
+    code, out = run_cli(*(a.format(tmp_path) for a in argv))
+    assert code == EXIT_INPUT
+    assert json.loads(out) == {"command": argv[0], "error": str(opening.value)}
+
+
 def test_timing_flag():
     _, out = run_cli("--timing", "syn", "(aa)+")
     assert json.loads(out)["timing_ms"] is not None

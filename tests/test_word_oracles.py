@@ -36,8 +36,9 @@ MEMBERSHIP_LENGTH = 6
 
 
 def _expressions():
-    """Regex trees over {a, b} with at most 12 letters: a letter, or
-    ("." | "|", left, right), or ("*" | "+" | "?", inner)."""
+    """Regex trees over {a, b} with at most 12 leaves: a letter or the
+    empty pattern "()", or ("." | "|", left, right), or ("*" | "+" | "?",
+    inner)."""
 
     def extend(inner):
         pairs = st.tuples(inner, inner)
@@ -47,7 +48,7 @@ def _expressions():
             st.tuples(st.sampled_from("*+?"), inner),
         )
 
-    return st.recursive(st.sampled_from(LETTERS), extend, max_leaves=12)
+    return st.recursive(st.sampled_from([*LETTERS, "()"]), extend, max_leaves=12)
 
 
 def text(e) -> str:
@@ -65,6 +66,8 @@ def text(e) -> str:
 def words_of(e, n: int) -> set:
     """The words of length at most ``n`` that the tree matches, the empty
     word included."""
+    if e == "()":
+        return {""}
     if isinstance(e, str):
         return {e}
     if e[0] == ".":
@@ -139,6 +142,7 @@ def test_word_pipeline_matches_the_tuple_oracles():
         words = ["".join(w) for w in words_up_to(LETTERS, MEMBERSHIP_LENGTH)]
         matched = words_of(e, MEMBERSHIP_LENGTH)
         assert [w for w in words if dfa.accepts(w)] == [w for w in words if w in matched], rx
+        assert dfa.matches_epsilon == ("" in matched), rx
         semigroup = transformations(dfa)
         syn_code, syn = _run("syn", rx, "--alphabet", LETTERS)
         fo_code, fo = _run("decide", "fo", rx, "--alphabet", LETTERS)
