@@ -387,26 +387,20 @@ def _walk_rows(alg: FinAlgebra, up: list) -> Optional[tuple]:
     position by position (a bare slot matching only a bare slot) have
     related values.  Under a discrete relation there are none.
 
-    The walk has two steps.  The first only asks whether there is a
-    violation (``_violated``); the second, run only when there is,
-    searches every element above each argument of each entry, in label
-    order, then position, then index order (``_first_violation``), so the
-    witness, returned in labels, is the first one over all related pairs.
-
-    The first step compares each entry without a bare slot only with the
-    entries that raise *one* of its arguments along one generating edge of
-    the relation (``_generating_edges``).  Every related pair is joined by
-    a path of such edges, so when every intermediate tuple has an entry
-    this is the same test as over the whole product of the up-sets: the
-    values along the path are related step by step (ab <= a'b <= a'b'),
-    and transitivity relates the ends.  The intermediate entries exist for
-    the total word and omega tables, and for tree entries without a bare
-    slot, whose raised keys are required too.  It compares whole fibres
-    (``_fibres``): one big-integer test per position and element that an
-    edge leaves, not one table read per entry.  Entries with a bare slot
-    are optional, so they keep the walk over the whole product of up-sets.
-    The witness comes from the second step alone, so it does not depend
-    on how the first one decides."""
+    The walk has two steps, and both raise each argument x of an entry
+    without a bare slot, one at a time, to each element of ``above[x]``
+    (every element other than x above x).  Where every intermediate tuple
+    has an entry this is the same test as over the whole product of the
+    up-sets: the values along a chain of one-argument raises are related
+    step by step (ab <= a'b <= a'b'), and transitivity relates the ends.
+    The intermediate entries exist for the total word and omega tables,
+    and for tree entries without a bare slot, whose raised keys are
+    required too.  Entries with a bare slot are optional, so they keep the
+    walk over the whole product of up-sets.  The first step only asks
+    whether there is a violation, on whole table fibres (``_violated``);
+    the second, run only when there is, searches in label order, then
+    position, then index order (``_first_violation``), so the witness,
+    returned in labels, is the first one over all related pairs."""
     if all(row == 1 << i for i, row in enumerate(up)):
         return None
     above = [_members(u & ~(1 << i)) for i, u in enumerate(up)]
@@ -420,24 +414,22 @@ def _violated(alg: FinAlgebra, up: list, above: list) -> bool:
 
     Over each argument position of each shape of the monad's signature
     that has entries, the entries with element x there form x's fibre
-    (``_fibres``).  A generating edge from x to y is violated there iff
-    some entry of y's fibre is not related to the entry of x's fibre with
-    the same other arguments: iff the one-hot code of y's fibre has a bit
-    outside x's fibre read through the up-set rows, block by block.  One
-    big-integer test covers every edge that leaves x, and only the fibres
-    of the elements that edges touch are built.  The entries with a bare
-    slot are compared with the whole product of the up-sets, one by one."""
-    edges = _generating_edges(up, above)
-    rows = _Blocks(up, (len(up) + 7) // 8)
-    for run, fibres in _fibres(alg):
-        for x in run:
-            if edges[x]:
-                raised = 0
-                for y in edges[x]:
-                    raised |= fibres[y][1]
-                if raised & ~int.from_bytes(b"".join(map(rows.__getitem__, fibres[x][0])), "little"):
-                    return True
+    (``_fibres``).  Raising x to y is violated there iff some entry of y's
+    fibre is not related to the entry of x's fibre with the same other
+    arguments: iff the one-hot code of y's fibre has a bit outside x's
+    fibre read through the up-set rows, block by block.  One big-integer
+    test covers every y in ``above[x]``.  The entries with a bare slot are
+    compared with the whole product of the up-sets, one by one."""
     n = len(up)
+    rows = [u.to_bytes((n + 7) // 8, "little") for u in up]
+    for run, fibres in _fibres(alg):
+        for x, (values, _) in zip(run, fibres):
+            if above[x]:
+                raised = 0
+                for y in above[x]:
+                    raised |= fibres[y - run.start][1]
+                if raised & ~_joined(rows, values):
+                    return True
     for (op, m, bare), table in alg._coded.items():
         if bare and any(
             value2 is not None and not up[v] >> value2 & 1
@@ -448,53 +440,32 @@ def _violated(alg: FinAlgebra, up: list, above: list) -> bool:
     return False
 
 
-class _Blocks(dict):
-    """Element index v -> the bitmask ``masks[v]`` as ``size`` little-endian
-    bytes, converted on first use."""
-
-    def __init__(self, masks: list, size: int):
-        self.masks, self.size = masks, size
-
-    def __missing__(self, v: int) -> bytes:
-        block = self[v] = self.masks[v].to_bytes(self.size, "little")
-        return block
-
-
-class _Fibres(dict):
-    """The fibres of argument position i of one shape, built on first use:
-    element index x -> (the value indices of the entries with x at
-    position i, the other arguments from ``pools`` in box order; the
-    one-hot code of those values, one block per entry with the bit of its
-    value set).  The box codes are built with the first fibre."""
-
-    def __init__(self, get, n: int, pools: list, i: int, blocks: _Blocks):
-        self.get, self.n, self.pools, self.i, self.blocks = get, n, pools, i, blocks
-        self.weight, self.bases = n**i, None
-
-    def __missing__(self, x: int) -> tuple:
-        if self.bases is None:
-            self.bases = _box_codes(self.n, self.pools, self.i)
-        values = list(map(self.get, map((x * self.weight).__add__, self.bases)))
-        fibre = self[x] = values, int.from_bytes(b"".join(map(self.blocks.__getitem__, values)), "little")
-        return fibre
-
-
 @_per_algebra
 def _fibres(alg: FinAlgebra) -> list:
-    """For each argument position of each shape of the monad's signature
+    """For each argument position i of each shape of the monad's signature
     that has entries, the indices of the position's sort (``_sort_runs``)
-    and its fibres (``_Fibres``), over the carrier's numbering: a block is
-    the ⌈n/8⌉ bytes of a bitmask over the n elements.  Memoised on the
-    algebra (``_per_algebra``), so the walks of every relation on one
-    algebra share them."""
+    and, for each of them in order, its fibre: the value indices of the
+    entries with it at position i, the other arguments in
+    ``itertools.product`` order (one row of the transposed ``_columns``),
+    and their one-hot code, one block of ⌈n/8⌉ bytes per entry with the
+    bit of its value set.  Memoised on the algebra (``_per_algebra``), so
+    the walks of every relation on one algebra share them."""
     n, runs = len(alg.carrier), _sort_runs(alg.carrier)
-    blocks = _Blocks([1 << v for v in range(n)], (n + 7) // 8)
+    blocks = [(1 << v).to_bytes((n + 7) // 8, "little") for v in range(n)]
     out = []
     for op, sorts, result in alg.monad.signature:
         if result in runs:  # an op with nowhere to land has no entries
-            get, pools = _table(alg, op, len(sorts)).get, [runs.get(s, ()) for s in sorts]
-            out.extend((pool, _Fibres(get, n, pools, i, blocks)) for i, pool in enumerate(pools))
+            pools = [runs.get(s, ()) for s in sorts]
+            for i, pool in enumerate(pools):
+                columns = _columns(alg, op, sorts, i, pools)
+                out.append((pool, [(values, _joined(blocks, values)) for values in zip(*columns)]))
     return out
+
+
+def _joined(blocks: list, values) -> int:
+    """The blocks of ``values`` (bytes per element index), in order, read
+    as one little-endian integer."""
+    return int.from_bytes(b"".join(map(blocks.__getitem__, values)), "little")
 
 
 def _raised_bare(table: dict, m: int, bare: tuple, n: int, code: int, above: list):
@@ -510,32 +481,6 @@ def _raised_bare(table: dict, m: int, bare: tuple, n: int, code: int, above: lis
     for ys in tuples:
         code2 = sum(map(int.__mul__, ys, opened))
         yield code2, (ys[0] if len(ys) == 1 else table.get(code2))
-
-
-def _generating_edges(up: list, above: list) -> list:
-    """For each element i, the elements j that a generating edge of the
-    relation with up-set rows ``up`` leads to from i: j is another member
-    of i's class (i <= j <= i), or j's class covers i's (i < j, and no k
-    has i < k < j).  ``above[i]`` lists the j != i with i <= j.  A path of
-    these edges joins every related pair: up the covers of the classes,
-    then across the last class.  The strict part leaves out i's
-    class-mates: a cover reduction that took them as strictly above i
-    would drop every edge that leaves the class."""
-    same, strict = [], []
-    for i, js in enumerate(above):
-        peers = 0
-        for j in js:
-            if up[j] >> i & 1:
-                peers |= 1 << j
-        same.append(peers)
-        strict.append(up[i] & ~peers & ~(1 << i))
-    edges = []
-    for i, row in enumerate(strict):
-        through = 0
-        for j in _members(row):
-            through |= strict[j]
-        edges.append(_members(row & ~through | same[i]))
-    return edges
 
 
 def _first_violation(alg: FinAlgebra, up: list, above: list) -> Optional[tuple]:
@@ -1013,24 +958,17 @@ def _columns(alg: FinAlgebra, op: str, sorts: tuple, i: int, pools: list):
     """The columns of ``op``'s shape with argument sorts ``sorts`` along
     position i: for each choice of the other arguments from ``pools``
     (lists of element indices), in ``itertools.product`` order, the value
-    indices at the elements of ``pools[i]``, None where there is no entry."""
+    indices at the elements of ``pools[i]``, None where there is no entry.
+    The syntactic steps read them as they are, the compatibility walk
+    transposed, one fibre per element (``_fibres``)."""
     n = len(alg.carrier)
     get = _table(alg, op, len(sorts)).get
-    hole = [x * n**i for x in pools[i]]  # position i's place in an argument code
-    return [[get(base + x) for x in hole] for base in _box_codes(n, pools, i)]
-
-
-def _box_codes(n: int, pools: list, i: int) -> list:
-    """The argument codes, over a numbering of ``n`` elements, of each
-    choice of the arguments other than position i from ``pools`` (lists
-    of element indices), in ``itertools.product`` order, with 0 at
-    position i."""
-    codes = [0]
+    bases = [0]  # the argument codes of the other arguments, 0 at position i
     for j, pool in enumerate(pools):
         if j != i:
-            w = n**j
-            codes = [c + d * w for c in codes for d in pool]
-    return codes
+            bases = [c + d * n**j for c in bases for d in pool]
+    hole = [x * n**i for x in pools[i]]  # position i's place in an argument code
+    return [[get(base + x) for x in hole] for base in bases]
 
 
 def _grow_tuples(algs: list[FinAlgebra], seeds: Iterable[tuple]):

@@ -330,14 +330,16 @@ def quotient_set(
     """
     if not _contains_order(A, q):
         raise ValueError("preorder does not contain the carrier order")
-    # the class of element i is named by its lowest index r with i q r and
-    # r q i, the first representative in carrier order
+    # i q j and j q i iff i and j have the same up-set row (the rows are
+    # reflexive and transitive), so the class of element i is named by the
+    # first index with i's row, the first representative in carrier order
     elems, up = A._by_index, q._rows
     rep: dict = {}
+    first: dict = {}  # up-set row -> the first index with it
     reps = 0  # the bitmask of the representatives
     classes: dict[Sort, list] = {s: [] for s in A.sorts}
     for i, x in enumerate(elems):
-        r = next(j for j in _members(up[i] & ((2 << i) - 1)) if up[j] >> i & 1)
+        r = first.setdefault(up[i], i)
         rep[x] = elems[r]
         if r == i:
             classes[A.sort_of(x)].append(x)

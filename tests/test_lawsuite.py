@@ -227,26 +227,37 @@ def test_monad_laws_catch_flat_mutants(name, monkeypatch):
 # -- library mutants that the scoped checks must catch --------------------------
 
 
-def _generating_edges_mutant(*, equivalences: bool, mates_above: bool):
-    """``algebra._generating_edges`` without the edges inside a class, or
-    reducing the covers through class-mates as if they lay strictly above."""
+def _raised_only_to(keep):
+    """``algebra._violated`` raising each argument x only to the y of
+    ``above[x]`` with ``keep(up, x, y)``."""
 
-    def mutant(up, above):
-        same, strict = [], []
-        for i, js in enumerate(above):
-            peers = 0
-            for j in js:
-                if up[j] >> i & 1:
-                    peers |= 1 << j
-            same.append(peers if equivalences else 0)
-            strict.append(up[i] & ~(1 << i) & (-1 if mates_above else ~peers))
-        edges = []
-        for i, row in enumerate(strict):
-            through = 0
-            for j in _members(row):
-                through |= strict[j]
-            edges.append(_members(row & ~through | same[i]))
-        return edges
+    def mutate(violated):
+        def mutant(alg, up, above):
+            return violated(alg, up, [[y for y in ys if keep(up, x, y)] for x, ys in enumerate(above)])
+
+        return mutant
+
+    return mutate
+
+
+def _strictly_above(up, x) -> list:
+    return [y for y in _members(up[x]) if not up[y] >> x & 1]
+
+
+def _covers(up, x, y) -> bool:
+    """Whether y's class covers x's: y is strictly above x, and nothing
+    strictly above x is strictly below y."""
+    above = _strictly_above(up, x)
+    return y in above and not any(y in _strictly_above(up, z) for z in above)
+
+
+def _first_positions_only(fibres):
+    """``algebra._fibres`` with the fibres of the first argument position
+    of each shape only, so that ``_violated`` raises no other argument."""
+
+    def mutant(alg):
+        runs, rest = algebra._sort_runs(alg.carrier), iter(fibres(alg))
+        return [[next(rest) for _ in sorts][0] for _, sorts, result in alg.monad.signature if result in runs]
 
     return mutant
 
@@ -280,15 +291,15 @@ def _omega_of_first_period_value(eval_element):
 
 # name -> (module, attribute, mutation, the check that must fail)
 SCOPE_MUTANTS = {
-    "congruence-no-equivalence-edges": (
-        algebra, "_generating_edges",
-        lambda f: _generating_edges_mutant(equivalences=False, mates_above=False),
+    "congruence-no-class-mates-raised": (
+        algebra, "_violated", _raised_only_to(lambda up, x, y: not up[y] >> x & 1),
         "check_congruence_characterisations",
     ),
-    "congruence-covers-through-class-mates": (
-        algebra, "_generating_edges",
-        lambda f: _generating_edges_mutant(equivalences=True, mates_above=True),
-        "check_congruence_characterisations",
+    "congruence-strict-covers-raised-only": (
+        algebra, "_violated", _raised_only_to(_covers), "check_congruence_characterisations"
+    ),
+    "congruence-first-position-raised-only": (
+        algebra, "_fibres", _first_positions_only, "check_congruence_characterisations"
     ),
     "terminality-one-generator-short": (
         syntactic, "_generators", _one_generator_short, "check_terminality"

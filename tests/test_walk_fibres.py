@@ -1,14 +1,25 @@
 """The compatibility walk's yes/no step (``algebra._violated``), which
-compares whole table fibres with one big-integer test per edge source,
-against the label-keyed reference walk (``tests._reference.incompatibility``):
-it finds a violation exactly when the reference does, and the witness that
-the walk then searches for is the reference's."""
+compares whole table fibres with one big-integer test per element and
+argument position, against the label-keyed reference walk
+(``tests._reference.incompatibility``): it finds a violation exactly when
+the reference does, and the witness that the walk then searches for is
+the reference's."""
 
 import random
 
-from emalg.algebra import FinAlgebra, _fibres, _violated, _walk_rows, is_congruence_ordering
+from emalg.algebra import (
+    FinAlgebra,
+    _columns,
+    _fibres,
+    _first_violation,
+    _sort_runs,
+    _violated,
+    _walk_rows,
+    is_congruence_ordering,
+    word_algebra,
+)
 from emalg.automata import dfa_to_recognizer, parse_regex
-from emalg.core import Preorder, _members, _rows_of
+from emalg.core import SortedOrderedSet, _members, _rows_of
 from emalg.lawsuite import _all_preorders, ordered_finitely_many_a, small_semigroups
 from emalg.syntactic import syntactic_algebra, syntactic_preorder
 from tests import _reference
@@ -130,12 +141,59 @@ def test_one_entry_mutants_get_the_reference_witness():
     assert found > 40 and compatible > 10
 
 
-def test_the_fibres_are_memoised_and_built_only_where_edges_reach():
-    alg = count_cap_omega(3)
-    fin = alg.elements(alg.carrier.sorts[0])
-    q = Preorder(alg.carrier, [(fin[0], fin[1])])
-    assert violated(alg, q.pairs()) == (_reference.incompatibility(alg, q.pairs()) is not None)
-    fibres = _fibres(alg)
-    assert _fibres(alg) is fibres
-    touched = {x for _, by_element in fibres for x in by_element}
-    assert touched <= {alg.carrier._index[fin[0]], alg.carrier._index[fin[1]]}
+def test_the_fibres_are_the_memoised_transposed_columns():
+    # one fibre per element of each position's run: its row of the
+    # transposed columns, and the one-hot code of those values
+    for alg in (count_cap_omega(3), bool_tree_algebra(2, with_var_slots=True)):
+        fibres = _fibres(alg)
+        assert _fibres(alg) is fibres
+        n, runs = len(alg.carrier), _sort_runs(alg.carrier)
+        want = []
+        for op, sorts, result in alg.monad.signature:
+            if result in runs:
+                pools = [runs.get(s, ()) for s in sorts]
+                want += [(pool, list(zip(*_columns(alg, op, sorts, i, pools)))) for i, pool in enumerate(pools)]
+        assert [(run, [values for values, _ in by_element]) for run, by_element in fibres] == want
+        block = (n + 7) // 8 * 8
+        for run, by_element in fibres:
+            assert len(by_element) == len(run)
+            for values, code in by_element:
+                assert code == sum(1 << (k * block + v) for k, v in enumerate(values))
+
+
+def _dense_cases():
+    """x.y = max(x, y) on 64 elements under dense relations: the chain
+    order (the algebra's own, checked at construction), the total
+    preorder, a coarsening of the chain into classes of 8 and a seeded
+    random total preorder; then one-entry mutants of it under the chain
+    order and the coarsening."""
+    rng = random.Random(41)
+    elems = range(64)
+    table = {(x, y): max(x, y) for x in elems for y in elems}
+    chain = word_algebra(SortedOrderedSet.chain(elems), table)
+    flat = word_algebra(SortedOrderedSet({0: elems}), table)
+    rank = [rng.randrange(6) for _ in elems]
+    below = {
+        "chain": lambda x, y: x <= y,
+        "total": lambda x, y: True,
+        "classes": lambda x, y: x // 8 <= y // 8,
+        "random": lambda x, y: rank[x] <= rank[y],
+    }
+    rels = {name: {(x, y) for x in elems for y in elems if leq(x, y)} for name, leq in below.items()}
+    yield chain, rels["chain"]
+    yield from ((flat, rel) for rel in rels.values())
+    for name in ("chain", "classes"):
+        yield from ((mutant, rels[name]) for mutant in _one_entry_mutants(flat, rng, 2))
+
+
+def test_dense_relations_on_64_elements_get_the_reference_witness():
+    found = compatible = 0
+    for alg, rel in _dense_cases():
+        up = _rows_of(alg.carrier, rel)
+        above = [_members(u & ~(1 << i)) for i, u in enumerate(up)]
+        want = _reference.incompatibility(alg, rel)
+        assert _walk_rows(alg, up) == want
+        assert _violated(alg, up, above) == (_first_violation(alg, up, above) is not None)
+        found += want is not None
+        compatible += want is None
+    assert found >= 3 and compatible >= 3
