@@ -95,12 +95,12 @@ class MissingTableEntry(KeyError):
 class FinAlgebra:
     """A finitary algebra over one of the three instances.
 
-    It stores integer tables (``_coded`` in the label order ``_order``, see
-    "the table view" below).  ``tables`` is its label view, decoded from
-    them on first read: one read-only mapping per op of ``_OPS`` keyed by
-    flat argument tuples; ``mult``, ``dot`` and ``mix`` are three of them,
-    and ``omega`` (keyed by a) and ``comp`` (keyed by (head, slots)) show
-    theirs in the keyword shapes."""
+    It stores integer tables (``_coded``, see "the table view" below).
+    ``tables`` is its label view, decoded from them on first read: one
+    read-only mapping per op of ``_OPS`` keyed by flat argument tuples, in
+    the order of the stored entries; ``mult``, ``dot`` and ``mix`` are three
+    of them, and ``omega`` (keyed by a) and ``comp`` (keyed by (head,
+    slots)) show theirs in the keyword shapes."""
 
     def __init__(
         self,
@@ -116,16 +116,16 @@ class FinAlgebra:
         tables = {"mult": dict(mult or {}), "dot": dict(dot or {}), "mix": dict(mix or {})}
         tables["omega"] = {(a,): v for a, v in (omega or {}).items()}
         tables["comp"] = {(a, *slots): v for (a, slots), v in (comp or {}).items()}
-        self._init(monad, carrier, *_encode(carrier, tables))
+        self._init(monad, carrier, _encode(carrier, tables))
 
-    def _init(self, monad, carrier, coded: dict, order: list, monotone: bool = False):
-        """Take over the integer tables ``coded`` in the label ``order``,
-        check them against the signature and, unless they are known to be
-        ``monotone`` (see ``quotient_algebra``), walk them for monotonicity."""
+    def _init(self, monad, carrier, coded: dict, monotone: bool = False):
+        """Take over the integer tables ``coded``, check them against the
+        signature and, unless they are known to be ``monotone`` (see
+        ``quotient_algebra``), walk them for monotonicity."""
         self.monad = monad
         self.carrier = carrier
         self.kind = monad.kind
-        self._coded, self._order = coded, order
+        self._coded = coded
         self._validate()
         if not monotone and not carrier.is_trivially_ordered():
             bad = _walk_rows(self, carrier._rows)
@@ -143,14 +143,14 @@ class FinAlgebra:
     @functools.cached_property
     def tables(self):
         """The label view, one read-only mapping per op of ``_OPS``, decoded
-        from the integer tables in label order."""
+        from the integer tables place by place."""
         elems, n = self.carrier._by_index, len(self.carrier)
         tables: dict = {op: {} for op in _OPS}
-        for place, _, items in _runs(self):
+        for place, table in self._coded.items():
             if place[1:] == (2, ()):  # a binary op, decoded inline
-                tables[place[0]].update({(elems[c % n], elems[c // n]): elems[v] for c, v in items})
+                tables[place[0]].update({(elems[c % n], elems[c // n]): elems[v] for c, v in table.items()})
             else:
-                tables[place[0]].update({_labels(elems, place, c): elems[v] for c, v in items})
+                tables[place[0]].update({_labels(elems, place, c): elems[v] for c, v in table.items()})
         return MappingProxyType({op: MappingProxyType(t) for op, t in tables.items()})
 
     mult = property(lambda self: self.tables["mult"])
@@ -251,10 +251,11 @@ def _per_algebra(fn):
 # arguments d_0, ..., d_(m-1) have the code d_0 + d_1 n + ... + d_(m-1)
 # n^(m-1), a bare slot counting as 0, and ``alg._coded[(op, m, bare)]``
 # (a place) maps the code of each entry with bare slots at the positions
-# ``bare`` to its value's index.  One op's entries may alternate between
-# places (comp with bare slots), so ``alg._order`` keeps the label order as
-# runs [place, count], op by op in ``_OPS`` order (``_runs``).  ``_encode``
-# is the one place where labels become codes; ``_labels`` decodes them.
+# ``bare`` to its value's index.  The places come op by op in ``_OPS``
+# order, each where its first entry was written, and every reader visits
+# them in that order and each place's entries in its table's own order.
+# ``_encode`` is the one place where labels become codes; ``_labels``
+# decodes them.
 
 _OPS = ("mult", "dot", "mix", "omega", "comp")
 
@@ -266,29 +267,12 @@ def _places(alg: FinAlgebra) -> list:
     return sorted(p for p in alg._coded if not p[2] or len(p[2]) < p[1] - 1)
 
 
-def _runs(alg: FinAlgebra):
-    """The runs of ``alg``'s entries in label order, to be read in order:
-    (place, its table, an iterator over the run's (code, value) pairs)."""
-    items = {place: iter(table.items()) for place, table in alg._coded.items()}
-    return [(p, alg._coded[p], itertools.islice(items[p], count)) for p, count in alg._order]
-
-
-def _extend(order: list, place: tuple, count: int):
-    """Append ``count`` entries of ``place`` to the label ``order``."""
-    if order and order[-1][0] == place:
-        order[-1][1] += count
-    elif count:
-        order.append([place, count])
-
-
-def _encode(carrier: SortedOrderedSet, tables: dict) -> tuple:
+def _encode(carrier: SortedOrderedSet, tables: dict) -> dict:
     """The integer tables (``FinAlgebra._coded``) of the label ``tables``
-    (op -> flat argument tuple -> value) over ``carrier``'s numbering, and
-    their label order; an argument or value outside the carrier raises
-    ValueError."""
+    (op -> flat argument tuple -> value) over ``carrier``'s numbering; an
+    argument or value outside the carrier raises ValueError."""
     index, n = carrier._index, len(carrier)
     coded: dict = {}
-    places: list = []  # the place of each entry, in order
     for op, table in tables.items():
         for args, value in table.items():
             bare = tuple([i for i, a in enumerate(args) if i and a is VAR]) if op == "comp" else ()
@@ -301,10 +285,8 @@ def _encode(carrier: SortedOrderedSet, tables: dict) -> tuple:
                 w *= n
             if value not in index:
                 raise ValueError(f"{op} value {value!r} at {args!r} is not an element")
-            place = (op, len(args), bare)
-            coded.setdefault(place, {})[code] = index[value]
-            places.append(place)
-    return coded, [[place, len(list(run))] for place, run in itertools.groupby(places)]
+            coded.setdefault((op, len(args), bare), {})[code] = index[value]
+    return coded
 
 
 def _labels(elems: list, place: tuple, code: int) -> tuple:
@@ -342,28 +324,25 @@ _TERM = {
 }
 
 
-def _build(monad: Monad, carrier: SortedOrderedSet, coded: dict, order=None, monotone=False):
-    """The algebra on ``carrier`` with the integer tables ``coded`` in the
-    label ``order`` (by default place by place, in ``_OPS`` order); tables
-    known to be ``monotone`` skip the monotonicity walk."""
+def _build(monad: Monad, carrier: SortedOrderedSet, coded: dict, monotone=False):
+    """The algebra on ``carrier`` with the integer tables ``coded``, their
+    places in ``_OPS`` order; tables known to be ``monotone`` skip the
+    monotonicity walk."""
     alg = FinAlgebra.__new__(FinAlgebra)
-    places = sorted(coded, key=lambda place: _OPS.index(place[0]))
-    order = order or [[place, len(coded[place])] for place in places]
-    alg._init(monad, carrier, coded, order, monotone)
+    alg._init(monad, carrier, coded, monotone)
     return alg
 
 
-def _mapped(alg: FinAlgebra, f: list, size: int) -> tuple:
-    """``alg``'s integer tables and their label order, carried along ``f``
-    (element index -> index over a carrier of ``size`` elements, or None):
-    an entry that mentions an index with no image is left out, and where
-    two entries meet the first keeps its place in the order."""
-    n, out, order = len(alg.carrier), {}, []
-    for place, _, items in _runs(alg):
+def _mapped(alg: FinAlgebra, f: list, size: int) -> dict:
+    """``alg``'s integer tables carried along ``f`` (element index -> index
+    over a carrier of ``size`` elements, or None): an entry that mentions an
+    index with no image is left out, and where two entries meet the first
+    keeps its place."""
+    n, out = len(alg.carrier), {}
+    for place, table in alg._coded.items():
         opened = [(n**i, size**i) for i in range(place[1]) if i not in place[2]]
-        mapped = out.setdefault(place, {})
-        before = len(mapped)
-        for code, v in items:
+        mapped = {}
+        for code, v in table.items():
             new = 0
             for w, s in opened:
                 d = f[code // w % n]
@@ -373,8 +352,9 @@ def _mapped(alg: FinAlgebra, f: list, size: int) -> tuple:
             else:
                 if f[v] is not None:
                     mapped[new] = f[v]
-        _extend(order, place, len(mapped) - before)
-    return {place: table for place, table in out.items() if table}, order
+        if mapped:
+            out[place] = mapped
+    return out
 
 
 def _walk_rows(alg: FinAlgebra, up: list) -> Optional[tuple]:
@@ -398,9 +378,9 @@ def _walk_rows(alg: FinAlgebra, up: list) -> Optional[tuple]:
     required too.  Entries with a bare slot are optional, so they keep the
     walk over the whole product of up-sets.  The first step only asks
     whether there is a violation, on whole table fibres (``_violated``);
-    the second, run only when there is, searches in label order, then
-    position, then index order (``_first_violation``), so the witness,
-    returned in labels, is the first one over all related pairs."""
+    the second, run only when there is, searches place by place in entry
+    order, then position, then index order (``_first_violation``), so the
+    witness, returned in labels, is the first one over all related pairs."""
     if all(row == 1 << i for i, row in enumerate(up)):
         return None
     above = [_members(u & ~(1 << i)) for i, u in enumerate(up)]
@@ -484,15 +464,16 @@ def _raised_bare(table: dict, m: int, bare: tuple, n: int, code: int, above: lis
 
 
 def _first_violation(alg: FinAlgebra, up: list, above: list) -> Optional[tuple]:
-    """The first witness of ``_walk_rows``, raising one argument x of an
-    entry without a bare slot at a time to each element of ``above[x]``,
-    and the arguments of an entry with one over the whole product of the
-    up-sets (``_raised_bare``); bare slots stay bare."""
+    """The first witness of ``_walk_rows``, over the places in their stored
+    order and each place's entries in its table's order: raising one
+    argument x of an entry without a bare slot at a time to each element
+    of ``above[x]``, and the arguments of an entry with one over the whole
+    product of the up-sets (``_raised_bare``); bare slots stay bare."""
     elems, n = alg.carrier._by_index, len(alg.carrier)
-    for place, table, items in _runs(alg):
+    for place, table in alg._coded.items():
         op, m, bare = place
         get, weights = table.get, [n**i for i in range(m)]
-        for code, v in items:
+        for code, v in table.items():
             related = up[v]
             if bare:
                 for code2, value2 in _raised_bare(table, m, bare, n, code, above):
@@ -538,7 +519,7 @@ def one_element_algebra(monad: Monad) -> FinAlgebra:
     carrier = SortedOrderedSet({s: [("unit", s)] for s in monad.sorts})
     unit = {s: i for i, s in enumerate(carrier.sorts)}  # each unit's index
     n, coded = len(carrier), {}
-    for op, args, result in monad.signature:
+    for op, args, result in sorted(monad.signature, key=lambda shape: _OPS.index(shape[0])):
         code = sum(unit[s] * n**i for i, s in enumerate(args))
         coded.setdefault((op, len(args), ()), {})[code] = unit[result]
     return _build(monad, carrier, coded)
@@ -764,15 +745,14 @@ def product(algs: list[FinAlgebra], monad: Optional[Monad] = None) -> FinAlgebra
 @dataclass
 class GeneratedSubalgebra:
     algebra: FinAlgebra
-    inclusion: Morphism
     witnesses: dict  # element -> free element over the generator labels
 
 
 def _closure(alg: FinAlgebra, start: dict) -> dict:
     """Close a set of (element -> witness free element) under the table
     entries, recording a witness for every new element: the least fixpoint,
-    the same for every instance.  Sweeps the integer tables in label order
-    (``_runs``) until a sweep adds nothing or every element has a witness,
+    the same for every instance.  Sweeps the integer tables place by place
+    in entry order until a sweep adds nothing or every element has a witness,
     keeping the witnesses in a list over the carrier's numbering.  An entry
     whose arguments all have witnesses gives its value, if that has none
     yet, ``flat`` of the op's shallow term over them.  A bare tree slot
@@ -788,9 +768,9 @@ def _closure(alg: FinAlgebra, start: dict) -> dict:
     changed = True
     while changed and missing:
         changed = False
-        for (op, m, bare), _, items in _runs(alg):
+        for (op, m, bare), table in alg._coded.items():
             term, weights = _TERM[op], [n**i for i in range(m)]
-            for code, r in items:
+            for code, r in table.items():
                 if wit[r] is not None:
                     continue
                 xs = [VAR if i in bare else code // w % n for i, w in enumerate(weights)]
@@ -817,12 +797,7 @@ def subalgebra_generated(alg: FinAlgebra, gens: Iterable[Elem]) -> GeneratedSuba
     (``_per_algebra``): a repeated call shares the subalgebra, and so what
     is memoised on that, and gets its own copy of the witnesses."""
     sub, wit = _generated(alg, tuple(gens))
-    if sub is None:
-        sub = alg
-    incl = Morphism(
-        sub, alg, SortedFunction(sub.carrier, alg.carrier, {e: e for e in sub.carrier})
-    )
-    return GeneratedSubalgebra(sub, incl, dict(wit))
+    return GeneratedSubalgebra(alg if sub is None else sub, dict(wit))
 
 
 @_per_algebra
@@ -853,7 +828,7 @@ def _restrict(alg: FinAlgebra, keep: set, monad: Monad) -> FinAlgebra:
     elems = {s: [e for e in A.elements(s) if e in keep] for s in A.sorts}
     pairs = [(a, b) for a, b in A.leq_pairs() if a in keep and b in keep]
     C = SortedOrderedSet(elems, pairs)
-    return _build(monad, C, *_mapped(alg, list(map(C._index.get, A)), len(C)))
+    return _build(monad, C, _mapped(alg, list(map(C._index.get, A)), len(C)))
 
 
 def _index_closure(algs: list[FinAlgebra], places: list):
@@ -943,7 +918,7 @@ def _product_entry(algs: list, tables: list, opened: tuple):
 def _table(alg: FinAlgebra, op: str, arity: int) -> dict:
     """``op``'s integer table at ``arity`` arguments with no bare slot: the
     code of each argument tuple of indices (see "the table view") -> the
-    index of its value, in the label order of those entries; empty where
+    index of its value, in the order of those entries; empty where
     there are none.  Callers read it and must not mutate it."""
     return alg._coded.get((op, arity, ()), {})
 
@@ -998,9 +973,9 @@ def generated_tuples(algs: list[FinAlgebra], seeds: Iterable[tuple]) -> set:
 def tuple_algebra(algs: list[FinAlgebra], tuples: Iterable[tuple]) -> FinAlgebra:
     """The subalgebra of the product of ``algs`` on an already product-closed
     set of tuples, with componentwise order and tables: each entry of the
-    first component is read at the argument tuples whose first components
-    are its arguments (``_product_entry``), and kept where its value is
-    one of the tuples."""
+    first component, place by place in its stored order, is read at the
+    argument tuples whose first components are its arguments
+    (``_product_entry``), and kept where its value is one of the tuples."""
     ts = list(dict.fromkeys(tuple(t) for t in tuples))
     A0 = algs[0].carrier
     elems: dict[Sort, list] = {}
@@ -1023,8 +998,8 @@ def tuple_algebra(algs: list[FinAlgebra], tuples: Iterable[tuple]) -> FinAlgebra
     by_first: dict = {}
     for t in number:
         by_first.setdefault(t[0], []).append(t)
-    n0, n, coded, order = len(A0), len(carrier), {}, []
-    for place, _, items in _runs(algs[0]):
+    n0, n, coded = len(A0), len(carrier), {}
+    for place, table in algs[0]._coded.items():
         tables = [a._coded.get(place) for a in algs]
         if None in tables:
             continue
@@ -1034,17 +1009,15 @@ def tuple_algebra(algs: list[FinAlgebra], tuples: Iterable[tuple]) -> FinAlgebra
         else:
             entry = _product_entry(algs, tables, opened)
         weights = [n0**p for p in opened]
-        pools = ([by_first.get(code // w % n0, ()) for w in weights] for code, _ in items)
+        pools = ([by_first.get(code // w % n0, ()) for w in weights] for code in table)
         args = [t for columns in pools for t in itertools.product(*columns)]
         codes = [0] * len(args)  # the product's argument codes
         for p, s in enumerate(n**i for i in opened):
             codes = [c + number[t[p]] * s for c, t in zip(codes, args)]
-        out = coded.setdefault(place, {})
-        before = len(out)
-        out.update((c, v) for c, v in zip(codes, map(number.get, map(entry, args))) if v is not None)
-        _extend(order, place, len(out) - before)
-    coded = {place: table for place, table in coded.items() if table}
-    return _build(algs[0].monad, carrier, coded, order)
+        out = {c: v for c, v in zip(codes, map(number.get, map(entry, args))) if v is not None}
+        if out:
+            coded[place] = out
+    return _build(algs[0].monad, carrier, coded)
 
 
 def restrict_sorts(alg: FinAlgebra, delta: Iterable[Sort]) -> FinAlgebra:
@@ -1103,7 +1076,7 @@ def quotient_algebra(alg: FinAlgebra, q: Preorder) -> tuple[FinAlgebra, Morphism
         quot.__dict__.pop("_memo", None)  # derived under the source's order
     else:
         cls = list(map(Q._index.__getitem__, map(qfn.mapping.__getitem__, alg.carrier)))
-        quot = _build(alg.monad, Q, *_mapped(alg, cls, len(Q)), monotone=True)
+        quot = _build(alg.monad, Q, _mapped(alg, cls, len(Q)), monotone=True)
     return quot, Morphism(alg, quot, qfn)
 
 
@@ -1178,6 +1151,63 @@ def check_algebra_laws(alg: FinAlgebra) -> LawReport:
     return report
 
 
+def _associative(alg: FinAlgebra) -> bool:
+    """Whether the product of the word algebra ``alg`` is associative, by
+    Light's test (Clifford and Preston, *The Algebraic Theory of
+    Semigroups* I, 1961): (x.g).y = x.(g.y) for every x and y and every g
+    of ``_generators``, one row comparison per (x, g).  The elements g for
+    which it holds are closed under the product, since (x.gh).y =
+    ((x.g).h).y = (x.g).(h.y) = x.(g.(h.y)) = x.(gh.y); and every element
+    that ``_generators``' closure reaches is a product of two elements
+    reached before it, or a generator, whether or not the product is
+    associative.  So it holds for every element."""
+    table, n = _table(alg, "mult", 2), len(alg.carrier)
+    rows = [[table[x + y * n] for y in range(n)] for x in range(n)]
+    for g in map(alg.carrier._index.__getitem__, _generators(alg)):
+        for row in rows:
+            if rows[row[g]] != [row[z] for z in rows[g]]:
+                return False
+    return True
+
+
+@_per_algebra
+def _generators(alg: FinAlgebra) -> Optional[tuple]:
+    """Elements that generate the monad's ``generated_sort`` of ``alg``
+    under its binary op, or None if the monad declares no such sort.
+
+    In carrier order, an element joins when the closure of the ones before
+    it misses it.  The closure multiplies by the generators on either side,
+    which by associativity reaches every product of them: 2 reads of the
+    op's integer table per generator and element.  Memoised on the algebra
+    (``_per_algebra``)."""
+    sort = alg.monad.generated_sort
+    if sort is None:
+        return None
+    op, _ = alg.monad.binary[(sort, sort)]
+    table, n, A = _table(alg, op, 2), len(alg.carrier), alg.carrier
+    gens: list = []
+    reached: list = []
+    seen: set = set()
+    for g in map(A._index.__getitem__, A.elements(sort)):
+        if g in seen:
+            continue
+        gens.append(g)
+        seen.add(g)
+        # the known elements and g times g, then each element found times
+        # every generator, until none is new
+        multiply, by, new = reached + [g], [g], [g]
+        while multiply:
+            for x in multiply:
+                for h in by:
+                    for c in (table[x + h * n], table[h + x * n]):
+                        if c not in seen:
+                            seen.add(c)
+                            new.append(c)
+            reached += new
+            multiply, by, new = new, gens, []
+    return tuple([A._by_index[g] for g in gens])
+
+
 def _axiom_violations(alg: FinAlgebra):
     """Each failed axiom of the monad's signature, as (axiom, args), lazily
     and in a fixed order.  On finite tables the associative law of the
@@ -1234,10 +1264,10 @@ def _axiom_violations(alg: FinAlgebra):
                 if u[p] != ux:
                     yield f"{op}-power", (elems[x], elems[p])
                     break
-    # comp's entries in label order, keyed by flat argument tuples of
+    # comp's entries place by place, keyed by flat argument tuples of
     # indices (``_labels`` over the identity numbering), VAR at a bare slot
     ids = range(n)
-    comp = {_labels(ids, p, c): v for p, _, items in _runs(alg) if p[0] == "comp" for c, v in items}
+    comp = {_labels(ids, p, c): v for p, t in alg._coded.items() if p[0] == "comp" for c, v in t.items()}
     if not comp:
         return
 

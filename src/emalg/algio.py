@@ -14,7 +14,9 @@ Word algebras live at sort 0; omega algebras use sorts '1' and 'inf'
 (spelled 'inf', 'w' or '2'); tree algebras use arities as sorts.  The
 reflexive-transitive closure of the leq lines is taken.  Tables must be
 total or the file is rejected, and so is a line of a table that the kind
-does not have; errors carry line numbers.  An ``elems`` line that takes
+does not have; errors carry line numbers.  A word product that is not
+associative, and omega tables that break one of Wilke's axioms, are
+rejected too, naming the first failed axiom.  An ``elems`` line that takes
 a sort past the carrier cap raises ``CarrierBoundExceeded`` at once,
 whatever errors later lines hold, and so does an ``elems`` line of a tree
 sort above ``MAX_TREE_ARITY``.
@@ -22,7 +24,7 @@ sort above ``MAX_TREE_ARITY``.
 
 from __future__ import annotations
 
-from .algebra import VAR, FinAlgebra, wilke_algebra
+from .algebra import VAR, FinAlgebra, _associative, _axiom_violations, wilke_algebra
 from .core import CarrierBoundExceeded, SortedOrderedSet, _check_sort_size
 from .monads import SORT_FIN, SORT_INF, SORT_WORD, TreeMonad, WordMonad
 
@@ -137,7 +139,10 @@ def parse_algebra(text: str) -> FinAlgebra:
     try:
         carrier = SortedOrderedSet(elems, leq_pairs)
         if kind == "word":
-            return FinAlgebra(WordMonad(), carrier, mult=tables["dot"])
+            alg = FinAlgebra(WordMonad(), carrier, mult=tables["dot"])
+            if not _associative(alg):
+                raise ValueError(f"associativity violated: {next(_axiom_violations(alg))}")
+            return alg
         if kind == "omega":
             return wilke_algebra(carrier, tables["dot"], tables["mix"], tables["omega"])
         max_arity = max(elems, default=0)

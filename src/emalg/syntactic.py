@@ -64,10 +64,10 @@ from .algebra import (
     Recognizer,
     _columns,
     _fold,
+    _generators,
     _per_algebra,
     _raw_up,
     _sort_runs,
-    _table,
     generated_tuples,
     quotient_algebra,
     subalgebra_generated,
@@ -393,13 +393,13 @@ def saturate_contexts(alg: FinAlgebra, source: Sort, target: Sort) -> list[Conte
 # -- syntactic preorder and algebra ------------------------------------------------
 
 
-def _pair_depths(alg: FinAlgebra, P: frozenset, sort: Sort, steps) -> tuple[list, list]:
-    """The elements of the algebra, and for each pair (a, b) of them, at
-    index i * n + j for their indices i and j in the carrier's numbering,
-    the length of the shortest composite of ``steps`` that separates it
-    (sends a into ``P`` and b out of it), or -1 if none does.  Each step is
-    a pair of int arrays over that numbering, as ``_step_arrays`` gives
-    them: the indices it maps and the index of each one's value.
+def _pair_depths(alg: FinAlgebra, P: frozenset, sort: Sort, steps) -> list:
+    """For each pair (a, b) of elements of the algebra, at index i * n + j
+    for their indices i and j in the carrier's numbering, the length of
+    the shortest composite of ``steps`` that separates it (sends a into
+    ``P`` and b out of it), or -1 if none does.  Each step is a pair of int
+    arrays over that numbering, as ``_step_arrays`` gives them: the
+    indices it maps and the index of each one's value.
 
     A backward BFS over pairs: layer 0 is {(a, b) : a in P, b not in P} on
     ``sort``; layer L+1 holds the pairs not seen before that some step maps
@@ -438,45 +438,7 @@ def _pair_depths(alg: FinAlgebra, P: frozenset, sort: Sort, steps) -> tuple[list
                                 depths[a + b] = depth
                                 found.append(a + b)
         frontier = found
-    return elems, depths
-
-
-@_per_algebra
-def _generators(alg: FinAlgebra) -> Optional[tuple]:
-    """Elements that generate the monad's ``generated_sort`` of ``alg``
-    under its binary op, or None if the monad declares no such sort.
-
-    In carrier order, an element joins when the closure of the ones before
-    it misses it.  The closure multiplies by the generators on either side,
-    which by associativity reaches every product of them: 2 reads of the
-    op's integer table per generator and element.  Memoised on the algebra
-    (``_per_algebra``)."""
-    sort = alg.monad.generated_sort
-    if sort is None:
-        return None
-    op, _ = alg.monad.binary[(sort, sort)]
-    table, n, A = _table(alg, op, 2), len(alg.carrier), alg.carrier
-    gens: list = []
-    reached: list = []
-    seen: set = set()
-    for g in map(A._index.__getitem__, A.elements(sort)):
-        if g in seen:
-            continue
-        gens.append(g)
-        seen.add(g)
-        # the known elements and g times g, then each element found times
-        # every generator, until none is new
-        multiply, by, new = reached + [g], [g], [g]
-        while multiply:
-            for x in multiply:
-                for h in by:
-                    for c in (table[x + h * n], table[h + x * n]):
-                        if c not in seen:
-                            seen.add(c)
-                            new.append(c)
-            reached += new
-            multiply, by, new = new, gens, []
-    return tuple([A._by_index[g] for g in gens])
+    return depths
 
 
 class _LayeredPreorder(Preorder):
@@ -547,20 +509,31 @@ def syntactic_preorder(alg: FinAlgebra, accepting: Iterable[Elem], sort: Sort) -
     if not is_upward_closed(alg.carrier, P):
         raise ValueError("accepting set is not upward closed")
     gens = _generators(alg)
-    _, depths = _pair_depths(alg, P, sort, _step_arrays(alg, gens))
+    depths = _pair_depths(alg, P, sort, _step_arrays(alg, gens))
     return _LayeredPreorder(alg.carrier, depths, gens)
 
 
-def _separating_context(alg: FinAlgebra, steps: list, depths: list, a: Elem, b: Elem) -> Context:
-    """A shortest composite of ``steps`` that separates the pair (a, b), as
-    a context, where ``steps`` are ``_witnessed_steps`` and ``depths`` is
-    the depth array that ``_pair_depths`` finds over the same steps (or
-    over their ``_step_arrays``, which hold the same distinct tables and so
-    give the same depths), in which (a, b) is separated: from the pair's
-    depth down to 0, the first step whose image pair lies one layer closer,
-    read over element indices.  This is the one place that builds contexts
-    from steps.  So among the shortest separating step sequences it is the
-    least in the lexicographic order of steps, first step most significant.
+def _separating_context(alg: FinAlgebra, steps: list, path: tuple, sort: Sort) -> Context:
+    """The composite of ``steps`` (``_witnessed_steps``) along ``path``
+    (positions in ``steps``, first step first), as a context on ``sort``.
+    This is the one place that builds contexts from steps."""
+    ctx = identity_context(alg.monad, sort)
+    for k in path:
+        ctx = context_compose(steps[k][3], ctx)
+    return ctx
+
+
+def _separating_path(steps: list, depths: list, n: int, i: int, j: int) -> tuple:
+    """A shortest sequence of ``steps`` that separates the pair of indices
+    (i, j) over a numbering of ``n`` elements, as the positions in
+    ``steps`` of the steps it takes, first step first.  ``depths`` is the
+    depth array that ``_pair_depths`` finds over the same steps (or over
+    their ``_step_arrays``, which hold the same distinct tables and so give
+    the same depths), in which (i, j) is separated: from the pair's depth
+    down to 0, the walk takes the first step whose image pair lies one
+    layer closer.  So among the shortest separating step sequences it is
+    the least in the lexicographic order of steps, first step most
+    significant.
 
     ``decompose_as_derivatives`` walks the steps that multiply by a
     letter's image on one side, so its contexts are shortest over the
@@ -572,17 +545,6 @@ def _separating_context(alg: FinAlgebra, steps: list, depths: list, a: Elem, b: 
     that the same extension of the earlier sequence gave before, so the
     first separating function it lists is the one of the least shortest
     separating sequence."""
-    A = alg.carrier
-    ctx = identity_context(alg.monad, A.sort_of(a))
-    for k in _separating_path(steps, depths, len(A), A._index[a], A._index[b]):
-        ctx = context_compose(steps[k][3], ctx)
-    return ctx
-
-
-def _separating_path(steps: list, depths: list, n: int, i: int, j: int) -> tuple:
-    """The walk of ``_separating_context`` from the pair of indices (i, j)
-    over a numbering of ``n`` elements: the positions in ``steps`` of the
-    steps it takes, first step first."""
     path = []
     depth = depths[i * n + j]
     while depth:
@@ -775,8 +737,9 @@ def decompose_as_derivatives(syn: SyntacticResult, target: Iterable[Elem]) -> De
     it, a shortest context over the alphabet that sends a into the base
     language and b out of it, each context once.  The contexts are walked
     down the depth array of the pair search over the letter steps
-    (``_separating_context``), from the first element of each class in the
-    image algebra's numbering."""
+    (``_separating_path``), from the first element of each class in the
+    image algebra's numbering, and each new walk is composed once
+    (``_separating_context``)."""
     if syn.recognizer.algebra.kind != "word":
         raise NotImplementedError(
             "alphabet-level derivative decompositions are implemented for "
@@ -809,7 +772,7 @@ def decompose_as_derivatives(syn: SyntacticResult, target: Iterable[Elem]) -> De
     if isinstance(pre, _LayeredPreorder) and pre.generators == letters:
         depths = pre.depths  # the same search, run once
     else:
-        _, depths = _pair_depths(B, P, syn.accepting_sort, _step_arrays(B, letters))
+        depths = _pair_depths(B, P, syn.accepting_sort, _step_arrays(B, letters))
 
     def over_letters(ctx: WordContext) -> WordContext:
         return WordContext(*(tuple(letter_of[g] for g in side) for side in (ctx.left, ctx.right)))
@@ -825,7 +788,7 @@ def decompose_as_derivatives(syn: SyntacticResult, target: Iterable[Elem]) -> De
                 raise NotCongruence((a, b), "no separating context; quotient broken")
             path = _separating_path(steps, depths, n, i, j)
             if path not in contexts:
-                ctx = over_letters(_separating_context(B, steps, depths, elems[i], elems[j]))
+                ctx = over_letters(_separating_context(B, steps, path, zeta))
                 contexts[path] = ctx, context_to_str(ctx, repr)
             ctx, key = contexts[path]
             if key not in seen:

@@ -457,7 +457,7 @@ def separation_layers(alg, P, sort):
     (``_witnessed_steps``), and the depth of every same-sort pair (a, b)
     that some context separates, the length of the shortest separating
     context (``_pair_depths`` over every element step), as ``PairDepths``."""
-    _, depths = _pair_depths(alg, P, sort, step_arrays(alg, _one_step_functions(alg)))
+    depths = _pair_depths(alg, P, sort, step_arrays(alg, _one_step_functions(alg)))
     return _witnessed_steps(alg), PairDepths(alg, depths)
 
 

@@ -1,10 +1,13 @@
+import itertools
 import json
 
 import pytest
 
+from emalg.algebra import _associative, _axiom_violations, word_algebra
 from emalg.algio import MAX_TREE_ARITY, ParseError, parse_algebra, parse_dfa_file
 from emalg.cli import EXIT_BOUND, EXIT_INPUT
-from emalg.core import CarrierBoundExceeded
+from emalg.core import CarrierBoundExceeded, SortedOrderedSet
+from emalg.monads import SORT_WORD
 from tests.test_cli import run_cli
 
 
@@ -57,6 +60,32 @@ def test_a_stray_table_line_exits_as_an_input_error(tmp_path):
     code, out = run_cli("check", str(path), "APERIODIC")
     assert code == EXIT_INPUT == 2
     assert json.loads(out) == {"command": "check", "error": "line 4: word algebras have no mix table"}
+
+
+#: a two-element word table with (a.a).b = b.b = a but a.(a.b) = a.a = b
+_NOT_ASSOCIATIVE = "kind word\nelems 0 a b\ndot a a b\ndot a b a\ndot b a a\ndot b b a\n"
+
+
+@pytest.mark.parametrize("argv", [("check", "APERIODIC"), ("cover",)])
+def test_a_non_associative_word_file_exits_as_an_input_error(tmp_path, argv):
+    path = tmp_path / "nonassoc.alg"
+    path.write_text(_NOT_ASSOCIATIVE)
+    code, out = run_cli(argv[0], str(path), *argv[1:])
+    assert code == EXIT_INPUT
+    error = "line 0: associativity violated: ('mult-assoc', ('a', 'a', 'b'))"
+    assert json.loads(out) == {"command": argv[0], "error": error}
+
+
+def test_lights_test_is_the_associativity_axiom_on_every_three_element_table():
+    carrier = SortedOrderedSet({SORT_WORD: [0, 1, 2]})
+    associative = 0
+    for values in itertools.product(range(3), repeat=9):
+        alg = word_algebra(carrier, {(x, y): values[3 * x + y] for x in range(3) for y in range(3)})
+        verdict = _associative(alg)
+        assert verdict == (next(_axiom_violations(alg), None) is None), values
+        associative += verdict
+    # the semigroups on three labelled elements
+    assert associative == 113
 
 
 def _names(lo: int, hi: int) -> str:

@@ -79,13 +79,12 @@ def test_every_process_wide_cache_is_declared():
 
 
 def test_only_the_algebra_module_reads_the_integer_storage():
-    """An algebra's integer tables (``_coded``) and their label order
-    (``_order``) are read in ``algebra.py`` alone; other modules go through
-    its accessors."""
+    """An algebra's integer tables (``_coded``) are read in ``algebra.py``
+    alone; other modules go through its accessors."""
     readers = set()
     for path in package_sources():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Attribute) and node.attr in ("_coded", "_order"):
+            if isinstance(node, ast.Attribute) and node.attr == "_coded":
                 readers.add(path.name)
     assert readers == {"algebra.py"}
 

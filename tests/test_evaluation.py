@@ -87,7 +87,7 @@ def test_generated_witnesses_are_terms_over_the_generators_for_their_elements():
         assert set(sub.witnesses) == set(sub.algebra.carrier) == closure
 
 
-WITNESS_PIN = "a2463ec29b15ee327a43f34bcc9e95308928ed5a0708f7371db80e330433aefe"
+WITNESS_PIN = "246bc76b63ecc8f432077ace9e5de086d53edea4f7affec2ebe95e9ba1dc2513"
 
 
 def test_generated_witnesses_are_pinned():

@@ -159,6 +159,16 @@ def _negated_bare_slots():
     return FinAlgebra(alg.monad, alg.carrier, comp=comp)
 
 
+def _flags_on_bare_slots_only():
+    """bool_tree_algebra(2, with_var_slots=True) with the flag of every
+    entry without a bare slot cleared: such an entry's value depends on
+    its arguments' sorts alone, so every violation of a preorder lies in
+    an entry with a bare slot."""
+    alg = bool_tree_algebra(2, with_var_slots=True)
+    comp = {(a, slots): v if VAR in slots else (v[0], False) for (a, slots), v in alg.comp.items()}
+    return FinAlgebra(alg.monad, alg.carrier, comp=comp)
+
+
 def _cases():
     """(algebra, preorder): the congruences of ``congruences()``, each also
     with one pair added; random preorders of random transformation
@@ -187,6 +197,7 @@ def _cases():
         ordered_bool_tree_algebra(),
         diagonal_bare_slot_algebra(),
         _negated_bare_slots(),
+        _flags_on_bare_slots_only(),
     ):
         for q in _all_preorders(alg.carrier):
             yield alg, q
@@ -236,6 +247,7 @@ def _preorders_with_classes():
         bool_tree_algebra(2, with_var_slots=True),
         diagonal_bare_slot_algebra(),
         _negated_bare_slots(),
+        _flags_on_bare_slots_only(),
     ):
         cases += [(alg, q) for q in _all_preorders(alg.carrier)]
     for alg, q in cases:

@@ -123,10 +123,11 @@ def test_distinct_steps_give_the_witnessed_steps_preorder_and_depths():
         dropped += len(witnessed) - len(distinct)
         for sort in alg.carrier.sorts:
             for P in _accepting_sets(alg, sort):
-                elems, depths = _pair_depths(alg, P, sort, witnessed)
+                depths = _pair_depths(alg, P, sort, witnessed)
                 pre = syntactic_preorder(alg, P, sort)
                 assert pre.depths == depths
-                n, sort_of = len(elems), alg.carrier.sort_of
+                elems, sort_of = alg.carrier._by_index, alg.carrier.sort_of
+                n = len(elems)
                 pairs = [
                     (a, b)
                     for i, a in enumerate(elems)

@@ -29,6 +29,7 @@ from emalg.syntactic import (
     TreeContext,
     WordContext,
     _separating_context,
+    _separating_path,
     context_compose,
     context_to_str,
     decompose_as_derivatives,
@@ -623,7 +624,9 @@ def test_separating_contexts_are_the_first_separating_functions():
                 if first is None:
                     assert (a, b) not in layer
                     continue
-                ctx = _separating_context(alg, steps, layer, a, b)
+                i, j = alg.carrier._index[a], alg.carrier._index[b]
+                path = _separating_path(steps, layer, len(alg.carrier), i, j)
+                ctx = _separating_context(alg, steps, path, zeta)
                 assert context_to_str(ctx, repr) == context_to_str(first.witness, repr)
                 assert context_apply(alg, ctx, a) in P and context_apply(alg, ctx, b) not in P
                 separated += 1

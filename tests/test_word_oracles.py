@@ -1,12 +1,15 @@
 """The word pipeline against oracles on plain tuples, over drawn regexes.
 
-Hypothesis draws small regexes over {a, b}.  The syntactic semigroup of a
-language is the transition semigroup of its minimal automaton
-(McNaughton and Papert 1971), and the language is first-order definable iff
-that semigroup is aperiodic (Schützenberger 1965).  The oracles below read
-the automaton's transition table as tuples and share no code with
-``emalg.algebra``, ``emalg.syntactic`` or ``emalg.profinite``: they are a
-breadth-first search over letter-word transformations and a power test.
+Hypothesis draws small regexes over {a, b} and over {a, b, c}.  The
+syntactic semigroup of a language is the transition semigroup of its
+minimal automaton (McNaughton and Papert 1971), and the language is
+first-order definable iff that semigroup is aperiodic (Schützenberger
+1965).  Its order is Pin's (1995): u <= v iff, for every state q, every
+word (the empty one included) that leads q.u into acceptance also leads
+q.v there.  The oracles below read the automaton's transition table as
+tuples and share no code with ``emalg.algebra``, ``emalg.syntactic`` or
+``emalg.profinite``: they are a breadth-first search over letter-word
+transformations, a power test and the state inclusion order.
 The automaton itself is checked against the drawn expression's words up to
 a length, built up the expression's tree as sets of strings (Python's
 ``re`` backtracks exponentially on nested stars), and the algebra that
@@ -14,7 +17,9 @@ a length, built up the expression's tree as sets of strings (Python's
 
 A draw whose semigroup passes the carrier cap must make ``syn`` and
 ``decide fo`` exit with the bound code; such draws are counted, never
-dropped.
+dropped.  The elements that ``syn`` prints are matched with the
+transformations through its printed letters and table, and its printed
+order must be Pin's order on them.
 """
 
 import collections
@@ -30,13 +35,14 @@ from emalg.automata import dfa_to_recognizer, parse_regex, words_up_to
 from emalg.cli import EXIT_BOUND, EXIT_NEGATIVE, EXIT_OK, main
 from emalg.core import MAX_SORT_SIZE
 from emalg.monads import Word
+from tests.test_generator_steps import state_inclusion
 
 LETTERS = "ab"
 MEMBERSHIP_LENGTH = 6
 
 
-def _expressions():
-    """Regex trees over {a, b} with at most 12 leaves: a letter or the
+def _expressions(letters: str = LETTERS):
+    """Regex trees over ``letters`` with at most 12 leaves: a letter or the
     empty pattern "()", or ("." | "|", left, right), or ("*" | "+" | "?",
     inner)."""
 
@@ -48,7 +54,7 @@ def _expressions():
             st.tuples(st.sampled_from("*+?"), inner),
         )
 
-    return st.recursive(st.sampled_from([*LETTERS, "()"]), extend, max_leaves=12)
+    return st.recursive(st.sampled_from([*letters, "()"]), extend, max_leaves=12)
 
 
 def text(e) -> str:
@@ -114,6 +120,39 @@ def aperiodic(semigroup: list[tuple]) -> bool:
     return True
 
 
+def element_maps(dump: dict, dfa) -> dict:
+    """Each element that ``syn`` printed, with the map of the automaton's
+    states that its words induce, found breadth first from the printed
+    letter images by appending one letter at a time through the printed
+    table.  Every word that reaches an element must induce its map."""
+    letters = dump["letters"]
+
+    def then(t, c):
+        return tuple(dfa.trans[(q, c)] for q in t)
+
+    maps: dict = {}
+    todo = [(letters[c], then(range(dfa.n_states), c)) for c in dfa.alphabet]
+    for e, t in todo:  # grows while it is read
+        if e in maps:
+            assert maps[e] == t, e
+            continue
+        maps[e] = t
+        todo += [(dump["table"][f"{e} {letters[c]}"], then(t, c)) for c in dfa.alphabet]
+    return maps
+
+
+def pin_order(maps: dict, dfa) -> list:
+    """u <= v for elements u != v whose maps send every state to a pair in
+    the state inclusion order, as ``syn`` prints them."""
+    below = state_inclusion(dfa)
+    return sorted(
+        f"{u} <= {v}"
+        for u in maps
+        for v in maps
+        if u != v and all(pair in below for pair in zip(maps[u], maps[v]))
+    )
+
+
 def _value(dump: dict, word: str) -> str:
     """The value of ``word`` in the algebra that ``syn`` printed, read off
     its letter images and its product table."""
@@ -130,22 +169,24 @@ def _run(*argv):
     return code, json.loads(buf.getvalue())
 
 
-def test_word_pipeline_matches_the_tuple_oracles():
+def _check_draws(letters: str, examples: int, length: int):
+    """Run the oracles on ``examples`` drawn regexes over ``letters``, with
+    membership checked up to ``length``."""
     tally = collections.Counter()
 
-    @settings(max_examples=300, deadline=None)
-    @given(_expressions())
+    @settings(max_examples=examples, deadline=None)
+    @given(_expressions(letters))
     def check(e):
         rx = text(e)
-        dfa = parse_regex(rx, LETTERS)
+        dfa = parse_regex(rx, letters)
         assert parse_dfa_file(dfa_to_text(dfa)) == dfa
-        words = ["".join(w) for w in words_up_to(LETTERS, MEMBERSHIP_LENGTH)]
-        matched = words_of(e, MEMBERSHIP_LENGTH)
+        words = ["".join(w) for w in words_up_to(letters, length)]
+        matched = words_of(e, length)
         assert [w for w in words if dfa.accepts(w)] == [w for w in words if w in matched], rx
         assert dfa.matches_epsilon == ("" in matched), rx
         semigroup = transformations(dfa)
-        syn_code, syn = _run("syn", rx, "--alphabet", LETTERS)
-        fo_code, fo = _run("decide", "fo", rx, "--alphabet", LETTERS)
+        syn_code, syn = _run("syn", rx, "--alphabet", letters)
+        fo_code, fo = _run("decide", "fo", rx, "--alphabet", letters)
         if len(semigroup) > MAX_SORT_SIZE:
             tally["past the cap"] += 1
             cap = f"has {len(semigroup)} elements, cap is {MAX_SORT_SIZE}"
@@ -160,13 +201,25 @@ def test_word_pipeline_matches_the_tuple_oracles():
         assert fo["verdict"]["definable"] is definable, rx
         rec = dfa_to_recognizer(dfa)
         dump = syn["evidence"]
+        maps = element_maps(dump, dfa)
+        assert sorted(maps) == sorted(dump["elements"]), rx
+        assert dump["order"] == pin_order(maps, dfa), rx
+        tally["ordered"] += bool(dump["order"])
         accepting = set(dump["accepting"])
         for w in words:
             assert rec.accepts(Word(tuple(w))) == dfa.accepts(w), (rx, w)
             assert (_value(dump, w) in accepting) == dfa.accepts(w), (rx, w)
 
     check()
-    # both verdicts occur, and the draws past the cap, if any, were asserted
-    # one by one above
-    assert tally["definable"] and tally["not definable"], tally
+    # both verdicts and nontrivial orders occur, and the draws past the cap,
+    # if any, were asserted one by one above
+    assert tally["definable"] and tally["not definable"] and tally["ordered"], tally
     assert tally["checked"] > tally["past the cap"], tally
+
+
+def test_word_pipeline_matches_the_tuple_oracles():
+    _check_draws(LETTERS, 300, MEMBERSHIP_LENGTH)
+
+
+def test_word_pipeline_matches_the_tuple_oracles_over_three_letters():
+    _check_draws("abc", 150, 4)
