@@ -57,6 +57,7 @@ from .core import (
     SortedOrderedSet,
     _contains_order,
     _members,
+    _restricted_rows,
     is_upward_closed,
     quotient_set,
 )
@@ -826,8 +827,8 @@ def _restrict(alg: FinAlgebra, keep: set, monad: Monad) -> FinAlgebra:
     if monad is alg.monad and keep.issuperset(A):
         return alg
     elems = {s: [e for e in A.elements(s) if e in keep] for s in A.sorts}
-    pairs = [(a, b) for a, b in A.leq_pairs() if a in keep and b in keep]
-    C = SortedOrderedSet(elems, pairs)
+    kept = [i for i, e in enumerate(A) if e in keep]
+    C = SortedOrderedSet._from_rows(elems, _restricted_rows(A._rows, kept))
     return _build(monad, C, _mapped(alg, list(map(C._index.get, A)), len(C)))
 
 
@@ -976,25 +977,21 @@ def tuple_algebra(algs: list[FinAlgebra], tuples: Iterable[tuple]) -> FinAlgebra
     first component, place by place in its stored order, is read at the
     argument tuples whose first components are its arguments
     (``_product_entry``), and kept where its value is one of the tuples."""
-    ts = list(dict.fromkeys(tuple(t) for t in tuples))
     A0 = algs[0].carrier
-    elems: dict[Sort, list] = {}
-    for t in ts:
-        elems.setdefault(A0.sort_of(t[0]), []).append(t)
-    pairs = [
-        (x, y)
-        for es in elems.values()
-        for x, y in itertools.product(es, es)
-        if all(a.carrier.leq(xi, yi) for a, xi, yi in zip(algs, x, y))
-    ]
-    size = max((len(es) for es in elems.values()), default=1)
-    sorts = sorted(set(s for a in algs for s in a.carrier.sorts) | set(elems))
-    carrier = SortedOrderedSet(
-        {s: elems.get(s, []) for s in sorts}, pairs, max_size=max(64, size)
-    )
-    # each tuple over the components' numberings -> its index in the product
-    indices = [a.carrier._index for a in algs]
-    number = {tuple(map(dict.__getitem__, indices, t)): carrier._index[t] for t in ts}
+    # the tuples in the product's numbering: by sort, in their order within each
+    ts = sorted(dict.fromkeys(tuple(t) for t in tuples), key=lambda t: A0.sort_of(t[0]))
+    sorts = sorted(set(s for a in algs for s in a.carrier.sorts) | {A0.sort_of(t[0]) for t in ts})
+    elems = {s: [t for t in ts if A0.sort_of(t[0]) == s] for s in sorts}
+    indices = [a.carrier._index for a in algs]  # each tuple over the components' numberings
+    number = {tuple(map(dict.__getitem__, indices, t)): p for p, t in enumerate(ts)}
+    rows = [-1] * len(number)  # the AND over the components of the tuples above in each
+    for k, a in enumerate(algs):
+        holders = [0] * len(a.carrier)  # element -> the tuples with it at k
+        for t, p in number.items():
+            holders[t[k]] |= 1 << p
+        above = [sum(map(holders.__getitem__, _members(row))) for row in a.carrier._rows]
+        rows = [row & above[t[k]] for row, t in zip(rows, number)]
+    carrier = SortedOrderedSet._from_rows(elems, rows, max_size=max([64, *map(len, elems.values())]))
     by_first: dict = {}
     for t in number:
         by_first.setdefault(t[0], []).append(t)

@@ -9,7 +9,9 @@ All values are immutable after construction and all operations are pure, so
 they can be shared freely.
 
 Orders and preorders are up-set bitmask rows over their carrier's one
-numbering of its elements (see ``SortedOrderedSet``).
+numbering of its elements (see ``SortedOrderedSet``).  Label pairs are input
+at the boundary only: what the package builds itself, it builds from closed
+rows (``SortedOrderedSet._from_rows``, ``Preorder._from_rows``).
 """
 
 from __future__ import annotations
@@ -126,9 +128,7 @@ class SortedOrderedSet:
         *,
         max_size: int = MAX_SORT_SIZE,
     ):
-        self._elems: dict[Sort, tuple[Elem, ...]] = {
-            s: tuple(es) for s, es in sorted(elems.items())
-        }
+        self._elems: dict[Sort, tuple[Elem, ...]] = {s: tuple(es) for s, es in sorted(elems.items())}
         self._sort_of: dict[Elem, Sort] = {}
         self._index: dict[Elem, int] = {}
         for s, es in self._elems.items():
@@ -139,12 +139,36 @@ class SortedOrderedSet:
                 self._sort_of[e] = s
                 self._index[e] = len(self._index)
         self._by_index: list[Elem] = list(self._index)
-        self._rows = rows = _transitive_closure(_rows_of(self, leq_pairs, "leq pair"))
-        for i, row in enumerate(rows):
-            for j in _members(row & -(2 << i)):  # above i, after it
-                if rows[j] >> i & 1:
-                    a, b = self._by_index[i], self._by_index[j]
-                    raise ValueError(f"order not antisymmetric: {a!r} and {b!r}")
+        self._rows = [1 << i for i in range(len(self._by_index))]  # discrete until pairs are read
+        if leq_pairs:
+            self._order(_transitive_closure(_rows_of(self, leq_pairs, "leq pair")))
+
+    @classmethod
+    def _from_rows(cls, elems: dict, rows: list[int], *, max_size: int = MAX_SORT_SIZE) -> "SortedOrderedSet":
+        """The carrier on ``elems`` ordered by ``rows``, one closed up-set row
+        per element over its numbering (sorts ascending, each sort's elements
+        in the given order).  It makes the label constructor's checks but the
+        closing: the cap, no element twice, every row reflexive and inside its
+        sort, and antisymmetry."""
+        self = cls(elems, max_size=max_size)
+        start = 0
+        for s, es in self._elems.items():
+            inside = (1 << start + len(es)) - (1 << start)
+            for i in range(start, start + len(es)):
+                if rows[i] & ~inside or not rows[i] >> i & 1:
+                    raise ValueError(f"row of {self._by_index[i]!r} is not reflexive or leaves sort {s}")
+            start += len(es)
+        self._order(list(rows))
+        return self
+
+    def _order(self, rows: list[int]) -> None:
+        """Keep the closed ``rows`` if no two are equal, which is antisymmetry
+        (i <= j <= i iff rows i and j are); else name the first such pair."""
+        if len(set(rows)) < len(rows):
+            first: dict = {}  # row -> the first index with it
+            i, j = min((i, j) for j, row in enumerate(rows) if (i := first.setdefault(row, j)) != j)
+            raise ValueError(f"order not antisymmetric: {self._by_index[i]!r} and {self._by_index[j]!r}")
+        self._rows = rows
 
     @classmethod
     def chain(cls, elems: Iterable[Elem], sort: Sort = 0) -> "SortedOrderedSet":
@@ -219,17 +243,14 @@ class SortedFunction:
                 raise ValueError(f"not monotone at ({a!r},{b!r})")
 
     @classmethod
-    def identity(cls, carrier: SortedOrderedSet) -> "SortedFunction":
-        return cls(carrier, carrier, {x: x for x in carrier})
+    def _unchecked(cls, dom: SortedOrderedSet, cod: SortedOrderedSet, mapping: dict) -> "SortedFunction":
+        """A map that its caller has proved total, sort-preserving and monotone."""
+        f = cls.__new__(cls)
+        f.dom, f.cod, f.mapping = dom, cod, mapping
+        return f
 
     def __call__(self, x: Elem) -> Elem:
         return self.mapping[x]
-
-    def compose(self, inner: "SortedFunction") -> "SortedFunction":
-        """self after inner."""
-        return SortedFunction(
-            inner.dom, self.cod, {x: self.mapping[inner(x)] for x in inner.dom}
-        )
 
     def is_surjective(self) -> bool:
         image = set(self.mapping.values())
@@ -240,30 +261,24 @@ class SortedFunction:
 
 
 class Preorder:
-    """A reflexive transitive relation on a carrier, sort by sort.
-
-    ``order_extending`` reports whether the carrier's own order is contained
-    in the relation; most constructions below require that.
-    """
+    """A reflexive transitive relation on a carrier, sort by sort."""
 
     def __init__(self, carrier: SortedOrderedSet, pairs: Iterable[tuple[Elem, Elem]]):
         self.carrier = carrier
         self._index, self._by_index = carrier._index, carrier._by_index
         self._rows = _transitive_closure(_rows_of(carrier, pairs))
 
+    @classmethod
+    def _from_rows(cls, carrier: SortedOrderedSet, rows: list[int]) -> "Preorder":
+        """The preorder of ``rows``, up-set rows over ``carrier``'s numbering
+        that its caller has closed and kept inside their sorts."""
+        q = cls.__new__(cls)
+        q.carrier, q._index, q._by_index, q._rows = carrier, carrier._index, carrier._by_index, rows
+        return q
+
     holds = _related
 
-    def equivalent(self, a: Elem, b: Elem) -> bool:
-        return self.holds(a, b) and self.holds(b, a)
-
     pairs = _pair_set
-
-    def is_order_extending(self) -> bool:
-        return _contains_order(self.carrier, self)
-
-    def is_total_per_sort(self) -> bool:
-        es = self.carrier.elements
-        return all(self.holds(a, b) for s in self.carrier.sorts for a in es(s) for b in es(s))
 
     def __eq__(self, other: Any) -> bool:
         return (
@@ -284,15 +299,11 @@ class Preorder:
 
 
 def kernel(f: SortedFunction) -> Preorder:
-    """All pairs (a, a') with f(a) <= f(a'); an order-extending preorder."""
-    pairs = [
-        (a, b)
-        for s in f.dom.sorts
-        for a in f.dom.elements(s)
-        for b in f.dom.elements(s)
-        if f.cod.leq(f(a), f(b))
-    ]
-    return Preorder(f.dom, pairs)
+    """All pairs (a, a') with f(a) <= f(a'); an order-extending preorder,
+    whose row a, read off f(a)'s row, is closed and inside a's sort."""
+    image = [f.cod._index[f(x)] for x in f.dom]
+    up = [f.cod._rows[y] for y in image]
+    return Preorder._from_rows(f.dom, [sum(1 << j for j, y in enumerate(image) if row >> y & 1) for row in up])
 
 
 def factor_through(f: SortedFunction, g: SortedFunction) -> SortedFunction:
@@ -305,14 +316,10 @@ def factor_through(f: SortedFunction, g: SortedFunction) -> SortedFunction:
         raise ValueError("factor_through requires a shared domain")
     if not f.is_surjective():
         raise ValueError("factor_through requires f surjective")
-    for s in f.dom.sorts:
-        for a in f.dom.elements(s):
-            for b in f.dom.elements(s):
-                if f.cod.leq(f(a), f(b)) and not g.cod.leq(g(a), g(b)):
-                    raise NoFactorisation((a, b))
-    section: dict = {}
-    for x in f.dom:
-        section.setdefault(f(x), x)
+    for i, (kf, kg) in enumerate(zip(kernel(f)._rows, kernel(g)._rows)):
+        if kf & ~kg:
+            raise NoFactorisation((f.dom._by_index[i], f.dom._by_index[_members(kf & ~kg)[0]]))
+    section = {f(x): x for x in reversed(f.dom._by_index)}  # the first preimage
     return SortedFunction(f.cod, g.cod, {y: g(section[y]) for y in f.cod})
 
 
@@ -325,28 +332,35 @@ def quotient_set(
     which fails.  Each class is named by its first representative in
     carrier enumeration order; the returned map sends an element to its
     class representative and is surjective and monotone, with kernel q.
-    The classes are read off A's numbering and q's up-set rows, with no
-    numbering of their own.
+
+    The quotient's rows are q's rows of the representatives, cut down to
+    them.  The map needs no check: it is total; it keeps sorts, as equal
+    rows, each reflexive and inside its sort, share a sort; and it is
+    monotone, as a <= b in A gives a q b, so [a] <= [b].
     """
     if not _contains_order(A, q):
         raise ValueError("preorder does not contain the carrier order")
     # i q j and j q i iff i and j have the same up-set row (the rows are
     # reflexive and transitive), so the class of element i is named by the
     # first index with i's row, the first representative in carrier order
-    elems, up = A._by_index, q._rows
-    rep: dict = {}
+    elems, index, up = A._by_index, A._index, q._rows
     first: dict = {}  # up-set row -> the first index with it
-    reps = 0  # the bitmask of the representatives
-    classes: dict[Sort, list] = {s: [] for s in A.sorts}
-    for i, x in enumerate(elems):
-        r = first.setdefault(up[i], i)
-        rep[x] = elems[r]
-        if r == i:
-            classes[A.sort_of(x)].append(x)
-            reps |= 1 << i
-    pairs = [(elems[i], elems[j]) for i in _members(reps) for j in _members(up[i] & reps)]
-    Q = SortedOrderedSet(classes, pairs)
-    return Q, SortedFunction(A, Q, rep)
+    rep = [first.setdefault(row, i) for i, row in enumerate(up)]
+    classes = {s: [x for x in A.elements(s) if rep[index[x]] == index[x]] for s in A.sorts}
+    Q = SortedOrderedSet._from_rows(classes, _restricted_rows(up, list(first.values())))
+    return Q, SortedFunction._unchecked(A, Q, {x: elems[r] for x, r in zip(elems, rep)})
+
+
+def _restricted_rows(rows: list[int], keep: list[int]) -> list[int]:
+    """The rows of the ascending indices ``keep``, cut down to them and
+    renumbered in their order: a shift and a mask per run of kept indices."""
+    runs: list = []  # [first index, length, new index of the first]
+    for new, i in enumerate(keep):
+        if runs and runs[-1][0] + runs[-1][1] == i:
+            runs[-1][1] += 1
+        else:
+            runs.append([i, 1, new])
+    return [sum((rows[k] >> i & (1 << m) - 1) << new for i, m, new in runs) for k in keep]
 
 
 def _contains_order(A: SortedOrderedSet, q: Preorder) -> bool:
@@ -356,16 +370,22 @@ def _contains_order(A: SortedOrderedSet, q: Preorder) -> bool:
     return all(a & ~b == 0 for a, b in zip(A._rows, q._rows))
 
 
-def upward_closure(A: SortedOrderedSet, X: Iterable[Elem]) -> frozenset:
-    """Union of the principal up-sets of the elements of X: OR of rows."""
+def _up(A: SortedOrderedSet, X: Iterable[Elem]) -> int:
+    """The OR of the rows of X's elements; one outside A is an error."""
     up = 0
     for x in X:
         if x not in A:
             raise ValueError(f"{x!r} not in carrier")
         up |= A._rows[A._index[x]]
-    return frozenset(A._by_index[j] for j in _members(up))
+    return up
+
+
+def upward_closure(A: SortedOrderedSet, X: Iterable[Elem]) -> frozenset:
+    """Union of the principal up-sets of the elements of X: OR of rows."""
+    return frozenset(A._by_index[j] for j in _members(_up(A, X)))
 
 
 def is_upward_closed(A: SortedOrderedSet, X: Iterable[Elem]) -> bool:
+    """Whether the OR of the rows of X's elements is X's own bitmask."""
     xs = frozenset(X)
-    return upward_closure(A, xs) == xs
+    return _up(A, xs) == sum(1 << A._index[x] for x in xs)

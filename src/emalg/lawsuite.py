@@ -612,20 +612,13 @@ def _all_preorders(carrier: SortedOrderedSet):
     (read as a binary number) that generates it.
 
     Each subset's relation is closed as successor bitmasks over the
-    carrier's numbering; a ``Preorder`` is built only for a closure not met
-    before."""
-    elems = list(carrier)
-    nonrefl = [
-        (a, b)
-        for a in elems
-        for b in elems
-        if a != b and carrier.sort_of(a) == carrier.sort_of(b)
-    ]
-    index = carrier._index
-    steps = [(index[a], 1 << index[b]) for a, b in nonrefl]
-    reflexive = [1 << i for i in range(len(elems))]
+    carrier's numbering; a ``Preorder`` is built from those rows only for a
+    closure not met before."""
+    sorts = list(map(carrier.sort_of, carrier))
+    steps = [(i, 1 << j) for i, s in enumerate(sorts) for j, t in enumerate(sorts) if i != j and s == t]
+    reflexive = [1 << i for i in range(len(sorts))]
     seen = set()
-    for mask in range(2 ** len(nonrefl)):
+    for mask in range(2 ** len(steps)):
         succ = reflexive[:]
         for k, (i, bit) in enumerate(steps):
             if mask >> k & 1:
@@ -633,7 +626,7 @@ def _all_preorders(carrier: SortedOrderedSet):
         key = tuple(_transitive_closure(succ))
         if key not in seen:
             seen.add(key)
-            yield Preorder(carrier, [p for k, p in enumerate(nonrefl) if mask >> k & 1])
+            yield Preorder._from_rows(carrier, succ)
 
 
 def _product_problems(p: FinAlgebra) -> list[str]:

@@ -660,17 +660,10 @@ def _parse_bracket_labels(toks: list[str], allow_hole: bool, allow_empty: bool):
     return labels
 
 
-def parse_word(text: str, *, allow_hole: bool = False) -> Word:
-    t = _parse_word_or_mixed(text, allow_hole)
-    if isinstance(t, MixedWord):
-        raise ValueError(f"trailing input {[t.tail]!r}")
-    return t
-
-
-def _parse_word_or_mixed(text: str, allow_hole: bool = False) -> Word | MixedWord:
+def _parse_word_or_mixed(text: str) -> Word | MixedWord:
     """'[u]' the word u, or '[u]e' the mixed word u.e (u may be empty)."""
     toks = _tokenize(text)
-    prefix = tuple(_parse_bracket_labels(toks, allow_hole, allow_empty=True))
+    prefix = tuple(_parse_bracket_labels(toks, allow_hole=False, allow_empty=True))
     if not toks:
         if not prefix:
             raise ValueError("empty word literal")

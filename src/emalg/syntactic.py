@@ -132,10 +132,6 @@ class OmegaContext:
         return SORT_INF if self.tail is HOLE else SORT_FIN
 
     @property
-    def result_sort(self) -> Sort:
-        return SORT_FIN if self.period is None and self.tail is None else SORT_INF
-
-    @property
     def term(self):
         if self.period is not None:
             return _raw_up(self.items, self.period)  # normalising could move the hole

@@ -5,6 +5,10 @@ package's integer-coded versions are tested against.
 ``quotient_set`` the class search by pairwise equivalence, as the package
 had them before it numbered the elements of each algebra; the results must
 agree exactly, first witnesses, class names and orders included.
+``tuple_carrier`` is the product carrier from componentwise label pairs,
+as ``tuple_algebra`` built it before it built carriers from rows.
+``is_order_extending`` and ``is_total_per_sort`` are the label tests of a
+preorder that ``Preorder`` had as methods.
 
 ``generated_tuples`` is the product closure computed round by round to the
 end, and ``divides`` the division search that closes every candidate
@@ -165,7 +169,7 @@ def quotient_set(A, q):
     carrier order, ordered by [a] <= [b] iff a q b."""
     if not A.same_elements(q.carrier):
         raise ValueError("preorder is over a different carrier")
-    if not q.is_order_extending():
+    if not is_order_extending(q):
         raise ValueError("preorder does not contain the carrier order")
     rep: dict = {}
     class_elems: dict = {}
@@ -173,7 +177,7 @@ def quotient_set(A, q):
         class_elems[s] = []
         for x in A.elements(s):
             for r in class_elems[s]:
-                if q.equivalent(x, r):
+                if q.holds(x, r) and q.holds(r, x):
                     rep[x] = r
                     break
             else:
@@ -188,6 +192,37 @@ def quotient_set(A, q):
     ]
     Q = SortedOrderedSet(dict(class_elems), pairs)
     return Q, SortedFunction(A, Q, rep)
+
+
+def tuple_carrier(algs, tuples):
+    """The carrier of the subalgebra of the product of ``algs`` on
+    ``tuples``: the tuples by the sort of their first component, and every
+    pair of same-sort tuples ordered in each component, as label pairs."""
+    ts = list(dict.fromkeys(tuple(t) for t in tuples))
+    A0 = algs[0].carrier
+    elems: dict = {}
+    for t in ts:
+        elems.setdefault(A0.sort_of(t[0]), []).append(t)
+    pairs = [
+        (x, y)
+        for es in elems.values()
+        for x, y in itertools.product(es, es)
+        if all(a.carrier.leq(xi, yi) for a, xi, yi in zip(algs, x, y))
+    ]
+    size = max((len(es) for es in elems.values()), default=1)
+    sorts = sorted(set(s for a in algs for s in a.carrier.sorts) | set(elems))
+    return SortedOrderedSet({s: elems.get(s, []) for s in sorts}, pairs, max_size=max(64, size))
+
+
+def is_order_extending(q):
+    """Whether the preorder q contains its carrier's order, pair by pair."""
+    return all(q.holds(a, b) for a, b in q.carrier.leq_pairs())
+
+
+def is_total_per_sort(q):
+    """Whether the preorder q relates every two elements of one sort."""
+    es = q.carrier.elements
+    return all(q.holds(a, b) for s in q.carrier.sorts for a in es(s) for b in es(s))
 
 
 def transitive_closure(pairs):

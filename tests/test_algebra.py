@@ -34,10 +34,11 @@ from emalg.monads import (
     SORT_WORD,
     WORD,
     Word,
+    parse_element,
     parse_tree,
-    parse_word,
     tree_monad,
 )
+from tests._reference import is_order_extending
 
 
 def zmod(n):
@@ -69,9 +70,9 @@ def bool_tree_algebra(max_arity=2, with_var_slots=False):
 
 def test_eval_unit_and_parity():
     z2 = zmod(2)
-    assert eval_element(z2, {"a": 1}, parse_word("[a,a,a]")) == 1
-    assert eval_element(z2, {"a": 1}, parse_word("[a]")) == 1
-    assert eval_element(z2, {"a": 1, "b": 0}, parse_word("[a,b,a]")) == 0
+    assert eval_element(z2, {"a": 1}, parse_element("[a,a,a]", WORD)) == 1
+    assert eval_element(z2, {"a": 1}, parse_element("[a]", WORD)) == 1
+    assert eval_element(z2, {"a": 1, "b": 0}, parse_element("[a,b,a]", WORD)) == 0
 
 
 def test_eval_tree_constant_and_depth():
@@ -254,7 +255,7 @@ def test_a_congruence_ordering_contains_the_algebras_own_order():
     chain = SortedOrderedSet.chain([0, 1])
     alg = word_algebra(chain, {(a, b): max(a, b) for a in (0, 1) for b in (0, 1)})
     discrete = Preorder(SortedOrderedSet({0: [0, 1]}), [])
-    assert discrete.is_order_extending()
+    assert is_order_extending(discrete)
     assert not is_congruence_ordering(alg, discrete)
     with pytest.raises(NotCongruence):
         quotient_algebra(alg, discrete)
@@ -495,8 +496,8 @@ def test_recognizer_validation():
     z2 = zmod(2)
     alphabet = SortedOrderedSet({SORT_WORD: ["a"]})
     rec = Recognizer(alphabet, z2, {"a": 1}, frozenset({0}))
-    assert rec.accepts(parse_word("[a,a]"))
-    assert not rec.accepts(parse_word("[a]"))
+    assert rec.accepts(parse_element("[a,a]", WORD))
+    assert not rec.accepts(parse_element("[a]", WORD))
     ordered = SortedOrderedSet.chain(["a", "b"])
     with pytest.raises(ValueError):
         Recognizer(ordered, z2, {"a": 1, "b": 0}, frozenset({0}))

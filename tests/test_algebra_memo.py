@@ -27,6 +27,7 @@ from emalg.lawsuite import (
 from emalg.logic import fo_definable, is_definable_algebra
 from emalg.monads import SORT_FIN, SORT_WORD
 from emalg.syntactic import _generators, _step_arrays, saturate_all, syntactic_algebra
+from tests._reference import is_order_extending
 from tests.test_algebra import bool_tree_algebra
 from tests.test_generator_steps import all_upsets
 
@@ -150,7 +151,7 @@ def test_an_algebra_is_freed_with_its_last_reference_after_a_walk():
         for make in makes:
             alg = make()
             for q in itertools.islice(_all_preorders(alg.carrier), 40):
-                if q.is_order_extending():
+                if is_order_extending(q):
                     is_congruence_ordering(alg, q)
             assert any(key[0] is algebra._fibres.__wrapped__ for key in alg._memo)
             held = weakref.ref(alg)

@@ -34,6 +34,7 @@ from emalg.lawsuite import (
 from emalg.monads import OMEGA_UP, SORT_FIN, SORT_INF, SORT_WORD, tree_monad
 from emalg.syntactic import generated_pairs, syntactic_algebra, syntactic_preorder
 from emalg.varieties import canonical_cover
+from tests._reference import is_order_extending
 from tests.test_algebra import bool_tree_algebra
 
 
@@ -138,7 +139,7 @@ def pairwise_congruence(alg, q) -> bool:
     """The definition: for every two entries of one op whose arguments are
     related position by position (a bare slot only matching a bare slot),
     the values are related."""
-    if not q.is_order_extending():
+    if not is_order_extending(q):
         return False
     entries = _args_of(alg)
     for op, args, v in entries:
@@ -157,7 +158,7 @@ def related_tuples_congruence(alg, q) -> bool:
     """The pairwise definition with the pairs of entries enumerated from the
     pairs of related argument tuples rather than from all pairs of entries:
     the same comparisons, few enough for the 62-element algebra."""
-    if not q.is_order_extending():
+    if not is_order_extending(q):
         return False
     tables = {}
     for op, args, v in _args_of(alg):

@@ -1,0 +1,266 @@
+"""Carriers built from closed rows: ``SortedOrderedSet._from_rows`` makes the
+label constructor's checks, and the quotient, the restriction under
+``subalgebra_generated`` and the tuple algebra build the carriers that the
+label-pair constructions build, with maps that the checking
+``SortedFunction`` constructor accepts."""
+
+import itertools
+import random
+
+import pytest
+
+from emalg import core
+from emalg.algebra import generated_tuples, subalgebra_generated, tuple_algebra
+from emalg.automata import dfa_to_recognizer, parse_regex
+from emalg.core import (
+    CarrierBoundExceeded,
+    NoFactorisation,
+    Preorder,
+    SortedFunction,
+    SortedOrderedSet,
+    _transitive_closure,
+    factor_through,
+    kernel,
+    quotient_set,
+)
+from emalg.lawsuite import (
+    _all_preorders,
+    identity_library,
+    ordered_finitely_many_a,
+    small_semigroups,
+)
+from emalg.profinite import satisfies_all
+from emalg.syntactic import syntactic_algebra, syntactic_preorder
+from tests import _reference
+from tests.test_algebra_tables import ordered_bool_tree_algebra
+from tests.test_generator_steps import count_cap_omega, family, run_cli
+
+
+def _closed_rows(rng, sizes):
+    """Random closed rows, inside their sorts, over sorts of ``sizes``."""
+    rows, start = [], 0
+    for size in sizes:
+        for i in range(start, start + size):
+            rows.append(1 << i | sum(1 << j for j in range(start, start + size) if rng.random() < 0.3))
+        start += size
+    return _transitive_closure(rows)
+
+
+def _pairs(rows, elems):
+    return [(elems[i], elems[j]) for i, row in enumerate(rows) for j in range(len(elems)) if row >> j & 1]
+
+
+def test_rows_build_the_carrier_that_their_pairs_build():
+    """On random closed rows over one to three sorts, ``_from_rows`` equals
+    the label constructor given the same relation as pairs, and where the
+    label constructor finds the order not antisymmetric, ``_from_rows``
+    raises the same message."""
+    rng = random.Random(11)
+    rejected = 0
+    for _ in range(400):
+        sizes = [rng.randint(0, 5) for _ in range(rng.randint(1, 3))]
+        elems = {s: [f"e{s}.{k}" for k in range(size)] for s, size in enumerate(sizes)}
+        labels = [e for es in elems.values() for e in es]
+        rows = _closed_rows(rng, sizes)
+        try:
+            want = SortedOrderedSet(elems, _pairs(rows, labels))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                SortedOrderedSet._from_rows(elems, rows)
+            assert str(info.value) == str(exc)
+            assert "not antisymmetric" in str(exc)
+            rejected += 1
+            continue
+        got = SortedOrderedSet._from_rows(elems, rows)
+        assert got == want and list(got) == list(want)
+    assert 50 < rejected < 350
+
+
+def test_from_rows_keeps_the_label_constructors_checks():
+    elems = {0: ["a", "b"], 1: ["c"]}
+    assert SortedOrderedSet._from_rows(elems, [0b011, 0b010, 0b100]).leq("a", "b")
+    with pytest.raises(ValueError, match="order not antisymmetric: 'a' and 'b'"):
+        SortedOrderedSet._from_rows(elems, [0b011, 0b011, 0b100])
+    with pytest.raises(ValueError, match="not reflexive"):
+        SortedOrderedSet._from_rows(elems, [0b011, 0b000, 0b100])
+    with pytest.raises(ValueError, match="leaves sort 0"):
+        SortedOrderedSet._from_rows(elems, [0b101, 0b010, 0b100])
+    with pytest.raises(ValueError, match="occurs twice"):
+        SortedOrderedSet._from_rows({0: ["a"], 1: ["a"]}, [0b01, 0b10])
+    with pytest.raises(CarrierBoundExceeded):
+        SortedOrderedSet._from_rows({0: [0, 1, 2]}, [1, 2, 4], max_size=2)
+    # the numbering is the carrier's: sorts ascending, whatever the dict order
+    assert list(SortedOrderedSet._from_rows({1: ["c"], 0: ["a"]}, [1, 2])) == ["a", "c"]
+
+
+def _quotient_cases():
+    """(carrier, preorder): every preorder of every carrier of
+    ``small_semigroups(3)``, and the syntactic preorders of the suffix
+    family (a|b)*x(a|b){k}, k = 1..4, on their recognizers' images."""
+    for alg in small_semigroups(3):
+        for q in _all_preorders(alg.carrier):
+            yield alg.carrier, q
+    for letter in "ab":
+        for k in range(1, 5):
+            rec = dfa_to_recognizer(parse_regex(family(letter, k)))
+            B = subalgebra_generated(rec.algebra, rec.assignment.values()).algebra
+            P = {p for p in rec.accepting if p in B.carrier}
+            yield B.carrier, syntactic_preorder(B, P, rec.accepting_sort)
+
+
+def test_the_quotient_is_the_label_quotient():
+    """The carrier from rows equals the label reference's (elements and
+    rows), the map is the same, and the checking constructor accepts it."""
+    count = merged = 0
+    for A, q in _quotient_cases():
+        Q, qfn = quotient_set(A, q)
+        ref, ref_fn = _reference.quotient_set(A, q)
+        assert Q == ref and list(Q) == list(ref)
+        assert qfn.mapping == ref_fn.mapping
+        assert (qfn.dom, qfn.cod) == (A, Q)
+        assert SortedFunction(A, Q, qfn.mapping).mapping == qfn.mapping
+        count += 1
+        merged += len(Q) < len(A)
+    assert count > 1000 and merged > 500
+
+
+def test_a_quotient_by_a_preorder_missing_the_order_is_refused_as_before():
+    A = SortedOrderedSet.chain(["lo", "mid", "hi"])
+    for q in (Preorder(A, []), Preorder(A, [("lo", "mid"), ("hi", "lo")])):
+        assert not _reference.is_order_extending(q)
+        for quotient in (quotient_set, _reference.quotient_set):
+            with pytest.raises(ValueError, match="^preorder does not contain the carrier order$"):
+                quotient(A, q)
+    other = Preorder(SortedOrderedSet({0: ["lo", "mid"]}), [])
+    with pytest.raises(ValueError, match="^preorder is over a different carrier$"):
+        quotient_set(A, other)
+
+
+DOM = SortedOrderedSet({0: ["x", "y"], 1: ["z"]}, [("x", "y")])
+COD = SortedOrderedSet({0: ["p", "q", "r"], 1: ["s", "t"]}, [("p", "q"), ("s", "t")])
+
+
+def test_the_checking_map_constructor_tests_every_ordered_pair():
+    """Over every map from a three-element poset of two sorts to one of
+    the same sorts, the constructor refuses exactly the maps that break a
+    pair of ``leq_pairs``, naming one such pair."""
+    refused = 0
+    for image in itertools.product(COD, repeat=3):
+        mapping = dict(zip(DOM, image))
+        if any(COD.sort_of(mapping[x]) != DOM.sort_of(x) for x in DOM):
+            with pytest.raises(ValueError, match="does not preserve sorts"):
+                SortedFunction(DOM, COD, mapping)
+            continue
+        broken = [(a, b) for a, b in DOM.leq_pairs() if not COD.leq(mapping[a], mapping[b])]
+        if broken:
+            with pytest.raises(ValueError) as info:
+                SortedFunction(DOM, COD, mapping)
+            assert str(info.value) in {f"not monotone at ({a!r},{b!r})" for a, b in broken}
+            refused += 1
+        else:
+            assert SortedFunction(DOM, COD, mapping).mapping == mapping
+    assert refused == 10  # 5 of the 9 maps of x <= y into p <= q, r; z to s or t
+
+
+def test_kernels_and_factorisations_are_the_label_ones():
+    """Over every monotone map g of ``DOM``, and every quotient map f of
+    ``DOM`` by such a kernel: ``kernel`` relates exactly the same-sort
+    pairs that g keeps ordered, and ``factor_through(f, g)`` either
+    factors g or names the first such pair, in carrier order, that f
+    keeps ordered and g does not."""
+    maps = []
+    for image in itertools.product(COD, repeat=3):
+        try:
+            maps.append(SortedFunction(DOM, COD, dict(zip(DOM, image))))
+        except ValueError:
+            pass
+    factored = refused = 0
+    for g in maps:
+        want = {(a, b) for a in DOM for b in DOM if DOM.sort_of(a) == DOM.sort_of(b) and COD.leq(g(a), g(b))}
+        assert kernel(g).pairs() == want
+        for h in maps:
+            f = quotient_set(DOM, kernel(h))[1]
+            bad = [(a, b) for a in DOM for b in DOM if (a, b) in kernel(f).pairs() and (a, b) not in want]
+            if bad:
+                with pytest.raises(NoFactorisation) as info:
+                    factor_through(f, g)
+                assert info.value.witness == bad[0]
+                refused += 1
+            else:
+                assert all(factor_through(f, g)(f(x)) == g(x) for x in DOM)
+                factored += 1
+    assert (factored, refused) == (52, 12)
+
+
+def _product_cases():
+    """(components, tuples): the 325 pair products of the aperiodic small
+    semigroups, as ``check_mod_closure`` builds them, and products and
+    subalgebras generated by two tuples of products of ordered algebras of
+    every instance."""
+    lib = identity_library()["APERIODIC"]
+    aperiodic = [a for a in small_semigroups() if satisfies_all(a, lib)[0]]
+    pairs = [[a, b] for i, a in enumerate(aperiodic) for b in aperiodic[i:]]
+    assert len(pairs) == 325
+    for algs in pairs:
+        yield algs, list(itertools.product(*(list(a.carrier) for a in algs)))
+    rec = dfa_to_recognizer(parse_regex(family("a", 2)))
+    syn = syntactic_algebra(rec).syn_algebra
+    ordered = [
+        [syn, syn],
+        [syn, syntactic_algebra(dfa_to_recognizer(parse_regex("a*b*"))).syn_algebra],
+        [ordered_finitely_many_a()[0], count_cap_omega(2)],
+        [ordered_finitely_many_a()[0]] * 3,
+        [ordered_bool_tree_algebra(), ordered_bool_tree_algebra()],
+    ]
+    rng = random.Random(2)
+    for algs in ordered:
+        sorts = sorted(set(s for a in algs for s in a.carrier.sorts))
+        tuples = [t for s in sorts for t in itertools.product(*(a.carrier.elements(s) for a in algs))]
+        yield algs, tuples
+        for _ in range(3):
+            yield algs, generated_tuples(algs, rng.sample(tuples, 2))
+
+
+def test_the_tuple_carrier_is_the_label_carrier():
+    ordered = 0
+    for algs, tuples in _product_cases():
+        got = tuple_algebra(algs, tuples).carrier
+        want = _reference.tuple_carrier(algs, tuples)
+        assert got == want and list(got) == list(want)
+        ordered += not got.is_trivially_ordered()
+    assert ordered >= 10
+
+
+def test_a_restriction_is_the_label_restriction():
+    """The subalgebra that one or two elements generate has the carrier
+    that the inherited label pairs build."""
+    algs = [ordered_finitely_many_a()[0], count_cap_omega(3), ordered_bool_tree_algebra()]
+    algs += [syntactic_algebra(dfa_to_recognizer(parse_regex(family("b", k)))).syn_algebra for k in (1, 2, 3)]
+    ordered = proper = 0
+    for alg in algs:
+        A = alg.carrier
+        for gens in itertools.chain(itertools.combinations(A, 1), itertools.combinations(A, 2)):
+            got = subalgebra_generated(alg, gens).algebra.carrier
+            keep = set(got)
+            elems = {s: [e for e in A.elements(s) if e in keep] for s in A.sorts}
+            want = SortedOrderedSet(elems, [(a, b) for a, b in A.leq_pairs() if a in keep and b in keep])
+            assert got == want and list(got) == list(want)
+            ordered += not got.is_trivially_ordered()
+            proper += len(got) < len(A)
+    assert ordered > 100 and proper > 100
+
+
+def test_the_word_pipeline_reads_no_label_pairs(monkeypatch):
+    """From the regex to the ``syn`` report, every carrier and preorder
+    that the word pipeline builds is built from rows: ``core._rows_of``,
+    which reads label pairs, is never called."""
+    calls = []
+    real = core._rows_of
+    monkeypatch.setattr(core, "_rows_of", lambda *args: calls.append(args) or real(*args))
+    for letter in "ab":
+        for k in range(1, 5):
+            syntactic_algebra(dfa_to_recognizer(parse_regex(family(letter, k))))
+            assert run_cli("syn", family(letter, k))[0] == 0
+    assert calls == []
+    SortedOrderedSet.chain([0, 1])  # the label constructor still reads pairs
+    assert len(calls) == 1

@@ -1,8 +1,9 @@
 """emalg has no runtime dependencies: the project declares none, and the
 package imports nothing but itself and the standard library.  Its
 process-wide caches are declared here, and each is keyed by values.  Only
-``algebra.py`` reads an algebra's integer storage, and only the modules at
-the label boundary read its label views."""
+``algebra.py`` reads an algebra's integer storage, only the modules at the
+label boundary read its label views, and only ``core.py`` reads label pairs
+into up-set rows."""
 
 import ast
 import pathlib
@@ -103,3 +104,16 @@ def test_only_the_boundary_modules_read_the_label_views():
                 readers.add(path.stem)
     assert "algebra" in readers
     assert readers <= {"algebra", "algio", "cli", "lawsuite"}
+
+
+def test_only_the_core_module_reads_label_pairs_into_rows():
+    """``core._rows_of`` turns label pairs into up-set rows for the label
+    constructors; every other module builds its carriers and preorders
+    from rows, so only ``core.py`` names it."""
+    readers = set()
+    for path in package_sources():
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # a name, an attribute, an imported name or a definition
+            if "_rows_of" in (getattr(node, key, None) for key in ("id", "attr", "name")):
+                readers.add(path.name)
+    assert readers == {"core.py"}

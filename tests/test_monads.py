@@ -24,7 +24,6 @@ from emalg.monads import (
     parse_element,
     parse_tree,
     parse_upword,
-    parse_word,
     serialize,
     tree_monad,
 )
@@ -158,11 +157,11 @@ def test_malformed_literals_are_rejected(text):
 
 
 def test_parse_word_whitespace():
-    assert parse_word(" [ a , b ] ") == Word(("a", "b"))
+    assert parse_element(" [ a , b ] ", WORD) == Word(("a", "b"))
     with pytest.raises(ValueError):
-        parse_word("[]")
+        parse_element("[]", WORD)
     with pytest.raises(ValueError):
-        parse_word("[a,b")
+        parse_element("[a,b", WORD)
 
 
 def test_parse_upword_normalises():
