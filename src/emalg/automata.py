@@ -45,9 +45,6 @@ class Dfa:
         if not 0 <= self.start < self.n_states:
             raise ValueError("start state out of range")
 
-    def step(self, q: int, c) -> int:
-        return self.trans[(q, c)]
-
     def accepts(self, w: Iterable) -> bool:
         q = self.start
         n = 0

@@ -66,8 +66,10 @@ MONAD_LAW_SCOPE = (
 # The scopes of the other law checks, each enumerated in a fixed order (the
 # small-scope hypothesis: a broken law shows on a small case).
 SEMIGROUP_SCOPE = 3  # congruences and terminality: semigroups of at most 3 elements
+CONGRUENCE_WORD_LENGTH = 3  # congruences: the bounded definition on words up to 3 letters
 TERMINALITY_LETTERS = "ab"  # terminality: recognizers over these letters
 DECOMPOSITION_WORD_LENGTH = 6  # decomposition: membership on the words up to 6 letters
+DUAL_DECIDER_RANK = 5  # dual deciders: the rank sweep runs to rank 5
 WILKE_SCOPE = ("ab", 4, 4)  # wilke: every u.v^w over a, b with |u| <= 4 and 1 <= |v| <= 4
 COVER_SIZE = 3  # covers: the free elements over an algebra's elements up to size 3
 
@@ -123,10 +125,10 @@ def check_monad_laws() -> CheckResult:
 # -- congruence characterisations and terminality ----------------------------------------
 
 
-def _bounded_quotient_compatibility(alg: FinAlgebra, q: Preorder, max_len=3) -> bool:
-    """The definition itself, on words up to a length bound: whenever the
-    classwise images of two words of one length compare, their products
-    must compare.
+def _bounded_quotient_compatibility(alg: FinAlgebra, q: Preorder) -> bool:
+    """The definition itself, on words of up to CONGRUENCE_WORD_LENGTH
+    letters: whenever the classwise images of two words of one length
+    compare, their products must compare.
 
     The words of each length are grouped by their vector of letter classes,
     each vector with the set of its words' products.  The groups grow one
@@ -145,7 +147,7 @@ def _bounded_quotient_compatibility(alg: FinAlgebra, q: Preorder, max_len=3) -> 
     layer: dict = {}
     for x in elems:
         layer.setdefault((cls[x],), set()).add(x)
-    for ln in range(1, max_len + 1):
+    for ln in range(1, CONGRUENCE_WORD_LENGTH + 1):
         if ln > 1:
             grown: dict = {}
             for v, vals in layer.items():
@@ -355,14 +357,14 @@ def dual_decider_corpus() -> list[tuple[str, str, Optional[str], bool, Optional[
     ]
 
 
-def check_dual_deciders(rank_bound: int = 5) -> CheckResult:
+def check_dual_deciders() -> CheckResult:
     """On the regression corpus, the aperiodicity verdict must equal the
     rank-sweep verdict with no inconclusive flags and the recorded minimal
     witnessing ranks must be stable."""
     t0 = time.perf_counter()
     problems = []
     for name, rx, alphabet, want_def, want_rank in dual_decider_corpus():
-        v = fo_definable(parse_regex(rx, alphabet), rank_bound=rank_bound)
+        v = fo_definable(parse_regex(rx, alphabet), rank_bound=DUAL_DECIDER_RANK)
         if v.definable != want_def:
             problems.append(f"{name}: definable={v.definable}, expected {want_def}")
         if v.inconclusive_rank:

@@ -49,24 +49,7 @@ from .profinite import identity_library, satisfies_all
 from .syntactic import SyntacticResult, syntactic_algebra
 
 
-@dataclass(frozen=True)
-class WordStructure:
-    """A nonempty word as a relational structure: positions ordered by <=,
-    successor E, and one unary predicate per letter."""
-
-    letters: tuple
-
-    def __post_init__(self):
-        if not self.letters:
-            raise ValueError("word structures are nonempty")
-
-    def __len__(self):
-        return len(self.letters)
-
-
 def _as_letters(w) -> tuple:
-    if isinstance(w, WordStructure):
-        return w.letters
     if isinstance(w, Word):
         return w.labels
     return tuple(w)
@@ -95,30 +78,35 @@ def _codes(n: int) -> tuple:
     return (4,) * (n - 1) + (2, 0, 1) + (3,) * (n - 1)
 
 
+def _pebbled_type(
+    word: tuple, n: int, codes: tuple, pebbles: tuple, letters: tuple, rels: tuple, r: int
+) -> int:
+    """The rank-r type of ``word`` (of length n, with code row ``codes``)
+    with ``pebbles`` placed, whose atomic diagram is their letters and the
+    relation codes of each pebble to the ones before it.
+
+    A child extends its parent's diagram by one row: the new pebble's letter
+    and its codes to the earlier pebbles, read for every position at once
+    by zipping the word with the pebbles' columns.  With one round left the
+    children are rank-0 types, which the parent's diagram and that row fix,
+    so the node is interned with its set of rows and no child is interned
+    at all.  A module-level function rather than a closure, so that typing
+    a word leaves no reference cycle for the collector."""
+    if r == 0:
+        return _intern_obj(("atom", letters, rels))
+    rows = zip(word, *[codes[n - p : 2 * n - p] for p in pebbles])
+    if r == 1:
+        return _intern_obj(("last", letters, rels, frozenset(rows)))
+    succ = frozenset([
+        _pebbled_type(word, n, codes, pebbles + (q,), letters + row[:1], rels + row[1:], r - 1)
+        for q, row in enumerate(rows)
+    ])
+    return _intern_obj(("node", letters, rels, succ))
+
+
 def _general_type(word: tuple, m: int) -> int:
     n = len(word)
-    codes = _codes(n)
-
-    # the atomic diagram of the pebbles is their letters and the relation
-    # codes of each pebble to the ones before it.  A child extends its
-    # parent's diagram by one row: the new pebble's letter and its codes to
-    # the earlier pebbles, read for every position at once by zipping the
-    # word with the pebbles' columns.  With one round left the children are
-    # rank-0 types, which the parent's diagram and that row fix, so the node
-    # is interned with its set of rows and no child is interned at all.
-    def t(pebbles: tuple, letters: tuple, rels: tuple, r: int) -> int:
-        if r == 0:
-            return _intern_obj(("atom", letters, rels))
-        rows = zip(word, *[codes[n - p : 2 * n - p] for p in pebbles])
-        if r == 1:
-            return _intern_obj(("last", letters, rels, frozenset(rows)))
-        succ = frozenset([
-            t(pebbles + (q,), letters + row[:1], rels + row[1:], r - 1)
-            for q, row in enumerate(rows)
-        ])
-        return _intern_obj(("node", letters, rels, succ))
-
-    return t((), (), (), m)
+    return _pebbled_type(word, n, _codes(n), (), (), (), m)
 
 
 def _unary_threshold(m: int) -> int:
@@ -151,7 +139,7 @@ def ef_equiv(u, w, m: int) -> bool:
     """Duplicator wins the m-round back-and-forth game on the two words."""
     if m == 0:
         return True
-    return ef_type(_as_letters(u), m) == ef_type(_as_letters(w), m)
+    return ef_type(u, m) == ef_type(w, m)
 
 
 # -- theory algebras -----------------------------------------------------------
@@ -187,7 +175,7 @@ class TheoryAlgebra:
 
     def classify(self, w) -> int:
         """Classify by type fingerprint, independently of the table."""
-        fp = ef_type(_as_letters(w), self.rank)
+        fp = ef_type(w, self.rank)
         if fp not in self.fingerprint_class:
             raise AssertionError(
                 "word realises a type outside the closure; rank equivalence "

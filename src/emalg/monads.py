@@ -1,9 +1,9 @@
 """The three concrete label-container monads: finite words, ultimately periodic
 omega-words (two-sorted), and finite ranked trees with linearly used variables.
 
-Each instance provides ``sing``, ``map``, ``flat`` and the standard-ordering
-comparison ``leq`` on its free elements.  Free elements are plain immutable
-values; the monad objects are stateless.
+Each instance provides ``sing``, ``map``, ``flat``, ``labels`` and
+``free_elements`` on its free elements, and its operation ``signature``.
+Free elements are plain immutable values; the monad objects are stateless.
 
 Omega-words deliberately materialise only the ultimately periodic fragment:
 evaluation in a finite two-sorted algebra is determined by it, so nothing is
@@ -18,9 +18,9 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
-from .core import Sort, SortedFunction, SortedOrderedSet
+from .core import Sort
 
 # Sort conventions.
 SORT_WORD: Sort = 0  # the single sort of the word monad
@@ -232,14 +232,6 @@ FreeElement = Any  # Word | UPWord | MixedWord | Tree, depending on instance
 # -- the monad instances ------------------------------------------------------
 
 
-def _as_label_fn(f) -> Callable[[Any, Sort], Any]:
-    if isinstance(f, SortedFunction):
-        return lambda a, s: f(a)
-    if isinstance(f, dict):
-        return lambda a, s: f[a]
-    return f
-
-
 class Monad:
     kind: str = ""
     #: The shallow operations of a finitary algebra over this monad, one
@@ -270,15 +262,13 @@ class Monad:
         raise NotImplementedError
 
     def map(self, f, t: FreeElement) -> FreeElement:
-        """Relabel; f is called as f(label, label_sort)."""
+        """Relabel: each label a of sort s becomes f(a, s).  ``f`` is
+        always called with the label and its sort (a tree label's sort is
+        its arity)."""
         raise NotImplementedError
 
     def flat(self, t: FreeElement) -> FreeElement:
         """Flatten an element whose labels are themselves free elements."""
-        raise NotImplementedError
-
-    def leq(self, s: FreeElement, t: FreeElement, order: SortedOrderedSet) -> bool:
-        """Standard ordering: identical shape, labels pointwise <=."""
         raise NotImplementedError
 
     def restricted(self, sorts) -> "Monad":
@@ -319,7 +309,6 @@ class WordMonad(Monad):
         return Word((a,))
 
     def map(self, f, t):
-        f = _as_label_fn(f)
         return Word(tuple(f(a, SORT_WORD) for a in t.labels))
 
     def flat(self, t):
@@ -329,11 +318,6 @@ class WordMonad(Monad):
                 raise SortMismatch(f"label {w!r} is not a word")
             out.extend(w.labels)
         return Word(tuple(out))
-
-    def leq(self, s, t, order):
-        return len(s.labels) == len(t.labels) and all(
-            order.leq(a, b) for a, b in zip(s.labels, t.labels)
-        )
 
     def free_elements(self, pools, size):
         """The words of length 1..size."""
@@ -382,7 +366,6 @@ class OmegaMonad(Monad):
         raise SortMismatch(f"no sort {sort} in the omega instance")
 
     def map(self, f, t):
-        f = _as_label_fn(f)
         if isinstance(t, Word):
             return Word(tuple(f(a, SORT_FIN) for a in t.labels))
         if isinstance(t, UPWord):
@@ -415,26 +398,6 @@ class OmegaMonad(Monad):
         if isinstance(tail, MixedWord):
             return MixedWord(prefix + tail.prefix, tail.tail)
         raise SortMismatch(f"infinite position holds {tail!r}")
-
-    def leq(self, s, t, order):
-        if isinstance(s, Word) and isinstance(t, Word):
-            return len(s.labels) == len(t.labels) and all(
-                order.leq(a, b) for a, b in zip(s.labels, t.labels)
-            )
-        if isinstance(s, UPWord) and isinstance(t, UPWord):
-            return (
-                len(s.prefix) == len(t.prefix)
-                and len(s.period) == len(t.period)
-                and all(order.leq(a, b) for a, b in zip(s.prefix, t.prefix))
-                and all(order.leq(a, b) for a, b in zip(s.period, t.period))
-            )
-        if isinstance(s, MixedWord) and isinstance(t, MixedWord):
-            return (
-                len(s.prefix) == len(t.prefix)
-                and all(order.leq(a, b) for a, b in zip(s.prefix, t.prefix))
-                and order.leq(s.tail, t.tail)
-            )
-        return False
 
     def free_elements(self, pools, size):
         """The finite words of length 1..size, then each run u of length
@@ -507,8 +470,6 @@ class TreeMonad(Monad):
         return _tree(_node(a, _var_tuple(sort)), sort)
 
     def map(self, f, t):
-        f = _as_label_fn(f)
-
         def go(n):
             if n.__class__ is Var:
                 return n
@@ -548,21 +509,6 @@ class TreeMonad(Monad):
             return substitute(inner.root, subs)
 
         return _tree(go(t.root), t.sort)
-
-    def leq(self, s, t, order):
-        if s.sort != t.sort:
-            return False
-
-        def go(m, n):
-            if isinstance(m, Var) or isinstance(n, Var):
-                return m == n
-            if len(m.children) != len(n.children):
-                return False
-            if not order.leq(m.label, n.label):
-                return False
-            return all(go(c, d) for c, d in zip(m.children, n.children))
-
-        return go(s.root, t.root)
 
     def free_elements(self, pools, size):
         """The trees of each sort k with at most ``size`` nodes, a label of
@@ -635,7 +581,7 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
-def _parse_bracket_labels(toks: list[str], allow_hole: bool, allow_empty: bool):
+def _parse_bracket_labels(toks: list[str], allow_empty: bool):
     if not toks or toks[0] != "[":
         raise ValueError("expected '['")
     toks.pop(0)
@@ -645,10 +591,8 @@ def _parse_bracket_labels(toks: list[str], allow_hole: bool, allow_empty: bool):
         if t == ",":
             continue
         if t == "_":
-            if not allow_hole:
-                raise ValueError("hole not allowed here")
-            labels.append(HOLE)
-        elif t[0].isalpha():
+            raise ValueError("hole not allowed here")
+        if t[0].isalpha():
             labels.append(t)
         else:
             raise ValueError(f"expected a label, got {t!r}")
@@ -663,7 +607,7 @@ def _parse_bracket_labels(toks: list[str], allow_hole: bool, allow_empty: bool):
 def _parse_word_or_mixed(text: str) -> Word | MixedWord:
     """'[u]' the word u, or '[u]e' the mixed word u.e (u may be empty)."""
     toks = _tokenize(text)
-    prefix = tuple(_parse_bracket_labels(toks, allow_hole=False, allow_empty=True))
+    prefix = tuple(_parse_bracket_labels(toks, allow_empty=True))
     if not toks:
         if not prefix:
             raise ValueError("empty word literal")
@@ -673,27 +617,18 @@ def _parse_word_or_mixed(text: str) -> Word | MixedWord:
     return MixedWord(prefix, toks[0])
 
 
-def parse_up_raw(text: str, *, allow_hole: bool = False) -> tuple[tuple, tuple]:
-    """Parse '[u]([v])^w' into raw (prefix, period) tuples, unnormalised.
-
-    Context literals with holes must stay unnormalised (normalisation would
-    move the hole), so the raw form is exposed separately from ``UPWord``.
-    """
+def parse_upword(text: str) -> UPWord:
+    """'[u]([v])^w' the omega-word u.v^w (u may be empty), normalised."""
     toks = _tokenize(text)
-    prefix = _parse_bracket_labels(toks, allow_hole, allow_empty=True)
+    prefix = _parse_bracket_labels(toks, allow_empty=True)
     if not toks or toks.pop(0) != "(":
         raise ValueError("expected '(' before the period")
-    period = _parse_bracket_labels(toks, allow_hole, allow_empty=False)
+    period = _parse_bracket_labels(toks, allow_empty=False)
     if len(toks) < 2 or toks.pop(0) != ")" or toks.pop(0) != "^w":
         raise ValueError("expected ')^w' after the period")
     if toks:
         raise ValueError(f"trailing input {toks!r}")
-    return tuple(prefix), tuple(period)
-
-
-def parse_upword(text: str) -> UPWord:
-    prefix, period = parse_up_raw(text)
-    return UPWord(prefix, period)
+    return UPWord(tuple(prefix), tuple(period))
 
 
 def parse_tree(text: str, *, allow_hole: bool = False) -> Tree:

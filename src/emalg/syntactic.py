@@ -75,8 +75,6 @@ from .algebra import (
 from .monads import (
     HOLE,
     OMEGA_UP,
-    SORT_FIN,
-    SORT_INF,
     WORD,
     FreeElement,
     MixedWord,
@@ -126,10 +124,6 @@ class OmegaContext:
         holes += 1 if self.tail is HOLE else 0
         if holes != 1:
             raise ValueError("omega context needs exactly one hole")
-
-    @property
-    def hole_sort(self) -> Sort:
-        return SORT_INF if self.tail is HOLE else SORT_FIN
 
     @property
     def term(self):
@@ -382,20 +376,16 @@ def saturate_all(alg: FinAlgebra) -> dict[tuple[Sort, Sort], list[ContextFunctio
     return grouped
 
 
-def saturate_contexts(alg: FinAlgebra, source: Sort, target: Sort) -> list[ContextFunction]:
-    return list(saturate_all(alg).get((source, target), []))
-
-
 # -- syntactic preorder and algebra ------------------------------------------------
 
 
-def _pair_depths(alg: FinAlgebra, P: frozenset, sort: Sort, steps) -> list:
+def _pair_depths(alg: FinAlgebra, P: frozenset, sort: Sort, steps: _StepArrays) -> list:
     """For each pair (a, b) of elements of the algebra, at index i * n + j
     for their indices i and j in the carrier's numbering, the length of
     the shortest composite of ``steps`` that separates it (sends a into
-    ``P`` and b out of it), or -1 if none does.  Each step is a pair of int
-    arrays over that numbering, as ``_step_arrays`` gives them: the
-    indices it maps and the index of each one's value.
+    ``P`` and b out of it), or -1 if none does.  The steps are a
+    ``_StepArrays`` over that numbering, as ``_step_arrays`` gives them:
+    each the indices it maps and the index of each one's value.
 
     A backward BFS over pairs: layer 0 is {(a, b) : a in P, b not in P} on
     ``sort``; layer L+1 holds the pairs not seen before that some step maps
@@ -409,8 +399,6 @@ def _pair_depths(alg: FinAlgebra, P: frozenset, sort: Sort, steps) -> list:
     # integer i * n + j
     elems, index = A._by_index, A._index
     n = len(elems)
-    if not isinstance(steps, _StepArrays):
-        steps = _StepArrays(steps, n)
     preimages = steps.preimages
     depths = [-1] * (n * n)
     accepted, rejected = [], []  # the indices of the sort, one test each

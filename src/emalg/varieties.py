@@ -79,21 +79,18 @@ class DividesWitness:
         return all(a in seconds for a in self.candidate.carrier)
 
 
-def generating_sets(
-    alg: FinAlgebra, max_size: Optional[int] = None, places: Optional[list] = None
-):
+def generating_sets(alg: FinAlgebra, places: Optional[list] = None):
     """Generating subsets of the carrier in increasing size, smallest first.
 
     ``places`` (as ``algebra._places`` lists them) limits the closure to the
     entries of those shapes; by default every entry of ``alg`` counts."""
     elems = sorted(alg.carrier, key=repr)
     n = len(elems)
-    cap = n if max_size is None else min(n, max_size)
     if places is None:
         places = _places(alg)
     grow = _index_closure([alg], places)
     index = alg.carrier._index
-    for k in range(1, cap + 1):
+    for k in range(1, n + 1):
         for combo in itertools.combinations(elems, k):
             if sum(1 for _ in grow([(index[g],) for g in combo])) == n:
                 yield combo

@@ -112,7 +112,7 @@ from emalg.profinite import (
     TreeTerm,
     default_var_sort,
 )
-from emalg.syntactic import _one_step_functions, _pair_depths, _witnessed_steps
+from emalg.syntactic import _StepArrays, _one_step_functions, _pair_depths, _witnessed_steps
 
 
 def entries(alg):
@@ -468,10 +468,14 @@ def theory_algebra(alphabet, m):
 
 
 def step_arrays(alg, steps):
-    """Witnessed steps as ``_pair_depths`` takes them: for each, the
-    indices of its arguments and of their values, every step kept."""
+    """Witnessed steps as ``_pair_depths`` takes them, a ``_StepArrays``:
+    for each, the indices of its arguments and of their values, every step
+    kept."""
     index = alg.carrier._index
-    return [([index[e] for e in f.table], [index[v] for v in f.table.values()]) for f in steps]
+    return _StepArrays(
+        [([index[e] for e in f.table], [index[v] for v in f.table.values()]) for f in steps],
+        len(alg.carrier),
+    )
 
 
 class PairDepths(list):

@@ -2,8 +2,8 @@
 package imports nothing but itself and the standard library.  Its
 process-wide caches are declared here, and each is keyed by values.  Only
 ``algebra.py`` reads an algebra's integer storage, only the modules at the
-label boundary read its label views, and only ``core.py`` reads label pairs
-into up-set rows."""
+label boundary read its label views, only ``core.py`` reads label pairs
+into up-set rows, and every definition has a reader in the package."""
 
 import ast
 import pathlib
@@ -117,3 +117,79 @@ def test_only_the_core_module_reads_label_pairs_into_rows():
             if "_rows_of" in (getattr(node, key, None) for key in ("id", "attr", "name")):
                 readers.add(path.name)
     assert readers == {"core.py"}
+
+
+# Definitions that no code in ``src/`` reads but that stay: the library
+# entries, and the functions perfbench's tracer wraps (it raises when one
+# is missing).  A method is named by its class, a top-level definition by
+# its module.
+LIBRARY_ENTRIES = {
+    "FinAlgebra.comp_value",
+    "FinAlgebra.omega",
+    "FinAlgebra.comp",
+    "algebra.morphism",
+    "Recognizer.accepts",
+    "SyntacticResult.accepts",
+    "Dfa.accepts",
+    "SortedOrderedSet.chain",
+    "algio.dfa_to_text",
+    "DividesWitness.verify",
+}
+TRACED_ENTRIES = {"syntactic.saturate_all"}
+
+
+def _reads(trees: dict):
+    """Every name read in the package: (kind, name, node) for each loaded
+    ``Name`` ("name"), each name an ``import`` brings in ("name") and each
+    loaded attribute ("attr")."""
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                yield "name", node.id, node
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                yield "attr", node.attr, node
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    yield "name", alias.name.split(".")[-1], alias
+
+
+def _definitions(trees: dict):
+    """(entry, kind of read it needs, node) for every top-level function
+    and class, and every method and property of a top-level class but the
+    dunders, which Python calls itself."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, defs):
+                yield f"{module}.{node.name}", "name", node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, defs[:2]) and not member.name.startswith("__"):
+                        yield f"{node.name}.{member.name}", "attr", member
+
+
+def test_every_definition_has_a_reader_in_the_package():
+    """A top-level function or class needs its name read, or imported,
+    outside its own body; a method or property needs an attribute of its
+    name read somewhere in ``src/`` outside its own body.  Anything in
+    ``emalg.__all__`` and the entries listed above pass.
+
+    The test works by name, not by binding: a definition that shares its
+    name with something read elsewhere escapes it (a method named ``leq``
+    on a class nothing calls it on would pass through ``carrier.leq``)."""
+    import emalg
+
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in package_sources()}
+    readers: dict = {}
+    for kind, name, node in _reads(trees):
+        readers.setdefault((kind, name), []).append(node)
+    unread = []
+    for entry, kind, node in _definitions(trees):
+        if node.name in emalg.__all__ and kind == "name":
+            continue
+        inside = {id(n) for n in ast.walk(node)}
+        if not any(id(r) not in inside for r in readers.get((kind, node.name), ())):
+            unread.append(entry)
+    assert sorted(set(unread) - LIBRARY_ENTRIES - TRACED_ENTRIES) == []
+    # an entry that gained a reader, or went, leaves the lists
+    assert LIBRARY_ENTRIES | TRACED_ENTRIES <= set(unread)

@@ -124,7 +124,8 @@ def test_generating_sets_agree_with_the_witness_closure():
             if _closure(alg, {g: alg.monad.sing(g, alg.carrier.sort_of(g)) for g in c}).keys()
             == set(elems)
         ]
-        assert list(generating_sets(alg, max_size=3)) == expected
+        small = itertools.takewhile(lambda c: len(c) <= 3, generating_sets(alg))
+        assert list(small) == expected
     # t has no bare-slot entry, so under its shapes tv needs a sort-1 generator
     assert next(generating_sets(tv)) == ((0, False), (0, True), (2, False))
     assert next(generating_sets(tv, places=_places(t))) == (

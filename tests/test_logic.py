@@ -12,7 +12,6 @@ from emalg.automata import dfa_to_recognizer, parse_regex
 from emalg.core import SortedOrderedSet
 from emalg.logic import (
     TheoryBoundExceeded,
-    WordStructure,
     _general_type,
     _unary_threshold,
     cached_theory_algebra,
@@ -344,11 +343,3 @@ def test_is_definable_algebra_matches_aperiodicity():
     cases = [syn_aa.syn_algebra, z2, z3, left_zero]
     for alg in cases:
         assert is_definable_algebra(alg) == satisfies_all(alg, lib)[0]
-
-
-def test_word_structure_type():
-    w = WordStructure(("a", "b"))
-    assert len(w) == 2
-    assert ef_type(w, 1) == ef_type(("a", "b"), 1)
-    with pytest.raises(ValueError):
-        WordStructure(())

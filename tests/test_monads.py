@@ -1,11 +1,9 @@
 import itertools
-import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from emalg import monads
-from emalg.core import SortedOrderedSet
 from emalg.lawsuite import MONAD_LAW_SCOPE, _by_sort
 from emalg.monads import (
     HOLE,
@@ -83,16 +81,6 @@ def test_flat_omega_absorption():
     assert flat == UPWord(("a",), ("b", "a")) == UPWord((), ("a", "b"))
     outer2 = MixedWord((Word(("a", "b")),), MixedWord(("a",), "e"))
     assert OMEGA_UP.flat(outer2) == MixedWord(("a", "b", "a"), "e")
-
-
-def test_leq_free():
-    order = SortedOrderedSet.chain(["a", "b"])  # a < b
-    assert WORD.leq(Word(("a", "b")), Word(("b", "b")), order)
-    assert not WORD.leq(Word(("a",)), Word(("a", "a")), order)
-    assert WORD.leq(Word(("a",)), Word(("a",)), order)
-    t = parse_tree("b(c,x0)")
-    torder = SortedOrderedSet({0: ["c"], 1: [], 2: ["b"]})
-    assert TREE2.leq(t, t, torder)
 
 
 def test_upword_normal_form():
@@ -250,17 +238,6 @@ def test_word_and_omega_elements_are_every_element_once():
         | {UPWord(u, v) for u in runs for v in runs[1:]}
         | {MixedWord(u, "e") for u in runs}
     )
-
-
-def test_map_preserves_leq():
-    order = SortedOrderedSet.chain(["a", "b"])
-    f = {"a": "a", "b": "b"}
-    rng = random.Random(3)
-    for _ in range(100):
-        w1 = Word(tuple(rng.choices("ab", k=3)))
-        w2 = Word(tuple("b" if rng.random() < 0.5 else c for c in w1.labels))
-        if WORD.leq(w1, w2, order):
-            assert WORD.leq(WORD.map(f, w1), WORD.map(f, w2), order)
 
 
 def test_tree_flat_preserves_linearity_and_sort():

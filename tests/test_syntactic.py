@@ -35,7 +35,6 @@ from emalg.syntactic import (
     decompose_as_derivatives,
     factor_to_syntactic,
     saturate_all,
-    saturate_contexts,
     syntactic_algebra,
     syntactic_preorder,
 )
@@ -158,19 +157,19 @@ def test_saturation_one_element():
     from emalg.monads import WORD
 
     one = one_element_algebra(WORD)
-    fns = saturate_contexts(one, SORT_WORD, SORT_WORD)
+    fns = saturate_all(one).get((SORT_WORD, SORT_WORD), [])
     assert len(fns) == 1
 
 
 def test_saturation_z2():
-    fns = saturate_contexts(zmod(2), SORT_WORD, SORT_WORD)
+    fns = saturate_all(zmod(2)).get((SORT_WORD, SORT_WORD), [])
     tables = sorted(tuple(f.table[e] for e in (0, 1)) for f in fns)
     assert tables == [(0, 1), (1, 0)]  # identity and +1
 
 
 def test_saturation_witnesses_replay():
     for alg in (zmod(3), two_elem_flipflop()):
-        for f in saturate_contexts(alg, SORT_WORD, SORT_WORD):
+        for f in saturate_all(alg).get((SORT_WORD, SORT_WORD), []):
             for a in alg.carrier:
                 assert context_apply(alg, f.witness, a) == f.table[a]
 
@@ -190,14 +189,14 @@ def test_saturation_deterministic_witnesses():
             },
         )
 
-    w1 = [context_to_str(f.witness) for f in saturate_contexts(build(), SORT_WORD, SORT_WORD)]
-    w2 = [context_to_str(f.witness) for f in saturate_contexts(build(), SORT_WORD, SORT_WORD)]
+    w1 = [context_to_str(f.witness) for f in saturate_all(build()).get((SORT_WORD, SORT_WORD), [])]
+    w2 = [context_to_str(f.witness) for f in saturate_all(build()).get((SORT_WORD, SORT_WORD), [])]
     assert w1 == w2
 
 
 def test_saturation_bound():
     syn = syntactic_algebra(dfa_to_recognizer(parse_regex("(a|b)*aa(a|b)*")))
-    fns = saturate_contexts(syn.syn_algebra, SORT_WORD, SORT_WORD)
+    fns = saturate_all(syn.syn_algebra).get((SORT_WORD, SORT_WORD), [])
     assert len(fns) <= 5 ** 5
     assert len(fns) == len({f.key(syn.syn_algebra.carrier) for f in fns})
 
@@ -208,7 +207,7 @@ def test_saturated_contexts_monotone():
         SortedOrderedSet.chain([0, 1]),
         {(a, b): max(a, b) for a in (0, 1) for b in (0, 1)},
     )
-    for f in saturate_contexts(chain, SORT_WORD, SORT_WORD):
+    for f in saturate_all(chain).get((SORT_WORD, SORT_WORD), []):
         assert chain.carrier.leq(f.table[0], f.table[1]) or f.table[0] == f.table[1]
 
 
@@ -311,7 +310,8 @@ def brute_force_omega_preorder(alg, P, sort, bound=2):
                 ok = True
                 for c in ctxs:
                     finite = c.period is None and c.tail is None
-                    if c.hole_sort != zeta or (SORT_FIN if finite else SORT_INF) != sort:
+                    hole_sort = SORT_INF if c.tail is HOLE else SORT_FIN
+                    if hole_sort != zeta or (SORT_FIN if finite else SORT_INF) != sort:
                         continue
                     if context_apply(alg, c, a) in P and context_apply(alg, c, b) not in P:
                         ok = False
@@ -382,7 +382,7 @@ def test_stability_under_contexts():
     syn = syntactic_algebra(dfa_to_recognizer(parse_regex("(a|b)*aa(a|b)*")))
     B = syn.image.algebra
     pre = syn.preorder
-    fns = saturate_contexts(B, SORT_WORD, SORT_WORD)
+    fns = saturate_all(B).get((SORT_WORD, SORT_WORD), [])
     for a, b in pre.pairs():
         for f in fns:
             assert pre.holds(f.table[a], f.table[b])
