@@ -23,7 +23,7 @@ from emalg.logic import (
     recognizes_at_rank,
     theory_algebra,
 )
-from emalg.monads import SORT_WORD
+from emalg.monads import SORT_WORD, Word
 from emalg.profinite import identity_library, satisfies_all
 from emalg.syntactic import syntactic_algebra
 
@@ -343,3 +343,17 @@ def test_is_definable_algebra_matches_aperiodicity():
     cases = [syn_aa.syn_algebra, z2, z3, left_zero]
     for alg in cases:
         assert is_definable_algebra(alg) == satisfies_all(alg, lib)[0]
+
+
+def test_a_word_has_one_type_in_each_of_its_forms():
+    # a string, a tuple, a list and a Word of the same letters are typed
+    # alike, so ef_equiv and classify hand ef_type the word as it is
+    for letters in ["a", "ab", "aab", "abba", "bab"]:
+        for m in range(4):
+            forms = [letters, tuple(letters), list(letters), Word(tuple(letters))]
+            assert len({ef_type(w, m) for w in forms}) == 1, (letters, m)
+            assert all(ef_equiv(w, letters, m) for w in forms)
+    th = theory_algebra("ab", 1)
+    for w in ["a", "ab", "bba"]:
+        assert th.classify(Word(tuple(w))) == th.classify(w) == th.classify(tuple(w))
+

@@ -50,6 +50,50 @@ def test_map_identity_and_relabel():
     assert mapped == Tree(Node("B", (Node("C"), Var(0))), 1)
 
 
+
+def test_map_calls_its_function_with_each_label_and_its_sort():
+    calls = []
+
+    def tag(a, s):
+        calls.append((a, s))
+        return (a, s)
+
+    cases = [
+        (WORD, Word(("a", "b")), [("a", SORT_WORD), ("b", SORT_WORD)]),
+        (OMEGA_UP, Word(("a",)), [("a", SORT_FIN)]),
+        (OMEGA_UP, MixedWord(("a",), "e"), [("a", SORT_FIN), ("e", SORT_INF)]),
+        (OMEGA_UP, UPWord(("a",), ("b",)), [("a", SORT_FIN), ("b", SORT_FIN)]),
+        (TREE2, parse_tree("b(u(c),x0)"), [("b", 2), ("u", 1), ("c", 0)]),
+    ]
+    for monad, t, expected in cases:
+        calls.clear()
+        mapped = monad.map(tag, t)
+        assert sorted(calls) == sorted(expected), (monad, t)
+        assert monad.element_sort(mapped) == monad.element_sort(t)
+        # functoriality: mapping twice is mapping the composite
+        twice = monad.map(lambda a, s: a + "!", monad.map(lambda a, s: a.upper(), t))
+        assert twice == monad.map(lambda a, s: a.upper() + "!", t)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[a]", "expected '(' before the period"),
+        ("[a](b)^w", "expected '['"),
+        ("[a]([])^w", "empty word literal"),
+        ("[a]([b])", "expected ')^w' after the period"),
+        ("[a]([b]", "expected ')^w' after the period"),
+        ("[a]([b])^w c", "trailing input ['c']"),
+        ("[_]([b])^w", "hole not allowed here"),
+        ("[a]([_])^w", "hole not allowed here"),
+        ("[a]([b,", "unterminated '['"),
+    ],
+)
+def test_parse_upword_names_what_is_malformed(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_upword(text)
+    assert str(err.value) == message
+
 def test_flat_word_concatenation():
     t = Word((Word(("a", "b")), Word(("c",))))
     assert WORD.flat(t) == Word(("a", "b", "c"))
