@@ -705,7 +705,7 @@ def is_morphism(phi, A: FinAlgebra, B: FinAlgebra) -> bool:
         return False
     # over element indices: an optional slot entry absent in the target
     # cannot refute, and an all-bare pattern is the unit law (``_apply``)
-    f = [B.carrier._index[phi.mapping[e]] for e in A.carrier._by_index]
+    f = phi._image
     nA, nB = len(A.carrier), len(B.carrier)
     for (op, m, bare), table in A._coded.items():
         opened = [(nA**i, nB**i) for i in range(m) if i not in bare]
@@ -971,6 +971,17 @@ def generated_tuples(algs: list[FinAlgebra], seeds: Iterable[tuple]) -> set:
     return set(_grow_tuples(algs, seeds))
 
 
+def _closure_map(algs: list[FinAlgebra], seeds: Iterable[tuple]) -> tuple[dict, list]:
+    """The closure of the seeds (``_grow_tuples``) read as a map: the tuple
+    of the first components of each tuple to the last component of the
+    first tuple found with them; and each key a later tuple maps elsewhere."""
+    mapping, clashes = {}, []
+    for t in _grow_tuples(algs, seeds):
+        if mapping.setdefault(t[:-1], t[-1]) != t[-1]:
+            clashes.append(t[:-1])
+    return mapping, clashes
+
+
 def tuple_algebra(algs: list[FinAlgebra], tuples: Iterable[tuple]) -> FinAlgebra:
     """The subalgebra of the product of ``algs`` on an already product-closed
     set of tuples, with componentwise order and tables: each entry of the
@@ -1072,8 +1083,7 @@ def quotient_algebra(alg: FinAlgebra, q: Preorder) -> tuple[FinAlgebra, Morphism
         quot.carrier = Q
         quot.__dict__.pop("_memo", None)  # derived under the source's order
     else:
-        cls = list(map(Q._index.__getitem__, map(qfn.mapping.__getitem__, alg.carrier)))
-        quot = _build(alg.monad, Q, _mapped(alg, cls, len(Q)), monotone=True)
+        quot = _build(alg.monad, Q, _mapped(alg, qfn._image, len(Q)), monotone=True)
     return quot, Morphism(alg, quot, qfn)
 
 

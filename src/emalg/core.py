@@ -9,14 +9,16 @@ All values are immutable after construction and all operations are pure, so
 they can be shared freely.
 
 Orders and preorders are up-set bitmask rows over their carrier's one
-numbering of its elements (see ``SortedOrderedSet``).  Label pairs are input
-at the boundary only: what the package builds itself, it builds from closed
-rows (``SortedOrderedSet._from_rows``, ``Preorder._from_rows``).
+numbering of its elements (see ``SortedOrderedSet``), a map is the array of
+its values' indices (``SortedFunction._image``), tested for order by
+``_unordered`` alone.  Label pairs and label dicts are input at the boundary
+only: what the package builds itself, it builds from closed rows and index
+arrays (the ``_from_rows`` constructors, ``SortedFunction._unchecked``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable, Iterator
+from typing import Any, Hashable, Iterable, Iterator, Optional
 
 Sort = int
 Elem = Hashable
@@ -105,6 +107,14 @@ def _pair_set(self) -> frozenset[tuple[Elem, Elem]]:
     """A carrier's ``leq_pairs``, a preorder's ``pairs``: its rows as pairs."""
     es = self._by_index
     return frozenset((es[i], es[j]) for i, row in enumerate(self._rows) for j in _members(row))
+
+
+def _unordered(rows: list[int], up: list[int], image: list) -> Optional[tuple[int, int]]:
+    """The first pair (i, j), in index order, with j in row i of ``rows``
+    and image[j] outside the up-set row ``up[image[i]]``, or None: the one
+    order test of a map.  None entries (a partial graph) are skipped."""
+    return next(((i, j) for i, y in enumerate(image) if y is not None for j in _members(rows[i])
+                 if image[j] is not None and not up[y] >> image[j] & 1), None)
 
 
 class SortedOrderedSet:
@@ -224,12 +234,12 @@ class SortedOrderedSet:
 
 
 class SortedFunction:
-    """A total, sort-preserving, monotone map between two carriers."""
+    """A total, sort-preserving, monotone map between two carriers: ``_image``
+    holds each value's index over the codomain, in domain order; ``mapping``
+    the labels."""
 
     def __init__(self, dom: SortedOrderedSet, cod: SortedOrderedSet, mapping: dict):
-        self.dom = dom
-        self.cod = cod
-        self.mapping = dict(mapping)
+        self.dom, self.cod, self.mapping, self._image = dom, cod, dict(mapping), []
         for x in dom:
             if x not in self.mapping:
                 raise ValueError(f"function not total: {x!r} unmapped")
@@ -238,23 +248,24 @@ class SortedFunction:
                 raise ValueError(f"value {y!r} not in codomain")
             if cod.sort_of(y) != dom.sort_of(x):
                 raise ValueError(f"{x!r} -> {y!r} does not preserve sorts")
-        for a, b in dom.leq_pairs():
-            if not cod.leq(self.mapping[a], self.mapping[b]):
-                raise ValueError(f"not monotone at ({a!r},{b!r})")
+            self._image.append(cod._index[y])
+        if bad := _unordered(dom._rows, cod._rows, self._image):
+            a, b = map(dom._by_index.__getitem__, bad)
+            raise ValueError(f"not monotone at ({a!r},{b!r})")
 
     @classmethod
-    def _unchecked(cls, dom: SortedOrderedSet, cod: SortedOrderedSet, mapping: dict) -> "SortedFunction":
-        """A map that its caller has proved total, sort-preserving and monotone."""
+    def _unchecked(cls, dom: SortedOrderedSet, cod: SortedOrderedSet, image: list) -> "SortedFunction":
+        """The map of index array ``image``, proved total, sort-preserving and monotone by its caller."""
         f = cls.__new__(cls)
-        f.dom, f.cod, f.mapping = dom, cod, mapping
+        f.dom, f.cod, f._image = dom, cod, image
+        f.mapping = dict(zip(dom._by_index, map(cod._by_index.__getitem__, image)))
         return f
 
     def __call__(self, x: Elem) -> Elem:
         return self.mapping[x]
 
     def is_surjective(self) -> bool:
-        image = set(self.mapping.values())
-        return all(y in image for y in self.cod)
+        return len(set(self._image)) == len(self.cod)
 
     def __repr__(self):
         return f"SortedFunction({self.mapping!r})"
@@ -301,7 +312,7 @@ class Preorder:
 def kernel(f: SortedFunction) -> Preorder:
     """All pairs (a, a') with f(a) <= f(a'); an order-extending preorder,
     whose row a, read off f(a)'s row, is closed and inside a's sort."""
-    image = [f.cod._index[f(x)] for x in f.dom]
+    image = f._image
     up = [f.cod._rows[y] for y in image]
     return Preorder._from_rows(f.dom, [sum(1 << j for j, y in enumerate(image) if row >> y & 1) for row in up])
 
@@ -310,7 +321,9 @@ def factor_through(f: SortedFunction, g: SortedFunction) -> SortedFunction:
     """The unique monotone h with g = h . f, for surjective f.
 
     Exists exactly when ker f is contained in ker g; otherwise raises
-    NoFactorisation with one violating pair.
+    NoFactorisation with one violating pair.  h needs no check: it is total,
+    as f is onto; f(a) <= f(a') gives a ker g a', so g(a) <= g(a'), which
+    makes h well defined (by antisymmetry) and monotone; it keeps sorts.
     """
     if f.dom is not g.dom and not f.dom.same_elements(g.dom):
         raise ValueError("factor_through requires a shared domain")
@@ -319,8 +332,8 @@ def factor_through(f: SortedFunction, g: SortedFunction) -> SortedFunction:
     for i, (kf, kg) in enumerate(zip(kernel(f)._rows, kernel(g)._rows)):
         if kf & ~kg:
             raise NoFactorisation((f.dom._by_index[i], f.dom._by_index[_members(kf & ~kg)[0]]))
-    section = {f(x): x for x in reversed(f.dom._by_index)}  # the first preimage
-    return SortedFunction(f.cod, g.cod, {y: g(section[y]) for y in f.cod})
+    h = dict(zip(f._image, g._image))
+    return SortedFunction._unchecked(f.cod, g.cod, [h[y] for y in range(len(f.cod))])
 
 
 def quotient_set(
@@ -348,7 +361,7 @@ def quotient_set(
     rep = [first.setdefault(row, i) for i, row in enumerate(up)]
     classes = {s: [x for x in A.elements(s) if rep[index[x]] == index[x]] for s in A.sorts}
     Q = SortedOrderedSet._from_rows(classes, _restricted_rows(up, list(first.values())))
-    return Q, SortedFunction._unchecked(A, Q, {x: elems[r] for x, r in zip(elems, rep)})
+    return Q, SortedFunction._unchecked(A, Q, [Q._index[elems[r]] for r in rep])
 
 
 def _restricted_rows(rows: list[int], keep: list[int]) -> list[int]:

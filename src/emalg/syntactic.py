@@ -53,6 +53,7 @@ from .core import (
     SortedFunction,
     SortedOrderedSet,
     _members,
+    _unordered,
     is_upward_closed,
 )
 from .algebra import (
@@ -62,6 +63,7 @@ from .algebra import (
     Morphism,
     NotCongruence,
     Recognizer,
+    _closure_map,
     _columns,
     _fold,
     _generators,
@@ -636,32 +638,29 @@ def generated_pairs(A: FinAlgebra, B: FinAlgebra, seeds: Iterable[tuple]) -> set
 
 def factor_to_syntactic(rec: Recognizer, syn: SyntacticResult) -> Morphism:
     """The unique morphism from the recognizer's algebra onto the syntactic
-    algebra commuting with the two evaluation maps.
+    algebra commuting with the two evaluation maps, read off the closure
+    of the letters' pairs of values (``algebra._closure_map``).
 
     Requires the recognizer's evaluation to be surjective onto its algebra.
     Failure of the kernel inclusion raises NoFactorisation, which cannot
-    happen for a recognizer of the same language.
+    happen for a recognizer of the same language.  Its witness is (a, a) for
+    the first a, in the recognizer's numbering, that the closure pairs with
+    two classes; else the first pair a <= a' whose classes are not in order.
     """
-    seeds = [
-        (rec.assignment[c], syn.letter_map[c])
-        for c in rec.alphabet
-        if c in syn.letter_map
-    ]
+    R, S = rec.algebra.carrier, syn.syn_algebra.carrier
+    seeds = [(rec.assignment[c], syn.letter_map[c]) for c in rec.alphabet if c in syn.letter_map]
     if len(seeds) < len(list(rec.alphabet)):
         raise ValueError("recognizers use different alphabets")
-    pairs = generated_pairs(rec.algebra, syn.syn_algebra, seeds)
-    firsts = {a for a, _ in pairs}
-    if any(e not in firsts for e in rec.algebra.carrier):
+    graph, clashes = _closure_map([rec.algebra, syn.syn_algebra], seeds)
+    if len(graph) < len(R):
         raise ValueError("recognizer evaluation is not surjective onto its algebra")
-    for a1, s1 in pairs:
-        for a2, s2 in pairs:
-            if rec.algebra.carrier.leq(a1, a2) and not syn.syn_algebra.carrier.leq(s1, s2):
-                raise NoFactorisation((a1, a2))
-    mapping = {}
-    for a, s in sorted(pairs, key=repr):
-        mapping.setdefault(a, s)
-    fn = SortedFunction(rec.algebra.carrier, syn.syn_algebra.carrier, mapping)
-    return Morphism(rec.algebra, syn.syn_algebra, fn)
+    if clashes:
+        a = min((a for a, in clashes), key=R._index.__getitem__)
+        raise NoFactorisation((a, a))
+    image = [S._index[graph[(a,)]] for a in R]
+    if bad := _unordered(R._rows, S._rows, image):
+        raise NoFactorisation(tuple(map(R._by_index.__getitem__, bad)))
+    return Morphism(rec.algebra, syn.syn_algebra, SortedFunction._unchecked(R, S, image))
 
 
 # -- derivative decomposition --------------------------------------------------------

@@ -29,11 +29,11 @@ from .algebra import (
     FinAlgebra,
     Morphism,
     Recognizer,
+    _closure_map,
     _index_closure,
     _per_algebra,
     _places,
     eval_element,
-    generated_tuples,
     is_morphism,
     product,
     restrict_sorts,
@@ -45,7 +45,7 @@ from .core import (
     Sort,
     SortedFunction,
     SortedOrderedSet,
-    _members,
+    _unordered,
     upward_closure,
 )
 from .syntactic import syntactic_algebra
@@ -66,17 +66,12 @@ class DividesWitness:
     graph: frozenset
 
     def verify(self) -> bool:
-        pairs = generated_tuples([self.ambient, self.candidate], self.seed_pairs)
-        if frozenset(pairs) != self.graph:
+        B, A = self.ambient.carrier, self.candidate.carrier
+        graph, clashes = _closure_map([self.ambient, self.candidate], self.seed_pairs)
+        if clashes or {(b, a) for (b,), a in graph.items()} != self.graph:
             return False
-        for b1, a1 in pairs:
-            for b2, a2 in pairs:
-                if self.ambient.carrier.leq(b1, b2) and not self.candidate.carrier.leq(
-                    a1, a2
-                ):
-                    return False
-        seconds = {a for _, a in pairs}
-        return all(a in seconds for a in self.candidate.carrier)
+        image = [A._index[graph[(b,)]] if (b,) in graph else None for b in B]
+        return _unordered(B._rows, A._rows, image) is None and len(set(graph.values())) == len(A)
 
 
 def generating_sets(alg: FinAlgebra, places: Optional[list] = None):
@@ -191,12 +186,10 @@ def _first_division(A, B, gens, places, max_steps):
 
     short = False
     for bs, image in assignments(0, (), [], [None] * len(b_elems)):
-        graph = [(b, a) for b, a in enumerate(image) if a is not None]
-        domain = sum([1 << b for b, _ in graph])
-        if all(a_up[a] >> image[c] & 1 for b, a in graph for c in _members(b_up[b] & domain)):
-            if len({a for _, a in graph}) == len(a_elems):
+        if _unordered(b_up, a_up, image) is None:
+            if len(set(image) - {None}) == len(a_elems):
                 seeds = [(b_elems[b], g) for b, g in zip(bs, gens)]
-                graph = frozenset((b_elems[b], a_elems[a]) for b, a in graph)
+                graph = frozenset((b_elems[b], a_elems[a]) for b, a in enumerate(image) if a is not None)
                 return DividesWitness(B, A, seeds, graph), short
             short = True
     return None, short
@@ -224,8 +217,10 @@ def canonical_cover(A: FinAlgebra, delta: Optional[Iterable[Sort]] = None) -> Ca
     For each element a of the restriction, the language of products landing
     at or above a (over the restricted generators) has a syntactic algebra;
     the pairing of all their syntactic morphisms generates a subalgebra of
-    the product which maps onto the restriction of A.  The factorisation is
-    guaranteed; a failure here is a bug and raises.
+    the product which maps onto the restriction of A, read off the closure
+    of the letters' tuples (``algebra._closure_map``).  The factorisation
+    is guaranteed: each failed check of the map is a bug and raises
+    NoFactorisation.
     """
     ds = tuple(sorted(delta)) if delta is not None else tuple(A.carrier.sorts)
     gens = [e for s in ds for e in A.carrier.elements(s)]
@@ -247,30 +242,22 @@ def canonical_cover(A: FinAlgebra, delta: Optional[Iterable[Sort]] = None) -> Ca
     }
     # the cover is the projection of the graph: projection is a morphism,
     # and every component's entry places are A's
-    graph = generated_tuples(
-        syn_algs + [A], [letter_tuples[c] + (c,) for c in gens]
-    )
-    cover = tuple_algebra(syn_algs, sorted({t[:-1] for t in graph}, key=repr))
+    graph, clashes = _closure_map(syn_algs + [A], [letter_tuples[c] + (c,) for c in gens])
+    cover = tuple_algebra(syn_algs, sorted(graph, key=repr))
 
-    # factor the product of A through the cover on the restricted sorts
-    mapping: dict = {}
-    for t in graph:
-        key, val = t[:-1], t[-1]
-        if A.carrier.sort_of(val) not in ds:
-            continue
-        if key in mapping and mapping[key] != val:
-            raise NoFactorisation(
-                (key, val), "cover pairing is not functional; bug"
-            )
-        mapping[key] = val
+    # factor the product of A through the cover on the restricted sorts: the
+    # cover's elements are the graph's keys, each tuple in one sort, so the
+    # map is total and keeps sorts
+    for key in clashes:
+        if A.carrier.sort_of(graph[key]) in ds:
+            raise NoFactorisation((key, key), "cover pairing is not functional; bug")
     cover_d = restrict_sorts(cover, ds)
     base_d = restrict_sorts(A, ds)
-    for x in cover_d.carrier:
-        if x not in mapping:
-            raise NoFactorisation((x, None), "cover element without image; bug")
-    fn = SortedFunction(cover_d.carrier, base_d.carrier, {
-        x: mapping[x] for x in cover_d.carrier
-    })
+    C, D = cover_d.carrier, base_d.carrier
+    image = [D._index[graph[x]] for x in C]
+    if bad := _unordered(C._rows, D._rows, image):
+        raise NoFactorisation(tuple(map(C._by_index.__getitem__, bad)), "cover map is not monotone; bug")
+    fn = SortedFunction._unchecked(C, D, image)
     if not fn.is_surjective():
         raise NoFactorisation((None, None), "cover map is not surjective; bug")
     if not is_morphism(fn, cover_d, base_d):

@@ -342,14 +342,10 @@ def test_omega_and_tree_syntactic_results_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == SYNTACTIC_PIN
 
 
-def _witnesses_under_hash_seed(seed: str) -> str:
+def output_under_hash_seed(code: str, seed: str) -> str:
+    """What ``code`` prints, run in a new interpreter under ``PYTHONHASHSEED``
+    ``seed``, with the repository and ``src`` on its path."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    code = (
-        "from tests.test_algebra_tables import _recognizers\n"
-        "from emalg.syntactic import syntactic_algebra\n"
-        "for rec in _recognizers():\n"
-        "    print(repr(list(syntactic_algebra(rec).image.witnesses.items())))\n"
-    )
     env = dict(
         os.environ,
         PYTHONHASHSEED=seed,
@@ -359,6 +355,16 @@ def _witnesses_under_hash_seed(seed: str) -> str:
         [sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True
     )
     return done.stdout
+
+
+def _witnesses_under_hash_seed(seed: str) -> str:
+    code = (
+        "from tests.test_algebra_tables import _recognizers\n"
+        "from emalg.syntactic import syntactic_algebra\n"
+        "for rec in _recognizers():\n"
+        "    print(repr(list(syntactic_algebra(rec).image.witnesses.items())))\n"
+    )
+    return output_under_hash_seed(code, seed)
 
 
 def test_witness_order_does_not_follow_the_hash_seed():

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from emalg import cli, logic, syntactic
+from emalg import cli, logic, syntactic, varieties
 from emalg.algebra import is_congruence_ordering
 from emalg.automata import dfa_to_recognizer, parse_regex
 from emalg.cli import EXIT_BOUND, EXIT_INPUT, EXIT_INTERNAL, EXIT_NEGATIVE, EXIT_OK, main
@@ -226,6 +226,18 @@ def test_cover_command(tmp_path):
     code, out = run_cli("cover", str(z2))
     assert code == EXIT_OK
     assert json.loads(out)["evidence"]["surjection_verified"] is True
+
+
+def test_a_failed_cover_map_check_is_an_internal_error(tmp_path, monkeypatch):
+    # the cover map's order check reports a pair: a fault of the code, not
+    # of the file, so the exit code is the internal one, as for every other
+    # failed check of that map
+    z2 = tmp_path / "z2.alg"
+    z2.write_text("kind word\nelems 0 e a\ndot e e e\ndot e a a\ndot a e a\ndot a a e\n")
+    monkeypatch.setattr(varieties, "_unordered", lambda rows, up, image: (0, 0))
+    code, out = run_cli("cover", str(z2))
+    assert code == EXIT_INTERNAL
+    assert json.loads(out)["error"] == "cover map is not monotone; bug"
 
 
 def test_input_errors():

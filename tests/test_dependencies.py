@@ -3,7 +3,8 @@ package imports nothing but itself and the standard library.  Its
 process-wide caches are declared here, and each is keyed by values.  Only
 ``algebra.py`` reads an algebra's integer storage, only the modules at the
 label boundary read its label views, only ``core.py`` reads label pairs
-into up-set rows, and every definition has a reader in the package."""
+into up-set rows, only the law battery reads orders by labels, and every
+definition has a reader in the package."""
 
 import ast
 import pathlib
@@ -119,6 +120,29 @@ def test_only_the_core_module_reads_label_pairs_into_rows():
     assert readers == {"core.py"}
 
 
+def test_only_the_law_battery_reads_the_label_order():
+    """Orders and maps are tested over up-set rows and index arrays
+    (``core._unordered`` for maps), so no module reads a carrier's or a
+    preorder's order by labels (``leq``, ``holds``, ``leq_pairs``,
+    ``pairs``) but the law battery, whose checks stay on labels on purpose,
+    and ``Preorder.__repr__``, which prints the pairs; the four stay for
+    library callers."""
+    order_reads = ("leq", "holds", "leq_pairs", "pairs")
+    readers = set()
+    for path in package_sources():
+        for top in ast.parse(path.read_text(), str(path)).body:
+            # a method is named by its class too
+            for member in top.body if isinstance(top, ast.ClassDef) else [top]:
+                name = getattr(member, "name", "")
+                if member is not top:
+                    name = f"{top.name}.{name}"
+                for node in ast.walk(member):
+                    if isinstance(node, ast.Attribute) and node.attr in order_reads and isinstance(node.ctx, ast.Load):
+                        readers.add(f"{path.stem}.{name}")
+    assert {r for r in readers if not r.startswith("lawsuite.")} == {"core.Preorder.__repr__"}
+    assert any(r.startswith("lawsuite.") for r in readers)
+
+
 # Definitions that no code in ``src/`` reads but that stay: the library
 # entries, and the functions perfbench's tracer wraps (it raises when one
 # is missing).  A method is named by its class, a top-level definition by
@@ -135,7 +159,7 @@ LIBRARY_ENTRIES = {
     "algio.dfa_to_text",
     "DividesWitness.verify",
 }
-TRACED_ENTRIES = {"syntactic.saturate_all"}
+TRACED_ENTRIES = {"syntactic.saturate_all", "syntactic.generated_pairs"}
 
 
 def _reads(trees: dict):

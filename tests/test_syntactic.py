@@ -9,8 +9,9 @@ from emalg.algebra import (
     is_morphism,
     word_algebra,
 )
+from emalg.algio import parse_algebra
 from emalg.automata import dfa_to_recognizer, parse_regex, words_up_to
-from emalg.core import SortedOrderedSet, kernel, upward_closure
+from emalg.core import NoFactorisation, SortedOrderedSet, kernel, upward_closure
 from emalg.lawsuite import (
     exists_a,
     finitely_many_a,
@@ -34,12 +35,14 @@ from emalg.syntactic import (
     context_to_str,
     decompose_as_derivatives,
     factor_to_syntactic,
+    generated_pairs,
     saturate_all,
     syntactic_algebra,
     syntactic_preorder,
 )
 from tests._reference import context_apply, is_total_per_sort, separation_layers
 from tests._samplers import rand_recognizer
+from tests.test_algebra_tables import output_under_hash_seed
 
 
 def zmod(n):
@@ -435,6 +438,61 @@ def test_factor_to_syntactic_identity_and_from_dfa():
     assert is_morphism(rho.fn, rec.algebra, syn.syn_algebra)
     for b in rec.algebra.carrier:
         assert rho(b) == syn.syn_morphism(b)
+
+
+def _cyclic(n: int, name: str):
+    """Z/n from an algebra file, its elements ``name`` + 0..n-1."""
+    es = [f"{name}{i}" for i in range(n)]
+    dots = [f"dot {es[i]} {es[j]} {es[(i + j) % n]}" for i in range(n) for j in range(n)]
+    return parse_algebra("\n".join(["kind word", "elems 0 " + " ".join(es), *dots]) + "\n")
+
+
+def _z2_against_z4():
+    """A Z/2 recognizer of a(aa)* and the syntactic algebra of the Z/4 one
+    of (aaaa)+, string labelled: the kernel inclusion fails."""
+    letters = SortedOrderedSet({SORT_WORD: ["a"]})
+    syn = syntactic_algebra(Recognizer(letters, _cyclic(4, "z"), {"a": "z1"}, frozenset({"z0"})))
+    return Recognizer(letters, _cyclic(2, "y"), {"a": "y1"}, frozenset({"y1"})), syn
+
+
+def _witness(rec, syn):
+    with pytest.raises(NoFactorisation) as info:
+        factor_to_syntactic(rec, syn)
+    return info.value.witness
+
+
+def test_a_failed_factorisation_names_one_witness_under_every_hash_seed():
+    """The closure pairs y0 and y1 each with two classes, and the witness
+    is the docstring's: (a, a) for the first such a in the recognizer's
+    numbering.  A walk over the set of pairs named ('y1', 'y1') or
+    ('y0', 'y0') as the hash seed changed."""
+    rec, syn = _z2_against_z4()
+    pairs = generated_pairs(rec.algebra, syn.syn_algebra, [("y1", syn.letter_map["a"])])
+    twice = [a for a in rec.algebra.carrier if len({s for b, s in pairs if b == a}) > 1]
+    assert twice == ["y0", "y1"]
+    assert _witness(rec, syn) == ("y0", "y0")
+    code = "from tests.test_syntactic import _witness, _z2_against_z4\nprint(_witness(*_z2_against_z4()))\n"
+    assert {output_under_hash_seed(code, seed) for seed in "0123"} == {"('y0', 'y0')\n"}
+
+
+def test_a_factorisation_out_of_order_names_the_first_pair_in_order():
+    """U1 ordered zero <= one recognizes a+; the syntactic algebra of "has
+    a b" orders the classes the other way.  The closure is a function, and
+    the witness is the first pair a <= a', in the recognizer's numbering,
+    whose classes are not in order."""
+    letters = SortedOrderedSet({SORT_WORD: ["a", "b"]})
+    text = "kind word\nelems 0 one zero\nleq 0 {}\n" + "".join(
+        f"dot {x} {y} {'one' if x == y == 'one' else 'zero'}\n" for x in ("one", "zero") for y in ("one", "zero")
+    )
+    u1, flipped = parse_algebra(text.format("zero one")), parse_algebra(text.format("one zero"))
+    assign = {"a": "one", "b": "zero"}
+    syn = syntactic_algebra(Recognizer(letters, flipped, assign, frozenset({"zero"})))
+    rec = Recognizer(letters, u1, assign, frozenset({"one"}))
+    graph = dict(generated_pairs(u1, syn.syn_algebra, [(assign[c], syn.letter_map[c]) for c in "ab"]))
+    R, S = u1.carrier, syn.syn_algebra.carrier
+    broken = [(x, y) for x in R for y in R if R.leq(x, y) and not S.leq(graph[x], graph[y])]
+    assert len(graph) == 2 and broken == [("zero", "one")]
+    assert _witness(rec, syn) == broken[0]
 
 
 def test_recognition_criterion_random():

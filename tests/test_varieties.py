@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import weakref
@@ -6,6 +7,7 @@ import pytest
 
 from emalg import varieties
 from emalg.algebra import (
+    generated_tuples,
     is_morphism,
     one_element_algebra,
     product,
@@ -18,6 +20,7 @@ from emalg.monads import OMEGA_UP, SORT_WORD, WORD, Var, Word
 from emalg.profinite import identity_library, satisfies_all
 from emalg.syntactic import syntactic_algebra
 from emalg.varieties import (
+    DividesWitness,
     SearchBoundExceeded,
     canonical_cover,
     divides,
@@ -42,6 +45,32 @@ def test_divides_reflexive():
     for alg in (zmod(2), zmod(3), syn_of("(a|b)*aa(a|b)*").syn_algebra):
         ok, wit = divides(alg, alg)
         assert ok and wit.verify()
+
+
+def test_a_witness_that_does_not_hold_fails_verification():
+    """``verify`` refuses a graph with one pair's candidate changed or with
+    one pair dropped, seed pairs whose closure is not a function, and seed
+    pairs whose closure is a surjective function out of order."""
+    z2 = zmod(2)
+    ok, wit = divides(z2, z2)
+    assert ok and wit.verify() and wit.graph == {(0, 0), (1, 1)}
+    assert not dataclasses.replace(wit, graph=frozenset({(0, 1), (1, 1)})).verify()
+    assert not dataclasses.replace(wit, graph=frozenset({(1, 1)})).verify()
+    # the closure is all of Z/2 x Z/2: neither it nor a map inside it verifies
+    seeds = [(1, 1), (1, 0)]
+    closure = generated_tuples([z2, z2], seeds)
+    assert len(closure) == 4
+    for graph in [closure, *({(0, x), (1, y)} for x, y in itertools.product((0, 1), repeat=2))]:
+        assert not DividesWitness(z2, z2, seeds, frozenset(graph)).verify()
+    # U1 onto itself by the identity, first under its order, then reversed
+    def u1(order):
+        mult = {(x, y): "one" if x == y == "one" else "zero" for x in ("one", "zero") for y in ("one", "zero")}
+        return word_algebra(SortedOrderedSet({SORT_WORD: ["one", "zero"]}, [order]), mult)
+
+    up, down = u1(("zero", "one")), u1(("one", "zero"))
+    seeds = [("one", "one"), ("zero", "zero")]
+    assert DividesWitness(up, up, seeds, frozenset(seeds)).verify()
+    assert not DividesWitness(up, down, seeds, frozenset(seeds)).verify()
 
 
 def test_one_element_divides_everything():
