@@ -271,23 +271,56 @@ def _places(alg: FinAlgebra) -> list:
 def _encode(carrier: SortedOrderedSet, tables: dict) -> dict:
     """The integer tables (``FinAlgebra._coded``) of the label ``tables``
     (op -> flat argument tuple -> value) over ``carrier``'s numbering; an
-    argument or value outside the carrier raises ValueError."""
+    argument or value outside the carrier raises ValueError.
+
+    The entries of an op are split into places, by argument count and,
+    for comp, by the positions of the bare slots; the places come in the
+    order of their first entries.  Each place is then coded by one dict
+    comprehension over its entries in table order, a binary place with
+    two index lookups an entry.  Only when a lookup fails are the entries
+    read one by one, in the same order, to name the first bad one."""
     index, n = carrier._index, len(carrier)
+    places: dict = {}  # place -> its entries, in table order
     coded: dict = {}
+    try:
+        for op, table in tables.items():
+            if op == "comp":
+                for args, value in table.items():
+                    bare = tuple([i for i, a in enumerate(args) if i and a is VAR])
+                    places.setdefault((op, len(args), bare), []).append((args, value))
+                continue
+            lengths = dict.fromkeys(map(len, table))
+            for m in lengths:
+                places[(op, m, ())] = (
+                    table.items() if len(lengths) == 1 else [e for e in table.items() if len(e[0]) == m]
+                )
+        for place, entries in places.items():
+            if place[1:] == (2, ()):  # a binary op, coded inline
+                coded[place] = {index[a] + index[b] * n: index[v] for (a, b), v in entries}
+                continue
+            weights = [n**i for i in range(place[1]) if i not in place[2]]
+            shown = [i not in place[2] for i in range(place[1])]
+            coded[place] = {
+                sum(map(operator.mul, map(index.__getitem__, itertools.compress(args, shown)), weights)): index[v]
+                for args, v in entries
+            }
+    except (KeyError, TypeError):
+        _name_bad_entry(index, tables)
+        raise
+    return coded
+
+
+def _name_bad_entry(index: dict, tables: dict) -> None:
+    """Raise ValueError at the first entry of ``tables``, op by op in table
+    order, with an argument or a value outside ``index``; an argument
+    first, on a bare comp slot never."""
     for op, table in tables.items():
         for args, value in table.items():
-            bare = tuple([i for i, a in enumerate(args) if i and a is VAR]) if op == "comp" else ()
-            code, w = 0, 1
             for i, a in enumerate(args):
-                if i not in bare:
-                    if a not in index:
-                        raise ValueError(f"{op} entry at {args!r} fits no operation")
-                    code += index[a] * w
-                w *= n
+                if not (op == "comp" and i and a is VAR) and a not in index:
+                    raise ValueError(f"{op} entry at {args!r} fits no operation")
             if value not in index:
                 raise ValueError(f"{op} value {value!r} at {args!r} is not an element")
-            coded.setdefault((op, len(args), bare), {})[code] = index[value]
-    return coded
 
 
 def _labels(elems: list, place: tuple, code: int) -> tuple:
@@ -338,21 +371,29 @@ def _mapped(alg: FinAlgebra, f: list, size: int) -> dict:
     """``alg``'s integer tables carried along ``f`` (element index -> index
     over a carrier of ``size`` elements, or None): an entry that mentions an
     index with no image is left out, and where two entries meet the first
-    keeps its place."""
+    keeps its place.  A binary place without bare slots is carried by one
+    comprehension; the others read their codes digit by digit."""
     n, out = len(alg.carrier), {}
     for place, table in alg._coded.items():
-        opened = [(n**i, size**i) for i in range(place[1]) if i not in place[2]]
-        mapped = {}
-        for code, v in table.items():
-            new = 0
-            for w, s in opened:
-                d = f[code // w % n]
-                if d is None:
-                    break
-                new += d * s
-            else:
-                if f[v] is not None:
-                    mapped[new] = f[v]
+        if place[1:] == (2, ()):
+            mapped = {
+                x + y * size: b
+                for c, v in table.items()
+                if (x := f[c % n]) is not None and (y := f[c // n]) is not None and (b := f[v]) is not None
+            }
+        else:
+            mapped = {}
+            opened = [(n**i, size**i) for i in range(place[1]) if i not in place[2]]
+            for code, v in table.items():
+                new = 0
+                for w, s in opened:
+                    d = f[code // w % n]
+                    if d is None:
+                        break
+                    new += d * s
+                else:
+                    if f[v] is not None:
+                        mapped[new] = f[v]
         if mapped:
             out[place] = mapped
     return out

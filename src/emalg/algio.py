@@ -51,10 +51,12 @@ class ParseError(ValueError):
 
 
 def _lines(text: str):
+    """Each line's number and tokens, up to its first '#'; blank lines are
+    left out."""
     for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield i, line.split()
+        toks = (raw.partition("#")[0] if "#" in raw else raw).split()
+        if toks:
+            yield i, toks
 
 
 def _parse_sort(tok: str, kind: str, line_no: int) -> int:
@@ -73,19 +75,35 @@ def _parse_sort(tok: str, kind: str, line_no: int) -> int:
     return s
 
 
+def _unknown(head: str, names: list, sort_of: dict, line_no: int) -> None:
+    """Raise at the first of ``names`` that no elems line declared."""
+    for a in names:
+        if a not in sort_of:
+            raise ParseError(line_no, f"{head} mentions unknown element {a!r}")
+
+
 def parse_algebra(text: str) -> FinAlgebra:
+    """The algebra of an algebra file, or the error of its first bad line.
+
+    A line of a binary table of the kind (dot, mix), nearly every line of
+    a file, is tested first: three tokens after its head, each a declared
+    element, is one entry.  Any other line, and a table line that fails
+    that test, goes through the checks of its directive in order, so an
+    error is the one of the first bad line whatever line it is."""
     kind = None
     elems: dict[int, list[str]] = {}
     leq_pairs: list[tuple[str, str]] = []
     tables: dict[str, dict] = {op: {} for op in _TABLE_ARGS}
+    binary: dict[str, dict] = {}  # the kind's dot and mix tables, once it is read
     sort_of: dict[str, int] = {}  # each element's sort, from its elems line
 
-    def need(name: str, args: list[str], line_no: int):
-        for a in args:
-            if a not in sort_of:
-                raise ParseError(line_no, f"{name} mentions unknown element {a!r}")
-
     for line_no, toks in _lines(text):
+        table = binary.get(toks[0])
+        if table is not None and len(toks) == 4:
+            _, a, b, v = toks
+            if a in sort_of and b in sort_of and v in sort_of:
+                table[a, b] = v
+                continue
         head, args = toks[0], toks[1:]
         if head == "kind":
             if kind is not None:
@@ -93,6 +111,7 @@ def parse_algebra(text: str) -> FinAlgebra:
             if len(args) != 1 or args[0] not in ("word", "omega", "tree"):
                 raise ParseError(line_no, "kind must be word, omega or tree")
             kind = args[0]
+            binary = {op: tables[op] for op in _TABLES[kind] if op in ("dot", "mix")}
         elif kind is None:
             raise ParseError(line_no, "kind line must come first")
         elif head == "elems":
@@ -113,7 +132,7 @@ def parse_algebra(text: str) -> FinAlgebra:
             if len(args) != 3:
                 raise ParseError(line_no, "leq takes: sort a b")
             s = _parse_sort(args[0], kind, line_no)
-            need("leq", args[1:], line_no)
+            _unknown(head, args[1:], sort_of, line_no)
             for a in args[1:]:
                 if sort_of[a] != s:
                     raise ParseError(line_no, f"leq element {a!r} is not of sort {args[0]}")
@@ -125,10 +144,10 @@ def parse_algebra(text: str) -> FinAlgebra:
             if (len(args) != n) if n else (len(args) < 2):
                 raise ParseError(line_no, usage)
             if head == "comp":
-                need(head, [a for a in args if a != "_"], line_no)
+                _unknown(head, [a for a in args if a != "_"], sort_of, line_no)
                 key = (args[0], tuple(VAR if a == "_" else a for a in args[1:-1]))
             else:
-                need(head, args, line_no)
+                _unknown(head, args, sort_of, line_no)
                 key = args[0] if head == "omega" else (args[0], args[1])
             tables[head][key] = args[-1]
         else:

@@ -15,6 +15,7 @@ states, not three).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -296,34 +297,40 @@ def dfa_to_recognizer(dfa: Dfa) -> Recognizer:
     map records how it was first found, t.g or g.t for an earlier t, and
     the right Cayley graph is kept.  The product table is filled from them,
     after Froidure and Pin (1997), by ``algebra._word_algebra_of_cayley``,
-    with no label table."""
-    letter_maps = {
-        c: tuple(dfa.trans[(q, c)] for q in range(dfa.n_states))
-        for c in dfa.alphabet
-    }
+    with no label table.
 
-    def compose(s: tuple, t: tuple) -> tuple:
-        return tuple(map(t.__getitem__, s))
-
-    gens = list(dict.fromkeys(letter_maps.values()))
+    A map is a tuple over the states, composed by ``operator.itemgetter``:
+    s.t, first s then t, is ``itemgetter(*s)(t)``.  The search carries
+    each map with one more point, the number of states, which every map
+    fixes, so that an itemgetter over a map never picks a single item and
+    a one-state automaton takes the same path; the carrier drops it."""
+    n = dfa.n_states
+    letter_maps = {c: tuple(dfa.trans[(q, c)] for q in range(n)) for c in dfa.alphabet}
+    gens = [(*g, n) for g in dict.fromkeys(letter_maps.values())]
+    before = [operator.itemgetter(*g) for g in gens]  # before[g](t): g.t
     elems = list(gens)
     index = {t: i for i, t in enumerate(elems)}
     found = [None] * len(gens)  # (t, g, True) for elems[t].g, False for g.elems[t]
     right = []  # right[t][g]: the index of elems[t].gens[g]
-    while len(right) < len(elems):
-        t = len(right)
+    for t, s in enumerate(elems):  # grows while it is read
+        after = operator.itemgetter(*s)  # after(g): s.g
         row = []
         for g, y in enumerate(gens):
-            for c_, on_right in ((compose(elems[t], y), True), (compose(y, elems[t]), False)):
-                i = index.get(c_)
-                if i is None:
-                    i = index[c_] = len(elems)
-                    elems.append(c_)
-                    found.append((t, g, on_right))
-                if on_right:
-                    row.append(i)
+            sg = after(y)
+            i = index.get(sg)
+            if i is None:
+                i = index[sg] = len(elems)
+                elems.append(sg)
+                found.append((t, g, True))
+            row.append(i)
+            gs = before[g](s)
+            if gs not in index:
+                index[gs] = len(elems)
+                elems.append(gs)
+                found.append((t, g, False))
         right.append(row)
-    alg = _word_algebra_of_cayley(SortedOrderedSet({SORT_WORD: elems}), right, found)
+    maps = [s[:-1] for s in elems]
+    alg = _word_algebra_of_cayley(SortedOrderedSet({SORT_WORD: maps}), right, found)
     alphabet = SortedOrderedSet({SORT_WORD: list(dfa.alphabet)})
-    accepting = frozenset(t for t in elems if t[dfa.start] in dfa.accepting)
+    accepting = frozenset(t for t in maps if t[dfa.start] in dfa.accepting)
     return Recognizer(alphabet, alg, dict(letter_maps), accepting)

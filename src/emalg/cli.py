@@ -70,9 +70,10 @@ def _element_names(alg: FinAlgebra) -> dict:
 
 def _dump_syntactic(syn: SyntacticResult) -> dict:
     """The report of a syntactic algebra, named, ordered and tabled over
-    its carrier's numbering: element i is named e<i>.  The table is sorted
-    by the text of ((a, b), a b), as over labels, read off the ranks of
-    the elements' reprs in text order.
+    its carrier's numbering: element i is named e<i>.  The table comes in
+    the order of the texts of ((a, b), a b), as over labels: it is written
+    by walking a over the elements in the order of their reprs' texts and,
+    for each a, b in the same order.
 
     The two orders agree.  The elements are tuples of ints
     (``dfa_to_recognizer``), whose reprs are prefix-free: each ends at its
@@ -80,18 +81,13 @@ def _dump_syntactic(syn: SyntacticResult) -> dict:
     component whose reprs differ, where the order of those two reprs
     decides.  A distinct tuple has a distinct repr, and a and b fix the
     entry, so the rank of a's repr, then of b's, orders the entries as
-    their texts do, with no ties."""
+    their texts do, with no ties.  The product is total, so the walk
+    writes every entry once."""
     alg = syn.syn_algebra
     n = len(alg.carrier)
     names, index = [f"e{i}" for i in range(n)], alg.carrier._index
-    rank = [0] * n
-    for k, i in enumerate(sorted(range(n), key=[repr(e) for e in alg.carrier].__getitem__)):
-        rank[i] = k
-
-    def by_text(entry) -> int:
-        code = entry[0]
-        return rank[code % n] * n + rank[code // n]
-
+    by_text = sorted(range(n), key=[repr(e) for e in alg.carrier].__getitem__)
+    mult = _table(alg, "mult", 2)
     return {
         "size": n,
         "elements": names,
@@ -104,8 +100,7 @@ def _dump_syntactic(syn: SyntacticResult) -> dict:
             if i != j
         ),
         "table": {
-            f"{names[code % n]} {names[code // n]}": names[c]
-            for code, c in sorted(_table(alg, "mult", 2).items(), key=by_text)
+            f"{names[a]} {names[b]}": names[mult[a + b * n]] for a in by_text for b in by_text
         },
     }
 

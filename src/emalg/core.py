@@ -236,10 +236,12 @@ class SortedOrderedSet:
 class SortedFunction:
     """A total, sort-preserving, monotone map between two carriers: ``_image``
     holds each value's index over the codomain, in domain order; ``mapping``
-    the labels."""
+    the labels, of the domain's elements alone."""
 
     def __init__(self, dom: SortedOrderedSet, cod: SortedOrderedSet, mapping: dict):
         self.dom, self.cod, self.mapping, self._image = dom, cod, dict(mapping), []
+        if len(self.mapping) > len(dom):  # keys outside the domain are dropped
+            self.mapping = {x: y for x, y in self.mapping.items() if x in dom}
         for x in dom:
             if x not in self.mapping:
                 raise ValueError(f"function not total: {x!r} unmapped")

@@ -48,6 +48,19 @@ a list test for new elements and one composition per product, that
 ``dfa_to_recognizer`` ran before it filled its table by Froidure and Pin's
 rule; the carrier order and the table, entry order included, must agree.
 
+``dfa_to_recognizer`` is the same two-sided search with each composition
+built as a tuple over the states, element by element, that the package
+ran before it composed maps with ``operator.itemgetter``; carriers,
+tables (entry order included), assignments and accepting sets must agree.
+
+``parse_algebra`` is the algebra-file reader that checks each line's names
+through a helper, over lines cut and split in two steps (``lines``), and
+``encode`` the entry-by-entry coding of label tables that ``FinAlgebra``
+ran, as the package had them before each read its table lines or coded
+its places in one pass; ``finite_algebra`` is ``FinAlgebra`` over
+``encode``.  Carriers, integer tables (places and entry order included),
+exception types and messages must agree.
+
 ``hopcroft`` is the partition-refinement DFA minimisation that
 ``parse_regex`` ran before Moore's refinement replaced it; the minimal
 automata must be equal.
@@ -89,13 +102,19 @@ import itertools
 from emalg.algebra import (
     _TERM,
     VAR,
+    FinAlgebra,
     MissingTableEntry,
+    Recognizer,
+    _associative,
+    _axiom_violations,
     _places,
+    _word_algebra_of_cayley,
     eval_element,
     subalgebra_generated,
 )
+from emalg.algio import _TABLE_ARGS, _TABLES, MAX_TREE_ARITY, ParseError, _parse_sort
 from emalg.automata import _META, Dfa, RegexSyntaxError, _renumber
-from emalg.core import Preorder, SortedFunction, SortedOrderedSet
+from emalg.core import CarrierBoundExceeded, Preorder, SortedFunction, SortedOrderedSet, _check_sort_size
 from emalg.logic import (
     MAX_THEORY_CLASSES,
     TheoryBoundExceeded,
@@ -103,7 +122,7 @@ from emalg.logic import (
     cached_theory_algebra,
     ef_type,
 )
-from emalg.monads import HOLE, SortMismatch, Tree, UPWord, Var, _tree_vars
+from emalg.monads import HOLE, OmegaMonad, SortMismatch, Tree, TreeMonad, UPWord, Var, WordMonad, _tree_vars
 from emalg.profinite import (
     InfPow,
     OmegaPow,
@@ -541,6 +560,162 @@ def transition_semigroup(dfa):
                         new.append(c)
         frontier = new
     return elems, {(s, t): compose(s, t) for s in elems for t in elems}
+
+
+def dfa_to_recognizer(dfa):
+    """The transition semigroup of ``dfa``, found two-sided and breadth
+    first with one tuple per composition, its table filled from the right
+    Cayley graph and the discovery record."""
+    letter_maps = {
+        c: tuple(dfa.trans[(q, c)] for q in range(dfa.n_states))
+        for c in dfa.alphabet
+    }
+
+    def compose(s: tuple, t: tuple) -> tuple:
+        return tuple(map(t.__getitem__, s))
+
+    gens = list(dict.fromkeys(letter_maps.values()))
+    elems = list(gens)
+    index = {t: i for i, t in enumerate(elems)}
+    found = [None] * len(gens)  # (t, g, True) for elems[t].g, False for g.elems[t]
+    right = []  # right[t][g]: the index of elems[t].gens[g]
+    while len(right) < len(elems):
+        t = len(right)
+        row = []
+        for g, y in enumerate(gens):
+            for c_, on_right in ((compose(elems[t], y), True), (compose(y, elems[t]), False)):
+                i = index.get(c_)
+                if i is None:
+                    i = index[c_] = len(elems)
+                    elems.append(c_)
+                    found.append((t, g, on_right))
+                if on_right:
+                    row.append(i)
+        right.append(row)
+    alg = _word_algebra_of_cayley(SortedOrderedSet({0: elems}), right, found)
+    alphabet = SortedOrderedSet({0: list(dfa.alphabet)})
+    accepting = frozenset(t for t in elems if t[dfa.start] in dfa.accepting)
+    return Recognizer(alphabet, alg, dict(letter_maps), accepting)
+
+
+def encode(carrier, tables):
+    """The integer tables of the label ``tables`` (op -> flat argument
+    tuple -> value) over ``carrier``'s numbering, entry by entry; an
+    argument or value outside the carrier raises ValueError."""
+    index, n = carrier._index, len(carrier)
+    coded: dict = {}
+    for op, table in tables.items():
+        for args, value in table.items():
+            bare = tuple([i for i, a in enumerate(args) if i and a is VAR]) if op == "comp" else ()
+            code, w = 0, 1
+            for i, a in enumerate(args):
+                if i not in bare:
+                    if a not in index:
+                        raise ValueError(f"{op} entry at {args!r} fits no operation")
+                    code += index[a] * w
+                w *= n
+            if value not in index:
+                raise ValueError(f"{op} value {value!r} at {args!r} is not an element")
+            coded.setdefault((op, len(args), bare), {})[code] = index[value]
+    return coded
+
+
+def finite_algebra(monad, carrier, *, mult=None, dot=None, mix=None, omega=None, comp=None):
+    """``FinAlgebra(monad, carrier, ...)`` with its tables coded by ``encode``."""
+    tables = {"mult": dict(mult or {}), "dot": dict(dot or {}), "mix": dict(mix or {})}
+    tables["omega"] = {(a,): v for a, v in (omega or {}).items()}
+    tables["comp"] = {(a, *slots): v for (a, slots), v in (comp or {}).items()}
+    alg = FinAlgebra.__new__(FinAlgebra)
+    alg._init(monad, carrier, encode(carrier, tables))
+    return alg
+
+
+def lines(text):
+    """Each nonblank line's number and tokens, its comment cut first."""
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield i, line.split()
+
+
+def parse_algebra(text):
+    """An algebra file read line by line, each name checked on its own."""
+    kind = None
+    elems: dict = {}
+    leq_pairs: list = []
+    tables: dict = {op: {} for op in _TABLE_ARGS}
+    sort_of: dict = {}
+
+    def need(name, args, line_no):
+        for a in args:
+            if a not in sort_of:
+                raise ParseError(line_no, f"{name} mentions unknown element {a!r}")
+
+    for line_no, toks in lines(text):
+        head, args = toks[0], toks[1:]
+        if head == "kind":
+            if kind is not None:
+                raise ParseError(line_no, "duplicate kind line")
+            if len(args) != 1 or args[0] not in ("word", "omega", "tree"):
+                raise ParseError(line_no, "kind must be word, omega or tree")
+            kind = args[0]
+        elif kind is None:
+            raise ParseError(line_no, "kind line must come first")
+        elif head == "elems":
+            if not args:
+                raise ParseError(line_no, "elems needs a sort")
+            s = _parse_sort(args[0], kind, line_no)
+            if kind == "tree" and s > MAX_TREE_ARITY:
+                raise CarrierBoundExceeded(f"tree sort {s} exceeds the arity cap {MAX_TREE_ARITY}")
+            for e in args[1:]:
+                if e in sort_of:
+                    raise ParseError(line_no, f"element {e!r} declared twice")
+                sort_of[e] = s
+            elems.setdefault(s, []).extend(args[1:])
+            _check_sort_size(s, len(elems[s]))
+        elif head == "leq":
+            if len(args) != 3:
+                raise ParseError(line_no, "leq takes: sort a b")
+            s = _parse_sort(args[0], kind, line_no)
+            need("leq", args[1:], line_no)
+            for a in args[1:]:
+                if sort_of[a] != s:
+                    raise ParseError(line_no, f"leq element {a!r} is not of sort {args[0]}")
+            leq_pairs.append((args[1], args[2]))
+        elif head in _TABLE_ARGS:
+            if head not in _TABLES[kind]:
+                raise ParseError(line_no, f"{kind} algebras have no {head} table")
+            n, usage = _TABLE_ARGS[head]
+            if (len(args) != n) if n else (len(args) < 2):
+                raise ParseError(line_no, usage)
+            if head == "comp":
+                need(head, [a for a in args if a != "_"], line_no)
+                key = (args[0], tuple(VAR if a == "_" else a for a in args[1:-1]))
+            else:
+                need(head, args, line_no)
+                key = args[0] if head == "omega" else (args[0], args[1])
+            tables[head][key] = args[-1]
+        else:
+            raise ParseError(line_no, f"unknown directive {head!r}")
+
+    if kind is None:
+        raise ParseError(0, "missing kind line")
+    try:
+        carrier = SortedOrderedSet(elems, leq_pairs)
+        if kind == "word":
+            alg = finite_algebra(WordMonad(), carrier, mult=tables["dot"])
+            if not _associative(alg):
+                raise ValueError(f"associativity violated: {next(_axiom_violations(alg))}")
+            return alg
+        if kind == "omega":
+            alg = finite_algebra(OmegaMonad(), carrier, dot=tables["dot"], mix=tables["mix"], omega=tables["omega"])
+            bad = next(_axiom_violations(alg), None)
+            if bad:
+                raise ValueError(f"Wilke coherence violated: {bad}")
+            return alg
+        return finite_algebra(TreeMonad(max(elems, default=0)), carrier, comp=tables["comp"])
+    except ValueError as exc:
+        raise ParseError(0, str(exc)) from exc
 
 
 def hopcroft(dfa):

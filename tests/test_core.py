@@ -36,6 +36,18 @@ def test_empty_sorts_allowed():
     assert len(A) == 1
 
 
+def test_a_map_keeps_only_the_keys_of_its_domain():
+    # a key outside the domain is no point of the map: calling the map on
+    # it is a KeyError, and neither its mapping nor its repr shows it
+    f = SortedFunction(SortedOrderedSet({0: ["x"]}), SortedOrderedSet({0: ["p", "q"]}), {"x": "p", "junk": "q"})
+    assert f("x") == "p"
+    with pytest.raises(KeyError):
+        f("junk")
+    assert f.mapping == {"x": "p"}
+    assert repr(f) == "SortedFunction({'x': 'p'})"
+    assert not f.is_surjective()
+
+
 def test_kernel_identity_is_carrier_order():
     A = chain01()
     f = SortedFunction(A, A, {x: x for x in A})

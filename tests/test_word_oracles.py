@@ -19,7 +19,11 @@ A draw whose semigroup passes the carrier cap must make ``syn`` and
 ``decide fo`` exit with the bound code; such draws are counted, never
 dropped.  The elements that ``syn`` prints are matched with the
 transformations through its printed letters and table, and its printed
-order must be Pin's order on them.
+order must be Pin's order on them.  Its table must come in the order of
+the texts of its entries over those transformations, ((a, b), a b).
+Apart from the oracles, ``dfa_to_recognizer`` must give what the search
+it replaced gives (``tests/_reference.py``), on every draw and on
+one-state and three-letter automata.
 """
 
 import collections
@@ -27,14 +31,16 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emalg.algio import dfa_to_text, parse_dfa_file
-from emalg.automata import dfa_to_recognizer, parse_regex, words_up_to
+from emalg.automata import Dfa, dfa_to_recognizer, parse_regex, words_up_to
 from emalg.cli import EXIT_BOUND, EXIT_NEGATIVE, EXIT_OK, main
-from emalg.core import MAX_SORT_SIZE
+from emalg.core import MAX_SORT_SIZE, CarrierBoundExceeded
 from emalg.monads import Word
+from tests import _reference
 from tests.test_generator_steps import state_inclusion
 
 LETTERS = "ab"
@@ -162,6 +168,26 @@ def _value(dump: dict, word: str) -> str:
     return value
 
 
+def _recognizer(build, dfa):
+    """What ``build`` makes of ``dfa``: the carrier, the integer table
+    with its entry order, the letters' values and the accepting set; or
+    the text of the carrier bound it passes."""
+    try:
+        rec = build(dfa)
+    except CarrierBoundExceeded as exc:
+        return str(exc)
+    alg = rec.algebra
+    table = [(place, list(t.items())) for place, t in alg._coded.items()]
+    return list(alg.carrier), alg.carrier._rows, table, rec.assignment, rec.accepting
+
+
+def _texts_in_order(dump: dict, maps: dict) -> bool:
+    """Whether ``syn``'s printed table comes in the order of the texts of
+    its entries ((a, b), a b) over the elements' maps."""
+    texts = [repr(((maps[a], maps[b]), maps[v])) for (a, b), v in ((k.split(), v) for k, v in dump["table"].items())]
+    return texts == sorted(texts)
+
+
 def _run(*argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -223,3 +249,57 @@ def test_word_pipeline_matches_the_tuple_oracles():
 
 def test_word_pipeline_matches_the_tuple_oracles_over_three_letters():
     _check_draws("abc", 150, 4)
+
+
+def _check_against_the_reference(letters: str, examples: int):
+    """On ``examples`` drawn regexes over ``letters``: ``dfa_to_recognizer``
+    gives what the reference search gives, and ``syn`` prints its table in
+    the text order of its entries over the transformations."""
+
+    @settings(max_examples=examples, deadline=None)
+    @given(_expressions(letters))
+    def check(e):
+        rx = text(e)
+        dfa = parse_regex(rx, letters)
+        assert _recognizer(dfa_to_recognizer, dfa) == _recognizer(_reference.dfa_to_recognizer, dfa), rx
+        code, syn = _run("syn", rx, "--alphabet", letters)
+        if code == EXIT_OK:
+            assert _texts_in_order(syn["evidence"], element_maps(syn["evidence"], dfa)), rx
+        else:
+            assert code == EXIT_BOUND, rx
+
+    check()
+
+
+def test_transition_semigroups_and_printed_tables_match_the_reference():
+    _check_against_the_reference(LETTERS, 300)
+    _check_against_the_reference("abc", 150)
+
+
+def test_one_state_and_three_letter_automata_give_the_searched_semigroup():
+    # a one-state automaton has one map, on one state; the semigroups of
+    # these automata, three distinct letter maps among them, come out as
+    # the reference search finds them, and syn prints its tables in text
+    # order
+    one = Dfa(("a", "b"), 1, 0, frozenset({0}), {(0, "a"): 0, (0, "b"): 0})
+    rejecting = Dfa(("a",), 1, 0, frozenset(), {(0, "a"): 0})
+    three = parse_regex("(a|bc)*c(a|b)", "abc")
+    assert len(set(dfa_to_recognizer(three).assignment.values())) == 3
+    for dfa in (one, rejecting, parse_regex("(a|b)*"), three, parse_regex("(a|bc)*b", "abc")):
+        assert _recognizer(dfa_to_recognizer, dfa) == _recognizer(_reference.dfa_to_recognizer, dfa), dfa
+    assert list(dfa_to_recognizer(one).algebra.carrier) == [(0,)]
+    assert dfa_to_recognizer(rejecting).accepting == frozenset()
+    for rx, letters in (("(a|b)*", "ab"), ("(a|bc)*c(a|b)", "abc")):
+        dfa = parse_regex(rx, letters)
+        code, syn = _run("syn", rx, "--alphabet", letters)
+        assert code == EXIT_OK, rx
+        assert _texts_in_order(syn["evidence"], element_maps(syn["evidence"], dfa)), rx
+
+
+def test_the_suffix_semigroup_at_k_5_passes_the_cap():
+    # (a|b)*a(a|b){5} has 126 transformations: both searches find them all
+    # and the carrier refuses them with the same text
+    dfa = parse_regex("(a|b)*a" + "(a|b)" * 5)
+    for build in (dfa_to_recognizer, _reference.dfa_to_recognizer):
+        with pytest.raises(CarrierBoundExceeded, match=r"^sort 0 has 126 elements, cap is 64$"):
+            build(dfa)
