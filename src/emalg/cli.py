@@ -115,8 +115,6 @@ def _cmd_syn(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    if args.logic != "fo":
-        raise ParseError(0, f"unknown logic {args.logic!r}")
     dfa = _load_language(args.language, args)
     v = fo_definable(dfa, rank_bound=args.rank_bound)
     evidence = {
@@ -166,7 +164,7 @@ def _cmd_decompose(args) -> int:
         try:
             target = frozenset(by_name[t.strip()] for t in args.target.split(","))
         except KeyError as exc:
-            raise ParseError(0, f"unknown element {exc.args[0]!r}") from exc
+            raise ValueError(f"--target names unknown element {exc.args[0]!r}") from exc
     dec = decompose_as_derivatives(syn, target)
     # every word of 1 to 6 letters, as the index of its value in the
     # recognizer's algebra: each its prefix's value times its last letter's,

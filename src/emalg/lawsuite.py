@@ -405,43 +405,32 @@ def check_theory_constants() -> CheckResult:
 # -- Wilke algebras -----------------------------------------------------------------------
 
 
+def _letter_a_algebra(infinite: list, mix: dict, omega: dict, leq=()) -> tuple[FinAlgebra, dict]:
+    """A Wilke algebra over letters a and b whose finite sort records
+    whether an a occurred (h absorbs n), with the given infinite sort, its
+    order ``leq``, ``mix`` and ``omega``, and the letter a sent to h."""
+    carrier = SortedOrderedSet({SORT_FIN: ["n", "h"], SORT_INF: infinite}, leq)
+    dot = {(x, y): "h" if "h" in (x, y) else "n" for x in "nh" for y in "nh"}
+    return wilke_algebra(carrier, dot, mix, omega), {"a": "h", "b": "n"}
+
+
 def finitely_many_a() -> tuple[FinAlgebra, dict]:
     """Accepts omega-words with finitely many a (over letters a, b)."""
-    carrier = SortedOrderedSet({SORT_FIN: ["n", "h"], SORT_INF: ["fin", "inf"]})
-    absorb = lambda x, y: "h" if "h" in (x, y) else "n"
-    dot = {(x, y): absorb(x, y) for x in "nh" for y in "nh"}
     mix = {(x, e): e for x in "nh" for e in ("fin", "inf")}
-    omega = {"n": "fin", "h": "inf"}
-    alg = wilke_algebra(carrier, dot, mix, omega)
-    beta = {"a": "h", "b": "n"}
-    return alg, beta
+    return _letter_a_algebra(["fin", "inf"], mix, {"n": "fin", "h": "inf"})
 
 
 def exists_a() -> tuple[FinAlgebra, dict]:
     """Accepts omega-words containing at least one a."""
-    carrier = SortedOrderedSet({SORT_FIN: ["n", "h"], SORT_INF: ["no", "yes"]})
-    absorb = lambda x, y: "h" if "h" in (x, y) else "n"
-    dot = {(x, y): absorb(x, y) for x in "nh" for y in "nh"}
     mix = {("n", "no"): "no", ("n", "yes"): "yes", ("h", "no"): "yes", ("h", "yes"): "yes"}
-    omega = {"n": "no", "h": "yes"}
-    alg = wilke_algebra(carrier, dot, mix, omega)
-    beta = {"a": "h", "b": "n"}
-    return alg, beta
+    return _letter_a_algebra(["no", "yes"], mix, {"n": "no", "h": "yes"})
 
 
 def ordered_finitely_many_a() -> tuple[FinAlgebra, dict]:
     """The finitely-many-a algebra with the infinite sort ordered (the
     rejecting value below the accepting one), exercising monotone tables."""
-    carrier = SortedOrderedSet(
-        {SORT_FIN: ["n", "h"], SORT_INF: ["inf", "fin"]}, [("inf", "fin")]
-    )
-    absorb = lambda x, y: "h" if "h" in (x, y) else "n"
-    dot = {(x, y): absorb(x, y) for x in "nh" for y in "nh"}
     mix = {(x, e): e for x in "nh" for e in ("fin", "inf")}
-    omega = {"n": "fin", "h": "inf"}
-    alg = wilke_algebra(carrier, dot, mix, omega)
-    beta = {"a": "h", "b": "n"}
-    return alg, beta
+    return _letter_a_algebra(["inf", "fin"], mix, {"n": "fin", "h": "inf"}, [("inf", "fin")])
 
 
 def check_wilke_invariance() -> CheckResult:

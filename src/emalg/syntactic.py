@@ -1,15 +1,17 @@
 """Contexts, context-function saturation, syntactic preorders and algebras.
 
-A context is a free element over the carrier with one label ``HOLE``, its
-``term``.  Applying it to a gives a unary polynomial map: ``eval_element``
-on the term, the hole labelled a and every other label standing for
-itself.  It prints as ``serialize`` of the term.  (An omega period is kept
-raw: normalising it could move the hole.)  Composing two contexts is the
-monad's multiplication: ``flat`` of the outer term with the hole labelled
-by the inner term and every other label by its singleton, so ``flat``
-also rejects an inner context whose result sort is not the hole's.  The
-identity context is the singleton hole, and a one-step context is the
-shallow term of an op over its fixed arguments and the hole.
+A context is an element of the free algebra over the carrier with exactly
+one label ``HOLE`` (Bojanczyk, "Recognisable languages over monads"): a
+``Word``, an omega-word (``Word``, ``UPWord`` or ``MixedWord``) or a
+``Tree``, so a finite omega context is the same ``Word`` as a word context.
+Applying it to a gives a unary polynomial map: ``eval_element`` on it, the
+hole labelled a and every other label standing for itself.  It prints as
+``serialize`` of itself.  Composing two contexts is the monad's
+multiplication: ``flat`` of the outer one with the hole labelled by the
+inner one and every other label by its singleton, so ``flat`` also rejects
+an inner context whose result sort is not the hole's.  The identity
+context is the singleton hole, and a one-step context is the shallow term
+of an op over its fixed arguments and the hole.
 
 The defining preorder of a language quantifies over infinitely many
 contexts, but it is also the greatest relation that lies inside "a in P
@@ -43,7 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Iterable, Optional
 
 from .core import (
     Elem,
@@ -68,136 +70,36 @@ from .algebra import (
     _fold,
     _generators,
     _per_algebra,
-    _raw_up,
     _sort_runs,
     generated_tuples,
     quotient_algebra,
     subalgebra_generated,
 )
-from .monads import (
-    HOLE,
-    OMEGA_UP,
-    WORD,
-    FreeElement,
-    MixedWord,
-    Monad,
-    Tree,
-    TreeMonad,
-    Word,
-    serialize,
-    tree_labels,
-)
+from .monads import HOLE, FreeElement, Monad, Word, serialize
 
-# -- context shapes ------------------------------------------------------------
+# -- contexts ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WordContext:
-    """left . hole . right over single-sort labels."""
-
-    left: tuple = ()
-    right: tuple = ()
-    monad = WORD
-
-    @property
-    def term(self) -> Word:
-        return Word(self.left + (HOLE,) + self.right)
-
-
-@dataclass(frozen=True)
-class OmegaContext:
-    """An omega-word with one hole.
-
-    ``items`` is the finite prefix (labels and possibly the hole);
-    ``period`` is None or the loop content (labels and possibly the hole);
-    ``tail`` is None, a sort-infinity element, or the hole itself.
-    Exactly one hole must occur overall.  A context with no period and no
-    tail has a finite result; the others are infinite.
-    """
-
-    items: tuple = ()
-    period: Optional[tuple] = None
-    tail: Any = None
-    monad = OMEGA_UP
-
-    def __post_init__(self):
-        holes = list(self.items).count(HOLE)
-        holes += list(self.period or ()).count(HOLE)
-        holes += 1 if self.tail is HOLE else 0
-        if holes != 1:
-            raise ValueError("omega context needs exactly one hole")
-
-    @property
-    def term(self):
-        if self.period is not None:
-            return _raw_up(self.items, self.period)  # normalising could move the hole
-        if self.tail is not None:
-            return MixedWord(self.items, self.tail)
-        return Word(self.items)
-
-
-@dataclass(frozen=True)
-class TreeContext:
-    """A tree over carrier labels with exactly one hole-labelled node; the
-    hole's sort is its child count."""
-
-    tree: Tree
-
-    def __post_init__(self):
-        if sum(a is HOLE for a, _ in tree_labels(self.tree.root)) != 1:
-            raise ValueError("tree context needs exactly one hole")
-
-    @property
-    def term(self) -> Tree:
-        return self.tree
-
-    @property
-    def monad(self) -> TreeMonad:
-        """A tree monad whose arity cap no node of the tree exceeds."""
-        return TreeMonad(max(k for _, k in tree_labels(self.tree.root)))
-
-
-Context = Any  # WordContext | OmegaContext | TreeContext
-
-#: The context class of each instance, by its monad's kind.
-_CONTEXT = {"word": WordContext, "omega": OmegaContext, "tree": TreeContext}
-
-
-def _as_context(cls: type, t: FreeElement) -> Context:
-    """The context of class ``cls`` whose term is ``t``."""
-    if cls is WordContext:
-        i = t.labels.index(HOLE)
-        return WordContext(t.labels[:i], t.labels[i + 1 :])
-    if cls is TreeContext:
-        return TreeContext(t)
-    if isinstance(t, Word):
-        return OmegaContext(t.labels)
-    if isinstance(t, MixedWord):
-        return OmegaContext(t.prefix, None, t.tail)
-    return OmegaContext(t.prefix, t.period)
+Context = FreeElement  # with one HOLE label
 
 
 def context_to_str(ctx: Context, name=str) -> str:
-    return serialize(ctx.term, name)
+    return serialize(ctx, name)
 
 
-# -- applying and composing contexts ---------------------------------------------
-
-
-def context_compose(outer: Context, inner: Context) -> Context:
-    """The context outer[inner]: apply inner first, then outer.  Its term
-    is inner's term plugged into outer, every other label standing for its
-    singleton."""
-    if type(outer) is not type(inner):
-        raise TypeError(f"cannot compose {outer!r} with {inner!r}")
-    monad = outer.monad
-    term = monad.map(lambda a, s: inner.term if a is HOLE else monad.sing(a, s), outer.term)
-    return _as_context(type(outer), monad.flat(term))
+def context_compose(monad: Monad, outer: Context, inner: Context) -> Context:
+    """The context outer[inner]: apply inner first, then outer.  It is
+    ``flat`` of outer with its hole labelled by inner and every other
+    label by its singleton; ``element_sort`` rejects a context of another
+    instance's shape."""
+    monad.element_sort(outer)
+    monad.element_sort(inner)
+    return monad.flat(monad.map(lambda a, s: inner if a is HOLE else monad.sing(a, s), outer))
 
 
 def identity_context(monad: Monad, sort: Sort) -> Context:
     """The context of the singleton hole at ``sort``."""
-    return _as_context(_CONTEXT[monad.kind], monad.sing(HOLE, sort))
+    return monad.sing(HOLE, sort)
 
 
 # -- saturation -------------------------------------------------------------------
@@ -262,7 +164,7 @@ def _witnessed_steps(alg: FinAlgebra, generators: Optional[tuple] = None) -> lis
     Sorted by hole sort, result sort and witness text, so the order does
     not depend on how the steps were found.  Memoised on the algebra
     (``_per_algebra``)."""
-    elems, n, cls = alg.carrier._by_index, len(alg.carrier), _CONTEXT[alg.kind]
+    elems, n = alg.carrier._by_index, len(alg.carrier)
     out = []
     for op, sorts, result, i, pools, columns in _step_columns(alg, generators):
         hole = pools[i]
@@ -272,7 +174,7 @@ def _witnessed_steps(alg: FinAlgebra, generators: Optional[tuple] = None) -> lis
             if values and None not in values:
                 full = [None] * n
                 full[hole.start : hole.stop] = values
-                out.append((sorts[i], result, full, _as_context(cls, _TERM[op](fixed, sorts))))
+                out.append((sorts[i], result, full, _TERM[op](fixed, sorts)))
     out.sort(key=lambda step: (step[0], step[1], context_to_str(step[3], repr)))
     return out
 
@@ -368,7 +270,7 @@ def saturate_all(alg: FinAlgebra) -> dict[tuple[Sort, Sort], list[ContextFunctio
                 h = ContextFunction(f.source_sort, g.target_sort, table, None)
                 k = h.key(A)
                 if k not in found:
-                    h.witness = context_compose(g.witness, f.witness)
+                    h.witness = context_compose(alg.monad, g.witness, f.witness)
                     found[k] = h
                     nxt.append(h)
         queue = nxt
@@ -505,7 +407,7 @@ def _separating_context(alg: FinAlgebra, steps: list, path: tuple, sort: Sort) -
     This is the one place that builds contexts from steps."""
     ctx = identity_context(alg.monad, sort)
     for k in path:
-        ctx = context_compose(steps[k][3], ctx)
+        ctx = context_compose(alg.monad, steps[k][3], ctx)
     return ctx
 
 
@@ -674,13 +576,14 @@ class DerivativeDecomposition:
 
     syn: SyntacticResult
     target: frozenset
-    clauses: list  # list of (class elem, list[Context over the alphabet])
+    clauses: list  # list of (class elem, list[word context over the alphabet])
 
     def __post_init__(self):
         # the recognizer's algebra over its numbering: its product (``_fold``),
         # each letter's value and the accepted elements; then each context's
-        # left and right parts as values (a list of at most one), so that a
-        # word is evaluated once and costs at most two table reads per context
+        # parts left and right of the hole as values (a list of at most one),
+        # so that a word is evaluated once and costs at most two table reads
+        # per context
         rec = self.syn.recognizer
         index = rec.algebra.carrier._index
         self._product = functools.partial(_fold, rec.algebra)
@@ -690,9 +593,11 @@ class DerivativeDecomposition:
         def part(labels: tuple) -> list:
             return [self._product([self._letter[c] for c in labels])] if labels else []
 
-        self._parts = [
-            [(part(c.left), part(c.right)) for c in ctxs] for _, ctxs in self.clauses
-        ]
+        def parts(ctx: Word) -> tuple:
+            i = ctx.labels.index(HOLE)
+            return part(ctx.labels[:i]), part(ctx.labels[i + 1 :])
+
+        self._parts = [[parts(c) for c in ctxs] for _, ctxs in self.clauses]
 
     def matches(self, t) -> bool:
         """Whether, for some clause, each of its contexts with ``t`` plugged
@@ -757,8 +662,8 @@ def decompose_as_derivatives(syn: SyntacticResult, target: Iterable[Elem]) -> De
     else:
         depths = _pair_depths(B, P, syn.accepting_sort, _step_arrays(B, letters))
 
-    def over_letters(ctx: WordContext) -> WordContext:
-        return WordContext(*(tuple(letter_of[g] for g in side) for side in (ctx.left, ctx.right)))
+    def over_letters(ctx: Word) -> Word:
+        return Word(tuple([a if a is HOLE else letter_of[a] for a in ctx.labels]))
 
     clauses = []
     contexts: dict = {}  # each walk's step path -> its context over the letters, and its text

@@ -995,9 +995,9 @@ def all_preorders(carrier):
 
 
 def context_apply(alg, ctx, a):
-    """Evaluate the context with the hole replaced by ``a``: its free element
-    over the carrier, each label standing for itself and the hole for ``a``."""
-    return eval_element(alg, lambda x: a if x is HOLE else x, ctx.term)
+    """Evaluate the context, a free element over the carrier, with the hole
+    replaced by ``a`` and each other label standing for itself."""
+    return eval_element(alg, lambda x: a if x is HOLE else x, ctx)
 
 
 def semigroup_tables(n):

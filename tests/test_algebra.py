@@ -439,7 +439,94 @@ omega n fin
 omega h inf
 """
 
+#: The file of ``bool_tree_algebra(2, with_var_slots=True)``: c, d, m, n, b
+#: and p name (0, F), (0, T), (1, F), (1, T), (2, F) and (2, T).
 TREE_FILE = """
+kind tree
+elems 0 c d
+elems 1 m n
+elems 2 b p
+comp m c c
+comp m d d
+comp m m m
+comp m n n
+comp m b b
+comp m p p
+comp n c d
+comp n d d
+comp n m n
+comp n n n
+comp n b p
+comp n p p
+comp b c c c
+comp b c d d
+comp b c m m
+comp b c n n
+comp b c b b
+comp b c p p
+comp b d c d
+comp b d d d
+comp b d m n
+comp b d n n
+comp b d b p
+comp b d p p
+comp b m c m
+comp b m d n
+comp b m m b
+comp b m n p
+comp b n c n
+comp b n d n
+comp b n m p
+comp b n n p
+comp b b c b
+comp b b d p
+comp b p c p
+comp b p d p
+comp p c c d
+comp p c d d
+comp p c m n
+comp p c n n
+comp p c b p
+comp p c p p
+comp p d c d
+comp p d d d
+comp p d m n
+comp p d n n
+comp p d b p
+comp p d p p
+comp p m c n
+comp p m d n
+comp p m m p
+comp p m n p
+comp p n c n
+comp p n d n
+comp p n m p
+comp p n n p
+comp p b c p
+comp p b d p
+comp p p c p
+comp p p d p
+comp b c _ m
+comp b d _ n
+comp b m _ b
+comp b n _ p
+comp p c _ n
+comp p d _ n
+comp p m _ p
+comp p n _ p
+comp b _ c m
+comp b _ d n
+comp b _ m b
+comp b _ n p
+comp p _ c n
+comp p _ d n
+comp p _ m p
+comp p _ n p
+"""
+
+#: A tree file that parses although its tables are not associative: the
+#: parser checks no axiom of tree files.
+BROKEN_TREE_FILE = """
 kind tree
 elems 0 c d
 elems 1 m
@@ -480,6 +567,20 @@ def test_parse_algebra_files():
     assert eval_element(tree, beta, parse_tree("b(c,d)")) == "d"
     assert eval_element(tree, beta, parse_tree("b(x0,c)")) == "m"
     assert eval_element(tree, beta, parse_tree("b(m(c),d)")) == "d"
+
+
+def test_the_tree_file_is_the_flag_algebra_and_the_broken_one_breaks_assoc():
+    tree = parse_algebra(TREE_FILE)
+    assert check_algebra_laws(tree).ok
+    flags = bool_tree_algebra(2, with_var_slots=True)
+    names = dict(zip(flags.carrier, tree.carrier))
+    name = lambda e: None if e is None else names[e]  # noqa: E731
+    assert list(tree.carrier) == ["c", "d", "m", "n", "b", "p"]
+    assert tree.comp == {
+        (name(h), tuple(map(name, slots))): name(v) for (h, slots), v in flags.comp.items()
+    }
+    report = check_algebra_laws(parse_algebra(BROKEN_TREE_FILE))
+    assert report.violations[0] == ("assoc", ("comp-assoc", ("b", ("d", "m"), ("c",))))
 
 
 def test_parse_algebra_errors_carry_line_numbers():

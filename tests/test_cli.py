@@ -183,6 +183,19 @@ def test_decompose_command():
     assert report["evidence"]["verified_up_to_length_6"] is True
 
 
+def test_an_unknown_target_is_an_argument_error_with_no_line_number():
+    code, out = run_cli("decompose", "(a|b)*a", "--target", "e9")
+    assert code == EXIT_INPUT
+    assert json.loads(out)["error"] == "--target names unknown element 'e9'"
+
+
+def test_decide_takes_no_logic_but_fo():
+    # argparse's choices refuse it before any command runs
+    with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+        main(["decide", "mso", "(a|b)*a"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("drop", ["context", "clause"])
 def test_a_broken_decomposition_fails_its_verification(monkeypatch, drop):
     # without one context of its first clause, or without that clause, the

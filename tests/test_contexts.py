@@ -1,22 +1,28 @@
 """Contexts as free elements with one hole: the pin of the saturated
-witnesses, and composition, which is the monad's ``flat``, checking the
-inner context's sort against the outer hole."""
+witnesses, the one hole of every context the package builds, and
+composition, which is the monad's ``flat``, checking the inner context's
+sort against the outer hole."""
 
 import hashlib
 
 import pytest
 
-from emalg.monads import HOLE, SortMismatch, parse_tree
+from emalg.automata import dfa_to_recognizer, parse_regex
+from emalg.lawsuite import corpus_languages
+from emalg.monads import HOLE, OMEGA_UP, SORT_WORD, WORD, SortMismatch, parse_tree, tree_monad
 from emalg.syntactic import (
-    OmegaContext,
-    TreeContext,
-    WordContext,
+    _generators,
+    _witnessed_steps,
     context_compose,
     context_to_str,
+    decompose_as_derivatives,
     saturate_all,
     syntactic_algebra,
 )
+from tests._contexts import OmegaContext, TreeContext, WordContext
 from tests.test_algebra_tables import _recognizers
+from tests.test_generator_steps import all_upsets
+from tests.test_signature import _step_algebras
 from tests.test_syntactic import _refinement_cases
 
 # -- the saturated witnesses ---------------------------------------------------------
@@ -49,18 +55,51 @@ def test_saturated_witnesses_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == SATURATION_PIN
 
 
+# -- one hole ----------------------------------------------------------------------
+
+
+def _built_contexts():
+    """(monad, context) for every context the package builds: the step
+    witnesses over every element and over the generators, the saturated
+    witnesses, and the clauses of every decomposition of the corpus."""
+    for alg in _step_algebras():
+        for generators in (None, _generators(alg)):
+            for *_, witness in _witnessed_steps(alg, generators):
+                yield alg.monad, witness
+    for alg in _saturated_algebras():
+        for fns in saturate_all(alg).values():
+            for f in fns:
+                yield alg.monad, f.witness
+    for rx, alphabet in corpus_languages().values():
+        syn = syntactic_algebra(dfa_to_recognizer(parse_regex(rx, alphabet)))
+        for target in all_upsets(syn.syn_algebra, SORT_WORD):
+            for _, ctxs in decompose_as_derivatives(syn, target).clauses:
+                for ctx in ctxs:
+                    yield WORD, ctx
+
+
+def test_every_built_context_has_one_hole_and_a_sort():
+    kinds = set()
+    for monad, ctx in _built_contexts():
+        assert [a for a, _ in monad.labels(ctx)].count(HOLE) == 1, ctx
+        monad.element_sort(ctx)
+        kinds.add(monad.kind)
+    assert kinds == {"word", "omega", "tree"}
+
+
 # -- composition is flat -----------------------------------------------------------
 
 
 def test_a_tree_context_takes_an_inner_context_of_its_hole_sort_only():
+    trees = tree_monad()
     outer = TreeContext(parse_tree("b(_(x0,x1))", allow_hole=True))
     wide = TreeContext(parse_tree("u(_(x0,x1))", allow_hole=True))
-    assert context_to_str(context_compose(outer, wide)) == "b(u(_(x0,x1)))"
+    assert context_to_str(context_compose(trees, outer, wide)) == "b(u(_(x0,x1)))"
     # an inner context of sort 1 in a hole of sort 2 would leave b(u(_(x0)))
     # claiming sort 2 with one variable
     narrow = TreeContext(parse_tree("u(_(x0))", allow_hole=True))
     with pytest.raises(SortMismatch):
-        context_compose(outer, narrow)
+        context_compose(trees, outer, narrow)
 
 
 def test_an_omega_context_takes_an_inner_context_of_its_hole_sort_only():
@@ -68,19 +107,32 @@ def test_an_omega_context_takes_an_inner_context_of_its_hole_sort_only():
     loop = OmegaContext(("n",), (HOLE,))
     infinite_hole = OmegaContext(("h",), None, HOLE)
     with pytest.raises(SortMismatch):
-        context_compose(finite_hole, loop)
+        context_compose(OMEGA_UP, finite_hole, loop)
     with pytest.raises(SortMismatch):
-        context_compose(loop, infinite_hole)
+        context_compose(OMEGA_UP, loop, infinite_hole)
     with pytest.raises(SortMismatch):
-        context_compose(infinite_hole, finite_hole)
-    assert context_to_str(context_compose(infinite_hole, loop)) == "[h,n]([_])^w"
-    assert context_to_str(context_compose(loop, finite_hole)) == "[n]([h,_])^w"
+        context_compose(OMEGA_UP, infinite_hole, finite_hole)
+    assert context_to_str(context_compose(OMEGA_UP, infinite_hole, loop)) == "[h,n]([_])^w"
+    assert context_to_str(context_compose(OMEGA_UP, loop, finite_hole)) == "[n]([h,_])^w"
 
 
 def test_contexts_of_two_instances_do_not_compose():
     word = WordContext(("x",), ())
-    finite = OmegaContext(("x", HOLE))
+    infinite = OmegaContext(("x",), None, HOLE)
     tree = TreeContext(parse_tree("u(_)", allow_hole=True))
-    for outer, inner in ((word, finite), (finite, word), (word, tree), (tree, finite)):
-        with pytest.raises(TypeError, match="cannot compose"):
-            context_compose(outer, inner)
+    trees = tree_monad()
+    for monad, outer, inner in (
+        (WORD, word, infinite),
+        (WORD, infinite, word),
+        (WORD, word, tree),
+        (OMEGA_UP, tree, word),
+        (trees, tree, word),
+        (trees, infinite, tree),
+    ):
+        with pytest.raises(SortMismatch):
+            context_compose(monad, outer, inner)
+    # a word context and a finite omega context are the same word, so they
+    # compose under either monad
+    finite = OmegaContext(("x", HOLE))
+    assert finite == word
+    assert context_compose(WORD, word, finite) == context_compose(OMEGA_UP, word, finite)

@@ -29,12 +29,8 @@ from emalg.monads import (
     parse_tree,
     serialize,
 )
-from emalg.syntactic import (
-    OmegaContext,
-    TreeContext,
-    WordContext,
-    context_to_str,
-)
+from emalg.syntactic import context_to_str
+from tests._contexts import OmegaContext, TreeContext, WordContext
 from tests._reference import context_apply
 from tests._samplers import rand_recognizer
 from tests.test_algebra import bool_tree_algebra, zmod

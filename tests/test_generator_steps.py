@@ -31,6 +31,7 @@ from emalg.syntactic import (
     syntactic_algebra,
     syntactic_preorder,
 )
+from tests._contexts import sides
 from tests._reference import entries, separation_layers
 from tests._samplers import rand_preorder, rand_transformation_algebra
 from tests.test_syntactic import _refinement_cases
@@ -420,7 +421,7 @@ def test_matches_is_plugging_the_word_into_each_context(rx, alphabet):
         dec = decompose_as_derivatives(syn, target)
         for w in words_up_to(dfa.alphabet, 5):
             plugged = any(
-                all(rec.accepts(Word(c.left + w + c.right)) for c in ctxs)
+                all(rec.accepts(Word(left + w + right)) for left, right in map(sides, ctxs))
                 for _, ctxs in dec.clauses
             )
             assert dec.matches(Word(w)) == plugged

@@ -57,7 +57,7 @@ def _omega_recognizer():
 @pytest.fixture
 def contexts_built(monkeypatch):
     """The number of contexts ``syntactic`` builds: calls of its
-    ``_as_context`` and of the shallow terms it reads from ``_TERM``."""
+    ``context_compose`` and of the shallow terms it reads from ``_TERM``."""
     calls = []
 
     def counted(name, fn):
@@ -67,7 +67,9 @@ def contexts_built(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(syntactic, "_as_context", counted("_as_context", syntactic._as_context))
+    monkeypatch.setattr(
+        syntactic, "context_compose", counted("context_compose", syntactic.context_compose)
+    )
     terms = {op: counted(op, fn) for op, fn in algebra._TERM.items()}
     monkeypatch.setattr(syntactic, "_TERM", terms)
     return calls

@@ -19,16 +19,15 @@ from emalg.lawsuite import (
 )
 from emalg.monads import (
     HOLE,
+    OMEGA_UP,
     SORT_FIN,
     SORT_INF,
     SORT_WORD,
+    WORD,
     Word,
     parse_tree,
 )
 from emalg.syntactic import (
-    OmegaContext,
-    TreeContext,
-    WordContext,
     _separating_context,
     _separating_path,
     context_compose,
@@ -40,6 +39,7 @@ from emalg.syntactic import (
     syntactic_algebra,
     syntactic_preorder,
 )
+from tests._contexts import OmegaContext, TreeContext, WordContext, sides
 from tests._reference import context_apply, is_total_per_sort, separation_layers
 from tests._samplers import rand_recognizer
 from tests.test_algebra_tables import output_under_hash_seed
@@ -84,7 +84,7 @@ def test_context_apply_tree():
         parse_tree("b(_,c)", allow_hole=True)
     )
     beta = {"b": (2, False), "c": (0, False)}
-    tree = alg.monad.map(lambda a, s: beta.get(a, a), ctx2.tree)
+    tree = alg.monad.map(lambda a, s: beta.get(a, a), ctx2)
     ctx_elems = TreeContext(tree)
     assert context_apply(alg, ctx_elems, (0, False)) == (0, False)
     assert context_apply(alg, ctx_elems, (0, True)) == (0, True)
@@ -107,10 +107,10 @@ def test_context_apply_omega():
 def test_context_compose_word():
     p = WordContext(("x",), ())
     q = WordContext(("y",), ())
-    assert context_compose(p, q) == WordContext(("x", "y"), ())
+    assert context_compose(WORD, p, q) == WordContext(("x", "y"), ())
     ident = WordContext((), ())
-    assert context_compose(ident, p) == p
-    assert context_compose(p, ident) == p
+    assert context_compose(WORD, ident, p) == p
+    assert context_compose(WORD, p, ident) == p
 
 
 def test_context_compose_agrees_with_apply():
@@ -121,15 +121,15 @@ def test_context_compose_agrees_with_apply():
             for _ in range(12)]
     for p in ctxs:
         for q in ctxs:
-            pq = context_compose(p, q)
+            pq = context_compose(WORD, p, q)
             for a in (0, 1, 2):
                 assert context_apply(z3, pq, a) == context_apply(
                     z3, p, context_apply(z3, q, a)
                 )
     # associativity spot-check through application
     for p, q, r in itertools.islice(itertools.product(ctxs, repeat=3), 60):
-        lhs = context_compose(context_compose(p, q), r)
-        rhs = context_compose(p, context_compose(q, r))
+        lhs = context_compose(WORD, context_compose(WORD, p, q), r)
+        rhs = context_compose(WORD, p, context_compose(WORD, q, r))
         for a in (0, 1, 2):
             assert context_apply(z3, lhs, a) == context_apply(z3, rhs, a)
 
@@ -138,14 +138,14 @@ def test_context_compose_omega_shapes():
     alg, _ = finitely_many_a()
     wrap = OmegaContext(("h", HOLE))  # dot on the left
     loop = OmegaContext((), (HOLE,), None)  # then loop the result
-    comp = context_compose(loop, wrap)
+    comp = context_compose(OMEGA_UP, loop, wrap)
     assert comp.period == ("h", HOLE)
     for a in ("n", "h"):
         assert context_apply(alg, comp, a) == context_apply(
             alg, loop, context_apply(alg, wrap, a)
         )
     mixl = OmegaContext(("n",), None, HOLE)
-    comp2 = context_compose(mixl, comp)
+    comp2 = context_compose(OMEGA_UP, mixl, comp)
     for a in ("n", "h"):
         assert context_apply(alg, comp2, a) == context_apply(
             alg, mixl, context_apply(alg, comp, a)
@@ -312,9 +312,8 @@ def brute_force_omega_preorder(alg, P, sort, bound=2):
             for b in alg.carrier.elements(zeta):
                 ok = True
                 for c in ctxs:
-                    finite = c.period is None and c.tail is None
-                    hole_sort = SORT_INF if c.tail is HOLE else SORT_FIN
-                    if hole_sort != zeta or (SORT_FIN if finite else SORT_INF) != sort:
+                    hole_sort = next(s for x, s in OMEGA_UP.labels(c) if x is HOLE)
+                    if hole_sort != zeta or OMEGA_UP.element_sort(c) != sort:
                         continue
                     if context_apply(alg, c, a) in P and context_apply(alg, c, b) not in P:
                         ok = False
@@ -534,7 +533,7 @@ def test_decompose_identity_case():
     syn = syntactic_algebra(dfa_to_recognizer(parse_regex("(a|b)*aa(a|b)*")))
     dec = decompose_as_derivatives(syn, syn.accepting)
     for _, ctxs in dec.clauses:
-        assert all(c.left == () and c.right == () for c in ctxs)
+        assert all(sides(c) == ((), ()) for c in ctxs)
     dfa = parse_regex("(a|b)*aa(a|b)*")
     for w in words_up_to("ab", 6):
         assert dec.matches(Word(w)) == dfa.accepts(w)
@@ -743,10 +742,10 @@ def test_decompose_contexts_are_shortest_over_letters(language):
                 if b in target:
                     continue
                 separating = [
-                    len(c.left) + len(c.right)
-                    for c in ctxs
-                    if times(value(c.left), a, value(c.right)) in K
-                    and times(value(c.left), b, value(c.right)) not in K
+                    len(left) + len(right)
+                    for left, right in map(sides, ctxs)
+                    if times(value(left), a, value(right)) in K
+                    and times(value(left), b, value(right)) not in K
                 ]
                 assert separating and min(separating) == least[(a, b)], (target, a, b)
                 checked += 1

@@ -195,9 +195,22 @@ def _run(*argv):
     return code, json.loads(buf.getvalue())
 
 
+def _fixed_expressions(letters: str) -> list:
+    """Regex trees over ``letters`` of each kind the draws must hold: any
+    word ending in a (two elements, aperiodic, ordered) and the words of
+    even nonzero length (not aperiodic)."""
+    any_letter = letters[0]
+    for c in letters[1:]:
+        any_letter = ("|", any_letter, c)
+    return [(".", ("*", any_letter), "a"), ("+", (".", any_letter, any_letter))]
+
+
 def _check_draws(letters: str, examples: int, length: int):
-    """Run the oracles on ``examples`` drawn regexes over ``letters``, with
-    membership checked up to ``length``."""
+    """Run the oracles on ``examples`` drawn regexes over ``letters``, then
+    on ``_fixed_expressions``, with membership checked up to ``length``.
+    The fixed ones run through the same body, so that what the tally wants
+    holds whatever the draws are; they leave ``check``'s source, and so
+    its derandomized draws, as they are."""
     tally = collections.Counter()
 
     @settings(max_examples=examples, deadline=None)
@@ -237,6 +250,8 @@ def _check_draws(letters: str, examples: int, length: int):
             assert (_value(dump, w) in accepting) == dfa.accepts(w), (rx, w)
 
     check()
+    for e in _fixed_expressions(letters):
+        check.hypothesis.inner_test(e)
     # both verdicts and nontrivial orders occur, and the draws past the cap,
     # if any, were asserted one by one above
     assert tally["definable"] and tally["not definable"] and tally["ordered"], tally
