@@ -460,8 +460,16 @@ class TreeMonad(Monad):
     def element_sort(self, t):
         if not isinstance(t, Tree):
             raise SortMismatch(f"not a tree: {t!r}")
-        if t.sort > self.max_arity:
-            raise SortMismatch(f"tree sort {t.sort} exceeds arity cap {self.max_arity}")
+        m = self.max_arity
+        if t.sort > m:
+            raise SortMismatch(f"tree sort {t.sort} exceeds arity cap {m}")
+        nodes = [t.root]
+        while nodes:
+            n = nodes.pop()
+            if n.__class__ is not Var:
+                if len(n.children) > m:
+                    raise SortMismatch(f"a node with {len(n.children)} children exceeds arity cap {m}")
+                nodes += n.children
         return t.sort
 
     def sing(self, a, sort):

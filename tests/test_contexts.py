@@ -102,6 +102,22 @@ def test_a_tree_context_takes_an_inner_context_of_its_hole_sort_only():
         context_compose(trees, outer, narrow)
 
 
+def test_a_tree_with_a_node_past_the_arity_cap_is_no_element():
+    """A binary node below a root of sort 0 is past the cap of a monad whose
+    sorts stop at 1, wherever it sits."""
+    unary = tree_monad(1)
+    wide = parse_tree("b(c,c)")
+    hole = TreeContext(parse_tree("u(_)", allow_hole=True))
+    assert tree_monad(2).element_sort(wide) == 0
+    for t in (wide, parse_tree("u(b(c,c))"), parse_tree("u(u(b(x0,c)))")):
+        with pytest.raises(SortMismatch, match="2 children exceeds arity cap 1"):
+            unary.element_sort(t)
+    with pytest.raises(SortMismatch):
+        context_compose(unary, wide, hole)
+    with pytest.raises(SortMismatch):
+        context_compose(unary, hole, wide)
+
+
 def test_an_omega_context_takes_an_inner_context_of_its_hole_sort_only():
     finite_hole = OmegaContext(("h", HOLE))
     loop = OmegaContext(("n",), (HOLE,))

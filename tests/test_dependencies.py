@@ -3,7 +3,8 @@ package imports nothing but itself and the standard library.  Its
 process-wide caches are declared here, and each is keyed by values.  Only
 ``algebra.py`` reads an algebra's integer storage, only the modules at the
 label boundary read its label views, only ``core.py`` reads label pairs
-into up-set rows, only the law battery reads orders by labels, and every
+into up-set rows, only the law battery reads orders by labels or forks a
+process, no module imports a process or thread library, and every
 definition has a reader in the package."""
 
 import ast
@@ -141,6 +142,27 @@ def test_only_the_law_battery_reads_the_label_order():
                         readers.add(f"{path.stem}.{name}")
     assert {r for r in readers if not r.startswith("lawsuite.")} == {"core.Preorder.__repr__"}
     assert any(r.startswith("lawsuite.") for r in readers)
+
+
+def test_only_the_law_battery_module_forks():
+    """``lawsuite.run_all`` forks one worker for the monad-law check; no
+    other module starts a process."""
+    forkers = set()
+    for path in package_sources():
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # ``os.fork``, or ``fork`` imported or read by name
+            if "fork" in (getattr(node, key, None) for key in ("id", "attr", "name")):
+                forkers.add(path.name)
+    assert forkers == {"lawsuite.py"}
+
+
+def test_no_module_imports_a_process_or_thread_library():
+    """Each of these, imported, was measured to raise the peak memory of
+    ``emalg laws``; its worker is a bare ``os.fork`` and sends its result
+    with ``marshal``."""
+    for path in package_sources():
+        names = set(imported_modules(ast.parse(path.read_text(), str(path))))
+        assert not names & {"multiprocessing", "concurrent", "pickle", "threading"}, path.name
 
 
 # Definitions that no code in ``src/`` reads but that stay: the library

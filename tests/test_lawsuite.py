@@ -1,6 +1,12 @@
 import itertools
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
@@ -9,6 +15,7 @@ from emalg.algebra import product
 from emalg.core import SortedOrderedSet, _members, is_upward_closed
 from emalg.profinite import identity_library, satisfies_all
 from emalg.lawsuite import (
+    CheckResult,
     _all_preorders,
     _bounded_quotient_compatibility,
     check_monad_laws,
@@ -82,10 +89,168 @@ BATTERY_DETAILS = {
 }
 
 
-def test_battery_details_are_pinned():
+# -- the forked worker and its serial fallback ------------------------------------
+
+CHECKS = (
+    "check_monad_laws", "check_congruence_characterisations", "check_terminality",
+    "check_syntactic_constants", "check_decomposition", "check_dual_deciders",
+    "check_theory_constants", "check_wilke_invariance", "check_canonical_covers",
+    "check_mod_closure",
+)
+
+
+@pytest.fixture
+def no_child_left():
+    """After the test, this process has no child, reaped or not."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _forked(monkeypatch):
+    """Take the forked path whatever the machine, counting this process's forks."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(lawsuite, "_spare_core", lambda: True)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    return forks
+
+
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+
+def _no_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+
+
+def _triples(results) -> list:
+    return [(r.name, r.ok, r.detail) for r in results]
+
+
+def _fake_battery(monkeypatch) -> None:
+    """Every check replaced by an instant one that passes under its own name."""
+    for name in CHECKS:
+        monkeypatch.setattr(lawsuite, name, lambda name=name: CheckResult(name, True, "fake", 0.0))
+
+
+def test_the_spare_core_test_reads_the_machine(monkeypatch):
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert lawsuite._spare_core() == (hasattr(os, "fork") and cpus >= 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        assert not lawsuite._spare_core()
+    finally:
+        release.set()
+        other.join(30)
+    assert not other.is_alive()
+    with monkeypatch.context() as m:
+        _one_cpu(m)
+        assert not lawsuite._spare_core()
+    _no_fork(monkeypatch)
+    assert not lawsuite._spare_core()
+
+
+@pytest.mark.usefixtures("no_child_left")
+def test_battery_details_are_pinned(monkeypatch):
+    """On the forked path, and the same on both serial paths."""
+    with monkeypatch.context() as m:
+        forks = _forked(m)
+        forked = _triples(run_all())
+    assert forks == [os.getpid()]
+    assert forked == [(name, True, detail) for name, detail in BATTERY_DETAILS.items()]
+    for serial in (_one_cpu, _no_fork):
+        with monkeypatch.context() as m:
+            serial(m)
+            assert _triples(run_all()) == forked
+
+
+@pytest.mark.usefixtures("no_child_left")
+def test_a_dead_worker_leaves_the_serial_results(monkeypatch):
+    caller, check, here = os.getpid(), lawsuite.check_monad_laws, []
+
+    def dies_in_the_worker():
+        if os.getpid() != caller:
+            os._exit(1)
+        here.append(caller)
+        return check()
+
+    monkeypatch.setattr(lawsuite, "check_monad_laws", dies_in_the_worker)
+    forks = _forked(monkeypatch)
     results = run_all()
+    assert forks == here == [caller]
     assert {r.name: r.detail for r in results} == BATTERY_DETAILS
     assert all(r.ok for r in results)
+
+
+class Broken(Exception):
+    pass
+
+
+@pytest.mark.usefixtures("no_child_left")
+@pytest.mark.parametrize("broken", ["check_monad_laws", "check_terminality", "check_mod_closure"])
+def test_a_raising_check_raises_as_in_the_serial_run(broken, monkeypatch):
+    """In the worker's share or in the caller's, the exception is the one
+    the serial run raises."""
+
+    def raises():
+        raise Broken(broken)
+
+    _fake_battery(monkeypatch)
+    monkeypatch.setattr(lawsuite, broken, raises)
+    raised = []
+    for path in (_forked, _one_cpu):
+        with monkeypatch.context() as m:
+            path(m)
+            with pytest.raises(Broken) as info:
+                run_all()
+        raised.append(str(info.value))
+    assert raised == [broken, broken]
+
+
+@pytest.mark.usefixtures("no_child_left")
+def test_an_interrupt_in_the_callers_share_kills_the_worker(monkeypatch):
+    """The worker would run for a minute; the interrupt must not wait for it."""
+    caller = os.getpid()
+
+    def slow_in_the_worker():
+        if os.getpid() != caller:
+            time.sleep(60)
+        return CheckResult("monad-laws", True, "fake", 0.0)
+
+    def interrupted():
+        raise KeyboardInterrupt
+
+    _fake_battery(monkeypatch)
+    monkeypatch.setattr(lawsuite, "check_monad_laws", slow_in_the_worker)
+    monkeypatch.setattr(lawsuite, "check_dual_deciders", interrupted)
+    forks = _forked(monkeypatch)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_all()
+    assert forks == [caller]
+    assert time.monotonic() - t0 < 30
+
+
+def test_the_worker_leaves_the_callers_stdout_alone():
+    """With stdout a pipe, and so block-buffered, the worker holds a copy of
+    what the caller printed before the fork but not yet flushed.  Each
+    report and each check's line must still come out once."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    code = "from emalg import cli\ncli.main(['theory', '1', 'ab'])\ncli.main(['laws', '--seed', '0'])\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout
+    assert out.count('"command": "theory"') == out.count('"command": "laws"') == 1
+    lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert [line.split()[:2] for line in lines] == [["PASS", name] for name in BATTERY_DETAILS]
 
 
 def test_product_problems_match_a_direct_check_of_every_subalgebra():
